@@ -4,7 +4,9 @@
 //! Usage: `cargo run -p ncql-bench --bin report [--full]`
 //!
 //! The default run uses small, laptop-friendly parameter sweeps; `--full` uses
-//! the larger sweeps quoted in EXPERIMENTS.md.
+//! larger sweeps. The README's "Experiments" section lists what each table
+//! shows and which shapes `check_shapes` gates on; committed performance
+//! numbers come from `benchmark/` (see `benchmark/README.md`), not from here.
 
 use ncql_bench as bench;
 
@@ -37,55 +39,31 @@ fn main() {
         println!("{table}");
     }
 
-    // E14 (serving latency) runs outside `check_shapes`: wall-clock numbers
-    // are machine-dependent, so the gate is only "zero errors" (asserted
-    // inside e14_serve_latency). The largest run's summary is persisted to
-    // BENCH_serve.json, the same payload the ncql-loadgen binary writes.
-    let (serve_table, serve_payload) = if full {
-        bench::e14_serve_latency(&[2, 8, 32], 25)
+    // E14–E16 run outside `check_shapes`: their wall-clock numbers are
+    // machine-dependent and advisory. The hard invariants are asserted inside
+    // the functions themselves — E14: zero request errors; E15: every
+    // canonicalization and merge path produces the identical set; E16: the
+    // kernel and interpreted arms are bit-identical in value and statistics.
+    let wall_clock = if full {
+        [
+            bench::e14_serve_latency(&[2, 8, 32], 25),
+            bench::e15_columnar(&[50_000, 200_000], 16),
+            bench::e16_kernels(&[50_000, 200_000], 8),
+        ]
     } else {
-        bench::e14_serve_latency(&[2, 8], 10)
+        [
+            bench::e14_serve_latency(&[2, 8], 10),
+            bench::e15_columnar(&[20_000, 80_000], 16),
+            bench::e16_kernels(&[20_000, 80_000], 4),
+        ]
     };
-    println!("{serve_table}");
-    match std::fs::write("BENCH_serve.json", &serve_payload) {
-        Ok(()) => println!("wrote BENCH_serve.json\n"),
-        Err(e) => eprintln!("could not write BENCH_serve.json: {e}\n"),
-    }
-
-    // E15 (columnar set representation) also runs outside `check_shapes`:
-    // the ratios are machine-dependent, while the hard invariant — all
-    // canonicalization and merge paths produce the identical set — is
-    // asserted inside e15_columnar. The measured numbers are persisted to
-    // BENCH_columnar.json.
-    let (columnar_table, columnar_payload) = if full {
-        bench::e15_columnar(&[50_000, 200_000], 16)
-    } else {
-        bench::e15_columnar(&[20_000, 80_000], 16)
-    };
-    println!("{columnar_table}");
-    match std::fs::write("BENCH_columnar.json", &columnar_payload) {
-        Ok(()) => println!("wrote BENCH_columnar.json\n"),
-        Err(e) => eprintln!("could not write BENCH_columnar.json: {e}\n"),
-    }
-
-    // E16 (compiled row kernels) is wall-clock too: the hard invariant — the
-    // kernel and interpreted arms are bit-identical in value and statistics —
-    // is asserted inside e16_kernels; the measured speedups are persisted to
-    // BENCH_kernel.json.
-    let (kernel_table, kernel_payload) = if full {
-        bench::e16_kernels(&[50_000, 200_000], 8)
-    } else {
-        bench::e16_kernels(&[20_000, 80_000], 4)
-    };
-    println!("{kernel_table}");
-    match std::fs::write("BENCH_kernel.json", &kernel_payload) {
-        Ok(()) => println!("wrote BENCH_kernel.json\n"),
-        Err(e) => eprintln!("could not write BENCH_kernel.json: {e}\n"),
+    for table in &wall_clock {
+        println!("{table}");
     }
 
     match bench::check_shapes(&tables) {
         Ok(()) => {
-            println!("All qualitative shapes hold (see EXPERIMENTS.md for the expected shapes).")
+            println!("All qualitative shapes hold (see README.md, \"Experiments\", for the expected shapes).")
         }
         Err(e) => {
             eprintln!("SHAPE CHECK FAILED: {e}");

@@ -1,8 +1,8 @@
 //! Experiment harness reproducing the paper's propositions and worked examples.
 //!
 //! The paper has no empirical tables (it is a theory paper); the "evaluation" we
-//! reproduce is the set of measurable claims listed in `DESIGN.md` §4 and
-//! `EXPERIMENTS.md` (E1–E13). Each `e*` function runs one experiment over a
+//! reproduce is the set of measurable claims tabulated in the README's
+//! "Experiments" section (E1–E16). Each `e*` function runs one experiment over a
 //! parameter sweep and returns a [`Table`] of rows; the `report` binary prints
 //! every table, and the Criterion benches time the underlying operations.
 
@@ -12,7 +12,6 @@ use ncql_circuit::logspace::{LogSpaceMeter, UniformTcFamily};
 use ncql_circuit::relquery::RelQuery;
 use ncql_core::eval::{eval_with_stats, log_rounds, EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
-use ncql_core::parallel::ParallelEvaluator;
 use ncql_core::wellformed::{CheckOptions, LawChecker};
 use ncql_core::{derived, EvalError};
 use ncql_engine::{OptLevel, SessionBuilder};
@@ -324,7 +323,7 @@ pub fn e7_ptime_vs_nc(sizes: &[u64], threads: usize) -> Table {
         // Default cutover: the quick-run sizes are small enough that forking
         // every inner ext would be pure overhead; the Criterion bench drives
         // the genuinely parallel sizes.
-        let mut par_ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut par_ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             ..EvalConfig::default()
         });
@@ -649,12 +648,11 @@ pub fn e13_optimizer() -> Table {
 /// E14: wire-protocol serving latency. One in-process `ncql-serve` server
 /// over one shared `Session` per row; `clients` concurrent connections each
 /// issue `requests_per_client` requests round-robined over the serve corpus.
-/// Returns the table plus the largest run's `BENCH_serve.json` payload so
-/// the report binary can persist it. Latency is wall-clock and
+/// Latency is wall-clock and
 /// machine-dependent — the table documents serving overhead, not a paper
 /// claim, so `check_shapes` does not gate on it (beyond the zero-error
 /// invariant asserted here).
-pub fn e14_serve_latency(clients: &[usize], requests_per_client: usize) -> (Table, String) {
+pub fn e14_serve_latency(clients: &[usize], requests_per_client: usize) -> Table {
     use ncql_serve::loadgen::{run_load, LoadConfig};
     use ncql_serve::{ServeConfig, Server};
 
@@ -672,7 +670,6 @@ pub fn e14_serve_latency(clients: &[usize], requests_per_client: usize) -> (Tabl
             "req_per_s",
         ],
     );
-    let mut payload = String::new();
     for &n in clients {
         let server = Server::bind(ServeConfig::default(), SessionBuilder::new().build())
             .expect("bind in-process server");
@@ -701,9 +698,8 @@ pub fn e14_serve_latency(clients: &[usize], requests_per_client: usize) -> (Tabl
             report.latency.max_us.to_string(),
             format!("{:.0}", report.throughput_rps()),
         ]);
-        payload = format!("{}\n", report.to_json());
     }
-    (t, payload)
+    t
 }
 
 /// A deterministic unsorted element vector of flat-shaped pairs with plenty
@@ -747,8 +743,7 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, u64) {
 /// `VSet::union_many` and as pairwise combine rounds on the work-stealing
 /// pool at 1 and 4 workers. All paths must land on the identical canonical
 /// set — the merge is deterministic by canonicity, so only time may differ.
-/// Returns the table plus the `BENCH_columnar.json` payload.
-pub fn e15_columnar(sizes: &[usize], shards: usize) -> (Table, String) {
+pub fn e15_columnar(sizes: &[usize], shards: usize) -> Table {
     use ncql_object::VSet;
     use ncql_pram::WorkStealingPool;
 
@@ -766,7 +761,6 @@ pub fn e15_columnar(sizes: &[usize], shards: usize) -> (Table, String) {
         ],
     );
     let reps = 3;
-    let mut payload_rows = Vec::new();
     for &n in sizes {
         let elems = scrambled_pairs(n);
         let (boxed, boxed_us) = best_of(reps, || VSet::from_iter_boxed(elems.clone()));
@@ -809,16 +803,8 @@ pub fn e15_columnar(sizes: &[usize], shards: usize) -> (Table, String) {
             pool_us[0].to_string(),
             pool_us[1].to_string(),
         ]);
-        payload_rows.push(format!(
-            "{{\"n\":{n},\"shards\":{shards},\"boxed_us\":{boxed_us},\"columnar_us\":{columnar_us},\"merge_seq_us\":{merge_seq_us},\"merge_pool1_us\":{},\"merge_pool4_us\":{}}}",
-            pool_us[0], pool_us[1]
-        ));
     }
-    let payload = format!(
-        "{{\"experiment\":\"E15\",\"reps\":{reps},\"rows\":[{}]}}\n",
-        payload_rows.join(",")
-    );
-    (t, payload)
+    t
 }
 
 /// E16 — compiled row kernels vs the interpreted `ext` element map.
@@ -832,9 +818,8 @@ pub fn e15_columnar(sizes: &[usize], shards: usize) -> (Table, String) {
 /// backend at `threads` workers. The four arms must agree **bit-for-bit** on
 /// both the value and the cost statistics — the kernel is an execution
 /// strategy, not a semantics — and that equality is asserted here, so the
-/// speedup column is a pure like-for-like timing. Returns the table plus the
-/// `BENCH_kernel.json` payload.
-pub fn e16_kernels(sizes: &[usize], threads: usize) -> (Table, String) {
+/// speedup column is a pure like-for-like timing.
+pub fn e16_kernels(sizes: &[usize], threads: usize) -> Table {
     let mut t = Table::new(
         "E16",
         format!(
@@ -851,7 +836,6 @@ pub fn e16_kernels(sizes: &[usize], threads: usize) -> (Table, String) {
         ],
     );
     let reps = 3;
-    let mut payload_rows = Vec::new();
     for &n in sizes {
         let input = Value::set_from((0..n as u64).map(|i| {
             let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -935,21 +919,8 @@ pub fn e16_kernels(sizes: &[usize], threads: usize) -> (Table, String) {
             micros[3].to_string(),
             format!("{:.2}", ratio(micros[2], micros[3])),
         ]);
-        payload_rows.push(format!(
-            "{{\"n\":{n},\"threads\":{threads},\"interp_us\":{},\"kernel_us\":{},\"speedup\":{:.3},\"interp_par_us\":{},\"kernel_par_us\":{},\"speedup_par\":{:.3}}}",
-            micros[0],
-            micros[1],
-            ratio(micros[0], micros[1]),
-            micros[2],
-            micros[3],
-            ratio(micros[2], micros[3]),
-        ));
     }
-    let payload = format!(
-        "{{\"experiment\":\"E16\",\"reps\":{reps},\"rows\":[{}]}}\n",
-        payload_rows.join(",")
-    );
-    (t, payload)
+    t
 }
 
 /// Run every experiment at small, CI-friendly sizes and return all tables.
@@ -1113,21 +1084,14 @@ mod tests {
     #[test]
     fn e15_merge_paths_agree_at_small_sizes() {
         // The equality assertions inside e15_columnar are the real gate; this
-        // just runs them at a CI-cheap size and checks the payload is JSON-ish.
-        let (t, payload) = e15_columnar(&[2_000], 4);
-        assert_eq!(t.rows.len(), 1);
-        assert!(payload.starts_with("{\"experiment\":\"E15\""));
-        assert!(payload.trim_end().ends_with("]}"));
+        // just runs them at a CI-cheap size.
+        assert_eq!(e15_columnar(&[2_000], 4).rows.len(), 1);
     }
 
     #[test]
     fn e16_kernel_and_interpreted_arms_agree_at_small_sizes() {
         // The bit-identity assertions inside e16_kernels are the real gate;
-        // this runs them at a CI-cheap size and checks the payload shape.
-        let (t, payload) = e16_kernels(&[2_000], 4);
-        assert_eq!(t.rows.len(), 1);
-        assert!(payload.starts_with("{\"experiment\":\"E16\""));
-        assert!(payload.contains("\"speedup\""));
-        assert!(payload.trim_end().ends_with("]}"));
+        // this runs them at a CI-cheap size.
+        assert_eq!(e16_kernels(&[2_000], 4).rows.len(), 1);
     }
 }

@@ -12,19 +12,18 @@
 //!   `blog-loop`), and external functions Σ (Proposition 6.3).
 //! * [`mod@typecheck`] — a bidirectional-ish type checker for the language, including
 //!   the PS-type side conditions of the bounded constructs.
-//! * [`eval`] — a reference evaluator instrumented with a **work/span (PRAM) cost
+//! * [`eval`] — the evaluator, instrumented with a **work/span (PRAM) cost
 //!   model**. The span of a `dcr` combining tree is logarithmic in the set size,
 //!   the span of `ext` is one parallel step plus the maximum over its element
 //!   computations, and the span of `sri` is linear — this is exactly the
 //!   observable difference between the NC language (Theorems 6.1/6.2) and the
-//!   PTIME language (Proposition 6.6).
-//! * [`parallel`] — the parallel evaluation backend: with
-//!   `EvalConfig::parallelism` set (or through [`parallel::ParallelEvaluator`]),
-//!   the `ext` element map and the `dcr` leaf map and combining-tree rounds are
-//!   forked onto `ncql-pram`'s persistent work-stealing pool, with a
-//!   cost-model-driven cutover so small regions stay sequential and a
-//!   thread-budget semaphore so nested regions borrow idle workers. Values and
-//!   cost statistics are bit-identical to the sequential backend.
+//!   PTIME language (Proposition 6.6). There is one evaluator and one code
+//!   path per construct; who runs which leaf is a *schedule* chosen underneath
+//!   it: with `EvalConfig::parallelism` set, the `ext` element map and the
+//!   `dcr` leaf map and combining-tree rounds fork onto `ncql-pram`'s
+//!   persistent work-stealing pool (cost-model cutover and thread-budget
+//!   semaphore documented on [`EvalConfig`]), and values and cost statistics
+//!   are bit-identical on every schedule.
 //! * [`analysis`] — free variables, expression size, and the *depth of recursion
 //!   nesting* of §3, which stratifies the language into the ACᵏ levels.
 //! * [`analyze`] — prepare-time static analysis: symbolic work/span upper
@@ -59,7 +58,6 @@ pub mod eval;
 pub mod expr;
 pub mod externs;
 pub mod kernel;
-pub mod parallel;
 pub mod rewrite;
 pub mod span;
 pub mod typecheck;
@@ -67,10 +65,11 @@ pub mod wellformed;
 
 pub use analyze::{analyze_query, Bound, CostBound, Finding, Lint, Poly, QueryAnalysis, Severity};
 pub use error::{EvalError, TypeError, TypeErrorKind};
-pub use eval::{CancelToken, CostStats, EvalConfig, Evaluator};
+pub use eval::{
+    normalize_parallelism, parallelism_from_env, CancelToken, CostStats, EvalConfig, Evaluator,
+};
 pub use expr::{Expr, ExprKind};
 pub use kernel::{kernel_stats, KernelSite, KernelStats};
-pub use parallel::{eval_parallel, normalize_parallelism, parallelism_from_env, ParallelEvaluator};
 pub use rewrite::{optimize, FiredRewrite, OptLevel, RewriteOutcome};
 pub use span::Span;
 pub use typecheck::{typecheck, typecheck_closed, TypeEnv};

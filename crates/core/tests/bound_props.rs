@@ -14,7 +14,6 @@ use ncql_core::analyze::{analyze_query, Poly, QueryAnalysis};
 use ncql_core::eval::{eval_with_stats, CostStats, EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
 use ncql_core::externs::ExternRegistry;
-use ncql_core::parallel::ParallelEvaluator;
 use ncql_object::{Type, Value};
 use proptest::prelude::*;
 
@@ -144,7 +143,7 @@ proptest! {
         let analysis = analyze_query(&q, &[], &ExternRegistry::standard());
         let (_, seq) = eval_with_stats(&q).expect("sequential eval");
         assert_covers(&analysis, &seq, &|_| None, &format!("shape {shape} (sequential)"));
-        let mut par_ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut par_ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             parallel_cutoff: 1,
             pool_threads: Some(pool_threads),

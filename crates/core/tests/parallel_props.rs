@@ -21,7 +21,6 @@
 use ncql_core::error::EvalError;
 use ncql_core::eval::{eval_with_stats, CostStats, EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
-use ncql_core::parallel::ParallelEvaluator;
 use ncql_core::EvalResult;
 use ncql_object::{Type, Value};
 use proptest::prelude::*;
@@ -121,7 +120,7 @@ fn eval_parallel_with(
     threads: usize,
     base: EvalConfig,
 ) -> EvalResult<(Value, CostStats)> {
-    let mut ev = ParallelEvaluator::with_config(EvalConfig {
+    let mut ev = Evaluator::new(EvalConfig {
         parallelism: Some(threads),
         parallel_cutoff: 1,
         ..base
@@ -201,7 +200,7 @@ proptest! {
         threads in 2usize..9,
         steal_seed in proptest::prelude::any::<u64>(),
     ) {
-        let mut ev = ParallelEvaluator::with_config(EvalConfig {
+        let mut ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             parallel_cutoff: 1,
             pool_steal_seed: steal_seed,

@@ -3,10 +3,9 @@
 use crate::cache::ShardedLru;
 use crate::error::Error;
 use crate::prepared::{Backend, Outcome, PreparedPlan, PreparedQuery};
-use ncql_core::eval::{CancelToken, CostStats, EvalConfig, Evaluator};
+use ncql_core::eval::{normalize_parallelism, CancelToken, EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
 use ncql_core::externs::ExternRegistry;
-use ncql_core::parallel::{normalize_parallelism, ParallelEvaluator};
 use ncql_core::rewrite::{optimize_analyzed, OptLevel};
 use ncql_core::typecheck::{infer, value_type, TypeEnv};
 use ncql_core::{analysis, analyze_query, EvalError, Finding, Lint};
@@ -426,9 +425,9 @@ impl Session {
 
     /// The backend this session dispatches to.
     pub fn backend(&self) -> Backend {
-        match self.config.parallelism {
-            Some(threads) if threads >= 2 => Backend::Parallel { threads },
-            _ => Backend::Sequential,
+        match normalize_parallelism(self.config.parallelism) {
+            Some(threads) => Backend::Parallel { threads },
+            None => Backend::Sequential,
         }
     }
 
@@ -749,7 +748,9 @@ impl Session {
             .clone()
     }
 
-    /// Dispatch one evaluation onto the configured backend.
+    /// Run one evaluation: a fresh evaluator under the session's (possibly
+    /// tightened) configuration, forking onto the session's pool iff that
+    /// configuration is parallel.
     fn eval_raw(
         &self,
         expr: &Expr,
@@ -766,30 +767,19 @@ impl Session {
         if let Some(limit) = options.max_set_size {
             config.max_set_size = config.max_set_size.min(limit);
         }
-        let (value, stats): (Value, CostStats) = match backend {
-            Backend::Parallel { .. } => {
-                let mut evaluator = ParallelEvaluator::with_config(config);
-                // One pool per session: every execution forks onto the same
-                // persistent worker set instead of growing its own.
-                evaluator.attach_pool(self.pool());
-                if let Some(token) = &options.cancel {
-                    evaluator.attach_cancel(token.clone());
-                }
-                let value = evaluator.eval_with_bindings(expr, bindings)?;
-                (value, evaluator.stats())
-            }
-            Backend::Sequential => {
-                let mut evaluator = Evaluator::new(config);
-                if let Some(token) = &options.cancel {
-                    evaluator.attach_cancel(token.clone());
-                }
-                let value = evaluator.eval_with_bindings(expr, bindings)?;
-                (value, evaluator.stats())
-            }
-        };
+        let mut evaluator = Evaluator::new(config);
+        if backend != Backend::Sequential {
+            // One pool per session: every execution forks onto the same
+            // persistent worker set instead of growing its own.
+            evaluator.attach_pool(self.pool());
+        }
+        if let Some(token) = &options.cancel {
+            evaluator.attach_cancel(token.clone());
+        }
+        let value = evaluator.eval_with_bindings(expr, bindings)?;
         Ok(Outcome {
             value,
-            stats,
+            stats: evaluator.stats(),
             backend,
         })
     }

@@ -1,5 +1,6 @@
-//! Uniform entry point for evaluating library queries on either backend —
-//! kept as a **thin shim over [`ncql_engine::Session`]** for corpus callers.
+//! Uniform entry point for evaluating library queries on either schedule of
+//! the one evaluator (inline, or forking regions onto a pool) — kept as a
+//! **thin shim over [`ncql_engine::Session`]** for corpus callers.
 //!
 //! New code should use the engine directly (`Session::prepare` /
 //! `Session::execute` amortize the front end across repeated executions);
@@ -10,13 +11,12 @@
 //! Parallelism normalization: the `parallelism` argument overrides the base
 //! configuration's knob, and the degenerate requests `Some(0)` / `Some(1)` are
 //! normalized to `None` (sequential) by
-//! [`ncql_core::parallel::normalize_parallelism`] before they are stored — a
+//! [`ncql_core::normalize_parallelism`] before they are stored — a
 //! configuration never records a thread count that looks parallel but
 //! evaluates sequentially.
 
-use ncql_core::eval::{CostStats, EvalConfig};
+use ncql_core::eval::{normalize_parallelism, CostStats, EvalConfig};
 use ncql_core::expr::Expr;
-use ncql_core::parallel::normalize_parallelism;
 use ncql_core::EvalResult;
 use ncql_engine::Session;
 use ncql_object::Value;

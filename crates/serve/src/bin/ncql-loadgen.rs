@@ -1,5 +1,6 @@
 //! `ncql-loadgen`: concurrent load against an `ncql-served` instance, with a
-//! latency-percentile report written to `BENCH_serve.json`.
+//! latency-percentile report on stdout (and as JSON in `--out PATH`, when
+//! asked).
 //!
 //! ```text
 //! ncql-loadgen [--addr HOST:PORT] [--clients N] [--requests N]
@@ -21,7 +22,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut addr: Option<String> = None;
-    let mut out_path = "BENCH_serve.json".to_string();
+    let mut out_path: Option<String> = None;
     let mut config = LoadConfig::default();
 
     let mut args = std::env::args().skip(1);
@@ -44,7 +45,7 @@ fn main() -> ExitCode {
                 None => return usage("--deadline-ms needs an integer"),
             },
             "--out" => match args.next() {
-                Some(p) => out_path = p,
+                Some(p) => out_path = Some(p),
                 None => return usage("--out needs a path"),
             },
             "--help" | "-h" => {
@@ -124,12 +125,13 @@ fn main() -> ExitCode {
         eprintln!("ncql-loadgen: error sample: {sample}");
     }
 
-    let payload = format!("{}\n", report.to_json());
-    if let Err(e) = std::fs::write(&out_path, payload) {
-        eprintln!("ncql-loadgen: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+    if let Some(out_path) = out_path {
+        if let Err(e) = std::fs::write(&out_path, format!("{}\n", report.to_json())) {
+            eprintln!("ncql-loadgen: cannot write {out_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("ncql-loadgen: wrote {out_path}");
     }
-    eprintln!("ncql-loadgen: wrote {out_path}");
 
     if report.errors > 0 {
         ExitCode::FAILURE

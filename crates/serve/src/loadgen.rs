@@ -113,7 +113,7 @@ impl LoadReport {
         }
     }
 
-    /// The report as a JSON object (the `BENCH_serve.json` payload).
+    /// The report as a JSON object (what `ncql-loadgen --out PATH` writes).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("clients".to_string(), Json::num(self.clients as u64)),

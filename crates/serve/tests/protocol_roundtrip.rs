@@ -95,6 +95,16 @@ fn parse_type_and_eval_errors_round_trip_with_exact_spans() {
     assert_eq!(diag.line, Some(2), "span resolves to the second line");
     assert_eq!(diag.snippet.as_deref(), Some("pi1 x"));
 
+    // 10 000 nested parentheses (20 KB, far under the line limit) used to
+    // overflow the parser's stack and abort the whole server; now a typed
+    // parse diagnostic, and the connection answers the next request.
+    let deep = format!("{}@1{}", "(".repeat(10_000), ")".repeat(10_000));
+    assert_eq!(
+        assert_error_parity(&mut client, &session, &deep),
+        code::PARSE
+    );
+    assert_eq!(client.execute("nat_add(40, 2)").unwrap().printed, "42");
+
     client.close().expect("close");
     handle.shutdown();
 }

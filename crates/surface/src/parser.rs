@@ -13,6 +13,18 @@ use ncql_core::Expr;
 use ncql_object::Type;
 use std::fmt;
 
+/// Maximum nesting depth of expressions (and of types) the parser accepts:
+/// every bracketed, prefixed or binder-bodied subexpression is one level.
+/// Like `ncql_serve::json`'s `MAX_DEPTH` it is a constant, well above
+/// anything legitimate (the deepest text in the corpus and the test suites
+/// nests 18 levels) and below stack exhaustion — not only of the recursive
+/// descent itself but of every recursive pass downstream of it (typecheck,
+/// analysis, rewriting, printing, evaluation), which all recurse on the tree
+/// this bound keeps shallow. That is why it is lower than the JSON reader's
+/// 128: in an unoptimized build the type checker alone overflows a 2 MiB
+/// thread stack between 70 and 80 levels.
+const MAX_DEPTH: usize = 48;
+
 /// A parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
@@ -28,6 +40,14 @@ pub enum ParseError {
         /// What was expected.
         expected: String,
     },
+    /// The text nests expressions (or types) deeper than the parser accepts.
+    TooDeep {
+        /// Byte span of the first token of the subexpression (or type) one
+        /// level past the limit.
+        span: Span,
+        /// The nesting limit that was exceeded.
+        limit: usize,
+    },
 }
 
 impl ParseError {
@@ -36,7 +56,7 @@ impl ParseError {
     pub fn span(&self) -> Span {
         match self {
             ParseError::Lex(e) => e.span,
-            ParseError::Unexpected { span, .. } => *span,
+            ParseError::Unexpected { span, .. } | ParseError::TooDeep { span, .. } => *span,
         }
     }
 }
@@ -61,6 +81,11 @@ impl fmt::Display for ParseError {
                     span.start
                 ),
             },
+            ParseError::TooDeep { span, limit } => write!(
+                f,
+                "parse error at byte {}: nesting deeper than {limit} levels",
+                span.start
+            ),
         }
     }
 }
@@ -79,6 +104,8 @@ struct Parser {
     /// Byte length of the source text: the position reported for unexpected
     /// end of input.
     eof: usize,
+    /// Current nesting depth (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -168,9 +195,32 @@ impl Parser {
         matches!(self.peek(), Some(Token::Ident(s)) if s == kw)
     }
 
+    /// Run `parse` one nesting level down, refusing to pass [`MAX_DEPTH`].
+    /// Every recursion cycle of the grammar goes through here, so the depth
+    /// budget is enforced before the stack is.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep {
+                span: self.here(),
+                limit: MAX_DEPTH,
+            });
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     // ----- types -----
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
+        self.nested(Parser::type_body)
+    }
+
+    fn type_body(&mut self) -> Result<Type, ParseError> {
         match self.next() {
             Some(Token::Ident(s)) => match s.as_str() {
                 "atom" => Ok(Type::Base),
@@ -219,6 +269,10 @@ impl Parser {
     // ----- expressions -----
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Parser::expr_body)
+    }
+
+    fn expr_body(&mut self) -> Result<Expr, ParseError> {
         let start = self.current_start();
         if self.peek() == Some(&Token::Backslash) {
             self.pos += 1;
@@ -338,8 +392,9 @@ impl Parser {
             "true" => Ok(Expr::bool_val(true)),
             "false" => Ok(Expr::bool_val(false)),
             "unit" => Ok(Expr::unit()),
-            "pi1" => Ok(Expr::proj1(self.parse_primary()?)),
-            "pi2" => Ok(Expr::proj2(self.parse_primary()?)),
+            // The one cycle that bypasses `parse_expr`: `pi1 pi1 pi1 …`.
+            "pi1" => Ok(Expr::proj1(self.nested(Parser::parse_primary)?)),
+            "pi2" => Ok(Expr::proj2(self.nested(Parser::parse_primary)?)),
             "empty" => {
                 self.expect(&Token::LBracket)?;
                 let ty = self.parse_type()?;
@@ -458,6 +513,7 @@ pub fn parse_expr(text: &str) -> Result<Expr, ParseError> {
         tokens,
         pos: 0,
         eof: text.len(),
+        depth: 0,
     };
     let expr = parser.parse_expr()?;
     if parser.pos != parser.tokens.len() {
@@ -473,6 +529,7 @@ pub fn parse_type(text: &str) -> Result<Type, ParseError> {
         tokens,
         pos: 0,
         eof: text.len(),
+        depth: 0,
     };
     let ty = parser.parse_type()?;
     if parser.pos != parser.tokens.len() {
@@ -636,5 +693,41 @@ mod tests {
                     {@1} union {@2}, {@1} union {@2} union {@3})";
         let e = parse_expr(text).unwrap();
         assert_eq!(eval_closed(&e).unwrap(), Value::atom_set(vec![1, 2]));
+    }
+
+    #[test]
+    fn nesting_is_bounded_before_the_stack_is() {
+        let nest = |open: &str, n: usize, leaf: &str, close: &str| {
+            format!("{}{leaf}{}", open.repeat(n), close.repeat(n))
+        };
+        // The leaf is itself one level, so MAX_DEPTH - 1 brackets fit.
+        for (open, close) in [("(", ")"), ("{", "}")] {
+            assert!(parse_expr(&nest(open, MAX_DEPTH - 1, "@1", close)).is_ok());
+            let err = parse_expr(&nest(open, MAX_DEPTH, "@1", close)).unwrap_err();
+            // The offending token is the leaf `@1`: level MAX_DEPTH + 1.
+            assert_eq!(
+                err,
+                ParseError::TooDeep {
+                    span: Span::new(MAX_DEPTH, MAX_DEPTH + 2),
+                    limit: MAX_DEPTH
+                }
+            );
+            assert!(err.to_string().contains("nesting deeper than 48 levels"));
+        }
+        // Every recursion cycle is budgeted: binder bodies, projection
+        // chains (which never re-enter `parse_expr`), and types.
+        let deep = 10_000;
+        for text in [
+            nest("(", deep, "@1", ")"),
+            nest("\\x: atom. ", deep, "x", ""),
+            nest("pi1 ", deep, "p", ""),
+            format!("empty[{}]", nest("{", deep, "atom", "}")),
+        ] {
+            assert!(matches!(parse_expr(&text), Err(ParseError::TooDeep { .. })));
+        }
+        assert!(matches!(
+            parse_type(&nest("(", deep, "atom", ")")),
+            Err(ParseError::TooDeep { .. })
+        ));
     }
 }

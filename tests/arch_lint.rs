@@ -1,13 +1,12 @@
 //! Durable architecture lints, enforced as a test so they run on every CI
 //! leg without extra tooling.
 //!
-//! 1. **Single front door.** `Evaluator`/`ParallelEvaluator` may only be
-//!    constructed inside the core crate (they live there), the engine crate
-//!    (the one supported dispatch point, `Session::eval_raw`), and their
-//!    tests. Everything else goes through `ncql_engine::Session`. A short
-//!    allowlist grandfathers the pre-`Session` call sites; removing one of
-//!    those files without pruning the allowlist fails the test, so the list
-//!    can only shrink.
+//! 1. **Single front door.** `Evaluator` may only be constructed inside the
+//!    core crate (it lives there), the engine crate (the one supported
+//!    dispatch point, `Session::eval_raw`), and their tests. Everything else
+//!    goes through `ncql_engine::Session`. A short allowlist grandfathers the
+//!    pre-`Session` call sites; removing one of those files without pruning
+//!    the allowlist fails the test, so the list can only shrink.
 //! 2. **No ad-hoc scoped threads on the evaluator hot path.** The parallel
 //!    backend went through a per-region `std::thread::scope` phase before the
 //!    persistent work-stealing pool replaced it; this lint keeps
@@ -70,7 +69,7 @@ fn without_line_comment(line: &str) -> &str {
 #[test]
 fn evaluators_are_constructed_only_behind_the_session_front_door() {
     // Call sites that predate the unified `Session` API and deliberately
-    // drive the evaluators directly: the Proposition 7.3 translation check,
+    // drive the evaluator directly: the Proposition 7.3 translation check,
     // the benches (which measure evaluator overhead without cache effects),
     // and the powerset module's cost-assertion tests.
     const ALLOWLIST: &[&str] = &[
@@ -79,7 +78,7 @@ fn evaluators_are_constructed_only_behind_the_session_front_door() {
         "crates/bench/benches/e8_bounded_vs_unbounded.rs",
         "crates/queries/src/powerset.rs",
     ];
-    let constructors = ["Evaluator::new(", "Evaluator::with_config("];
+    let constructor = "Evaluator::new(";
 
     let sources = rust_sources();
     for allowed in ALLOWLIST {
@@ -92,8 +91,8 @@ fn evaluators_are_constructed_only_behind_the_session_front_door() {
     let mut violations = Vec::new();
     for path in &sources {
         let rel = relative(path);
-        // The types live in core and are dispatched by the engine; both may
-        // construct them freely (their unit/integration tests included).
+        // The type lives in core and is dispatched by the engine; both may
+        // construct it freely (their unit/integration tests included).
         if rel.starts_with("crates/core/") || rel.starts_with("crates/engine/") {
             continue;
         }
@@ -107,7 +106,7 @@ fn evaluators_are_constructed_only_behind_the_session_front_door() {
         let text = fs::read_to_string(path).expect("readable source file");
         for (lineno, line) in text.lines().enumerate() {
             let code = without_line_comment(line);
-            if constructors.iter().any(|c| code.contains(c)) {
+            if code.contains(constructor) {
                 violations.push(format!("{rel}:{}: {}", lineno + 1, line.trim()));
             }
         }
@@ -126,11 +125,7 @@ fn no_scoped_threads_on_the_evaluator_hot_path() {
     // (everything from the first `#[cfg(test)]` on) may use scoped threads
     // to probe concurrency; the implementation itself must fork onto the
     // persistent pool.
-    const HOT_PATH: &[&str] = &[
-        "crates/core/src/eval.rs",
-        "crates/core/src/parallel.rs",
-        "crates/pram/src/lib.rs",
-    ];
+    const HOT_PATH: &[&str] = &["crates/core/src/eval.rs", "crates/pram/src/lib.rs"];
     for rel in HOT_PATH {
         let path = repo_root().join(rel);
         let text = fs::read_to_string(&path)

@@ -15,7 +15,8 @@
 use ncql::core::externs::ExternRegistry;
 use ncql::core::parallelism_from_env;
 use ncql::object::{Type, Value};
-use ncql::{Backend, Session, SessionBuilder};
+use ncql::surface::ParseError;
+use ncql::{Backend, Error, Session, SessionBuilder, Span};
 
 /// A shared mini-corpus of surface texts spanning the recursion forms, the
 /// iterators, `ext` and the external arithmetic.
@@ -192,4 +193,28 @@ fn execute_many_amortizes_one_plan_over_batches() {
     }
     // One front-end run total, no matter how many executions.
     assert_eq!(session.cache_metrics().misses, 1);
+}
+
+#[test]
+fn nesting_past_the_parser_limit_is_a_typed_error_not_a_stack_overflow() {
+    let session = Session::new();
+    let nest =
+        |open: &str, n: usize, close: &str| format!("{}@1{}", open.repeat(n), close.repeat(n));
+    // Just under the 48-level limit (the leaf is a level): every recursive
+    // pass downstream of the parser — typecheck, analysis, rewriting,
+    // printing, evaluation — handles the depth the parser admits.
+    let text = nest("{", 47, "}");
+    let query = session.prepare(&text).unwrap();
+    let out = session.execute(&query).unwrap();
+    assert_eq!(out.value.to_string(), text.replace('@', "a"));
+    // Just over.
+    assert!(matches!(
+        session.prepare(&nest("{", 48, "}")),
+        Err(Error::Parse(ParseError::TooDeep { limit: 48, .. }))
+    ));
+    // 10 000 nested parentheses — 20 KB, far under any line limit — used to
+    // overflow the recursive-descent parser's stack and abort the process.
+    let err = session.prepare(&nest("(", 10_000, ")")).unwrap_err();
+    assert!(matches!(err, Error::Parse(ParseError::TooDeep { .. })));
+    assert_eq!(err.span(), Some(Span::new(48, 49)));
 }
