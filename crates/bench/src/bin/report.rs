@@ -39,28 +39,6 @@ fn main() {
         println!("{table}");
     }
 
-    // E14–E16 run outside `check_shapes`: their wall-clock numbers are
-    // machine-dependent and advisory. The hard invariants are asserted inside
-    // the functions themselves — E14: zero request errors; E15: every
-    // canonicalization and merge path produces the identical set; E16: the
-    // kernel and interpreted arms are bit-identical in value and statistics.
-    let wall_clock = if full {
-        [
-            bench::e14_serve_latency(&[2, 8, 32], 25),
-            bench::e15_columnar(&[50_000, 200_000], 16),
-            bench::e16_kernels(&[50_000, 200_000], 8),
-        ]
-    } else {
-        [
-            bench::e14_serve_latency(&[2, 8], 10),
-            bench::e15_columnar(&[20_000, 80_000], 16),
-            bench::e16_kernels(&[20_000, 80_000], 4),
-        ]
-    };
-    for table in &wall_clock {
-        println!("{table}");
-    }
-
     match bench::check_shapes(&tables) {
         Ok(()) => {
             println!("All qualitative shapes hold (see README.md, \"Experiments\", for the expected shapes).")

@@ -2,9 +2,9 @@
 //!
 //! The paper has no empirical tables (it is a theory paper); the "evaluation" we
 //! reproduce is the set of measurable claims tabulated in the README's
-//! "Experiments" section (E1–E16). Each `e*` function runs one experiment over a
+//! "Experiments" section (E1–E13). Each `e*` function runs one experiment over a
 //! parameter sweep and returns a [`Table`] of rows; the `report` binary prints
-//! every table, and the Criterion benches time the underlying operations.
+//! every table. Wall-clock performance is measured by `benchmark/`, not here.
 
 use ncql_circuit::compile::compile_stats;
 use ncql_circuit::dcl::direct_connection_language;
@@ -321,8 +321,7 @@ pub fn e7_ptime_vs_nc(sizes: &[u64], threads: usize) -> Table {
     for &n in sizes {
         let query = graph::tc_dcr(Expr::constant(datagen::path_graph(n).to_value()));
         // Default cutover: the quick-run sizes are small enough that forking
-        // every inner ext would be pure overhead; the Criterion bench drives
-        // the genuinely parallel sizes.
+        // every inner ext would be pure overhead.
         let mut par_ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             ..EvalConfig::default()
@@ -645,284 +644,6 @@ pub fn e13_optimizer() -> Table {
     t
 }
 
-/// E14: wire-protocol serving latency. One in-process `ncql-serve` server
-/// over one shared `Session` per row; `clients` concurrent connections each
-/// issue `requests_per_client` requests round-robined over the serve corpus.
-/// Latency is wall-clock and
-/// machine-dependent — the table documents serving overhead, not a paper
-/// claim, so `check_shapes` does not gate on it (beyond the zero-error
-/// invariant asserted here).
-pub fn e14_serve_latency(clients: &[usize], requests_per_client: usize) -> Table {
-    use ncql_serve::loadgen::{run_load, LoadConfig};
-    use ncql_serve::{ServeConfig, Server};
-
-    let mut t = Table::new(
-        "E14",
-        "Serving: wire latency vs concurrent clients (one shared session, thread-per-connection)",
-        &[
-            "clients",
-            "ok",
-            "busy",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-            "max_us",
-            "req_per_s",
-        ],
-    );
-    for &n in clients {
-        let server = Server::bind(ServeConfig::default(), SessionBuilder::new().build())
-            .expect("bind in-process server");
-        let handle = server.spawn().expect("spawn in-process server");
-        let report = run_load(
-            handle.addr(),
-            &LoadConfig {
-                clients: n,
-                requests_per_client,
-                ..LoadConfig::default()
-            },
-        );
-        handle.shutdown();
-        assert_eq!(
-            report.errors, 0,
-            "serve bench hit errors: {:?}",
-            report.error_samples
-        );
-        t.push_row(vec![
-            n.to_string(),
-            report.ok.to_string(),
-            report.busy_retries.to_string(),
-            report.latency.p50_us.to_string(),
-            report.latency.p95_us.to_string(),
-            report.latency.p99_us.to_string(),
-            report.latency.max_us.to_string(),
-            format!("{:.0}", report.throughput_rps()),
-        ]);
-    }
-    t
-}
-
-/// A deterministic unsorted element vector of flat-shaped pairs with plenty
-/// of duplicates — the shape of data the evaluator's `ext` hands to set
-/// canonicalization. The multiplicative scramble is a fixed odd constant, so
-/// every run (and both A/B arms) sees the same input.
-fn scrambled_pairs(n: usize) -> Vec<Value> {
-    (0..n as u64)
-        .map(|i| {
-            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Value::pair(
-                Value::Atom(key % (n as u64 / 2 + 1)),
-                Value::Nat((key >> 32) % 64),
-            )
-        })
-        .collect()
-}
-
-/// The minimum wall-clock time of `reps` runs of `f`, in microseconds, plus
-/// the last result (for cross-arm equality checks).
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, u64) {
-    let mut best = u64::MAX;
-    let mut out = None;
-    for _ in 0..reps {
-        let started = Instant::now();
-        let r = f();
-        best = best.min(started.elapsed().as_micros() as u64);
-        out = Some(r);
-    }
-    (out.expect("reps >= 1"), best)
-}
-
-/// E15 — columnar flat sets: canonicalization and parallel canonical merge.
-///
-/// Part one A/Bs the two `VSet` representations on the hot path the
-/// evaluator's `ext` runs — canonicalizing a large unsorted flat-shaped
-/// element vector — by building the same set through `VSet::from_iter`
-/// (columnar word rows, vectorized row sort) and `VSet::from_iter_boxed`
-/// (boxed values, comparison sort). Part two times the canonical merge of
-/// pre-sorted shards, the shape the parallel `ext` produces: sequentially via
-/// `VSet::union_many` and as pairwise combine rounds on the work-stealing
-/// pool at 1 and 4 workers. All paths must land on the identical canonical
-/// set — the merge is deterministic by canonicity, so only time may differ.
-pub fn e15_columnar(sizes: &[usize], shards: usize) -> Table {
-    use ncql_object::VSet;
-    use ncql_pram::WorkStealingPool;
-
-    let mut t = Table::new(
-        "E15",
-        "Columnar sets: canonicalization A/B and shard-merge scaling (best of 3, microseconds)",
-        &[
-            "n",
-            "boxed_us",
-            "columnar_us",
-            "canon_ratio",
-            "merge_seq_us",
-            "merge_p1_us",
-            "merge_p4_us",
-        ],
-    );
-    let reps = 3;
-    for &n in sizes {
-        let elems = scrambled_pairs(n);
-        let (boxed, boxed_us) = best_of(reps, || VSet::from_iter_boxed(elems.clone()));
-        let (columnar, columnar_us) = best_of(reps, || elems.iter().cloned().collect::<VSet>());
-        assert_eq!(boxed, columnar, "representations diverged at n = {n}");
-        assert!(columnar.is_columnar(), "large flat set must be columnar");
-
-        // Pre-sorted overlapping shards: each chunk spans the whole key
-        // space, so the merge deduplicates across every shard boundary.
-        let parts: Vec<VSet> = elems
-            .chunks(n.div_ceil(shards))
-            .map(|chunk| chunk.iter().cloned().collect())
-            .collect();
-        let (merged_seq, merge_seq_us) = best_of(reps, || VSet::union_many(parts.clone()));
-        assert_eq!(merged_seq, columnar, "sequential merge diverged at n = {n}");
-        let mut pool_us = Vec::new();
-        for threads in [1usize, 4] {
-            let pool = WorkStealingPool::new(threads);
-            let region = pool.try_borrow(threads).expect("fresh pool has budget");
-            let (merged, us) = best_of(reps, || {
-                region
-                    .reduce(parts.clone(), |a, b| a.union(b))
-                    .expect("union never panics")
-                    .unwrap_or_default()
-            });
-            assert_eq!(
-                merged, columnar,
-                "pool merge ({threads} workers) diverged at n = {n}"
-            );
-            drop(region);
-            pool.shutdown();
-            pool_us.push(us);
-        }
-        t.push_row(vec![
-            n.to_string(),
-            boxed_us.to_string(),
-            columnar_us.to_string(),
-            format!("{:.2}", boxed_us as f64 / columnar_us.max(1) as f64),
-            merge_seq_us.to_string(),
-            pool_us[0].to_string(),
-            pool_us[1].to_string(),
-        ]);
-    }
-    t
-}
-
-/// E16 — compiled row kernels vs the interpreted `ext` element map.
-///
-/// The query is a kernel-liftable `ext` over a large columnar `(atom, nat)`
-/// set: per row it computes `y = pi2 x * 3 + 7`, keeps the row iff
-/// `y <= 384`, and rebuilds the pair as `(pi1 x, y)` — projection, scalar
-/// arithmetic through extern word-twins, a comparison guard, and pair
-/// construction, i.e. every node kind the kernel compiler lifts. Each size is
-/// A/B'd with row kernels on and off, sequentially and on the parallel
-/// backend at `threads` workers. The four arms must agree **bit-for-bit** on
-/// both the value and the cost statistics — the kernel is an execution
-/// strategy, not a semantics — and that equality is asserted here, so the
-/// speedup column is a pure like-for-like timing.
-pub fn e16_kernels(sizes: &[usize], threads: usize) -> Table {
-    let mut t = Table::new(
-        "E16",
-        format!(
-            "Row kernels: compiled vs interpreted ext (best of 3, microseconds; parallel = {threads} workers)"
-        ),
-        &[
-            "n",
-            "interp_us",
-            "kernel_us",
-            "speedup",
-            "interp_par_us",
-            "kernel_par_us",
-            "speedup_par",
-        ],
-    );
-    let reps = 3;
-    for &n in sizes {
-        let input = Value::set_from((0..n as u64).map(|i| {
-            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Value::pair(Value::Atom(key % (n as u64 / 2 + 1)), Value::Nat(key % 509))
-        }));
-        let pair_ty = Type::prod(Type::Base, Type::Nat);
-        let body = Expr::let_in(
-            "y",
-            Expr::extern_call(
-                "nat_add",
-                vec![
-                    Expr::extern_call("nat_mul", vec![Expr::proj2(Expr::var("x")), Expr::nat(3)]),
-                    Expr::nat(7),
-                ],
-            ),
-            Expr::ite(
-                Expr::extern_call("nat_leq", vec![Expr::var("y"), Expr::nat(384)]),
-                Expr::singleton(Expr::pair(Expr::proj1(Expr::var("x")), Expr::var("y"))),
-                Expr::empty(pair_ty.clone()),
-            ),
-        );
-        let query = Expr::ext(Expr::lam("x", pair_ty, body), Expr::constant(input));
-
-        // The A/B is meaningless if the site does not actually compile.
-        let sites = ncql_core::kernel::analyze_sites(
-            &query,
-            &ncql_core::externs::ExternRegistry::standard(),
-        );
-        assert_eq!(sites.len(), 1, "E16 expects exactly one ext site");
-        assert!(
-            sites[0].compiled,
-            "E16 body must be liftable: {}",
-            sites[0].detail
-        );
-
-        let session = |kernels: bool, parallelism: Option<usize>| {
-            SessionBuilder::new()
-                .row_kernels(kernels)
-                .parallelism(parallelism)
-                .build()
-        };
-        let arms = [
-            (false, None),
-            (true, None),
-            (false, Some(threads)),
-            (true, Some(threads)),
-        ];
-        let mut outcomes = Vec::new();
-        let mut micros = Vec::new();
-        for (kernels, parallelism) in arms {
-            let s = session(kernels, parallelism);
-            let (outcome, us) = best_of(reps, || {
-                s.evaluate(&query).expect("E16 query evaluates cleanly")
-            });
-            outcomes.push(outcome);
-            micros.push(us);
-        }
-        // Bit-identity across all four arms: value and every cost tally.
-        for arm in &outcomes[1..] {
-            assert_eq!(
-                arm.value, outcomes[0].value,
-                "E16 values diverged at n = {n}"
-            );
-            assert_eq!(
-                arm.stats, outcomes[0].stats,
-                "E16 statistics diverged at n = {n}"
-            );
-        }
-        let filtered = outcomes[0].value.as_set().expect("ext yields a set").len();
-        assert!(
-            0 < filtered && filtered < n,
-            "E16 filter must bite (kept {filtered} of {n})"
-        );
-        let ratio = |a: u64, b: u64| a as f64 / b.max(1) as f64;
-        t.push_row(vec![
-            n.to_string(),
-            micros[0].to_string(),
-            micros[1].to_string(),
-            format!("{:.2}", ratio(micros[0], micros[1])),
-            micros[2].to_string(),
-            micros[3].to_string(),
-            format!("{:.2}", ratio(micros[2], micros[3])),
-        ]);
-    }
-    t
-}
-
 /// Run every experiment at small, CI-friendly sizes and return all tables.
 pub fn run_all_quick() -> Vec<Table> {
     vec![
@@ -1079,19 +800,5 @@ mod tests {
     fn e7_reports_matching_results() {
         let t = e7_ptime_vs_nc(&[6], 2);
         assert_eq!(t.rows.len(), 1);
-    }
-
-    #[test]
-    fn e15_merge_paths_agree_at_small_sizes() {
-        // The equality assertions inside e15_columnar are the real gate; this
-        // just runs them at a CI-cheap size.
-        assert_eq!(e15_columnar(&[2_000], 4).rows.len(), 1);
-    }
-
-    #[test]
-    fn e16_kernel_and_interpreted_arms_agree_at_small_sizes() {
-        // The bit-identity assertions inside e16_kernels are the real gate;
-        // this runs them at a CI-cheap size.
-        assert_eq!(e16_kernels(&[2_000], 4).rows.len(), 1);
     }
 }

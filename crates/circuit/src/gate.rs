@@ -5,13 +5,11 @@
 //! evaluation a single forward pass. Gates are `INPUT`, constant, `NOT`, and
 //! unbounded fan-in `AND`/`OR`, exactly the gate basis of the ACᵏ definition.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a gate within a circuit.
 pub type GateId = usize;
 
 /// The kind of a gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateKind {
     /// The i-th input bit.
     Input(usize),
@@ -26,7 +24,7 @@ pub enum GateKind {
 }
 
 /// One gate: its kind and the gates feeding it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gate {
     /// The gate kind.
     pub kind: GateKind,
@@ -35,7 +33,7 @@ pub struct Gate {
 }
 
 /// An unbounded fan-in boolean circuit with designated output gates.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Circuit {
     /// Number of input bits.
     pub num_inputs: usize,

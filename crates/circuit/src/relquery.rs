@@ -14,11 +14,10 @@
 //! `O(logᵏ n)`, which is the shape Theorem 6.2 predicts.
 
 use crate::gate::GateId;
-use serde::{Deserialize, Serialize};
 
 /// A query over binary relations on an ordered universe of size `n`, in the
 /// compilable fragment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RelQuery {
     /// The `i`-th input relation.
     Input(usize),

@@ -13,7 +13,7 @@
 //! once per element, in parallel). Similarly for `sri(e, i)` only the step `i`
 //! counts, and for the iterators only the body counts.
 
-use crate::expr::{Expr, ExprKind};
+use crate::expr::{Expr, ExprKind, InsertForm, UnionForm};
 use crate::span::Span;
 use std::collections::BTreeSet;
 
@@ -115,14 +115,15 @@ pub struct RecursorCensus {
 pub fn census(expr: &Expr) -> RecursorCensus {
     let mut c = RecursorCensus::default();
     expr.visit(&mut |e| match &e.kind {
-        ExprKind::Dcr { .. } | ExprKind::BDcr { .. } => c.dcr += 1,
-        ExprKind::Sru { .. } => c.sru += 1,
-        ExprKind::Sri { .. } | ExprKind::BSri { .. } => c.sri += 1,
-        ExprKind::Esr { .. } => c.esr += 1,
-        ExprKind::LogLoop { .. }
-        | ExprKind::Loop { .. }
-        | ExprKind::BLogLoop { .. }
-        | ExprKind::BLoop { .. } => c.iterators += 1,
+        ExprKind::UnionRec { form, .. } => match form {
+            UnionForm::Dcr | UnionForm::BDcr(_) => c.dcr += 1,
+            UnionForm::Sru => c.sru += 1,
+        },
+        ExprKind::InsertRec { form, .. } => match form {
+            InsertForm::Sri | InsertForm::BSri(_) => c.sri += 1,
+            InsertForm::Esr => c.esr += 1,
+        },
+        ExprKind::Iter { .. } => c.iterators += 1,
         ExprKind::Ext(_, _) => c.ext += 1,
         _ => {}
     });

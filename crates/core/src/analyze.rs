@@ -39,7 +39,7 @@
 
 use crate::analysis::free_vars;
 use crate::eval::log_rounds;
-use crate::expr::{Expr, ExprKind};
+use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::ExternRegistry;
 use crate::span::Span;
 use ncql_object::{Type, Value};
@@ -1148,36 +1148,15 @@ impl<'a> Analyzer<'a> {
                 )
             }
             ExprKind::Ext(fe, ae) => self.eval_ext(expr, fe, ae, env),
-            ExprKind::Dcr { e, f, u, arg } | ExprKind::Sru { e, f, u, arg } => {
-                self.eval_union_recursor(e, f, u, None, arg, env)
+            ExprKind::UnionRec { form, e, f, u, arg } => {
+                self.eval_union_recursor(e, f, u, form.bound(), arg, env)
             }
-            ExprKind::BDcr {
-                e,
-                f,
-                u,
-                bound,
-                arg,
-            } => self.eval_union_recursor(e, f, u, Some(bound), arg, env),
-            ExprKind::Sri { e, i, arg } | ExprKind::Esr { e, i, arg } => {
-                self.eval_insert_recursor(e, i, None, arg, env)
+            ExprKind::InsertRec { form, e, i, arg } => {
+                self.eval_insert_recursor(e, i, form.bound(), arg, env)
             }
-            ExprKind::BSri { e, i, bound, arg } => {
-                self.eval_insert_recursor(e, i, Some(bound), arg, env)
+            ExprKind::Iter { form, f, set, init } => {
+                self.eval_iterator(f, form.bound(), set, init, form.is_log(), env)
             }
-            ExprKind::LogLoop { f, set, init } => self.eval_iterator(f, None, set, init, true, env),
-            ExprKind::Loop { f, set, init } => self.eval_iterator(f, None, set, init, false, env),
-            ExprKind::BLogLoop {
-                f,
-                bound,
-                set,
-                init,
-            } => self.eval_iterator(f, Some(bound), set, init, true, env),
-            ExprKind::BLoop {
-                f,
-                bound,
-                set,
-                init,
-            } => self.eval_iterator(f, Some(bound), set, init, false, env),
             ExprKind::Extern(name, args) => {
                 let mut work = Range::exact(2);
                 let mut span = Range::exact(1);
@@ -1887,9 +1866,7 @@ fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut Vec<Finding>
                 "`ext` over a statically-empty set always yields the empty set",
                 findings,
             ),
-            ExprKind::Dcr { u, arg, .. }
-            | ExprKind::Sru { u, arg, .. }
-            | ExprKind::BDcr { u, arg, .. } => {
+            ExprKind::UnionRec { u, arg, .. } => {
                 empty_operand(
                     arg,
                     "recursing over a statically-empty set always yields the zero value `e`",
@@ -1912,9 +1889,7 @@ fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut Vec<Finding>
                     }
                 }
             }
-            ExprKind::Sri { i, arg, .. }
-            | ExprKind::Esr { i, arg, .. }
-            | ExprKind::BSri { i, arg, .. } => {
+            ExprKind::InsertRec { i, arg, .. } => {
                 empty_operand(
                     arg,
                     "recursing over a statically-empty set always yields the zero value `e`",
@@ -1936,10 +1911,7 @@ fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut Vec<Finding>
                     }
                 }
             }
-            ExprKind::LogLoop { set, .. }
-            | ExprKind::Loop { set, .. }
-            | ExprKind::BLogLoop { set, .. }
-            | ExprKind::BLoop { set, .. } => empty_operand(
+            ExprKind::Iter { set, .. } => empty_operand(
                 set,
                 "iterating over a statically-empty counting set applies the body zero times",
                 findings,

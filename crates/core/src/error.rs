@@ -200,15 +200,6 @@ pub enum EvalError {
         /// location, which is why equality ignores it.
         span: Option<Span>,
     },
-    /// A `dcr`/`sru` instance was evaluated with `check_algebraic_laws` enabled
-    /// and its combiner failed the associativity/commutativity/identity check on
-    /// the values actually encountered.
-    IllFormedRecursion {
-        /// Which law failed, on which values.
-        message: String,
-        /// Span of the offending recursor, when known.
-        span: Option<Span>,
-    },
     /// A worker thread of the parallel backend panicked (e.g. inside a buggy
     /// extern). The panic is caught at the shard boundary, every sibling
     /// worker is joined and its partial results discarded, and the payload
@@ -275,14 +266,6 @@ impl EvalError {
         EvalError::WorkLimitExceeded { limit, span: None }
     }
 
-    /// An [`EvalError::IllFormedRecursion`] with no span yet.
-    pub fn ill_formed(message: impl Into<String>) -> EvalError {
-        EvalError::IllFormedRecursion {
-            message: message.into(),
-            span: None,
-        }
-    }
-
     /// An [`EvalError::WorkerPanicked`] with no span yet.
     pub fn worker_panicked(message: impl Into<String>) -> EvalError {
         EvalError::WorkerPanicked {
@@ -307,7 +290,6 @@ impl EvalError {
             | EvalError::Extern { span, .. }
             | EvalError::SetTooLarge { span, .. }
             | EvalError::WorkLimitExceeded { span, .. }
-            | EvalError::IllFormedRecursion { span, .. }
             | EvalError::WorkerPanicked { span, .. }
             | EvalError::Cancelled { span, .. } => *span,
         }
@@ -323,7 +305,6 @@ impl EvalError {
             | EvalError::Extern { span, .. }
             | EvalError::SetTooLarge { span, .. }
             | EvalError::WorkLimitExceeded { span, .. }
-            | EvalError::IllFormedRecursion { span, .. }
             | EvalError::WorkerPanicked { span, .. }
             | EvalError::Cancelled { span, .. } => span,
         };
@@ -362,10 +343,6 @@ impl PartialEq for EvalError {
                 EvalError::WorkLimitExceeded { limit: b, .. },
             ) => a == b,
             (
-                EvalError::IllFormedRecursion { message: a, .. },
-                EvalError::IllFormedRecursion { message: b, .. },
-            ) => a == b,
-            (
                 EvalError::WorkerPanicked { message: a, .. },
                 EvalError::WorkerPanicked { message: b, .. },
             ) => a == b,
@@ -395,12 +372,6 @@ impl fmt::Display for EvalError {
             ),
             EvalError::WorkLimitExceeded { limit, .. } => {
                 write!(f, "total work exceeded the configured limit of {limit}")
-            }
-            EvalError::IllFormedRecursion { message, .. } => {
-                write!(
-                    f,
-                    "ill-formed recursion (algebraic laws violated): {message}"
-                )
             }
             EvalError::WorkerPanicked { message, .. } => {
                 write!(f, "a parallel worker panicked: {message}")

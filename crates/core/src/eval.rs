@@ -16,7 +16,7 @@
 //! Proposition 6.6 (sri captures PTIME) as linear span growth.
 
 use crate::error::EvalError;
-use crate::expr::{Expr, ExprKind};
+use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::ExternRegistry;
 use crate::EvalResult;
 use ncql_object::{FlatShape, VSet, Value};
@@ -35,10 +35,6 @@ pub struct EvalConfig {
     pub max_set_size: usize,
     /// Maximum total work before aborting with [`EvalError::WorkLimitExceeded`].
     pub max_work: u64,
-    /// If set, `dcr`/`sru` combiners are spot-checked for associativity,
-    /// commutativity and identity on the values actually encountered, and a
-    /// violation aborts evaluation. The full check lives in [`crate::wellformed`].
-    pub check_algebraic_laws: bool,
     /// The external function registry Σ.
     pub registry: ExternRegistry,
     /// Number of pool workers a forked region may borrow. `None` (the default)
@@ -97,7 +93,6 @@ impl Default for EvalConfig {
         EvalConfig {
             max_set_size: 1 << 22,
             max_work: u64::MAX,
-            check_algebraic_laws: false,
             registry: ExternRegistry::standard(),
             parallelism: None,
             parallel_cutoff: 4096,
@@ -142,7 +137,6 @@ impl std::fmt::Debug for EvalConfig {
         f.debug_struct("EvalConfig")
             .field("max_set_size", &self.max_set_size)
             .field("max_work", &self.max_work)
-            .field("check_algebraic_laws", &self.check_algebraic_laws)
             .field("parallelism", &self.parallelism)
             .field("parallel_cutoff", &self.parallel_cutoff)
             .field("pool_threads", &self.pool_threads)
@@ -644,11 +638,6 @@ impl Evaluator {
         Ok((v.into_obj("function application result")?, s))
     }
 
-    /// Apply a binary combiner (a closure expecting a pair).
-    fn apply2(&mut self, clo: &Closure, a: Value, b: Value) -> EvalResult<(Value, u64)> {
-        self.apply_obj(clo, Value::pair(a, b))
-    }
-
     /// One step of a recursor or iterator — a leaf, a combining node, an
     /// insert step, a loop round: apply `clo`, clip the result to the bound
     /// of the bounded forms, and record the size of a set result.
@@ -855,35 +844,15 @@ impl Evaluator {
                 Ok((RtVal::Obj(Value::Set(result)), sf + se + max_elem_span + 1))
             }
 
-            ExprKind::Dcr { e, f, u, arg } => self.eval_union_recursor(env, e, f, u, None, arg),
-            ExprKind::Sru { e, f, u, arg } => self.eval_union_recursor(env, e, f, u, None, arg),
-            ExprKind::BDcr {
-                e,
-                f,
-                u,
-                bound,
-                arg,
-            } => self.eval_union_recursor(env, e, f, u, Some(bound), arg),
-            ExprKind::Sri { e, i, arg } => self.eval_insert_recursor(env, e, i, None, arg),
-            ExprKind::Esr { e, i, arg } => self.eval_insert_recursor(env, e, i, None, arg),
-            ExprKind::BSri { e, i, bound, arg } => {
-                self.eval_insert_recursor(env, e, i, Some(bound), arg)
+            ExprKind::UnionRec { form, e, f, u, arg } => {
+                self.eval_union_recursor(env, e, f, u, form.bound(), arg)
             }
-
-            ExprKind::LogLoop { f, set, init } => self.eval_iterator(env, f, None, set, init, true),
-            ExprKind::Loop { f, set, init } => self.eval_iterator(env, f, None, set, init, false),
-            ExprKind::BLogLoop {
-                f,
-                bound,
-                set,
-                init,
-            } => self.eval_iterator(env, f, Some(bound), set, init, true),
-            ExprKind::BLoop {
-                f,
-                bound,
-                set,
-                init,
-            } => self.eval_iterator(env, f, Some(bound), set, init, false),
+            ExprKind::InsertRec { form, e, i, arg } => {
+                self.eval_insert_recursor(env, e, i, form.bound(), arg)
+            }
+            ExprKind::Iter { form, f, set, init } => {
+                self.eval_iterator(env, f, form.bound(), set, init, form.is_log())
+            }
 
             ExprKind::Extern(name, args) => {
                 let ext = self.config.registry.get(name).cloned().ok_or_else(|| {
@@ -941,10 +910,6 @@ impl Evaluator {
                 Ok(out)
             })?
         };
-
-        if self.config.check_algebraic_laws {
-            self.spot_check_laws(&u_clo, &e_val, &leaves, &bound_val)?;
-        }
 
         // Balanced combining tree: `u(v₀,v₁), u(v₂,v₃), …` with an odd tail
         // passed through unchanged. Each round's pairings are independent, so
@@ -1080,55 +1045,6 @@ impl Evaluator {
             out.extend(part);
         }
         Ok(out)
-    }
-
-    /// Spot-check the algebraic preconditions of `dcr`/`sru` on the values that
-    /// actually flow through the recursion (identity, commutativity on the first
-    /// few pairs, associativity on the first few triples).
-    fn spot_check_laws(
-        &mut self,
-        u_clo: &Closure,
-        e_val: &Value,
-        leaves: &[(Value, u64)],
-        bound: &Option<Value>,
-    ) -> EvalResult<()> {
-        let sample: Vec<&Value> = leaves.iter().map(|(v, _)| v).take(4).collect();
-        // Clipping to the bound is not charged extra work.
-        for a in &sample {
-            let (ea, _) = self.apply2(u_clo, e_val.clone(), (*a).clone())?;
-            let ea = clip(ea, bound)?;
-            if &ea != *a {
-                return Err(EvalError::ill_formed(format!(
-                    "e is not an identity: u(e, {a}) = {ea}"
-                )));
-            }
-        }
-        for a in &sample {
-            for b in &sample {
-                let (ab, _) = self.apply2(u_clo, (*a).clone(), (*b).clone())?;
-                let (ba, _) = self.apply2(u_clo, (*b).clone(), (*a).clone())?;
-                if clip(ab, bound)? != clip(ba, bound)? {
-                    return Err(EvalError::ill_formed(format!(
-                        "u is not commutative on {a}, {b}"
-                    )));
-                }
-            }
-        }
-        if sample.len() >= 3 {
-            let (a, b, c) = (sample[0].clone(), sample[1].clone(), sample[2].clone());
-            let (ab, _) = self.apply2(u_clo, a.clone(), b.clone())?;
-            let ab = clip(ab, bound)?;
-            let (ab_c, _) = self.apply2(u_clo, ab, c.clone())?;
-            let (bc, _) = self.apply2(u_clo, b, c)?;
-            let bc = clip(bc, bound)?;
-            let (a_bc, _) = self.apply2(u_clo, a, bc)?;
-            if clip(ab_c, bound)? != clip(a_bc, bound)? {
-                return Err(EvalError::ill_formed(
-                    "u is not associative on sampled values".to_string(),
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// Shared evaluation of `sri` / `esr` / `bsri`: a sequential chain of step
@@ -1533,31 +1449,6 @@ mod tests {
         assert!(matches!(
             ev.eval_closed(&e),
             Err(EvalError::WorkLimitExceeded { .. })
-        ));
-    }
-
-    #[test]
-    fn algebraic_law_checking_catches_non_commutative_combiner() {
-        // u(x, y) = x \ y is not commutative; with law checking the evaluator
-        // rejects it (the §2 example of an ill-formed dcr).
-        let ty = Type::set(Type::Base);
-        let f = Expr::lam("y", Type::Base, Expr::singleton(Expr::var("y")));
-        // difference via ext: a \ b = ext(λx. if x ∈ b … ) — for the test, use a
-        // blatantly non-commutative combiner: u(a,b) = a.
-        let u = Expr::lam2("a", "b", Type::prod(ty.clone(), ty.clone()), Expr::var("a"));
-        let e = Expr::dcr(
-            Expr::empty(Type::Base),
-            f,
-            u,
-            Expr::constant(atoms(vec![1, 2, 3, 4])),
-        );
-        let mut ev = Evaluator::new(EvalConfig {
-            check_algebraic_laws: true,
-            ..EvalConfig::default()
-        });
-        assert!(matches!(
-            ev.eval_closed(&e),
-            Err(EvalError::IllFormedRecursion { .. })
         ));
     }
 

@@ -24,16 +24,16 @@
 
 use crate::span::Span;
 use ncql_object::{Type, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// An expression of the language: its structural [`ExprKind`] plus the source
 /// span it was parsed from (`None` for programmatically built nodes).
 ///
 /// Equality and the derived hash of [`ExprKind`] ignore spans — two
 /// expressions are equal iff they are structurally equal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Expr {
     /// The structural node.
     pub kind: ExprKind,
@@ -57,7 +57,7 @@ impl From<ExprKind> for Expr {
 }
 
 /// The structural cases of an expression.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExprKind {
     // ----- variables, functions, let -----
     /// A variable.
@@ -112,83 +112,29 @@ pub enum ExprKind {
     /// a *single* parallel step (§3).
     Ext(Box<Expr>, Box<Expr>),
 
-    // ----- recursion on sets (§2) -----
-    /// Divide-and-conquer recursion `dcr(e, f, u)(arg)`:
+    // ----- recursion on sets (§2) and iterators (§7.1) -----
+    /// A recursor on the union presentation, `form(e, f, u)(arg)`:
     /// `φ(∅)=e`, `φ({y})=f(y)`, `φ(s₁∪s₂)=u(φ(s₁),φ(s₂))`.
-    /// Well-defined when `u` is associative and commutative with identity `e` on
-    /// a set containing `e` and the range of `f`.
-    Dcr {
+    UnionRec {
+        form: UnionForm,
         e: Box<Expr>,
         f: Box<Expr>,
         u: Box<Expr>,
         arg: Box<Expr>,
     },
-    /// Structural recursion on the union presentation `sru(e, f, u)(arg)` — like
-    /// `dcr` but `u` must additionally be idempotent.
-    Sru {
-        e: Box<Expr>,
-        f: Box<Expr>,
-        u: Box<Expr>,
-        arg: Box<Expr>,
-    },
-    /// Structural recursion on the insert presentation `sri(e, i)(arg)`:
-    /// `φ(∅)=e`, `φ(y ⊲ s)=i(y, φ(s))`, with `i` i-commutative and i-idempotent.
-    Sri {
+    /// A recursor on the insert presentation, `form(e, i)(arg)`:
+    /// `φ(∅)=e`, `φ(y ⊲ s)=i(y, φ(s))`.
+    InsertRec {
+        form: InsertForm,
         e: Box<Expr>,
         i: Box<Expr>,
         arg: Box<Expr>,
     },
-    /// Element-step recursion `esr(e, i)(arg)` — like `sri` but the step is only
-    /// taken for elements not already seen (`i` need not be i-idempotent).
-    Esr {
-        e: Box<Expr>,
-        i: Box<Expr>,
-        arg: Box<Expr>,
-    },
-    /// Bounded divide-and-conquer recursion `bdcr(e, f, u, b)(arg)`, defined as
-    /// `dcr(e ⊓ b, f ⊓ b, u ⊓ b)(arg)` where `⊓ b` intersects componentwise with
-    /// the bound `b` at a PS-type (§2). This is the construct that stays inside
-    /// NC over complex objects (Theorem 6.1).
-    BDcr {
-        e: Box<Expr>,
+    /// An iterator, `form(f)(set, init)`: `f` applied to `init` a number of
+    /// times fixed by `|set|`.
+    Iter {
+        form: IterForm,
         f: Box<Expr>,
-        u: Box<Expr>,
-        bound: Box<Expr>,
-        arg: Box<Expr>,
-    },
-    /// Bounded insert recursion `bsri(e, i, b)(arg) = sri(e ⊓ b, i ⊓ b)(arg)`.
-    BSri {
-        e: Box<Expr>,
-        i: Box<Expr>,
-        bound: Box<Expr>,
-        arg: Box<Expr>,
-    },
-
-    // ----- iterators (§7.1) -----
-    /// `log-loop(f)(set, init) = f^(⌈log(|set|+1)⌉)(init)`.
-    LogLoop {
-        f: Box<Expr>,
-        set: Box<Expr>,
-        init: Box<Expr>,
-    },
-    /// `loop(f)(set, init) = f^(|set|)(init)`.
-    Loop {
-        f: Box<Expr>,
-        set: Box<Expr>,
-        init: Box<Expr>,
-    },
-    /// Bounded logarithmic iterator `blog-loop(f, b)(set, init) =
-    /// log-loop(f ⊓ b)(set, init ⊓ b)`.
-    BLogLoop {
-        f: Box<Expr>,
-        bound: Box<Expr>,
-        set: Box<Expr>,
-        init: Box<Expr>,
-    },
-    /// Bounded iterator `bloop(f, b)(set, init) = loop(f ⊓ b)(set, init ⊓ b)`.
-    BLoop {
-        f: Box<Expr>,
-        bound: Box<Expr>,
         set: Box<Expr>,
         init: Box<Expr>,
     },
@@ -196,6 +142,123 @@ pub enum ExprKind {
     // ----- external functions Σ (Proposition 6.3) -----
     /// Application of a named external function to a list of arguments.
     Extern(String, Vec<Expr>),
+}
+
+/// Which recursor an [`ExprKind::UnionRec`] is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UnionForm {
+    /// Divide-and-conquer recursion `dcr(e, f, u)(arg)`. Well-defined when `u`
+    /// is associative and commutative with identity `e` on a set containing
+    /// `e` and the range of `f`.
+    Dcr,
+    /// Structural recursion on the union presentation `sru(e, f, u)(arg)` —
+    /// like `dcr` but `u` must additionally be idempotent.
+    Sru,
+    /// Bounded divide-and-conquer recursion `bdcr(e, f, u, b)(arg)`, defined as
+    /// `dcr(e ⊓ b, f ⊓ b, u ⊓ b)(arg)` where `⊓ b` intersects componentwise with
+    /// the bound `b` at a PS-type (§2). This is the construct that stays inside
+    /// NC over complex objects (Theorem 6.1).
+    BDcr(Box<Expr>),
+}
+
+/// Which recursor an [`ExprKind::InsertRec`] is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InsertForm {
+    /// Structural recursion on the insert presentation `sri(e, i)(arg)`, with
+    /// `i` i-commutative and i-idempotent.
+    Sri,
+    /// Element-step recursion `esr(e, i)(arg)` — like `sri` but the step is only
+    /// taken for elements not already seen (`i` need not be i-idempotent).
+    Esr,
+    /// Bounded insert recursion `bsri(e, i, b)(arg) = sri(e ⊓ b, i ⊓ b)(arg)`.
+    BSri(Box<Expr>),
+}
+
+/// Which iterator an [`ExprKind::Iter`] is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IterForm {
+    /// `log-loop(f)(set, init) = f^(⌈log(|set|+1)⌉)(init)`.
+    LogLoop,
+    /// `loop(f)(set, init) = f^(|set|)(init)`.
+    Loop,
+    /// Bounded logarithmic iterator `blog-loop(f, b)(set, init) =
+    /// log-loop(f ⊓ b)(set, init ⊓ b)`.
+    BLogLoop(Box<Expr>),
+    /// Bounded iterator `bloop(f, b)(set, init) = loop(f ⊓ b)(set, init ⊓ b)`.
+    BLoop(Box<Expr>),
+}
+
+/// What the form tag of a recursion node defines. §2 defines each bounded
+/// form by its unbounded one (`bdcr(e, f, u, b) = dcr(e ⊓ b, f ⊓ b, u ⊓ b)`),
+/// and `dcr`/`sru`, `sri`/`esr` differ only in an algebraic precondition, so
+/// a form is its spelling plus an optional bound. The `parts` rows below are
+/// the only definitions of the ten spellings: the parser, both printers and
+/// every diagnostic read them from here.
+pub trait Form {
+    /// `(keyword, name, bound)`, as the three accessors return them.
+    fn parts(&self) -> (&'static str, &'static str, Option<&Expr>);
+    /// The surface-syntax keyword (`dcr`, `logloop`, …).
+    fn keyword(&self) -> &'static str {
+        self.parts().0
+    }
+    /// The paper's name, used in diagnostics (`log-loop` for `logloop`).
+    fn name(&self) -> &'static str {
+        self.parts().1
+    }
+    /// The bound `b` of a bounded form.
+    fn bound(&self) -> Option<&Expr> {
+        self.parts().2
+    }
+}
+
+impl Form for UnionForm {
+    fn parts(&self) -> (&'static str, &'static str, Option<&Expr>) {
+        match self {
+            UnionForm::Dcr => ("dcr", "dcr", None),
+            UnionForm::Sru => ("sru", "sru", None),
+            UnionForm::BDcr(b) => ("bdcr", "bdcr", Some(b)),
+        }
+    }
+}
+
+impl Form for InsertForm {
+    fn parts(&self) -> (&'static str, &'static str, Option<&Expr>) {
+        match self {
+            InsertForm::Sri => ("sri", "sri", None),
+            InsertForm::Esr => ("esr", "esr", None),
+            InsertForm::BSri(b) => ("bsri", "bsri", Some(b)),
+        }
+    }
+}
+
+impl Form for IterForm {
+    fn parts(&self) -> (&'static str, &'static str, Option<&Expr>) {
+        match self {
+            IterForm::LogLoop => ("logloop", "log-loop", None),
+            IterForm::Loop => ("loop", "loop", None),
+            IterForm::BLogLoop(b) => ("blogloop", "blog-loop", Some(b)),
+            IterForm::BLoop(b) => ("bloop", "bloop", Some(b)),
+        }
+    }
+}
+
+impl IterForm {
+    /// Whether the body runs `⌈log(|set|+1)⌉` times rather than `|set|` times.
+    pub fn is_log(&self) -> bool {
+        matches!(self, IterForm::LogLoop | IterForm::BLogLoop(_))
+    }
+}
+
+impl ExprKind {
+    /// The form tag of a recursor or iterator node.
+    pub fn form(&self) -> Option<&dyn Form> {
+        match self {
+            ExprKind::UnionRec { form, .. } => Some(form),
+            ExprKind::InsertRec { form, .. } => Some(form),
+            ExprKind::Iter { form, .. } => Some(form),
+            _ => None,
+        }
+    }
 }
 
 static FRESH_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -352,111 +415,108 @@ impl Expr {
         Expr::constant(Value::Nat(n))
     }
 
-    /// `dcr(e, f, u)(arg)`.
-    pub fn dcr(e: Expr, f: Expr, u: Expr, arg: Expr) -> Expr {
-        ExprKind::Dcr {
+    fn union_rec(form: UnionForm, e: Expr, f: Expr, u: Expr, arg: Expr) -> Expr {
+        ExprKind::UnionRec {
+            form,
             e: Box::new(e),
             f: Box::new(f),
             u: Box::new(u),
             arg: Box::new(arg),
         }
         .into()
+    }
+
+    fn insert_rec(form: InsertForm, e: Expr, i: Expr, arg: Expr) -> Expr {
+        ExprKind::InsertRec {
+            form,
+            e: Box::new(e),
+            i: Box::new(i),
+            arg: Box::new(arg),
+        }
+        .into()
+    }
+
+    fn iter(form: IterForm, f: Expr, set: Expr, init: Expr) -> Expr {
+        ExprKind::Iter {
+            form,
+            f: Box::new(f),
+            set: Box::new(set),
+            init: Box::new(init),
+        }
+        .into()
+    }
+
+    /// `dcr(e, f, u)(arg)`.
+    pub fn dcr(e: Expr, f: Expr, u: Expr, arg: Expr) -> Expr {
+        Expr::union_rec(UnionForm::Dcr, e, f, u, arg)
     }
 
     /// `sru(e, f, u)(arg)`.
     pub fn sru(e: Expr, f: Expr, u: Expr, arg: Expr) -> Expr {
-        ExprKind::Sru {
-            e: Box::new(e),
-            f: Box::new(f),
-            u: Box::new(u),
-            arg: Box::new(arg),
-        }
-        .into()
+        Expr::union_rec(UnionForm::Sru, e, f, u, arg)
     }
 
     /// `sri(e, i)(arg)`.
     pub fn sri(e: Expr, i: Expr, arg: Expr) -> Expr {
-        ExprKind::Sri {
-            e: Box::new(e),
-            i: Box::new(i),
-            arg: Box::new(arg),
-        }
-        .into()
+        Expr::insert_rec(InsertForm::Sri, e, i, arg)
     }
 
     /// `esr(e, i)(arg)`.
     pub fn esr(e: Expr, i: Expr, arg: Expr) -> Expr {
-        ExprKind::Esr {
-            e: Box::new(e),
-            i: Box::new(i),
-            arg: Box::new(arg),
-        }
-        .into()
+        Expr::insert_rec(InsertForm::Esr, e, i, arg)
     }
 
     /// `bdcr(e, f, u, b)(arg)`.
     pub fn bdcr(e: Expr, f: Expr, u: Expr, bound: Expr, arg: Expr) -> Expr {
-        ExprKind::BDcr {
-            e: Box::new(e),
-            f: Box::new(f),
-            u: Box::new(u),
-            bound: Box::new(bound),
-            arg: Box::new(arg),
-        }
-        .into()
+        Expr::union_rec(UnionForm::BDcr(Box::new(bound)), e, f, u, arg)
     }
 
     /// `bsri(e, i, b)(arg)`.
     pub fn bsri(e: Expr, i: Expr, bound: Expr, arg: Expr) -> Expr {
-        ExprKind::BSri {
-            e: Box::new(e),
-            i: Box::new(i),
-            bound: Box::new(bound),
-            arg: Box::new(arg),
-        }
-        .into()
+        Expr::insert_rec(InsertForm::BSri(Box::new(bound)), e, i, arg)
     }
 
     /// `log-loop(f)(set, init)`.
     pub fn log_loop(f: Expr, set: Expr, init: Expr) -> Expr {
-        ExprKind::LogLoop {
-            f: Box::new(f),
-            set: Box::new(set),
-            init: Box::new(init),
-        }
-        .into()
+        Expr::iter(IterForm::LogLoop, f, set, init)
     }
 
     /// `loop(f)(set, init)`.
     pub fn loop_(f: Expr, set: Expr, init: Expr) -> Expr {
-        ExprKind::Loop {
-            f: Box::new(f),
-            set: Box::new(set),
-            init: Box::new(init),
-        }
-        .into()
+        Expr::iter(IterForm::Loop, f, set, init)
     }
 
     /// `blog-loop(f, b)(set, init)`.
     pub fn blog_loop(f: Expr, bound: Expr, set: Expr, init: Expr) -> Expr {
-        ExprKind::BLogLoop {
-            f: Box::new(f),
-            bound: Box::new(bound),
-            set: Box::new(set),
-            init: Box::new(init),
-        }
-        .into()
+        Expr::iter(IterForm::BLogLoop(Box::new(bound)), f, set, init)
     }
 
     /// `bloop(f, b)(set, init)`.
     pub fn bloop(f: Expr, bound: Expr, set: Expr, init: Expr) -> Expr {
-        ExprKind::BLoop {
-            f: Box::new(f),
-            bound: Box::new(bound),
-            set: Box::new(set),
-            init: Box::new(init),
-        }
-        .into()
+        Expr::iter(IterForm::BLoop(Box::new(bound)), f, set, init)
+    }
+
+    /// One node of each of the paper's ten recursion forms, every operand
+    /// `()`. A reader of the surface syntax turns a keyword into a node by
+    /// finding the form that spells it ([`Form::keyword`]) and supplying the
+    /// operands through [`Expr::with_children`].
+    pub fn recursion_forms() -> &'static [Expr; 10] {
+        static FORMS: OnceLock<[Expr; 10]> = OnceLock::new();
+        FORMS.get_or_init(|| {
+            let o = Expr::unit;
+            [
+                Expr::dcr(o(), o(), o(), o()),
+                Expr::sru(o(), o(), o(), o()),
+                Expr::bdcr(o(), o(), o(), o(), o()),
+                Expr::sri(o(), o(), o()),
+                Expr::esr(o(), o(), o()),
+                Expr::bsri(o(), o(), o(), o()),
+                Expr::log_loop(o(), o(), o()),
+                Expr::loop_(o(), o(), o()),
+                Expr::blog_loop(o(), o(), o(), o()),
+                Expr::bloop(o(), o(), o(), o()),
+            ]
+        })
     }
 
     /// Application of a named external function.
@@ -465,10 +525,11 @@ impl Expr {
     }
 
     /// Rebuild this node with its immediate children replaced, keeping the
-    /// node's kind, span, binder names, and type annotations. The replacement
-    /// vector must supply exactly one expression per [`Expr::children`] entry,
-    /// in the same order — this is the write-side twin of that visitor, and
-    /// the rewrite engine's only way to reconstruct an ancestor spine.
+    /// node's kind, form, span, binder names, and type annotations. The
+    /// replacement vector must supply exactly one expression per
+    /// [`Expr::children`] entry, in the same order — this is the write-side
+    /// twin of that visitor, and the rewrite engine's only way to reconstruct
+    /// an ancestor spine.
     ///
     /// # Panics
     ///
@@ -508,60 +569,34 @@ impl Expr {
             ExprKind::Singleton(_) => ExprKind::Singleton(next()),
             ExprKind::IsEmpty(_) => ExprKind::IsEmpty(next()),
             ExprKind::If(..) => ExprKind::If(next(), next(), next()),
-            ExprKind::Dcr { .. } => ExprKind::Dcr {
+            // Fields are evaluated as written, so they are written in
+            // `children` order: the bound sits among the operands.
+            ExprKind::UnionRec { form, .. } => ExprKind::UnionRec {
                 e: next(),
                 f: next(),
                 u: next(),
+                form: match form {
+                    UnionForm::BDcr(_) => UnionForm::BDcr(next()),
+                    unbounded => unbounded.clone(),
+                },
                 arg: next(),
             },
-            ExprKind::Sru { .. } => ExprKind::Sru {
-                e: next(),
-                f: next(),
-                u: next(),
-                arg: next(),
-            },
-            ExprKind::Sri { .. } => ExprKind::Sri {
+            ExprKind::InsertRec { form, .. } => ExprKind::InsertRec {
                 e: next(),
                 i: next(),
+                form: match form {
+                    InsertForm::BSri(_) => InsertForm::BSri(next()),
+                    unbounded => unbounded.clone(),
+                },
                 arg: next(),
             },
-            ExprKind::Esr { .. } => ExprKind::Esr {
-                e: next(),
-                i: next(),
-                arg: next(),
-            },
-            ExprKind::BDcr { .. } => ExprKind::BDcr {
-                e: next(),
+            ExprKind::Iter { form, .. } => ExprKind::Iter {
                 f: next(),
-                u: next(),
-                bound: next(),
-                arg: next(),
-            },
-            ExprKind::BSri { .. } => ExprKind::BSri {
-                e: next(),
-                i: next(),
-                bound: next(),
-                arg: next(),
-            },
-            ExprKind::LogLoop { .. } => ExprKind::LogLoop {
-                f: next(),
-                set: next(),
-                init: next(),
-            },
-            ExprKind::Loop { .. } => ExprKind::Loop {
-                f: next(),
-                set: next(),
-                init: next(),
-            },
-            ExprKind::BLogLoop { .. } => ExprKind::BLogLoop {
-                f: next(),
-                bound: next(),
-                set: next(),
-                init: next(),
-            },
-            ExprKind::BLoop { .. } => ExprKind::BLoop {
-                f: next(),
-                bound: next(),
+                form: match form {
+                    IterForm::BLogLoop(_) => IterForm::BLogLoop(next()),
+                    IterForm::BLoop(_) => IterForm::BLoop(next()),
+                    unbounded => unbounded.clone(),
+                },
                 set: next(),
                 init: next(),
             },
@@ -641,6 +676,21 @@ impl Expr {
                 iterated: true,
             }
         }
+        /// `params`, then the form's bound if it has one, then `args` — the
+        /// order every recursion form lists its operands in.
+        fn with_bound<'a>(
+            mut params: Vec<Child<'a>>,
+            form: &'a dyn Form,
+            args: &[&'a Expr],
+        ) -> Vec<Child<'a>> {
+            params.extend(
+                form.bound()
+                    .into_iter()
+                    .chain(args.iter().copied())
+                    .map(plain),
+            );
+            params
+        }
         match &self.kind {
             ExprKind::Var(_)
             | ExprKind::Unit
@@ -660,40 +710,15 @@ impl Expr {
             | ExprKind::Singleton(a)
             | ExprKind::IsEmpty(a) => vec![plain(a)],
             ExprKind::If(c, t, e) => vec![plain(c), plain(t), plain(e)],
-            ExprKind::Dcr { e, f, u, arg } | ExprKind::Sru { e, f, u, arg } => {
-                vec![plain(e), plain(f), iterated(u), plain(arg)]
+            ExprKind::UnionRec { form, e, f, u, arg } => {
+                with_bound(vec![plain(e), plain(f), iterated(u)], form, &[arg])
             }
-            ExprKind::Sri { e, i, arg } | ExprKind::Esr { e, i, arg } => {
-                vec![plain(e), iterated(i), plain(arg)]
+            ExprKind::InsertRec { form, e, i, arg } => {
+                with_bound(vec![plain(e), iterated(i)], form, &[arg])
             }
-            ExprKind::BDcr {
-                e,
-                f,
-                u,
-                bound: b,
-                arg,
-            } => vec![plain(e), plain(f), iterated(u), plain(b), plain(arg)],
-            ExprKind::BSri {
-                e,
-                i,
-                bound: b,
-                arg,
-            } => vec![plain(e), iterated(i), plain(b), plain(arg)],
-            ExprKind::LogLoop { f, set, init } | ExprKind::Loop { f, set, init } => {
-                vec![iterated(f), plain(set), plain(init)]
+            ExprKind::Iter { form, f, set, init } => {
+                with_bound(vec![iterated(f)], form, &[set, init])
             }
-            ExprKind::BLogLoop {
-                f,
-                bound: b,
-                set,
-                init,
-            }
-            | ExprKind::BLoop {
-                f,
-                bound: b,
-                set,
-                init,
-            } => vec![iterated(f), plain(b), plain(set), plain(init)],
             ExprKind::Extern(_, args) => args.iter().map(plain).collect(),
         }
     }
@@ -737,49 +762,42 @@ impl fmt::Display for Expr {
             ExprKind::Union(a, b) => write!(f, "({a} union {b})"),
             ExprKind::IsEmpty(a) => write!(f, "isempty({a})"),
             ExprKind::Ext(g, e) => write!(f, "ext({g})({e})"),
-            ExprKind::Dcr { e, f: g, u, arg } => write!(f, "dcr({e}, {g}, {u})({arg})"),
-            ExprKind::Sru { e, f: g, u, arg } => write!(f, "sru({e}, {g}, {u})({arg})"),
-            ExprKind::Sri { e, i, arg } => write!(f, "sri({e}, {i})({arg})"),
-            ExprKind::Esr { e, i, arg } => write!(f, "esr({e}, {i})({arg})"),
-            ExprKind::BDcr {
-                e,
-                f: g,
-                u,
-                bound,
-                arg,
-            } => {
-                write!(f, "bdcr({e}, {g}, {u}, {bound})({arg})")
-            }
-            ExprKind::BSri { e, i, bound, arg } => write!(f, "bsri({e}, {i}, {bound})({arg})"),
-            ExprKind::LogLoop { f: g, set, init } => write!(f, "logloop({g})({set}, {init})"),
-            ExprKind::Loop { f: g, set, init } => write!(f, "loop({g})({set}, {init})"),
-            ExprKind::BLogLoop {
-                f: g,
-                bound,
-                set,
-                init,
-            } => {
-                write!(f, "bloglook({g}, {bound})({set}, {init})")
-            }
-            ExprKind::BLoop {
-                f: g,
-                bound,
-                set,
-                init,
-            } => {
-                write!(f, "bloop({g}, {bound})({set}, {init})")
-            }
+            ExprKind::UnionRec { .. } | ExprKind::InsertRec { .. } => self.fmt_curried(f, 1),
+            ExprKind::Iter { .. } => self.fmt_curried(f, 2),
             ExprKind::Extern(name, args) => {
                 write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
+                comma_separated(f, args)?;
                 write!(f, ")")
             }
         }
+    }
+}
+
+fn comma_separated<'a>(
+    f: &mut fmt::Formatter<'_>,
+    items: impl IntoIterator<Item = &'a Expr>,
+) -> fmt::Result {
+    for (i, a) in items.into_iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        write!(f, "{a}")?;
+    }
+    Ok(())
+}
+
+impl Expr {
+    /// The paper's curried layout of a recursion form, `keyword(…)(args)`: the
+    /// last `args` operands are the ones the form is applied to.
+    fn fmt_curried(&self, f: &mut fmt::Formatter<'_>, args: usize) -> fmt::Result {
+        let form = self.kind.form().expect("only recursion forms are curried");
+        let operands = self.children();
+        let (params, args) = operands.split_at(operands.len() - args);
+        write!(f, "{}(", form.keyword())?;
+        comma_separated(f, params.iter().map(|c| c.expr))?;
+        write!(f, ")(")?;
+        comma_separated(f, args.iter().map(|c| c.expr))?;
+        write!(f, ")")
     }
 }
 
@@ -809,6 +827,81 @@ mod tests {
             Expr::bool_val(false),
         );
         assert_eq!(e.to_string(), "(if (x = a1) then true else false)");
+    }
+
+    /// The ten constructors over operands `a1, a2, …` in argument order, each
+    /// with its surface keyword and its `Display` form.
+    fn ten_forms() -> [(&'static str, &'static str, Expr); 10] {
+        let o = Expr::atom;
+        [
+            (
+                "dcr",
+                "dcr(a1, a2, a3)(a4)",
+                Expr::dcr(o(1), o(2), o(3), o(4)),
+            ),
+            (
+                "sru",
+                "sru(a1, a2, a3)(a4)",
+                Expr::sru(o(1), o(2), o(3), o(4)),
+            ),
+            (
+                "bdcr",
+                "bdcr(a1, a2, a3, a4)(a5)",
+                Expr::bdcr(o(1), o(2), o(3), o(4), o(5)),
+            ),
+            ("sri", "sri(a1, a2)(a3)", Expr::sri(o(1), o(2), o(3))),
+            ("esr", "esr(a1, a2)(a3)", Expr::esr(o(1), o(2), o(3))),
+            (
+                "bsri",
+                "bsri(a1, a2, a3)(a4)",
+                Expr::bsri(o(1), o(2), o(3), o(4)),
+            ),
+            (
+                "logloop",
+                "logloop(a1)(a2, a3)",
+                Expr::log_loop(o(1), o(2), o(3)),
+            ),
+            ("loop", "loop(a1)(a2, a3)", Expr::loop_(o(1), o(2), o(3))),
+            (
+                "blogloop",
+                "blogloop(a1, a2)(a3, a4)",
+                Expr::blog_loop(o(1), o(2), o(3), o(4)),
+            ),
+            (
+                "bloop",
+                "bloop(a1, a2)(a3, a4)",
+                Expr::bloop(o(1), o(2), o(3), o(4)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_form_displays_its_tags_keyword_and_rebuilds_from_its_children() {
+        for (keyword, display, e) in ten_forms() {
+            assert_eq!(e.kind.form().expect("a recursion form").keyword(), keyword);
+            assert_eq!(e.to_string(), display);
+            // `children` lists the operands in constructor order …
+            let kids: Vec<Expr> = e.children().iter().map(|c| c.expr.clone()).collect();
+            let n = kids.len() as u64;
+            assert_eq!(kids, (1..=n).map(Expr::atom).collect::<Vec<_>>());
+            // … and `with_children` puts replacements back into the same
+            // slots of the same form.
+            assert_eq!(e.with_children(kids), e);
+            let moved: Vec<Expr> = (11..=10 + n).map(Expr::atom).collect();
+            let rebuilt = e.with_children(moved.clone());
+            assert_eq!(rebuilt.kind.form().unwrap().keyword(), keyword);
+            let kids: Vec<Expr> = rebuilt.children().iter().map(|c| c.expr.clone()).collect();
+            assert_eq!(kids, moved);
+        }
+    }
+
+    #[test]
+    fn recursion_forms_lists_exactly_the_ten_constructors() {
+        let listed: Vec<&str> = Expr::recursion_forms()
+            .iter()
+            .map(|e| e.kind.form().expect("a recursion form").keyword())
+            .collect();
+        assert_eq!(listed, ten_forms().map(|(keyword, _, _)| keyword));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! closure like its region-gate estimate) and is itself cheap — one pass
 //! over the body.
 
-use crate::expr::{Expr, ExprKind};
+use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::{ExternRegistry, ScalarExternFn};
 use crate::span::Span;
 use ncql_object::{FlatShape, VSet};
@@ -612,16 +612,9 @@ fn kind_name(kind: &ExprKind) -> &'static str {
         ExprKind::Union(..) => "union",
         ExprKind::IsEmpty(_) => "isempty",
         ExprKind::Ext(..) => "ext",
-        ExprKind::Dcr { .. } => "dcr",
-        ExprKind::Sru { .. } => "sru",
-        ExprKind::BDcr { .. } => "bdcr",
-        ExprKind::Sri { .. } => "sri",
-        ExprKind::Esr { .. } => "esr",
-        ExprKind::BSri { .. } => "bsri",
-        ExprKind::LogLoop { .. } => "log-loop",
-        ExprKind::Loop { .. } => "loop",
-        ExprKind::BLogLoop { .. } => "blog-loop",
-        ExprKind::BLoop { .. } => "bloop",
+        ExprKind::UnionRec { form, .. } => form.name(),
+        ExprKind::InsertRec { form, .. } => form.name(),
+        ExprKind::Iter { form, .. } => form.name(),
         ExprKind::Extern(..) => "extern",
     }
 }

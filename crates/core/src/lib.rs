@@ -7,9 +7,13 @@
 //! * [`expr::Expr`] — the abstract syntax of the language: the NRA constructs of
 //!   §3 (tuples, singletons, union, emptiness test, conditional, λ-abstraction,
 //!   application, `ext`), the order predicate `≤` that makes databases *ordered*,
-//!   the four recursion forms on sets (`sru`, `sri`, `dcr`, `esr`), their bounded
-//!   variants (`bdcr`, `bsri`), the iterators (`loop`, `log-loop`, `bloop`,
-//!   `blog-loop`), and external functions Σ (Proposition 6.3).
+//!   recursion on sets and the iterators as three shapes, each tagged with
+//!   which of the paper's forms it is and carrying that form's bound if it
+//!   has one — the union recursor (`dcr`, `sru`, `bdcr`), the insert
+//!   recursor (`sri`, `esr`, `bsri`) and the iterator (`loop`, `log-loop`,
+//!   `bloop`, `blog-loop`); the tag ([`expr::Form`]) is the one place each
+//!   form's keyword and diagnostic name are spelled — and external functions
+//!   Σ (Proposition 6.3).
 //! * [`mod@typecheck`] — a bidirectional-ish type checker for the language, including
 //!   the PS-type side conditions of the bounded constructs.
 //! * [`eval`] — the evaluator, instrumented with a **work/span (PRAM) cost

@@ -50,7 +50,7 @@
 use crate::analysis::free_vars;
 use crate::analyze::{analyze_query, CostBound, QueryAnalysis};
 use crate::eval::{log_rounds, EvalConfig, Evaluator};
-use crate::expr::{fresh_var, Expr, ExprKind};
+use crate::expr::{fresh_var, Expr, ExprKind, Form, UnionForm};
 use crate::span::Span;
 use ncql_object::{Type, Value};
 use std::collections::BTreeSet;
@@ -387,10 +387,15 @@ fn is_empty_branch(e: &Expr) -> bool {
 }
 
 fn filter_pushdown(expr: &Expr) -> Option<LocalHit> {
-    let (e, f, u, arg, is_dcr) = match &expr.kind {
-        ExprKind::Dcr { e, f, u, arg } => (e, f, u, arg, true),
-        ExprKind::Sru { e, f, u, arg } => (e, f, u, arg, false),
-        _ => return None,
+    let ExprKind::UnionRec {
+        form: form @ (UnionForm::Dcr | UnionForm::Sru),
+        e,
+        f,
+        u,
+        arg,
+    } = &expr.kind
+    else {
+        return None;
     };
     // The neutral element must be a size-1 literal: it is re-evaluated once
     // per rejected element, so it has to be cheap and error-free.
@@ -430,19 +435,9 @@ fn filter_pushdown(expr: &Expr) -> Option<LocalHit> {
     body.span = pbody.span;
     let mut leaf = Expr::lam(x.clone(), tx.clone(), body);
     leaf.span = f.span;
-    let rebuilt = if is_dcr {
-        Expr::dcr((**e).clone(), leaf, (**u).clone(), (**s).clone())
-    } else {
-        Expr::sru((**e).clone(), leaf, (**u).clone(), (**s).clone())
-    };
-    let mut out = rebuilt;
-    out.span = expr.span;
     Some(LocalHit {
-        replacement: out,
-        description: format!(
-            "pushed the `{x}` filter into the {} leaf body",
-            if is_dcr { "dcr" } else { "sru" }
-        ),
+        replacement: expr.with_children(vec![(**e).clone(), leaf, (**u).clone(), (**s).clone()]),
+        description: format!("pushed the `{x}` filter into the {} leaf body", form.name()),
     })
 }
 
@@ -467,14 +462,12 @@ fn syntactic_min_card(e: &Expr) -> u64 {
 fn min_applications(kind: &ExprKind, min_card: u64) -> u64 {
     match kind {
         // The combining tree over m leaves makes m − 1 combiner calls.
-        ExprKind::Dcr { .. } | ExprKind::Sru { .. } | ExprKind::BDcr { .. } => {
-            min_card.saturating_sub(1)
-        }
+        ExprKind::UnionRec { .. } => min_card.saturating_sub(1),
         // One insert step per (distinct) element.
-        ExprKind::Sri { .. } | ExprKind::Esr { .. } | ExprKind::BSri { .. } => min_card,
-        // One application per element / per logarithmic round.
-        ExprKind::Loop { .. } | ExprKind::BLoop { .. } => min_card,
-        ExprKind::LogLoop { .. } | ExprKind::BLogLoop { .. } => log_rounds(min_card as usize),
+        ExprKind::InsertRec { .. } => min_card,
+        // One application per logarithmic round / per element.
+        ExprKind::Iter { form, .. } if form.is_log() => log_rounds(min_card as usize),
+        ExprKind::Iter { .. } => min_card,
         _ => 0,
     }
 }
@@ -482,16 +475,8 @@ fn min_applications(kind: &ExprKind, min_card: u64) -> u64 {
 /// The set argument whose cardinality drives the iterated arm.
 fn iterated_arg(kind: &ExprKind) -> Option<&Expr> {
     match kind {
-        ExprKind::Dcr { arg, .. }
-        | ExprKind::Sru { arg, .. }
-        | ExprKind::BDcr { arg, .. }
-        | ExprKind::Sri { arg, .. }
-        | ExprKind::Esr { arg, .. }
-        | ExprKind::BSri { arg, .. } => Some(arg),
-        ExprKind::Loop { set, .. }
-        | ExprKind::BLoop { set, .. }
-        | ExprKind::LogLoop { set, .. }
-        | ExprKind::BLogLoop { set, .. } => Some(set),
+        ExprKind::UnionRec { arg, .. } | ExprKind::InsertRec { arg, .. } => Some(arg),
+        ExprKind::Iter { set, .. } => Some(set),
         _ => None,
     }
 }

@@ -12,7 +12,6 @@
 //! and prepared-plan cache keys are unaffected by where a term happened to
 //! sit in its source file.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open byte range `start..end` into a source string.
@@ -21,7 +20,7 @@ use std::fmt;
 /// both offsets lie within the source text the span was produced from. An
 /// empty span (`start == end`) marks a *position* rather than an extent —
 /// the parser uses one at end-of-input for "unexpected end of input" errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Span {
     /// Byte offset of the first byte of the construct.
     pub start: usize,

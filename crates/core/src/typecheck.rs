@@ -17,7 +17,7 @@
 //! back into the source text.
 
 use crate::error::{TypeError, TypeErrorKind};
-use crate::expr::{Expr, ExprKind};
+use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::ExternRegistry;
 use crate::span::Span;
 use ncql_object::{Type, Value};
@@ -257,6 +257,24 @@ fn check_iterator(
     Ok(dom)
 }
 
+/// The side conditions a bounded form adds to its unbounded one: the result
+/// type `t` is a PS-type and the bound has it.
+fn check_bound(
+    form: &dyn Form,
+    env: &TypeEnv,
+    sigma: &ExternRegistry,
+    t: Type,
+    span: Option<Span>,
+) -> Result<Type, TypeError> {
+    if let Some(bound) = form.bound() {
+        let name = form.name();
+        expect_ps(&format!("{name} result"), &t, span)?;
+        let b_ty = infer(env, sigma, bound)?;
+        expect_eq(&format!("{name} bound"), &t, &b_ty, bound.span)?;
+    }
+    Ok(t)
+}
+
 /// Infer the type of `expr` in context `env`, with external signatures from
 /// `sigma`. Errors carry the span of the most specific locatable
 /// subexpression (see the module docs).
@@ -354,55 +372,17 @@ fn infer_kind(env: &TypeEnv, sigma: &ExternRegistry, expr: &Expr) -> Result<Type
             expect_eq("ext argument element type", &dom, &elem, e.span)?;
             Ok(cod)
         }
-        ExprKind::Dcr { e, f, u, arg } => check_union_recursor("dcr", env, sigma, e, f, u, arg),
-        ExprKind::Sru { e, f, u, arg } => check_union_recursor("sru", env, sigma, e, f, u, arg),
-        ExprKind::Sri { e, i, arg } => check_insert_recursor("sri", env, sigma, e, i, arg),
-        ExprKind::Esr { e, i, arg } => check_insert_recursor("esr", env, sigma, e, i, arg),
-        ExprKind::BDcr {
-            e,
-            f,
-            u,
-            bound,
-            arg,
-        } => {
-            let t = check_union_recursor("bdcr", env, sigma, e, f, u, arg)?;
-            expect_ps("bdcr result", &t, expr.span)?;
-            let b_ty = infer(env, sigma, bound)?;
-            expect_eq("bdcr bound", &t, &b_ty, bound.span)?;
-            Ok(t)
+        ExprKind::UnionRec { form, e, f, u, arg } => {
+            let t = check_union_recursor(form.name(), env, sigma, e, f, u, arg)?;
+            check_bound(form, env, sigma, t, expr.span)
         }
-        ExprKind::BSri { e, i, bound, arg } => {
-            let t = check_insert_recursor("bsri", env, sigma, e, i, arg)?;
-            expect_ps("bsri result", &t, expr.span)?;
-            let b_ty = infer(env, sigma, bound)?;
-            expect_eq("bsri bound", &t, &b_ty, bound.span)?;
-            Ok(t)
+        ExprKind::InsertRec { form, e, i, arg } => {
+            let t = check_insert_recursor(form.name(), env, sigma, e, i, arg)?;
+            check_bound(form, env, sigma, t, expr.span)
         }
-        ExprKind::LogLoop { f, set, init } => check_iterator("log-loop", env, sigma, f, set, init),
-        ExprKind::Loop { f, set, init } => check_iterator("loop", env, sigma, f, set, init),
-        ExprKind::BLogLoop {
-            f,
-            bound,
-            set,
-            init,
-        } => {
-            let t = check_iterator("blog-loop", env, sigma, f, set, init)?;
-            expect_ps("blog-loop result", &t, expr.span)?;
-            let b_ty = infer(env, sigma, bound)?;
-            expect_eq("blog-loop bound", &t, &b_ty, bound.span)?;
-            Ok(t)
-        }
-        ExprKind::BLoop {
-            f,
-            bound,
-            set,
-            init,
-        } => {
-            let t = check_iterator("bloop", env, sigma, f, set, init)?;
-            expect_ps("bloop result", &t, expr.span)?;
-            let b_ty = infer(env, sigma, bound)?;
-            expect_eq("bloop bound", &t, &b_ty, bound.span)?;
-            Ok(t)
+        ExprKind::Iter { form, f, set, init } => {
+            let t = check_iterator(form.name(), env, sigma, f, set, init)?;
+            check_bound(form, env, sigma, t, expr.span)
         }
         ExprKind::Extern(name, args) => {
             let ext = sigma

@@ -188,14 +188,13 @@ impl SessionBuilder {
     /// thread count (`0`/`1` mean sequential), `NCQL_PARALLEL_CUTOFF` the
     /// fork threshold, and `NCQL_POOL_THREADS` the worker-thread count of the
     /// session's persistent work-stealing pool when it should differ from
-    /// `NCQL_PARALLELISM` (e.g. an oversubscribed pool on a small machine —
-    /// the CI matrix runs one such leg). `NCQL_LINT=deny` (or `warn`) sets
-    /// the [`LintPolicy`], and `NCQL_OPT=0` (or `none`/`off`) disables the
-    /// algebraic optimizer (`1`/`default`/`on` restore it). `NCQL_KERNELS=0`
-    /// (or `false`/`off`) disables compiled row kernels for `ext` over
-    /// columnar sets — the kill switch the CI matrix exercises — and
-    /// `1`/`true`/`on` re-enables them. Unset, empty or unparseable
-    /// variables leave the defaults untouched.
+    /// `NCQL_PARALLELISM` (e.g. an oversubscribed pool on a small machine).
+    /// `NCQL_LINT=deny` (or `warn`) sets the [`LintPolicy`], and `NCQL_OPT=0`
+    /// (or `none`/`off`) disables the algebraic optimizer
+    /// (`1`/`default`/`on` restore it). `NCQL_KERNELS=0` (or `false`/`off`)
+    /// disables compiled row kernels for `ext` over columnar sets, and
+    /// `1`/`true`/`on` re-enables them. Unset, empty or unparseable variables
+    /// leave the defaults untouched.
     pub fn from_env() -> SessionBuilder {
         let mut builder = SessionBuilder::new();
         if let Ok(raw) = std::env::var("NCQL_PARALLELISM") {
@@ -284,13 +283,6 @@ impl SessionBuilder {
     /// Maximum total work before evaluation aborts.
     pub fn max_work(mut self, limit: u64) -> SessionBuilder {
         self.config.max_work = limit;
-        self
-    }
-
-    /// Spot-check `dcr`/`sru` combiners for the algebraic laws during
-    /// evaluation.
-    pub fn check_algebraic_laws(mut self, check: bool) -> SessionBuilder {
-        self.config.check_algebraic_laws = check;
         self
     }
 

@@ -25,12 +25,11 @@
 use crate::error::ObjectError;
 use crate::types::Type;
 use crate::value::{Atom, VSet, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// One symbol of the eight-symbol alphabet `A` of §5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Symbol {
     /// The digit `0` (also encodes `false`).
     Zero,
@@ -104,7 +103,7 @@ impl Symbol {
 
 /// A string over the alphabet `A`: an encoding (not necessarily minimal) of some
 /// complex object.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SymbolString {
     symbols: Vec<Symbol>,
 }
@@ -455,7 +454,7 @@ pub fn decode_bits(bits: &[bool], ty: &Type) -> Result<Value, ObjectError> {
 ///
 /// Only unary (`{D}`) and binary (`{D × D}`) relations are needed by the circuit
 /// compiler, so those are what this structure supports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PositionalRelation {
     /// Universe size `n`; atoms are `0 … n−1`.
     pub universe: usize,

@@ -13,12 +13,11 @@
 //! sets" types) are either set types or products of PS-types; they are the result
 //! types allowed for bounded divide-and-conquer recursion (`bdcr`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A complex object type, extended with function types (for NRA expressions) and
 /// the external natural-number base type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Type {
     /// The ordered base type `D` of atoms.
     Base,

@@ -34,7 +34,6 @@
 
 use crate::flat::{self, FlatShape};
 use crate::types::Type;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -46,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 pub type Atom = u64;
 
 /// A complex object value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An element of the ordered base type `D`.
     Atom(Atom),
@@ -220,7 +219,7 @@ impl VSet {
 
     /// Like the [`FromIterator`] impl, but pinned to the boxed representation
     /// (columnar promotion bypassed). A/B support for the representation
-    /// equivalence proptests and bench E15; no evaluation path uses it.
+    /// equivalence proptests; no evaluation path uses it.
     pub fn from_iter_boxed<I: IntoIterator<Item = Value>>(iter: I) -> VSet {
         let mut elems: Vec<Value> = iter.into_iter().collect();
         elems.sort();

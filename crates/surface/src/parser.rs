@@ -417,72 +417,14 @@ impl Parser {
                 let f = a.remove(0);
                 Ok(Expr::app(f, arg))
             }
-            "dcr" | "sru" => {
-                let mut a = self.parse_args(4)?;
-                let arg = a.remove(3);
-                let u = a.remove(2);
-                let f = a.remove(1);
-                let e = a.remove(0);
-                Ok(if name == "dcr" {
-                    Expr::dcr(e, f, u, arg)
-                } else {
-                    Expr::sru(e, f, u, arg)
-                })
-            }
-            "sri" | "esr" => {
-                let mut a = self.parse_args(3)?;
-                let arg = a.remove(2);
-                let i = a.remove(1);
-                let e = a.remove(0);
-                Ok(if name == "sri" {
-                    Expr::sri(e, i, arg)
-                } else {
-                    Expr::esr(e, i, arg)
-                })
-            }
-            "bdcr" => {
-                let mut a = self.parse_args(5)?;
-                let arg = a.remove(4);
-                let bound = a.remove(3);
-                let u = a.remove(2);
-                let f = a.remove(1);
-                let e = a.remove(0);
-                Ok(Expr::bdcr(e, f, u, bound, arg))
-            }
-            "bsri" => {
-                let mut a = self.parse_args(4)?;
-                let arg = a.remove(3);
-                let bound = a.remove(2);
-                let i = a.remove(1);
-                let e = a.remove(0);
-                Ok(Expr::bsri(e, i, bound, arg))
-            }
-            "logloop" | "loop" => {
-                let mut a = self.parse_args(3)?;
-                let init = a.remove(2);
-                let set = a.remove(1);
-                let f = a.remove(0);
-                Ok(if name == "logloop" {
-                    Expr::log_loop(f, set, init)
-                } else {
-                    Expr::loop_(f, set, init)
-                })
-            }
-            "blogloop" | "bloop" => {
-                let mut a = self.parse_args(4)?;
-                let init = a.remove(3);
-                let set = a.remove(2);
-                let bound = a.remove(1);
-                let f = a.remove(0);
-                Ok(if name == "blogloop" {
-                    Expr::blog_loop(f, bound, set, init)
-                } else {
-                    Expr::bloop(f, bound, set, init)
-                })
-            }
             _ => {
-                // Extern call if followed by '(', otherwise a variable.
-                if self.peek() == Some(&Token::LParen) {
+                let spells = |e: &&Expr| e.kind.form().is_some_and(|f| f.keyword() == name);
+                // A recursion form takes its operands in `children` order;
+                // otherwise an extern call if followed by '(', else a variable.
+                if let Some(form) = Expr::recursion_forms().iter().find(spells) {
+                    let operands = self.parse_args(form.children().len())?;
+                    Ok(form.with_children(operands))
+                } else if self.peek() == Some(&Token::LParen) {
                     self.pos += 1;
                     let mut args = Vec::new();
                     if self.peek() != Some(&Token::RParen) {

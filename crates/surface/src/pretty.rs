@@ -1,6 +1,7 @@
 //! Pretty-printer emitting the surface syntax, inverse (up to parentheses and
 //! the `lam2` desugaring) of the parser.
 
+use ncql_core::expr::Form;
 use ncql_core::{Expr, ExprKind};
 use ncql_object::{Type, Value};
 
@@ -70,94 +71,17 @@ pub fn print_expr(e: &Expr) -> String {
         ExprKind::Union(a, b) => format!("(({}) union ({}))", print_expr(a), print_expr(b)),
         ExprKind::IsEmpty(a) => format!("isempty({})", print_expr(a)),
         ExprKind::Ext(f, a) => format!("ext({}, {})", print_expr(f), print_expr(a)),
-        ExprKind::Dcr { e, f, u, arg } => format!(
-            "dcr({}, {}, {}, {})",
-            print_expr(e),
-            print_expr(f),
-            print_expr(u),
-            print_expr(arg)
-        ),
-        ExprKind::Sru { e, f, u, arg } => format!(
-            "sru({}, {}, {}, {})",
-            print_expr(e),
-            print_expr(f),
-            print_expr(u),
-            print_expr(arg)
-        ),
-        ExprKind::Sri { e, i, arg } => format!(
-            "sri({}, {}, {})",
-            print_expr(e),
-            print_expr(i),
-            print_expr(arg)
-        ),
-        ExprKind::Esr { e, i, arg } => format!(
-            "esr({}, {}, {})",
-            print_expr(e),
-            print_expr(i),
-            print_expr(arg)
-        ),
-        ExprKind::BDcr {
-            e,
-            f,
-            u,
-            bound,
-            arg,
-        } => format!(
-            "bdcr({}, {}, {}, {}, {})",
-            print_expr(e),
-            print_expr(f),
-            print_expr(u),
-            print_expr(bound),
-            print_expr(arg)
-        ),
-        ExprKind::BSri { e, i, bound, arg } => format!(
-            "bsri({}, {}, {}, {})",
-            print_expr(e),
-            print_expr(i),
-            print_expr(bound),
-            print_expr(arg)
-        ),
-        ExprKind::LogLoop { f, set, init } => format!(
-            "logloop({}, {}, {})",
-            print_expr(f),
-            print_expr(set),
-            print_expr(init)
-        ),
-        ExprKind::Loop { f, set, init } => format!(
-            "loop({}, {}, {})",
-            print_expr(f),
-            print_expr(set),
-            print_expr(init)
-        ),
-        ExprKind::BLogLoop {
-            f,
-            bound,
-            set,
-            init,
-        } => format!(
-            "blogloop({}, {}, {}, {})",
-            print_expr(f),
-            print_expr(bound),
-            print_expr(set),
-            print_expr(init)
-        ),
-        ExprKind::BLoop {
-            f,
-            bound,
-            set,
-            init,
-        } => format!(
-            "bloop({}, {}, {}, {})",
-            print_expr(f),
-            print_expr(bound),
-            print_expr(set),
-            print_expr(init)
-        ),
-        ExprKind::Extern(name, args) => {
-            let parts: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{name}({})", parts.join(", "))
-        }
+        ExprKind::UnionRec { form, .. } => print_call(form.keyword(), e),
+        ExprKind::InsertRec { form, .. } => print_call(form.keyword(), e),
+        ExprKind::Iter { form, .. } => print_call(form.keyword(), e),
+        ExprKind::Extern(name, _) => print_call(name, e),
     }
+}
+
+/// `name(…)` over the node's operands, in [`Expr::children`] order.
+fn print_call(name: &str, e: &Expr) -> String {
+    let parts: Vec<String> = e.children().iter().map(|c| print_expr(c.expr)).collect();
+    format!("{name}({})", parts.join(", "))
 }
 
 #[cfg(test)]
@@ -193,6 +117,18 @@ mod tests {
             "@1 <= @2",
         ] {
             round_trip(text);
+        }
+    }
+
+    #[test]
+    fn every_recursion_form_prints_its_keyword_and_parses_back() {
+        for form in Expr::recursion_forms() {
+            let n = form.children().len() as u64;
+            let e = form.with_children((1..=n).map(Expr::atom).collect());
+            let keyword = e.kind.form().expect("a recursion form").keyword();
+            let printed = print_expr(&e);
+            assert!(printed.starts_with(&format!("{keyword}(@1, ")), "{printed}");
+            assert_eq!(parse_expr(&printed).unwrap(), e, "{printed}");
         }
     }
 

@@ -184,11 +184,7 @@ pub fn recognize_combiner(identity: &Expr, u: &Expr) -> Option<CombinerShape> {
 pub fn check_orderly(expr: &Expr) -> Vec<OrderlyViolation> {
     let mut violations = Vec::new();
     expr.visit(&mut |e| match &e.kind {
-        ExprKind::Dcr { e: id, u, .. }
-        | ExprKind::Sru { e: id, u, .. }
-        | ExprKind::BDcr { e: id, u, .. }
-            if recognize_combiner(id, u).is_none() =>
-        {
+        ExprKind::UnionRec { e: id, u, .. } if recognize_combiner(id, u).is_none() => {
             violations.push(OrderlyViolation {
                 combiner: u.to_string(),
                 reason: "combiner is not one of the whitelisted orderly shapes".to_string(),

@@ -1,9 +1,9 @@
 //! Differential soundness of the prepare-time cost bounds: for every corpus
 //! query, the measured `CostStats` must sit between the analyser's guaranteed
 //! floor and its symbolic upper bound, on whichever backend
-//! `NCQL_TEST_PARALLELISM` selects (the CI matrix runs the sequential leg,
-//! the 4-thread leg, and the oversubscribed-pool leg — stats are
-//! backend-invariant, so the same inequalities must hold on each).
+//! `NCQL_TEST_PARALLELISM` selects (the CI matrix runs the sequential leg
+//! and the 4-thread leg — stats are backend-invariant, so the same
+//! inequalities must hold on each).
 //!
 //! The corpus queries are closed, so their bounds instantiate to constants;
 //! they run on the trusted-AST path the differential suites use (some corpus

@@ -70,12 +70,11 @@ fn without_line_comment(line: &str) -> &str {
 fn evaluators_are_constructed_only_behind_the_session_front_door() {
     // Call sites that predate the unified `Session` API and deliberately
     // drive the evaluator directly: the Proposition 7.3 translation check,
-    // the benches (which measure evaluator overhead without cache effects),
-    // and the powerset module's cost-assertion tests.
+    // the experiment harness (which measures evaluator overhead without
+    // cache effects), and the powerset module's cost-assertion tests.
     const ALLOWLIST: &[&str] = &[
         "crates/translate/src/prop73.rs",
         "crates/bench/src/lib.rs",
-        "crates/bench/benches/e8_bounded_vs_unbounded.rs",
         "crates/queries/src/powerset.rs",
     ];
     let constructor = "Evaluator::new(";

@@ -1,7 +1,8 @@
 //! `SessionBuilder::from_env` coverage: `NCQL_PARALLELISM` selects the
 //! backend, `NCQL_PARALLEL_CUTOFF` tunes the fork threshold,
-//! `NCQL_POOL_THREADS` sizes the session's persistent work-stealing pool, and
-//! `NCQL_OPT` selects the optimizer level.
+//! `NCQL_POOL_THREADS` sizes the session's persistent work-stealing pool,
+//! `NCQL_OPT` selects the optimizer level, and `NCQL_KERNELS` switches the
+//! compiled row-kernel `ext` path.
 //!
 //! This is deliberately the **only** test in this integration-test binary.
 //! `std::env::set_var` racing any concurrent `std::env::var` read is
@@ -22,6 +23,7 @@ fn builder_from_env_reads_the_knobs() {
         std::env::remove_var("NCQL_PARALLEL_CUTOFF");
         std::env::remove_var("NCQL_POOL_THREADS");
         std::env::remove_var("NCQL_OPT");
+        std::env::remove_var("NCQL_KERNELS");
     };
 
     clear();
@@ -36,8 +38,8 @@ fn builder_from_env_reads_the_knobs() {
     let configured = SessionBuilder::from_env().build();
     assert_eq!(configured.backend(), Backend::Parallel { threads: 4 });
     assert_eq!(configured.config().parallel_cutoff, 128);
-    // The pool may be sized independently of the parallelism knob — the CI
-    // matrix uses this to oversubscribe stealing on a small runner.
+    // The pool may be sized independently of the parallelism knob — CI
+    // uses this to oversubscribe stealing on a small runner.
     assert_eq!(configured.config().pool_threads, Some(8));
     assert_eq!(configured.config().effective_pool_threads(), 8);
 
@@ -98,6 +100,28 @@ fn builder_from_env_reads_the_knobs() {
             "NCQL_OPT={raw}"
         );
     }
+
+    // `NCQL_KERNELS` is the session-wide kill switch for compiled row
+    // kernels: on by default, every spelling accepted, garbage ignored.
+    std::env::remove_var("NCQL_OPT");
+    assert!(SessionBuilder::from_env().build().config().kernels);
+    for (raw, expected) in [
+        ("0", false),
+        ("false", false),
+        ("off", false),
+        ("1", true),
+        ("true", true),
+        ("on", true),
+        ("garbage", true),
+    ] {
+        std::env::set_var("NCQL_KERNELS", raw);
+        assert_eq!(
+            SessionBuilder::from_env().build().config().kernels,
+            expected,
+            "NCQL_KERNELS={raw}"
+        );
+    }
+    std::env::remove_var("NCQL_KERNELS");
 
     // Flipping `NCQL_OPT` between sessions never serves a stale plan: the
     // optimizer level is part of the plan-cache key, so the `NCQL_OPT=0`
