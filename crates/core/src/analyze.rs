@@ -1,4 +1,5 @@
-//! Prepare-time static analysis: symbolic work/span bounds and a query linter.
+//! Prepare-time static analysis: the cost interpreter. (The syntactic passes,
+//! the linter included, live in [`crate::analysis`].)
 //!
 //! The paper's central claim is that queries in this language carry *static*
 //! parallel-complexity guarantees — Theorems 6.1/6.2 place `dcr^(k)`/`bdcr^(k)`
@@ -6,9 +7,11 @@
 //! analysis: a compositional abstract interpreter over [`ExprKind`] that
 //! computes **upper-bound polynomials** for the work and span the instrumented
 //! evaluator in [`crate::eval`] will charge, in the cardinalities of the free
-//! schema relations, plus a **lower work bound** (`work_floor`) used to reject
-//! queries that are guaranteed to exceed a session's work limit before any
-//! evaluation happens.
+//! schema relations, plus one number, the **work floor**: the least work a
+//! completed evaluation charges under any binding of those relations (every
+//! cardinality at zero), used to reject queries that are guaranteed to exceed
+//! a session's work limit before any evaluation happens. The paper states
+//! only upper bounds, so only the upper side is symbolic.
 //!
 //! The cost model mirrored here is exactly the one `Evaluator` charges:
 //!
@@ -33,15 +36,15 @@
 //! tree / chain *numerically*, round by round, which gives finite bounds even
 //! for non-linear combiners (the powerset query).
 //!
-//! Everything here is a *bound*, never a promise of tightness: `Unbounded` is
-//! always a sound answer, and the analyser degrades to it (never panics) when
-//! its node budget runs out or a recurrence is not linear in the measure.
+//! Everything here is a *bound*, never a promise of tightness: `Unbounded`
+//! (and a floor of 0) is always a sound answer, and the analyser degrades to
+//! it (never panics) when its node budget runs out or a recurrence is not
+//! linear in the measure.
 
-use crate::analysis::free_vars;
+use crate::analysis::{lint_pass, Finding, Severity};
 use crate::eval::log_rounds;
 use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::ExternRegistry;
-use crate::span::Span;
 use ncql_object::{Type, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,8 +69,7 @@ pub struct Poly {
     terms: BTreeMap<Monomial, u64>,
 }
 
-/// Merging more terms than this triggers compaction (upper bounds get
-/// coarsened per variable-support group; lower bounds drop terms).
+/// Merging more terms than this triggers [`Poly::compact_upper`].
 const MAX_TERMS: usize = 32;
 
 impl Poly {
@@ -208,12 +210,6 @@ impl Poly {
         self.eval(&|_| None)
     }
 
-    /// Evaluate with every variable set to zero — the unconditional minimum
-    /// of a monotone polynomial, used for the doomed-query floor.
-    pub fn eval_at_zero(&self) -> u64 {
-        self.eval(&|_| Some(0)).expect("total lookup")
-    }
-
     /// An upper bound for `log_rounds(self(x))` as a polynomial, valid at
     /// every non-negative assignment. Uses `log(c·Πvᵖ·log(v)^q) ≤
     /// log(c) + Σ(p+q)·log(v)` per monomial (since `log_rounds(ab) ≤
@@ -317,17 +313,6 @@ impl Poly {
         }
     }
 
-    /// Shrink a **lower** bound by dropping terms (coefficients are
-    /// non-negative, so any sub-sum is still a lower bound).
-    pub fn compact_lower(self) -> Poly {
-        if self.terms.len() <= MAX_TERMS {
-            return self;
-        }
-        Poly {
-            terms: self.terms.into_iter().take(MAX_TERMS).collect(),
-        }
-    }
-
     /// A deterministic sample evaluation (every variable at 8) used only to
     /// *pick between* two already-sound bounds — never to establish one.
     fn sample(&self) -> u64 {
@@ -379,30 +364,6 @@ fn monomial_dominates(big: &Monomial, small: &Monomial) -> bool {
         Some(&(pb, qb)) => pb >= pa && (pb as u64) + (qb as u64) >= (pa as u64) + (qa as u64),
         None => false,
     })
-}
-
-/// A sound **lower** bound for `max(a, b)`: exact on constants, otherwise the
-/// operand that looks larger at a sample point (either operand alone is a
-/// valid lower bound for the max).
-pub(crate) fn lower_max(a: &Poly, b: &Poly) -> Poly {
-    match (a.as_const(), b.as_const()) {
-        (Some(ca), Some(cb)) => Poly::constant(ca.max(cb)),
-        _ => {
-            if a.sample() >= b.sample() {
-                a.clone()
-            } else {
-                b.clone()
-            }
-        }
-    }
-}
-
-/// A sound **lower** bound for `min(a, b)`: exact on constants, otherwise 0.
-pub(crate) fn lower_min(a: &Poly, b: &Poly) -> Poly {
-    match (a.as_const(), b.as_const()) {
-        (Some(ca), Some(cb)) => Poly::constant(ca.min(cb)),
-        _ => Poly::zero(),
-    }
 }
 
 impl fmt::Display for Poly {
@@ -478,12 +439,7 @@ impl Bound {
         self.as_poly().and_then(Poly::as_const)
     }
 
-    /// Lifted sum.
-    ///
-    /// **Upper bounds only** (note the [`Poly::compact_upper`] coarsening —
-    /// see the floor-routing audit on [`CostBound`]). Floor polynomials are
-    /// plain [`Poly`]s and must stay on `Poly::add`/`Poly::mul` +
-    /// [`Poly::compact_lower`].
+    /// Lifted sum, coarsened by [`Poly::compact_upper`].
     pub fn add(&self, other: &Bound) -> Bound {
         match (self, other) {
             (Bound::Finite(a), Bound::Finite(b)) => Bound::Finite(a.add(b).compact_upper()),
@@ -497,8 +453,7 @@ impl Bound {
     }
 
     /// Lifted product. Zero absorbs `Unbounded`: iterating an opaque body
-    /// zero times costs nothing. **Upper bounds only** — same coarsening
-    /// caveat as [`Bound::add`].
+    /// zero times costs nothing.
     pub fn mul(&self, other: &Bound) -> Bound {
         if self.as_const() == Some(0) || other.as_const() == Some(0) {
             return Bound::constant(0);
@@ -576,79 +531,59 @@ impl fmt::Display for Bound {
     }
 }
 
-/// A two-sided range: a guaranteed lower-bound polynomial and a (possibly
-/// infinite) upper bound. Lower bounds are deliberately coarse — they feed
-/// only the doomed-query check, where looseness merely misses rejections.
+/// A two-sided range: the least value the quantity takes under *any* binding
+/// of the schema relations (every cardinality at zero) and a (possibly
+/// infinite) symbolic upper bound. The lower side is a number because its one
+/// reader, the doomed-query check, compares it with a number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Range {
-    pub lo: Poly,
+    pub lo: u64,
     pub hi: Bound,
 }
 
 impl Range {
     pub fn exact(c: u64) -> Range {
-        Range {
-            lo: Poly::constant(c),
-            hi: Bound::constant(c),
-        }
+        Range::new(c, Bound::constant(c))
     }
 
-    pub fn new(lo: Poly, hi: Bound) -> Range {
+    pub fn new(lo: u64, hi: Bound) -> Range {
         Range { lo, hi }
     }
 
-    pub fn between(lo: u64, hi: Bound) -> Range {
-        Range {
-            lo: Poly::constant(lo),
-            hi,
-        }
-    }
-
     pub fn unknown_card() -> Range {
-        Range::between(0, Bound::Unbounded)
-    }
-
-    pub fn unknown_size() -> Range {
-        Range::between(1, Bound::Unbounded)
+        Range::new(0, Bound::Unbounded)
     }
 
     pub fn add(&self, other: &Range) -> Range {
         Range {
-            lo: self.lo.add(&other.lo).compact_lower(),
+            lo: self.lo.saturating_add(other.lo),
             hi: self.hi.add(&other.hi),
         }
     }
 
     pub fn add_const(&self, c: u64) -> Range {
         Range {
-            lo: self.lo.add_const(c),
+            lo: self.lo.saturating_add(c),
             hi: self.hi.add_const(c),
         }
     }
 
-    /// Range of `max(a, b)` — for joins of alternatives use [`Range::join`].
-    pub fn max(&self, other: &Range) -> Range {
-        Range {
-            lo: lower_max(&self.lo, &other.lo),
-            hi: self.hi.join(&other.hi),
-        }
-    }
-
     /// Range covering *either* operand (e.g. the two branches of an `if`):
-    /// the lower bound must hold for both, so it is the lower `min`.
+    /// the lower side must hold for both.
     pub fn join(&self, other: &Range) -> Range {
         Range {
-            lo: lower_min(&self.lo, &other.lo),
+            lo: self.lo.min(other.lo),
             hi: self.hi.join(&other.hi),
         }
     }
 }
 
-/// Work/span cost of evaluating one expression, as ranges.
+/// Work/span cost of evaluating one expression: a work range and a span
+/// upper bound.
 #[derive(Debug, Clone)]
 pub(crate) struct Cost {
     pub work: Range,
-    pub span: Range,
+    pub span: Bound,
 }
 
 impl Cost {
@@ -656,7 +591,7 @@ impl Cost {
     pub fn leaf() -> Cost {
         Cost {
             work: Range::exact(1),
-            span: Range::exact(0),
+            span: Bound::constant(0),
         }
     }
 
@@ -664,8 +599,8 @@ impl Cost {
     /// every node still charges at least one unit of work on entry.
     pub fn opaque() -> Cost {
         Cost {
-            work: Range::between(1, Bound::Unbounded),
-            span: Range::between(0, Bound::Unbounded),
+            work: Range::new(1, Bound::Unbounded),
+            span: Bound::Unbounded,
         }
     }
 }
@@ -687,13 +622,13 @@ pub(crate) enum Shape {
     Top,
 }
 
-/// Bounds on one object value: its cardinality (1 for non-sets), its
-/// [`Value::size`], and its shape. Invariants: `size ≥ 1` always, and for
-/// sets `card ≤ size − 1` (each element has size ≥ 1).
+/// Bounds on one object value: its cardinality (1 for non-sets), an upper
+/// bound on its [`Value::size`], and its shape. For sets `card ≤ size − 1`
+/// (each element has size ≥ 1).
 #[derive(Debug, Clone)]
 pub(crate) struct ObjBound {
     pub card: Range,
-    pub size: Range,
+    pub size: Bound,
     pub shape: Shape,
 }
 
@@ -701,7 +636,7 @@ impl ObjBound {
     pub fn scalar() -> ObjBound {
         ObjBound {
             card: Range::exact(1),
-            size: Range::exact(1),
+            size: Bound::constant(1),
             shape: Shape::Scalar,
         }
     }
@@ -709,7 +644,7 @@ impl ObjBound {
     pub fn top() -> ObjBound {
         ObjBound {
             card: Range::unknown_card(),
-            size: Range::unknown_size(),
+            size: Bound::Unbounded,
             shape: Shape::Top,
         }
     }
@@ -737,7 +672,7 @@ impl ObjBound {
                     .unwrap_or_else(ObjBound::top);
                 ObjBound {
                     card: Range::exact(card),
-                    size: Range::exact(size),
+                    size: Bound::constant(size),
                     shape: Shape::Set(Rc::new(elem)),
                 }
             }
@@ -761,7 +696,7 @@ impl ObjBound {
                 let elem = ObjBound::of_type(t);
                 ObjBound {
                     card: Range::unknown_card(),
-                    size: Range::unknown_size(),
+                    size: Bound::Unbounded,
                     shape: Shape::Set(Rc::new(elem)),
                 }
             }
@@ -770,20 +705,16 @@ impl ObjBound {
     }
 
     /// Bounds for a schema relation whose cardinality is the symbolic
-    /// variable `name`: `card = |name|` exactly, `1 + |name| ≤ size ≤
-    /// 1 + |name| · elem_size`.
+    /// variable `name`: `card ≤ |name|` (0 at the least binding) and
+    /// `size ≤ 1 + |name| · elem_size`.
     pub fn schema_relation(name: &str, ty: &Type) -> ObjBound {
         match ty {
             Type::Set(t) => {
                 let elem = ObjBound::of_type(t);
-                let n = Poly::var(name);
-                let size_hi = match &elem.size.hi {
-                    Bound::Finite(es) => Bound::Finite(n.mul(es).add_const(1)),
-                    Bound::Unbounded => Bound::Unbounded,
-                };
+                let n = Bound::Finite(Poly::var(name));
                 ObjBound {
-                    card: Range::new(n.clone(), Bound::Finite(n.clone())),
-                    size: Range::new(n.add_const(1), size_hi),
+                    size: n.mul(&elem.size).add_const(1),
+                    card: Range::new(0, n),
                     shape: Shape::Set(Rc::new(elem)),
                 }
             }
@@ -813,8 +744,8 @@ impl ObjBound {
     /// lowers collapse (the meet can be empty).
     pub fn cap(&self, bound: &ObjBound) -> ObjBound {
         ObjBound {
-            card: Range::new(Poly::zero(), self.card.hi.upper_min(&bound.card.hi)),
-            size: Range::new(Poly::constant(1), self.size.hi.upper_min(&bound.size.hi)),
+            card: Range::new(0, self.card.hi.upper_min(&bound.card.hi)),
+            size: self.size.upper_min(&bound.size),
             shape: bound.shape.clone().loosen_lows(),
         }
     }
@@ -835,8 +766,8 @@ impl Shape {
     fn loosen_lows(self) -> Shape {
         fn loosen(b: &ObjBound) -> ObjBound {
             ObjBound {
-                card: Range::new(Poly::zero(), b.card.hi.clone()),
-                size: Range::new(Poly::constant(1), b.size.hi.clone()),
+                card: Range::new(0, b.card.hi.clone()),
+                size: b.size.clone(),
                 shape: b.shape.clone().loosen_lows(),
             }
         }
@@ -991,7 +922,7 @@ impl<'a> Analyzer<'a> {
             ExprKind::Empty(t) => (
                 AbsVal::Obj(ObjBound {
                     card: Range::exact(0),
-                    size: Range::exact(1),
+                    size: Bound::constant(1),
                     shape: Shape::Set(Rc::new(ObjBound::of_type(t))),
                 }),
                 Cost::leaf(),
@@ -1034,7 +965,7 @@ impl<'a> Analyzer<'a> {
                     }),
                     Cost {
                         work: ac.work.add(&bc.work).add_const(1),
-                        span: ac.span.max(&bc.span).add_const(1),
+                        span: ac.span.join(&bc.span).add_const(1),
                     },
                 )
             }
@@ -1065,15 +996,11 @@ impl<'a> Analyzer<'a> {
                 let (ev, ec) = self.eval(els, env);
                 // Only the taken branch is evaluated: upper is the max of
                 // the branch costs, lower the min.
-                let branch = Cost {
-                    work: tc.work.join(&ec.work),
-                    span: tc.span.join(&ec.span),
-                };
                 (
                     tv.join(&ev),
                     Cost {
-                        work: cc.work.add(&branch.work).add_const(1),
-                        span: cc.span.add(&branch.span).add_const(1),
+                        work: cc.work.add(&tc.work.join(&ec.work)).add_const(1),
+                        span: cc.span.add(&tc.span.join(&ec.span)).add_const(1),
                     },
                 )
             }
@@ -1083,12 +1010,12 @@ impl<'a> Analyzer<'a> {
                 let ao = av.as_obj();
                 let bo = bv.as_obj();
                 // Extra charge: min(|a|, |b|) in Value::size, which is ≥ 1.
-                let cmp = Range::new(Poly::constant(1), ao.size.hi.upper_min(&bo.size.hi));
+                let cmp = Range::new(1, ao.size.upper_min(&bo.size));
                 (
                     AbsVal::Obj(ObjBound::scalar()),
                     Cost {
                         work: ac.work.add(&bc.work).add(&cmp).add_const(1),
-                        span: ac.span.max(&bc.span).add_const(1),
+                        span: ac.span.join(&bc.span).add_const(1),
                     },
                 )
             }
@@ -1114,26 +1041,18 @@ impl<'a> Analyzer<'a> {
                 let ao = av.as_obj();
                 let bo = bv.as_obj();
                 // Extra charge |a ∪ b|: at most |a| + |b|, at least max.
-                let merged = Range::new(
-                    lower_max(&ao.card.lo, &bo.card.lo),
-                    ao.card.hi.add(&bo.card.hi),
-                );
+                let merged = Range::new(ao.card.lo.max(bo.card.lo), ao.card.hi.add(&bo.card.hi));
                 let out = ObjBound {
                     card: merged.clone(),
-                    // size(a ∪ b) = 1 + Σ ≤ (size a − 1) + (size b − 1) + 1,
-                    // and the union contains each operand, so each operand's
-                    // size is a lower bound.
-                    size: Range::new(
-                        lower_max(&ao.size.lo, &bo.size.lo),
-                        ao.size.hi.add(&bo.size.hi),
-                    ),
+                    // size(a ∪ b) = 1 + Σ ≤ (size a − 1) + (size b − 1) + 1.
+                    size: ao.size.add(&bo.size),
                     shape: Shape::Set(Rc::new(ao.set_elem().join(&bo.set_elem()))),
                 };
                 (
                     AbsVal::Obj(out),
                     Cost {
                         work: ac.work.add(&bc.work).add(&merged).add_const(1),
-                        span: ac.span.max(&bc.span).add_const(1),
+                        span: ac.span.join(&bc.span).add_const(1),
                     },
                 )
             }
@@ -1159,14 +1078,11 @@ impl<'a> Analyzer<'a> {
             }
             ExprKind::Extern(name, args) => {
                 let mut work = Range::exact(2);
-                let mut span = Range::exact(1);
+                let mut span = Bound::constant(1);
                 for a in args {
                     let (_, c) = self.eval(a, env);
                     work = work.add(&c.work);
-                    span = Range {
-                        lo: span.lo,
-                        hi: span.hi.join(&c.span.hi.add_const(1)),
-                    };
+                    span = span.join(&c.span.add_const(1));
                 }
                 let out = self
                     .registry
@@ -1201,8 +1117,8 @@ impl<'a> Analyzer<'a> {
             _ => (
                 AbsVal::Top,
                 Cost {
-                    work: Range::between(2, Bound::Unbounded),
-                    span: Range::between(1, Bound::Unbounded),
+                    work: Range::new(2, Bound::Unbounded),
+                    span: Bound::Unbounded,
                 },
             ),
         }
@@ -1250,20 +1166,20 @@ fn subst_bound(b: &Bound, var: &str, replacement: &Bound) -> Bound {
 /// charge. Work sums; span is the *max* of the operand spans.
 struct Prefix {
     work: Range,
-    span: Range,
+    span: Bound,
 }
 
 impl Prefix {
     fn new() -> Prefix {
         Prefix {
             work: Range::exact(1),
-            span: Range::exact(0),
+            span: Bound::constant(0),
         }
     }
 
     fn absorb(&mut self, c: &Cost) {
         self.work = self.work.add(&c.work);
-        self.span = self.span.max(&c.span);
+        self.span = self.span.join(&c.span);
     }
 }
 
@@ -1324,33 +1240,22 @@ impl<'a> Analyzer<'a> {
         let m = arg.card.clone();
         let (rv, rc) = self.apply(&fv, AbsVal::Obj(arg.set_elem()));
         let out = rv.as_obj();
-        let card_hi = m.hi.mul(&out.card.hi);
+        // The flattened result may be empty whatever `m` is.
+        let card = Range::new(0, m.hi.mul(&out.card.hi));
+        let applications = Range::new(m.lo.saturating_mul(rc.work.lo), m.hi.mul(&rc.work.hi));
         let result = ObjBound {
-            card: Range::new(Poly::zero(), card_hi.clone()),
-            size: Range::new(Poly::constant(1), m.hi.mul(&out.size.hi).add_const(1)),
+            card: card.clone(),
+            size: m.hi.mul(&out.size).add_const(1),
             shape: Shape::Set(Rc::new(out.set_elem())),
         };
-        let work_hi = fc
-            .work
-            .hi
-            .add(&ac.work.hi)
-            .add(&m.hi.mul(&rc.work.hi))
-            .add(&card_hi)
-            .add_const(1);
-        let work_lo = fc
-            .work
-            .lo
-            .add(&ac.work.lo)
-            .add(&m.lo.mul(&rc.work.lo))
-            .add_const(1)
-            .compact_lower();
-        let span_hi = fc.span.hi.add(&ac.span.hi).add(&rc.span.hi).add_const(1);
-        let span_lo = fc.span.lo.add(&ac.span.lo).add_const(1);
         (
             AbsVal::Obj(result),
             Cost {
-                work: Range::new(work_lo, work_hi),
-                span: Range::new(span_lo, span_hi),
+                work: (fc.work.add(&ac.work))
+                    .add(&applications)
+                    .add(&card)
+                    .add_const(1),
+                span: fc.span.add(&ac.span).add(&rc.span).add_const(1),
             },
         )
     }
@@ -1395,27 +1300,16 @@ impl<'a> Analyzer<'a> {
         if let Some(b) = &cap {
             leaf_obj = leaf_obj.cap(b);
         }
-        let leaves_work_hi = m.hi.mul(&leaf_c.work.hi);
-        let leaves_work_lo = m.lo.scale(2);
+        let leaves = Range::new(m.lo.saturating_mul(2), m.hi.mul(&leaf_c.work.hi));
 
         let (result, tree_work_hi, tree_span_hi) = match m.hi.as_const() {
             Some(mc) => self.numeric_tree(&uv, leaf_obj.join(&e_obj), mc, cap.as_ref()),
             None => self.symbolic_tree(&uv, &leaf_obj, &e_obj, &m.hi, cap.as_ref()),
         };
 
-        let work = Range::new(
-            prefix.work.lo.add(&leaves_work_lo).compact_lower(),
-            prefix.work.hi.add(&leaves_work_hi).add(&tree_work_hi),
-        );
-        let span = Range::new(
-            prefix.span.lo.add_const(1),
-            prefix
-                .span
-                .hi
-                .add(&leaf_c.span.hi)
-                .add(&tree_span_hi)
-                .add_const(1),
-        );
+        let work = prefix.work.add(&leaves).add(&Range::new(0, tree_work_hi));
+        let span = prefix.span.add(&leaf_c.span).add(&tree_span_hi);
+        let span = span.add_const(1);
         (AbsVal::Obj(result), Cost { work, span })
     }
 
@@ -1445,7 +1339,7 @@ impl<'a> Analyzer<'a> {
                 Bound::Finite(p) => Bound::Finite(p.scale(width / 2)),
                 Bound::Unbounded => Bound::Unbounded,
             });
-            span = span.add(&cc.span.hi);
+            span = span.add(&cc.span);
             width = width.div_ceil(2);
         }
         (node, work, span)
@@ -1467,18 +1361,18 @@ impl<'a> Analyzer<'a> {
         let gx = measure_obj(&g);
         let (rv, cc) = self.apply2(u, gx.clone(), gx);
         let r_obj = rv.as_obj();
-        let s0 = leaf_obj.size.hi.join(&e_obj.size.hi);
+        let s0 = leaf_obj.size.join(&e_obj.size);
         let levels = m_hi.log_bound();
         let s_max = solve_size_recurrence(
-            &r_obj.size.hi,
+            &r_obj.size,
             &g,
             &s0,
             &levels,
-            cap.map(|b| &b.size.hi),
+            cap.map(|b| &b.size),
             Some(m_hi),
         );
         let call_work = subst_bound(&cc.work.hi, &g, &s_max);
-        let call_span = subst_bound(&cc.span.hi, &g, &s_max);
+        let call_span = subst_bound(&cc.span, &g, &s_max);
         let result = capped_set_result(&s_max, cap);
         (result, m_hi.mul(&call_work), levels.mul(&call_span))
     }
@@ -1544,13 +1438,7 @@ impl<'a> Analyzer<'a> {
         prefix.absorb(&icst);
         let card = sv.as_obj().card;
         let rounds = if logarithmic {
-            Range::new(
-                match card.lo.as_const() {
-                    Some(c) => Poly::constant(log_rounds(c as usize)),
-                    None => Poly::zero(),
-                },
-                card.hi.log_bound(),
-            )
+            Range::new(log_rounds(card.lo as usize), card.hi.log_bound())
         } else {
             card
         };
@@ -1587,7 +1475,7 @@ impl<'a> Analyzer<'a> {
                     }
                     acc = acc.join(&r);
                     work = work.add(&cc.work.hi);
-                    span = span.add(&cc.span.hi);
+                    span = span.add(&cc.span);
                 }
                 (acc, work, span)
             }
@@ -1597,15 +1485,15 @@ impl<'a> Analyzer<'a> {
                 let (rv, cc) = step(self, gx);
                 let r_obj = rv.as_obj();
                 let s_max = solve_size_recurrence(
-                    &r_obj.size.hi,
+                    &r_obj.size,
                     &g,
-                    &acc0.size.hi,
+                    &acc0.size,
                     &rounds.hi,
-                    cap.as_ref().map(|b| &b.size.hi),
+                    cap.as_ref().map(|b| &b.size),
                     None,
                 );
                 let call_work = subst_bound(&cc.work.hi, &g, &s_max);
-                let call_span = subst_bound(&cc.span.hi, &g, &s_max);
+                let call_span = subst_bound(&cc.span, &g, &s_max);
                 let mut result = capped_set_result(&s_max, cap.as_ref());
                 result.shape = match result.shape {
                     s @ (Shape::Pair(_, _) | Shape::Set(_)) => s,
@@ -1614,14 +1502,10 @@ impl<'a> Analyzer<'a> {
                 (result, rounds.hi.mul(&call_work), rounds.hi.mul(&call_span))
             }
         };
-        let work = Range::new(
-            prefix.work.lo.add(&rounds.lo.scale(2)).compact_lower(),
-            prefix.work.hi.add(&chain_work_hi),
-        );
-        let span = Range::new(
-            prefix.span.lo.add_const(1),
-            prefix.span.hi.add(&chain_span_hi).add_const(1),
-        );
+        // Every round costs at least the 2-unit call floor.
+        let chain = Range::new(rounds.lo.saturating_mul(2), chain_work_hi);
+        let work = prefix.work.add(&chain);
+        let span = prefix.span.add(&chain_span_hi).add_const(1);
         (AbsVal::Obj(result), Cost { work, span })
     }
 }
@@ -1629,15 +1513,15 @@ impl<'a> Analyzer<'a> {
 /// The symbolic accumulator cover at measure `g`: any value of cardinality
 /// and size at most `g`, with elements bounded the same way.
 fn measure_obj(g: &str) -> ObjBound {
-    let r = |lo: u64| Range::new(Poly::constant(lo), Bound::Finite(Poly::var(g)));
+    let g = Bound::Finite(Poly::var(g));
     let elem = ObjBound {
-        card: r(0),
-        size: r(1),
+        card: Range::new(0, g.clone()),
+        size: g.clone(),
         shape: Shape::Top,
     };
     ObjBound {
-        card: r(0),
-        size: r(1),
+        card: Range::new(0, g.clone()),
+        size: g,
         shape: Shape::Set(Rc::new(elem)),
     }
 }
@@ -1648,341 +1532,33 @@ fn capped_set_result(s_max: &Bound, cap: Option<&ObjBound>) -> ObjBound {
     match cap {
         Some(b) => b.clone().cap(b),
         None => ObjBound {
-            card: Range::new(Poly::zero(), s_max.clone()),
-            size: Range::new(Poly::constant(1), s_max.clone()),
+            card: Range::new(0, s_max.clone()),
+            size: s_max.clone(),
             shape: Shape::Top,
         },
     }
 }
 
 // ---------------------------------------------------------------------------
-// Lints
-// ---------------------------------------------------------------------------
-
-/// The lint catalog. Each lint has a stable kebab-case name (shown in
-/// diagnostics) and a default severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Lint {
-    /// A `let`/lambda binding that is never referenced.
-    UnusedBinding,
-    /// A binder that shadows a schema relation of the same name.
-    ShadowedSchemaVariable,
-    /// A closed subexpression inside a lambda body — re-evaluated on every
-    /// application; a `let`-hoisting opportunity for the optimizer.
-    ConstantSubexpression,
-    /// A statically-empty set used as an operand where it makes the
-    /// surrounding operation trivial.
-    EmptySetOperand,
-    /// A recursor combiner/step that syntactically ignores an argument it
-    /// must combine — a near-certain algebraic-law violation (`wellformed`).
-    IgnoredCombinerArgument,
-    /// The instantiated work *floor* already exceeds the session's work
-    /// limit: evaluation is guaranteed to fail with `WorkLimitExceeded`.
-    DoomedWorkBound,
-}
-
-impl Lint {
-    /// The stable lint name used in rendered diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            Lint::UnusedBinding => "unused-binding",
-            Lint::ShadowedSchemaVariable => "shadowed-schema-variable",
-            Lint::ConstantSubexpression => "constant-subexpression",
-            Lint::EmptySetOperand => "empty-set-operand",
-            Lint::IgnoredCombinerArgument => "ignored-combiner-argument",
-            Lint::DoomedWorkBound => "doomed-work-bound",
-        }
-    }
-
-    /// Warning lints flag rewrite opportunities; deny lints flag queries
-    /// that are (almost) certainly wrong to run.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            Lint::IgnoredCombinerArgument | Lint::DoomedWorkBound => Severity::Deny,
-            _ => Severity::Warning,
-        }
-    }
-}
-
-/// Finding severity: `Warning` surfaces through `PreparedQuery::analysis`;
-/// `Deny` additionally rejects the query at prepare under a deny policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Warning,
-    Deny,
-}
-
-/// One lint finding, carrying the offending node's source span when the
-/// query was parsed from text.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    pub lint: Lint,
-    pub severity: Severity,
-    pub message: String,
-    pub span: Option<Span>,
-}
-
-impl Finding {
-    fn new(lint: Lint, message: String, span: Option<Span>) -> Finding {
-        Finding {
-            lint,
-            severity: lint.default_severity(),
-            message,
-            span,
-        }
-    }
-}
-
-/// Is the expression *statically* the empty set?
-fn statically_empty(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Empty(_) => true,
-        ExprKind::Const(Value::Set(s)) => s.is_empty(),
-        ExprKind::Union(a, b) => statically_empty(a) && statically_empty(b),
-        ExprKind::Ext(_, arg) => statically_empty(arg),
-        _ => false,
-    }
-}
-
-fn is_var(e: &Expr, name: &str) -> bool {
-    matches!(&e.kind, ExprKind::Var(x) if x == name)
-}
-
-fn uses_var(e: &Expr, name: &str) -> bool {
-    free_vars(e).contains(name)
-}
-
-/// Which components of the pair parameter `p` does `body` use? Sees through
-/// the `lam2` desugaring (`let a = π₁ p in let b = π₂ p in …` counts a
-/// component as used only when its `let` binder is), and is conservative
-/// toward "used" everywhere else.
-fn pair_component_use(p: &str, body: &Expr) -> (bool, bool) {
-    fn walk(p: &str, e: &Expr, used: &mut (bool, bool)) {
-        match &e.kind {
-            ExprKind::Var(x) if x == p => *used = (true, true),
-            ExprKind::Proj1(inner) if is_var(inner, p) => used.0 = true,
-            ExprKind::Proj2(inner) if is_var(inner, p) => used.1 = true,
-            ExprKind::Let(name, rhs, inner) => {
-                match &rhs.kind {
-                    ExprKind::Proj1(arg) if is_var(arg, p) => {
-                        if uses_var(inner, name) {
-                            used.0 = true;
-                        }
-                    }
-                    ExprKind::Proj2(arg) if is_var(arg, p) => {
-                        if uses_var(inner, name) {
-                            used.1 = true;
-                        }
-                    }
-                    _ => walk(p, rhs, used),
-                }
-                if name != p {
-                    walk(p, inner, used);
-                }
-            }
-            _ => {
-                for child in e.children() {
-                    if child.binds == Some(p) {
-                        continue; // shadowed below here
-                    }
-                    walk(p, child.expr, used);
-                }
-            }
-        }
-    }
-    let mut used = (false, false);
-    walk(p, body, &mut used);
-    used
-}
-
-/// The syntactic lint pass.
-fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut Vec<Finding>) {
-    fn empty_operand(e: &Expr, what: &str, findings: &mut Vec<Finding>) {
-        if statically_empty(e) {
-            findings.push(Finding::new(
-                Lint::EmptySetOperand,
-                what.to_string(),
-                e.span,
-            ));
-        }
-    }
-
-    fn walk(expr: &Expr, schema: &[(String, Type)], in_lambda: bool, findings: &mut Vec<Finding>) {
-        // Constant subexpressions: only meaningful inside a lambda body
-        // (that's when they are re-evaluated per application), only for
-        // non-trivial non-literal nodes, and flagged maximally — a flagged
-        // node's children are not revisited.
-        let literal = matches!(
-            expr.kind,
-            ExprKind::Const(_)
-                | ExprKind::Bool(_)
-                | ExprKind::Unit
-                | ExprKind::Empty(_)
-                | ExprKind::Var(_)
-                | ExprKind::Lam(_, _, _)
-        );
-        if in_lambda && !literal && expr.size() >= 4 && free_vars(expr).is_empty() {
-            findings.push(Finding::new(
-                Lint::ConstantSubexpression,
-                "this subexpression is constant but sits under a lambda, so it is \
-                 re-evaluated on every application; hoist it into a `let` outside"
-                    .to_string(),
-                expr.span,
-            ));
-            return;
-        }
-
-        match &expr.kind {
-            ExprKind::Lam(p, _, body) | ExprKind::Let(p, _, body) if !p.starts_with('%') => {
-                if !uses_var(body, p) {
-                    findings.push(Finding::new(
-                        Lint::UnusedBinding,
-                        format!("binding `{p}` is never used"),
-                        expr.span,
-                    ));
-                }
-                if schema.iter().any(|(name, _)| name == p) {
-                    findings.push(Finding::new(
-                        Lint::ShadowedSchemaVariable,
-                        format!("binding `{p}` shadows the schema relation of the same name"),
-                        expr.span,
-                    ));
-                }
-            }
-            ExprKind::Union(a, b) => {
-                empty_operand(
-                    a,
-                    "operand of `union` is statically empty — the union is just the other operand",
-                    findings,
-                );
-                empty_operand(
-                    b,
-                    "operand of `union` is statically empty — the union is just the other operand",
-                    findings,
-                );
-            }
-            ExprKind::Ext(_, arg) => empty_operand(
-                arg,
-                "`ext` over a statically-empty set always yields the empty set",
-                findings,
-            ),
-            ExprKind::UnionRec { u, arg, .. } => {
-                empty_operand(
-                    arg,
-                    "recursing over a statically-empty set always yields the zero value `e`",
-                    findings,
-                );
-                if let ExprKind::Lam(p, _, body) = &u.kind {
-                    let (first, second) = pair_component_use(p, body);
-                    if !(first && second) {
-                        let which = if first { "second" } else { "first" };
-                        findings.push(Finding::new(
-                            Lint::IgnoredCombinerArgument,
-                            format!(
-                                "combiner ignores its {which} argument — `dcr`/`sru` require an \
-                                 associative-commutative combiner with identity `e` (the \
-                                 well-formedness laws), which an argument-dropping combiner \
-                                 almost certainly violates"
-                            ),
-                            u.span.or(expr.span),
-                        ));
-                    }
-                }
-            }
-            ExprKind::InsertRec { i, arg, .. } => {
-                empty_operand(
-                    arg,
-                    "recursing over a statically-empty set always yields the zero value `e`",
-                    findings,
-                );
-                // The element may legitimately be ignored (e.g. a parity flip
-                // per element); dropping the *accumulator* discards all prior
-                // work and breaks insert-commutativity.
-                if let ExprKind::Lam(p, _, body) = &i.kind {
-                    let (_, acc_used) = pair_component_use(p, body);
-                    if !acc_used {
-                        findings.push(Finding::new(
-                            Lint::IgnoredCombinerArgument,
-                            "insert step ignores its accumulator — every element would \
-                             overwrite the result, violating the insert-commutativity law"
-                                .to_string(),
-                            i.span.or(expr.span),
-                        ));
-                    }
-                }
-            }
-            ExprKind::Iter { set, .. } => empty_operand(
-                set,
-                "iterating over a statically-empty counting set applies the body zero times",
-                findings,
-            ),
-            _ => {}
-        }
-
-        for child in expr.children() {
-            let entered_lambda =
-                in_lambda || child.iterated || matches!(expr.kind, ExprKind::Lam(_, _, _));
-            walk(child.expr, schema, entered_lambda, findings);
-        }
-    }
-
-    walk(expr, schema, false, findings);
-}
-
-// ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
 
-/// The symbolic cost bounds of one query, in the cardinalities of its free
-/// schema relations (a variable `r` in the rendered form reads as "the
-/// cardinality of relation `r`", e.g. `work <= 4*r + 3`).
-///
-/// # Floor-routing audit (coarsening directions)
-///
-/// The two `MAX_TERMS` compactions coarsen in *opposite* directions:
-/// [`Poly::compact_upper`] may only **grow** a polynomial (sound for the
-/// `work`/`span` upper bounds) and [`Poly::compact_lower`] may only
-/// **shrink** one (sound for the floors). An upper-coarsened floor would be
-/// unsound — it could push `work_floor_min` past a session's `max_work` and
-/// make deny-policy rejection (or the rewrite engine's cost gate) fire on
-/// queries that are actually fine. The invariants the abstract interpreter
-/// maintains, audited end to end:
-///
-/// * `work_floor`/`span_floor` (`Range::lo`) are plain [`Poly`]s and flow
-///   only through the exact, uncompacted `Poly::add`/`Poly::mul`/
-///   [`Poly::scale`] plus [`Poly::compact_lower`], `lower_max` and
-///   `lower_min` (which *select* an operand, never coarsen one).
-/// * [`Bound::add`]/[`Bound::mul`] and the `subst_bound` substitution path
-///   call [`Poly::compact_upper`] (and the monotone [`Poly::subst`], which
-///   is itself upper-only) — they are reachable **exclusively** from
-///   `Range::hi` upper bounds, never from floors.
-/// * Saturating coefficient arithmetic is sound in both directions: a
-///   saturated floor coefficient is `≤` the true sum (still a lower bound),
-///   and a saturated upper coefficient still dominates any measured
-///   `u64` cost.
-///
-/// The `compact_lower(p) ≤ p ≤ compact_upper(p)` sandwich is pinned under
-/// `MAX_TERMS` pressure by a proptest in `tests/bound_props.rs`.
+/// The static cost bounds of one query: two symbolic upper bounds in the
+/// cardinalities of its free schema relations (a variable `r` in the rendered
+/// form reads as "the cardinality of relation `r`", e.g. `work <= 4*r + 3`),
+/// plus the work floor — a plain number, so nothing that coarsens an upper
+/// bound can ever be applied to it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostBound {
     /// Upper bound on `CostStats::work`.
     pub work: Bound,
     /// Upper bound on `CostStats::span`.
     pub span: Bound,
-    /// Guaranteed lower bound on the work of any *completed* evaluation.
-    pub work_floor: Poly,
-    /// Guaranteed lower bound on the span of any completed evaluation.
-    pub span_floor: Poly,
-}
-
-impl CostBound {
-    /// The unconditional work minimum — the floor with every relation
-    /// cardinality at zero. If this exceeds a session's `max_work`, the
-    /// query cannot complete: evaluation is guaranteed to abort with
+    /// The least work any *completed* evaluation charges, however the schema
+    /// relations are bound (every cardinality at zero). If this exceeds a
+    /// session's `max_work`, evaluation is guaranteed to abort with
     /// `WorkLimitExceeded`.
-    pub fn work_floor_min(&self) -> u64 {
-        self.work_floor.eval_at_zero()
-    }
+    pub work_floor: u64,
 }
 
 impl fmt::Display for CostBound {
@@ -2022,9 +1598,8 @@ pub fn analyze_query(
     let (_, cost) = analyzer.eval(expr, &None);
     let cost = CostBound {
         work: cost.work.hi,
-        span: cost.span.hi,
+        span: cost.span,
         work_floor: cost.work.lo,
-        span_floor: cost.span.lo,
     };
     let mut findings = Vec::new();
     lint_pass(expr, schema, &mut findings);
@@ -2036,9 +1611,8 @@ pub fn analyze_query(
 /// finite constant, else the legacy `1 + body size` heuristic. Memoised per
 /// closure by the evaluator, so the (cheap, gate-budgeted) analysis runs at
 /// most once per distinct lambda.
-pub(crate) fn region_gate_cost(body: &Expr) -> u64 {
-    let registry = ExternRegistry::standard();
-    let mut analyzer = Analyzer::new(&registry, &[], GATE_BUDGET);
+pub(crate) fn region_gate_cost(body: &Expr, registry: &ExternRegistry) -> u64 {
+    let mut analyzer = Analyzer::new(registry, &[], GATE_BUDGET);
     let (_, cost) = analyzer.eval(body, &None);
     match cost.work.hi.eval_closed() {
         Some(w) => w.max(1),
@@ -2049,6 +1623,7 @@ pub(crate) fn region_gate_cost(body: &Expr) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Lint;
     use crate::eval::{eval_with_stats, Evaluator};
     use crate::expr::Expr;
 
@@ -2082,14 +1657,10 @@ mod tests {
             stats.span
         );
         assert!(
-            analysis.cost.work_floor_min() <= stats.work,
+            analysis.cost.work_floor <= stats.work,
             "work floor {} exceeds measured {}",
-            analysis.cost.work_floor_min(),
+            analysis.cost.work_floor,
             stats.work
-        );
-        assert!(
-            analysis.cost.span_floor.eval_at_zero() <= stats.span,
-            "span floor exceeds measured span"
         );
     }
 
@@ -2213,7 +1784,7 @@ mod tests {
                 measured <= bound,
                 "|r|={n}: measured {measured} > bound {bound}"
             );
-            assert!(analysis.cost.work_floor.eval(&|_| Some(n)).unwrap() <= measured);
+            assert!(analysis.cost.work_floor <= measured);
         }
     }
 
@@ -2226,7 +1797,7 @@ mod tests {
         let analysis = analyze_closed(&expr);
         // The concrete evaluation charges 7 units; the floor must sit in
         // (3, 7] for the doomed check to fire on a 3-unit budget.
-        let floor = analysis.cost.work_floor_min();
+        let floor = analysis.cost.work_floor;
         assert!(floor > 3, "floor {floor} too weak to catch max_work = 3");
         let (_, stats) = eval_with_stats(&expr).unwrap();
         assert!(floor <= stats.work);
@@ -2329,10 +1900,35 @@ mod tests {
 
     #[test]
     fn region_gate_cost_is_finite_for_simple_bodies() {
+        let standard = ExternRegistry::standard();
         let body = Expr::singleton(Expr::var("x"));
-        assert_eq!(region_gate_cost(&body), 2);
+        assert_eq!(region_gate_cost(&body, &standard), 2);
         // Bodies the analyser cannot bound fall back to the size heuristic.
         let opaque = Expr::union(Expr::var("a"), Expr::var("b"));
-        assert_eq!(region_gate_cost(&opaque), 1 + opaque.size() as u64);
+        assert_eq!(
+            region_gate_cost(&opaque, &standard),
+            1 + opaque.size() as u64
+        );
+    }
+
+    #[test]
+    fn region_gate_cost_reads_the_registry_it_is_given() {
+        // `tag` exists only in the session's registry. Its result type is
+        // what makes `x = tag(x)` boundable, so the standard registry can
+        // only offer the size fallback for the same body.
+        let mut session = ExternRegistry::standard();
+        session.register("tag", vec![Type::Base], Type::Base, |args| {
+            Ok(args[0].clone())
+        });
+        let body = Expr::eq(
+            Expr::var("x"),
+            Expr::extern_call("tag", vec![Expr::var("x")]),
+        );
+        let fallback = 1 + body.size() as u64;
+        assert_eq!(
+            region_gate_cost(&body, &ExternRegistry::standard()),
+            fallback
+        );
+        assert_eq!(region_gate_cost(&body, &session), 6);
     }
 }

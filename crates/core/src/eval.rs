@@ -120,14 +120,11 @@ impl EvalConfig {
     /// pool parameters are decided, used by both the lazy per-evaluator pool
     /// and the engine `Session`'s shared pool. Only meaningful when
     /// [`EvalConfig::effective_pool_threads`] is nonzero (a sequential
-    /// configuration never constructs a pool). The pool's own sequential
-    /// cutoff is pinned to 1: the evaluator gates regions by its cost-model
-    /// cutover, not by item count.
+    /// configuration never constructs a pool).
     pub fn pool_config(&self) -> ncql_pram::PoolConfig {
         ncql_pram::PoolConfig {
             threads: self.effective_pool_threads(),
             steal_seed: self.pool_steal_seed,
-            sequential_cutoff: 1,
         }
     }
 }
@@ -276,10 +273,10 @@ struct Closure {
 
 impl Closure {
     /// The gate estimate (see the field docs), computed on first use.
-    fn gate_cost(&self) -> u64 {
+    fn gate_cost(&self, registry: &ExternRegistry) -> u64 {
         *self
             .gate
-            .get_or_init(|| crate::analyze::region_gate_cost(&self.body))
+            .get_or_init(|| crate::analyze::region_gate_cost(&self.body, registry))
     }
 
     /// The row kernel for `ext` over rows of `shape`, compiling on first use.
@@ -598,7 +595,7 @@ impl Evaluator {
         if apps < 2 {
             return None;
         }
-        let estimate = (apps as u64).saturating_mul(clo.gate_cost());
+        let estimate = (apps as u64).saturating_mul(clo.gate_cost(&self.config.registry));
         if estimate < self.config.parallel_cutoff {
             return None;
         }

@@ -28,13 +28,14 @@
 //!   persistent work-stealing pool (cost-model cutover and thread-budget
 //!   semaphore documented on [`EvalConfig`]), and values and cost statistics
 //!   are bit-identical on every schedule.
-//! * [`analysis`] — free variables, expression size, and the *depth of recursion
-//!   nesting* of §3, which stratifies the language into the ACᵏ levels.
-//! * [`analyze`] — prepare-time static analysis: symbolic work/span upper
-//!   bounds in the schema-relation cardinalities (mirroring [`eval`]'s cost
-//!   model, with the `dcr` combining tree contributing a log factor to the
-//!   span), a guaranteed work floor for rejecting doomed queries, and a
-//!   span-aware lint pass.
+//! * [`analysis`] — the syntactic passes: free variables, the *depth of
+//!   recursion nesting* of §3, which stratifies the language into the ACᵏ
+//!   levels, and the span-aware lint pass.
+//! * [`analyze`] — the cost interpreter: symbolic work/span upper bounds in
+//!   the schema-relation cardinalities (mirroring [`eval`]'s cost model, with
+//!   the `dcr` combining tree contributing a log factor to the span) and the
+//!   work floor, an integer, for rejecting doomed queries. It runs the
+//!   [`analysis`] lint pass so one call reports both.
 //! * [`rewrite`] — the algebraic optimizer: a fixpoint rewrite engine
 //!   (constant folding, ext-fusion, filter pushdown, common-subexpression
 //!   hoisting) whose every rewrite is gated by the [`analyze`] cost model so
@@ -67,7 +68,8 @@ pub mod span;
 pub mod typecheck;
 pub mod wellformed;
 
-pub use analyze::{analyze_query, Bound, CostBound, Finding, Lint, Poly, QueryAnalysis, Severity};
+pub use analysis::{Finding, Lint, Severity};
+pub use analyze::{analyze_query, Bound, CostBound, Poly, QueryAnalysis};
 pub use error::{EvalError, TypeError, TypeErrorKind};
 pub use eval::{
     normalize_parallelism, parallelism_from_env, CancelToken, CostStats, EvalConfig, Evaluator,

@@ -109,7 +109,7 @@ fn assert_covers(
         .span
         .eval(lookup)
         .unwrap_or_else(|| panic!("{context}: span bound not finite"));
-    let floor = cost.work_floor.eval(lookup).unwrap_or(0);
+    let floor = cost.work_floor;
     assert!(
         floor <= stats.work,
         "{context}: floor {floor} exceeds measured work {}",
@@ -155,15 +155,14 @@ proptest! {
     }
 
     #[test]
-    fn compaction_sandwiches_the_exact_polynomial(
+    fn compaction_never_shrinks_the_exact_polynomial(
         coeffs in proptest::collection::vec(1u64..6, 36..48),
         vals in proptest::collection::vec(0u64..30, 12..13),
     ) {
         // Build a polynomial with more distinct monomials than `MAX_TERMS`
         // (32), mixing linear, quadratic, mixed and log-carrying terms, so
-        // both compaction directions actually coarsen. The audit contract:
-        // `compact_lower` may only shrink and `compact_upper` may only grow —
-        // the exact polynomial is sandwiched at every evaluation point.
+        // compaction actually coarsens. `compact_upper` may only grow the
+        // polynomial, at every evaluation point.
         let mut exact = Poly::zero();
         for (i, c) in coeffs.iter().enumerate() {
             let v = Poly::var(&format!("x{}", i % 12));
@@ -176,7 +175,6 @@ proptest! {
             exact = exact.add(&term.scale(*c));
         }
         let upper = exact.clone().compact_upper();
-        let lower = exact.clone().compact_lower();
         let lookup = |name: &str| {
             name.strip_prefix('x')
                 .and_then(|i| i.parse::<usize>().ok())
@@ -184,8 +182,6 @@ proptest! {
         };
         let at = exact.eval(&lookup).expect("exact is finite");
         let hi = upper.eval(&lookup).expect("upper stays finite");
-        let lo = lower.eval(&lookup).expect("lower stays finite");
-        prop_assert!(lo <= at, "compact_lower grew the polynomial: {lo} > {at}");
         prop_assert!(at <= hi, "compact_upper shrank the polynomial: {at} > {hi}");
     }
 
@@ -234,8 +230,8 @@ proptest! {
         card_seed in proptest::collection::vec(0u64..6, 40..41),
     ) {
         // A query over 40 distinct schema relations gives the analyser more
-        // monomials than `MAX_TERMS` can hold, forcing both coarsening
-        // directions; the floor ≤ measured ≤ bound sandwich must survive.
+        // monomials than `MAX_TERMS` can hold, forcing the upper bound to
+        // coarsen; the floor ≤ measured ≤ bound sandwich must survive.
         let mut arg = Expr::var("r0");
         for i in 1..40 {
             arg = Expr::union(arg, Expr::var(format!("r{i}")));

@@ -81,7 +81,7 @@ pub use ncql_core::eval::CancelToken;
 
 // The static-analysis vocabulary of `PreparedQuery::analysis`, re-exported so
 // engine consumers need not depend on the core crate directly.
-pub use ncql_core::analyze::{Bound, CostBound, Finding, Lint, QueryAnalysis, Severity};
+pub use ncql_core::{Bound, CostBound, Finding, Lint, QueryAnalysis, Severity};
 
 // The optimizer vocabulary of `SessionBuilder::opt_level` /
 // `PreparedQuery::rewrites`, re-exported for the same reason.

@@ -559,7 +559,7 @@ impl Session {
         // however the schema relations are bound (the floor is the
         // all-cardinalities-zero minimum). It runs on the rewritten plan's
         // floor — the cost the session will actually pay.
-        let floor = query_analysis.cost.work_floor_min();
+        let floor = query_analysis.cost.work_floor;
         if floor > self.config.max_work {
             query_analysis.findings.push(Finding {
                 lint: Lint::DoomedWorkBound,

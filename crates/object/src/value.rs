@@ -802,7 +802,12 @@ impl Value {
             (Value::Unit, Type::Unit) => true,
             (Value::Nat(_), Type::Nat) => true,
             (Value::Pair(a, b), Type::Prod(ta, tb)) => a.has_type(ta) && b.has_type(tb),
-            (Value::Set(s), Type::Set(t)) => s.iter().all(|x| x.has_type(t)),
+            // A columnar set has one shape for all its rows, and `of_type` is
+            // the static twin of the `of_value` that shape came from.
+            (Value::Set(s), Type::Set(t)) => match s.columnar_rows() {
+                Some((shape, _, _)) => FlatShape::of_type(t).as_ref() == Some(shape),
+                None => s.iter().all(|x| x.has_type(t)),
+            },
             _ => false,
         }
     }

@@ -124,10 +124,6 @@ pub struct PoolConfig {
     /// scheduling knob: any seed produces bit-identical region results, which
     /// is exactly what the scheduling-stress test suites prove by sweeping it.
     pub steal_seed: u64,
-    /// Regions of at most this many items run inline on the calling thread
-    /// (queueing costs more than it saves). The evaluator sets this to 1 and
-    /// gates regions by its own cost-model cutover instead.
-    pub sequential_cutoff: usize,
 }
 
 impl Default for PoolConfig {
@@ -135,7 +131,6 @@ impl Default for PoolConfig {
         PoolConfig {
             threads: available_threads(),
             steal_seed: 0,
-            sequential_cutoff: 8,
         }
     }
 }
@@ -537,7 +532,7 @@ impl RegionPermit {
         let target_chunks = items.len().min(self.workers * CHUNKS_PER_WORKER).max(1);
         let chunk_size = items.len().div_ceil(target_chunks);
         let chunks = items.len().div_ceil(chunk_size);
-        if chunks == 1 || items.len() <= self.shared.config.sequential_cutoff {
+        if chunks == 1 {
             // Inline fast path, same worker signature and panic discipline, so
             // pool and no-pool execution are indistinguishable to the caller.
             return match catch_unwind(AssertUnwindSafe(|| worker(0, items))) {
@@ -779,7 +774,7 @@ mod tests {
     #[test]
     fn single_chunk_regions_stay_on_the_calling_thread() {
         let calling = std::thread::current().id();
-        let items = [1u64, 2];
+        let items = [1u64];
         let p = pool(8);
         let out = borrow(&p)
             .run(&items, |_, chunk| {
@@ -787,7 +782,7 @@ mod tests {
                 Ok::<usize, ()>(chunk.len())
             })
             .unwrap();
-        assert_eq!(out.iter().sum::<usize>(), 2);
+        assert_eq!(out, [1]);
         assert_eq!(
             p.spawned_workers(),
             0,
@@ -830,7 +825,6 @@ mod tests {
             let p = WorkStealingPool::with_config(PoolConfig {
                 threads: 4,
                 steal_seed: seed,
-                ..PoolConfig::default()
             });
             let err = borrow(&p)
                 .run(&items, |index, _| {
@@ -918,12 +912,13 @@ mod tests {
     fn panics_are_caught_on_the_inline_fast_path_too() {
         // Single-chunk regions run inline, but the panic contract holds there
         // as well.
-        let items = [1u64, 2, 3];
+        let items = [1u64];
         let p = pool(8);
         let err = borrow(&p)
             .run(&items, |_, _| -> Result<u64, ()> { panic!("inline boom") })
             .unwrap_err();
         assert_eq!(err, TaskError::Panicked("inline boom".to_string()));
+        assert_eq!(p.spawned_workers(), 0, "a one-item region is one chunk");
     }
 
     #[test]
@@ -966,7 +961,6 @@ mod tests {
             let p = WorkStealingPool::with_config(PoolConfig {
                 threads: 4,
                 steal_seed: seed,
-                ..PoolConfig::default()
             });
             let out = borrow(&p)
                 .map(&items, |x| Ok::<u64, ()>(x * 3 + 1))

@@ -7,7 +7,7 @@
 //! algebra — must be identical between the two, including with mixed
 //! representations on the two sides of a binary operation.
 
-use ncql::object::{FlatShape, VSet, Value};
+use ncql::object::{FlatShape, Type, VSet, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -95,6 +95,24 @@ proptest! {
         ys in arb_atom_rows(),
     ) {
         assert_equivalent(xs, ys);
+    }
+
+    #[test]
+    fn has_type_is_representation_independent(
+        pairs in proptest::collection::vec((0u64..40, 0u64..40), 0..20),
+    ) {
+        // 0..20 rows straddles the promotion threshold (8 elements), so both
+        // the per-row walk and the columnar shape comparison are exercised.
+        let rows = || pairs.iter().map(|&(a, b)| Value::pair(Value::Atom(a), Value::Atom(b)));
+        let promoted = Value::Set(VSet::from_iter(rows()));
+        let boxed = Value::Set(VSet::from_iter_boxed(rows()));
+        let right = Type::set(Type::prod(Type::Base, Type::Base));
+        let same_width = Type::set(Type::prod(Type::Base, Type::Nat));
+        let nested = Type::set(Type::prod(Type::Base, Type::set(Type::Base)));
+        prop_assert!(promoted.has_type(&right));
+        for ty in [&right, &same_width, &nested] {
+            prop_assert_eq!(promoted.has_type(ty), boxed.has_type(ty), "{}", ty);
+        }
     }
 
     #[test]
