@@ -20,7 +20,6 @@ use ncql_object::{Type, Value};
 use ncql_queries::{aggregates, datagen, graph, iterate, parity, powerset};
 use ncql_translate::{prop21, prop73};
 use std::fmt;
-use std::time::Instant;
 
 /// A simple textual results table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,46 +302,26 @@ pub fn e6_circuit_depth(ks: &[usize], ns: &[usize]) -> Table {
     t
 }
 
-/// E7 — PTIME vs NC: wall-clock of the parallel evaluation backend vs the
-/// sequential backend on the dcr transitive closure (the NC shape forks, the
-/// element-wise PTIME shape cannot), with a cross-backend agreement check.
+/// E7 — schedule independence: the dcr transitive closure (the NC shape
+/// forks, the element-wise PTIME shape cannot) on the parallel backend and on
+/// the sequential one must produce the same value and the same `CostStats`.
 pub fn e7_ptime_vs_nc(sizes: &[u64], threads: usize) -> Table {
     let mut t = Table::new(
         "E7",
-        "Wall-clock: dcr on the parallel backend vs the sequential backend",
-        &[
-            "n",
-            "par dcr (ms)",
-            "seq dcr (ms)",
-            "speedup",
-            "stats agree",
-        ],
+        "Schedule independence: dcr on the parallel backend vs the sequential backend",
+        &["n", "stats agree"],
     );
     for &n in sizes {
         let query = graph::tc_dcr(Expr::constant(datagen::path_graph(n).to_value()));
-        // Default cutover: the quick-run sizes are small enough that forking
-        // every inner ext would be pure overhead.
         let mut par_ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             ..EvalConfig::default()
         });
-        // One untimed warm-up per backend: the harness runs after other
-        // experiments whose heap churn would otherwise be billed to whichever
-        // backend happens to be timed first.
-        par_ev.eval_closed(&query).expect("par dcr warm-up");
-        eval_with_stats(&query).expect("seq dcr warm-up");
-        let start = Instant::now();
         let par = par_ev.eval_closed(&query).expect("par dcr");
-        let par_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let start = Instant::now();
         let (seq, seq_stats) = eval_with_stats(&query).expect("seq dcr");
-        let seq_ms = start.elapsed().as_secs_f64() * 1000.0;
         assert_eq!(par, seq, "parallel and sequential TC must agree");
         t.push_row(vec![
             n.to_string(),
-            format!("{par_ms:.2}"),
-            format!("{seq_ms:.2}"),
-            format!("{:.2}", seq_ms / par_ms.max(0.001)),
             (par_ev.stats() == seq_stats).to_string(),
         ]);
     }
@@ -799,6 +778,6 @@ mod tests {
     #[test]
     fn e7_reports_matching_results() {
         let t = e7_ptime_vs_nc(&[6], 2);
-        assert_eq!(t.rows.len(), 1);
+        assert_eq!(t.rows, [["6", "true"]]);
     }
 }

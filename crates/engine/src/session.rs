@@ -722,15 +722,6 @@ impl Session {
         self.eval_raw(expr, &[], &ExecOptions::default())
     }
 
-    /// [`Session::evaluate`] with free variables bound to values.
-    pub fn evaluate_with_bindings(
-        &self,
-        expr: &Expr,
-        bindings: &[(String, Value)],
-    ) -> Result<Outcome, EvalError> {
-        self.eval_raw(expr, bindings, &ExecOptions::default())
-    }
-
     /// The session's work-stealing pool, created on first use. Only the
     /// parallel dispatch path ever calls this, so sequential sessions stay
     /// pool-free.

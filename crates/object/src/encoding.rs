@@ -116,11 +116,6 @@ impl SymbolString {
         }
     }
 
-    /// Wrap an explicit symbol sequence.
-    pub fn from_symbols(symbols: Vec<Symbol>) -> SymbolString {
-        SymbolString { symbols }
-    }
-
     /// Parse the display form (e.g. `"{(0,1),(1,10)}"`).
     pub fn parse(s: &str) -> Result<SymbolString, ObjectError> {
         let mut symbols = Vec::with_capacity(s.len());
@@ -181,19 +176,6 @@ impl SymbolString {
             .map(|c| Symbol::from_bits([c[0], c[1], c[2]]))
             .collect();
         Ok(SymbolString { symbols })
-    }
-
-    /// Remove all blanks (blank removal is the AC¹ step discussed in §5; here it
-    /// is just a filter).
-    pub fn without_blanks(&self) -> SymbolString {
-        SymbolString {
-            symbols: self
-                .symbols
-                .iter()
-                .copied()
-                .filter(|s| *s != Symbol::Blank)
-                .collect(),
-        }
     }
 
     /// Insert blanks between symbols — produces a valid, non-minimal encoding of

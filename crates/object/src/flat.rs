@@ -174,70 +174,50 @@ pub(crate) fn row_search(rows: &[u64], width: usize, probe: &[u64]) -> Result<us
     Err(lo)
 }
 
-/// Merge-union two sorted dup-free row buffers into a fresh one.
-pub(crate) fn row_union(a: &[u64], b: &[u64], width: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// The two-pointer merge behind union, intersection and difference: walk two
+/// sorted dup-free row-major buffers of `width`-wide rows and keep the rows
+/// only in `a` (`L`), in both (`B`), only in `b` (`R`) — union is
+/// `<true, true, true>`, intersection `<false, true, false>`, difference
+/// `<true, false, false>`. Boxed element views are width-1 rows of [`Value`].
+pub(crate) fn merge<T: Ord + Clone, const L: bool, const B: bool, const R: bool>(
+    a: &[T],
+    b: &[T],
+    width: usize,
+) -> Vec<T> {
+    let mut out = Vec::new();
+    if L && R {
+        out.reserve(a.len() + b.len());
+    }
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        match row_cmp(&a[i..i + width], &b[j..j + width]) {
+        let (x, y) = (&a[i..i + width], &b[j..j + width]);
+        match x.cmp(y) {
             Ordering::Less => {
-                out.extend_from_slice(&a[i..i + width]);
+                if L {
+                    out.extend_from_slice(x);
+                }
                 i += width;
             }
             Ordering::Greater => {
-                out.extend_from_slice(&b[j..j + width]);
+                if R {
+                    out.extend_from_slice(y);
+                }
                 j += width;
             }
             Ordering::Equal => {
-                out.extend_from_slice(&a[i..i + width]);
+                if B {
+                    out.extend_from_slice(x);
+                }
                 i += width;
                 j += width;
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Merge-intersect two sorted dup-free row buffers.
-pub(crate) fn row_intersect(a: &[u64], b: &[u64], width: usize) -> Vec<u64> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match row_cmp(&a[i..i + width], &b[j..j + width]) {
-            Ordering::Less => i += width,
-            Ordering::Greater => j += width,
-            Ordering::Equal => {
-                out.extend_from_slice(&a[i..i + width]);
-                i += width;
-                j += width;
-            }
-        }
+    if L {
+        out.extend_from_slice(&a[i..]);
     }
-    out
-}
-
-/// Merge-difference (`a \ b`) of two sorted dup-free row buffers.
-pub(crate) fn row_difference(a: &[u64], b: &[u64], width: usize) -> Vec<u64> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() {
-        if j >= b.len() {
-            out.extend_from_slice(&a[i..]);
-            break;
-        }
-        match row_cmp(&a[i..i + width], &b[j..j + width]) {
-            Ordering::Less => {
-                out.extend_from_slice(&a[i..i + width]);
-                i += width;
-            }
-            Ordering::Greater => j += width,
-            Ordering::Equal => {
-                i += width;
-                j += width;
-            }
-        }
+    if R {
+        out.extend_from_slice(&b[j..]);
     }
     out
 }
@@ -387,11 +367,17 @@ mod tests {
         let a = enc(&[(1, 2), (3, 4), (5, 6), (9, 0)]);
         let b = enc(&[(3, 4), (5, 5), (9, 0), (9, 1)]);
         assert_eq!(
-            row_union(&a, &b, width),
+            merge::<_, true, true, true>(&a, &b, width),
             enc(&[(1, 2), (3, 4), (5, 5), (5, 6), (9, 0), (9, 1)])
         );
-        assert_eq!(row_intersect(&a, &b, width), enc(&[(3, 4), (9, 0)]));
-        assert_eq!(row_difference(&a, &b, width), enc(&[(1, 2), (5, 6)]));
+        assert_eq!(
+            merge::<_, false, true, false>(&a, &b, width),
+            enc(&[(3, 4), (9, 0)])
+        );
+        assert_eq!(
+            merge::<_, true, false, false>(&a, &b, width),
+            enc(&[(1, 2), (5, 6)])
+        );
         assert!(row_subset(&enc(&[(3, 4), (9, 0)]), &a, width));
         assert!(!row_subset(&b, &a, width));
         assert_eq!(row_search(&a, width, &[5, 6]), Ok(2));

@@ -75,11 +75,6 @@ impl Type {
         }
     }
 
-    /// Is this type an *atomic* (scalar) type: `D`, `B`, `unit` or `Nat`?
-    pub fn is_atomic(&self) -> bool {
-        matches!(self, Type::Base | Type::Bool | Type::Unit | Type::Nat)
-    }
-
     /// The *set height* of a type: the maximum nesting depth of set brackets.
     /// Flat relational databases have set height ≤ 1.
     pub fn set_height(&self) -> usize {
@@ -121,30 +116,6 @@ impl Type {
             Type::Set(_) => true,
             Type::Prod(a, b) => a.is_ps_type() && b.is_ps_type(),
             _ => false,
-        }
-    }
-
-    /// If this is a set type `{t}`, return the element type `t`.
-    pub fn elem_type(&self) -> Option<&Type> {
-        match self {
-            Type::Set(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// If this is a product type `s × t`, return `(s, t)`.
-    pub fn prod_components(&self) -> Option<(&Type, &Type)> {
-        match self {
-            Type::Prod(a, b) => Some((a, b)),
-            _ => None,
-        }
-    }
-
-    /// If this is a function type `s → t`, return `(s, t)`.
-    pub fn fun_components(&self) -> Option<(&Type, &Type)> {
-        match self {
-            Type::Fun(a, b) => Some((a, b)),
-            _ => None,
         }
     }
 

@@ -377,9 +377,7 @@ impl VSet {
         }
     }
 
-    /// Set union (the `union presentation` constructor of §2). Columnar-
-    /// compatible operands merge as word rows; the general case merges boxed
-    /// element views and re-applies the representation policy to the result.
+    /// Set union (the `union presentation` constructor of §2).
     pub fn union(&self, other: &VSet) -> VSet {
         if self.is_empty() {
             return other.clone();
@@ -387,37 +385,25 @@ impl VSet {
         if other.is_empty() {
             return self.clone();
         }
+        self.merge::<true, true, true>(other)
+    }
+
+    /// The one merge behind [`VSet::union`], [`VSet::intersect`] and
+    /// [`VSet::difference`] (see [`flat::merge`] for `L`/`B`/`R`). Columnar-
+    /// compatible operands merge as word rows; the general case merges boxed
+    /// element views and re-applies the representation policy to the result.
+    fn merge<const L: bool, const B: bool, const R: bool>(&self, other: &VSet) -> VSet {
         if let Some((shape, width)) = self.kernel_shape(other) {
             if let (Some(a), Some(b)) = (
                 self.rows_with_shape(&shape, width),
                 other.rows_with_shape(&shape, width),
             ) {
-                return VSet::from_canonical_rows(shape, width, flat::row_union(&a, &b, width));
+                let rows = flat::merge::<_, L, B, R>(&a, &b, width);
+                return VSet::from_canonical_rows(shape, width, rows);
             }
         }
-        let (xs, ys) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::with_capacity(xs.len() + ys.len());
-        let (mut i, mut j) = (0, 0);
-        while i < xs.len() && j < ys.len() {
-            match xs[i].cmp(&ys[j]) {
-                Ordering::Less => {
-                    out.push(xs[i].clone());
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    out.push(ys[j].clone());
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    out.push(xs[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&xs[i..]);
-        out.extend_from_slice(&ys[j..]);
-        VSet::from_canonical_vec(out)
+        let elems = flat::merge::<_, L, B, R>(self.as_slice(), other.as_slice(), 1);
+        VSet::from_canonical_vec(elems)
     }
 
     /// Canonical union of many sets: the post-`ext` merge. When all parts
@@ -473,29 +459,7 @@ impl VSet {
         if self.is_empty() || other.is_empty() {
             return VSet::empty();
         }
-        if let Some((shape, width)) = self.kernel_shape(other) {
-            if let (Some(a), Some(b)) = (
-                self.rows_with_shape(&shape, width),
-                other.rows_with_shape(&shape, width),
-            ) {
-                return VSet::from_canonical_rows(shape, width, flat::row_intersect(&a, &b, width));
-            }
-        }
-        let (xs, ys) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < xs.len() && j < ys.len() {
-            match xs[i].cmp(&ys[j]) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    out.push(xs[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        VSet::from_canonical_vec(out)
+        self.merge::<false, true, false>(other)
     }
 
     /// Set difference `self \ other`.
@@ -503,39 +467,7 @@ impl VSet {
         if self.is_empty() || other.is_empty() {
             return self.clone();
         }
-        if let Some((shape, width)) = self.kernel_shape(other) {
-            if let (Some(a), Some(b)) = (
-                self.rows_with_shape(&shape, width),
-                other.rows_with_shape(&shape, width),
-            ) {
-                return VSet::from_canonical_rows(
-                    shape,
-                    width,
-                    flat::row_difference(&a, &b, width),
-                );
-            }
-        }
-        let (xs, ys) = (self.as_slice(), other.as_slice());
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < xs.len() {
-            if j >= ys.len() {
-                out.extend_from_slice(&xs[i..]);
-                break;
-            }
-            match xs[i].cmp(&ys[j]) {
-                Ordering::Less => {
-                    out.push(xs[i].clone());
-                    i += 1;
-                }
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        VSet::from_canonical_vec(out)
+        self.merge::<true, false, false>(other)
     }
 
     /// Is `self` a subset of `other`? Same-shape columnar operands use a
@@ -748,14 +680,6 @@ impl Value {
 
     /// If this is a set, borrow it.
     pub fn as_set(&self) -> Option<&VSet> {
-        match self {
-            Value::Set(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// If this is a set, take it.
-    pub fn into_set(self) -> Option<VSet> {
         match self {
             Value::Set(s) => Some(s),
             _ => None,

@@ -86,11 +86,6 @@ pub fn random_atom_set(n: u64, k: usize, seed: u64) -> Value {
     Value::atom_set(atoms)
 }
 
-/// The unary set `{0, …, n−1}`.
-pub fn dense_atom_set(n: u64) -> Value {
-    Value::atom_set(0..n)
-}
-
 /// A random complex object of the given type, with sets of at most
 /// `max_set_size` elements and atoms drawn from `0 … universe−1`.
 pub fn random_value(ty: &Type, universe: u64, max_set_size: usize, seed: u64) -> Value {

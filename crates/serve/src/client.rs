@@ -1,10 +1,10 @@
 //! A blocking wire client: one TCP connection, typed requests, typed
 //! responses.
 //!
-//! The client exists for three audiences — the load generator, the protocol
-//! test suites, and anyone scripting against `ncql-served` from Rust. It
-//! speaks exactly the protocol of [`crate::protocol`]: requests out as
-//! single JSON lines, responses back as [`WireOutcome`]/[`WireDiagnostic`].
+//! The client exists for two audiences — the protocol test suites and anyone
+//! scripting against `ncql-served` from Rust. It speaks exactly the protocol
+//! of [`crate::protocol`]: requests out as single JSON lines, responses back
+//! as [`WireOutcome`]/[`WireDiagnostic`].
 
 use crate::json::{self, Json};
 use crate::protocol::value_to_json;

@@ -22,8 +22,8 @@
 //!   `max_work`/`max_set_size` budgets that only tighten the session's
 //!   limits, and an admission [`Semaphore`](limits::Semaphore) that answers
 //!   `busy` under overload instead of queueing unboundedly.
-//! * [`Client`] is the blocking counterpart used by the `ncql-loadgen`
-//!   binary, the protocol test suites, and Rust scripts.
+//! * [`Client`] is the blocking counterpart used by the protocol test suites
+//!   and Rust scripts.
 //!
 //! # A round trip
 //!
@@ -54,11 +54,9 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod corpus;
 pub mod deadline;
 pub mod json;
 pub mod limits;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
@@ -66,6 +64,5 @@ pub use client::{
     Client, ClientError, ExecuteParams, WireDiagnostic, WireOutcome, WirePrepared, WireStats,
     WireStatsReply,
 };
-pub use loadgen::{LoadConfig, LoadReport, Percentiles};
 pub use protocol::{error_code, ProtocolError, Request};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -5,10 +5,14 @@
 //! oversized request lines are answered with `protocol` errors on a
 //! connection that stays usable.
 
+mod common;
+
+use common::expensive_query;
+use ncql_core::CostStats;
 use ncql_engine::{LintPolicy, Session, SessionBuilder};
 use ncql_object::Value;
-use ncql_serve::corpus::expensive_query;
-use ncql_serve::protocol::code;
+use ncql_serve::json::Json;
+use ncql_serve::protocol::{code, value_from_json, value_to_json};
 use ncql_serve::{
     Client, ClientError, ExecuteParams, ServeConfig, Server, ServerHandle, WireDiagnostic,
 };
@@ -383,6 +387,49 @@ fn prepare_stats_and_values_round_trip() {
     assert!(stats.cache_misses >= 3, "{stats:?}");
     assert!(stats.prepared_plans >= 3, "{stats:?}");
     assert!(!stats.backend.is_empty());
+
+    client.close().expect("close");
+    handle.shutdown();
+}
+
+#[test]
+fn a_served_open_query_reaches_the_evaluator_with_the_direct_sessions_stats() {
+    let handle = serve_default();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let entry = &common::pack()[0];
+    let direct = entry.run_direct(&SessionBuilder::new().build());
+
+    // The typed client drops four of the seven counters, so speak the
+    // protocol raw and read the whole `stats` object.
+    let (name, ty) = &entry.schema[0];
+    let request = format!(
+        r#"{{"op":"execute","id":1,"text":{text},"schema":[{{"name":"{name}","type":"{ty}"}}],"bindings":[{{"name":"{name}","value":{rows}}}]}}"#,
+        text = Json::str(entry.text),
+        rows = value_to_json(&entry.bindings[0].1),
+    );
+    let raw = client.round_trip_raw(&request).expect("answered");
+    let reply = ncql_serve::json::parse(&raw).expect("JSON reply");
+    let ok = reply.get("ok").unwrap_or_else(|| panic!("not ok: {raw}"));
+    let stat = |name: &str| {
+        ok.get("stats")
+            .and_then(|s| s.get(name)?.as_u64())
+            .expect(name)
+    };
+    let served = CostStats {
+        work: stat("work"),
+        span: stat("span"),
+        combiner_calls: stat("combiner_calls"),
+        step_calls: stat("step_calls"),
+        ext_calls: stat("ext_calls"),
+        sequential_rounds: stat("sequential_rounds"),
+        max_set_size: stat("max_set_size") as usize,
+    };
+    assert_eq!(served, direct.stats, "{}", entry.name);
+    assert!(
+        served.ext_calls >= common::EDGE_ROWS,
+        "one `ext` application per bound row: {served:?}"
+    );
+    assert_eq!(value_from_json(ok.get("value").unwrap()), Ok(direct.value));
 
     client.close().expect("close");
     handle.shutdown();
