@@ -798,8 +798,8 @@ impl Evaluator {
                 // A columnar argument whose function body compiles to a row
                 // kernel runs directly over the word rows. Values, work, span
                 // and every counter are bit-identical to the interpreted
-                // element map (the kernel replays the interpreter's exact
-                // per-element charges), so this is purely an execution
+                // element map (the kernel charges the interpreter's exact
+                // per-element cost), so this is purely an execution
                 // strategy — `config.kernels = false` or any unliftable body
                 // takes the interpreted map with no observable change.
                 let kernel = set
@@ -969,14 +969,16 @@ impl Evaluator {
     }
 
     /// The kernel-path element map of `ext`: run the compiled row kernel over
-    /// every columnar row of `set`, charging per row exactly what the
-    /// interpreter charges to apply the closure to that element (the kernel
-    /// returns the interpreter's `(work, span)`). Each shard — the whole set
-    /// on the inline schedule — canonicalizes its emitted rows into one
-    /// result part with the shard's maximum element span, the same
-    /// `(value, span)` currency the interpreted map produces per element, so
-    /// the parts union to the same canonical set and the statistics are
-    /// bit-identical across all four (schedule × strategy) combinations.
+    /// every columnar row of `set`, charging block by block exactly what the
+    /// interpreter charges to apply the closure to those elements (the
+    /// kernel computes the interpreter's work and span per path at compile
+    /// time; one `add_work` per block keeps the limit and the cancel poll).
+    /// Each shard — the whole set on the inline schedule — canonicalizes its
+    /// emitted rows into one result part with the shard's maximum element
+    /// span, the same `(value, span)` currency the interpreted map produces
+    /// per element, so the parts union to the same canonical set and the
+    /// statistics are bit-identical across all four (schedule × strategy)
+    /// combinations.
     fn ext_rows_kernel(
         &mut self,
         region: Option<&RegionPermit>,
@@ -987,16 +989,11 @@ impl Evaluator {
             .columnar_rows()
             .expect("the kernel path is only taken for columnar sets");
         let parts = self.map_region(region, Cow::Borrowed(words), width, |ev, shard| {
-            let mut st = kernel.new_state();
-            let mut out = Vec::with_capacity(shard.len() / width * kernel.output_width());
-            let mut max_span = 0u64;
-            for row in shard.chunks_exact(width) {
-                ev.stats.ext_calls += 1;
-                let (w, s) = kernel.run_row(row, &mut st, &mut out);
-                ev.add_work(w)?;
-                max_span = max_span.max(s);
-            }
-            Ok(vec![(Value::Set(kernel.collect_rows(out)), max_span)])
+            let (part, span) = kernel.run_rows(&shard, |rows, work| {
+                ev.stats.ext_calls += rows;
+                ev.add_work(work)
+            })?;
+            Ok(vec![(Value::Set(part), span)])
         })?;
         crate::kernel::note_ext_hit(set.len());
         Ok(parts)

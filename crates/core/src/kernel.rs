@@ -9,10 +9,13 @@
 //! with the classic "compile the comprehension instead of interpreting it"
 //! move: when an `ext` body is built from projections, pair construction,
 //! scalar comparisons/arithmetic, `let`/`if`, and constants over a
-//! flat-shaped input, [`compile`] lowers it to a [`RowKernel`] — a small
-//! register program over a scratch buffer of machine words, executed once
-//! per input row, emitting canonical output rows without constructing a
-//! single `Value`.
+//! flat-shaped input, [`compile`] lowers it to a [`RowKernel`] — one flat
+//! instruction vector over a scratch buffer of machine words, run once per
+//! input row, emitting output rows without constructing a single `Value`.
+//! Every operand offset is fixed at compile time: variables, `let`-bound
+//! values, projections and literals are plain offsets and cost no
+//! instruction; only calls, comparisons, pair assembly, branches and the
+//! emit execute.
 //!
 //! Three invariants make the kernel path *indistinguishable* from the
 //! interpreter (the differential and property suites pin all three):
@@ -20,17 +23,21 @@
 //! 1. **Values** — the emitted rows, canonicalized through
 //!    [`VSet::from_raw_rows`], produce exactly the set the interpreted
 //!    element map produces (canonical representations are unique).
-//! 2. **Cost** — [`RowKernel::run_row`] returns the exact `(work, span)` the
-//!    instrumented evaluator charges for applying the closure to that
-//!    element: one unit per AST node visited (conditionals charge only the
-//!    taken branch), the min-size charge of `=`/`<=`, the extra call unit of
-//!    an external, plus the apply charge — bit-identical `CostStats`.
+//! 2. **Cost** — cost is computed at compile time per path and charged per
+//!    block; the differential suites pin it equal to the interpreter's. The
+//!    compiler folds the instrumented evaluator's charges — one unit per AST
+//!    node visited, the min-size charge of `=`/`<=`, the extra call unit of
+//!    an external, the apply charge — into a cost term per body. A
+//!    straight-line body has one constant `(work, span)`; each `if` owns one
+//!    bit of a per-row path key (conditionals charge only the taken arm),
+//!    and [`RowKernel::run_rows`] charges a block of rows
+//!    `Σ rows(path) × work(path)` and reports `max span(path)`.
 //! 3. **Fallback** — anything unliftable (set-typed subterms, captured free
-//!    variables, non-flat constants, externals without a word-level twin)
-//!    rejects at compile time with a reason, and the `ext` site runs the
-//!    ordinary interpreter. The decision depends only on the body, the input
-//!    shape, and the registry, so prepare-time analysis ([`analyze_sites`])
-//!    predicts it exactly.
+//!    variables, non-flat constants, externals without a word-level twin,
+//!    more conditionals than the path key has bits) rejects at compile time
+//!    with a reason, and the `ext` site runs the ordinary interpreter. The
+//!    decision depends only on the body, the input shape, and the registry,
+//!    so prepare-time analysis ([`analyze_sites`]) predicts it exactly.
 //!
 //! Compilation happens at most once per closure instance (cached on the
 //! closure like its region-gate estimate) and is itself cheap — one pass
@@ -46,272 +53,258 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// words live in a stack buffer; the standard registry's maximum is 2).
 const MAX_CALL_ARGS: usize = 4;
 
-/// A scalar (value-level) register operation. Every operation that *creates*
-/// words owns a fixed destination range in the scratch buffer, assigned at
-/// compile time; operations that merely reference existing words (variables,
-/// projections, conditionals) return a view of another range, so a row
-/// executes with zero allocation and no copies beyond pair assembly.
-#[derive(Debug)]
-enum Scalar {
-    /// The lambda parameter: the input row at scratch offset 0.
-    Input { width: usize },
-    /// A `let`-bound value: the range recorded in the slot at runtime.
-    Slot(usize),
-    /// A constant (literal, boolean, or `()`), preloaded into scratch once.
-    Lit { at: usize, width: usize },
-    /// Pair assembly: children copied side by side into the destination.
-    Pair {
-        a: Box<Scalar>,
-        b: Box<Scalar>,
-        at: usize,
-        width: usize,
-    },
-    /// Projection: a sub-range of the child's result, no copy.
-    Proj {
-        of: Box<Scalar>,
-        off: usize,
-        width: usize,
-    },
-    /// Conditional: returns the taken branch's range.
-    If {
-        c: Box<Scalar>,
-        t: Box<Scalar>,
-        e: Box<Scalar>,
-    },
-    /// Scalar `let`: records the bound range in a slot, then runs the body.
-    Let {
-        slot: usize,
-        bound: Box<Scalar>,
-        body: Box<Scalar>,
-    },
-    /// `=` / `<=` on same-shape operands: word-lexicographic comparison,
-    /// which equals the lifted value order. `size` is the static value size
-    /// of the shape (the interpreter's min-size comparison charge).
-    Cmp {
-        leq: bool,
-        a: Box<Scalar>,
-        b: Box<Scalar>,
-        size: u64,
-        at: usize,
-    },
-    /// An external call through its word-level twin.
+/// Conditionals one body may hold: each owns one bit of the `u64` path key.
+const MAX_BRANCHES: u32 = u64::BITS;
+
+/// Rows per accounting block: the work limit and the cancel token are
+/// polled, and `ext_calls`/work charged, once per block.
+const BLOCK_ROWS: usize = 1024;
+
+/// One instruction. Operands are offsets into the scratch buffer, which
+/// holds the input row at offset 0, then the preloaded constants, then one
+/// fixed destination per instruction that creates words. The body is
+/// loop-free, so an instruction runs at most once per row and a destination
+/// is never overwritten while a later instruction still reads it.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `scratch[at] = f(scratch[args[0]], …)`: an external through its
+    /// word-level twin.
     Call {
         f: ScalarExternFn,
-        args: Vec<Scalar>,
+        args: [usize; MAX_CALL_ARGS],
+        arity: usize,
         at: usize,
     },
+    /// `=` / `<=` on two same-shape operands of `width` words:
+    /// word-lexicographic comparison, which equals the lifted value order.
+    Cmp {
+        leq: bool,
+        a: usize,
+        b: usize,
+        width: usize,
+        at: usize,
+    },
+    /// Pair assembly, and the join of a scalar `if` (both arms copy their
+    /// result into one destination).
+    Copy { src: usize, dst: usize, len: usize },
+    /// Jump to `target` (the else-arm) on a false condition; otherwise fall
+    /// through into the then-arm and set this conditional's path-key bit.
+    BranchIfZero {
+        cond: usize,
+        target: usize,
+        bit: u32,
+    },
+    /// Skip the else-arm at the end of a then-arm.
+    Jump { target: usize },
+    /// Append `width` words to the output row (`{scalar}` emits its row in
+    /// one piece, or component by component when the scalar is a pair).
+    Emit { at: usize, width: usize },
 }
 
-/// A set-level operation: what an `ext` body may do with the scalar layer.
-/// Each input row contributes zero rows or one row to the output, which is
-/// exactly the singleton/empty comprehension shape the optimizer's
-/// ext-fusion and filter-pushdown rewrites produce.
+/// The interpreter's `(work, span)` charge for one body, as a function of
+/// the path key. Built once by the compiler — every accounting rule lives in
+/// the constructors' call sites below, none in the row loop.
 #[derive(Debug)]
-enum SetOp {
-    /// `{}` — contributes nothing.
-    Empty,
-    /// `{scalar}` — emits one output row.
-    Single(Scalar),
-    /// Conditional between two set-level branches.
-    If {
-        c: Scalar,
-        t: Box<SetOp>,
-        e: Box<SetOp>,
+enum Cost {
+    /// A subterm without conditionals: the same charge on every row.
+    Flat(u64, u64),
+    /// `work` plus the children's work; `span` plus the children's spans,
+    /// summed when they run in sequence and maximised when independent.
+    Node {
+        work: u64,
+        span: u64,
+        sum: bool,
+        kids: Vec<Cost>,
     },
-    /// Scalar `let` over a set-level body.
-    Let {
-        slot: usize,
-        bound: Scalar,
-        body: Box<SetOp>,
+    /// The taken arm of the conditional owning `bit`.
+    Branch {
+        bit: u32,
+        t: Box<Cost>,
+        e: Box<Cost>,
     },
 }
 
-/// A compiled `ext` body: a register program over one input row.
+impl Cost {
+    /// A variable, literal or `{}`: one node visited, no depth.
+    const LEAF: Cost = Cost::Flat(1, 0);
+
+    /// A node over independent children: span is the deepest child's plus
+    /// one level.
+    fn par(work: u64, kids: Vec<Cost>) -> Cost {
+        Cost::node(work, 1, false, kids)
+    }
+
+    /// A node whose children run one after the other: spans add up.
+    fn seq(work: u64, span: u64, kids: Vec<Cost>) -> Cost {
+        Cost::node(work, span, true, kids)
+    }
+
+    fn node(work: u64, span: u64, sum: bool, kids: Vec<Cost>) -> Cost {
+        let straight = kids.iter().all(|k| matches!(k, Cost::Flat(..)));
+        let node = Cost::Node {
+            work,
+            span,
+            sum,
+            kids,
+        };
+        if straight {
+            let (work, span) = node.of(0);
+            Cost::Flat(work, span)
+        } else {
+            node
+        }
+    }
+
+    /// The charge for a row that took `path`.
+    fn of(&self, path: u64) -> (u64, u64) {
+        match self {
+            Cost::Flat(work, span) => (*work, *span),
+            Cost::Node {
+                work,
+                span,
+                sum,
+                kids,
+            } => {
+                let (mut w, mut s) = (*work, 0u64);
+                for kid in kids {
+                    let (kw, ks) = kid.of(path);
+                    w += kw;
+                    s = if *sum { s + ks } else { s.max(ks) };
+                }
+                (w, span + s)
+            }
+            Cost::Branch { bit, t, e } => {
+                if path >> bit & 1 == 1 {
+                    t.of(path)
+                } else {
+                    e.of(path)
+                }
+            }
+        }
+    }
+}
+
+/// A compiled `ext` body: a flat program over one input row.
 #[derive(Debug)]
 pub struct RowKernel {
-    input_shape: FlatShape,
     input_width: usize,
     output_shape: FlatShape,
-    output_width: usize,
     /// Total scratch words: input row, preloaded constants, destinations.
     scratch_len: usize,
-    /// Number of `let` slots (ranges resolved at runtime).
-    slot_count: usize,
     /// Constant words preloaded once per scratch buffer: `(offset, word)`.
     consts: Vec<(usize, u64)>,
-    body: SetOp,
-}
-
-/// Reusable per-thread execution state for one kernel: the scratch buffer
-/// (with constants preloaded) and the `let` slot table.
-#[derive(Debug)]
-pub struct KernelState {
-    scratch: Vec<u64>,
-    slots: Vec<(usize, usize)>,
+    ops: Vec<Op>,
+    cost: Cost,
 }
 
 impl RowKernel {
-    /// The flat shape of the input rows this kernel was compiled for.
-    pub fn input_shape(&self) -> &FlatShape {
-        &self.input_shape
-    }
-
     /// The flat shape of the rows the kernel emits.
     pub fn output_shape(&self) -> &FlatShape {
         &self.output_shape
     }
 
-    /// Words per output row.
-    pub fn output_width(&self) -> usize {
-        self.output_width
-    }
-
-    /// Fresh execution state (one per worker thread).
-    pub fn new_state(&self) -> KernelState {
+    /// Run the kernel over one shard of input rows (row-major, whole rows)
+    /// and return the canonical set of the emitted rows with the largest
+    /// span any row took (the apply level included).
+    ///
+    /// One call owns everything a shard needs — the scratch buffer, the
+    /// output rows and the per-block `(path, rows)` tally — so nothing is
+    /// allocated per row or per block. The caller owns the statistics: after
+    /// each block of at most 1 024 rows, `charge(rows, work)`
+    /// receives the block's row count and the exact work the interpreter
+    /// charges for applying the closure to those rows, and its error (work
+    /// limit, cancellation) stops the shard.
+    pub fn run_rows<E>(
+        &self,
+        rows: &[u64],
+        mut charge: impl FnMut(u64, u64) -> Result<(), E>,
+    ) -> Result<(VSet, u64), E> {
+        let width = self.input_width;
+        debug_assert!(rows.len().is_multiple_of(width));
         let mut scratch = vec![0u64; self.scratch_len];
-        for &(at, w) in &self.consts {
-            scratch[at] = w;
+        for &(at, word) in &self.consts {
+            scratch[at] = word;
         }
-        KernelState {
-            scratch,
-            slots: vec![(0, 0); self.slot_count],
-        }
-    }
-
-    /// Execute the kernel over one input row, appending zero or one output
-    /// rows to `out`. Returns the exact `(work, span)` the interpreter
-    /// charges for applying the closure to this element (including the apply
-    /// charge itself). Total and infallible: every liftable operation is.
-    pub fn run_row(&self, row: &[u64], st: &mut KernelState, out: &mut Vec<u64>) -> (u64, u64) {
-        debug_assert_eq!(row.len(), self.input_width);
-        st.scratch[..self.input_width].copy_from_slice(row);
-        let mut work = 1u64; // the apply charge
-        let span = self.body.exec(st, &mut work, out);
-        (work, span + 1) // apply contributes one span level
-    }
-
-    /// Canonicalize a batch of emitted rows into a set (the kernel-side twin
-    /// of collecting interpreted per-element results).
-    pub fn collect_rows(&self, out: Vec<u64>) -> VSet {
-        VSet::from_raw_rows(self.output_shape.clone(), out)
-    }
-}
-
-impl Scalar {
-    /// Evaluate to a `(offset, width)` range in scratch, accumulating the
-    /// interpreter's work charges and returning the node's span.
-    fn exec(&self, st: &mut KernelState, work: &mut u64) -> (usize, usize, u64) {
-        match self {
-            Scalar::Input { width } => {
-                *work += 1;
-                (0, *width, 0)
-            }
-            Scalar::Slot(i) => {
-                *work += 1;
-                let (at, w) = st.slots[*i];
-                (at, w, 0)
-            }
-            Scalar::Lit { at, width } => {
-                *work += 1;
-                (*at, *width, 0)
-            }
-            Scalar::Pair { a, b, at, width } => {
-                let (ao, aw, sa) = a.exec(st, work);
-                st.scratch.copy_within(ao..ao + aw, *at);
-                let (bo, bw, sb) = b.exec(st, work);
-                st.scratch.copy_within(bo..bo + bw, *at + aw);
-                *work += 1;
-                (*at, *width, sa.max(sb) + 1)
-            }
-            Scalar::Proj { of, off, width } => {
-                let (o, _, s) = of.exec(st, work);
-                *work += 1;
-                (o + off, *width, s + 1)
-            }
-            Scalar::If { c, t, e } => {
-                let (co, _, sc) = c.exec(st, work);
-                let taken = if st.scratch[co] != 0 { t } else { e };
-                let (o, w, sb) = taken.exec(st, work);
-                *work += 1;
-                (o, w, sc + sb + 1)
-            }
-            Scalar::Let { slot, bound, body } => {
-                let (bo, bw, sb) = bound.exec(st, work);
-                st.slots[*slot] = (bo, bw);
-                let (o, w, sr) = body.exec(st, work);
-                *work += 1;
-                (o, w, sb + sr)
-            }
-            Scalar::Cmp {
-                leq,
-                a,
-                b,
-                size,
-                at,
-            } => {
-                let (ao, w, sa) = a.exec(st, work);
-                let (bo, _, sb) = b.exec(st, work);
-                let r = {
-                    let av = &st.scratch[ao..ao + w];
-                    let bv = &st.scratch[bo..bo + w];
-                    if *leq {
-                        av <= bv
-                    } else {
-                        av == bv
-                    }
-                };
-                st.scratch[*at] = u64::from(r);
-                *work += 1 + size;
-                (*at, 1, sa.max(sb) + 1)
-            }
-            Scalar::Call { f, args, at } => {
-                let mut vals = [0u64; MAX_CALL_ARGS];
-                let mut max_s = 0u64;
-                for (i, a) in args.iter().enumerate() {
-                    let (o, _, s) = a.exec(st, work);
-                    vals[i] = st.scratch[o];
-                    max_s = max_s.max(s);
+        let mut out = Vec::with_capacity(rows.len() / width * self.output_shape.width());
+        let mut tally: Vec<(u64, u64)> = Vec::new();
+        let mut max_span = 0u64;
+        for block in rows.chunks(BLOCK_ROWS * width) {
+            tally.clear();
+            for row in block.chunks_exact(width) {
+                let path = self.run(row, &mut scratch, &mut out);
+                match tally.iter_mut().find(|(seen, _)| *seen == path) {
+                    Some((_, count)) => *count += 1,
+                    None => tally.push((path, 1)),
                 }
-                // One unit for the extern node, one for the call itself —
-                // matching the interpreter's two charges around the body.
-                *work += 2;
-                st.scratch[*at] = f(&vals[..args.len()]);
-                (*at, 1, max_s + 1)
             }
+            let mut work = 0u64;
+            for &(path, count) in &tally {
+                let (w, s) = self.cost.of(path);
+                work = work.saturating_add(count.saturating_mul(w));
+                max_span = max_span.max(s);
+            }
+            charge((block.len() / width) as u64, work)?;
         }
+        // A selective filter leaves most of the reservation unused, and an
+        // already-canonical batch is adopted as the set's buffer as is.
+        out.shrink_to_fit();
+        Ok((
+            VSet::from_raw_rows(self.output_shape.clone(), out),
+            max_span,
+        ))
     }
-}
 
-impl SetOp {
-    /// Execute over the current row: append the emitted row (if any) to
-    /// `out`, accumulate work, return the span.
-    fn exec(&self, st: &mut KernelState, work: &mut u64, out: &mut Vec<u64>) -> u64 {
-        match self {
-            SetOp::Empty => {
-                *work += 1;
-                0
-            }
-            SetOp::Single(s) => {
-                let (o, w, sp) = s.exec(st, work);
-                out.extend_from_slice(&st.scratch[o..o + w]);
-                *work += 1;
-                sp + 1
-            }
-            SetOp::If { c, t, e } => {
-                let (co, _, sc) = c.exec(st, work);
-                let taken = if st.scratch[co] != 0 { t } else { e };
-                let sb = taken.exec(st, work, out);
-                *work += 1;
-                sc + sb + 1
-            }
-            SetOp::Let { slot, bound, body } => {
-                let (bo, bw, sb) = bound.exec(st, work);
-                st.slots[*slot] = (bo, bw);
-                let sr = body.exec(st, work, out);
-                *work += 1;
-                sb + sr
+    /// Execute the program over one input row, appending zero or one output
+    /// rows; returns the row's path key. Total and infallible: every
+    /// liftable operation is. Words move in plain loops: every length here
+    /// is a run-time value of one to a few words, and a `memcpy` call per
+    /// row costs more than the row's whole program.
+    #[inline]
+    fn run(&self, row: &[u64], scratch: &mut [u64], out: &mut Vec<u64>) -> u64 {
+        for (cell, &word) in scratch.iter_mut().zip(row) {
+            *cell = word;
+        }
+        let (mut pc, mut path) = (0usize, 0u64);
+        while let Some(&op) = self.ops.get(pc) {
+            pc += 1;
+            match op {
+                Op::Call { f, args, arity, at } => {
+                    // Offsets past `arity` are 0, a valid word: gathering
+                    // all four beats a loop of run-time length.
+                    let vals = args.map(|arg| scratch[arg]);
+                    scratch[at] = f(&vals[..arity]);
+                }
+                Op::Cmp {
+                    leq,
+                    a,
+                    b,
+                    width,
+                    at,
+                } => {
+                    let (x, y) = (&scratch[a..a + width], &scratch[b..b + width]);
+                    scratch[at] = u64::from(if leq { x <= y } else { x == y });
+                }
+                Op::Copy { src, dst, len } => {
+                    for i in 0..len {
+                        scratch[dst + i] = scratch[src + i];
+                    }
+                }
+                Op::BranchIfZero { cond, target, bit } => {
+                    if scratch[cond] == 0 {
+                        pc = target;
+                    } else {
+                        path |= 1 << bit;
+                    }
+                }
+                Op::Jump { target } => pc = target,
+                Op::Emit { at, width } => {
+                    for &word in &scratch[at..at + width] {
+                        out.push(word);
+                    }
+                }
             }
         }
+        path
     }
 }
 
@@ -335,67 +328,115 @@ fn shape_desc(shape: &FlatShape) -> String {
     }
 }
 
-/// What the compiler knows about a name in scope.
-enum Binding {
-    /// The lambda parameter (the input row).
-    Param,
-    /// A `let`-bound scalar: its slot and compile-time shape.
-    Slot(usize, FlatShape),
-}
+/// A lowered subterm: what the caller needs to place it, and its cost term.
+type Lowered<T> = Result<(T, Cost), String>;
 
 struct Compiler<'a> {
     registry: &'a ExternRegistry,
-    input_shape: &'a FlatShape,
-    input_width: usize,
-    scope: Vec<(String, Binding)>,
+    /// Names in scope with the offset and shape of their words: the lambda
+    /// parameter at offset 0, a `let`-bound scalar wherever its bound
+    /// expression left its result.
+    scope: Vec<(String, usize, FlatShape)>,
     consts: Vec<(usize, u64)>,
     next: usize,
-    slot_count: usize,
+    ops: Vec<Op>,
+    branches: u32,
 }
 
-impl<'a> Compiler<'a> {
+impl Compiler<'_> {
     fn alloc(&mut self, width: usize) -> usize {
         let at = self.next;
         self.next += width;
         at
     }
 
-    fn resolve(&self, name: &str) -> Option<&Binding> {
-        self.scope
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| b)
-    }
-
-    fn lit(&mut self, words: &[u64], shape: FlatShape) -> (Scalar, FlatShape) {
-        let at = self.alloc(words.len());
-        for (i, &w) in words.iter().enumerate() {
-            self.consts.push((at + i, w));
+    fn copy(&mut self, src: usize, dst: usize, len: usize) {
+        if len > 0 {
+            self.ops.push(Op::Copy { src, dst, len });
         }
-        (
-            Scalar::Lit {
-                at,
-                width: words.len(),
-            },
-            shape,
-        )
     }
 
-    fn scalar(&mut self, expr: &Expr) -> Result<(Scalar, FlatShape), String> {
+    fn lit(&mut self, words: &[u64], shape: FlatShape) -> Lowered<(usize, FlatShape)> {
+        let at = self.alloc(words.len());
+        let placed = words.iter().enumerate().map(|(i, &w)| (at + i, w));
+        self.consts.extend(placed);
+        Ok(((at, shape), Cost::LEAF))
+    }
+
+    /// Lower `if c then t else e`, each arm through `arm`: the condition,
+    /// a branch that owns the next path-key bit, the then-arm, a jump over
+    /// the else-arm (dropped when that arm lowers to no instruction).
+    fn conditional<T>(
+        &mut self,
+        c: &Expr,
+        t: &Expr,
+        e: &Expr,
+        mut arm: impl FnMut(&mut Self, &Expr) -> Lowered<T>,
+    ) -> Result<(T, T, Cost), String> {
+        let ((cond, shape), cc) = self.scalar(c)?;
+        if shape != FlatShape::Bool {
+            return Err("if condition is not a boolean scalar".to_string());
+        }
+        if self.branches == MAX_BRANCHES {
+            return Err(format!("more than {MAX_BRANCHES} conditionals in the body"));
+        }
+        let bit = self.branches;
+        self.branches += 1;
+        let branch = self.ops.len();
+        self.ops.push(Op::Jump { target: 0 }); // patched below
+        let (rt, ct) = arm(self, t)?;
+        let jump = self.ops.len();
+        self.ops.push(Op::Jump { target: 0 });
+        let (re, ce) = arm(self, e)?;
+        let mut target = jump + 1;
+        if self.ops.len() == target {
+            self.ops.pop();
+            target = jump;
+        } else {
+            self.ops[jump] = Op::Jump {
+                target: self.ops.len(),
+            };
+        }
+        self.ops[branch] = Op::BranchIfZero { cond, target, bit };
+        let taken = Cost::Branch {
+            bit,
+            t: Box::new(ct),
+            e: Box::new(ce),
+        };
+        Ok((rt, re, Cost::seq(1, 1, vec![cc, taken])))
+    }
+
+    /// Lower `let x = bound in body`: the name resolves to wherever `bound`
+    /// left its words, so the binding itself costs no instruction.
+    fn bind<T>(
+        &mut self,
+        x: &str,
+        bound: &Expr,
+        body: impl FnOnce(&mut Self) -> Lowered<T>,
+    ) -> Lowered<T> {
+        let ((at, shape), cb) = self.scalar(bound)?;
+        self.scope.push((x.to_string(), at, shape));
+        let result = body(self);
+        self.scope.pop();
+        let (lowered, cr) = result?;
+        Ok((lowered, Cost::seq(1, 0, vec![cb, cr])))
+    }
+
+    /// Lower a scalar (value-level) subterm; returns the offset and shape of
+    /// its words.
+    fn scalar(&mut self, expr: &Expr) -> Lowered<(usize, FlatShape)> {
         match &expr.kind {
-            ExprKind::Var(x) => match self.resolve(x) {
-                Some(Binding::Param) => Ok((
-                    Scalar::Input {
-                        width: self.input_width,
-                    },
-                    self.input_shape.clone(),
-                )),
-                Some(Binding::Slot(slot, shape)) => Ok((Scalar::Slot(*slot), shape.clone())),
-                None => Err(format!("captures the free variable `{x}`")),
-            },
-            ExprKind::Unit => Ok(self.lit(&[], FlatShape::Unit)),
-            ExprKind::Bool(b) => Ok(self.lit(&[u64::from(*b)], FlatShape::Bool)),
+            ExprKind::Var(x) => {
+                let (_, at, shape) = self
+                    .scope
+                    .iter()
+                    .rev()
+                    .find(|(name, ..)| name == x)
+                    .ok_or_else(|| format!("captures the free variable `{x}`"))?;
+                Ok(((*at, shape.clone()), Cost::LEAF))
+            }
+            ExprKind::Unit => self.lit(&[], FlatShape::Unit),
+            ExprKind::Bool(b) => self.lit(&[u64::from(*b)], FlatShape::Bool),
             ExprKind::Const(v) => {
                 let shape = FlatShape::of_value(v)
                     .ok_or_else(|| format!("non-flat constant {v} in the body"))?;
@@ -403,93 +444,65 @@ impl<'a> Compiler<'a> {
                 if !shape.encode_into(v, &mut words) {
                     return Err(format!("constant {v} does not encode under its shape"));
                 }
-                Ok(self.lit(&words, shape))
+                self.lit(&words, shape)
             }
             ExprKind::Pair(a, b) => {
-                let (ka, sa) = self.scalar(a)?;
-                let (kb, sb) = self.scalar(b)?;
+                let ((oa, sa), ca) = self.scalar(a)?;
+                let ((ob, sb), cb) = self.scalar(b)?;
                 let (wa, wb) = (sa.width(), sb.width());
                 let at = self.alloc(wa + wb);
-                Ok((
-                    Scalar::Pair {
-                        a: Box::new(ka),
-                        b: Box::new(kb),
-                        at,
-                        width: wa + wb,
-                    },
-                    FlatShape::Pair(Box::new(sa), Box::new(sb)),
-                ))
+                self.copy(oa, at, wa);
+                self.copy(ob, at + wa, wb);
+                let shape = FlatShape::Pair(Box::new(sa), Box::new(sb));
+                Ok(((at, shape), Cost::par(1, vec![ca, cb])))
             }
             ExprKind::Proj1(e) | ExprKind::Proj2(e) => {
-                let first = matches!(expr.kind, ExprKind::Proj1(_));
-                let (k, s) = self.scalar(e)?;
-                let FlatShape::Pair(sa, sb) = s else {
+                let ((at, shape), c) = self.scalar(e)?;
+                let FlatShape::Pair(sa, sb) = shape else {
                     return Err("projection from a non-pair shape".to_string());
                 };
-                let (off, shape) = if first { (0, *sa) } else { (sa.width(), *sb) };
-                Ok((
-                    Scalar::Proj {
-                        of: Box::new(k),
-                        off,
-                        width: shape.width(),
-                    },
-                    shape,
-                ))
+                let part = if matches!(expr.kind, ExprKind::Proj1(_)) {
+                    (at, *sa)
+                } else {
+                    (at + sa.width(), *sb)
+                };
+                Ok((part, Cost::par(1, vec![c])))
             }
             ExprKind::If(c, t, e) => {
-                let (kc, sc) = self.scalar(c)?;
-                if sc != FlatShape::Bool {
-                    return Err("if condition is not a boolean scalar".to_string());
-                }
-                let (kt, st) = self.scalar(t)?;
-                let (ke, se) = self.scalar(e)?;
+                // Both arms copy their result into one destination, so the
+                // value has one offset whichever arm ran.
+                let mut dest = None;
+                let (st, se, cost) = self.conditional(c, t, e, |this, arm| {
+                    let ((at, shape), cost) = this.scalar(arm)?;
+                    let width = shape.width();
+                    let dest = *dest.get_or_insert_with(|| this.alloc(width));
+                    this.copy(at, dest, width);
+                    Ok((shape, cost))
+                })?;
                 if st != se {
                     return Err("the two if branches have different shapes".to_string());
                 }
-                Ok((
-                    Scalar::If {
-                        c: Box::new(kc),
-                        t: Box::new(kt),
-                        e: Box::new(ke),
-                    },
-                    st,
-                ))
+                Ok(((dest.expect("both arms were lowered"), st), cost))
             }
-            ExprKind::Let(x, bound, body) => {
-                let (kb, sb) = self.scalar(bound)?;
-                let slot = self.slot_count;
-                self.slot_count += 1;
-                self.scope.push((x.clone(), Binding::Slot(slot, sb)));
-                let result = self.scalar(body);
-                self.scope.pop();
-                let (kr, sr) = result?;
-                Ok((
-                    Scalar::Let {
-                        slot,
-                        bound: Box::new(kb),
-                        body: Box::new(kr),
-                    },
-                    sr,
-                ))
-            }
+            ExprKind::Let(x, bound, body) => self.bind(x, bound, |this| this.scalar(body)),
             ExprKind::Eq(a, b) | ExprKind::Leq(a, b) => {
-                let leq = matches!(expr.kind, ExprKind::Leq(_, _));
-                let (ka, sa) = self.scalar(a)?;
-                let (kb, sb) = self.scalar(b)?;
+                let ((oa, sa), ca) = self.scalar(a)?;
+                let ((ob, sb), cb) = self.scalar(b)?;
                 if sa != sb {
                     return Err("comparison operands have different shapes".to_string());
                 }
                 let at = self.alloc(1);
-                Ok((
-                    Scalar::Cmp {
-                        leq,
-                        a: Box::new(ka),
-                        b: Box::new(kb),
-                        size: shape_size(&sa),
-                        at,
-                    },
-                    FlatShape::Bool,
-                ))
+                self.ops.push(Op::Cmp {
+                    leq: matches!(expr.kind, ExprKind::Leq(..)),
+                    a: oa,
+                    b: ob,
+                    width: sa.width(),
+                    at,
+                });
+                // One unit for the node plus the interpreter's min-size
+                // comparison charge, static for a flat shape.
+                let work = 1 + shape_size(&sa);
+                Ok(((at, FlatShape::Bool), Cost::par(work, vec![ca, cb])))
             }
             ExprKind::Extern(name, args) => {
                 let f = self
@@ -505,26 +518,29 @@ impl<'a> Compiler<'a> {
                 let result_shape = FlatShape::of_type(&f.result)
                     .filter(|s| s.width() == 1)
                     .ok_or_else(|| format!("external `{name}` result is not one word"))?;
-                let mut compiled = Vec::with_capacity(args.len());
-                for (arg, param_ty) in args.iter().zip(&f.params) {
+                let mut offsets = [0usize; MAX_CALL_ARGS];
+                let mut costs = Vec::with_capacity(args.len());
+                for ((arg, param_ty), offset) in args.iter().zip(&f.params).zip(&mut offsets) {
                     let want = FlatShape::of_type(param_ty)
                         .filter(|s| s.width() == 1)
                         .ok_or_else(|| format!("external `{name}` parameter is not one word"))?;
-                    let (k, s) = self.scalar(arg)?;
-                    if s != want {
+                    let ((at, shape), cost) = self.scalar(arg)?;
+                    if shape != want {
                         return Err(format!("external `{name}` argument shape mismatch"));
                     }
-                    compiled.push(k);
+                    *offset = at;
+                    costs.push(cost);
                 }
                 let at = self.alloc(1);
-                Ok((
-                    Scalar::Call {
-                        f: scalar,
-                        args: compiled,
-                        at,
-                    },
-                    result_shape,
-                ))
+                self.ops.push(Op::Call {
+                    f: scalar,
+                    args: offsets,
+                    arity: args.len(),
+                    at,
+                });
+                // One unit for the extern node, one for the call itself —
+                // the interpreter's two charges around the body.
+                Ok(((at, result_shape), Cost::par(2, costs)))
             }
             other => Err(format!(
                 "`{}` is not liftable as a scalar",
@@ -533,56 +549,50 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn set_op(&mut self, expr: &Expr) -> Result<(SetOp, Option<FlatShape>), String> {
+    /// Append the words of `expr` to the output row. An emitted pair goes out
+    /// component by component: assembling it in scratch first would only
+    /// add copies.
+    fn emit(&mut self, expr: &Expr) -> Lowered<FlatShape> {
+        if let ExprKind::Pair(a, b) = &expr.kind {
+            let (sa, ca) = self.emit(a)?;
+            let (sb, cb) = self.emit(b)?;
+            let shape = FlatShape::Pair(Box::new(sa), Box::new(sb));
+            return Ok((shape, Cost::par(1, vec![ca, cb])));
+        }
+        let ((at, shape), cost) = self.scalar(expr)?;
+        let width = shape.width();
+        if width > 0 {
+            self.ops.push(Op::Emit { at, width });
+        }
+        Ok((shape, cost))
+    }
+
+    /// Lower a set-level subterm — what an `ext` body may do with the scalar
+    /// layer. Each input row contributes zero rows or one row to the output,
+    /// which is exactly the singleton/empty comprehension shape the
+    /// optimizer's ext-fusion and filter-pushdown rewrites produce. Returns
+    /// the shape of the emitted rows, `None` when no path emits.
+    fn set_op(&mut self, expr: &Expr) -> Lowered<Option<FlatShape>> {
         match &expr.kind {
-            ExprKind::Empty(_) => Ok((SetOp::Empty, None)),
+            ExprKind::Empty(_) => Ok((None, Cost::LEAF)),
             ExprKind::Singleton(e) => {
-                let (k, s) = self.scalar(e)?;
-                if s.width() == 0 {
+                let (shape, c) = self.emit(e)?;
+                if shape.width() == 0 {
                     return Err("zero-width output rows (all-unit elements)".to_string());
                 }
-                Ok((SetOp::Single(k), Some(s)))
+                Ok((Some(shape), Cost::par(1, vec![c])))
             }
             ExprKind::If(c, t, e) => {
-                let (kc, sc) = self.scalar(c)?;
-                if sc != FlatShape::Bool {
-                    return Err("if condition is not a boolean scalar".to_string());
-                }
-                let (kt, st) = self.set_op(t)?;
-                let (ke, se) = self.set_op(e)?;
+                let (st, se, cost) = self.conditional(c, t, e, |this, arm| this.set_op(arm))?;
                 let shape = match (st, se) {
-                    (Some(a), Some(b)) if a == b => Some(a),
-                    (Some(_), Some(_)) => {
+                    (Some(a), Some(b)) if a != b => {
                         return Err("the two if branches emit different shapes".to_string())
                     }
                     (a, b) => a.or(b),
                 };
-                Ok((
-                    SetOp::If {
-                        c: kc,
-                        t: Box::new(kt),
-                        e: Box::new(ke),
-                    },
-                    shape,
-                ))
+                Ok((shape, cost))
             }
-            ExprKind::Let(x, bound, body) => {
-                let (kb, sb) = self.scalar(bound)?;
-                let slot = self.slot_count;
-                self.slot_count += 1;
-                self.scope.push((x.clone(), Binding::Slot(slot, sb)));
-                let result = self.set_op(body);
-                self.scope.pop();
-                let (kr, shape) = result?;
-                Ok((
-                    SetOp::Let {
-                        slot,
-                        bound: kb,
-                        body: Box::new(kr),
-                    },
-                    shape,
-                ))
-            }
+            ExprKind::Let(x, bound, body) => self.bind(x, bound, |this| this.set_op(body)),
             other => Err(format!(
                 "`{}` is not a liftable set comprehension",
                 kind_name(other)
@@ -636,27 +646,24 @@ pub fn compile(
         }
         let mut c = Compiler {
             registry,
-            input_shape,
-            input_width,
-            scope: vec![(param.to_string(), Binding::Param)],
+            scope: vec![(param.to_string(), 0, input_shape.clone())],
             consts: Vec::new(),
             next: input_width,
-            slot_count: 0,
+            ops: Vec::new(),
+            branches: 0,
         };
-        let (body, out_shape) = c.set_op(body)?;
-        // A body that provably never emits (every path is `{}`) has no output
-        // shape of its own; any flat shape canonicalizes an empty row batch,
-        // so borrow the input's.
-        let output_shape = out_shape.unwrap_or_else(|| input_shape.clone());
+        let (out_shape, cost) = c.set_op(body)?;
         Ok(RowKernel {
-            input_shape: input_shape.clone(),
             input_width,
-            output_width: output_shape.width(),
-            output_shape,
+            // A body that provably never emits (every path is `{}`) has no
+            // output shape of its own; any flat shape canonicalizes an empty
+            // row batch, so borrow the input's.
+            output_shape: out_shape.unwrap_or_else(|| input_shape.clone()),
             scratch_len: c.next,
-            slot_count: c.slot_count,
             consts: c.consts,
-            body,
+            ops: c.ops,
+            // Applying the closure charges one unit and one span level.
+            cost: Cost::par(1, vec![cost]),
         })
     })();
     match &result {
@@ -861,6 +868,48 @@ mod tests {
             )),
             64,
         );
+    }
+
+    #[test]
+    fn run_rows_charges_block_by_block_and_stops_at_the_first_refusal() {
+        // if nat_leq(pi2 x, 20) then {x} else {}: applying it costs 9 units
+        // over 5 levels when the row is kept, 8 over 4 when it is dropped.
+        let body = Expr::ite(
+            Expr::extern_call("nat_leq", vec![Expr::proj2(Expr::var("x")), Expr::nat(20)]),
+            Expr::singleton(Expr::var("x")),
+            Expr::empty(pair_ty()),
+        );
+        let kernel = compile("x", &body, &pair_shape(), &ExternRegistry::standard()).unwrap();
+        let rows: Vec<u64> = (0..2500u64).flat_map(|i| [i, i % 41]).collect();
+        let kept = |from: u64, to: u64| (from..to).filter(|i| i % 41 <= 20).count() as u64;
+
+        let mut blocks = Vec::new();
+        let (set, span) = kernel
+            .run_rows(&rows, |rows, work| {
+                blocks.push((rows, work));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        assert_eq!((set.len() as u64, span), (kept(0, 2500), 5));
+        let expected = [(0, 1024), (1024, 2048), (2048, 2500)]
+            .map(|(from, to)| (to - from, 8 * (to - from) + kept(from, to)));
+        assert_eq!(blocks, expected);
+
+        // Rows that all take the cheaper path report the cheaper span.
+        let dropped: Vec<u64> = (0..16u64).flat_map(|i| [i, 30]).collect();
+        let (set, span) = kernel.run_rows(&dropped, |_, _| Ok::<(), ()>(())).unwrap();
+        assert_eq!((set.len(), span), (0, 4));
+
+        let mut calls = 0;
+        let refused = kernel.run_rows(&rows, |_, _| {
+            calls += 1;
+            if calls == 2 {
+                Err("over budget")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((refused.unwrap_err(), calls), ("over budget", 2));
     }
 
     #[test]

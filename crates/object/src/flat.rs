@@ -22,6 +22,14 @@
 //! what lets [`crate::VSet`] store a set of flat values as one `Vec<u64>` of
 //! row-major rows and run membership, equality, ordering and the set
 //! operations as tight word loops with no per-element dispatch.
+//!
+//! Bulk canonicalization (`row_sort_dedup`) works inside the buffer it is
+//! given. Strictly ascending rows are returned untouched; otherwise rows of
+//! up to four words are sorted as `[u64; W]` chunks and deduplicated in place
+//! — by an LSD radix sort over the bytes that vary when those are few for the
+//! batch's size, by comparison otherwise. The radix sort skips the trailing
+//! columns the input is already ordered by: a stable sort of a sorted
+//! sequence is the identity.
 
 use crate::types::Type;
 use crate::value::Value;
@@ -241,32 +249,113 @@ pub(crate) fn row_subset(a: &[u64], b: &[u64], width: usize) -> bool {
     true
 }
 
-/// Sort a row-major buffer by row and remove duplicate rows, in place for
-/// width 1 and via a scratch permutation otherwise. Used by the bulk
-/// canonicalization paths (`FromIterator`, the post-`ext` merge).
-pub(crate) fn row_sort_dedup(words: Vec<u64>, width: usize) -> Vec<u64> {
+/// Sort a row-major buffer by row and remove duplicate rows: the bulk
+/// canonicalization behind `FromIterator`, `from_raw_rows` and the post-`ext`
+/// merge. Already strictly ascending rows — an order-preserving filter or
+/// projection, a canonical binding off the wire — come back untouched. Wider
+/// rows than the in-place chunks cover sort an index permutation and gather.
+pub(crate) fn row_sort_dedup(mut words: Vec<u64>, width: usize) -> Vec<u64> {
     debug_assert!(width >= 1 && words.len().is_multiple_of(width));
-    if width == 1 {
-        let mut words = words;
-        words.sort_unstable();
-        words.dedup();
-        return words;
-    }
-    let mut index: Vec<usize> = (0..words.len() / width).collect();
-    index.sort_unstable_by(|&x, &y| {
-        row_cmp(
-            &words[x * width..(x + 1) * width],
-            &words[y * width..(y + 1) * width],
-        )
-    });
-    let mut out = Vec::with_capacity(words.len());
-    for &at in &index {
-        let row = &words[at * width..(at + 1) * width];
-        if out.len() < width || row_cmp(&out[out.len() - width..], row) != Ordering::Equal {
-            out.extend_from_slice(row);
+    match width {
+        1 => canonicalize_chunks::<1>(&mut words),
+        2 => canonicalize_chunks::<2>(&mut words),
+        3 => canonicalize_chunks::<3>(&mut words),
+        4 => canonicalize_chunks::<4>(&mut words),
+        _ => {
+            let row = |i: usize| &words[i * width..(i + 1) * width];
+            let mut index: Vec<usize> = (0..words.len() / width).collect();
+            if index.windows(2).all(|w| row(w[0]) < row(w[1])) {
+                return words;
+            }
+            index.sort_unstable_by(|&x, &y| row_cmp(row(x), row(y)));
+            index.dedup_by(|x, y| row(*x) == row(*y));
+            return index.iter().flat_map(|&i| row(i)).copied().collect();
         }
     }
-    out
+    words
+}
+
+/// [`row_sort_dedup`] for rows of `W` words, entirely within `words`.
+fn canonicalize_chunks<const W: usize>(words: &mut Vec<u64>) {
+    let (rows, _) = words.as_chunks_mut::<W>();
+    // `ordered[c]`: the rows are non-descending in the key made of word
+    // columns `c..W`; `strict`: no two adjacent rows are equal.
+    let (mut ordered, mut strict) = ([true; W], true);
+    for pair in rows.windows(2) {
+        let mut tail = Ordering::Equal;
+        for c in (0..W).rev() {
+            tail = pair[0][c].cmp(&pair[1][c]).then(tail);
+            ordered[c] &= tail != Ordering::Greater;
+        }
+        strict &= tail != Ordering::Equal;
+        if ordered == [false; W] {
+            break;
+        }
+    }
+    if ordered[0] && strict {
+        return;
+    }
+    // An LSD radix sort is a chain of stable passes, least significant byte
+    // first. The passes over word columns `c..W` together stably sort by that
+    // key, which leaves a sequence already in that order as it is — so they
+    // are skipped for the widest such suffix (a column swap of a canonical
+    // relation keeps every column but the new first one in order), as is a
+    // pass over a byte on which all rows agree.
+    let sorted_from = ordered.iter().position(|&o| o).unwrap_or(W);
+    let mut varying = [0u64; W];
+    for row in rows.iter() {
+        for c in 0..sorted_from {
+            varying[c] |= row[c] ^ rows[0][c];
+        }
+    }
+    let bytes = varying.iter().flat_map(|bits| bits.to_le_bytes());
+    let passes = bytes.filter(|&byte| byte != 0).count();
+    // A comparison sort looks at each row about log2(rows) times; a radix
+    // pass reads every row twice (histogram, scatter) and walks 256 buckets.
+    if 2 * passes * (rows.len() + 256) <= rows.len() * rows.len().ilog2() as usize {
+        radix_sort::<W>(words, varying);
+    } else {
+        rows.sort_unstable();
+    }
+    let (rows, _) = words.as_chunks_mut::<W>();
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        if kept == 0 || rows[i] != rows[kept - 1] {
+            rows[kept] = rows[i];
+            kept += 1;
+        }
+    }
+    words.truncate(kept * W);
+}
+
+/// Stable LSD radix sort of `W`-word rows, one pass per byte that has a bit
+/// set in `varying`. Ping-pongs between `words` and one buffer of its size.
+fn radix_sort<const W: usize>(words: &mut Vec<u64>, varying: [u64; W]) {
+    let mut spare = Vec::new();
+    for c in (0..W).rev() {
+        for shift in (0..u64::BITS).step_by(8) {
+            if varying[c] >> shift & 0xFF == 0 {
+                continue;
+            }
+            let byte = |row: &[u64; W]| (row[c] >> shift & 0xFF) as usize;
+            spare.resize(words.len(), 0);
+            let (from, _) = words.as_chunks::<W>();
+            let (to, _) = spare.as_chunks_mut::<W>();
+            let mut next = [0usize; 256];
+            for row in from {
+                next[byte(row)] += 1;
+            }
+            let mut start = 0;
+            for slot in &mut next {
+                start += std::mem::replace(slot, start);
+            }
+            for row in from {
+                to[next[byte(row)]] = *row;
+                next[byte(row)] += 1;
+            }
+            std::mem::swap(words, &mut spare);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -386,7 +475,6 @@ mod tests {
 
     #[test]
     fn sort_dedup_canonicalizes_any_row_order() {
-        // width 1 (in-place sort) and width 2 (permutation sort).
         assert_eq!(row_sort_dedup(vec![5, 1, 3, 1, 5], 1), vec![1, 3, 5]);
         let rows = vec![9, 0, 1, 2, 9, 0, 1, 1];
         assert_eq!(row_sort_dedup(rows, 2), vec![1, 1, 1, 2, 9, 0]);

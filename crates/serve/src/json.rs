@@ -153,72 +153,76 @@ impl PartialEq for Json {
     }
 }
 
-/// Append `s` as a JSON string literal.
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Append `s` as a JSON string literal: runs of ordinary text are written
+/// whole, only the escaped bytes (all ASCII, so never inside a multi-byte
+/// character) one at a time.
+fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut written = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.write_str(&s[written..i])?;
+        written = i + 1;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{byte:04x}")?,
         }
     }
-    out.push('"');
+    out.write_str(&s[written..])?;
+    out.write_char('"')
 }
 
-fn write_value(out: &mut String, v: &Json) {
+/// Serialize `v` straight into `out`: numbers format in place, so a bulk
+/// reply allocates nothing per `atom`/`nat`.
+fn write_value(out: &mut impl fmt::Write, v: &Json) -> fmt::Result {
     match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
-        Json::Num(n) => {
-            // Integral values print without the trailing `.0` so ids and
-            // counters read (and re-parse) as integers.
-            if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
+        Json::Null => out.write_str("null"),
+        Json::Bool(true) => out.write_str("true"),
+        Json::Bool(false) => out.write_str("false"),
+        // Integral values print without the trailing `.0` so ids and
+        // counters read (and re-parse) as integers.
+        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 => {
+            write!(out, "{}", *n as i64)
         }
-        Json::UInt(n) => out.push_str(&format!("{n}")),
+        Json::Num(n) => write!(out, "{n}"),
+        Json::UInt(n) => write!(out, "{n}"),
         Json::Str(s) => write_string(out, s),
         Json::Arr(items) => {
-            out.push('[');
+            out.write_char('[')?;
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write_value(out, item);
+                write_value(out, item)?;
             }
-            out.push(']');
+            out.write_char(']')
         }
         Json::Obj(members) => {
-            out.push('{');
+            out.write_char('{')?;
             for (i, (k, v)) in members.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write_string(out, k);
-                out.push(':');
-                write_value(out, v);
+                write_string(out, k)?;
+                out.write_char(':')?;
+                write_value(out, v)?;
             }
-            out.push('}');
+            out.write_char('}')
         }
-        Json::Raw(fragment) => out.push_str(fragment),
+        Json::Raw(fragment) => out.write_str(fragment),
     }
 }
 
 impl fmt::Display for Json {
+    /// Writes through the formatter, so `to_string` holds the text once.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        write_value(&mut out, self);
-        f.write_str(&out)
+        write_value(f, self)
     }
 }
 
@@ -525,6 +529,12 @@ mod tests {
         let original = Json::str("a \"quote\"\nand \\ tab\t€ done");
         let reparsed = parse(&original.to_string()).unwrap();
         assert_eq!(original, reparsed);
+        // The writer's exact bytes: escapes next to multi-byte characters,
+        // a control character, and DEL (which JSON leaves alone).
+        assert_eq!(
+            Json::str("é\"€\u{1}\u{7f}\\").to_string(),
+            "\"é\\\"€\\u0001\u{7f}\\\\\""
+        );
         // \u escapes, including a surrogate pair.
         let fancy = parse(r#""A€😀""#).unwrap();
         assert_eq!(fancy.as_str(), Some("A€😀"));

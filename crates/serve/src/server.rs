@@ -18,6 +18,10 @@
 //! 3. **Budgets** ([`ExecOptions`]): per-request `max_work`/`max_set_size`
 //!    only ever *tighten* the session's limits, so a shared deployment's
 //!    guardrails cannot be talked past from the wire.
+//!
+//! Accepted sockets run with `TCP_NODELAY`, and a handler flushes once per
+//! drained batch: a reply stays buffered only while the next complete request
+//! line is already in hand.
 
 use crate::deadline::DeadlineWatchdog;
 use crate::json::Json;
@@ -242,7 +246,7 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Result<LineRe
                 Ok(LineRead::Eof)
             } else {
                 // Trailing unterminated data: treat as a final line.
-                Ok(LineRead::Line(String::from_utf8_lossy(&line).into_owned()))
+                Ok(LineRead::Line(into_text(line)))
             };
         }
         match available.iter().position(|&b| b == b'\n') {
@@ -256,7 +260,7 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Result<LineRe
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
-                return Ok(LineRead::Line(String::from_utf8_lossy(&line).into_owned()));
+                return Ok(LineRead::Line(into_text(line)));
             }
             None => {
                 let taken = available.len();
@@ -270,6 +274,12 @@ fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> io::Result<LineRe
             }
         }
     }
+}
+
+/// Adopt a finished line's bytes as text; only a line that is not UTF-8 is
+/// copied (lossily — the JSON parser then rejects it with a position).
+fn into_text(line: Vec<u8>) -> String {
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 fn drain_to_newline(reader: &mut impl BufRead) -> io::Result<()> {
@@ -291,10 +301,25 @@ fn drain_to_newline(reader: &mut impl BufRead) -> io::Result<()> {
     }
 }
 
+/// The buffered halves of an accepted connection. Replies are small and the
+/// client is waiting on each, so Nagle's algorithm is off: with it, the
+/// second reply of a pipelined batch sits in the kernel until the client's
+/// delayed ACK of the first (tens of milliseconds).
+fn connection_io(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    stream.set_nodelay(true)?;
+    Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
+}
+
 fn handle_connection(stream: TcpStream, inner: Arc<Inner>) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let (mut reader, mut writer) = connection_io(stream)?;
     loop {
+        // One flush per drained batch: replies wait in the write buffer only
+        // while the next *complete* request line has already arrived, since
+        // its reply follows at once. A partial line holds nothing back — its
+        // tail may be a round trip away.
+        if !reader.buffer().contains(&b'\n') {
+            writer.flush()?;
+        }
         let line = match read_bounded_line(&mut reader, inner.config.max_line_bytes)? {
             LineRead::Eof => return Ok(()),
             LineRead::Oversized => {
@@ -321,15 +346,14 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) -> io::Result<()> {
         let response = respond(&inner, request);
         send(&mut writer, response)?;
         if closing {
-            return Ok(());
+            return writer.flush();
         }
     }
 }
 
 fn send(writer: &mut BufWriter<TcpStream>, mut response: String) -> io::Result<()> {
     response.push('\n');
-    writer.write_all(response.as_bytes())?;
-    writer.flush()
+    writer.write_all(response.as_bytes())
 }
 
 /// Build the response line for one parsed request. Responses are single
@@ -505,4 +529,19 @@ pub fn stats_body(session: &Session) -> Json {
             ]),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _peer) = listener.accept().expect("accept");
+        assert!(!accepted.nodelay().expect("nodelay"), "the OS default");
+        let (_reader, writer) = connection_io(accepted).expect("set-up");
+        assert!(writer.get_ref().nodelay().expect("nodelay"));
+    }
 }

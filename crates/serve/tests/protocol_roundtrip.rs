@@ -457,3 +457,41 @@ fn close_is_acknowledged_then_the_connection_ends() {
     ));
     handle.shutdown();
 }
+
+#[test]
+fn pipelined_batches_are_answered_in_order_without_a_nagle_stall() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+
+    let handle = serve_default();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    let mut exchange = |first_id: u64, count: u64| {
+        // The whole batch leaves in one write, so the server finds every
+        // later line already buffered while it answers the first.
+        let batch: String = (first_id..first_id + count)
+            .map(|id| format!("{{\"op\":\"execute\",\"id\":{id},\"text\":\"nat_add(20, 22)\"}}\n"))
+            .collect();
+        stream.write_all(batch.as_bytes()).expect("send");
+        for id in first_id..first_id + count {
+            let mut line = String::new();
+            replies.read_line(&mut line).expect("reply");
+            let reply = ncql_serve::json::parse(line.trim_end()).expect("JSON reply");
+            assert_eq!(reply.get("id").and_then(Json::as_u64), Some(id), "{line}");
+            let printed = reply.get("ok").and_then(|ok| ok.get("printed")?.as_str());
+            assert_eq!(printed, Some("42"), "{line}");
+        }
+    };
+    // Warm the plan cache and the handler thread outside the timed part.
+    exchange(1, 1);
+    let started = Instant::now();
+    for batch in 0..5 {
+        exchange(100 * (batch + 1), 32);
+    }
+    // 160 cache-hit requests are a few milliseconds of work. With Nagle's
+    // algorithm on and a flush per reply, every batch stalled on the
+    // client's delayed ACK — 40 ms or more per batch, 200 ms in all.
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(100), "took {elapsed:?}");
+    handle.shutdown();
+}

@@ -154,3 +154,79 @@ proptest! {
         prop_assert_eq!(shape.decode(&ra), va);
     }
 }
+
+/// Right-nested pairs of atoms: a flat shape of exactly `width` words.
+fn atoms_shape(width: usize) -> FlatShape {
+    (1..width).fold(FlatShape::Atom, |rest, _| {
+        FlatShape::Pair(Box::new(FlatShape::Atom), Box::new(rest))
+    })
+}
+
+/// The bulk row canonicalization switches algorithm on row width (in-place
+/// chunks up to four words, a general path above) and, by a cost rule, on the
+/// row count and the number of bytes that vary (a radix sort when those are
+/// few for the batch's size, a comparison sort otherwise) — sizes the
+/// proptests above, which stop at 64 rows of width ≤ 3, never reach. For
+/// every width, for row counts on both sides of the rule and for words that
+/// vary in one byte, in the lowest and the highest (interned atoms set bit
+/// 63), and in all eight (`0`, `u64::MAX`, random), `from_raw_rows` must
+/// build exactly the set the boxed reference builds from the decoded rows,
+/// whatever order the rows arrive in.
+#[test]
+fn from_raw_rows_matches_the_boxed_reference_at_every_size_and_order() {
+    use ncql::object::NAMED_ATOM_BASE;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for (alphabet, width, rows) in (0..3usize)
+        .flat_map(|a| (1..=6usize).map(move |w| (a, w)))
+        .flat_map(|(a, w)| [0usize, 1, 7, 1_000, 5_000].map(move |n| (a, w, n)))
+    {
+        let shape = atoms_shape(width);
+        let mut word = |spread: u64| match (alphabet, next() % 4) {
+            (1, 0) => NAMED_ATOM_BASE | (next() % spread),
+            (2, 0) => 0,
+            (2, 1) => u64::MAX,
+            (2, _) => next(),
+            _ => next() % spread,
+        };
+        let shuffled: Vec<u64> = (0..rows * width).map(|_| word(50)).collect();
+        let mut sorted: Vec<Vec<u64>> = shuffled.chunks(width).map(<[u64]>::to_vec).collect();
+        sorted.sort();
+        sorted.dedup();
+        let canonical = sorted.concat();
+        let reversed: Vec<u64> = sorted.iter().rev().flatten().copied().collect();
+        let all_equal = shuffled[..width.min(shuffled.len())].repeat(rows);
+        let duplicated: Vec<u64> = (0..rows * width).map(|_| word(2)).collect();
+        // Canonical rows with the last column moved to the front: in order
+        // by every column but the first.
+        let trailing: Vec<u64> = sorted
+            .iter()
+            .flat_map(|row| {
+                let mut row = row.clone();
+                row.rotate_right(1);
+                row
+            })
+            .collect();
+        for (name, words) in [
+            ("shuffled", shuffled),
+            ("canonical", canonical),
+            ("reversed", reversed),
+            ("all equal", all_equal),
+            ("duplicated", duplicated),
+            ("trailing columns sorted", trailing),
+        ] {
+            let expected = VSet::from_iter_boxed(words.chunks(width).map(|row| shape.decode(row)));
+            let built = VSet::from_raw_rows(shape.clone(), words);
+            assert!(
+                built == expected,
+                "alphabet {alphabet}, width {width}, {rows} rows, {name}"
+            );
+            assert_eq!(built.is_columnar(), expected.len() >= 8);
+        }
+    }
+}

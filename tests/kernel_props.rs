@@ -223,3 +223,218 @@ fn large_kernel_ext_is_bit_identical_across_strategies_and_backends() {
         panic!("ext must return a set");
     }
 }
+
+// ----- block accounting: sizes and shapes the random cases never reach -----
+
+/// Like [`run`], but every region forks (`parallel_cutoff(1)`) and the
+/// session may carry a work limit; evaluation errors are returned.
+fn run_forking(
+    expr: &Expr,
+    kernels: bool,
+    threads: Option<usize>,
+    max_work: Option<u64>,
+) -> Result<(Value, CostStats), ncql::core::EvalError> {
+    let mut builder = SessionBuilder::new()
+        .parallel_cutoff(1)
+        .parallelism(threads)
+        .row_kernels(kernels);
+    if let Some(limit) = max_work {
+        builder = builder.max_work(limit);
+    }
+    let out = builder.build().evaluate(expr)?;
+    Ok((out.value, out.stats))
+}
+
+fn ext_over(body: Expr, rows: &[(u64, u64)]) -> Expr {
+    Expr::ext(
+        Expr::lam("x", pair_ty(), body),
+        Expr::constant(input_value(rows)),
+    )
+}
+
+fn scrambled_rows(n: u64) -> Vec<(u64, u64)> {
+    (0..n)
+        .map(|i| {
+            let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (i % 997, k % 1201)
+        })
+        .collect()
+}
+
+fn call(f: &str, a: Expr, b: Expr) -> Expr {
+    Expr::extern_call(f, vec![a, b])
+}
+
+/// Scalar and set-level conditionals nested inside a `let` and a `pair`, the
+/// arms of every one differing in depth: the span of a row is a `max` over
+/// whichever arms it took, and eight paths are reachable.
+fn branching_body() -> Expr {
+    let (x, y) = (|| Expr::var("x"), || Expr::var("y"));
+    Expr::let_in(
+        "y",
+        Expr::ite(
+            call("nat_leq", Expr::proj2(x()), Expr::nat(300)),
+            call(
+                "nat_add",
+                call("nat_mul", Expr::proj2(x()), Expr::nat(2)),
+                Expr::nat(1),
+            ),
+            Expr::proj2(x()),
+        ),
+        Expr::ite(
+            call("nat_leq", y(), Expr::nat(500)),
+            Expr::singleton(Expr::pair(
+                Expr::ite(
+                    Expr::eq(Expr::proj1(x()), Expr::atom(7)),
+                    call("nat_sub", y(), Expr::nat(1)),
+                    y(),
+                ),
+                Expr::ite(
+                    call("nat_leq", Expr::nat(200), y()),
+                    Expr::ite(
+                        call("nat_leq", y(), Expr::nat(250)),
+                        Expr::nat(1),
+                        call("nat_min", call("nat_div", y(), Expr::nat(3)), Expr::nat(2)),
+                    ),
+                    Expr::nat(0),
+                ),
+            )),
+            Expr::ite(
+                call("nat_leq", Expr::nat(900), y()),
+                Expr::empty(Type::prod(Type::Nat, Type::Nat)),
+                Expr::singleton(Expr::pair(y(), Expr::nat(3))),
+            ),
+        ),
+    )
+}
+
+/// All four (strategy × schedule) results of one expression, asserted equal
+/// in value and in all seven `CostStats` fields; returns the common result.
+fn assert_all_four_agree(expr: &Expr) -> (Value, CostStats) {
+    let site = &analyze_sites(expr, &ExternRegistry::standard())[0];
+    assert!(site.compiled, "{}", site.detail);
+    let reference = run_forking(expr, false, None, None).expect("interpreted");
+    for (kernels, threads) in [(true, None), (true, Some(4)), (false, Some(4))] {
+        let got = run_forking(expr, kernels, threads, None).expect("evaluates");
+        assert_eq!(got, reference, "kernels {kernels}, threads {threads:?}");
+    }
+    reference
+}
+
+#[test]
+fn shards_spanning_several_accounting_blocks_charge_the_interpreters_cost() {
+    // 9 000 rows: nine blocks on the inline schedule, and more than one per
+    // forked shard.
+    let rows = scrambled_rows(9_000);
+    let (value, stats) = assert_all_four_agree(&ext_over(branching_body(), &rows));
+    assert_eq!(stats.ext_calls, 9_000);
+    let emitted = value.as_set().expect("a set").len();
+    assert!(emitted > 0 && emitted < rows.len());
+
+    // Rows that only ever take the shallowest path have a smaller span: the
+    // charge follows the arms a row took, not the deepest the body has.
+    let shallow: Vec<(u64, u64)> = rows.iter().copied().filter(|r| r.1 >= 900).collect();
+    assert!(shallow.len() >= 8, "columnar, so the kernel runs");
+    let (value, shallow_stats) = assert_all_four_agree(&ext_over(branching_body(), &shallow));
+    assert_eq!(value, Value::empty_set());
+    assert!(shallow_stats.span < stats.span);
+}
+
+#[test]
+fn a_work_limit_trips_inside_a_kernel_run_ext_on_every_strategy() {
+    let expr = ext_over(branching_body(), &scrambled_rows(9_000));
+    let (_, stats) = run_forking(&expr, true, None, None).expect("unlimited");
+    // A limit the constant alone fits under, and a few blocks do not.
+    let limit = stats.work / 3;
+    for kernels in [true, false] {
+        for threads in [None, Some(4)] {
+            let error = run_forking(&expr, kernels, threads, Some(limit)).expect_err("over budget");
+            assert!(
+                matches!(error, ncql::core::EvalError::WorkLimitExceeded { limit: l, .. } if l == limit),
+                "kernels {kernels}, threads {threads:?}: {error}"
+            );
+            // One unit below the full cost still trips; the full cost fits.
+            let tight = run_forking(&expr, kernels, threads, Some(stats.work - 1));
+            assert!(tight.is_err(), "kernels {kernels}, threads {threads:?}");
+            let exact = run_forking(&expr, kernels, threads, Some(stats.work)).expect("fits");
+            assert_eq!(exact.1, stats);
+        }
+    }
+}
+
+#[test]
+fn a_cancelled_token_stops_a_large_kernel_ext() {
+    let rows = scrambled_rows(100_000);
+    let schema = vec![("s".to_string(), Type::set(pair_ty()))];
+    let bindings = vec![("s".to_string(), input_value(&rows))];
+    let expr = Expr::ext(Expr::lam("x", pair_ty(), branching_body()), Expr::var("s"));
+    for kernels in [true, false] {
+        let session = SessionBuilder::new().row_kernels(kernels).build();
+        let query = session
+            .prepare_expr_with_schema(expr.clone(), &schema)
+            .expect("prepares");
+        let token = ncql::CancelToken::new();
+        token.cancel("stop");
+        let options = ncql::ExecOptions::new().cancel(token);
+        let error = session
+            .execute_with_options(&query, &bindings, &options)
+            .expect_err("cancelled");
+        assert!(
+            matches!(
+                &error,
+                ncql::Error::Eval(ncql::core::EvalError::Cancelled { reason, .. }) if reason == "stop"
+            ),
+            "kernels {kernels}: {error}"
+        );
+    }
+}
+
+/// `{(pi1 x, n)}` where `n` counts the thresholds `pi2 x` is at most: one
+/// scalar conditional per threshold, summed along a balanced tree (so the
+/// body stays shallow however many there are).
+fn threshold_count_body(thresholds: &[u64]) -> Expr {
+    fn sum(thresholds: &[u64]) -> Expr {
+        match thresholds {
+            [t] => Expr::ite(
+                call("nat_leq", Expr::proj2(Expr::var("x")), Expr::nat(*t)),
+                Expr::nat(1),
+                Expr::nat(0),
+            ),
+            _ => {
+                let (left, right) = thresholds.split_at(thresholds.len() / 2);
+                call("nat_add", sum(left), sum(right))
+            }
+        }
+    }
+    Expr::singleton(Expr::pair(Expr::proj1(Expr::var("x")), sum(thresholds)))
+}
+
+#[test]
+fn a_body_with_more_conditionals_than_the_path_key_holds_runs_interpreted() {
+    let rows = scrambled_rows(2_500);
+    let thresholds: Vec<u64> = (0..65).map(|i| i * 19).collect();
+
+    // Sixty-four conditionals use every bit of the key, the top one included.
+    let full = ext_over(threshold_count_body(&thresholds[..64]), &rows);
+    assert_all_four_agree(&full);
+
+    // One more does not fit: the compiler says so, prepare-time analysis
+    // reports the same reason, and the interpreter runs the site.
+    let body = threshold_count_body(&thresholds);
+    let shape = ncql::object::FlatShape::of_type(&pair_ty()).expect("flat");
+    let registry = ExternRegistry::standard();
+    let reason =
+        ncql::core::kernel::compile("x", &body, &shape, &registry).expect_err("65 conditionals");
+    assert!(reason.contains("more than 64 conditionals"), "{reason}");
+    let over = ext_over(body, &rows);
+    let site = &analyze_sites(&over, &registry)[0];
+    assert!(!site.compiled);
+    assert_eq!(site.detail, reason);
+    let reference = run_forking(&over, false, None, None).expect("interpreted");
+    for threads in [None, Some(4)] {
+        assert_eq!(
+            run_forking(&over, true, threads, None).expect("falls back"),
+            reference
+        );
+    }
+}
