@@ -156,8 +156,8 @@ pub fn normalize_parallelism(requested: Option<usize>) -> Option<usize> {
 
 /// The parallelism requested through the *test* environment knob
 /// `NCQL_TEST_PARALLELISM`: `None` when unset, empty, or unparseable. The CI
-/// matrix sets it so the differential suite and the bench parallel variants
-/// exercise both schedules on every push. User-facing surfaces read
+/// matrix sets it so the differential suites exercise both schedules on
+/// every push. User-facing surfaces read
 /// `NCQL_PARALLELISM` (the engine's `SessionBuilder::from_env`) instead, so
 /// the test variable never silently overrides an explicit user request.
 pub fn parallelism_from_env() -> Option<usize> {

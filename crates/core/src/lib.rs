@@ -43,7 +43,9 @@
 //! * [`wellformed`] — the bounded checker for the algebraic preconditions
 //!   (associativity, commutativity, identity) of `dcr`/`sru` instances; the
 //!   general problem is Π⁰₁-complete (§2), so the checker works over a finite
-//!   carrier sampled from a concrete input.
+//!   carrier sampled from a concrete input. A library API of the reproduction
+//!   (§2's preconditions made executable): no request path calls it, its
+//!   callers are its own tests.
 //! * [`derived`] — the derived operations the paper lists as expressible in NRA:
 //!   set intersection and difference, cartesian product, relational projections,
 //!   selections, relation composition, nest/unnest, membership, and friends.

@@ -1,35 +1,22 @@
-//! The prepared-plan cache: a small LRU map, sharded for concurrent sessions.
+//! The prepared-plan cache: a small LRU map behind one lock.
 //!
 //! The engine's working set is "the distinct query texts a service replays",
-//! which is small (hundreds, not millions), so the per-shard map favours
-//! simplicity over asymptotics: entries carry a monotone use stamp and
-//! eviction scans for the minimum. That is O(shard capacity) per
-//! insert-at-capacity, which is negligible next to the parse + typecheck work
-//! a hit saves.
-//!
-//! Sharding removes the last global lock on the hot `prepare` path: keys are
-//! distributed over [`SHARD_COUNT`] independently locked shards by hash, so
-//! concurrent `prepare` traffic for *different* texts contends only when two
-//! texts land in one shard. Hit/miss counters are lock-free atomics beside
-//! the shards. Caches below [`SHARD_THRESHOLD`] entries keep a single shard:
-//! tiny caches are configured for tests and benchmarks that pin exact global
-//! LRU ordering, and sharding a 3-entry cache would change which key gets
-//! evicted (per-shard LRU is exact only within a shard).
+//! which is small (hundreds, not millions), so the map favours simplicity
+//! over asymptotics: entries carry a monotone use stamp and eviction scans
+//! for the minimum. That is O(capacity) per insert-at-capacity, which is
+//! negligible next to the parse + typecheck work a hit saves. One mutex
+//! guards the map — held for a hash probe and a stamp refresh, never across
+//! a preparation — and the hit/miss counters are atomics beside it.
 
+use crate::session::CacheMetrics;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Shards used for caches of at least [`SHARD_THRESHOLD`] entries.
-pub(crate) const SHARD_COUNT: usize = 8;
-
-/// Minimum total capacity at which the cache is sharded at all.
-pub(crate) const SHARD_THRESHOLD: usize = 64;
-
 /// An LRU map with a fixed capacity. A capacity of `0` disables storage
-/// entirely (every lookup misses, every insert is dropped) — the engine uses
-/// that to offer an uncached "cold" mode for benchmarking.
+/// entirely (every lookup misses, every insert is dropped): the engine's
+/// uncached "cold" mode.
 #[derive(Debug)]
 pub(crate) struct LruCache<K, V> {
     capacity: usize,
@@ -87,50 +74,27 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// A sharded, internally locked LRU map with hit/miss accounting — the
-/// engine's prepared-plan cache.
-///
-/// `capacity` is the total budget, split evenly across shards (rounded up, so
-/// an 8-shard cache of capacity 256 holds exactly 32 plans per shard).
-/// Eviction is LRU *per shard*: recency is exact within a shard, and keys
-/// only compete for slots with the other keys hashed to their shard.
+/// An internally locked [`LruCache`] with hit/miss accounting — the engine's
+/// prepared-plan cache. Eviction is exact LRU over the whole cache.
 #[derive(Debug)]
-pub(crate) struct ShardedLru<K, V> {
-    shards: Vec<Mutex<LruCache<K, V>>>,
+pub(crate) struct SharedLru<K, V> {
+    map: Mutex<LruCache<K, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
-    pub(crate) fn new(capacity: usize) -> ShardedLru<K, V> {
-        let shard_count = if capacity < SHARD_THRESHOLD {
-            1
-        } else {
-            SHARD_COUNT
-        };
-        let per_shard = capacity.div_ceil(shard_count.max(1)).min(capacity);
-        ShardedLru {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(LruCache::new(per_shard)))
-                .collect(),
+impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
+    pub(crate) fn new(capacity: usize) -> SharedLru<K, V> {
+        SharedLru {
+            map: Mutex::new(LruCache::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            capacity,
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<LruCache<K, V>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
-    /// Look up a key, counting a hit or miss. Only the key's own shard is
-    /// locked, and only for the duration of the LRU stamp refresh — the fast
-    /// read path concurrent `prepare` hits take.
+    /// Look up a key, counting a hit or miss.
     pub(crate) fn get(&self, key: &K) -> Option<V> {
-        let found = self.shard(key).lock().unwrap().get(key);
+        let found = self.map.lock().unwrap().get(key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -145,41 +109,24 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     /// return it. Does not touch the hit/miss counters — the race's losers
     /// already counted their misses.
     pub(crate) fn insert_if_absent(&self, key: K, value: V) -> V {
-        let mut shard = self.shard(&key).lock().unwrap();
-        if let Some(existing) = shard.get(&key) {
+        let mut map = self.map.lock().unwrap();
+        if let Some(existing) = map.get(&key) {
             return existing;
         }
-        shard.insert(key, value.clone());
+        map.insert(key, value.clone());
         value
     }
 
-    pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub(crate) fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().evictions())
-            .sum()
-    }
-
-    /// Number of shards (observability for tests).
-    #[cfg(test)]
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// One consistent snapshot of the counters, taken under the lock.
+    pub(crate) fn metrics(&self) -> CacheMetrics {
+        let map = self.map.lock().unwrap();
+        CacheMetrics {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: map.evictions(),
+            len: map.len(),
+            capacity: map.capacity,
+        }
     }
 }
 
@@ -222,44 +169,41 @@ mod tests {
     }
 
     #[test]
-    fn small_caches_stay_single_sharded_and_exactly_lru() {
-        let c: ShardedLru<&str, u32> = ShardedLru::new(2);
-        assert_eq!(c.shard_count(), 1);
-        assert_eq!(c.insert_if_absent("a", 1), 1);
-        assert_eq!(c.insert_if_absent("b", 2), 2);
-        assert_eq!(c.get(&"a"), Some(1)); // refresh a; b is the LRU entry
-        c.insert_if_absent("c", 3);
-        assert_eq!(c.get(&"b"), None, "b was evicted across the whole cache");
-        assert_eq!((c.hits(), c.misses(), c.evictions()), (1, 1, 1));
-    }
-
-    #[test]
-    fn large_caches_shard_and_split_the_budget() {
-        let c: ShardedLru<u32, u32> = ShardedLru::new(256);
-        assert_eq!(c.shard_count(), SHARD_COUNT);
-        assert_eq!(c.capacity(), 256);
-        for k in 0..256u32 {
-            c.insert_if_absent(k, k);
+    fn eviction_is_exact_lru_at_every_capacity() {
+        for capacity in [3usize, 256] {
+            let c: SharedLru<usize, usize> = SharedLru::new(capacity);
+            for k in 0..capacity {
+                assert_eq!(c.insert_if_absent(k, k), k);
+            }
+            let full = c.metrics();
+            assert_eq!(
+                (full.len, full.capacity, full.evictions),
+                (capacity, capacity, 0)
+            );
+            assert_eq!(c.get(&0), Some(0)); // refresh 0; 1 is the LRU entry
+            c.insert_if_absent(capacity, capacity);
+            assert_eq!(c.get(&1), None, "1 was the least recently used");
+            assert_eq!(c.get(&0), Some(0));
+            assert_eq!(c.get(&capacity), Some(capacity));
+            let m = c.metrics();
+            assert_eq!((m.hits, m.misses, m.evictions, m.len), (3, 1, 1, capacity));
         }
-        // All keys fit: 8 shards × 32 slots. (Hashing is not perfectly even,
-        // so allow the handful of evictions an unlucky shard may take.)
-        assert!(c.len() >= 200, "len {}", c.len());
     }
 
     #[test]
     fn insert_if_absent_returns_the_winner() {
-        let c: ShardedLru<&str, u32> = ShardedLru::new(4);
+        let c: SharedLru<&str, u32> = SharedLru::new(4);
         assert_eq!(c.insert_if_absent("k", 1), 1);
         assert_eq!(c.insert_if_absent("k", 2), 1, "first insert wins");
         assert_eq!(c.get(&"k"), Some(1));
     }
 
     #[test]
-    fn zero_capacity_sharded_cache_stores_nothing() {
-        let c: ShardedLru<&str, u32> = ShardedLru::new(0);
+    fn zero_capacity_shared_cache_stores_nothing() {
+        let c: SharedLru<&str, u32> = SharedLru::new(0);
         c.insert_if_absent("a", 1);
         assert_eq!(c.get(&"a"), None);
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.misses(), 1);
+        let m = c.metrics();
+        assert_eq!((m.len, m.misses), (0, 1));
     }
 }

@@ -1,6 +1,6 @@
 //! Sessions: configuration, the prepared-statement cache, and execution.
 
-use crate::cache::ShardedLru;
+use crate::cache::SharedLru;
 use crate::error::Error;
 use crate::prepared::{Backend, Outcome, PreparedPlan, PreparedQuery};
 use ncql_core::eval::{normalize_parallelism, CancelToken, EvalConfig, Evaluator};
@@ -303,7 +303,7 @@ impl SessionBuilder {
     }
 
     /// Capacity of the prepared-statement cache. `0` disables caching (every
-    /// `prepare` runs the full front end — the "cold" mode the benches use).
+    /// `prepare` runs the full front end — the "cold" mode).
     pub fn cache_capacity(mut self, capacity: usize) -> SessionBuilder {
         self.cache_capacity = capacity;
         self
@@ -335,7 +335,7 @@ impl SessionBuilder {
             opt_level: self.opt_level,
             registry_fingerprint: OnceLock::new(),
             pool: OnceLock::new(),
-            cache: ShardedLru::new(self.cache_capacity),
+            cache: SharedLru::new(self.cache_capacity),
         }
     }
 }
@@ -367,7 +367,7 @@ pub struct Session {
     lint_policy: LintPolicy,
     opt_level: OptLevel,
     /// Computed lazily on the first `prepare`: pure-evaluation sessions (the
-    /// corpus shim, the benches' trusted-AST path) never pay the hash.
+    /// corpus shim's trusted-AST path) never pay the hash.
     registry_fingerprint: OnceLock<u64>,
     /// The session's persistent work-stealing pool, shared by every parallel
     /// execution it dispatches (one worker set per session, not per query).
@@ -375,10 +375,9 @@ pub struct Session {
     /// spawns its workers lazily on the first forked region — so a
     /// sequential session never creates a worker thread at all.
     pool: OnceLock<Arc<WorkStealingPool>>,
-    /// The prepared-plan cache: per-shard LRU maps behind per-shard locks
-    /// (hash-of-key sharding), so concurrent `prepare` traffic for distinct
-    /// texts does not serialize on one mutex.
-    cache: ShardedLru<PlanKey, Arc<PreparedPlan>>,
+    /// The prepared-plan cache: one exact-LRU map behind one mutex, held for
+    /// a probe or an insert and never across a preparation.
+    cache: SharedLru<PlanKey, Arc<PreparedPlan>>,
 }
 
 impl Default for Session {
@@ -438,16 +437,9 @@ impl Session {
         self.config.registry = registry;
     }
 
-    /// Counters describing the prepared-statement cache (aggregated over all
-    /// shards; the hit/miss tallies are lock-free atomics).
+    /// Counters describing the prepared-statement cache.
     pub fn cache_metrics(&self) -> CacheMetrics {
-        CacheMetrics {
-            hits: self.cache.hits(),
-            misses: self.cache.misses(),
-            evictions: self.cache.evictions(),
-            len: self.cache.len(),
-            capacity: self.cache.capacity(),
-        }
+        self.cache.metrics()
     }
 
     /// Prepare a closed query from its surface text: parse, type-check against
@@ -879,12 +871,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_preparations_hammer_every_shard() {
-        // A capacity ≥ the sharding threshold gives the full sharded cache;
-        // 64 distinct texts spread over the shards by key hash. 8 threads ×
-        // 64 texts race first-preparation of every text, then every handle is
-        // checked against a fresh prepare: the same-`Arc` contract must hold
-        // per text no matter which shard its key landed in.
+    fn concurrent_preparations_of_many_texts_share_one_plan_per_text() {
+        // 8 threads × 64 texts race first-preparation of every text, then
+        // every handle is checked against a fresh prepare: the same-`Arc`
+        // contract must hold per text whatever the interleaving.
         let session = Session::builder().cache_capacity(256).build();
         let texts: Vec<String> = (0..64)
             .map(|n| format!("{{@{n}}} union {{@{}}}", n + 1))
@@ -895,8 +885,8 @@ mod tests {
                     let texts = &texts;
                     let session = &session;
                     scope.spawn(move || {
-                        // Stagger the iteration order per thread so shards see
-                        // interleaved traffic, not a lockstep sweep.
+                        // Stagger the iteration order per thread so the cache
+                        // sees interleaved traffic, not a lockstep sweep.
                         (0..texts.len())
                             .map(|i| {
                                 let text = &texts[(i + t * 13) % texts.len()];
@@ -917,7 +907,7 @@ mod tests {
                     .expect("every thread prepared every text");
                 assert!(
                     handle.ptr_eq(&canonical),
-                    "text #{i} diverged across shards"
+                    "text #{i} diverged across threads"
                 );
             }
         }

@@ -1,8 +1,8 @@
 //! Deterministic workload generators for the experiments: graphs, flat
 //! relations, unary sets and nested complex objects.
 //!
-//! All generators are seeded, so every experiment run is reproducible; the
-//! benches fix the seed per data point.
+//! All generators are seeded, so every run is reproducible; callers fix the
+//! seed per data point.
 
 use crate::relation::Relation;
 use ncql_object::{Type, Value};

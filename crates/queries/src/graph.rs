@@ -339,6 +339,7 @@ mod tests {
         for rel in [
             path(5),
             cycle(6),
+            cycle(12),
             Relation::from_pairs(vec![(1, 2), (2, 3), (5, 1), (3, 5)]),
         ] {
             let expected = rel.transitive_closure().to_value();

@@ -98,7 +98,7 @@ impl Relation {
     }
 
     /// Transitive closure by the sequential semi-naive algorithm (the baseline
-    /// PTIME-style algorithm), kept separate so benches can time both baselines.
+    /// PTIME-style algorithm), kept as a second baseline the tests cross-check.
     pub fn transitive_closure_seminaive(&self) -> Relation {
         let mut total = self.clone();
         let mut delta = self.clone();

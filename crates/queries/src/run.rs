@@ -4,8 +4,8 @@
 //!
 //! New code should use the engine directly (`Session::prepare` /
 //! `Session::execute` amortize the front end across repeated executions);
-//! these functions remain because the differential suite, the benches and
-//! downstream corpus runners want a one-line "evaluate this `Expr` with this
+//! these functions remain because the differential suite and downstream
+//! corpus runners want a one-line "evaluate this `Expr` with this
 //! parallelism knob" call with exactly the evaluator's error type.
 //!
 //! Parallelism normalization: the `parallelism` argument overrides the base

@@ -4,11 +4,10 @@
 //! ncql-served [--addr HOST:PORT] [--max-inflight N] [--deadline-ms MS]
 //! ```
 //!
-//! Every knob also has an environment override (`NCQL_SERVE_ADDR`,
-//! `NCQL_SERVE_MAX_INFLIGHT`, `NCQL_SERVE_DEADLINE_MS`, ...; flags win).
-//! The session itself is configured the same way as every other entry point
-//! in the workspace: `NCQL_PARALLELISM`, `NCQL_PARALLEL_CUTOFF`,
-//! `NCQL_LINT`, `NCQL_OPT`.
+//! Every knob also has an `NCQL_SERVE_*` environment override (flags win),
+//! and the session is configured by `SessionBuilder::from_env` like every
+//! other entry point in the workspace. The README's "Environment variables"
+//! table lists all of them; `tests/arch_lint.rs` keeps it complete.
 //!
 //! The bound address is printed to stdout as `listening on ADDR` once the
 //! listener is up (bind to port 0 to let the OS pick), so harnesses can

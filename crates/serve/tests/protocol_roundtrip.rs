@@ -108,6 +108,14 @@ fn parse_type_and_eval_errors_round_trip_with_exact_spans() {
         code::PARSE
     );
     assert_eq!(client.execute("nat_add(40, 2)").unwrap().printed, "42");
+    // So did 1 500 `union` operands (16 KB): the chain nests nothing in the
+    // text, but the tree it denotes is 1 499 levels deep.
+    let chain = vec!["{@1}"; 1_500].join(" union ");
+    assert_eq!(
+        assert_error_parity(&mut client, &session, &chain),
+        code::PARSE
+    );
+    assert_eq!(client.execute("nat_add(1, 2)").unwrap().printed, "3");
 
     client.close().expect("close");
     handle.shutdown();

@@ -6,6 +6,14 @@
 //! themselves are located the same way: [`ParseError::Unexpected`] names the
 //! byte span of the offending token (or the end-of-input position), matching
 //! the lexer's byte-offset convention.
+//!
+//! The parser also bounds the depth of the *tree* a text denotes, because
+//! every pass behind it (typecheck, analysis, rewriting, printing, evaluation,
+//! `Drop`) recurses on that tree: `MAX_DEPTH` nesting levels plus
+//! `MAX_UNION_LINKS` chained `union`s. The latter is sized for optimized
+//! builds, where the daemon runs; unoptimized ones overflow ~14× earlier
+//! (≈ 93 links on a 2 MiB stack against ≈ 1 300), so debug builds are covered
+//! only up to what the test suites exercise.
 
 use crate::lexer::{tokenize, LexError, SpannedToken, Token};
 use ncql_core::span::Span;
@@ -17,13 +25,18 @@ use std::fmt;
 /// every bracketed, prefixed or binder-bodied subexpression is one level.
 /// Like `ncql_serve::json`'s `MAX_DEPTH` it is a constant, well above
 /// anything legitimate (the deepest text in the corpus and the test suites
-/// nests 18 levels) and below stack exhaustion — not only of the recursive
-/// descent itself but of every recursive pass downstream of it (typecheck,
-/// analysis, rewriting, printing, evaluation), which all recurse on the tree
-/// this bound keeps shallow. That is why it is lower than the JSON reader's
-/// 128: in an unoptimized build the type checker alone overflows a 2 MiB
-/// thread stack between 70 and 80 levels.
+/// nests 18 levels) and below stack exhaustion of the passes downstream (see
+/// the module docs) — hence lower than the JSON reader's 128: unoptimized,
+/// the type checker alone overflows a 2 MiB stack between 70 and 80 levels.
 const MAX_DEPTH: usize = 48;
+
+/// Maximum number of `union` links in one text. `a union b union …` is
+/// parsed by a loop, so [`MAX_DEPTH`] never sees it, yet every link wraps the
+/// tree one level deeper. Counted per text, not per chain (48 nested chains
+/// would multiply), so no parsed tree is deeper than the two limits together:
+/// under half of the ≈ 1 300 links at which the first downstream pass
+/// overflows a 2 MiB stack in a release build.
+const MAX_UNION_LINKS: usize = 512;
 
 /// A parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,12 +53,13 @@ pub enum ParseError {
         /// What was expected.
         expected: String,
     },
-    /// The text nests expressions (or types) deeper than the parser accepts.
+    /// The text nests expressions (or types) deeper than the parser accepts,
+    /// or chains more `union`s.
     TooDeep {
         /// Byte span of the first token of the subexpression (or type) one
-        /// level past the limit.
+        /// level past the limit, or of the `union` one link past it.
         span: Span,
-        /// The nesting limit that was exceeded.
+        /// The limit that was exceeded.
         limit: usize,
     },
 }
@@ -106,6 +120,8 @@ struct Parser {
     eof: usize,
     /// Current nesting depth (see [`MAX_DEPTH`]).
     depth: usize,
+    /// `union` links consumed so far (see [`MAX_UNION_LINKS`]).
+    union_links: usize,
 }
 
 impl Parser {
@@ -307,25 +323,28 @@ impl Parser {
     fn parse_comparison(&mut self) -> Result<Expr, ParseError> {
         let start = self.current_start();
         let left = self.parse_union()?;
-        match self.peek() {
-            Some(Token::Equals) => {
-                self.pos += 1;
-                let right = self.parse_union()?;
-                Ok(Expr::eq(left, right).at(self.span_from(start)))
-            }
-            Some(Token::Leq) => {
-                self.pos += 1;
-                let right = self.parse_union()?;
-                Ok(Expr::leq(left, right).at(self.span_from(start)))
-            }
-            _ => Ok(left),
-        }
+        let compare = match self.peek() {
+            Some(Token::Equals) => Expr::eq,
+            Some(Token::Leq) => Expr::leq,
+            _ => return Ok(left),
+        };
+        self.pos += 1;
+        let right = self.parse_union()?;
+        Ok(compare(left, right).at(self.span_from(start)))
     }
 
     fn parse_union(&mut self) -> Result<Expr, ParseError> {
         let start = self.current_start();
         let mut left = self.parse_primary()?;
         while self.peek_keyword("union") {
+            // Refused before the link is built: the dropped tree is bounded too.
+            if self.union_links == MAX_UNION_LINKS {
+                return Err(ParseError::TooDeep {
+                    span: self.here(),
+                    limit: MAX_UNION_LINKS,
+                });
+            }
+            self.union_links += 1;
             self.pos += 1;
             let right = self.parse_primary()?;
             left = Expr::union(left, right).at(self.span_from(start));
@@ -447,37 +466,34 @@ impl Parser {
     }
 }
 
-/// Parse a complete expression from surface text. Every node of the result
-/// carries the byte span of the text it was parsed from.
-pub fn parse_expr(text: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(text)?;
+/// Parse the whole of `text` with `parse`, refusing trailing tokens.
+fn parse_complete<T>(
+    text: &str,
+    parse: fn(&mut Parser) -> Result<T, ParseError>,
+) -> Result<T, ParseError> {
     let mut parser = Parser {
-        tokens,
+        tokens: tokenize(text)?,
         pos: 0,
         eof: text.len(),
         depth: 0,
+        union_links: 0,
     };
-    let expr = parser.parse_expr()?;
+    let parsed = parse(&mut parser)?;
     if parser.pos != parser.tokens.len() {
         return parser.unexpected("end of input");
     }
-    Ok(expr)
+    Ok(parsed)
+}
+
+/// Parse a complete expression from surface text. Every node of the result
+/// carries the byte span of the text it was parsed from.
+pub fn parse_expr(text: &str) -> Result<Expr, ParseError> {
+    parse_complete(text, Parser::parse_expr)
 }
 
 /// Parse a type from surface text.
 pub fn parse_type(text: &str) -> Result<Type, ParseError> {
-    let tokens = tokenize(text)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        eof: text.len(),
-        depth: 0,
-    };
-    let ty = parser.parse_type()?;
-    if parser.pos != parser.tokens.len() {
-        return parser.unexpected("end of input");
-    }
-    Ok(ty)
+    parse_complete(text, Parser::parse_type)
 }
 
 #[cfg(test)]
@@ -671,5 +687,44 @@ mod tests {
             parse_type(&nest("(", deep, "atom", ")")),
             Err(ParseError::TooDeep { .. })
         ));
+    }
+
+    #[test]
+    fn union_links_are_budgeted_per_text() {
+        let chain = |operands: usize| vec!["{@1}"; operands].join(" union ");
+        // The budget itself parses; one link more is refused at that `union`.
+        assert!(parse_expr(&chain(MAX_UNION_LINKS + 1)).is_ok());
+        let text = chain(MAX_UNION_LINKS + 2);
+        let at = text.rfind("union").unwrap();
+        assert_eq!(
+            parse_expr(&text).unwrap_err(),
+            ParseError::TooDeep {
+                span: Span::new(at, at + 5),
+                limit: MAX_UNION_LINKS
+            }
+        );
+        // Per text, not per chain: three nested chains, each a third of the
+        // budget plus one, together exceed it.
+        let third = chain(MAX_UNION_LINKS / 3 + 2);
+        assert!(parse_expr(&format!("{third} union {{{third}}}")).is_ok());
+        let nested = format!("{third} union {{{third} union {{{third}}}}}");
+        assert!(matches!(
+            parse_expr(&nested),
+            Err(ParseError::TooDeep {
+                limit: MAX_UNION_LINKS,
+                ..
+            })
+        ));
+        assert!(matches!(
+            parse_expr(&chain(20_000)),
+            Err(ParseError::TooDeep { .. })
+        ));
+        // A 128-operand literal set is well within the budget, and printing
+        // it back recurses on all 127 links.
+        let literal: Vec<String> = (1..=128).map(|i| format!("{{@{i}}}")).collect();
+        let parsed = parse_expr(&literal.join(" union ")).unwrap();
+        let printed = crate::pretty::print_expr(&parsed);
+        assert_eq!(printed.matches(" union ").count(), 127);
+        assert!(printed.ends_with("union ({@128}))"));
     }
 }

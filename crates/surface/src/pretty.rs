@@ -3,19 +3,7 @@
 
 use ncql_core::expr::Form;
 use ncql_core::{Expr, ExprKind};
-use ncql_object::{Type, Value};
-
-fn print_type(ty: &Type) -> String {
-    match ty {
-        Type::Base => "atom".to_string(),
-        Type::Bool => "bool".to_string(),
-        Type::Unit => "unit".to_string(),
-        Type::Nat => "nat".to_string(),
-        Type::Prod(a, b) => format!("({} * {})", print_type(a), print_type(b)),
-        Type::Set(t) => format!("{{{}}}", print_type(t)),
-        Type::Fun(a, b) => format!("({} -> {})", print_type(a), print_type(b)),
-    }
-}
+use ncql_object::Value;
 
 fn print_value(v: &Value) -> Option<String> {
     match v {
@@ -49,7 +37,7 @@ fn print_value(v: &Value) -> Option<String> {
 pub fn print_expr(e: &Expr) -> String {
     match &e.kind {
         ExprKind::Var(x) => x.clone(),
-        ExprKind::Lam(x, ty, b) => format!("\\{x}: {}. {}", print_type(ty), print_expr(b)),
+        ExprKind::Lam(x, ty, b) => format!("\\{x}: {ty}. {}", print_expr(b)),
         ExprKind::App(f, a) => format!("apply({}, {})", print_expr(f), print_expr(a)),
         ExprKind::Let(x, a, b) => format!("let {x} = {} in {}", print_expr(a), print_expr(b)),
         ExprKind::Unit => "()".to_string(),
@@ -66,7 +54,7 @@ pub fn print_expr(e: &Expr) -> String {
         ExprKind::Eq(a, b) => format!("(({}) = ({}))", print_expr(a), print_expr(b)),
         ExprKind::Leq(a, b) => format!("(({}) <= ({}))", print_expr(a), print_expr(b)),
         ExprKind::Const(v) => print_value(v).unwrap_or_else(|| "empty[atom]".to_string()),
-        ExprKind::Empty(t) => format!("empty[{}]", print_type(t)),
+        ExprKind::Empty(t) => format!("empty[{t}]"),
         ExprKind::Singleton(a) => format!("{{{}}}", print_expr(a)),
         ExprKind::Union(a, b) => format!("(({}) union ({}))", print_expr(a), print_expr(b)),
         ExprKind::IsEmpty(a) => format!("isempty({})", print_expr(a)),

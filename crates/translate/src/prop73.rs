@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn halving_computes_parity_with_log_rounds() {
         let f = Expr::lam("y", Type::Base, Expr::bool_val(true));
-        for n in [0usize, 1, 2, 3, 4, 7, 8, 9, 31, 32, 100] {
+        for n in [0usize, 1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 100] {
             let x = atoms((0..n as u64).collect());
             let (direct, outcome) =
                 verify_dcr_halving(&Expr::bool_val(false), &f, &xor_u(), &x).unwrap();

@@ -12,7 +12,11 @@
 //!    persistent work-stealing pool replaced it; this lint keeps
 //!    `thread::scope` out of the evaluator and pool implementation files
 //!    (test modules excepted) so the regression cannot sneak back.
+//! 3. **The README's environment table is the code's.** Every `NCQL_*`
+//!    variable the shipped sources read has a row in the README's
+//!    "Environment variables" table, and the table has no other rows.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -66,15 +70,19 @@ fn without_line_comment(line: &str) -> &str {
     }
 }
 
+/// The non-test part of a source file: everything before its first
+/// `#[cfg(test)]`.
+fn implementation(text: &str) -> &str {
+    text.split("#[cfg(test)]").next().unwrap_or(text)
+}
+
 #[test]
 fn evaluators_are_constructed_only_behind_the_session_front_door() {
     // Call sites that predate the unified `Session` API and deliberately
-    // drive the evaluator directly: the Proposition 7.3 translation check,
-    // the experiment harness (which measures evaluator overhead without
-    // cache effects), and the powerset module's cost-assertion tests.
+    // drive the evaluator directly: the Proposition 7.3 translation check
+    // and the powerset module's cost-assertion tests.
     const ALLOWLIST: &[&str] = &[
         "crates/translate/src/prop73.rs",
-        "crates/bench/src/lib.rs",
         "crates/queries/src/powerset.rs",
     ];
     let constructor = "Evaluator::new(";
@@ -129,11 +137,7 @@ fn no_scoped_threads_on_the_evaluator_hot_path() {
         let path = repo_root().join(rel);
         let text = fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("hot-path file {rel} must exist: {e}"));
-        let implementation = match text.find("#[cfg(test)]") {
-            Some(idx) => &text[..idx],
-            None => &text[..],
-        };
-        for (lineno, line) in implementation.lines().enumerate() {
+        for (lineno, line) in implementation(&text).lines().enumerate() {
             let code = without_line_comment(line);
             assert!(
                 !code.contains("thread::scope"),
@@ -144,4 +148,51 @@ fn no_scoped_threads_on_the_evaluator_hot_path() {
             );
         }
     }
+}
+
+#[test]
+fn readme_environment_table_lists_exactly_the_variables_the_code_reads() {
+    // Every `"NCQL_…"` string literal in the non-test, non-comment source of
+    // `crates/*/src` and `examples/`.
+    let mut read = BTreeSet::new();
+    for path in rust_sources() {
+        let rel = relative(&path);
+        if !(rel.starts_with("examples/") || rel.starts_with("crates/") && rel.contains("/src/")) {
+            continue;
+        }
+        let text = fs::read_to_string(&path).expect("readable source file");
+        for line in implementation(&text).lines() {
+            let mut rest = without_line_comment(line);
+            while let Some(idx) = rest.find("\"NCQL_") {
+                let tail = &rest[idx + 1..];
+                let len = tail
+                    .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                    .unwrap_or(tail.len());
+                if tail[len..].starts_with('"') {
+                    read.insert(tail[..len].to_string());
+                }
+                rest = &tail[len..];
+            }
+        }
+    }
+
+    // The first column of the table under "## Environment variables".
+    let readme = fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+    let section = readme
+        .split("\n## Environment variables\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("README has an \"Environment variables\" section");
+    let documented: BTreeSet<String> = section
+        .lines()
+        .filter_map(|row| row.strip_prefix("| `"))
+        .filter_map(|row| row.split('`').next())
+        .map(str::to_string)
+        .collect();
+
+    assert!(!read.is_empty(), "source scan found no NCQL_* literal");
+    assert_eq!(
+        documented, read,
+        "README \"Environment variables\" (left) and the NCQL_* variables the code reads (right) differ"
+    );
 }

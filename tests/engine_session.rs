@@ -217,4 +217,17 @@ fn nesting_past_the_parser_limit_is_a_typed_error_not_a_stack_overflow() {
     let err = session.prepare(&nest("(", 10_000, ")")).unwrap_err();
     assert!(matches!(err, Error::Parse(ParseError::TooDeep { .. })));
     assert_eq!(err.span(), Some(Span::new(48, 49)));
+    // A `union` chain nests nothing in the text, yet the tree it denotes is
+    // one level deeper per link: 1 500 operands (16 KB) used to overflow the
+    // first recursive pass behind the parser. The caret is on the first
+    // `union` past the 512-link budget.
+    let chain = vec!["{@1}"; 1_500].join(" union ");
+    let err = session.prepare(&chain).unwrap_err();
+    assert!(matches!(
+        err,
+        Error::Parse(ParseError::TooDeep { limit: 512, .. })
+    ));
+    let caret = err.span().expect("a located parse error");
+    assert_eq!(&chain[caret.start..caret.end], "union");
+    assert_eq!(chain[..caret.start].matches("union").count(), 512);
 }
