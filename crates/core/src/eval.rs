@@ -145,11 +145,10 @@ impl std::fmt::Debug for EvalConfig {
 
 /// The one definition of "is this thread count parallel": `Some(n)` with
 /// `n ≥ 2` is kept, `None` and the degenerate `Some(0 | 1)` become `None`.
-/// The evaluator reads `parallelism` and `pool_threads` through it, and
-/// every front door that accepts an override (`ncql_queries::eval_query_with`,
-/// the engine's `SessionBuilder`) stores the normalized form, so a
-/// configuration never records a value that *looks* parallel but evaluates
-/// on one thread.
+/// The evaluator reads `parallelism` and `pool_threads` through it, and the
+/// front door that accepts an override (the engine's `SessionBuilder`)
+/// stores the normalized form, so a configuration never records a value that
+/// *looks* parallel but evaluates on one thread.
 pub fn normalize_parallelism(requested: Option<usize>) -> Option<usize> {
     requested.filter(|&n| n >= 2)
 }

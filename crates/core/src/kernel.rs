@@ -569,9 +569,9 @@ impl Compiler<'_> {
 
     /// Lower a set-level subterm — what an `ext` body may do with the scalar
     /// layer. Each input row contributes zero rows or one row to the output,
-    /// which is exactly the singleton/empty comprehension shape the
-    /// optimizer's ext-fusion and filter-pushdown rewrites produce. Returns
-    /// the shape of the emitted rows, `None` when no path emits.
+    /// which is exactly the singleton/empty comprehension shape filters
+    /// are written in and the optimizer's ext-fusion produces. Returns the
+    /// shape of the emitted rows, `None` when no path emits.
     fn set_op(&mut self, expr: &Expr) -> Lowered<Option<FlatShape>> {
         match &expr.kind {
             ExprKind::Empty(_) => Ok((None, Cost::LEAF)),

@@ -36,10 +36,9 @@
 //!   the `dcr` combining tree contributing a log factor to the span) and the
 //!   work floor, an integer, for rejecting doomed queries. It runs the
 //!   [`analysis`] lint pass so one call reports both.
-//! * [`rewrite`] — the algebraic optimizer: a fixpoint rewrite engine
-//!   (constant folding, ext-fusion, filter pushdown, common-subexpression
-//!   hoisting) whose every rewrite is gated by the [`analyze`] cost model so
-//!   a plan's work/span guarantee can only improve.
+//! * [`rewrite`] — the algebraic optimizer: one bottom-up pass (constant
+//!   folding on a per-text budget, ext-fusion) whose result is gated by the
+//!   [`analyze`] cost model so a plan's work/span guarantee can only improve.
 //! * [`wellformed`] — the bounded checker for the algebraic preconditions
 //!   (associativity, commutativity, identity) of `dcr`/`sru` instances; the
 //!   general problem is Π⁰₁-complete (§2), so the checker works over a finite

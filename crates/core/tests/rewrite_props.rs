@@ -1,9 +1,8 @@
-//! Property tests for `ncql_core::rewrite`: the optimizer is a fixpoint
-//! operator (its output never fires again — idempotence, which also pins
-//! termination of the pass loop), rewriting preserves values on closed
-//! queries, and every rule is a no-op on expressions that are already in
-//! normal form for it (open arguments defeat constant folding, un-nested
-//! maps defeat fusion, binder-entangled bodies defeat hoisting).
+//! Property tests for `ncql_core::rewrite`: the optimizer's output never
+//! fires again (idempotence — one pass reaches the fixpoint on queries within
+//! the fold budget), rewriting preserves values on closed queries, and both
+//! rules are no-ops on expressions that are already in normal form for them
+//! (open arguments defeat constant folding, un-nested maps defeat fusion).
 
 use ncql_core::eval::{eval_with_stats, EvalConfig};
 use ncql_core::expr::Expr;
@@ -132,9 +131,8 @@ proptest! {
         shift in 1u64..40,
     ) {
         // With a free schema relation as the argument nothing is closed (no
-        // constant folding), no map is nested (no fusion), no leaf filter
-        // exists (no pushdown), and every combiner body touches its binders
-        // (no hoisting): the whole rule set must leave the query untouched.
+        // constant folding) and no map is nested (no fusion): the whole rule
+        // set must leave the query untouched.
         let q = query_over(shape, Expr::var("r"), shift);
         let schema = vec![("r".to_string(), Type::set(Type::Base))];
         let outcome = optimize(&q, &schema, &EvalConfig::default());

@@ -33,9 +33,9 @@ pub(crate) struct PreparedPlan {
     /// the optimizer rewrote what executes.
     pub(crate) normal_form: String,
     /// The pretty-printed form of the plan that actually executes (equal to
-    /// `normal_form` when no rewrite fired). May contain optimizer-generated
-    /// `%`-prefixed binders and constant literals the surface grammar cannot
-    /// re-parse — this is a display form, not a round-trip form.
+    /// `normal_form` when no rewrite fired). May contain folded constant
+    /// literals the surface grammar cannot re-parse — this is a display
+    /// form, not a round-trip form.
     pub(crate) optimized_form: String,
     /// The prepare-time static analysis: symbolic work/span bounds of the
     /// *executing* (possibly rewritten) plan and lint findings of the *raw*
@@ -92,9 +92,8 @@ impl PreparedQuery {
 
     /// The pretty-printed form of the plan the session will execute. Equal to
     /// [`PreparedQuery::normal_form`] when no rewrite fired; a rewritten plan
-    /// may mention optimizer-generated `%`-prefixed binders and folded
-    /// constants, so this is a display form — it is not guaranteed to
-    /// re-parse.
+    /// may mention folded constants, so this is a display form — it is not
+    /// guaranteed to re-parse.
     pub fn optimized_form(&self) -> &str {
         &self.plan.optimized_form
     }

@@ -24,9 +24,6 @@
 //!   nested complex objects).
 //! * [`corpus`] — one closed instance of every query family above, iterated by
 //!   the cross-backend differential test suite.
-//! * [`run`] — a thin shim over the engine's `Session` for corpus callers: one
-//!   call evaluating an `Expr` with a `parallelism` knob selecting the
-//!   sequential or the parallel backend.
 
 pub mod aggregates;
 pub mod arith;
@@ -38,8 +35,6 @@ pub mod parity;
 pub mod powerset;
 pub mod relalg;
 pub mod relation;
-pub mod run;
 
 pub use corpus::{differential_corpus, CorpusEntry};
 pub use relation::Relation;
-pub use run::{eval_query, eval_query_with};

@@ -15,6 +15,9 @@
 //! 3. **The README's environment table is the code's.** Every `NCQL_*`
 //!    variable the shipped sources read has a row in the README's
 //!    "Environment variables" table, and the table has no other rows.
+//! 4. **The README's rule list is the code's.** The rules bulleted under
+//!    "Optimizer" are exactly the names `core::rewrite` can report in a
+//!    `FiredRewrite`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -74,6 +77,17 @@ fn without_line_comment(line: &str) -> &str {
 /// `#[cfg(test)]`.
 fn implementation(text: &str) -> &str {
     text.split("#[cfg(test)]").next().unwrap_or(text)
+}
+
+/// The body of the README's `## {title}` section.
+fn readme_section(title: &str) -> String {
+    let readme = fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+    readme
+        .split(&format!("\n## {title}\n"))
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .unwrap_or_else(|| panic!("README has no \"{title}\" section"))
+        .to_string()
 }
 
 #[test]
@@ -177,13 +191,7 @@ fn readme_environment_table_lists_exactly_the_variables_the_code_reads() {
     }
 
     // The first column of the table under "## Environment variables".
-    let readme = fs::read_to_string(repo_root().join("README.md")).expect("README.md");
-    let section = readme
-        .split("\n## Environment variables\n")
-        .nth(1)
-        .and_then(|rest| rest.split("\n## ").next())
-        .expect("README has an \"Environment variables\" section");
-    let documented: BTreeSet<String> = section
+    let documented: BTreeSet<String> = readme_section("Environment variables")
         .lines()
         .filter_map(|row| row.strip_prefix("| `"))
         .filter_map(|row| row.split('`').next())
@@ -194,5 +202,32 @@ fn readme_environment_table_lists_exactly_the_variables_the_code_reads() {
     assert_eq!(
         documented, read,
         "README \"Environment variables\" (left) and the NCQL_* variables the code reads (right) differ"
+    );
+}
+
+#[test]
+fn readme_optimizer_rules_are_exactly_the_rules_the_rewriter_reports() {
+    // Every `rule: "…"` literal the rewriter can put in a `FiredRewrite`.
+    let source = fs::read_to_string(repo_root().join("crates/core/src/rewrite.rs"))
+        .expect("crates/core/src/rewrite.rs");
+    let reported: BTreeSet<String> = implementation(&source)
+        .lines()
+        .filter_map(|line| without_line_comment(line).split("rule: \"").nth(1))
+        .filter_map(|tail| tail.split('"').next())
+        .map(str::to_string)
+        .collect();
+
+    // The bold names bulleted under "## Optimizer".
+    let documented: BTreeSet<String> = readme_section("Optimizer")
+        .lines()
+        .filter_map(|bullet| bullet.strip_prefix("* **`"))
+        .filter_map(|bullet| bullet.split('`').next())
+        .map(str::to_string)
+        .collect();
+
+    assert!(!reported.is_empty(), "source scan found no rule name");
+    assert_eq!(
+        documented, reported,
+        "README \"Optimizer\" rules (left) and the rules rewrite.rs reports (right) differ"
     );
 }

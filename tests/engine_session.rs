@@ -16,7 +16,7 @@ use ncql::core::externs::ExternRegistry;
 use ncql::core::parallelism_from_env;
 use ncql::object::{Type, Value};
 use ncql::surface::ParseError;
-use ncql::{Backend, Error, Session, SessionBuilder, Span};
+use ncql::{Backend, Error, OptLevel, Session, SessionBuilder, Span};
 
 /// A shared mini-corpus of surface texts spanning the recursion forms, the
 /// iterators, `ext` and the external arithmetic.
@@ -230,4 +230,27 @@ fn nesting_past_the_parser_limit_is_a_typed_error_not_a_stack_overflow() {
     let caret = err.span().expect("a located parse error");
     assert_eq!(&chain[caret.start..caret.end], "union");
     assert_eq!(chain[..caret.start].matches("union").count(), 512);
+    // Admitted chains are prepared on a budget: prepare runs before any
+    // deadline or `max_work` applies, so folding evaluates at most 4 096 work
+    // units of a text however long it is, and can never save more than that.
+    // 128 distinct operands cost 8 638 to evaluate. (Own thread: an
+    // unoptimized build needs more than a test thread's 2 MiB past ~95 links.)
+    let budgeted = std::thread::Builder::new().stack_size(16 << 20).spawn(|| {
+        let chain: Vec<String> = (1..=128).map(|i| format!("{{@{i}}}")).collect();
+        let run = |session: Session| {
+            let query = session.prepare(&chain.join(" union ")).unwrap();
+            session.execute(&query).unwrap()
+        };
+        let raw = run(SessionBuilder::new().opt_level(OptLevel::None).build());
+        let opt = run(Session::new());
+        assert_eq!(opt.value, raw.value);
+        assert_eq!(raw.stats.work, 8_638);
+        assert!(
+            opt.stats.work < raw.stats.work && raw.stats.work - opt.stats.work <= 4_096,
+            "folding saved {} - {} work units",
+            raw.stats.work,
+            opt.stats.work
+        );
+    });
+    budgeted.unwrap().join().unwrap();
 }
