@@ -146,7 +146,8 @@ fn compile_inner(
     }
 }
 
-/// Summary of a compiled circuit, reported by experiment E6.
+/// Summary of a compiled circuit (what
+/// `nesting_depth_multiplies_circuit_depth_by_log_factors` compares).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompiledStats {
     /// Universe size.

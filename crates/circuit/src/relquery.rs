@@ -91,8 +91,9 @@ impl RelQuery {
         }
     }
 
-    /// A family with iteration-nesting depth `k ≥ 1`, used by experiment E6: for
-    /// `k = 1` it is the transitive closure of the input; each further level
+    /// A family with iteration-nesting depth `k ≥ 1` (the family
+    /// `compile::nesting_depth_multiplies_circuit_depth_by_log_factors`
+    /// compiles): for `k = 1` it is the transitive closure of the input; each further level
     /// wraps the body in another `⌈log n⌉`-fold iteration applied to the outer
     /// accumulator (the inner `Current` shadows the outer one, exactly like the
     /// nested `log-loop`s of Example 7.2). The compiled circuit depth therefore

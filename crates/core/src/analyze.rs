@@ -13,19 +13,9 @@
 //! a session's work limit before any evaluation happens. The paper states
 //! only upper bounds, so only the upper side is symbolic.
 //!
-//! The cost model mirrored here is exactly the one `Evaluator` charges:
-//!
-//! * every expression node charges 1 unit of work on entry;
-//! * `eq`/`leq` charge `min(|a|, |b|)` extra (size-bounded comparison);
-//! * `union` charges `|a ∪ b|` extra;
-//! * `ext` applies its map once per element (each application charges 1 plus
-//!   the body's cost) and charges the result cardinality at the end;
-//! * the union recursors (`dcr`/`sru`/`bdcr`) apply the singleton map per
-//!   element and then combine over a balanced binary tree — `m − 1` combiner
-//!   calls whose *span* contributes only `⌈log₂ m⌉` levels (the AC link);
-//! * the insert recursors (`sri`/`esr`/`bsri`) and the iterators
-//!   (`loop`/`log-loop` and bounded forms) run a sequential chain whose span
-//!   is the *sum* of the step spans.
+//! The cost model is the one `Evaluator` charges because both read it from
+//! [`crate::cost`]: every `Cost` below is built by `Cost::node` from a rule of
+//! that table, over the symbolic carriers `Range` and [`Bound`].
 //!
 //! Set growth through a recursion is resolved by a one-variable recurrence:
 //! the combiner/step body is analysed once with a fresh *measure variable* `g`
@@ -42,7 +32,7 @@
 //! linear in the measure.
 
 use crate::analysis::{lint_pass, Finding, Severity};
-use crate::eval::log_rounds;
+use crate::cost::{self, log_rounds, Carrier, Rule, SpanCarrier};
 use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::ExternRegistry;
 use ncql_object::{Type, Value};
@@ -105,11 +95,6 @@ impl Poly {
         let mut terms = BTreeMap::new();
         terms.insert(m, 1);
         Poly { terms }
-    }
-
-    /// Is this syntactically zero?
-    pub fn is_zero(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// `Some(c)` when the polynomial is a constant.
@@ -554,20 +539,6 @@ impl Range {
         Range::new(0, Bound::Unbounded)
     }
 
-    pub fn add(&self, other: &Range) -> Range {
-        Range {
-            lo: self.lo.saturating_add(other.lo),
-            hi: self.hi.add(&other.hi),
-        }
-    }
-
-    pub fn add_const(&self, c: u64) -> Range {
-        Range {
-            lo: self.lo.saturating_add(c),
-            hi: self.hi.add_const(c),
-        }
-    }
-
     /// Range covering *either* operand (e.g. the two branches of an `if`):
     /// the lower side must hold for both.
     pub fn join(&self, other: &Range) -> Range {
@@ -586,22 +557,54 @@ pub(crate) struct Cost {
     pub span: Bound,
 }
 
+impl Carrier for Range {
+    fn constant(c: u64) -> Range {
+        Range::exact(c)
+    }
+    fn plus(self, other: Range) -> Range {
+        Range::new(self.lo.saturating_add(other.lo), self.hi.add(&other.hi))
+    }
+}
+
+impl Carrier for Bound {
+    fn constant(c: u64) -> Bound {
+        Bound::constant(c)
+    }
+    fn plus(self, other: Bound) -> Bound {
+        self.add(&other)
+    }
+}
+
+impl SpanCarrier for Bound {
+    fn longest(self, other: Bound) -> Bound {
+        self.join(&other)
+    }
+}
+
 impl Cost {
-    /// The cost of a leaf node: one unit of work, zero span.
-    pub fn leaf() -> Cost {
-        Cost {
-            work: Range::exact(1),
-            span: Bound::constant(0),
-        }
+    pub fn new(work: Range, span: Bound) -> Cost {
+        Cost { work, span }
     }
 
-    /// The cost when nothing is known (budget exhausted / opaque function):
-    /// every node still charges at least one unit of work on entry.
-    pub fn opaque() -> Cost {
-        Cost {
-            work: Range::new(1, Bound::Unbounded),
-            span: Bound::Unbounded,
-        }
+    /// The cost of a node under `rule` whose operands cost `kids`.
+    pub fn node(rule: Rule, kids: impl IntoIterator<Item = Cost>) -> Cost {
+        let (work, span) = rule.node(kids.into_iter().map(|c| (c.work, c.span)));
+        Cost::new(work, span)
+    }
+
+    /// Data-dependent extra work: an operand of no depth.
+    pub fn extra(work: Range) -> Cost {
+        Cost::new(work, Bound::constant(0))
+    }
+
+    /// A cost covering *either* operand: the two arms of an `if`.
+    pub fn either(&self, other: &Cost) -> Cost {
+        Cost::new(self.work.join(&other.work), self.span.join(&other.span))
+    }
+
+    /// At least `floor`, nothing else known (budget exhausted / opaque function).
+    pub fn opaque(floor: u64) -> Cost {
+        Cost::new(Range::new(floor, Bound::Unbounded), Bound::Unbounded)
     }
 }
 
@@ -649,19 +652,35 @@ impl ObjBound {
         }
     }
 
+    /// The pair `(a, b)`: `Value::size` counts the pair node itself.
+    pub fn pair(a: ObjBound, b: ObjBound) -> ObjBound {
+        ObjBound {
+            card: Range::exact(1),
+            size: a.size.add(&b.size).add_const(1),
+            shape: Shape::Pair(Rc::new(a), Rc::new(b)),
+        }
+    }
+
+    /// The singleton `{elem}`.
+    pub fn singleton(elem: ObjBound) -> ObjBound {
+        ObjBound {
+            card: Range::exact(1),
+            size: elem.size.add_const(1),
+            shape: Shape::Set(Rc::new(elem)),
+        }
+    }
+
+    /// The size of a set of at most `card` elements of size at most `elem`
+    /// each: `Value::size` counts the set node itself.
+    pub fn set_size(card: &Bound, elem: &Bound) -> Bound {
+        card.mul(elem).add_const(1)
+    }
+
     /// Exact bounds for a concrete value.
     pub fn of_value(v: &Value) -> ObjBound {
         match v {
             Value::Atom(_) | Value::Bool(_) | Value::Unit | Value::Nat(_) => ObjBound::scalar(),
-            Value::Pair(a, b) => {
-                let a = ObjBound::of_value(a);
-                let b = ObjBound::of_value(b);
-                ObjBound {
-                    card: Range::exact(1),
-                    size: a.size.add(&b.size).add_const(1),
-                    shape: Shape::Pair(Rc::new(a), Rc::new(b)),
-                }
-            }
+            Value::Pair(a, b) => ObjBound::pair(ObjBound::of_value(a), ObjBound::of_value(b)),
             Value::Set(s) => {
                 let card = s.len() as u64;
                 let size = v.size() as u64;
@@ -683,15 +702,7 @@ impl ObjBound {
     pub fn of_type(ty: &Type) -> ObjBound {
         match ty {
             Type::Base | Type::Bool | Type::Unit | Type::Nat => ObjBound::scalar(),
-            Type::Prod(a, b) => {
-                let a = ObjBound::of_type(a);
-                let b = ObjBound::of_type(b);
-                ObjBound {
-                    card: Range::exact(1),
-                    size: a.size.add(&b.size).add_const(1),
-                    shape: Shape::Pair(Rc::new(a), Rc::new(b)),
-                }
-            }
+            Type::Prod(a, b) => ObjBound::pair(ObjBound::of_type(a), ObjBound::of_type(b)),
             Type::Set(t) => {
                 let elem = ObjBound::of_type(t);
                 ObjBound {
@@ -713,7 +724,7 @@ impl ObjBound {
                 let elem = ObjBound::of_type(t);
                 let n = Bound::Finite(Poly::var(name));
                 ObjBound {
-                    size: n.mul(&elem.size).add_const(1),
+                    size: ObjBound::set_size(&n, &elem.size),
                     card: Range::new(0, n),
                     shape: Shape::Set(Rc::new(elem)),
                 }
@@ -747,6 +758,14 @@ impl ObjBound {
             card: Range::new(0, self.card.hi.upper_min(&bound.card.hi)),
             size: self.size.upper_min(&bound.size),
             shape: bound.shape.clone().loosen_lows(),
+        }
+    }
+
+    /// [`ObjBound::cap`] under the bound of a bounded form, `self` otherwise.
+    pub fn capped(self, cap: Option<&ObjBound>) -> ObjBound {
+        match cap {
+            Some(bound) => self.cap(bound),
+            None => self,
         }
     }
 
@@ -893,20 +912,21 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Abstractly evaluate `expr`, returning a cover of its value and a
-    /// work/span cost range. Mirrors `Evaluator::eval_kind` charge for
-    /// charge; every arm's upper bound dominates the corresponding concrete
-    /// charge sequence.
+    /// work/span cost range: the arms of `Evaluator::eval_kind` under the
+    /// same rules, so every arm's upper bound dominates the corresponding
+    /// concrete charge sequence.
     pub fn eval(&mut self, expr: &'a Expr, env: &AbsEnv<'a>) -> (AbsVal<'a>, Cost) {
         if self.budget == 0 || self.depth >= MAX_DEPTH {
-            return (AbsVal::Top, Cost::opaque());
+            return (AbsVal::Top, Cost::opaque(cost::NODE));
         }
         self.budget -= 1;
+        let leaf = || Cost::node(cost::LEAF, []);
         match &expr.kind {
             ExprKind::Var(x) => {
                 let val = env_lookup(env, x)
                     .or_else(|| self.schema.get(x.as_str()).cloned().map(AbsVal::Obj))
                     .unwrap_or(AbsVal::Top);
-                (val, Cost::leaf())
+                (val, leaf())
             }
             ExprKind::Lam(p, _, body) => (
                 AbsVal::Fun(Rc::new(AbsClosure {
@@ -914,125 +934,70 @@ impl<'a> Analyzer<'a> {
                     body,
                     env: env.clone(),
                 })),
-                Cost::leaf(),
+                leaf(),
             ),
-            ExprKind::Unit => (AbsVal::Obj(ObjBound::scalar()), Cost::leaf()),
-            ExprKind::Bool(_) => (AbsVal::Obj(ObjBound::scalar()), Cost::leaf()),
-            ExprKind::Const(v) => (AbsVal::Obj(ObjBound::of_value(v)), Cost::leaf()),
+            ExprKind::Unit | ExprKind::Bool(_) => (AbsVal::Obj(ObjBound::scalar()), leaf()),
+            ExprKind::Const(v) => (AbsVal::Obj(ObjBound::of_value(v)), leaf()),
             ExprKind::Empty(t) => (
                 AbsVal::Obj(ObjBound {
                     card: Range::exact(0),
                     size: Bound::constant(1),
                     shape: Shape::Set(Rc::new(ObjBound::of_type(t))),
                 }),
-                Cost::leaf(),
+                leaf(),
             ),
             ExprKind::App(fe, ae) => {
                 let (fv, fc) = self.eval(fe, env);
                 let (av, ac) = self.eval(ae, env);
                 let (rv, rc) = self.apply(&fv, av);
-                (
-                    rv,
-                    Cost {
-                        work: fc.work.add(&ac.work).add(&rc.work).add_const(1),
-                        span: fc.span.add(&ac.span).add(&rc.span),
-                    },
-                )
+                (rv, Cost::node(cost::APP, [fc, ac, rc]))
             }
             ExprKind::Let(name, rhs, body) => {
                 let (rv, rc) = self.eval(rhs, env);
                 let inner = env_bind(env, name, rv);
                 let (bv, bc) = self.eval(body, &inner);
-                (
-                    bv,
-                    Cost {
-                        work: rc.work.add(&bc.work).add_const(1),
-                        span: rc.span.add(&bc.span),
-                    },
-                )
+                (bv, Cost::node(cost::LET, [rc, bc]))
             }
             ExprKind::Pair(a, b) => {
                 let (av, ac) = self.eval(a, env);
                 let (bv, bc) = self.eval(b, env);
-                let ao = av.as_obj();
-                let bo = bv.as_obj();
-                let size = ao.size.add(&bo.size).add_const(1);
                 (
-                    AbsVal::Obj(ObjBound {
-                        card: Range::exact(1),
-                        size,
-                        shape: Shape::Pair(Rc::new(ao), Rc::new(bo)),
-                    }),
-                    Cost {
-                        work: ac.work.add(&bc.work).add_const(1),
-                        span: ac.span.join(&bc.span).add_const(1),
-                    },
+                    AbsVal::Obj(ObjBound::pair(av.as_obj(), bv.as_obj())),
+                    Cost::node(cost::PAIR, [ac, bc]),
                 )
             }
             ExprKind::Proj1(e) | ExprKind::Proj2(e) => {
                 let first = matches!(expr.kind, ExprKind::Proj1(_));
                 let (v, c) = self.eval(e, env);
                 let out = match &v.as_obj().shape {
-                    Shape::Pair(a, b) => {
-                        if first {
-                            (**a).clone()
-                        } else {
-                            (**b).clone()
-                        }
-                    }
+                    Shape::Pair(a, b) => (**if first { a } else { b }).clone(),
                     _ => ObjBound::top(),
                 };
-                (
-                    AbsVal::Obj(out),
-                    Cost {
-                        work: c.work.add_const(1),
-                        span: c.span.add_const(1),
-                    },
-                )
+                (AbsVal::Obj(out), Cost::node(cost::PROJ, [c]))
             }
             ExprKind::If(cond, then, els) => {
                 let (_, cc) = self.eval(cond, env);
                 let (tv, tc) = self.eval(then, env);
                 let (ev, ec) = self.eval(els, env);
-                // Only the taken branch is evaluated: upper is the max of
-                // the branch costs, lower the min.
-                (
-                    tv.join(&ev),
-                    Cost {
-                        work: cc.work.add(&tc.work.join(&ec.work)).add_const(1),
-                        span: cc.span.add(&tc.span.join(&ec.span)).add_const(1),
-                    },
-                )
+                (tv.join(&ev), Cost::node(cost::IF, [cc, tc.either(&ec)]))
             }
             ExprKind::Eq(a, b) | ExprKind::Leq(a, b) => {
                 let (av, ac) = self.eval(a, env);
                 let (bv, bc) = self.eval(b, env);
                 let ao = av.as_obj();
                 let bo = bv.as_obj();
-                // Extra charge: min(|a|, |b|) in Value::size, which is ≥ 1.
-                let cmp = Range::new(1, ao.size.upper_min(&bo.size));
+                // At least the charge for two scalars (`Value::size` ≥ 1).
+                let cmp = Range::new(cost::cmp_extra(1, 1), ao.size.upper_min(&bo.size));
                 (
                     AbsVal::Obj(ObjBound::scalar()),
-                    Cost {
-                        work: ac.work.add(&bc.work).add(&cmp).add_const(1),
-                        span: ac.span.join(&bc.span).add_const(1),
-                    },
+                    Cost::node(cost::CMP, [ac, bc, Cost::extra(cmp)]),
                 )
             }
             ExprKind::Singleton(e) => {
                 let (v, c) = self.eval(e, env);
-                let elem = v.as_obj();
-                let size = elem.size.add_const(1);
                 (
-                    AbsVal::Obj(ObjBound {
-                        card: Range::exact(1),
-                        size,
-                        shape: Shape::Set(Rc::new(elem)),
-                    }),
-                    Cost {
-                        work: c.work.add_const(1),
-                        span: c.span.add_const(1),
-                    },
+                    AbsVal::Obj(ObjBound::singleton(v.as_obj())),
+                    Cost::node(cost::SINGLETON, [c]),
                 )
             }
             ExprKind::Union(a, b) => {
@@ -1050,23 +1015,17 @@ impl<'a> Analyzer<'a> {
                 };
                 (
                     AbsVal::Obj(out),
-                    Cost {
-                        work: ac.work.add(&bc.work).add(&merged).add_const(1),
-                        span: ac.span.join(&bc.span).add_const(1),
-                    },
+                    Cost::node(cost::UNION, [ac, bc, Cost::extra(merged)]),
                 )
             }
             ExprKind::IsEmpty(e) => {
                 let (_, c) = self.eval(e, env);
                 (
                     AbsVal::Obj(ObjBound::scalar()),
-                    Cost {
-                        work: c.work.add_const(1),
-                        span: c.span.add_const(1),
-                    },
+                    Cost::node(cost::IS_EMPTY, [c]),
                 )
             }
-            ExprKind::Ext(fe, ae) => self.eval_ext(expr, fe, ae, env),
+            ExprKind::Ext(fe, ae) => self.eval_ext(fe, ae, env),
             ExprKind::UnionRec { form, e, f, u, arg } => {
                 self.eval_union_recursor(e, f, u, form.bound(), arg, env)
             }
@@ -1077,68 +1036,47 @@ impl<'a> Analyzer<'a> {
                 self.eval_iterator(f, form.bound(), set, init, form.is_log(), env)
             }
             ExprKind::Extern(name, args) => {
-                let mut work = Range::exact(2);
-                let mut span = Bound::constant(1);
-                for a in args {
-                    let (_, c) = self.eval(a, env);
-                    work = work.add(&c.work);
-                    span = span.join(&c.span.add_const(1));
-                }
+                let mut kids: Vec<Cost> = args.iter().map(|a| self.eval(a, env).1).collect();
+                kids.push(Cost::extra(Range::exact(cost::EXTERN_CALL)));
                 let out = self
                     .registry
                     .get(name)
                     .map(|f| ObjBound::of_type(&f.result))
                     .unwrap_or_else(ObjBound::top);
-                (AbsVal::Obj(out), Cost { work, span })
+                (AbsVal::Obj(out), Cost::node(cost::EXTERN, kids))
             }
         }
     }
 
-    /// Abstract function application. Mirrors `Evaluator::apply_obj`: one
-    /// unit of work for the call, the body's cost, and one extra span level.
+    /// Abstract function application: `Evaluator::apply` under
+    /// [`cost::APPLY`].
     fn apply(&mut self, f: &AbsVal<'a>, arg: AbsVal<'a>) -> (AbsVal<'a>, Cost) {
         match f {
             AbsVal::Fun(clo) => {
                 if self.budget == 0 || self.depth >= MAX_DEPTH {
-                    return (AbsVal::Top, Cost::opaque());
+                    return (AbsVal::Top, Cost::opaque(cost::NODE));
                 }
                 self.depth += 1;
                 let inner = env_bind(&clo.env, clo.param, arg);
                 let (v, c) = self.eval(clo.body, &inner);
                 self.depth -= 1;
-                (
-                    v,
-                    Cost {
-                        work: c.work.add_const(1),
-                        span: c.span.add_const(1),
-                    },
-                )
+                (v, Cost::node(cost::APPLY, [c]))
             }
-            _ => (
-                AbsVal::Top,
-                Cost {
-                    work: Range::new(2, Bound::Unbounded),
-                    span: Bound::Unbounded,
-                },
-            ),
+            _ => (AbsVal::Top, Cost::opaque(cost::CALL_FLOOR)),
         }
     }
 
     /// Apply to a pair `(a, b)` — the combiner/step calling convention.
     fn apply2(&mut self, f: &AbsVal<'a>, a: ObjBound, b: ObjBound) -> (AbsVal<'a>, Cost) {
-        let size = a.size.add(&b.size).add_const(1);
-        let pair = ObjBound {
-            card: Range::exact(1),
-            size,
-            shape: Shape::Pair(Rc::new(a), Rc::new(b)),
-        };
-        self.apply(f, AbsVal::Obj(pair))
+        self.apply(f, AbsVal::Obj(ObjBound::pair(a, b)))
     }
-}
 
-/// `⌈log₂ a⌉` for `a ≥ 2` (callers never pass 0/1).
-fn ceil_log2(a: u64) -> u32 {
-    u64::BITS - (a - 1).leading_zeros()
+    /// Evaluate one operand of a recursion: its cost joins `operands`.
+    fn operand(&mut self, e: &'a Expr, env: &AbsEnv<'a>, operands: &mut Vec<Cost>) -> AbsVal<'a> {
+        let (v, c) = self.eval(e, env);
+        operands.push(c);
+        v
+    }
 }
 
 /// `base^k` over bounds (`k` is at most 64).
@@ -1159,27 +1097,6 @@ fn subst_bound(b: &Bound, var: &str, replacement: &Bound) -> Bound {
             Bound::Unbounded => Bound::Unbounded,
         },
         Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-/// The recursion prefix — operand evaluation costs plus the node's own
-/// charge. Work sums; span is the *max* of the operand spans.
-struct Prefix {
-    work: Range,
-    span: Bound,
-}
-
-impl Prefix {
-    fn new() -> Prefix {
-        Prefix {
-            work: Range::exact(1),
-            span: Bound::constant(0),
-        }
-    }
-
-    fn absorb(&mut self, c: &Cost) {
-        self.work = self.work.add(&c.work);
-        self.span = self.span.join(&c.span);
     }
 }
 
@@ -1216,7 +1133,7 @@ fn solve_size_recurrence(
         Some((a, rest)) => match m_for_geometric {
             // Tree depth is ⌈log₂ m⌉, so A^depth ≤ A · m^⌈log₂ A⌉.
             Some(m) => Bound::constant(a)
-                .mul(&bound_pow(m, ceil_log2(a)))
+                .mul(&bound_pow(m, cost::tree_depth(a)))
                 .mul(&s0.join(&Bound::Finite(rest)).add_const(1)),
             // A sequential chain compounds A^n — no polynomial bound.
             None => Bound::Unbounded,
@@ -1225,15 +1142,8 @@ fn solve_size_recurrence(
 }
 
 impl<'a> Analyzer<'a> {
-    /// `ext(f, e)`: `f` applied once per element (independently — span takes
-    /// the max), then one charge for the flattened result cardinality.
-    fn eval_ext(
-        &mut self,
-        _expr: &'a Expr,
-        fe: &'a Expr,
-        ae: &'a Expr,
-        env: &AbsEnv<'a>,
-    ) -> (AbsVal<'a>, Cost) {
+    /// `ext(f, e)` under [`cost::EXT`].
+    fn eval_ext(&mut self, fe: &'a Expr, ae: &'a Expr, env: &AbsEnv<'a>) -> (AbsVal<'a>, Cost) {
         let (fv, fc) = self.eval(fe, env);
         let (av, ac) = self.eval(ae, env);
         let arg = av.as_obj();
@@ -1245,23 +1155,17 @@ impl<'a> Analyzer<'a> {
         let applications = Range::new(m.lo.saturating_mul(rc.work.lo), m.hi.mul(&rc.work.hi));
         let result = ObjBound {
             card: card.clone(),
-            size: m.hi.mul(&out.size).add_const(1),
+            size: ObjBound::set_size(&m.hi, &out.size),
             shape: Shape::Set(Rc::new(out.set_elem())),
         };
+        let elements = Cost::new(applications, rc.span);
         (
             AbsVal::Obj(result),
-            Cost {
-                work: (fc.work.add(&ac.work))
-                    .add(&applications)
-                    .add(&card)
-                    .add_const(1),
-                span: fc.span.add(&ac.span).add(&rc.span).add_const(1),
-            },
+            Cost::node(cost::EXT, [fc, ac, elements, Cost::extra(card)]),
         )
     }
 
-    /// `dcr` / `sru` / `bdcr`: per-element singleton map, then a balanced
-    /// combining tree of `m − 1` combiner calls across `⌈log₂ m⌉` levels.
+    /// `dcr` / `sru` / `bdcr`: the leaves, then the combining tree.
     fn eval_union_recursor(
         &mut self,
         e: &'a Expr,
@@ -1271,46 +1175,33 @@ impl<'a> Analyzer<'a> {
         arg: &'a Expr,
         env: &AbsEnv<'a>,
     ) -> (AbsVal<'a>, Cost) {
-        let mut prefix = Prefix::new();
-        let (ev, ec) = self.eval(e, env);
-        prefix.absorb(&ec);
-        let (fv, fc) = self.eval(f, env);
-        prefix.absorb(&fc);
-        let (uv, uc) = self.eval(u, env);
-        prefix.absorb(&uc);
-        let cap = bound.map(|b| {
-            let (bval, bc) = self.eval(b, env);
-            prefix.absorb(&bc);
-            bval.as_obj()
-        });
-        let (av, ac) = self.eval(arg, env);
-        prefix.absorb(&ac);
-        let arg_obj = av.as_obj();
+        let mut operands = Vec::with_capacity(5);
+        let ev = self.operand(e, env, &mut operands);
+        let fv = self.operand(f, env, &mut operands);
+        let uv = self.operand(u, env, &mut operands);
+        let cap = bound.map(|b| self.operand(b, env, &mut operands).as_obj());
+        let arg_obj = self.operand(arg, env, &mut operands).as_obj();
         let m = arg_obj.card.clone();
 
-        let mut e_obj = ev.as_obj();
-        if let Some(b) = &cap {
-            e_obj = e_obj.cap(b);
-        }
+        let e_obj = ev.as_obj().capped(cap.as_ref());
 
-        // Leaves: f per element; every leaf costs at least the 2-unit call
-        // floor, giving the work floor an m·2 term.
+        // Leaves: f per element; every leaf costs at least the call floor,
+        // giving the work floor a term in m.
         let (leaf_v, leaf_c) = self.apply(&fv, AbsVal::Obj(arg_obj.set_elem()));
-        let mut leaf_obj = leaf_v.as_obj();
-        if let Some(b) = &cap {
-            leaf_obj = leaf_obj.cap(b);
-        }
-        let leaves = Range::new(m.lo.saturating_mul(2), m.hi.mul(&leaf_c.work.hi));
+        let leaf_obj = leaf_v.as_obj().capped(cap.as_ref());
+        let floor = m.lo.saturating_mul(cost::CALL_FLOOR);
+        let leaves = Cost::new(Range::new(floor, m.hi.mul(&leaf_c.work.hi)), leaf_c.span);
 
         let (result, tree_work_hi, tree_span_hi) = match m.hi.as_const() {
             Some(mc) => self.numeric_tree(&uv, leaf_obj.join(&e_obj), mc, cap.as_ref()),
             None => self.symbolic_tree(&uv, &leaf_obj, &e_obj, &m.hi, cap.as_ref()),
         };
-
-        let work = prefix.work.add(&leaves).add(&Range::new(0, tree_work_hi));
-        let span = prefix.span.add(&leaf_c.span).add(&tree_span_hi);
-        let span = span.add_const(1);
-        (AbsVal::Obj(result), Cost { work, span })
+        let tree = Cost::new(Range::new(0, tree_work_hi), tree_span_hi);
+        let operands = Cost::node(cost::INDEPENDENT, operands);
+        (
+            AbsVal::Obj(result),
+            Cost::node(cost::RECURSION, [operands, leaves, tree]),
+        )
     }
 
     /// Simulate the combining tree round by round for a known leaf count.
@@ -1330,16 +1221,9 @@ impl<'a> Analyzer<'a> {
         let mut span = Bound::constant(0);
         while width > 1 {
             let (rv, cc) = self.apply2(u, node.clone(), node.clone());
-            let mut r = rv.as_obj();
-            if let Some(b) = cap {
-                r = r.cap(b);
-            }
-            node = node.join(&r);
-            work = work.add(&match &cc.work.hi {
-                Bound::Finite(p) => Bound::Finite(p.scale(width / 2)),
-                Bound::Unbounded => Bound::Unbounded,
-            });
-            span = span.add(&cc.span);
+            node = node.join(&rv.as_obj().capped(cap));
+            work = work.add(&Bound::constant(width / 2).mul(&cc.work.hi));
+            span = cost::IN_SEQUENCE.join(span, cc.span);
             width = width.div_ceil(2);
         }
         (node, work, span)
@@ -1377,8 +1261,7 @@ impl<'a> Analyzer<'a> {
         (result, m_hi.mul(&call_work), levels.mul(&call_span))
     }
 
-    /// `sri` / `esr` / `bsri`: a sequential chain — `n` step calls whose
-    /// spans *sum*.
+    /// `sri` / `esr` / `bsri`: a sequential chain of `n` step calls.
     fn eval_insert_recursor(
         &mut self,
         e: &'a Expr,
@@ -1387,30 +1270,16 @@ impl<'a> Analyzer<'a> {
         arg: &'a Expr,
         env: &AbsEnv<'a>,
     ) -> (AbsVal<'a>, Cost) {
-        let mut prefix = Prefix::new();
-        let (ev, ec) = self.eval(e, env);
-        prefix.absorb(&ec);
-        let (iv, ic) = self.eval(i, env);
-        prefix.absorb(&ic);
-        let cap = bound.map(|b| {
-            let (bval, bc) = self.eval(b, env);
-            prefix.absorb(&bc);
-            bval.as_obj()
-        });
-        let (av, ac) = self.eval(arg, env);
-        prefix.absorb(&ac);
-        let arg_obj = av.as_obj();
+        let mut operands = Vec::with_capacity(4);
+        let ev = self.operand(e, env, &mut operands);
+        let iv = self.operand(i, env, &mut operands);
+        let cap = bound.map(|b| self.operand(b, env, &mut operands).as_obj());
+        let arg_obj = self.operand(arg, env, &mut operands).as_obj();
         let n = arg_obj.card.clone();
-        let mut acc0 = ev.as_obj();
-        if let Some(b) = &cap {
-            acc0 = acc0.cap(b);
-        }
+        let acc0 = ev.as_obj().capped(cap.as_ref());
         let elem = arg_obj.set_elem();
-        let step = |this: &mut Self, acc: ObjBound| {
-            let (rv, cc) = this.apply2(&iv.clone(), elem.clone(), acc);
-            (rv, cc)
-        };
-        self.eval_chain(prefix, acc0, n, step, cap, Shape::Top)
+        let step = |this: &mut Self, acc: ObjBound| this.apply2(&iv, elem.clone(), acc);
+        self.eval_chain(operands, acc0, n, step, cap)
     }
 
     /// `loop` / `log-loop` / `bloop` / `blog-loop`: the body applied `|set|`
@@ -1424,42 +1293,30 @@ impl<'a> Analyzer<'a> {
         logarithmic: bool,
         env: &AbsEnv<'a>,
     ) -> (AbsVal<'a>, Cost) {
-        let mut prefix = Prefix::new();
-        let (fv, fc) = self.eval(f, env);
-        prefix.absorb(&fc);
-        let cap = bound.map(|b| {
-            let (bval, bc) = self.eval(b, env);
-            prefix.absorb(&bc);
-            bval.as_obj()
-        });
-        let (sv, sc) = self.eval(set, env);
-        prefix.absorb(&sc);
-        let (iv, icst) = self.eval(init, env);
-        prefix.absorb(&icst);
-        let card = sv.as_obj().card;
+        let mut operands = Vec::with_capacity(4);
+        let fv = self.operand(f, env, &mut operands);
+        let cap = bound.map(|b| self.operand(b, env, &mut operands).as_obj());
+        let card = self.operand(set, env, &mut operands).as_obj().card;
+        let iv = self.operand(init, env, &mut operands);
         let rounds = if logarithmic {
             Range::new(log_rounds(card.lo as usize), card.hi.log_bound())
         } else {
             card
         };
-        let mut acc0 = iv.as_obj();
-        if let Some(b) = &cap {
-            acc0 = acc0.cap(b);
-        }
-        let step = |this: &mut Self, acc: ObjBound| this.apply(&fv.clone(), AbsVal::Obj(acc));
-        self.eval_chain(prefix, acc0, rounds, step, cap, Shape::Top)
+        let acc0 = iv.as_obj().capped(cap.as_ref());
+        let step = |this: &mut Self, acc: ObjBound| this.apply(&fv, AbsVal::Obj(acc));
+        self.eval_chain(operands, acc0, rounds, step, cap)
     }
 
     /// Shared chain analysis: numeric simulation for small known round
     /// counts, the `A·g + R` recurrence otherwise.
     fn eval_chain(
         &mut self,
-        prefix: Prefix,
+        operands: Vec<Cost>,
         acc0: ObjBound,
         rounds: Range,
         mut step: impl FnMut(&mut Self, ObjBound) -> (AbsVal<'a>, Cost),
         cap: Option<ObjBound>,
-        result_shape: Shape,
     ) -> (AbsVal<'a>, Cost) {
         let numeric = rounds.hi.as_const().filter(|n| *n <= NUMERIC_STEP_CAP);
         let (result, chain_work_hi, chain_span_hi) = match numeric {
@@ -1469,13 +1326,9 @@ impl<'a> Analyzer<'a> {
                 let mut span = Bound::constant(0);
                 for _ in 0..n {
                     let (rv, cc) = step(self, acc.clone());
-                    let mut r = rv.as_obj();
-                    if let Some(b) = &cap {
-                        r = r.cap(b);
-                    }
-                    acc = acc.join(&r);
+                    acc = acc.join(&rv.as_obj().capped(cap.as_ref()));
                     work = work.add(&cc.work.hi);
-                    span = span.add(&cc.span);
+                    span = cost::IN_SEQUENCE.join(span, cc.span);
                 }
                 (acc, work, span)
             }
@@ -1495,18 +1348,20 @@ impl<'a> Analyzer<'a> {
                 let call_work = subst_bound(&cc.work.hi, &g, &s_max);
                 let call_span = subst_bound(&cc.span, &g, &s_max);
                 let mut result = capped_set_result(&s_max, cap.as_ref());
-                result.shape = match result.shape {
-                    s @ (Shape::Pair(_, _) | Shape::Set(_)) => s,
-                    _ => result_shape,
-                };
+                if !matches!(result.shape, Shape::Pair(..) | Shape::Set(_)) {
+                    result.shape = Shape::Top;
+                }
                 (result, rounds.hi.mul(&call_work), rounds.hi.mul(&call_span))
             }
         };
-        // Every round costs at least the 2-unit call floor.
-        let chain = Range::new(rounds.lo.saturating_mul(2), chain_work_hi);
-        let work = prefix.work.add(&chain);
-        let span = prefix.span.add(&chain_span_hi).add_const(1);
-        (AbsVal::Obj(result), Cost { work, span })
+        // Every round costs at least the call floor.
+        let floor = rounds.lo.saturating_mul(cost::CALL_FLOOR);
+        let chain = Cost::new(Range::new(floor, chain_work_hi), chain_span_hi);
+        let operands = Cost::node(cost::INDEPENDENT, operands);
+        (
+            AbsVal::Obj(result),
+            Cost::node(cost::RECURSION, [operands, chain]),
+        )
     }
 }
 

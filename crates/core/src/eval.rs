@@ -1,20 +1,12 @@
-//! Reference evaluator with an instrumented work/span (PRAM) cost model.
+//! Reference evaluator, instrumented with the work/span (PRAM) cost model.
 //!
-//! The evaluator computes the denotational semantics of §2/§3/§7.1 and, along the
-//! way, two cost measures per query:
-//!
-//! * **work** — the total number of elementary operations, a stand-in for the
-//!   number of processors × time product of a PRAM execution;
-//! * **span** — the length of the critical path under the natural parallel
-//!   reading of the constructs: `ext` applies its function to all elements
-//!   *independently* and unions the results in a single parallel step (§3), the
-//!   combining tree of `dcr` has depth `⌈log₂ m⌉`, whereas `sri`/`esr` and `loop`
-//!   are inherently sequential chains.
-//!
-//! These two numbers are what the experiments report: the paper's Theorem 6.2
-//! (dcr keeps queries in NC) shows up as polylogarithmic span growth, and
-//! Proposition 6.6 (sri captures PTIME) as linear span growth.
+//! The evaluator computes the denotational semantics of §2/§3/§7.1 and, along
+//! the way, the **work** and **span** of the evaluation. The model — what
+//! every construct charges and how spans compose — is stated once, in
+//! [`crate::cost`]; this module charges from that table and contains no cost
+//! rule of its own.
 
+use crate::cost;
 use crate::error::EvalError;
 use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::ExternRegistry;
@@ -31,7 +23,8 @@ pub struct EvalConfig {
     /// Maximum allowed cardinality of any intermediate set. Exceeding it aborts
     /// evaluation with [`EvalError::SetTooLarge`]; this is how the exponential
     /// blow-up of unbounded `dcr` over complex objects (e.g. `powerset`) is
-    /// surfaced in experiment E8 without hanging the process.
+    /// surfaced without hanging the process (pinned by
+    /// `queries::powerset::unbounded_powerset_blows_past_a_resource_limit`).
     pub max_set_size: usize,
     /// Maximum total work before aborting with [`EvalError::WorkLimitExceeded`].
     pub max_work: u64,
@@ -160,8 +153,27 @@ pub fn normalize_parallelism(requested: Option<usize>) -> Option<usize> {
 /// `NCQL_PARALLELISM` (the engine's `SessionBuilder::from_env`) instead, so
 /// the test variable never silently overrides an explicit user request.
 pub fn parallelism_from_env() -> Option<usize> {
-    let raw = std::env::var("NCQL_TEST_PARALLELISM").ok()?;
-    raw.trim().parse::<usize>().ok()
+    env_number("NCQL_TEST_PARALLELISM")
+}
+
+/// The environment variable `name` read as a number: `None` when it is
+/// unset or its trimmed value does not parse. Every numeric `NCQL_*` knob
+/// goes through here, so they all ignore the same garbage.
+pub fn env_number<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
+
+/// The environment variable `name` read as a switch: `0`, `off` and
+/// `off_word` are `Some(false)`, `1`, `on` and `on_word` are `Some(true)`,
+/// anything else (unset included) is `None`.
+pub fn env_switch(name: &str, off_word: &str, on_word: &str) -> Option<bool> {
+    match std::env::var(name).ok()?.trim() {
+        "0" | "off" => Some(false),
+        "1" | "on" => Some(true),
+        word if word == off_word => Some(false),
+        word if word == on_word => Some(true),
+        _ => None,
+    }
 }
 
 /// A shared flag for cooperatively cancelling an in-flight evaluation from
@@ -258,9 +270,8 @@ struct Closure {
     body: Arc<Expr>,
     env: Env,
     /// Lazily-computed per-application cost estimate for the parallel-region
-    /// gate: the body's static work bound from `analyze` when finite, else
-    /// `1 + body size`. Shared across clones so each distinct lambda is
-    /// analysed at most once per evaluation.
+    /// gate ([`crate::analyze::region_gate_cost`]). Shared across clones so
+    /// each distinct lambda is analysed at most once per evaluation.
     gate: Arc<OnceLock<u64>>,
     /// Lazily-compiled row kernel for `ext` over columnar input of a given
     /// shape (`None` once compilation rejects). Shared across clones so each
@@ -361,12 +372,6 @@ impl RtVal {
     }
 }
 
-/// The number of bits needed to write the cardinality `m` in binary, i.e.
-/// `⌈log₂(m+1)⌉` — the round count of `log-loop` (§7.1).
-pub fn log_rounds(m: usize) -> u64 {
-    (usize::BITS - m.leading_zeros()) as u64
-}
-
 /// Componentwise intersection `v ⊓ b` at a PS-type: sets intersect, pairs meet
 /// componentwise (§2, definition of bounded dcr).
 pub fn meet(v: &Value, bound: &Value) -> EvalResult<Value> {
@@ -377,6 +382,11 @@ pub fn meet(v: &Value, bound: &Value) -> EvalResult<Value> {
             "bounding meet applied at a non-PS-type value: {v} ⊓ {bound}"
         ))),
     }
+}
+
+/// An object result with its span.
+fn obj(v: Value, span: u64) -> EvalResult<(RtVal, u64)> {
+    Ok((RtVal::Obj(v), span))
 }
 
 /// `v ⊓ bound` for the bounded forms, `v` itself for the unbounded ones.
@@ -581,14 +591,13 @@ impl Evaluator {
 
     /// Decide whether a region of `apps` independent applications of the
     /// closure is worth forking: the static work estimate (applications ×
-    /// the closure's [`Closure::gate_cost`] — the body's `analyze` bound when
-    /// finite, the legacy `1 + body size` heuristic otherwise) must reach
-    /// `parallel_cutoff`, and the pool's thread-budget semaphore must still
-    /// have a worker to lend (nested regions compete for the same bounded
-    /// worker set; a region that gets no permit stays sequential). Returns
-    /// the borrowed permit to fork with, or `None` to stay sequential —
-    /// which never changes the result or the cost statistics, only the
-    /// schedule.
+    /// the closure's [`Closure::gate_cost`]) must reach
+    /// [`EvalConfig::parallel_cutoff`], and the pool's thread-budget
+    /// semaphore must still have a worker to lend (nested regions compete
+    /// for the same bounded worker set; a region that gets no permit stays
+    /// sequential). Returns the borrowed permit to fork with, or `None` to
+    /// stay sequential — which never changes the result or the cost
+    /// statistics, only the schedule.
     fn parallel_region(&self, apps: usize, clo: &Closure) -> Option<RegionPermit> {
         let threads = normalize_parallelism(self.config.parallelism)?;
         if apps < 2 {
@@ -623,10 +632,10 @@ impl Evaluator {
     }
 
     fn apply(&mut self, clo: &Closure, arg: RtVal) -> EvalResult<(RtVal, u64)> {
-        self.add_work(1)?;
+        self.add_work(cost::APPLY.work)?;
         let env = clo.env.extend(clo.param.clone(), arg);
         let (v, s) = self.eval(&clo.body, &env)?;
-        Ok((v, s + 1))
+        Ok((v, cost::APPLY.span_over([s])))
     }
 
     fn apply_obj(&mut self, clo: &Closure, arg: Value) -> EvalResult<(Value, u64)> {
@@ -692,11 +701,11 @@ impl Evaluator {
     }
 
     fn eval_kind(&mut self, expr: &Expr, env: &Env) -> EvalResult<(RtVal, u64)> {
-        self.add_work(1)?;
+        self.add_work(cost::NODE)?;
         match &expr.kind {
             ExprKind::Var(x) => env
                 .lookup(x)
-                .map(|v| (v, 0))
+                .map(|v| (v, cost::LEAF.span))
                 .ok_or_else(|| EvalError::unbound(x.clone())),
             ExprKind::Lam(x, _, body) => Ok((
                 RtVal::Clo(Closure {
@@ -706,75 +715,69 @@ impl Evaluator {
                     gate: Arc::new(OnceLock::new()),
                     kernel: Arc::new(OnceLock::new()),
                 }),
-                0,
+                cost::LEAF.span,
             )),
             ExprKind::App(f, a) => {
                 let (fv, sf) = self.eval(f, env)?;
                 let clo = fv.into_clo("application")?;
                 let (av, sa) = self.eval(a, env)?;
                 let (rv, sb) = self.apply(&clo, av)?;
-                Ok((rv, sf + sa + sb))
+                Ok((rv, cost::APP.span_over([sf, sa, sb])))
             }
             ExprKind::Let(x, bound, body) => {
                 let (bv, sb) = self.eval(bound, env)?;
                 let env2 = env.extend(x.clone(), bv);
                 let (rv, sr) = self.eval(body, &env2)?;
-                Ok((rv, sb + sr))
+                Ok((rv, cost::LET.span_over([sb, sr])))
             }
-            ExprKind::Unit => Ok((RtVal::Obj(Value::Unit), 0)),
+            ExprKind::Unit => obj(Value::Unit, cost::LEAF.span),
             ExprKind::Pair(a, b) => {
                 let (av, sa) = self.eval_obj(a, env)?;
                 let (bv, sb) = self.eval_obj(b, env)?;
-                Ok((RtVal::Obj(Value::pair(av, bv)), sa.max(sb) + 1))
+                obj(Value::pair(av, bv), cost::PAIR.span_over([sa, sb]))
             }
             ExprKind::Proj1(e) => {
                 let (v, s) = self.eval_obj(e, env)?;
                 match v {
-                    Value::Pair(a, _) => Ok((RtVal::Obj(*a), s + 1)),
+                    Value::Pair(a, _) => obj(*a, cost::PROJ.span_over([s])),
                     other => Err(EvalError::stuck(format!("pi1 of non-pair {other}"))),
                 }
             }
             ExprKind::Proj2(e) => {
                 let (v, s) = self.eval_obj(e, env)?;
                 match v {
-                    Value::Pair(_, b) => Ok((RtVal::Obj(*b), s + 1)),
+                    Value::Pair(_, b) => obj(*b, cost::PROJ.span_over([s])),
                     other => Err(EvalError::stuck(format!("pi2 of non-pair {other}"))),
                 }
             }
-            ExprKind::Bool(b) => Ok((RtVal::Obj(Value::Bool(*b)), 0)),
+            ExprKind::Bool(b) => obj(Value::Bool(*b), cost::LEAF.span),
             ExprKind::If(c, t, e) => {
                 let (cv, sc) = self.eval_obj(c, env)?;
                 match cv {
-                    Value::Bool(true) => {
-                        let (tv, st) = self.eval(t, env)?;
-                        Ok((tv, sc + st + 1))
-                    }
-                    Value::Bool(false) => {
-                        let (ev, se) = self.eval(e, env)?;
-                        Ok((ev, sc + se + 1))
+                    Value::Bool(taken) => {
+                        let (v, s) = self.eval(if taken { t } else { e }, env)?;
+                        Ok((v, cost::IF.span_over([sc, s])))
                     }
                     other => Err(EvalError::stuck(format!(
                         "if condition not a boolean: {other}"
                     ))),
                 }
             }
-            ExprKind::Eq(a, b) => {
+            ExprKind::Eq(a, b) | ExprKind::Leq(a, b) => {
                 let (av, sa) = self.eval_obj(a, env)?;
                 let (bv, sb) = self.eval_obj(b, env)?;
-                self.add_work(av.size().min(bv.size()) as u64)?;
-                Ok((RtVal::Obj(Value::Bool(av == bv)), sa.max(sb) + 1))
+                self.add_work(cost::cmp_extra(av.size() as u64, bv.size() as u64))?;
+                let holds = match expr.kind {
+                    ExprKind::Eq(..) => av == bv,
+                    _ => av <= bv,
+                };
+                obj(Value::Bool(holds), cost::CMP.span_over([sa, sb]))
             }
-            ExprKind::Leq(a, b) => {
-                let (av, sa) = self.eval_obj(a, env)?;
-                let (bv, sb) = self.eval_obj(b, env)?;
-                self.add_work(av.size().min(bv.size()) as u64)?;
-                Ok((RtVal::Obj(Value::Bool(av <= bv)), sa.max(sb) + 1))
-            }
-            ExprKind::Const(v) => Ok((RtVal::Obj(v.clone()), 0)),
-            ExprKind::Empty(_) => Ok((RtVal::Obj(Value::empty_set()), 0)),
+            ExprKind::Const(v) => obj(v.clone(), cost::LEAF.span),
+            ExprKind::Empty(_) => obj(Value::empty_set(), cost::LEAF.span),
             ExprKind::Singleton(e) => {
                 let (v, s) = self.eval_obj(e, env)?;
-                Ok((RtVal::Obj(Value::singleton(v)), s + 1))
+                obj(Value::singleton(v), cost::SINGLETON.span_over([s]))
             }
             ExprKind::Union(a, b) => {
                 let (av, sa) = self.eval_set(a, env, "union")?;
@@ -782,11 +785,11 @@ impl Evaluator {
                 let u = av.union(&bv);
                 self.add_work(u.len() as u64)?;
                 self.note_set(&u)?;
-                Ok((RtVal::Obj(Value::Set(u)), sa.max(sb) + 1))
+                obj(Value::Set(u), cost::UNION.span_over([sa, sb]))
             }
             ExprKind::IsEmpty(e) => {
                 let (v, s) = self.eval_set(e, env, "isempty")?;
-                Ok((RtVal::Obj(Value::Bool(v.is_empty())), s + 1))
+                obj(Value::Bool(v.is_empty()), cost::IS_EMPTY.span_over([s]))
             }
             ExprKind::Ext(f, e) => {
                 let (clo, sf) = self.eval_clo(f, env, "ext function")?;
@@ -795,12 +798,8 @@ impl Evaluator {
                 // workers run the parallel shard-merge rounds below.
                 let region = self.parallel_region(set.len(), &clo);
                 // A columnar argument whose function body compiles to a row
-                // kernel runs directly over the word rows. Values, work, span
-                // and every counter are bit-identical to the interpreted
-                // element map (the kernel charges the interpreter's exact
-                // per-element cost), so this is purely an execution
-                // strategy — `config.kernels = false` or any unliftable body
-                // takes the interpreted map with no observable change.
+                // kernel runs directly over the word rows: an execution
+                // strategy with no observable change (see [`crate::kernel`]).
                 let kernel = set
                     .columnar_rows()
                     .filter(|_| self.config.kernels)
@@ -822,7 +821,7 @@ impl Evaluator {
                 let mut parts: Vec<VSet> = Vec::with_capacity(mapped.len());
                 let mut max_elem_span = 0u64;
                 for (res, sx) in mapped {
-                    max_elem_span = max_elem_span.max(sx);
+                    max_elem_span = cost::INDEPENDENT.join(max_elem_span, sx);
                     match res {
                         Value::Set(s) => parts.push(s),
                         other => {
@@ -835,9 +834,10 @@ impl Evaluator {
                 let result = self.merge_ext_parts(region.as_ref(), parts)?;
                 self.add_work(result.len() as u64)?;
                 self.note_set(&result)?;
-                // All element computations run independently; the final union is
-                // one parallel step (§3's argument for keeping `ext` primitive).
-                Ok((RtVal::Obj(Value::Set(result)), sf + se + max_elem_span + 1))
+                obj(
+                    Value::Set(result),
+                    cost::EXT.span_over([sf, se, max_elem_span]),
+                )
             }
 
             ExprKind::UnionRec { form, e, f, u, arg } => {
@@ -858,20 +858,18 @@ impl Evaluator {
                 let mut max_span = 0u64;
                 for a in args {
                     let (v, s) = self.eval_obj(a, env)?;
-                    max_span = max_span.max(s);
+                    max_span = cost::EXTERN.join(max_span, s);
                     vals.push(v);
                 }
-                self.add_work(1)?;
+                self.add_work(cost::EXTERN_CALL)?;
                 let result = (ext.body)(&vals)?;
-                Ok((RtVal::Obj(result), max_span + 1))
+                obj(result, cost::EXTERN.span_over([max_span]))
             }
         }
     }
 
     /// Shared evaluation of `dcr` / `sru` / `bdcr`: apply `f` to all elements in
-    /// parallel, then combine with `u` along a balanced binary tree. The span of
-    /// the tree is the maximum root-to-leaf sum of combiner spans, i.e. `Θ(log m)`
-    /// levels each contributing the span of one combiner application.
+    /// parallel, then combine with `u` along a balanced binary tree.
     fn eval_union_recursor(
         &mut self,
         env: &Env,
@@ -887,10 +885,10 @@ impl Evaluator {
         let (bound_val, sb) = self.eval_bound(bound, env)?;
         let e_val = clip(e_val, &bound_val)?;
         let (set, sarg) = self.eval_set(arg, env, "recursor argument")?;
-        let prefix_span = se.max(sf).max(su).max(sb).max(sarg);
+        let prefix_span = cost::INDEPENDENT.span_over([se, sf, su, sb, sarg]);
 
         if set.is_empty() {
-            return Ok((RtVal::Obj(e_val), prefix_span + 1));
+            return obj(e_val, cost::RECURSION.span_over([prefix_span]));
         }
 
         // Leaves: f applied to every element, independently. (The block
@@ -923,9 +921,10 @@ impl Evaluator {
                     next.push(match it.next() {
                         Some((b, sbn)) => {
                             ev.stats.combiner_calls += 1;
+                            let subtrees = cost::INDEPENDENT.span_over([sa, sbn]);
                             let (c, sc) =
                                 ev.apply_bounded(&u_clo, Value::pair(a, b), &bound_val)?;
-                            (c, sa.max(sbn) + sc)
+                            (c, cost::IN_SEQUENCE.span_over([subtrees, sc]))
                         }
                         None => (a, sa),
                     });
@@ -934,7 +933,7 @@ impl Evaluator {
             })?;
         }
         let (result, tree_span) = level.pop().expect("non-empty set has a combining result");
-        Ok((RtVal::Obj(result), prefix_span + tree_span + 1))
+        obj(result, cost::RECURSION.span_over([prefix_span, tree_span]))
     }
 
     /// Canonical union of the per-element result sets of one `ext`. With an
@@ -968,16 +967,12 @@ impl Evaluator {
     }
 
     /// The kernel-path element map of `ext`: run the compiled row kernel over
-    /// every columnar row of `set`, charging block by block exactly what the
-    /// interpreter charges to apply the closure to those elements (the
-    /// kernel computes the interpreter's work and span per path at compile
-    /// time; one `add_work` per block keeps the limit and the cancel poll).
-    /// Each shard — the whole set on the inline schedule — canonicalizes its
-    /// emitted rows into one result part with the shard's maximum element
-    /// span, the same `(value, span)` currency the interpreted map produces
-    /// per element, so the parts union to the same canonical set and the
-    /// statistics are bit-identical across all four (schedule × strategy)
-    /// combinations.
+    /// every columnar row of `set`, charging block by block what the kernel
+    /// folded from [`crate::cost`] for those rows (one `add_work` per block
+    /// keeps the limit and the cancel poll). Each shard — the whole set on the
+    /// inline schedule — canonicalizes its emitted rows into one result part
+    /// with the shard's maximum element span, the same `(value, span)`
+    /// currency the interpreted map produces per element.
     fn ext_rows_kernel(
         &mut self,
         region: Option<&RegionPermit>,
@@ -1041,8 +1036,7 @@ impl Evaluator {
     }
 
     /// Shared evaluation of `sri` / `esr` / `bsri`: a sequential chain of step
-    /// applications, one per element. The span is the *sum* of the step spans —
-    /// this is the PTIME side of the dichotomy (Proposition 6.6).
+    /// applications, one per element.
     fn eval_insert_recursor(
         &mut self,
         env: &Env,
@@ -1056,7 +1050,7 @@ impl Evaluator {
         let (bound_val, sb) = self.eval_bound(bound, env)?;
         let mut acc = clip(acc, &bound_val)?;
         let (set, sarg) = self.eval_set(arg, env, "insert recursor argument")?;
-        let prefix_span = se.max(si).max(sb).max(sarg);
+        let prefix_span = cost::INDEPENDENT.span_over([se, si, sb, sarg]);
 
         let mut chain_span = 0u64;
         let n = set.len() as u64;
@@ -1067,10 +1061,10 @@ impl Evaluator {
             self.stats.step_calls += 1;
             let (v, s) = self.apply_bounded(&i_clo, Value::pair(x, acc), &bound_val)?;
             acc = v;
-            chain_span += s;
+            chain_span = cost::IN_SEQUENCE.join(chain_span, s);
         }
         self.note_rounds(n);
-        Ok((RtVal::Obj(acc), prefix_span + chain_span + 1))
+        obj(acc, cost::RECURSION.span_over([prefix_span, chain_span]))
     }
 
     /// Shared evaluation of the iterators `loop` / `log-loop` / `bloop` /
@@ -1090,19 +1084,19 @@ impl Evaluator {
         let (acc, si) = self.eval_obj(init, env)?;
         let mut acc = clip(acc, &bound_val)?;
         let rounds = if logarithmic {
-            log_rounds(counting_set.len())
+            cost::log_rounds(counting_set.len())
         } else {
             counting_set.len() as u64
         };
-        let prefix_span = sf.max(sb).max(ss).max(si);
+        let prefix_span = cost::INDEPENDENT.span_over([sf, sb, ss, si]);
         let mut chain_span = 0u64;
         for _ in 0..rounds {
             let (v, s) = self.apply_bounded(&f_clo, acc, &bound_val)?;
             acc = v;
-            chain_span += s;
+            chain_span = cost::IN_SEQUENCE.join(chain_span, s);
         }
         self.note_rounds(rounds);
-        Ok((RtVal::Obj(acc), prefix_span + chain_span + 1))
+        obj(acc, cost::RECURSION.span_over([prefix_span, chain_span]))
     }
 }
 
@@ -1465,17 +1459,6 @@ mod tests {
             ],
         );
         assert_eq!(eval_closed(&e).unwrap(), Value::Nat(40));
-    }
-
-    #[test]
-    fn log_rounds_matches_definition() {
-        assert_eq!(log_rounds(0), 0);
-        assert_eq!(log_rounds(1), 1);
-        assert_eq!(log_rounds(2), 2);
-        assert_eq!(log_rounds(3), 2);
-        assert_eq!(log_rounds(4), 3);
-        assert_eq!(log_rounds(1023), 10);
-        assert_eq!(log_rounds(1024), 11);
     }
 
     #[test]

@@ -611,10 +611,9 @@ impl Expr {
 
     /// `f(arg)` with the administrative redex removed when `f` is a literal
     /// λ-abstraction: `(λx. b)(arg)` becomes `let x = arg in b`, anything else
-    /// stays an [`ExprKind::App`]. The evaluator charges `Let` and
-    /// `App`+`Lam` identically (one unit for the binding), but the `let` form
-    /// keeps generated plans readable and gives the rewrite rules one shared
-    /// way to compose function bodies without substitution.
+    /// stays an [`ExprKind::App`]. The `let` form keeps generated plans
+    /// readable, skips the closure and its application, and gives the rewrite
+    /// rules one shared way to compose function bodies without substitution.
     pub fn apply_lam(f: Expr, arg: Expr) -> Expr {
         match f.kind {
             ExprKind::Lam(x, _, body) => {

@@ -5,12 +5,13 @@
 //! etc), and the usual aggregate functions (cardinality, sum, average, etc.)".
 //! Proposition 6.3 states that `NRA(Σ, bdcr)` stays within NC, whereas unbounded
 //! `dcr` together with unbounded arithmetic (`NRA¹(ℕ, +, dcr)`) can express
-//! exponential-space queries — the registry here is what the corresponding
-//! experiment (E8) toggles.
+//! exponential-space queries (pinned by
+//! `queries::aggregates::double_exponential_grows`) — the registry here is
+//! what decides which side of that line a session is on.
 //!
 //! Every external is a total Rust function on values with a declared signature;
-//! the type checker uses the signature, and the evaluator charges one unit of
-//! work and one unit of span per call (externals are assumed to be NC-computable
+//! the type checker uses the signature, and a call is charged by the
+//! [`crate::cost::EXTERN`] rule (externals are assumed to be NC-computable
 //! black boxes).
 
 use crate::error::EvalError;

@@ -1,21 +1,16 @@
 //! Compiled row kernels: running `ext` bodies directly over columnar rows.
 //!
-//! PR 9 taught [`VSet`] to store large flat-shaped sets as fixed-width `u64`
-//! rows, but the evaluator still boxed every element back into a
-//! [`Value`](ncql_object::Value)
-//! the moment an `ext` closure touched the set — the columnar representation
-//! accelerated the set algebra, not the comprehension hot loop where the
-//! paper's NC work bounds are actually spent. This module closes that gap
-//! with the classic "compile the comprehension instead of interpreting it"
-//! move: when an `ext` body is built from projections, pair construction,
-//! scalar comparisons/arithmetic, `let`/`if`, and constants over a
-//! flat-shaped input, [`compile`] lowers it to a [`RowKernel`] — one flat
-//! instruction vector over a scratch buffer of machine words, run once per
-//! input row, emitting output rows without constructing a single `Value`.
-//! Every operand offset is fixed at compile time: variables, `let`-bound
-//! values, projections and literals are plain offsets and cost no
-//! instruction; only calls, comparisons, pair assembly, branches and the
-//! emit execute.
+//! [`VSet`] stores large flat-shaped sets as fixed-width `u64` rows; an
+//! interpreted `ext` boxes every element back into a
+//! [`Value`](ncql_object::Value) the moment its closure touches the set.
+//! When an `ext` body is built from projections, pair construction, scalar
+//! comparisons/arithmetic, `let`/`if`, and constants over a flat-shaped
+//! input, [`compile`] lowers it to a [`RowKernel`] — one flat instruction
+//! vector over a scratch buffer of machine words, run once per input row,
+//! emitting output rows without constructing a single `Value`. Every operand
+//! offset is fixed at compile time: variables, `let`-bound values,
+//! projections and literals are plain offsets and cost no instruction; only
+//! calls, comparisons, pair assembly, branches and the emit execute.
 //!
 //! Three invariants make the kernel path *indistinguishable* from the
 //! interpreter (the differential and property suites pin all three):
@@ -23,14 +18,11 @@
 //! 1. **Values** — the emitted rows, canonicalized through
 //!    [`VSet::from_raw_rows`], produce exactly the set the interpreted
 //!    element map produces (canonical representations are unique).
-//! 2. **Cost** — cost is computed at compile time per path and charged per
-//!    block; the differential suites pin it equal to the interpreter's. The
-//!    compiler folds the instrumented evaluator's charges — one unit per AST
-//!    node visited, the min-size charge of `=`/`<=`, the extra call unit of
-//!    an external, the apply charge — into a cost term per body. A
-//!    straight-line body has one constant `(work, span)`; each `if` owns one
-//!    bit of a per-row path key (conditionals charge only the taken arm),
-//!    and [`RowKernel::run_rows`] charges a block of rows
+//! 2. **Cost** — the compiler folds the rules of [`crate::cost`] — the ones
+//!    the interpreter charges — into a cost term per body. A straight-line
+//!    body has one constant `(work, span)`; each `if` owns one bit of a
+//!    per-row path key (conditionals charge only the taken arm), and
+//!    [`RowKernel::run_rows`] charges a block of rows
 //!    `Σ rows(path) × work(path)` and reports `max span(path)`.
 //! 3. **Fallback** — anything unliftable (set-typed subterms, captured free
 //!    variables, non-flat constants, externals without a word-level twin,
@@ -43,6 +35,7 @@
 //! closure like its region-gate estimate) and is itself cheap — one pass
 //! over the body.
 
+use crate::cost::{self, Rule};
 use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::{ExternRegistry, ScalarExternFn};
 use crate::span::Span;
@@ -102,20 +95,14 @@ enum Op {
 }
 
 /// The interpreter's `(work, span)` charge for one body, as a function of
-/// the path key. Built once by the compiler — every accounting rule lives in
-/// the constructors' call sites below, none in the row loop.
+/// the path key. Built once by the compiler from the rules of
+/// [`crate::cost`]; nothing is accounted in the row loop.
 #[derive(Debug)]
 enum Cost {
     /// A subterm without conditionals: the same charge on every row.
     Flat(u64, u64),
-    /// `work` plus the children's work; `span` plus the children's spans,
-    /// summed when they run in sequence and maximised when independent.
-    Node {
-        work: u64,
-        span: u64,
-        sum: bool,
-        kids: Vec<Cost>,
-    },
+    /// A node under `rule` over the operands `kids`.
+    Node { rule: Rule, kids: Vec<Cost> },
     /// The taken arm of the conditional owning `bit`.
     Branch {
         bit: u32,
@@ -125,28 +112,11 @@ enum Cost {
 }
 
 impl Cost {
-    /// A variable, literal or `{}`: one node visited, no depth.
-    const LEAF: Cost = Cost::Flat(1, 0);
-
-    /// A node over independent children: span is the deepest child's plus
-    /// one level.
-    fn par(work: u64, kids: Vec<Cost>) -> Cost {
-        Cost::node(work, 1, false, kids)
-    }
-
-    /// A node whose children run one after the other: spans add up.
-    fn seq(work: u64, span: u64, kids: Vec<Cost>) -> Cost {
-        Cost::node(work, span, true, kids)
-    }
-
-    fn node(work: u64, span: u64, sum: bool, kids: Vec<Cost>) -> Cost {
+    /// A node under `rule` over `kids`, folded to a constant when every
+    /// operand is one.
+    fn node(rule: Rule, kids: Vec<Cost>) -> Cost {
         let straight = kids.iter().all(|k| matches!(k, Cost::Flat(..)));
-        let node = Cost::Node {
-            work,
-            span,
-            sum,
-            kids,
-        };
+        let node = Cost::Node { rule, kids };
         if straight {
             let (work, span) = node.of(0);
             Cost::Flat(work, span)
@@ -155,24 +125,16 @@ impl Cost {
         }
     }
 
+    /// Extra work, static for a flat shape: an operand of no depth.
+    fn extra(work: u64) -> Cost {
+        Cost::Flat(work, 0)
+    }
+
     /// The charge for a row that took `path`.
     fn of(&self, path: u64) -> (u64, u64) {
         match self {
             Cost::Flat(work, span) => (*work, *span),
-            Cost::Node {
-                work,
-                span,
-                sum,
-                kids,
-            } => {
-                let (mut w, mut s) = (*work, 0u64);
-                for kid in kids {
-                    let (kw, ks) = kid.of(path);
-                    w += kw;
-                    s = if *sum { s + ks } else { s.max(ks) };
-                }
-                (w, span + s)
-            }
+            Cost::Node { rule, kids } => rule.node(kids.iter().map(|kid| kid.of(path))),
             Cost::Branch { bit, t, e } => {
                 if path >> bit & 1 == 1 {
                     t.of(path)
@@ -360,7 +322,7 @@ impl Compiler<'_> {
         let at = self.alloc(words.len());
         let placed = words.iter().enumerate().map(|(i, &w)| (at + i, w));
         self.consts.extend(placed);
-        Ok(((at, shape), Cost::LEAF))
+        Ok(((at, shape), Cost::node(cost::LEAF, Vec::new())))
     }
 
     /// Lower `if c then t else e`, each arm through `arm`: the condition,
@@ -403,7 +365,7 @@ impl Compiler<'_> {
             t: Box::new(ct),
             e: Box::new(ce),
         };
-        Ok((rt, re, Cost::seq(1, 1, vec![cc, taken])))
+        Ok((rt, re, Cost::node(cost::IF, vec![cc, taken])))
     }
 
     /// Lower `let x = bound in body`: the name resolves to wherever `bound`
@@ -419,7 +381,7 @@ impl Compiler<'_> {
         let result = body(self);
         self.scope.pop();
         let (lowered, cr) = result?;
-        Ok((lowered, Cost::seq(1, 0, vec![cb, cr])))
+        Ok((lowered, Cost::node(cost::LET, vec![cb, cr])))
     }
 
     /// Lower a scalar (value-level) subterm; returns the offset and shape of
@@ -433,7 +395,7 @@ impl Compiler<'_> {
                     .rev()
                     .find(|(name, ..)| name == x)
                     .ok_or_else(|| format!("captures the free variable `{x}`"))?;
-                Ok(((*at, shape.clone()), Cost::LEAF))
+                Ok(((*at, shape.clone()), Cost::node(cost::LEAF, Vec::new())))
             }
             ExprKind::Unit => self.lit(&[], FlatShape::Unit),
             ExprKind::Bool(b) => self.lit(&[u64::from(*b)], FlatShape::Bool),
@@ -454,7 +416,7 @@ impl Compiler<'_> {
                 self.copy(oa, at, wa);
                 self.copy(ob, at + wa, wb);
                 let shape = FlatShape::Pair(Box::new(sa), Box::new(sb));
-                Ok(((at, shape), Cost::par(1, vec![ca, cb])))
+                Ok(((at, shape), Cost::node(cost::PAIR, vec![ca, cb])))
             }
             ExprKind::Proj1(e) | ExprKind::Proj2(e) => {
                 let ((at, shape), c) = self.scalar(e)?;
@@ -466,7 +428,7 @@ impl Compiler<'_> {
                 } else {
                     (at + sa.width(), *sb)
                 };
-                Ok((part, Cost::par(1, vec![c])))
+                Ok((part, Cost::node(cost::PROJ, vec![c])))
             }
             ExprKind::If(c, t, e) => {
                 // Both arms copy their result into one destination, so the
@@ -499,10 +461,12 @@ impl Compiler<'_> {
                     width: sa.width(),
                     at,
                 });
-                // One unit for the node plus the interpreter's min-size
-                // comparison charge, static for a flat shape.
-                let work = 1 + shape_size(&sa);
-                Ok(((at, FlatShape::Bool), Cost::par(work, vec![ca, cb])))
+                // Both operands have the one shape, so `min(|a|, |b|)` is
+                // its size.
+                let size = shape_size(&sa);
+                let extra = Cost::extra(cost::cmp_extra(size, size));
+                let cost = Cost::node(cost::CMP, vec![ca, cb, extra]);
+                Ok(((at, FlatShape::Bool), cost))
             }
             ExprKind::Extern(name, args) => {
                 let f = self
@@ -519,7 +483,7 @@ impl Compiler<'_> {
                     .filter(|s| s.width() == 1)
                     .ok_or_else(|| format!("external `{name}` result is not one word"))?;
                 let mut offsets = [0usize; MAX_CALL_ARGS];
-                let mut costs = Vec::with_capacity(args.len());
+                let mut costs = Vec::with_capacity(args.len() + 1);
                 for ((arg, param_ty), offset) in args.iter().zip(&f.params).zip(&mut offsets) {
                     let want = FlatShape::of_type(param_ty)
                         .filter(|s| s.width() == 1)
@@ -538,9 +502,8 @@ impl Compiler<'_> {
                     arity: args.len(),
                     at,
                 });
-                // One unit for the extern node, one for the call itself —
-                // the interpreter's two charges around the body.
-                Ok(((at, result_shape), Cost::par(2, costs)))
+                costs.push(Cost::extra(cost::EXTERN_CALL));
+                Ok(((at, result_shape), Cost::node(cost::EXTERN, costs)))
             }
             other => Err(format!(
                 "`{}` is not liftable as a scalar",
@@ -557,7 +520,7 @@ impl Compiler<'_> {
             let (sa, ca) = self.emit(a)?;
             let (sb, cb) = self.emit(b)?;
             let shape = FlatShape::Pair(Box::new(sa), Box::new(sb));
-            return Ok((shape, Cost::par(1, vec![ca, cb])));
+            return Ok((shape, Cost::node(cost::PAIR, vec![ca, cb])));
         }
         let ((at, shape), cost) = self.scalar(expr)?;
         let width = shape.width();
@@ -574,13 +537,13 @@ impl Compiler<'_> {
     /// shape of the emitted rows, `None` when no path emits.
     fn set_op(&mut self, expr: &Expr) -> Lowered<Option<FlatShape>> {
         match &expr.kind {
-            ExprKind::Empty(_) => Ok((None, Cost::LEAF)),
+            ExprKind::Empty(_) => Ok((None, Cost::node(cost::LEAF, Vec::new()))),
             ExprKind::Singleton(e) => {
                 let (shape, c) = self.emit(e)?;
                 if shape.width() == 0 {
                     return Err("zero-width output rows (all-unit elements)".to_string());
                 }
-                Ok((Some(shape), Cost::par(1, vec![c])))
+                Ok((Some(shape), Cost::node(cost::SINGLETON, vec![c])))
             }
             ExprKind::If(c, t, e) => {
                 let (st, se, cost) = self.conditional(c, t, e, |this, arm| this.set_op(arm))?;
@@ -662,8 +625,7 @@ pub fn compile(
             scratch_len: c.next,
             consts: c.consts,
             ops: c.ops,
-            // Applying the closure charges one unit and one span level.
-            cost: Cost::par(1, vec![cost]),
+            cost: Cost::node(cost::APPLY, vec![cost]),
         })
     })();
     match &result {

@@ -16,26 +16,26 @@
 //!   Σ (Proposition 6.3).
 //! * [`mod@typecheck`] — a bidirectional-ish type checker for the language, including
 //!   the PS-type side conditions of the bounded constructs.
-//! * [`eval`] — the evaluator, instrumented with a **work/span (PRAM) cost
-//!   model**. The span of a `dcr` combining tree is logarithmic in the set size,
-//!   the span of `ext` is one parallel step plus the maximum over its element
-//!   computations, and the span of `sri` is linear — this is exactly the
-//!   observable difference between the NC language (Theorems 6.1/6.2) and the
-//!   PTIME language (Proposition 6.6). There is one evaluator and one code
-//!   path per construct; who runs which leaf is a *schedule* chosen underneath
-//!   it: with `EvalConfig::parallelism` set, the `ext` element map and the
-//!   `dcr` leaf map and combining-tree rounds fork onto `ncql-pram`'s
-//!   persistent work-stealing pool (cost-model cutover and thread-budget
-//!   semaphore documented on [`EvalConfig`]), and values and cost statistics
-//!   are bit-identical on every schedule.
+//! * [`cost`] — the **work/span (PRAM) cost model**, stated once: one rule
+//!   per construct, read by the three modules that charge, bound and fold it.
+//!   Logarithmic span for a `dcr` combining tree, linear span for `sri`: the
+//!   observable difference between the NC language (Theorems 6.1/6.2) and
+//!   the PTIME language (Proposition 6.6).
+//! * [`eval`] — the evaluator, which charges that model as it computes the
+//!   semantics. There is one evaluator and one code path per construct; who
+//!   runs which leaf is a *schedule* chosen underneath it: with
+//!   `EvalConfig::parallelism` set, the `ext` element map and the `dcr` leaf
+//!   map and combining-tree rounds fork onto `ncql-pram`'s persistent
+//!   work-stealing pool (cutover and thread budget documented on
+//!   [`EvalConfig`]), and values and cost statistics are bit-identical on
+//!   every schedule.
 //! * [`analysis`] — the syntactic passes: free variables, the *depth of
 //!   recursion nesting* of §3, which stratifies the language into the ACᵏ
 //!   levels, and the span-aware lint pass.
-//! * [`analyze`] — the cost interpreter: symbolic work/span upper bounds in
-//!   the schema-relation cardinalities (mirroring [`eval`]'s cost model, with
-//!   the `dcr` combining tree contributing a log factor to the span) and the
-//!   work floor, an integer, for rejecting doomed queries. It runs the
-//!   [`analysis`] lint pass so one call reports both.
+//! * [`analyze`] — the cost interpreter: the rules of [`cost`] over symbolic
+//!   carriers give work/span upper bounds in the schema-relation
+//!   cardinalities, and the work floor, an integer, for rejecting doomed
+//!   queries. It runs the [`analysis`] lint pass so one call reports both.
 //! * [`rewrite`] — the algebraic optimizer: one bottom-up pass (constant
 //!   folding on a per-text budget, ext-fusion) whose result is gated by the
 //!   [`analyze`] cost model so a plan's work/span guarantee can only improve.
@@ -53,11 +53,12 @@
 //! * [`kernel`] — compiled row kernels: `ext` bodies built from projections,
 //!   pairs, scalar comparisons/arithmetic and constants over flat-shaped
 //!   input lower to a register program executed directly over the columnar
-//!   word rows, with work/span accounting bit-identical to the interpreter
-//!   and a clean fallback for everything unliftable.
+//!   word rows, with the [`cost`] rules folded to a constant per path and a
+//!   clean fallback for everything unliftable.
 
 pub mod analysis;
 pub mod analyze;
+pub mod cost;
 pub mod derived;
 pub mod error;
 pub mod eval;

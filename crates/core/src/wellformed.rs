@@ -13,8 +13,9 @@
 //! by evaluating `f` over an actual input together with `e` and some closure
 //! under `u`), verify the identities exhaustively over that carrier. This is the
 //! precision/cost trade-off a practical implementation of the language would
-//! ship, and it is also how experiment E12 demonstrates that the crafted
-//! counterexample of §2 (`u(x, y) = if p then x ∪ y else x \ y`) is caught.
+//! ship, and it is also how the crafted counterexample of §2
+//! (`u(x, y) = if p then x ∪ y else x \ y`) is caught (pinned by
+//! `set_difference_combiner_is_rejected` below).
 
 use crate::error::EvalError;
 use crate::eval::{EvalConfig, Evaluator};
@@ -300,7 +301,7 @@ impl LawChecker {
     }
 
     /// End-to-end convenience: check a `dcr`/`sru` instance against a concrete
-    /// input value (used by the tests, the examples and experiment E12).
+    /// input value (used by the tests and the examples).
     pub fn check_dcr_instance(
         &mut self,
         e: &Expr,

@@ -3,7 +3,9 @@
 use crate::cache::SharedLru;
 use crate::error::Error;
 use crate::prepared::{Backend, Outcome, PreparedPlan, PreparedQuery};
-use ncql_core::eval::{normalize_parallelism, CancelToken, EvalConfig, Evaluator};
+use ncql_core::eval::{
+    env_number, env_switch, normalize_parallelism, CancelToken, EvalConfig, Evaluator,
+};
 use ncql_core::expr::Expr;
 use ncql_core::externs::ExternRegistry;
 use ncql_core::rewrite::{optimize_analyzed, OptLevel};
@@ -197,20 +199,14 @@ impl SessionBuilder {
     /// leave the defaults untouched.
     pub fn from_env() -> SessionBuilder {
         let mut builder = SessionBuilder::new();
-        if let Ok(raw) = std::env::var("NCQL_PARALLELISM") {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                builder.config.parallelism = normalize_parallelism(Some(n));
-            }
+        if let Some(n) = env_number("NCQL_PARALLELISM") {
+            builder.config.parallelism = normalize_parallelism(Some(n));
         }
-        if let Ok(raw) = std::env::var("NCQL_PARALLEL_CUTOFF") {
-            if let Ok(cutoff) = raw.trim().parse::<u64>() {
-                builder.config.parallel_cutoff = cutoff;
-            }
+        if let Some(cutoff) = env_number("NCQL_PARALLEL_CUTOFF") {
+            builder.config.parallel_cutoff = cutoff;
         }
-        if let Ok(raw) = std::env::var("NCQL_POOL_THREADS") {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                builder.config.pool_threads = normalize_parallelism(Some(n));
-            }
+        if let Some(n) = env_number("NCQL_POOL_THREADS") {
+            builder.config.pool_threads = normalize_parallelism(Some(n));
         }
         if let Ok(raw) = std::env::var("NCQL_LINT") {
             match raw.trim() {
@@ -219,19 +215,13 @@ impl SessionBuilder {
                 _ => {}
             }
         }
-        if let Ok(raw) = std::env::var("NCQL_OPT") {
-            match raw.trim() {
-                "0" | "none" | "off" => builder.opt_level = OptLevel::None,
-                "1" | "default" | "on" => builder.opt_level = OptLevel::Default,
-                _ => {}
-            }
+        match env_switch("NCQL_OPT", "none", "default") {
+            Some(false) => builder.opt_level = OptLevel::None,
+            Some(true) => builder.opt_level = OptLevel::Default,
+            None => {}
         }
-        if let Ok(raw) = std::env::var("NCQL_KERNELS") {
-            match raw.trim() {
-                "0" | "false" | "off" => builder.config.kernels = false,
-                "1" | "true" | "on" => builder.config.kernels = true,
-                _ => {}
-            }
+        if let Some(on) = env_switch("NCQL_KERNELS", "false", "true") {
+            builder.config.kernels = on;
         }
         builder
     }
@@ -257,7 +247,9 @@ impl SessionBuilder {
     }
 
     /// Cost-model fork threshold of the parallel backend: a region is forked
-    /// only when `applications × closure body size` reaches this value.
+    /// only when its estimated work — applications × the closure body's
+    /// static work bound (`1 + body size` when the analyser pins none, see
+    /// [`EvalConfig::parallel_cutoff`]) — reaches this value.
     pub fn parallel_cutoff(mut self, cutoff: u64) -> SessionBuilder {
         self.config.parallel_cutoff = cutoff;
         self

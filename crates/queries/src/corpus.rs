@@ -1,4 +1,4 @@
-//! The E1–E12 differential corpus: one closed, evaluable instance of every
+//! The differential corpus: one closed, evaluable instance of every
 //! query family in this crate, at sizes small enough for a test suite but
 //! large enough that the parallel backend's cutover actually forks.
 //!
@@ -39,7 +39,7 @@ fn atoms(n: u64) -> Expr {
 pub fn differential_corpus() -> Vec<CorpusEntry> {
     let mut out = Vec::new();
 
-    // E1 — parity in its three variants, spanning the cutover boundary.
+    // Parity (§1) in its three variants, spanning the cutover boundary.
     for n in [0u64, 1, 7, 64, 130] {
         out.push(entry(
             format!("parity/dcr/{n}"),
@@ -55,7 +55,7 @@ pub fn differential_corpus() -> Vec<CorpusEntry> {
         ));
     }
 
-    // E2/E4 — transitive closure and friends over generated graphs.
+    // Example 7.1 / Prop. 2.2 — transitive closure and friends over generated graphs.
     let path = |n: u64| Expr::constant(datagen::path_graph(n).to_value());
     let cycle = |n: u64| Expr::constant(datagen::cycle_graph(n).to_value());
     let random = |n: u64| Expr::constant(datagen::random_graph(n, 2.5 / n as f64, 7).to_value());
@@ -94,7 +94,7 @@ pub fn differential_corpus() -> Vec<CorpusEntry> {
         graph::same_generation(path(8)),
     ));
 
-    // E3-adjacent — classical relational algebra over random relations.
+    // Classical relational algebra over random relations.
     let r = Expr::constant(datagen::random_relation(12, 40, 11).to_value());
     let s = Expr::constant(datagen::random_relation(12, 40, 13).to_value());
     out.push(entry("relalg/join", relalg::join(r.clone(), s.clone())));
@@ -110,7 +110,7 @@ pub fn differential_corpus() -> Vec<CorpusEntry> {
     out.push(entry("relalg/division", relalg::division(r, s)));
     out.push(entry("relalg/diagonal", relalg::diagonal(atoms(40))));
 
-    // E7.8 — ordered-universe arithmetic toolkit.
+    // Prop. 7.8 — ordered-universe arithmetic toolkit.
     out.push(entry(
         "arith/strict_order/24",
         arith::strict_order(atoms(24)),
@@ -129,7 +129,7 @@ pub fn differential_corpus() -> Vec<CorpusEntry> {
         ),
     ));
 
-    // E8/Prop 6.3 — aggregates over the external arithmetic Σ.
+    // Prop. 6.3 — aggregates over the external arithmetic Σ.
     for n in [9u64, 70] {
         out.push(entry(
             format!("aggregates/sum_dcr/{n}"),
@@ -161,14 +161,14 @@ pub fn differential_corpus() -> Vec<CorpusEntry> {
         aggregates::double_exponential(atoms(12)),
     ));
 
-    // E8 — powerset, unbounded (kept small!) and bounded.
+    // Thm. 6.1 — powerset, unbounded (kept small!) and bounded.
     out.push(entry("powerset/dcr/7", powerset::powerset_dcr(atoms(7))));
     out.push(entry(
         "powerset/bounded_small_subsets/24",
         powerset::bounded_small_subsets(atoms(24)),
     ));
 
-    // E11 — Example 7.2 iteration counters.
+    // Example 7.2 iteration counters.
     for n in [5u64, 16] {
         out.push(entry(
             format!("iterate/count_n/{n}"),

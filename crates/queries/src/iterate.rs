@@ -7,8 +7,8 @@
 //! iteration nesting."
 //!
 //! The builders here iterate a *counting* function (successor on the external
-//! naturals) so that tests and experiment E11 can read the achieved iteration
-//! count directly off the result value.
+//! naturals) so that `counts_match_the_predicted_iteration_numbers` can read
+//! the achieved iteration count directly off the result value.
 
 use ncql_core::derived;
 use ncql_core::expr::{fresh_var, Expr};
@@ -71,7 +71,8 @@ pub fn count_log_squared_n(set: Expr) -> Expr {
 mod tests {
     use super::*;
     use ncql_core::analysis;
-    use ncql_core::eval::{eval_closed, log_rounds};
+    use ncql_core::cost::log_rounds;
+    use ncql_core::eval::eval_closed;
     use ncql_core::typecheck::typecheck_closed;
     use ncql_object::Value;
 

@@ -84,7 +84,7 @@ impl ServeConfig {
             }
         }
         fn num<T: std::str::FromStr>(name: &str, into: &mut T) {
-            if let Some(v) = std::env::var(name).ok().and_then(|s| s.parse().ok()) {
+            if let Some(v) = ncql_core::eval::env_number(name) {
                 *into = v;
             }
         }

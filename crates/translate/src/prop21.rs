@@ -9,8 +9,9 @@
 //! sru(e, f, u)  =  sri(e, λ(x, y). u(f(x), y))
 //! ```
 //!
-//! All three are "at most polynomial overhead" (the paper's phrasing); the test
-//! suite and experiment E3 check the semantic equivalence and measure the
+//! All three are "at most polynomial overhead" (the paper's phrasing);
+//! `overhead_is_polynomial_but_span_grows` and the `prop21_*` tests of
+//! `tests/translations_and_circuits.rs` check the semantic equivalence and the
 //! overhead factor in evaluator work.
 
 use ncql_core::derived;

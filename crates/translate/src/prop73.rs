@@ -17,8 +17,9 @@
 //! paper's `u((i, cᵢ), (j, cⱼ)) = (i+j, c₍ᵢ₊ⱼ₎)` combiner. The total number of
 //! extra `f` applications is linear in `|x|` (polynomial overhead).
 
+use ncql_core::cost::log_rounds;
 use ncql_core::error::EvalError;
-use ncql_core::eval::{log_rounds, EvalConfig, Evaluator};
+use ncql_core::eval::{EvalConfig, Evaluator};
 use ncql_core::expr::Expr;
 use ncql_core::EvalResult;
 use ncql_object::Value;

@@ -18,6 +18,11 @@
 //! 4. **The README's rule list is the code's.** The rules bulleted under
 //!    "Optimizer" are exactly the names `core::rewrite` can report in a
 //!    `FiredRewrite`.
+//! 5. **One cost table.** `core::cost` is the only place a work/span rule is
+//!    written: the evaluator, the analyser and the kernel compiler import it,
+//!    and the spellings it replaced — the kernel's `Cost::par`/`seq`/`LEAF`
+//!    constructors, literal `add_const(…)` charges inside the `Analyzer` —
+//!    stay gone.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -230,4 +235,54 @@ fn readme_optimizer_rules_are_exactly_the_rules_the_rewriter_reports() {
         documented, reported,
         "README \"Optimizer\" rules (left) and the rules rewrite.rs reports (right) differ"
     );
+}
+
+#[test]
+fn the_cost_model_is_written_only_in_core_cost() {
+    let source = |file: &str| {
+        let rel = format!("crates/core/src/{file}");
+        fs::read_to_string(repo_root().join(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    for file in ["eval.rs", "analyze.rs", "kernel.rs"] {
+        assert!(
+            implementation(&source(file)).contains("\nuse crate::cost"),
+            "crates/core/src/{file} must read the cost model from crate::cost"
+        );
+    }
+
+    let kernel = source("kernel.rs");
+    for (lineno, line) in implementation(&kernel).lines().enumerate() {
+        let code = without_line_comment(line);
+        for gone in ["Cost::par(", "Cost::seq(", "Cost::LEAF"] {
+            assert!(
+                !code.contains(gone),
+                "crates/core/src/kernel.rs:{}: `{gone}` restates a rule — \
+                 build the term with Cost::node(cost::RULE, …): {}",
+                lineno + 1,
+                line.trim()
+            );
+        }
+    }
+
+    // Inside the `impl … Analyzer` blocks (each ends at the next line that is
+    // a lone `}`), a charge is a rule of the table, never a literal; the
+    // `Poly`/`Bound`/`Range` algebra outside them keeps its `add_const`.
+    let analyze = source("analyze.rs");
+    let (mut inside, mut blocks) = (false, 0);
+    for (lineno, line) in implementation(&analyze).lines().enumerate() {
+        if line.starts_with("impl") && line.contains(" Analyzer<") {
+            inside = true;
+            blocks += 1;
+        } else if line == "}" {
+            inside = false;
+        }
+        assert!(
+            !(inside && without_line_comment(line).contains("add_const(")),
+            "crates/core/src/analyze.rs:{}: literal charge inside the Analyzer — \
+             build the cost with Cost::node(cost::RULE, …): {}",
+            lineno + 1,
+            line.trim()
+        );
+    }
+    assert!(blocks >= 2, "found {blocks} `impl Analyzer` blocks");
 }

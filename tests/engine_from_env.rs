@@ -2,7 +2,8 @@
 //! backend, `NCQL_PARALLEL_CUTOFF` tunes the fork threshold,
 //! `NCQL_POOL_THREADS` sizes the session's persistent work-stealing pool,
 //! `NCQL_OPT` selects the optimizer level, and `NCQL_KERNELS` switches the
-//! compiled row-kernel `ext` path.
+//! compiled row-kernel `ext` path. `ServeConfig::from_env` reads its
+//! `NCQL_SERVE_*` numbers through the same reader.
 //!
 //! This is deliberately the **only** test in this integration-test binary.
 //! `std::env::set_var` racing any concurrent `std::env::var` read is
@@ -14,6 +15,7 @@
 //! future env-mutating scenario inside this one function.
 
 use ncql::object::Value;
+use ncql::serve::ServeConfig;
 use ncql::{Backend, OptLevel, SessionBuilder};
 
 #[test]
@@ -150,4 +152,17 @@ fn builder_from_env_reads_the_knobs() {
         optimizing.execute(&rewritten).unwrap().value
     );
     clear();
+
+    // The server's numbers go through the same trimmed reader as the
+    // session's: padding is honoured, garbage leaves the default.
+    std::env::set_var("NCQL_SERVE_MAX_INFLIGHT", " 8");
+    std::env::set_var("NCQL_SERVE_DEADLINE_MS", "250");
+    std::env::set_var("NCQL_SERVE_MAX_LINE_BYTES", "lots");
+    let serve = ServeConfig::from_env();
+    assert_eq!(serve.max_inflight, 8);
+    assert_eq!(serve.default_deadline_ms, 250);
+    assert_eq!(serve.max_line_bytes, ServeConfig::default().max_line_bytes);
+    std::env::remove_var("NCQL_SERVE_MAX_INFLIGHT");
+    std::env::remove_var("NCQL_SERVE_DEADLINE_MS");
+    std::env::remove_var("NCQL_SERVE_MAX_LINE_BYTES");
 }

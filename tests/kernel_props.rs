@@ -438,3 +438,217 @@ fn a_body_with_more_conditionals_than_the_path_key_holds_runs_interpreted() {
         );
     }
 }
+
+// ----- the cost table, row by row -----
+
+/// One minimal term per rule of `core::cost`, so a rule no random case above
+/// happens to generate cannot drift unobserved in one of its three consumers.
+/// Closed terms: the interpreter's measured `(work, span)` is within
+/// `analyze_query`'s bound, with *equality* where the term is branch-free and
+/// charges no data-dependent extra. Liftable bodies: the kernel's folded
+/// charge is the interpreter's on every strategy and schedule, and within the
+/// bound.
+#[test]
+fn every_rule_of_the_cost_table_is_charged_bounded_and_folded_alike() {
+    use ncql::core::analyze_query;
+    let registry = ExternRegistry::standard();
+    let x = || Expr::var("x");
+    let atoms = |n: u64| Expr::constant(Value::atom_set(0..n));
+    let nat_pair = Type::prod(Type::Nat, Type::Nat);
+    let add = Expr::lam(
+        "p",
+        nat_pair.clone(),
+        call(
+            "nat_add",
+            Expr::proj1(Expr::var("p")),
+            Expr::proj2(Expr::var("p")),
+        ),
+    );
+    let succ = Expr::lam(
+        "n",
+        Type::Nat,
+        call("nat_add", Expr::var("n"), Expr::nat(1)),
+    );
+    let step = Expr::lam(
+        "q",
+        Type::prod(Type::Base, Type::Nat),
+        call("nat_add", Expr::proj2(Expr::var("q")), Expr::nat(1)),
+    );
+
+    // (rule, term, bound is exact)
+    let closed: Vec<(&str, Expr, bool)> = vec![
+        ("LEAF", Expr::atom(1), true),
+        ("LEAF/unit", Expr::unit(), true),
+        ("LEAF/empty", Expr::empty(Type::Base), true),
+        (
+            "APP+APPLY",
+            Expr::app(Expr::lam("x", Type::Base, x()), Expr::atom(1)),
+            true,
+        ),
+        ("LET", Expr::let_in("x", Expr::atom(1), x()), true),
+        (
+            "PAIR",
+            Expr::pair(Expr::atom(1), Expr::singleton(Expr::atom(2))),
+            true,
+        ),
+        (
+            "PROJ",
+            Expr::proj2(Expr::pair(Expr::atom(1), Expr::atom(2))),
+            true,
+        ),
+        ("SINGLETON", Expr::singleton(Expr::atom(1)), true),
+        (
+            "IS_EMPTY",
+            Expr::is_empty(Expr::singleton(Expr::atom(1))),
+            true,
+        ),
+        (
+            "EXTERN+EXTERN_CALL",
+            call(
+                "nat_add",
+                Expr::nat(1),
+                Expr::proj1(Expr::pair(Expr::nat(2), Expr::nat(3))),
+            ),
+            true,
+        ),
+        (
+            "IF",
+            Expr::ite(
+                Expr::bool_val(false),
+                Expr::singleton(Expr::atom(1)),
+                Expr::empty(Type::Base),
+            ),
+            false,
+        ),
+        (
+            "CMP+cmp_extra",
+            Expr::leq(
+                Expr::pair(Expr::atom(1), Expr::atom(2)),
+                Expr::pair(Expr::atom(1), Expr::atom(3)),
+            ),
+            false,
+        ),
+        (
+            "UNION",
+            Expr::union(Expr::singleton(Expr::atom(1)), atoms(3)),
+            false,
+        ),
+        (
+            "EXT+INDEPENDENT",
+            Expr::ext(
+                Expr::lam("x", Type::Base, Expr::singleton(Expr::pair(x(), x()))),
+                atoms(3),
+            ),
+            false,
+        ),
+        (
+            "RECURSION/dcr+IN_SEQUENCE",
+            Expr::dcr(
+                Expr::nat(0),
+                Expr::lam("x", Type::Base, Expr::nat(1)),
+                add.clone(),
+                atoms(5),
+            ),
+            false,
+        ),
+        (
+            "RECURSION/dcr/empty",
+            Expr::dcr(
+                Expr::nat(0),
+                Expr::lam("x", Type::Base, Expr::nat(1)),
+                add,
+                Expr::empty(Type::Base),
+            ),
+            false,
+        ),
+        (
+            "RECURSION/sri+IN_SEQUENCE",
+            Expr::sri(Expr::nat(0), step, atoms(3)),
+            false,
+        ),
+        (
+            "RECURSION/loop",
+            Expr::loop_(succ.clone(), atoms(3), Expr::nat(0)),
+            false,
+        ),
+        (
+            "RECURSION/logloop+log_rounds",
+            Expr::log_loop(succ, atoms(5), Expr::nat(0)),
+            false,
+        ),
+    ];
+    for (rule, term, exact) in &closed {
+        let (_, stats) = run(term, true, None);
+        let bound = analyze_query(term, &[], &registry).cost;
+        let (work, span) = (
+            bound
+                .work
+                .eval_closed()
+                .unwrap_or_else(|| panic!("{rule}: work bound")),
+            bound
+                .span
+                .eval_closed()
+                .unwrap_or_else(|| panic!("{rule}: span bound")),
+        );
+        assert!(bound.work_floor <= stats.work, "{rule}: floor");
+        assert!(
+            stats.work <= work && stats.span <= span,
+            "{rule}: measured {}/{} exceeds the bound {work}/{span}",
+            stats.work,
+            stats.span
+        );
+        if *exact {
+            assert_eq!(
+                (stats.work, stats.span),
+                (work, span),
+                "{rule}: bound not tight"
+            );
+            assert_eq!(bound.work_floor, work, "{rule}: floor not tight");
+        }
+    }
+
+    // (rule, ext body over `x : atom * nat`)
+    let liftable: Vec<(&str, Expr)> = vec![
+        ("LEAF/empty", Expr::empty(pair_ty())),
+        ("SINGLETON+LEAF", Expr::singleton(x())),
+        ("PROJ", Expr::singleton(Expr::proj1(x()))),
+        (
+            "PAIR",
+            Expr::singleton(Expr::pair(Expr::proj2(x()), Expr::proj1(x()))),
+        ),
+        (
+            "LET",
+            Expr::let_in("y", Expr::proj2(x()), Expr::singleton(Expr::var("y"))),
+        ),
+        (
+            "IF",
+            Expr::ite(
+                Expr::bool_val(true),
+                Expr::singleton(x()),
+                Expr::empty(pair_ty()),
+            ),
+        ),
+        (
+            "CMP+cmp_extra",
+            Expr::singleton(Expr::eq(x(), Expr::pair(Expr::atom(3), Expr::nat(3)))),
+        ),
+        (
+            "EXTERN+EXTERN_CALL",
+            Expr::singleton(call("nat_add", Expr::proj2(x()), Expr::nat(1))),
+        ),
+    ];
+    let rows = scrambled_rows(64);
+    for (rule, body) in liftable {
+        let expr = ext_over(body, &rows);
+        let (_, stats) = assert_all_four_agree(&expr);
+        let bound = analyze_query(&expr, &[], &registry).cost;
+        let within =
+            |b: &ncql::core::Bound, measured: u64| b.eval_closed().is_some_and(|b| measured <= b);
+        assert!(
+            within(&bound.work, stats.work) && within(&bound.span, stats.span),
+            "{rule}: measured {}/{} exceeds {bound}",
+            stats.work,
+            stats.span
+        );
+    }
+}
