@@ -274,23 +274,28 @@ pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut V
             return;
         }
 
-        match &expr.kind {
-            ExprKind::Lam(p, _, body) | ExprKind::Let(p, _, body) if !p.starts_with('%') => {
-                if !uses_var(body, p) {
-                    findings.push(Finding::new(
-                        Lint::UnusedBinding,
-                        format!("binding `{p}` is never used"),
-                        expr.span,
-                    ));
-                }
-                if schema.iter().any(|(name, _)| name == p) {
-                    findings.push(Finding::new(
-                        Lint::ShadowedSchemaVariable,
-                        format!("binding `{p}` shadows the schema relation of the same name"),
-                        expr.span,
-                    ));
-                }
+        let binder = match &expr.kind {
+            ExprKind::Lam(p, _, body) => Some((p, &**body)),
+            ExprKind::Let(p, _, body) => Some((p, &**body)),
+            _ => None,
+        };
+        if let Some((p, body)) = binder.filter(|(p, _)| !p.starts_with('%')) {
+            if !uses_var(body, p) {
+                findings.push(Finding::new(
+                    Lint::UnusedBinding,
+                    format!("binding `{p}` is never used"),
+                    expr.span,
+                ));
             }
+            if schema.iter().any(|(name, _)| name == p) {
+                findings.push(Finding::new(
+                    Lint::ShadowedSchemaVariable,
+                    format!("binding `{p}` shadows the schema relation of the same name"),
+                    expr.span,
+                ));
+            }
+        }
+        match &expr.kind {
             ExprKind::Union(a, b) => {
                 empty_operand(
                     a,

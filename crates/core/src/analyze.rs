@@ -1464,8 +1464,8 @@ pub fn analyze_query(
 /// The per-application cost estimate behind the evaluator's parallel-region
 /// gate: the closure body's static work bound when the analyser can pin a
 /// finite constant, else the legacy `1 + body size` heuristic. Memoised per
-/// closure by the evaluator, so the (cheap, gate-budgeted) analysis runs at
-/// most once per distinct lambda.
+/// `λ` body in the plan's survey (`kernel::Sites`), so the (cheap,
+/// gate-budgeted) analysis runs at most once per distinct lambda per plan.
 pub(crate) fn region_gate_cost(body: &Expr, registry: &ExternRegistry) -> u64 {
     let mut analyzer = Analyzer::new(registry, &[], GATE_BUDGET);
     let (_, cost) = analyzer.eval(body, &None);

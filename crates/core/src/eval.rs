@@ -10,8 +10,9 @@ use crate::cost;
 use crate::error::EvalError;
 use crate::expr::{Expr, ExprKind, Form};
 use crate::externs::ExternRegistry;
+use crate::kernel::{RowKernel, Sites};
 use crate::EvalResult;
-use ncql_object::{FlatShape, VSet, Value};
+use ncql_object::{VSet, Value};
 use ncql_pram::{RegionPermit, TaskError, WorkStealingPool};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
@@ -73,9 +74,9 @@ pub struct EvalConfig {
     /// knob used by the stress suites to randomize steal order: every seed
     /// must produce bit-identical `(Value, CostStats)`.
     pub pool_steal_seed: u64,
-    /// Enable compiled row kernels for `ext` over columnar sets (see
-    /// [`crate::kernel`]). On by default; disabling forces every `ext` site
-    /// through the interpreted element map. Values and `CostStats` are
+    /// Enable compiled row kernels for `ext` and scalar `dcr`/`sru` over
+    /// columnar sets (see [`crate::kernel`]). On by default; disabling forces
+    /// every site through the interpreter. Values and `CostStats` are
     /// bit-identical either way — this is a pure execution-strategy knob
     /// (the engine's `NCQL_KERNELS=0` kill switch).
     pub kernels: bool,
@@ -263,53 +264,15 @@ enum RtVal {
 /// Function values. `Arc`-shared body and environment make closures `Send +
 /// Sync`, so the parallel backend can hand the *same* closure to every worker
 /// thread instead of deep-copying expressions per element (the `Rc` this used
-/// to be would have pinned evaluation to one thread).
+/// to be would have pinned evaluation to one thread). The body is the plan's
+/// own (`ExprKind::Lam` holds it as an `Arc`), so making a closure copies
+/// nothing and every closure of one `λ` names its site by the body's address
+/// (see [`Sites`]).
 #[derive(Debug, Clone)]
 struct Closure {
     param: String,
     body: Arc<Expr>,
     env: Env,
-    /// Lazily-computed per-application cost estimate for the parallel-region
-    /// gate ([`crate::analyze::region_gate_cost`]). Shared across clones so
-    /// each distinct lambda is analysed at most once per evaluation.
-    gate: Arc<OnceLock<u64>>,
-    /// Lazily-compiled row kernel for `ext` over columnar input of a given
-    /// shape (`None` once compilation rejects). Shared across clones so each
-    /// distinct lambda compiles at most once per evaluation; keyed by the
-    /// input shape it was attempted against, since the same closure can be
-    /// applied to sets of different element shapes across `ext` sites.
-    kernel: Arc<OnceLock<(FlatShape, Option<Arc<crate::kernel::RowKernel>>)>>,
-}
-
-impl Closure {
-    /// The gate estimate (see the field docs), computed on first use.
-    fn gate_cost(&self, registry: &ExternRegistry) -> u64 {
-        *self
-            .gate
-            .get_or_init(|| crate::analyze::region_gate_cost(&self.body, registry))
-    }
-
-    /// The row kernel for `ext` over rows of `shape`, compiling on first use.
-    /// Returns `None` when the body is not liftable, when the closure
-    /// captures an environment (free variables reject inside `compile`), or
-    /// when the cached attempt was made against a different input shape.
-    fn row_kernel(
-        &self,
-        shape: &FlatShape,
-        registry: &ExternRegistry,
-    ) -> Option<Arc<crate::kernel::RowKernel>> {
-        let (cached_shape, kernel) = self.kernel.get_or_init(|| {
-            let compiled = crate::kernel::compile(&self.param, &self.body, shape, registry)
-                .ok()
-                .map(Arc::new);
-            (shape.clone(), compiled)
-        });
-        if cached_shape == shape {
-            kernel.clone()
-        } else {
-            None
-        }
-    }
 }
 
 /// Persistent environment (cheap to clone, shared tails across threads).
@@ -340,11 +303,11 @@ impl Env {
         }
     }
 
-    fn lookup(&self, name: &str) -> Option<RtVal> {
+    fn lookup(&self, name: &str) -> Option<&RtVal> {
         let mut cur = self.head.as_ref();
         while let Some(node) = cur {
             if node.name == name {
-                return Some(node.val.clone());
+                return Some(&node.val);
             }
             cur = node.next.as_ref();
         }
@@ -417,6 +380,25 @@ fn flatten_merge_panic(e: TaskError<std::convert::Infallible>) -> EvalError {
     }
 }
 
+/// A site's kernel ready to run: the words of the values it captures, in
+/// [`RowKernel::captures`] order, beside it.
+struct SiteKernel {
+    kernel: Arc<RowKernel>,
+    captures: Vec<u64>,
+}
+
+/// The `(result rows, spans)` of the shards of one kernel pass, each
+/// concatenated in shard order.
+fn concat(shards: Vec<(Vec<u64>, Vec<u64>)>) -> (Vec<u64>, Vec<u64>) {
+    let mut shards = shards.into_iter();
+    let mut all = shards.next().unwrap_or_default();
+    for (words, spans) in shards {
+        all.0.extend(words);
+        all.1.extend(spans);
+    }
+    all
+}
+
 /// Minimum total elements across the shards of one post-`ext` merge before a
 /// parallel combine round is attempted; below this, forking costs more than
 /// the sequential flat-row merge it replaces. Purely a scheduling heuristic —
@@ -445,6 +427,11 @@ pub struct Evaluator {
     /// (the default) costs nothing; workers inherit the parent's token so the
     /// whole evaluation stops together.
     cancel: Option<CancelToken>,
+    /// The row kernels and region-gate estimates of the plan under
+    /// evaluation, one entry per `λ` body: the survey the plan was prepared
+    /// with, or one made when the evaluation started. Shared with its
+    /// workers; `None` when neither kernels nor forking are enabled.
+    sites: Option<Arc<Sites>>,
 }
 
 impl Default for Evaluator {
@@ -462,6 +449,7 @@ impl Evaluator {
             shared_work: None,
             pool: None,
             cancel: None,
+            sites: None,
         }
     }
 
@@ -500,6 +488,7 @@ impl Evaluator {
             shared_work: self.shared_work.clone(),
             pool: self.pool.clone(),
             cancel: self.cancel.clone(),
+            sites: self.sites.clone(),
         }
     }
 
@@ -519,13 +508,43 @@ impl Evaluator {
     }
 
     /// Evaluate an expression whose free variables are bound to the given
-    /// complex-object values. Resets the statistics.
+    /// complex-object values. Resets the statistics. The plan is surveyed
+    /// first (kernels compiled, see [`Sites`]) unless neither kernels nor
+    /// forking are enabled; use [`Evaluator::eval_surveyed`] to survey a plan
+    /// once for many evaluations.
     pub fn eval_with_bindings(
         &mut self,
         expr: &Expr,
         bindings: &[(String, Value)],
     ) -> EvalResult<Value> {
+        let kernels = self.config.kernels;
+        let parallel = normalize_parallelism(self.config.parallelism).is_some();
+        let sites = (kernels || parallel)
+            .then(|| Arc::new(Sites::survey(expr, &self.config.registry, kernels)));
+        self.run(expr, sites, bindings)
+    }
+
+    /// [`Evaluator::eval_with_bindings`] on a plan that was surveyed before:
+    /// `sites` is [`Sites::of_plan`] of `expr`, under this configuration's
+    /// registry. Nothing is compiled. (The survey of some other plan is not
+    /// an error: a closure whose body it does not know runs interpreted.)
+    pub fn eval_surveyed(
+        &mut self,
+        expr: &Expr,
+        sites: &Arc<Sites>,
+        bindings: &[(String, Value)],
+    ) -> EvalResult<Value> {
+        self.run(expr, Some(sites.clone()), bindings)
+    }
+
+    fn run(
+        &mut self,
+        expr: &Expr,
+        sites: Option<Arc<Sites>>,
+        bindings: &[(String, Value)],
+    ) -> EvalResult<Value> {
         self.stats = CostStats::default();
+        self.sites = sites;
         let parallel = normalize_parallelism(self.config.parallelism).is_some();
         // A finite work limit on a forking schedule needs one budget shared
         // by every thread of this evaluation (see `shared_work`).
@@ -591,7 +610,7 @@ impl Evaluator {
 
     /// Decide whether a region of `apps` independent applications of the
     /// closure is worth forking: the static work estimate (applications ×
-    /// the closure's [`Closure::gate_cost`]) must reach
+    /// the [`Sites::gate_cost`] of the closure's site) must reach
     /// [`EvalConfig::parallel_cutoff`], and the pool's thread-budget
     /// semaphore must still have a worker to lend (nested regions compete
     /// for the same bounded worker set; a region that gets no permit stays
@@ -603,7 +622,11 @@ impl Evaluator {
         if apps < 2 {
             return None;
         }
-        let estimate = (apps as u64).saturating_mul(clo.gate_cost(&self.config.registry));
+        let gate_cost = self
+            .sites
+            .as_ref()?
+            .gate_cost(&clo.body, &self.config.registry);
+        let estimate = (apps as u64).saturating_mul(gate_cost);
         if estimate < self.config.parallel_cutoff {
             return None;
         }
@@ -705,15 +728,13 @@ impl Evaluator {
         match &expr.kind {
             ExprKind::Var(x) => env
                 .lookup(x)
-                .map(|v| (v, cost::LEAF.span))
+                .map(|v| (v.clone(), cost::LEAF.span))
                 .ok_or_else(|| EvalError::unbound(x.clone())),
             ExprKind::Lam(x, _, body) => Ok((
                 RtVal::Clo(Closure {
                     param: x.clone(),
-                    body: Arc::new((**body).clone()),
+                    body: body.clone(),
                     env: env.clone(),
-                    gate: Arc::new(OnceLock::new()),
-                    kernel: Arc::new(OnceLock::new()),
                 }),
                 cost::LEAF.span,
             )),
@@ -800,15 +821,14 @@ impl Evaluator {
                 // A columnar argument whose function body compiles to a row
                 // kernel runs directly over the word rows: an execution
                 // strategy with no observable change (see [`crate::kernel`]).
-                let kernel = set
-                    .columnar_rows()
-                    .filter(|_| self.config.kernels)
-                    .and_then(|(shape, _, _)| clo.row_kernel(shape, &self.config.registry));
+                let kernel = set.columnar_rows().and_then(|(shape, _, _)| {
+                    self.site_kernel(&clo, |kernel| kernel.input_shape() == shape)
+                });
                 let mapped = match kernel {
                     Some(kernel) => self.ext_rows_kernel(region.as_ref(), &kernel, &set)?,
                     None => {
                         let elements = Cow::Borrowed(set.as_slice());
-                        self.map_region(region.as_ref(), elements, 1, |ev, shard| {
+                        self.map_region(region.as_ref(), elements, 1, |ev, shard, _| {
                             let mut out = Vec::with_capacity(shard.len());
                             for x in shard.iter() {
                                 ev.stats.ext_calls += 1;
@@ -891,12 +911,27 @@ impl Evaluator {
             return obj(e_val, cost::RECURSION.span_over([prefix_span]));
         }
 
+        // An unbounded form over a columnar set, with `f : row → R` and
+        // `u : (R * R) → R` both compiled, runs the same tree on row kernels.
+        if let (None, Some((shape, _, _))) = (&bound_val, set.columnar_rows()) {
+            let leaf = self.site_kernel(&f_clo, |leaf| leaf.input_shape() == shape);
+            let node = leaf.as_ref().and_then(|leaf| {
+                let combines = |node: &RowKernel| node.combines(leaf.kernel.output_shape());
+                self.site_kernel(&u_clo, combines)
+            });
+            if let (Some(leaf), Some(node)) = (leaf, node) {
+                let (result, tree_span) =
+                    self.union_recursor_kernel((&f_clo, &leaf), (&u_clo, &node), &set)?;
+                return obj(result, cost::RECURSION.span_over([prefix_span, tree_span]));
+            }
+        }
+
         // Leaves: f applied to every element, independently. (The block
         // returns the permit before the combining rounds borrow their own.)
         let leaves = {
             let region = self.parallel_region(set.len(), &f_clo);
             let elements = Cow::Borrowed(set.as_slice());
-            self.map_region(region.as_ref(), elements, 1, |ev, shard| {
+            self.map_region(region.as_ref(), elements, 1, |ev, shard, _| {
                 let mut out = Vec::with_capacity(shard.len());
                 for x in shard.iter() {
                     out.push(ev.apply_bounded(&f_clo, x.clone(), &bound_val)?);
@@ -914,7 +949,7 @@ impl Evaluator {
         let mut level = leaves;
         while level.len() > 1 {
             let region = self.parallel_region(level.len() / 2, &u_clo);
-            level = self.map_region(region.as_ref(), Cow::Owned(level), 2, |ev, shard| {
+            level = self.map_region(region.as_ref(), Cow::Owned(level), 2, |ev, shard, _| {
                 let mut next = Vec::with_capacity(shard.len().div_ceil(2));
                 let mut it = shard.into_owned().into_iter();
                 while let Some((a, sa)) = it.next() {
@@ -966,6 +1001,28 @@ impl Evaluator {
         Ok(VSet::union_many(parts))
     }
 
+    /// The kernel of the site `clo` was written at, with the words of the
+    /// values it captures loaded from the closure's environment — if the
+    /// survey compiled one that `fits` the rows at hand and that those values
+    /// encode for.
+    fn site_kernel(&self, clo: &Closure, fits: impl Fn(&RowKernel) -> bool) -> Option<SiteKernel> {
+        let sites = self.sites.as_ref().filter(|_| self.config.kernels)?;
+        sites.kernels(&clo.body).iter().find_map(|kernel| {
+            if !fits(kernel) {
+                return None;
+            }
+            let mut captures = Vec::new();
+            for (name, shape) in kernel.captures() {
+                match clo.env.lookup(name)? {
+                    RtVal::Obj(value) if shape.encode_into(value, &mut captures) => {}
+                    _ => return None,
+                }
+            }
+            let kernel = kernel.clone();
+            Some(SiteKernel { kernel, captures })
+        })
+    }
+
     /// The kernel-path element map of `ext`: run the compiled row kernel over
     /// every columnar row of `set`, charging block by block what the kernel
     /// folded from [`crate::cost`] for those rows (one `add_work` per block
@@ -976,26 +1033,88 @@ impl Evaluator {
     fn ext_rows_kernel(
         &mut self,
         region: Option<&RegionPermit>,
-        kernel: &crate::kernel::RowKernel,
+        site: &SiteKernel,
         set: &VSet,
     ) -> EvalResult<Vec<(Value, u64)>> {
         let (_, width, words) = set
             .columnar_rows()
             .expect("the kernel path is only taken for columnar sets");
-        let parts = self.map_region(region, Cow::Borrowed(words), width, |ev, shard| {
-            let (part, span) = kernel.run_rows(&shard, |rows, work| {
+        let parts = self.map_region(region, Cow::Borrowed(words), width, |ev, shard, _| {
+            let (part, span) = site.kernel.run_rows(&shard, &site.captures, |rows, work| {
                 ev.stats.ext_calls += rows;
                 ev.add_work(work)
             })?;
             Ok(vec![(Value::Set(part), span)])
         })?;
-        crate::kernel::note_ext_hit(set.len());
+        crate::kernel::note_hit(set.len());
         Ok(parts)
     }
 
+    /// The kernel-path tree of an unbounded `dcr`/`sru` over a columnar set:
+    /// the leaves are one pass of `f`'s kernel, each round one pass of `u`'s
+    /// over adjacent entries — two entries of `R` words are one `(R * R)` row
+    /// where they lie — with an odd tail passed through, so the tree, its
+    /// `combiner_calls`, and every entry's span are the interpreter's. Regions
+    /// and their shard grain are the interpreter's too; work is charged per
+    /// block. Returns the result and the tree's span.
+    fn union_recursor_kernel(
+        &mut self,
+        (f_clo, leaf): (&Closure, &SiteKernel),
+        (u_clo, node): (&Closure, &SiteKernel),
+        set: &VSet,
+    ) -> EvalResult<(Value, u64)> {
+        let (_, width, rows) = set
+            .columnar_rows()
+            .expect("the kernel path is only taken for columnar sets");
+        let result = leaf.kernel.output_shape();
+        let entry = result.width();
+        let leaves = {
+            let region = self.parallel_region(set.len(), f_clo);
+            let rows = Cow::Borrowed(rows);
+            self.map_region(region.as_ref(), rows, width, |ev, shard, _| {
+                let charge = |_, work| ev.add_work(work);
+                Ok(vec![leaf.kernel.map_rows(
+                    &shard,
+                    &leaf.captures,
+                    charge,
+                )?])
+            })?
+        };
+        let (mut words, mut spans) = concat(leaves);
+        while spans.len() > 1 {
+            let region = self.parallel_region(spans.len() / 2, u_clo);
+            let level = Cow::Borrowed(words.as_slice());
+            let halved = self.map_region(region.as_ref(), level, 2 * entry, |ev, shard, at| {
+                let below = &spans[at / entry..];
+                let pairs = shard.len() / (2 * entry);
+                let (paired, tail) = shard.split_at(pairs * 2 * entry);
+                let charge = |pairs, work| {
+                    ev.stats.combiner_calls += pairs;
+                    ev.add_work(work)
+                };
+                let (mut words, applied) = node.kernel.map_rows(paired, &node.captures, charge)?;
+                let mut spans: Vec<u64> = (applied.iter().zip(below.chunks_exact(2)))
+                    .map(|(&sc, sub)| {
+                        let subtrees = cost::INDEPENDENT.span_over([sub[0], sub[1]]);
+                        cost::IN_SEQUENCE.span_over([subtrees, sc])
+                    })
+                    .collect();
+                if !tail.is_empty() {
+                    words.extend_from_slice(tail);
+                    spans.push(below[2 * pairs]);
+                }
+                Ok(vec![(words, spans)])
+            })?;
+            (words, spans) = concat(halved);
+        }
+        crate::kernel::note_hit(set.len());
+        Ok((result.decode(&words), spans[0]))
+    }
+
     /// The one place evaluator work meets a schedule. `body` maps a shard of
-    /// `items` to its results; the results of all shards, concatenated in
-    /// item order, are returned. Without a permit the single shard is
+    /// `items` — and the index in `items` the shard starts at — to its
+    /// results; the results of all shards, concatenated in item order, are
+    /// returned. Without a permit the single shard is
     /// `items` itself and `body` runs on `self` — nothing is copied, and an
     /// owned `items` reaches `body` still owned. With a permit, `items` is
     /// cut at multiples of `grain` (so a pair, or a `width`-word row, never
@@ -1008,14 +1127,14 @@ impl Evaluator {
         region: Option<&RegionPermit>,
         items: Cow<'_, [T]>,
         grain: usize,
-        body: impl Fn(&mut Evaluator, Cow<'_, [T]>) -> EvalResult<Vec<R>> + Sync,
+        body: impl Fn(&mut Evaluator, Cow<'_, [T]>, usize) -> EvalResult<Vec<R>> + Sync,
     ) -> EvalResult<Vec<R>>
     where
         T: Clone + Sync,
         R: Send,
     {
         let Some(region) = region else {
-            return body(self, items);
+            return body(self, items, 0);
         };
         let starts: Vec<usize> = (0..items.len()).step_by(grain).collect();
         let parent = self.worker();
@@ -1023,7 +1142,7 @@ impl Evaluator {
             .run(&starts, |_, shard| {
                 let mut ev = parent.worker();
                 let end = (shard[shard.len() - 1] + grain).min(items.len());
-                let out = body(&mut ev, Cow::Borrowed(&items[shard[0]..end]))?;
+                let out = body(&mut ev, Cow::Borrowed(&items[shard[0]..end]), shard[0])?;
                 Ok::<_, EvalError>((out, ev.stats))
             })
             .map_err(flatten_task_error)?;

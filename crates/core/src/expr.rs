@@ -26,7 +26,7 @@ use crate::span::Span;
 use ncql_object::{Type, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// An expression of the language: its structural [`ExprKind`] plus the source
 /// span it was parsed from (`None` for programmatically built nodes).
@@ -63,7 +63,7 @@ pub enum ExprKind {
     /// A variable.
     Var(String),
     /// λ-abstraction `λx:s. e` (the paper writes `λxˢ.e`).
-    Lam(String, Type, Box<Expr>),
+    Lam(String, Type, Arc<Expr>),
     /// Function application `f(e)`.
     App(Box<Expr>, Box<Expr>),
     /// `let x = e1 in e2` — definable as `(λx. e2)(e1)`, kept primitive for
@@ -288,7 +288,7 @@ impl Expr {
 
     /// λ-abstraction.
     pub fn lam(name: impl Into<String>, ty: Type, body: Expr) -> Expr {
-        ExprKind::Lam(name.into(), ty, Box::new(body)).into()
+        ExprKind::Lam(name.into(), ty, Arc::new(body)).into()
     }
 
     /// A λ-abstraction over a pair, `λ(x, y). e`, desugared as the paper does:
@@ -556,7 +556,7 @@ impl Expr {
             | ExprKind::Bool(_)
             | ExprKind::Const(_)
             | ExprKind::Empty(_) => self.kind.clone(),
-            ExprKind::Lam(x, ty, _) => ExprKind::Lam(x.clone(), ty.clone(), next()),
+            ExprKind::Lam(x, ty, _) => ExprKind::Lam(x.clone(), ty.clone(), Arc::from(next())),
             ExprKind::App(..) => ExprKind::App(next(), next()),
             ExprKind::Pair(..) => ExprKind::Pair(next(), next()),
             ExprKind::Eq(..) => ExprKind::Eq(next(), next()),
@@ -618,7 +618,7 @@ impl Expr {
         match f.kind {
             ExprKind::Lam(x, _, body) => {
                 let span = f.span;
-                let mut e = Expr::let_in(x, arg, *body);
+                let mut e = Expr::let_in(x, arg, Arc::unwrap_or_clone(body));
                 e.span = span;
                 e
             }

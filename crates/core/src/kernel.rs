@@ -1,4 +1,5 @@
-//! Compiled row kernels: running `ext` bodies directly over columnar rows.
+//! Compiled row kernels: running `ext` bodies and scalar `dcr`/`sru` trees
+//! directly over columnar rows.
 //!
 //! [`VSet`] stores large flat-shaped sets as fixed-width `u64` rows; an
 //! interpreted `ext` boxes every element back into a
@@ -12,6 +13,19 @@
 //! projections and literals are plain offsets and cost no instruction; only
 //! calls, comparisons, pair assembly, branches and the emit execute.
 //!
+//! A body may read variables bound outside it. A flat-in/flat-out
+//! comprehension is select-project-join whatever it closes over: a captured
+//! flat value is a constant for the duration of one inner loop, so it is a
+//! kernel *parameter* — scratch words the run loads once per call from the
+//! closure's environment, exactly as literals are preloaded. That is what
+//! runs the inner `ext` of a join as a row loop per outer row.
+//!
+//! An unbounded `dcr`/`sru` whose `f : row → R` and `u : (R * R) → R` both
+//! lower to scalars of one flat shape `R` runs as a kernel tree
+//! ([`RowKernel::map_rows`]): one pass of the `f` kernel for the leaves, then
+//! one pass of the `u` kernel over adjacent entries per round — the
+//! interpreter's combining tree, so `u` need not be associative.
+//!
 //! Three invariants make the kernel path *indistinguishable* from the
 //! interpreter (the differential and property suites pin all three):
 //!
@@ -21,26 +35,34 @@
 //! 2. **Cost** — the compiler folds the rules of [`crate::cost`] — the ones
 //!    the interpreter charges — into a cost term per body. A straight-line
 //!    body has one constant `(work, span)`; each `if` owns one bit of a
-//!    per-row path key (conditionals charge only the taken arm), and
-//!    [`RowKernel::run_rows`] charges a block of rows
-//!    `Σ rows(path) × work(path)` and reports `max span(path)`.
-//! 3. **Fallback** — anything unliftable (set-typed subterms, captured free
-//!    variables, non-flat constants, externals without a word-level twin,
-//!    more conditionals than the path key has bits) rejects at compile time
-//!    with a reason, and the `ext` site runs the ordinary interpreter. The
-//!    decision depends only on the body, the input shape, and the registry,
-//!    so prepare-time analysis ([`analyze_sites`]) predicts it exactly.
+//!    per-row path key (conditionals charge only the taken arm), and a run
+//!    charges a block of rows `Σ rows(path) × work(path)` and reports the
+//!    span of each path taken.
+//! 3. **Fallback** — anything unliftable (set-typed subterms, a captured
+//!    variable no enclosing `λ` binds at a flat type, non-flat constants,
+//!    externals without a word-level twin, more conditionals than the path
+//!    key has bits) rejects at compile time with a reason, and the site runs
+//!    the ordinary interpreter. The decision depends only on the body, the
+//!    annotated shapes of its parameter and of the enclosing `λ`s, and the
+//!    registry, so prepare-time analysis ([`analyze_sites`]) predicts it
+//!    exactly.
 //!
-//! Compilation happens at most once per closure instance (cached on the
-//! closure like its region-gate estimate) and is itself cheap — one pass
-//! over the body.
+//! Compilation happens once per `λ` of a plan, not per closure instance: the
+//! plan is surveyed ([`Sites`]) when it is prepared — or, for a plan nobody
+//! prepared, when its evaluation starts — and every closure made from a `λ`
+//! — one per outer row, in a join — finds the kernel by the address of the
+//! body it shares with the plan. A `λ` written at an `ext` or recursor site
+//! is compiled for that site; any other flat-annotated `λ` (bound by a `let`,
+//! passed as an argument) is compiled as an `ext` function, for whichever
+//! site its closure reaches.
 
 use crate::cost::{self, Rule};
-use crate::expr::{Expr, ExprKind, Form};
+use crate::expr::{Expr, ExprKind, Form, UnionForm};
 use crate::externs::{ExternRegistry, ScalarExternFn};
 use crate::span::Span;
 use ncql_object::{FlatShape, VSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Maximum external-call arity the kernel executor supports (the argument
 /// words live in a stack buffer; the standard registry's maximum is 2).
@@ -54,8 +76,9 @@ const MAX_BRANCHES: u32 = u64::BITS;
 const BLOCK_ROWS: usize = 1024;
 
 /// One instruction. Operands are offsets into the scratch buffer, which
-/// holds the input row at offset 0, then the preloaded constants, then one
-/// fixed destination per instruction that creates words. The body is
+/// holds the input row at offset 0, then — in the order the body first uses
+/// them — the preloaded constants, the captured variables, and one fixed
+/// destination per instruction that creates words. The body is
 /// loop-free, so an instruction runs at most once per row and a destination
 /// is never overwritten while a later instruction still reads it.
 #[derive(Debug, Clone, Copy)]
@@ -146,28 +169,59 @@ impl Cost {
     }
 }
 
-/// A compiled `ext` body: a flat program over one input row.
+/// A variable the body reads from outside itself: the scratch words at `at`,
+/// loaded once per run.
+#[derive(Debug)]
+struct Capture {
+    name: String,
+    shape: FlatShape,
+    at: usize,
+}
+
+/// A compiled `λ` body: a flat program over one input row.
 #[derive(Debug)]
 pub struct RowKernel {
+    input_shape: FlatShape,
     input_width: usize,
     output_shape: FlatShape,
-    /// Total scratch words: input row, preloaded constants, destinations.
+    /// Total scratch words: input row, constants, captures, destinations.
     scratch_len: usize,
     /// Constant words preloaded once per scratch buffer: `(offset, word)`.
     consts: Vec<(usize, u64)>,
+    captures: Vec<Capture>,
     ops: Vec<Op>,
     cost: Cost,
 }
 
 impl RowKernel {
+    /// The flat shape of the rows the kernel reads.
+    pub fn input_shape(&self) -> &FlatShape {
+        &self.input_shape
+    }
+
     /// The flat shape of the rows the kernel emits.
     pub fn output_shape(&self) -> &FlatShape {
         &self.output_shape
     }
 
-    /// Run the kernel over one shard of input rows (row-major, whole rows)
+    /// Is this a kernel `(R * R) → R` over `r`: can it combine, entry with
+    /// adjacent entry, the results of a kernel that emits `r` rows?
+    pub fn combines(&self, r: &FlatShape) -> bool {
+        let paired = matches!(&self.input_shape, FlatShape::Pair(a, b) if **a == *r && **b == *r);
+        paired && self.output_shape == *r
+    }
+
+    /// The variables the body captures, in the order a run expects their
+    /// words: each name with the flat shape its value must encode under.
+    pub fn captures(&self) -> impl Iterator<Item = (&str, &FlatShape)> {
+        self.captures.iter().map(|c| (c.name.as_str(), &c.shape))
+    }
+
+    /// Run an `ext` body over one shard of input rows (row-major, whole rows)
     /// and return the canonical set of the emitted rows with the largest
-    /// span any row took (the apply level included).
+    /// span any row took (the apply level included). `captures` holds the
+    /// words of the captured values, concatenated in [`RowKernel::captures`]
+    /// order.
     ///
     /// One call owns everything a shard needs — the scratch buffer, the
     /// output rows and the per-block `(path, rows)` tally — so nothing is
@@ -179,34 +233,12 @@ impl RowKernel {
     pub fn run_rows<E>(
         &self,
         rows: &[u64],
-        mut charge: impl FnMut(u64, u64) -> Result<(), E>,
+        captures: &[u64],
+        charge: impl FnMut(u64, u64) -> Result<(), E>,
     ) -> Result<(VSet, u64), E> {
-        let width = self.input_width;
-        debug_assert!(rows.len().is_multiple_of(width));
-        let mut scratch = vec![0u64; self.scratch_len];
-        for &(at, word) in &self.consts {
-            scratch[at] = word;
-        }
-        let mut out = Vec::with_capacity(rows.len() / width * self.output_shape.width());
-        let mut tally: Vec<(u64, u64)> = Vec::new();
-        let mut max_span = 0u64;
-        for block in rows.chunks(BLOCK_ROWS * width) {
-            tally.clear();
-            for row in block.chunks_exact(width) {
-                let path = self.run(row, &mut scratch, &mut out);
-                match tally.iter_mut().find(|(seen, _)| *seen == path) {
-                    Some((_, count)) => *count += 1,
-                    None => tally.push((path, 1)),
-                }
-            }
-            let mut work = 0u64;
-            for &(path, count) in &tally {
-                let (w, s) = self.cost.of(path);
-                work = work.saturating_add(count.saturating_mul(w));
-                max_span = max_span.max(s);
-            }
-            charge((block.len() / width) as u64, work)?;
-        }
+        let mut out = Vec::with_capacity(rows.len() / self.input_width * self.output_shape.width());
+        let max_span =
+            self.run_blocks::<false, E>(rows, captures, &mut out, &mut Vec::new(), charge)?;
         // A selective filter leaves most of the reservation unused, and an
         // already-canonical batch is adopted as the set's buffer as is.
         out.shrink_to_fit();
@@ -214,6 +246,88 @@ impl RowKernel {
             VSet::from_raw_rows(self.output_shape.clone(), out),
             max_span,
         ))
+    }
+
+    /// Run a recursor's `f` or `u` body — a scalar, so every row yields
+    /// exactly one result — over one shard of input rows: the result rows in
+    /// input order, and the span of each application. `captures` and `charge`
+    /// are [`RowKernel::run_rows`]'s.
+    pub fn map_rows<E>(
+        &self,
+        rows: &[u64],
+        captures: &[u64],
+        charge: impl FnMut(u64, u64) -> Result<(), E>,
+    ) -> Result<(Vec<u64>, Vec<u64>), E> {
+        let count = rows.len() / self.input_width;
+        let mut out = Vec::with_capacity(count * self.output_shape.width());
+        let mut spans = Vec::with_capacity(count);
+        self.run_blocks::<true, E>(rows, captures, &mut out, &mut spans, charge)?;
+        assert_eq!(
+            out.len(),
+            count * self.output_shape.width(),
+            "a scalar body yields one result per row"
+        );
+        Ok((out, spans))
+    }
+
+    /// The row loop behind both entry points: blocks of [`BLOCK_ROWS`] rows,
+    /// each charged `Σ rows(path) × work(path)`. Returns the largest span any
+    /// row took; with `SPANS`, also appends every row's span to `spans`.
+    fn run_blocks<const SPANS: bool, E>(
+        &self,
+        rows: &[u64],
+        captures: &[u64],
+        out: &mut Vec<u64>,
+        spans: &mut Vec<u64>,
+        mut charge: impl FnMut(u64, u64) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let width = self.input_width;
+        debug_assert!(rows.len().is_multiple_of(width));
+        let mut scratch = vec![0u64; self.scratch_len];
+        for &(at, word) in &self.consts {
+            scratch[at] = word;
+        }
+        let mut words = captures.iter();
+        for capture in &self.captures {
+            for cell in &mut scratch[capture.at..capture.at + capture.shape.width()] {
+                *cell = *words.next().expect("one word per captured slot");
+            }
+        }
+        debug_assert!(words.next().is_none());
+        // `(path, rows, span)` per path the block took; the span is filled in
+        // when the block is charged. With `SPANS`, `paths` is each row's.
+        let mut tally: Vec<(u64, u64, u64)> = Vec::new();
+        let mut paths: Vec<u64> = Vec::new();
+        let mut max_span = 0u64;
+        for block in rows.chunks(BLOCK_ROWS * width) {
+            tally.clear();
+            paths.clear();
+            for row in block.chunks_exact(width) {
+                let path = self.run(row, &mut scratch, out);
+                match tally.iter_mut().find(|(seen, ..)| *seen == path) {
+                    Some((_, count, _)) => *count += 1,
+                    None => tally.push((path, 1, 0)),
+                }
+                if SPANS {
+                    paths.push(path);
+                }
+            }
+            let mut work = 0u64;
+            for (path, count, span) in &mut tally {
+                let (w, s) = self.cost.of(*path);
+                work = work.saturating_add(count.saturating_mul(w));
+                max_span = max_span.max(s);
+                *span = s;
+            }
+            if SPANS {
+                spans.extend(paths.iter().map(|path| {
+                    let taken = tally.iter().find(|(seen, ..)| seen == path);
+                    taken.expect("every row's path was tallied").2
+                }));
+            }
+            charge((block.len() / width) as u64, work)?;
+        }
+        Ok(max_span)
     }
 
     /// Execute the program over one input row, appending zero or one output
@@ -293,12 +407,20 @@ fn shape_desc(shape: &FlatShape) -> String {
 /// A lowered subterm: what the caller needs to place it, and its cost term.
 type Lowered<T> = Result<(T, Cost), String>;
 
+/// The binders enclosing a `λ` site, innermost last: each name with the flat
+/// shape a `λ` annotation gives it, `None` when it is bound any other way (a
+/// `let`, or a `λ` at a type with a set or a function in it).
+pub type Scope<'a> = [(&'a str, Option<FlatShape>)];
+
 struct Compiler<'a> {
     registry: &'a ExternRegistry,
-    /// Names in scope with the offset and shape of their words: the lambda
-    /// parameter at offset 0, a `let`-bound scalar wherever its bound
-    /// expression left its result.
+    /// Names bound inside the body with the offset and shape of their words:
+    /// the lambda parameter at offset 0, a `let`-bound scalar wherever its
+    /// bound expression left its result.
     scope: Vec<(String, usize, FlatShape)>,
+    /// The binders around the body, and the ones it has read so far.
+    outer: &'a Scope<'a>,
+    captures: Vec<Capture>,
     consts: Vec<(usize, u64)>,
     next: usize,
     ops: Vec<Op>,
@@ -316,6 +438,25 @@ impl Compiler<'_> {
         if len > 0 {
             self.ops.push(Op::Copy { src, dst, len });
         }
+    }
+
+    /// The slot of the captured variable `x`: allotted on its first use, from
+    /// the shape the innermost enclosing binder of that name gives it.
+    fn capture(&mut self, x: &str) -> Result<(usize, FlatShape), String> {
+        if let Some(c) = self.captures.iter().find(|c| c.name == x) {
+            return Ok((c.at, c.shape.clone()));
+        }
+        let binder = self.outer.iter().rev().find(|(name, _)| *name == x);
+        let shape = binder
+            .and_then(|(_, shape)| shape.clone())
+            .ok_or_else(|| format!("captures `{x}`, which no enclosing λ binds at a flat type"))?;
+        let at = self.alloc(shape.width());
+        self.captures.push(Capture {
+            name: x.to_string(),
+            shape: shape.clone(),
+            at,
+        });
+        Ok((at, shape))
     }
 
     fn lit(&mut self, words: &[u64], shape: FlatShape) -> Lowered<(usize, FlatShape)> {
@@ -389,13 +530,12 @@ impl Compiler<'_> {
     fn scalar(&mut self, expr: &Expr) -> Lowered<(usize, FlatShape)> {
         match &expr.kind {
             ExprKind::Var(x) => {
-                let (_, at, shape) = self
-                    .scope
-                    .iter()
-                    .rev()
-                    .find(|(name, ..)| name == x)
-                    .ok_or_else(|| format!("captures the free variable `{x}`"))?;
-                Ok(((*at, shape.clone()), Cost::node(cost::LEAF, Vec::new())))
+                let bound = self.scope.iter().rev().find(|(name, ..)| name == x);
+                let place = match bound {
+                    Some((_, at, shape)) => (*at, shape.clone()),
+                    None => self.capture(x)?,
+                };
+                Ok((place, Cost::node(cost::LEAF, Vec::new())))
             }
             ExprKind::Unit => self.lit(&[], FlatShape::Unit),
             ExprKind::Bool(b) => self.lit(&[u64::from(*b)], FlatShape::Bool),
@@ -505,6 +645,11 @@ impl Compiler<'_> {
                 costs.push(Cost::extra(cost::EXTERN_CALL));
                 Ok(((at, result_shape), Cost::node(cost::EXTERN, costs)))
             }
+            // An applied variable is a captured function: say which.
+            ExprKind::App(f, _) if matches!(f.kind, ExprKind::Var(_)) => {
+                self.scalar(f)?;
+                Err("`application` is not liftable as a scalar".to_string())
+            }
             other => Err(format!(
                 "`{}` is not liftable as a scalar",
                 kind_name(other)
@@ -592,107 +737,359 @@ fn kind_name(kind: &ExprKind) -> &'static str {
     }
 }
 
-/// Compile the body of `\param. body` into a row kernel over `input_shape`
-/// rows, or explain why it cannot be lifted. Pure in (body, shape, registry):
-/// the same inputs always make the same decision, which is what lets
-/// prepare-time analysis predict the runtime path.
+/// What a `λ` body is compiled as.
+#[derive(Clone, Copy)]
+enum Role {
+    /// The function of an `ext`: each row emits zero rows or one.
+    Comprehension,
+    /// The `f` or `u` of a recursor: each row yields one flat result.
+    Scalar,
+}
+
+/// Compile the body of `\param. body`, the function of an `ext`, into a row
+/// kernel over `input_shape` rows, or explain why it cannot be lifted. A
+/// variable the body reads from `scope` becomes a kernel parameter. Pure in
+/// (body, shapes, registry): the same inputs always make the same decision,
+/// which is what lets prepare-time analysis predict the runtime path.
 pub fn compile(
     param: &str,
     body: &Expr,
     input_shape: &FlatShape,
+    scope: &Scope<'_>,
     registry: &ExternRegistry,
 ) -> Result<RowKernel, String> {
-    let input_width = input_shape.width();
-    let result = (|| {
-        if input_width == 0 {
-            return Err("zero-width input rows (all-unit elements)".to_string());
-        }
-        let mut c = Compiler {
-            registry,
-            scope: vec![(param.to_string(), 0, input_shape.clone())],
-            consts: Vec::new(),
-            next: input_width,
-            ops: Vec::new(),
-            branches: 0,
-        };
-        let (out_shape, cost) = c.set_op(body)?;
-        Ok(RowKernel {
-            input_width,
-            // A body that provably never emits (every path is `{}`) has no
-            // output shape of its own; any flat shape canonicalizes an empty
-            // row batch, so borrow the input's.
-            output_shape: out_shape.unwrap_or_else(|| input_shape.clone()),
-            scratch_len: c.next,
-            consts: c.consts,
-            ops: c.ops,
-            cost: Cost::node(cost::APPLY, vec![cost]),
-        })
-    })();
-    match &result {
-        Ok(_) => COMPILES.fetch_add(1, Ordering::Relaxed),
-        Err(_) => FALLBACKS.fetch_add(1, Ordering::Relaxed),
-    };
-    result
+    lower(
+        param,
+        body,
+        input_shape,
+        scope,
+        registry,
+        Role::Comprehension,
+    )
 }
 
-// ----- prepare-time site analysis -----
+/// Every compilation goes through here, so [`kernel_stats`] counts them
+/// where they happen.
+fn lower(
+    param: &str,
+    body: &Expr,
+    input_shape: &FlatShape,
+    scope: &Scope<'_>,
+    registry: &ExternRegistry,
+    role: Role,
+) -> Result<RowKernel, String> {
+    let lowered = lower_body(param, body, input_shape, scope, registry, role);
+    let counter = if lowered.is_ok() {
+        &COMPILES
+    } else {
+        &FALLBACKS
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    lowered
+}
 
-/// What the kernel compiler decided about one `ext` site of a plan.
+fn lower_body(
+    param: &str,
+    body: &Expr,
+    input_shape: &FlatShape,
+    scope: &Scope<'_>,
+    registry: &ExternRegistry,
+    role: Role,
+) -> Result<RowKernel, String> {
+    let input_width = input_shape.width();
+    if input_width == 0 {
+        return Err("zero-width input rows (all-unit elements)".to_string());
+    }
+    let mut c = Compiler {
+        registry,
+        scope: vec![(param.to_string(), 0, input_shape.clone())],
+        outer: scope,
+        captures: Vec::new(),
+        consts: Vec::new(),
+        next: input_width,
+        ops: Vec::new(),
+        branches: 0,
+    };
+    let (output_shape, cost) = match role {
+        // A body that provably never emits (every path is `{}`) has no
+        // output shape of its own; any flat shape canonicalizes an empty
+        // row batch, so borrow the input's.
+        Role::Comprehension => {
+            let (shape, cost) = c.set_op(body)?;
+            (shape.unwrap_or_else(|| input_shape.clone()), cost)
+        }
+        Role::Scalar => {
+            let (shape, cost) = c.emit(body)?;
+            if shape.width() == 0 {
+                return Err("zero-width results (all-unit values)".to_string());
+            }
+            (shape, cost)
+        }
+    };
+    Ok(RowKernel {
+        input_shape: input_shape.clone(),
+        input_width,
+        output_shape,
+        scratch_len: c.next,
+        consts: c.consts,
+        captures: c.captures,
+        ops: c.ops,
+        cost: Cost::node(cost::APPLY, vec![cost]),
+    })
+}
+
+// ----- the sites of a plan -----
+
+/// What the kernel compiler decided about one `ext` or `dcr`/`sru` site of a
+/// plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelSite {
-    /// Source span of the `ext` expression, when the plan has spans.
+    /// Source span of the site's expression, when the plan has spans.
     pub span: Option<Span>,
-    /// Did the site compile to a row kernel?
+    /// Did the site compile to row kernels?
     pub compiled: bool,
-    /// `"input -> output"` row shapes for a compiled site, or the
-    /// compiler's rejection reason.
+    /// For a compiled site the row shapes of its kernels, captured variables
+    /// in brackets — `(atom * nat) [a: (atom * atom)] -> (atom * nat)`, and
+    /// `f`'s then `u`'s for a recursor; otherwise the compiler's rejection
+    /// reason.
     pub detail: String,
 }
 
-/// Analyze every `ext` site of `expr` whose function is a literal lambda:
-/// derive the input row shape from the parameter annotation and run the
-/// kernel compiler. Because [`compile`] is pure in (body, shape, registry),
-/// a site reported `compiled` here is exactly a site the evaluator will run
-/// through the kernel whenever the argument set is columnar (and kernels are
-/// enabled).
+/// Why a site whose function is a variable or an application is not decided
+/// where it is written: the `λ` that reaches it is only known at run time.
+const NOT_A_LITERAL: &str = "the site's function is not a literal lambda \
+     (it runs on the kernel of the lambda that reaches it, if that one compiled)";
+
+/// A kernel of the survey with the `λ` body it was compiled from.
+type BodyKernel<'e> = (&'e Arc<Expr>, RowKernel);
+
+/// One pre-order pass over a plan, carrying the binders in scope.
+struct Survey<'e, 'r> {
+    registry: &'r ExternRegistry,
+    /// Whether to compile at all, or only collect the `λ` bodies.
+    kernels: bool,
+    scope: Vec<(&'e str, Option<FlatShape>)>,
+    report: Vec<KernelSite>,
+    bodies: Vec<&'e Arc<Expr>>,
+    compiled: Vec<BodyKernel<'e>>,
+}
+
+impl<'e> Survey<'e, '_> {
+    /// `at_site`: is `expr` the function written at an `ext` or recursor
+    /// site, which that site has decided?
+    fn visit(&mut self, expr: &'e Expr, at_site: bool) {
+        // The functions this node decides, if it is a site.
+        let functions: [Option<&Expr>; 2] = match &expr.kind {
+            ExprKind::Ext(f, _) if self.kernels => {
+                let decision = self.site_kernel(f, Role::Comprehension).map(|k| vec![k]);
+                self.decided(expr, decision);
+                [Some(f), None]
+            }
+            ExprKind::UnionRec { form, f, u, .. } if self.kernels => {
+                let decision = self.recursor_site(form, f, u);
+                self.decided(expr, decision);
+                [Some(f), Some(u)]
+            }
+            ExprKind::Lam(param, ty, body) => {
+                self.bodies.push(body);
+                // A `λ` bound by a `let` or passed as an argument reaches its
+                // `ext` as a closure: it is no site of its own, but the site
+                // it reaches finds this kernel by the closure's body.
+                let shape = FlatShape::of_type(ty).filter(|_| self.kernels && !at_site);
+                let role = Role::Comprehension;
+                let kernel = shape
+                    .and_then(|s| lower(param, body, &s, &self.scope, self.registry, role).ok());
+                self.compiled.extend(kernel.map(|k| (body, k)));
+                [None, None]
+            }
+            _ => [None, None],
+        };
+        for child in expr.children() {
+            let at_site = functions
+                .iter()
+                .flatten()
+                .any(|f| std::ptr::eq(*f, child.expr));
+            let Some(name) = child.binds else {
+                self.visit(child.expr, at_site);
+                continue;
+            };
+            let shape = match &expr.kind {
+                ExprKind::Lam(_, ty, _) => FlatShape::of_type(ty),
+                _ => None,
+            };
+            self.scope.push((name, shape));
+            self.visit(child.expr, false);
+            self.scope.pop();
+        }
+    }
+
+    /// Report the site `expr` and keep the kernels it compiled to.
+    fn decided(&mut self, expr: &Expr, decision: Result<Vec<BodyKernel<'e>>, String>) {
+        self.report.push(KernelSite {
+            span: expr.span,
+            compiled: decision.is_ok(),
+            detail: match &decision {
+                Ok(kernels) => {
+                    let kernels: Vec<String> =
+                        kernels.iter().map(|(_, k)| kernel_desc(k)).collect();
+                    kernels.join(", then ")
+                }
+                Err(reason) => reason.clone(),
+            },
+        });
+        self.compiled.extend(decision.into_iter().flatten());
+    }
+
+    /// The kernel of the literal `λ` written at a site as `function`.
+    fn site_kernel(&self, function: &'e Expr, role: Role) -> Result<BodyKernel<'e>, String> {
+        let ExprKind::Lam(param, ty, body) = &function.kind else {
+            return Err(NOT_A_LITERAL.to_string());
+        };
+        let shape = FlatShape::of_type(ty)
+            .ok_or_else(|| format!("parameter type {ty} is not a flat shape"))?;
+        let kernel = lower(param, body, &shape, &self.scope, self.registry, role)?;
+        Ok((body, kernel))
+    }
+
+    /// `f : row → R` and `u : (R * R) → R` for one flat `R`, no bound.
+    fn recursor_site(
+        &self,
+        form: &UnionForm,
+        f: &'e Expr,
+        u: &'e Expr,
+    ) -> Result<Vec<BodyKernel<'e>>, String> {
+        if form.bound().is_some() {
+            return Err(format!("`{}` clips every step to its bound", form.name()));
+        }
+        let leaf = self.site_kernel(f, Role::Scalar)?;
+        let node = self.site_kernel(u, Role::Scalar)?;
+        let r = leaf.1.output_shape();
+        if !node.1.combines(r) {
+            return Err(format!(
+                "the combiner is not ({0} * {0}) -> {0} over the leaves' {0}",
+                shape_desc(r)
+            ));
+        }
+        Ok(vec![leaf, node])
+    }
+}
+
+/// `input [captures] -> output` of one kernel.
+fn kernel_desc(kernel: &RowKernel) -> String {
+    let captures: Vec<String> = kernel
+        .captures()
+        .map(|(name, shape)| format!("{name}: {}", shape_desc(shape)))
+        .collect();
+    let captures = if captures.is_empty() {
+        String::new()
+    } else {
+        format!(" [{}]", captures.join(", "))
+    };
+    format!(
+        "{}{captures} -> {}",
+        shape_desc(kernel.input_shape()),
+        shape_desc(kernel.output_shape())
+    )
+}
+
+/// Analyze every `ext` site and every `dcr`/`sru`/`bdcr` site of `expr`:
+/// derive the row shapes from the `λ` annotations — the parameter's, and for
+/// a captured variable the enclosing `λ`'s — and run the kernel compiler.
+/// This is the report of [`Sites::of_plan`], the survey an evaluation of the
+/// plan runs on, so a site reported `compiled` here is exactly a site the
+/// evaluator will run through its kernels whenever the argument set is
+/// columnar (and kernels are enabled).
 pub fn analyze_sites(expr: &Expr, registry: &ExternRegistry) -> Vec<KernelSite> {
-    let mut sites = Vec::new();
-    expr.visit(&mut |e| {
-        let ExprKind::Ext(f, _) = &e.kind else { return };
-        let ExprKind::Lam(param, ty, body) = &f.kind else {
-            sites.push(KernelSite {
-                span: e.span,
-                compiled: false,
-                detail: "the ext function is not a literal lambda".to_string(),
-            });
-            return;
+    Sites::of_plan(expr, registry).report
+}
+
+/// What an evaluation knows about the `λ`s of its plan: the kernels every
+/// body compiled to, and a per-body memo of the region-gate estimate. Built
+/// once — when the plan is prepared, or else when an evaluation of it starts
+/// — and shared by every worker evaluator, so nothing is decided per closure
+/// instance; a closure finds its entry by the address of its body, which it
+/// shares with the plan.
+#[derive(Debug)]
+pub struct Sites {
+    /// One entry per `λ` body of the plan, sorted by the body's address.
+    by_body: Vec<Site>,
+    report: Vec<KernelSite>,
+}
+
+#[derive(Debug)]
+struct Site {
+    /// Keeps the address this entry is keyed by from being reused.
+    body: Arc<Expr>,
+    /// More than one when the body is written at several places of the plan
+    /// (a plan that was cloned into itself shares its `λ` bodies).
+    kernels: Vec<Arc<RowKernel>>,
+    gate: OnceLock<u64>,
+}
+
+impl Sites {
+    /// Survey `plan`: compile every `ext` and `dcr`/`sru` site and every
+    /// other flat-annotated `λ` of it.
+    pub fn of_plan(plan: &Expr, registry: &ExternRegistry) -> Sites {
+        Sites::survey(plan, registry, true)
+    }
+
+    /// [`Sites::of_plan`], compiling only when `kernels` are enabled (the
+    /// region-gate memo needs the bodies either way).
+    pub(crate) fn survey(plan: &Expr, registry: &ExternRegistry, kernels: bool) -> Sites {
+        let mut survey = Survey {
+            registry,
+            kernels,
+            scope: Vec::new(),
+            report: Vec::new(),
+            bodies: Vec::new(),
+            compiled: Vec::new(),
         };
-        let site = match FlatShape::of_type(ty) {
-            None => KernelSite {
-                span: e.span,
-                compiled: false,
-                detail: format!("parameter type {ty} is not a flat shape"),
-            },
-            Some(shape) => match compile(param, body, &shape, registry) {
-                Ok(kernel) => KernelSite {
-                    span: e.span,
-                    compiled: true,
-                    detail: format!(
-                        "{} -> {}",
-                        shape_desc(&shape),
-                        shape_desc(kernel.output_shape())
-                    ),
-                },
-                Err(reason) => KernelSite {
-                    span: e.span,
-                    compiled: false,
-                    detail: reason,
-                },
-            },
+        survey.visit(plan, false);
+        survey.bodies.sort_by_key(|body| Arc::as_ptr(body));
+        survey.bodies.dedup_by_key(|body| Arc::as_ptr(body));
+        let entry = |body: &Arc<Expr>| Site {
+            body: body.clone(),
+            kernels: Vec::new(),
+            gate: OnceLock::new(),
         };
-        sites.push(site);
-    });
-    sites
+        let mut sites = Sites {
+            by_body: survey.bodies.into_iter().map(entry).collect(),
+            report: survey.report,
+        };
+        for (body, kernel) in survey.compiled {
+            let at = sites.position(body).expect("every λ body is collected");
+            sites.by_body[at].kernels.push(Arc::new(kernel));
+        }
+        sites
+    }
+
+    /// One [`KernelSite`] per `ext` and `dcr`/`sru`/`bdcr` site, in plan order.
+    pub fn report(&self) -> &[KernelSite] {
+        &self.report
+    }
+
+    fn position(&self, body: &Arc<Expr>) -> Option<usize> {
+        self.by_body
+            .binary_search_by_key(&Arc::as_ptr(body), |site| Arc::as_ptr(&site.body))
+            .ok()
+    }
+
+    /// The kernels compiled from `body`.
+    pub(crate) fn kernels(&self, body: &Arc<Expr>) -> &[Arc<RowKernel>] {
+        self.position(body)
+            .map_or(&[], |at| &self.by_body[at].kernels)
+    }
+
+    /// The region-gate estimate of one application of `body`
+    /// ([`crate::analyze::region_gate_cost`]), analysed once per body — and
+    /// unmemoized for a body of some other plan than the surveyed one.
+    pub(crate) fn gate_cost(&self, body: &Arc<Expr>, registry: &ExternRegistry) -> u64 {
+        let estimate = || crate::analyze::region_gate_cost(body, registry);
+        match self.position(body) {
+            Some(at) => *self.by_body[at].gate.get_or_init(estimate),
+            None => estimate(),
+        }
+    }
 }
 
 // ----- process-wide observability counters -----
@@ -703,21 +1100,26 @@ static EXT_HITS: AtomicU64 = AtomicU64::new(0);
 static ROWS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the process-wide row-kernel counters (monotonic; kept out
-/// of the bit-compared [`crate::eval::CostStats`] on purpose).
+/// of the bit-compared [`crate::eval::CostStats`] on purpose). `compiles` and
+/// `fallbacks` count calls of the compiler itself, which a plan pays when it
+/// is surveyed ([`Sites::of_plan`]: once at prepare, or when an evaluation
+/// starts on a plan nobody prepared) — so executing a prepared plan moves
+/// neither, whatever its inputs' sizes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Bodies successfully compiled to kernels.
+    /// `λ` bodies the compiler lowered to a kernel.
     pub compiles: u64,
-    /// Compile attempts that fell back to the interpreter.
+    /// `λ` bodies the compiler rejected; their sites run interpreted. Counted
+    /// once per survey of the plan — not once per closure made from them.
     pub fallbacks: u64,
-    /// `ext` evaluations that executed through a kernel.
+    /// `ext` and `dcr`/`sru` evaluations that executed through kernels.
     pub ext_hits: u64,
-    /// Input rows processed by kernels.
+    /// Elements of the argument sets of those evaluations.
     pub rows: u64,
 }
 
-/// Record one kernel-executed `ext` over `rows` input rows.
-pub(crate) fn note_ext_hit(rows: usize) {
+/// Record one kernel-executed `ext` or recursor over a set of `rows` elements.
+pub(crate) fn note_hit(rows: usize) {
     EXT_HITS.fetch_add(1, Ordering::Relaxed);
     ROWS.fetch_add(rows as u64, Ordering::Relaxed);
 }
@@ -841,13 +1243,13 @@ mod tests {
             Expr::singleton(Expr::var("x")),
             Expr::empty(pair_ty()),
         );
-        let kernel = compile("x", &body, &pair_shape(), &ExternRegistry::standard()).unwrap();
+        let kernel = compile("x", &body, &pair_shape(), &[], &ExternRegistry::standard()).unwrap();
         let rows: Vec<u64> = (0..2500u64).flat_map(|i| [i, i % 41]).collect();
         let kept = |from: u64, to: u64| (from..to).filter(|i| i % 41 <= 20).count() as u64;
 
         let mut blocks = Vec::new();
         let (set, span) = kernel
-            .run_rows(&rows, |rows, work| {
+            .run_rows(&rows, &[], |rows, work| {
                 blocks.push((rows, work));
                 Ok::<(), ()>(())
             })
@@ -859,11 +1261,13 @@ mod tests {
 
         // Rows that all take the cheaper path report the cheaper span.
         let dropped: Vec<u64> = (0..16u64).flat_map(|i| [i, 30]).collect();
-        let (set, span) = kernel.run_rows(&dropped, |_, _| Ok::<(), ()>(())).unwrap();
+        let (set, span) = kernel
+            .run_rows(&dropped, &[], |_, _| Ok::<(), ()>(()))
+            .unwrap();
         assert_eq!((set.len(), span), (0, 4));
 
         let mut calls = 0;
-        let refused = kernel.run_rows(&rows, |_, _| {
+        let refused = kernel.run_rows(&rows, &[], |_, _| {
             calls += 1;
             if calls == 2 {
                 Err("over budget")
@@ -878,8 +1282,15 @@ mod tests {
     fn compile_rejects_unliftable_bodies_with_reasons() {
         let shape = pair_shape();
         let reg = ExternRegistry::standard();
-        let reject = |body: Expr| compile("x", &body, &shape, &reg).unwrap_err();
-        assert!(reject(Expr::singleton(Expr::var("free"))).contains("free variable"));
+        let scope = [("s", None), ("k", Some(FlatShape::Nat)), ("s", None)];
+        let reject = |body: Expr| compile("x", &body, &shape, &scope, &reg).unwrap_err();
+        assert!(reject(Expr::singleton(Expr::var("free"))).contains("captures `free`"));
+        // The innermost binder of a name decides, and only a flat one lifts.
+        assert!(reject(Expr::singleton(Expr::var("s"))).contains("captures `s`"));
+        assert!(
+            reject(Expr::singleton(Expr::app(Expr::var("s"), Expr::var("x"))))
+                .contains("captures `s`")
+        );
         assert!(
             reject(Expr::singleton(Expr::constant(Value::atom_set([1]))))
                 .contains("non-flat constant")
@@ -919,5 +1330,62 @@ mod tests {
         assert_eq!(sites.len(), 1);
         assert!(!sites[0].compiled);
         assert!(sites[0].detail.contains("not a flat shape"));
+
+        // A join: the inner body reads the outer row, which is a kernel
+        // parameter; the outer body is an `ext`, not a comprehension.
+        let (a, p) = (|| Expr::var("a"), || Expr::var("p"));
+        let inner = Expr::lam(
+            "p",
+            pair_ty(),
+            Expr::ite(
+                Expr::eq(Expr::proj2(a()), Expr::proj1(p())),
+                Expr::singleton(Expr::pair(Expr::proj1(a()), Expr::proj2(p()))),
+                Expr::empty(pair_ty()),
+            ),
+        );
+        let outer = Expr::lam(
+            "a",
+            Type::prod(Type::Base, Type::Base),
+            Expr::ext(inner, Expr::var("papers")),
+        );
+        let join = Expr::ext(outer, Expr::var("authored"));
+        let sites = analyze_sites(&join, &ExternRegistry::standard());
+        assert_eq!(sites.len(), 2);
+        assert!(!sites[0].compiled && sites[0].detail.contains("`ext`"));
+        assert!(sites[1].compiled);
+        assert_eq!(
+            sites[1].detail,
+            "(atom * nat) [a: (atom * atom)] -> (atom * nat)"
+        );
+
+        // A scalar recursor is one site with two kernels; a bound rejects.
+        let leaf = Expr::lam("p", pair_ty(), Expr::proj2(p()));
+        let add = Expr::lam(
+            "q",
+            Type::prod(Type::Nat, Type::Nat),
+            Expr::extern_call(
+                "nat_add",
+                vec![Expr::proj1(Expr::var("q")), Expr::proj2(Expr::var("q"))],
+            ),
+        );
+        let sum = Expr::dcr(Expr::nat(0), leaf.clone(), add.clone(), Expr::var("papers"));
+        let sites = analyze_sites(&sum, &ExternRegistry::standard());
+        assert_eq!(sites.len(), 1);
+        assert!(sites[0].compiled);
+        assert_eq!(
+            sites[0].detail,
+            "(atom * nat) -> nat, then (nat * nat) -> nat"
+        );
+        let mismatched = Expr::dcr(
+            Expr::nat(0),
+            leaf.clone(),
+            leaf.clone(),
+            Expr::var("papers"),
+        );
+        let sites = analyze_sites(&mismatched, &ExternRegistry::standard());
+        assert!(!sites[0].compiled && sites[0].detail.contains("(nat * nat) -> nat"));
+        let bounded = Expr::bdcr(Expr::nat(0), leaf, add, Expr::nat(9), Expr::var("papers"));
+        let sites = analyze_sites(&bounded, &ExternRegistry::standard());
+        assert!(!sites[0].compiled && sites[0].detail.contains("`bdcr`"));
     }
 }

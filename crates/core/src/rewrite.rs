@@ -134,6 +134,9 @@ pub fn optimize_analyzed(
             max_work: config.max_work.min(FOLD_WORK_BUDGET),
             max_set_size: config.max_set_size.min(FOLD_SET_BUDGET),
             parallelism: None,
+            // Same values and statistics either way; within the fold budget
+            // a survey of each candidate would cost more than it saves.
+            kernels: false,
             ..config.clone()
         },
         fired: Vec::new(),

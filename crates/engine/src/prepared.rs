@@ -3,6 +3,7 @@
 use crate::diagnostics::Diagnostic;
 use ncql_core::eval::CostStats;
 use ncql_core::expr::Expr;
+use ncql_core::kernel::Sites;
 use ncql_core::rewrite::{FiredRewrite, OptLevel};
 use ncql_core::{CostBound, KernelSite, QueryAnalysis};
 use ncql_object::{Type, Value};
@@ -50,11 +51,12 @@ pub(crate) struct PreparedPlan {
     /// fired (`None` means the executing plan *is* the raw plan, so
     /// [`PreparedQuery::analysis`] already bounds it).
     pub(crate) cost_before: Option<CostBound>,
-    /// What the row-kernel compiler decided about every `ext` site of the
-    /// *executing* plan (see [`ncql_core::kernel::analyze_sites`]): which
-    /// sites will run through a compiled kernel over columnar input, and why
+    /// The row kernels of the *executing* plan, compiled once here and run
+    /// by every execution of it, with what the compiler decided about every
+    /// `ext` and `dcr`/`sru` site (see [`ncql_core::kernel::Sites`]): which
+    /// sites will run through compiled kernels over columnar input, and why
     /// the others fall back to the interpreter.
-    pub(crate) kernel_sites: Vec<KernelSite>,
+    pub(crate) sites: Arc<Sites>,
 }
 
 /// A query that has been parsed, type-checked and analysed once, ready to be
@@ -154,15 +156,15 @@ impl PreparedQuery {
             .collect()
     }
 
-    /// The row-kernel compiler's prepare-time decision for every `ext` site
-    /// of the executing plan, in plan order: a site with `compiled == true`
-    /// runs through a compiled row kernel whenever its argument set is
-    /// columnar and kernels are enabled (the compiler is deterministic in the
-    /// body, the input shape and the registry, so the prepare-time decision
+    /// The row-kernel compiler's prepare-time decision for every `ext` and
+    /// `dcr`/`sru` site of the executing plan, in plan order: a site with
+    /// `compiled == true` runs through compiled row kernels whenever its
+    /// argument set is columnar and kernels are enabled (the kernels compiled
+    /// here are the ones every execution runs, so the prepare-time decision
     /// *is* the runtime decision); the `detail` of a fallback site is the
     /// compiler's rejection reason.
     pub fn kernel_sites(&self) -> &[KernelSite] {
-        &self.plan.kernel_sites
+        self.plan.sites.report()
     }
 
     /// Do two handles share one underlying plan? A cache hit in

@@ -8,6 +8,7 @@ use ncql_core::eval::{
 };
 use ncql_core::expr::Expr;
 use ncql_core::externs::ExternRegistry;
+use ncql_core::kernel::Sites;
 use ncql_core::rewrite::{optimize_analyzed, OptLevel};
 use ncql_core::typecheck::{infer, value_type, TypeEnv};
 use ncql_core::{analysis, analyze_query, EvalError, Finding, Lint};
@@ -194,7 +195,7 @@ impl SessionBuilder {
     /// `NCQL_LINT=deny` (or `warn`) sets the [`LintPolicy`], and `NCQL_OPT=0`
     /// (or `none`/`off`) disables the algebraic optimizer
     /// (`1`/`default`/`on` restore it). `NCQL_KERNELS=0` (or `false`/`off`)
-    /// disables compiled row kernels for `ext` over columnar sets, and
+    /// disables compiled row kernels for `ext` and `dcr` over columnar sets, and
     /// `1`/`true`/`on` re-enables them. Unset, empty or unparseable variables
     /// leave the defaults untouched.
     pub fn from_env() -> SessionBuilder {
@@ -285,8 +286,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Enable or disable compiled row kernels for `ext` over columnar sets
-    /// (on by default; the `NCQL_KERNELS=0` environment kill switch read by
+    /// Enable or disable compiled row kernels for `ext` and scalar
+    /// `dcr`/`sru` over columnar sets (on by default; the `NCQL_KERNELS=0` environment kill switch read by
     /// [`SessionBuilder::from_env`] sets the same knob). Purely an execution
     /// strategy: values and cost statistics are bit-identical either way.
     pub fn row_kernels(mut self, enabled: bool) -> SessionBuilder {
@@ -556,11 +557,11 @@ impl Session {
                 span: expr.span,
             });
         }
-        // The kernel compiler's prepare-time pass over the *executing* plan:
-        // deterministic in (body, shape, registry), so a site reported
-        // compiled here is exactly a site the evaluator runs through a row
-        // kernel whenever its argument set is columnar and kernels are on.
-        let kernel_sites = ncql_core::kernel::analyze_sites(&expr, &self.config.registry);
+        // The kernel compiler's one pass over the *executing* plan: every
+        // execution runs on these kernels, so a site reported compiled here
+        // is exactly a site the evaluator runs through row kernels whenever
+        // its argument set is columnar and kernels are on.
+        let sites = Arc::new(Sites::of_plan(&expr, &self.config.registry));
         Ok(PreparedPlan {
             source,
             ty,
@@ -573,7 +574,7 @@ impl Session {
             opt_level: self.opt_level,
             rewrites,
             cost_before,
-            kernel_sites,
+            sites,
             expr,
         })
     }
@@ -669,7 +670,7 @@ impl Session {
                 (Some(_), None) => {}
             }
         }
-        self.eval_raw(query.expr(), bindings, options)
+        self.eval_raw(query.expr(), Some(&query.plan.sites), bindings, options)
             .map_err(Error::from)
     }
 
@@ -703,7 +704,7 @@ impl Session {
     /// historical entry points. Prefer [`Session::prepare_expr`] +
     /// [`Session::execute`] when you want the checked pipeline.
     pub fn evaluate(&self, expr: &Expr) -> Result<Outcome, EvalError> {
-        self.eval_raw(expr, &[], &ExecOptions::default())
+        self.eval_raw(expr, None, &[], &ExecOptions::default())
     }
 
     /// The session's work-stealing pool, created on first use. Only the
@@ -717,10 +718,12 @@ impl Session {
 
     /// Run one evaluation: a fresh evaluator under the session's (possibly
     /// tightened) configuration, forking onto the session's pool iff that
-    /// configuration is parallel.
+    /// configuration is parallel. `sites` is the survey `expr` was prepared
+    /// with; an expression nobody prepared is surveyed by its evaluation.
     fn eval_raw(
         &self,
         expr: &Expr,
+        sites: Option<&Arc<Sites>>,
         bindings: &[(String, Value)],
         options: &ExecOptions,
     ) -> Result<Outcome, EvalError> {
@@ -743,7 +746,10 @@ impl Session {
         if let Some(token) = &options.cancel {
             evaluator.attach_cancel(token.clone());
         }
-        let value = evaluator.eval_with_bindings(expr, bindings)?;
+        let value = match sites {
+            Some(sites) => evaluator.eval_surveyed(expr, sites, bindings)?,
+            None => evaluator.eval_with_bindings(expr, bindings)?,
+        };
         Ok(Outcome {
             value,
             stats: evaluator.stats(),

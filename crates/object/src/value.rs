@@ -121,10 +121,12 @@ pub struct VSet {
 }
 
 impl VSet {
-    /// The empty set.
+    /// The empty set. Every empty set shares one buffer, so making one
+    /// allocates nothing ([`VSet::insert`] copies a shared buffer on write).
     pub fn empty() -> VSet {
+        static EMPTY: OnceLock<Arc<Vec<Value>>> = OnceLock::new();
         VSet {
-            repr: Repr::Boxed(Arc::new(Vec::new())),
+            repr: Repr::Boxed(EMPTY.get_or_init(Arc::default).clone()),
         }
     }
 
@@ -925,6 +927,16 @@ mod tests {
         assert_eq!(b.len(), 101);
         assert!(!a.contains(&Value::Atom(1000)));
         assert!(b.contains(&Value::Atom(1000)));
+    }
+
+    #[test]
+    fn empty_sets_are_equal_and_insert_into_one_leaves_the_others_empty() {
+        let (mut a, b) = (VSet::empty(), VSet::empty());
+        assert_eq!(a, b);
+        assert!(a.insert(Value::Atom(1)));
+        assert_eq!(a.len(), 1);
+        assert!(b.is_empty() && VSet::empty().is_empty());
+        assert_eq!(b, VSet::empty());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property-based equivalence of the compiled row-kernel path and the
-//! interpreted `ext` element map.
+//! interpreted `ext` element map and `dcr` tree.
 //!
 //! For random flat sets and random kernel-liftable closure bodies, evaluating
 //! `ext(\x. body, set)` with row kernels enabled must be **bit-identical** —
 //! value *and* `CostStats` — to evaluating with kernels disabled, on both the
-//! sequential and the parallel backend. Unliftable bodies must reject at
-//! compile time (prepare-time analysis and the runtime dispatch make the same
-//! decision) and fall back to the interpreter with no observable change.
+//! sequential and the parallel backend; likewise a body that reads the row of
+//! an enclosing `ext` (a kernel parameter), and a scalar `dcr` run as a kernel
+//! tree. Unliftable bodies must reject at compile time (prepare-time analysis
+//! and the runtime dispatch make the same decision) and fall back to the
+//! interpreter with no observable change.
 
 use ncql::core::externs::ExternRegistry;
 use ncql::core::kernel::analyze_sites;
@@ -27,10 +29,16 @@ fn arb_input_set() -> impl Strategy<Value = Vec<(u64, u64)>> {
     proptest::collection::vec((0u64..40, 0u64..30), 0..96)
 }
 
-/// Random kernel-liftable nat-valued scalars over `x : atom * nat`.
-fn arb_nat_expr() -> impl Strategy<Value = Expr> {
+/// The pair variables a generated body may read: its own parameter, or that
+/// and the parameter `a` of an enclosing `ext`.
+type Vars = &'static [&'static str];
+const OWN: Vars = &["x"];
+const OWN_AND_CAPTURED: Vars = &["x", "a"];
+
+/// Random kernel-liftable nat-valued scalars over `vars : atom * nat`.
+fn arb_nat_expr(vars: Vars) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
-        Just(Expr::proj2(Expr::var("x"))),
+        prop::sample::select(vars.to_vec()).prop_map(|v| Expr::proj2(Expr::var(v))),
         (0u64..40).prop_map(Expr::nat),
     ];
     leaf.prop_recursive(3, 12, 2, |inner| {
@@ -45,40 +53,44 @@ fn arb_nat_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
-/// Random kernel-liftable boolean scalars over `x : atom * nat`: word-level
-/// comparisons, scalar equality, and a whole-row `<=` that exercises the
-/// multi-word lexicographic compare.
-fn arb_bool_expr() -> impl Strategy<Value = Expr> {
-    (arb_nat_expr(), arb_nat_expr(), 0u8..3, 0u64..40, 0u64..30).prop_map(
-        |(a, b, pick, probe_a, probe_n)| match pick {
+/// Random kernel-liftable boolean scalars over `vars : atom * nat`:
+/// word-level comparisons, scalar equality, and a whole-row `<=` that
+/// exercises the multi-word lexicographic compare.
+fn arb_bool_expr(vars: Vars) -> impl Strategy<Value = Expr> {
+    let nat = || arb_nat_expr(vars);
+    let var = prop::sample::select(vars.to_vec());
+    (nat(), nat(), 0u8..3, var, 0u64..40, 0u64..30).prop_map(|(a, b, pick, v, probe_a, probe_n)| {
+        match pick {
             0 => Expr::extern_call("nat_leq", vec![a, b]),
             1 => Expr::eq(a, b),
             _ => Expr::leq(
-                Expr::var("x"),
+                Expr::var(v),
                 Expr::pair(Expr::atom(probe_a), Expr::nat(probe_n)),
             ),
-        },
-    )
+        }
+    })
 }
 
 /// Random kernel-liftable `ext` bodies emitting `(atom, nat)` rows: filters,
 /// projections-with-rebuild, lets, and nested conditionals.
-fn arb_liftable_body() -> impl Strategy<Value = Expr> {
+fn arb_liftable_body(vars: Vars) -> impl Strategy<Value = Expr> {
+    let var = || prop::sample::select(vars.to_vec());
     let emit = prop_oneof![
-        // {(pi1 x, nat-expr)} — rebuild the pair with a computed column.
-        arb_nat_expr().prop_map(|n| Expr::singleton(Expr::pair(Expr::proj1(Expr::var("x")), n))),
-        // {x} — the identity emit.
-        Just(Expr::singleton(Expr::var("x"))),
+        // {(pi1 v, nat-expr)} — rebuild the pair with a computed column.
+        (var(), arb_nat_expr(vars))
+            .prop_map(|(v, n)| Expr::singleton(Expr::pair(Expr::proj1(Expr::var(v)), n))),
+        // {v} — the identity emit.
+        var().prop_map(|v| Expr::singleton(Expr::var(v))),
         // {} — drop the row.
         Just(Expr::empty(pair_ty())),
     ];
-    let guarded = (arb_bool_expr(), emit.clone(), emit)
+    let guarded = (arb_bool_expr(vars), emit.clone(), emit)
         .prop_map(|(c, t, e)| Expr::ite(c, t, e))
         .boxed();
     prop_oneof![
         guarded.clone(),
         // let y = nat-expr in if nat_leq(y, k) then <emit> else <emit>
-        (arb_nat_expr(), guarded).prop_map(|(bound, body)| Expr::let_in("y", bound, body)),
+        (arb_nat_expr(vars), guarded).prop_map(|(bound, body)| Expr::let_in("y", bound, body)),
     ]
 }
 
@@ -111,7 +123,7 @@ proptest! {
     #[test]
     fn kernel_and_interpreted_ext_are_bit_identical(
         rows in arb_input_set(),
-        body in arb_liftable_body(),
+        body in arb_liftable_body(OWN),
     ) {
         let expr = Expr::ext(
             Expr::lam("x", pair_ty(), body.clone()),
@@ -135,6 +147,28 @@ proptest! {
         // And the two backends agree with each other, kernels or not.
         prop_assert_eq!(&v_seq_on, &v_par_on);
         prop_assert_eq!(s_seq_on, s_par_on);
+    }
+
+    /// A join: the inner body reads the outer row `a`, which its kernel takes
+    /// as a parameter — loaded once per inner `ext`, one compile for the site
+    /// however many outer rows make a closure from it. Invisible on all four
+    /// strategies, nested regions included.
+    #[test]
+    fn an_inner_ext_that_captures_the_outer_row_is_bit_identical(
+        outer in proptest::collection::vec((0u64..40, 0u64..30), 0..24),
+        inner in proptest::collection::vec((0u64..40, 0u64..30), 0..48),
+        body in arb_liftable_body(OWN_AND_CAPTURED),
+    ) {
+        // Eight distinct rows on top of the random ones: always columnar.
+        let inner: Vec<(u64, u64)> = inner.into_iter().chain((0..8).map(|i| (100 + i, i))).collect();
+        let join = Expr::ext(
+            Expr::lam("a", pair_ty(), ext_over(body, &inner)),
+            Expr::constant(input_value(&outer)),
+        );
+        let sites = analyze_sites(&join, &ExternRegistry::standard());
+        prop_assert_eq!(sites.len(), 2);
+        prop_assert!(!sites[0].compiled, "an `ext` body is not a comprehension");
+        assert_all_four_agree(&join);
     }
 
     /// Unliftable bodies reject deterministically at prepare time and the
@@ -308,15 +342,33 @@ fn branching_body() -> Expr {
     )
 }
 
-/// All four (strategy × schedule) results of one expression, asserted equal
-/// in value and in all seven `CostStats` fields; returns the common result.
+/// The four (strategy × schedule) pairs every claim here is made over.
+const STRATEGIES: [(bool, Option<usize>); 4] = [
+    (false, None),
+    (true, None),
+    (true, Some(4)),
+    (false, Some(4)),
+];
+
+/// All four (strategy × schedule) results of one expression whose innermost
+/// site compiles, asserted equal in value and in all seven `CostStats`
+/// fields; returns the common result.
 fn assert_all_four_agree(expr: &Expr) -> (Value, CostStats) {
-    let site = &analyze_sites(expr, &ExternRegistry::standard())[0];
+    let sites = analyze_sites(expr, &ExternRegistry::standard());
+    let site = sites.last().expect("a site");
     assert!(site.compiled, "{}", site.detail);
-    let reference = run_forking(expr, false, None, None).expect("interpreted");
-    for (kernels, threads) in [(true, None), (true, Some(4)), (false, Some(4))] {
-        let got = run_forking(expr, kernels, threads, None).expect("evaluates");
-        assert_eq!(got, reference, "kernels {kernels}, threads {threads:?}");
+    assert_the_four_strategies_agree(expr)
+}
+
+fn assert_the_four_strategies_agree(expr: &Expr) -> (Value, CostStats) {
+    let run = |(kernels, threads)| run_forking(expr, kernels, threads, None).expect("evaluates");
+    let reference = run(STRATEGIES[0]);
+    for strategy in &STRATEGIES[1..] {
+        assert_eq!(
+            run(*strategy),
+            reference,
+            "(kernels, threads) = {strategy:?}"
+        );
     }
     reference
 }
@@ -340,52 +392,265 @@ fn shards_spanning_several_accounting_blocks_charge_the_interpreters_cost() {
     assert!(shallow_stats.span < stats.span);
 }
 
+/// `\x. if pi2 a = pi2 x then {(pi1 a, nat_add(pi2 x, 1))} else {}`: a body
+/// that reads `a`, the row of an enclosing `ext`.
+fn join_inner() -> Expr {
+    let (a, x) = (|| Expr::var("a"), || Expr::var("x"));
+    let body = Expr::ite(
+        Expr::eq(Expr::proj2(a()), Expr::proj2(x())),
+        Expr::singleton(Expr::pair(
+            Expr::proj1(a()),
+            call("nat_add", Expr::proj2(x()), Expr::nat(1)),
+        )),
+        Expr::empty(pair_ty()),
+    );
+    Expr::lam("x", pair_ty(), body)
+}
+
+/// `ext(\a. ext(join_inner, inner), outer)`: the inner body runs as a kernel
+/// with `a` a parameter.
+fn join_over(outer: Expr, inner: Expr) -> Expr {
+    let inner = Expr::ext(join_inner(), inner);
+    Expr::ext(Expr::lam("a", pair_ty(), inner), outer)
+}
+
+/// A leaf map whose two arms differ in depth, so leaf spans differ.
+fn branching_leaf() -> Expr {
+    let n = || Expr::proj2(Expr::var("x"));
+    let deep = call("nat_add", call("nat_mul", n(), Expr::nat(2)), Expr::nat(1));
+    let body = Expr::ite(call("nat_leq", n(), Expr::nat(300)), deep, n());
+    Expr::lam("x", pair_ty(), body)
+}
+
+/// `dcr(0, branching_leaf, \q. combine, set)` over `(atom * nat)` rows.
+fn scalar_dcr_over(combine: Expr, set: Expr) -> Expr {
+    let u = Expr::lam("q", Type::prod(Type::Nat, Type::Nat), combine);
+    Expr::dcr(Expr::nat(0), branching_leaf(), u, set)
+}
+
+/// `3·pi1 q ∸ pi2 q`: neither associative nor commutative, and rarely 0, so
+/// the value pins the tree's shape.
+fn sub_combiner() -> Expr {
+    let q = || Expr::var("q");
+    let tripled = call("nat_mul", Expr::proj1(q()), Expr::nat(3));
+    call("nat_sub", tripled, Expr::proj2(q()))
+}
+
+#[test]
+fn a_scalar_dcr_runs_the_interpreters_tree_on_kernels() {
+    // What `branching_leaf` and the two combiners compute, folded along the
+    // tree the interpreter builds: adjacent pairs, an odd tail passed through.
+    type Combine = fn(u64, u64) -> u64;
+    fn tree(mut level: Vec<u64>, u: Combine) -> Option<u64> {
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| pair.get(1).map_or(pair[0], |&b| u(pair[0], b)))
+                .collect();
+        }
+        level.pop()
+    }
+    let combiners: [(Expr, Combine); 2] = [
+        (sub_combiner(), |a, b| (3 * a).saturating_sub(b)),
+        (Expr::proj1(Expr::var("q")), |a, _| a),
+    ];
+    for n in [0u64, 1, 2, 3, 8, 1_025, 2_049] {
+        // Distinct first columns: the set has exactly `n` rows, in this order.
+        let rows: Vec<(u64, u64)> = (scrambled_rows(n).iter().zip(0..))
+            .map(|(row, i)| (i, row.1))
+            .collect();
+        let leaves: Vec<u64> = (rows.iter())
+            .map(|&(_, y)| if y <= 300 { 2 * y + 1 } else { y })
+            .collect();
+        let mut spans = Vec::new();
+        for (combine, u) in &combiners {
+            let expr = scalar_dcr_over(combine.clone(), Expr::constant(input_value(&rows)));
+            let (value, stats) = assert_all_four_agree(&expr);
+            let expected = tree(leaves.clone(), *u).unwrap_or(0);
+            assert_eq!(value, Value::Nat(expected), "n = {n}, u = {combine}");
+            assert_eq!(stats.combiner_calls, n.saturating_sub(1), "n = {n}");
+            assert_eq!(stats.ext_calls, 0);
+            spans.push(stats.span);
+        }
+        // `pi1 q` is a shallower combiner than `sub_combiner`.
+        assert!(n < 2 || spans[1] < spans[0], "n = {n}: {spans:?}");
+    }
+}
+
+/// The three shapes that run on kernels — a plain `ext`, an inner `ext` that
+/// captures the outer row, a scalar `dcr` — over the sets `r` (64 rows) and
+/// `s` (9 000 rows), written by `set`.
+fn kernel_shapes(set: impl Fn(&'static str, u64) -> Expr) -> [(&'static str, Expr); 3] {
+    let plain = Expr::ext(Expr::lam("x", pair_ty(), branching_body()), set("s", 9_000));
+    [
+        ("ext", plain),
+        ("join", join_over(set("r", 64), set("s", 9_000))),
+        ("dcr", scalar_dcr_over(sub_combiner(), set("s", 9_000))),
+    ]
+}
+
 #[test]
 fn a_work_limit_trips_inside_a_kernel_run_ext_on_every_strategy() {
-    let expr = ext_over(branching_body(), &scrambled_rows(9_000));
-    let (_, stats) = run_forking(&expr, true, None, None).expect("unlimited");
-    // A limit the constant alone fits under, and a few blocks do not.
-    let limit = stats.work / 3;
-    for kernels in [true, false] {
-        for threads in [None, Some(4)] {
-            let error = run_forking(&expr, kernels, threads, Some(limit)).expect_err("over budget");
-            assert!(
-                matches!(error, ncql::core::EvalError::WorkLimitExceeded { limit: l, .. } if l == limit),
-                "kernels {kernels}, threads {threads:?}: {error}"
-            );
-            // One unit below the full cost still trips; the full cost fits.
-            let tight = run_forking(&expr, kernels, threads, Some(stats.work - 1));
-            assert!(tight.is_err(), "kernels {kernels}, threads {threads:?}");
+    let closed = |_, n| Expr::constant(input_value(&scrambled_rows(n)));
+    for (shape, expr) in kernel_shapes(closed) {
+        let (_, stats) = assert_all_four_agree(&expr);
+        // Limits that fall a third and three quarters of the way through —
+        // inside the plain `ext`'s blocks, inside an inner `ext` of the join,
+        // among the leaves and inside a combining round of the `dcr` — and
+        // one unit below the full cost.
+        for limit in [stats.work / 3, stats.work / 4 * 3, stats.work - 1] {
+            for (kernels, threads) in STRATEGIES {
+                let error =
+                    run_forking(&expr, kernels, threads, Some(limit)).expect_err("over budget");
+                assert!(
+                    matches!(error, ncql::core::EvalError::WorkLimitExceeded { limit: l, .. } if l == limit),
+                    "{shape}: kernels {kernels}, threads {threads:?}: {error}"
+                );
+            }
+        }
+        // The full cost fits.
+        for (kernels, threads) in STRATEGIES {
             let exact = run_forking(&expr, kernels, threads, Some(stats.work)).expect("fits");
-            assert_eq!(exact.1, stats);
+            assert_eq!(
+                exact.1, stats,
+                "{shape}: kernels {kernels}, threads {threads:?}"
+            );
         }
     }
 }
 
 #[test]
 fn a_cancelled_token_stops_a_large_kernel_ext() {
-    let rows = scrambled_rows(100_000);
-    let schema = vec![("s".to_string(), Type::set(pair_ty()))];
-    let bindings = vec![("s".to_string(), input_value(&rows))];
-    let expr = Expr::ext(Expr::lam("x", pair_ty(), branching_body()), Expr::var("s"));
-    for kernels in [true, false] {
-        let session = SessionBuilder::new().row_kernels(kernels).build();
-        let query = session
-            .prepare_expr_with_schema(expr.clone(), &schema)
-            .expect("prepares");
-        let token = ncql::CancelToken::new();
-        token.cancel("stop");
-        let options = ncql::ExecOptions::new().cancel(token);
-        let error = session
-            .execute_with_options(&query, &bindings, &options)
-            .expect_err("cancelled");
-        assert!(
-            matches!(
-                &error,
-                ncql::Error::Eval(ncql::core::EvalError::Cancelled { reason, .. }) if reason == "stop"
+    let schema: Vec<(String, Type)> = ["r", "s"]
+        .map(|name| (name.to_string(), Type::set(pair_ty())))
+        .into();
+    let bindings = vec![
+        ("r".to_string(), input_value(&scrambled_rows(64))),
+        ("s".to_string(), input_value(&scrambled_rows(100_000))),
+    ];
+    for (shape, expr) in kernel_shapes(|name, _| Expr::var(name)) {
+        for (kernels, threads) in STRATEGIES {
+            let session = SessionBuilder::new()
+                .parallel_cutoff(1)
+                .parallelism(threads)
+                .row_kernels(kernels)
+                .build();
+            let query = session
+                .prepare_expr_with_schema(expr.clone(), &schema)
+                .expect("prepares");
+            let token = ncql::CancelToken::new();
+            token.cancel("stop");
+            let options = ncql::ExecOptions::new().cancel(token);
+            let error = session
+                .execute_with_options(&query, &bindings, &options)
+                .expect_err("cancelled");
+            assert!(
+                matches!(
+                    &error,
+                    ncql::Error::Eval(ncql::core::EvalError::Cancelled { reason, .. }) if reason == "stop"
+                ),
+                "{shape}: kernels {kernels}, threads {threads:?}: {error}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_captured_set_or_function_rejects_by_name_and_evaluates_identically() {
+    let rows = Expr::constant(input_value(&scrambled_rows(64)));
+    let x = || Expr::var("x");
+    // {(pi1 x, t)} under \t: {atom}, over a set of two sets.
+    let tagged = Expr::ext(
+        Expr::lam(
+            "t",
+            Type::set(Type::Base),
+            Expr::ext(
+                Expr::lam(
+                    "x",
+                    pair_ty(),
+                    Expr::singleton(Expr::pair(Expr::proj1(x()), Expr::var("t"))),
+                ),
+                rows.clone(),
             ),
-            "kernels {kernels}: {error}"
+        ),
+        Expr::constant(Value::set_from([
+            Value::atom_set([1, 2]),
+            Value::atom_set([3]),
+        ])),
+    );
+    // (\f: nat -> nat. ext(\x. {(pi1 x, f(pi2 x))}, rows))(\n. n + 1)
+    let mapped = Expr::app(
+        Expr::lam(
+            "f",
+            Type::fun(Type::Nat, Type::Nat),
+            Expr::ext(
+                Expr::lam(
+                    "x",
+                    pair_ty(),
+                    Expr::singleton(Expr::pair(
+                        Expr::proj1(x()),
+                        Expr::app(Expr::var("f"), Expr::proj2(x())),
+                    )),
+                ),
+                rows,
+            ),
+        ),
+        Expr::lam(
+            "n",
+            Type::Nat,
+            call("nat_add", Expr::var("n"), Expr::nat(1)),
+        ),
+    );
+    for (name, expr) in [("t", tagged), ("f", mapped)] {
+        let sites = analyze_sites(&expr, &ExternRegistry::standard());
+        let site = sites.last().expect("the inner ext");
+        assert!(!site.compiled);
+        assert!(
+            site.detail.contains(&format!("captures `{name}`")),
+            "{}",
+            site.detail
         );
+        let (value, stats) = assert_the_four_strategies_agree(&expr);
+        assert!(stats.ext_calls >= 64 && value.as_set().is_some_and(|s| s.len() >= 64));
+    }
+}
+
+/// A `λ` that is not written at its `ext` — bound by a `let`, passed as an
+/// argument, or a `let` inside an outer body whose row it captures — is
+/// compiled where it is written and reaches the site as a closure, which
+/// finds that kernel by its body. The site itself reports that it is decided
+/// at run time; values and statistics are the interpreter's. (That the kernel
+/// really runs is a count: `tests/kernel_site_guard.rs`.)
+#[test]
+fn a_lambda_that_reaches_its_ext_as_a_closure_is_bit_identical() {
+    let rows = || Expr::constant(input_value(&scrambled_rows(2_500)));
+    let function = || Expr::lam("x", pair_ty(), branching_body());
+    let bound = Expr::let_in("f", function(), Expr::ext(Expr::var("f"), rows()));
+    let result = Type::set(Type::prod(Type::Nat, Type::Nat));
+    let passed = Expr::app(
+        Expr::lam(
+            "g",
+            Type::fun(pair_ty(), result),
+            Expr::ext(Expr::var("g"), rows()),
+        ),
+        function(),
+    );
+    // join_over, with the inner function named before it is used.
+    let named = Expr::let_in("f", join_inner(), Expr::ext(Expr::var("f"), rows()));
+    let outer = Expr::constant(input_value(&scrambled_rows(64)));
+    let capturing = Expr::ext(Expr::lam("a", pair_ty(), named), outer);
+
+    for expr in [bound, passed, capturing] {
+        let sites = analyze_sites(&expr, &ExternRegistry::standard());
+        let site = sites.last().expect("the ext the closure reaches");
+        assert!(!site.compiled);
+        assert!(
+            site.detail.contains("not a literal lambda"),
+            "{}",
+            site.detail
+        );
+        let (_, stats) = assert_the_four_strategies_agree(&expr);
+        assert!(stats.ext_calls >= 2_500);
     }
 }
 
@@ -423,8 +688,8 @@ fn a_body_with_more_conditionals_than_the_path_key_holds_runs_interpreted() {
     let body = threshold_count_body(&thresholds);
     let shape = ncql::object::FlatShape::of_type(&pair_ty()).expect("flat");
     let registry = ExternRegistry::standard();
-    let reason =
-        ncql::core::kernel::compile("x", &body, &shape, &registry).expect_err("65 conditionals");
+    let reason = ncql::core::kernel::compile("x", &body, &shape, &[], &registry)
+        .expect_err("65 conditionals");
     assert!(reason.contains("more than 64 conditionals"), "{reason}");
     let over = ext_over(body, &rows);
     let site = &analyze_sites(&over, &registry)[0];
