@@ -34,6 +34,7 @@
 use crate::types::Type;
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::fmt;
 
 /// The shape of a flat value: products of scalars, with no set constructor.
 ///
@@ -135,6 +136,25 @@ impl FlatShape {
         v
     }
 
+    /// Print the value this shape lays out in `row`, exactly as its boxed
+    /// form's `Display` would.
+    pub(crate) fn write_row(&self, out: &mut impl fmt::Write, row: &[u64]) -> fmt::Result {
+        match self {
+            FlatShape::Unit => out.write_str("()"),
+            FlatShape::Bool => out.write_str(if row[0] == 0 { "false" } else { "true" }),
+            FlatShape::Atom => write_atom(out, row[0]),
+            FlatShape::Nat => write_u64(out, row[0]),
+            FlatShape::Pair(a, b) => {
+                let (first, second) = row.split_at(a.width());
+                out.write_char('(')?;
+                a.write_row(out, first)?;
+                out.write_str(", ")?;
+                b.write_row(out, second)?;
+                out.write_char(')')
+            }
+        }
+    }
+
     /// Decode this shape from the front of `words`, returning the value and
     /// the number of words consumed.
     fn decode_prefix(&self, words: &[u64]) -> (Value, usize) {
@@ -150,6 +170,29 @@ impl FlatShape {
             }
         }
     }
+}
+
+/// How an atom prints, boxed or in a row: an interned atom by name, a numeric
+/// one as `a{n}` (the tag-bit check keeps the numeric path lock-free).
+pub(crate) fn write_atom(out: &mut impl fmt::Write, atom: u64) -> fmt::Result {
+    match crate::intern::atom_name(atom) {
+        Some(name) => write!(out, "@{name}"),
+        None => out.write_char('a').and_then(|()| write_u64(out, atom)),
+    }
+}
+
+/// Append `n` in decimal. Printing a relation, or writing it to the wire,
+/// puts out a number per word: too many to send each through `fmt::Arguments`.
+pub fn write_u64(out: &mut impl fmt::Write, mut n: u64) -> fmt::Result {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len() - 1;
+    while n >= 10 {
+        digits[at] += (n % 10) as u8;
+        n /= 10;
+        at -= 1;
+    }
+    digits[at] += n as u8;
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
 }
 
 // ----- row kernels (crate-internal: `VSet` is the public surface) -----

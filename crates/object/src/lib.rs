@@ -26,6 +26,11 @@
 //! * [`morphism`] — base-domain morphisms (order-preserving injections) used to
 //!   state and test genericity of database queries (§5, following Chandra & Harel).
 //!
+//! A value is walked in three forms, each with one job: boxed [`Value`]s are
+//! the semantics of record (the other two are tested against them); [`flat`]
+//! rows are what the kernels, `Display` and the wire read and write for sets of
+//! flat elements; [`encoding`] bit-strings serve the circuit translation alone.
+//!
 //! The crate is purely a data substrate: it knows nothing about expressions,
 //! evaluation, or circuits. Those live in `ncql-core`, `ncql-circuit` and friends.
 

@@ -793,25 +793,36 @@ impl Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            // Interned atoms print their name; numeric atoms keep the classic
-            // `a{n}` form (the tag-bit check keeps the numeric path lock-free).
-            Value::Atom(a) => match crate::intern::atom_name(*a) {
-                Some(name) => write!(f, "@{name}"),
-                None => write!(f, "a{a}"),
-            },
+            Value::Atom(a) => flat::write_atom(f, *a),
             Value::Bool(b) => write!(f, "{b}"),
             Value::Unit => write!(f, "()"),
             Value::Nat(n) => write!(f, "{n}"),
             Value::Pair(a, b) => write!(f, "({a}, {b})"),
             Value::Set(s) => {
-                write!(f, "{{")?;
-                for (i, x) in s.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
+                f.write_str("{")?;
+                match s.columnar_rows() {
+                    // Printed from the rows (no boxed view is made) into a buffer:
+                    // a formatter is a `dyn Write`, slow when fed piece by piece.
+                    Some((shape, width, words)) => {
+                        let mut text = String::new();
+                        for (i, row) in words.chunks_exact(width).enumerate() {
+                            if i > 0 {
+                                text.push_str(", ");
+                            }
+                            shape.write_row(&mut text, row)?;
+                        }
+                        f.write_str(&text)?;
                     }
-                    write!(f, "{x}")?;
+                    None => {
+                        for (i, x) in s.iter().enumerate() {
+                            if i > 0 {
+                                f.write_str(", ")?;
+                            }
+                            write!(f, "{x}")?;
+                        }
+                    }
                 }
-                write!(f, "}}")
+                f.write_str("}")
             }
         }
     }

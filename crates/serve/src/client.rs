@@ -7,7 +7,7 @@
 //! as [`WireOutcome`]/[`WireDiagnostic`].
 
 use crate::json::{self, Json};
-use crate::protocol::value_to_json;
+use crate::protocol::{decode_value, value_to_json};
 use ncql_object::Value;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -257,7 +257,7 @@ impl Client {
         let value_json = ok
             .get("value")
             .ok_or_else(|| ClientError::Malformed("missing `value`".to_string()))?;
-        let value = crate::protocol::value_from_json(value_json).map_err(ClientError::Malformed)?;
+        let value = decode_value(&value_json.to_string()).map_err(ClientError::Malformed)?;
         Ok(WireOutcome {
             value,
             printed: require_str(&ok, "printed")?,

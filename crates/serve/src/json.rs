@@ -1,12 +1,14 @@
-//! A minimal, dependency-free JSON tree: parser, writer, and accessors.
+//! A minimal, dependency-free JSON: one pull reader, the tree built with it,
+//! a writer, and accessors.
 //!
 //! The workspace builds hermetically against vendored stand-ins for its
 //! crates.io dependencies, and no JSON library is among them — so the wire
-//! protocol carries its own ~300-line implementation instead of growing a new
-//! vendored crate. It covers exactly what the protocol needs: RFC 8259
-//! objects/arrays/strings/numbers/booleans/null, `\uXXXX` escapes (surrogate
-//! pairs included), a nesting-depth limit so a hostile request cannot blow
-//! the stack, and a compact writer.
+//! protocol carries its own implementation instead of growing a new vendored
+//! crate. It covers exactly what the protocol needs: RFC 8259 values, `\uXXXX`
+//! escapes (surrogate pairs included), a nesting-depth limit so a hostile
+//! request cannot blow the stack, and a compact writer. [`Reader`] is the only
+//! lexer: [`parse`] builds a [`Json`] tree with it, and [`parse_with`] lets a
+//! caller read chosen members itself — as the protocol does binding values.
 //!
 //! Numbers come in two variants. Non-negative integer literals that fit a
 //! `u64` parse to [`Json::UInt`] and print from the integer directly, so the
@@ -18,12 +20,13 @@
 //! `u64 → f64` conversion; [`Json::as_u64`] refuses `Num` values that are not
 //! exactly representable non-negative integers rather than rounding.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts. Wire values are shallow (a
 /// binding for a deeply nested complex object is the worst case); 128 is far
 /// above anything legitimate and far below stack exhaustion.
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone)]
@@ -47,7 +50,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
     /// A pre-serialized JSON fragment, emitted verbatim by the writer. Never
     /// produced by the parser — it exists so already-serialized pieces (the
-    /// engine's `Diagnostic::to_json`) embed without a parse round-trip.
+    /// engine's `Diagnostic::to_json`, a wire value) embed without a round-trip.
     Raw(String),
 }
 
@@ -191,7 +194,7 @@ fn write_value(out: &mut impl fmt::Write, v: &Json) -> fmt::Result {
             write!(out, "{}", *n as i64)
         }
         Json::Num(n) => write!(out, "{n}"),
-        Json::UInt(n) => write!(out, "{n}"),
+        Json::UInt(n) => ncql_object::flat::write_u64(out, *n),
         Json::Str(s) => write_string(out, s),
         Json::Arr(items) => {
             out.write_char('[')?;
@@ -243,232 +246,112 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// What [`Reader::token`] read: a whole scalar, or the opening of a container
+/// with whether anything stands inside it (`[]` and `{}` are read whole).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number: [`Json::UInt`] or [`Json::Num`].
+    Num(Json),
+    /// A string, borrowed from the text unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// `[`; go on with the first element, then [`Reader::array_next`].
+    Arr(bool),
+    /// `{`; go on with [`Reader::key`], its value, then [`Reader::object_next`].
+    Obj(bool),
 }
 
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
-        Err(JsonError {
-            message: message.into(),
-            at: self.pos,
-        })
+/// A pull reader over one JSON text, and the crate's only lexer. A reader is
+/// a position in the text, so a clone is a bookmark.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open around `pos` (those entered since [`Reader::new`]).
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        let (pos, depth) = (0, 0);
+        Reader { text, pos, depth }
+    }
+
+    /// The byte offset of the next token.
+    pub fn pos(&mut self) -> usize {
+        self.skip_ws();
+        self.pos
+    }
+
+    fn err<T>(&self, message: impl fmt::Display) -> Result<T, JsonError> {
+        let (message, at) = (message.to_string(), self.pos);
+        Err(JsonError { message, at })
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            match b {
-                b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
-                _ => break,
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected `{}`", b as char))
+    fn literal(&mut self, word: &str) -> Result<(), JsonError> {
+        if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return self.err(format_args!("expected `{word}`"));
         }
+        self.pos += word.len();
+        Ok(())
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected `{word}`"))
-        }
+    /// Read the next value: all of a scalar, the opening of a container.
+    /// Every value is entered here, which is where [`MAX_DEPTH`] holds.
+    pub fn token(&mut self) -> Result<Token<'a>, JsonError> {
+        self.lex(true)
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
+    /// [`Reader::token`]; an escaped string is unescaped only to `keep` it.
+    fn lex(&mut self, keep: bool) -> Result<Token<'a>, JsonError> {
+        if self.depth > MAX_DEPTH {
             return self.err("nesting deeper than the protocol allows");
         }
         self.skip_ws();
         match self.peek() {
             None => self.err("unexpected end of input"),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return self.err("expected `,` or `]` in array"),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut members = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                loop {
-                    self.skip_ws();
-                    if self.peek() != Some(b'"') {
-                        return self.err("expected a string key in object");
-                    }
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.value(depth + 1)?;
-                    members.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        _ => return self.err("expected `,` or `}` in object"),
-                    }
-                }
-            }
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            Some(other) => self.err(format!("unexpected byte `{}`", other as char)),
+            Some(b'n') => self.literal("null").map(|()| Token::Null),
+            Some(b't') => self.literal("true").map(|()| Token::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Token::Bool(false)),
+            Some(b'"') => self.string(keep).map(Token::Str),
+            Some(b'[') => self.open(b']').map(Token::Arr),
+            Some(b'{') => self.open(b'}').map(Token::Obj),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Token::Num),
+            Some(other) => self.err(format_args!("unexpected byte `{}`", other as char)),
         }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a following `\uXXXX` low
-                                // surrogate is mandatory.
-                                if self.peek() != Some(b'\\') {
-                                    return self.err("lone high surrogate");
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return self.err("lone high surrogate");
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return self.err("invalid low surrogate");
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                match char::from_u32(code) {
-                                    Some(c) => c,
-                                    None => return self.err("invalid surrogate pair"),
-                                }
-                            } else {
-                                match char::from_u32(hi) {
-                                    Some(c) => c,
-                                    None => return self.err("invalid \\u escape"),
-                                }
-                            };
-                            out.push(c);
-                            continue; // hex4 advanced past the digits already
-                        }
-                        _ => return self.err("invalid escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return self.err("raw control character in string"),
-                Some(_) => {
-                    // Decode one UTF-8 character (the input is a &str upstream
-                    // of the byte view, so this cannot fail on valid input —
-                    // but the parser is defensive anyway).
-                    let rest = &self.bytes[self.pos..];
-                    let len = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if (0xC0..0xE0).contains(&b) => 2,
-                        b if (0xE0..0xF0).contains(&b) => 3,
-                        b if b >= 0xF0 => 4,
-                        _ => return self.err("invalid UTF-8 in string"),
-                    };
-                    if rest.len() < len {
-                        return self.err("truncated UTF-8 in string");
-                    }
-                    match std::str::from_utf8(&rest[..len]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return self.err("invalid UTF-8 in string"),
-                    }
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return self.err("truncated \\u escape");
-        }
-        let digits = &self.bytes[self.pos..end];
-        let text = std::str::from_utf8(digits).map_err(|_| JsonError {
-            message: "invalid \\u escape".to_string(),
-            at: self.pos,
-        })?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| JsonError {
-            message: "invalid \\u escape".to_string(),
-            at: self.pos,
-        })?;
-        self.pos = end;
-        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        let digits = start + usize::from(negative);
+        self.pos = digits;
+        let mut exact = 0u64;
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            exact = exact.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        // Plain digits so far: keep a non-negative integer exact as `UInt`
-        // unless a fraction/exponent follows or it overflows `u64` (then the
-        // general `f64` path below takes over).
-        let integral = self.bytes[start] != b'-';
-        if integral && !matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-            if let Ok(n) = text.parse::<u64>() {
+        // A non-negative integer stays exact as `UInt` (nineteen digits always
+        // fit) unless a fraction or exponent follows or it overflows: then `f64`.
+        if !negative && !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            if self.pos - digits <= 19 {
+                return Ok(Json::UInt(exact));
+            }
+            if let Ok(n) = self.text[digits..self.pos].parse::<u64>() {
                 return Ok(Json::UInt(n));
             }
         }
@@ -478,36 +361,231 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        match text.parse::<f64>() {
+        match self.text[start..self.pos].parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Json::Num(n)),
             _ => self.err("invalid number"),
         }
     }
+
+    /// Lex one string: the slice between the quotes when it holds no escape,
+    /// else an unescaped copy — or, not to `keep`, an empty one (a skip allocates
+    /// nothing). Runs of plain text end at ASCII bytes, so on char boundaries.
+    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, JsonError> {
+        self.pos += 1; // the opening quote, which every caller has seen
+        let (start, mut run, mut unescaped) = (self.pos, self.pos, String::new());
+        loop {
+            let rest = &self.text.as_bytes()[self.pos..];
+            let plain = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            self.pos += plain.unwrap_or(rest.len());
+            let text = &self.text[run..self.pos];
+            match self.peek() {
+                None => return self.err("unterminated string"),
+                Some(b'"') => {
+                    self.pos += 1;
+                    if run == start {
+                        return Ok(Cow::Borrowed(text));
+                    }
+                    unescaped.push_str(if keep { text } else { "" });
+                    return Ok(Cow::Owned(unescaped));
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    if keep {
+                        unescaped.push_str(text);
+                        unescaped.push(c);
+                    }
+                    run = self.pos;
+                }
+                Some(_) => return self.err("raw control character in string"),
+            }
+        }
+    }
+
+    /// The character an escape denotes; `pos` is just past its backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let mut code = self.hex4()?;
+                if (0xD800..0xDC00).contains(&code) {
+                    // A high surrogate: a `\uXXXX` low one must follow.
+                    for expected in [b'\\', b'u'] {
+                        if self.peek() != Some(expected) {
+                            return self.err("lone high surrogate");
+                        }
+                        self.pos += 1;
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return self.err("invalid low surrogate");
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+                }
+                return char::from_u32(code).map_or_else(|| self.err("invalid \\u escape"), Ok);
+            }
+            _ => return self.err("invalid escape"),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let Some(digits) = self.text.as_bytes().get(self.pos..self.pos + 4) else {
+            return self.err("truncated \\u escape");
+        };
+        let digits = std::str::from_utf8(digits).ok();
+        let Some(code) = digits.and_then(|text| u32::from_str_radix(text, 16).ok()) else {
+            return self.err("invalid \\u escape");
+        };
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Enter the container whose bracket stands here: is anything in it?
+    fn open(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.pos += 1;
+        self.skip_ws();
+        let empty = self.peek() == Some(close);
+        self.pos += usize::from(empty);
+        self.depth += usize::from(!empty);
+        Ok(!empty)
+    }
+
+    fn more(&mut self, close: u8, otherwise: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let next = self.peek();
+        if next != Some(b',') && next != Some(close) {
+            return self.err(otherwise);
+        }
+        self.pos += 1;
+        self.depth -= usize::from(next == Some(close));
+        Ok(next == Some(b','))
+    }
+
+    /// After an element: `true` past a `,` (another follows), `false` past
+    /// the `]`.
+    pub fn array_next(&mut self) -> Result<bool, JsonError> {
+        self.more(b']', "expected `,` or `]` in array")
+    }
+
+    /// After a member's value: `true` past a `,`, `false` past the `}`.
+    pub fn object_next(&mut self) -> Result<bool, JsonError> {
+        self.more(b'}', "expected `,` or `}` in object")
+    }
+
+    /// A member's key and its `:`, leaving the reader at the value.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.member_key(true)
+    }
+
+    fn member_key(&mut self, keep: bool) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return self.err("expected a string key in object");
+        }
+        let key = self.string(keep)?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return self.err("expected `:`");
+        }
+        self.pos += 1;
+        Ok(key)
+    }
+
+    /// Pass over one value: validated exactly as [`parse`] would, nothing allocated.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.lex(false)? {
+            Token::Arr(mut more) => {
+                while more {
+                    self.skip_value()?;
+                    more = self.array_next()?;
+                }
+            }
+            Token::Obj(mut more) => {
+                while more {
+                    self.member_key(false)?;
+                    self.skip_value()?;
+                    more = self.object_next()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Require that only whitespace remains.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        if self.pos() != self.text.len() {
+            return self.err("trailing bytes after the JSON value");
+        }
+        Ok(())
+    }
+
+    /// Read one value of any kind as a tree; see [`parse_with`] for `take`.
+    fn tree(&mut self, take: &mut Take<'_, 'a>) -> Result<Json, JsonError> {
+        Ok(match self.token()? {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Num(n) => n,
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::Arr(mut more) => {
+                let mut items = Vec::new();
+                while more {
+                    items.push(self.tree(take)?);
+                    more = self.array_next()?;
+                }
+                Json::Arr(items)
+            }
+            Token::Obj(mut more) => {
+                let mut members = Vec::new();
+                while more {
+                    let key = self.key()?;
+                    let value = take(&key, self)?.map_or_else(|| self.tree(take), Ok)?;
+                    members.push((key.into_owned(), value));
+                    more = self.object_next()?;
+                }
+                Json::Obj(members)
+            }
+        })
+    }
 }
+
+/// What [`parse_with`] offers every member of every object it builds.
+pub type Take<'t, 'a> = dyn FnMut(&str, &mut Reader<'a>) -> Result<Option<Json>, JsonError> + 't;
 
 /// Parse one JSON value from `text`, requiring it to span the whole input
 /// (modulo surrounding whitespace).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing bytes after the JSON value");
-    }
-    Ok(value)
+    parse_with(text, &mut |_, _| Ok(None))
+}
+
+/// [`parse`], except that `take`, given a member's key and a reader at its
+/// value, may read that value itself (all of it, and validly: the reader is
+/// the parser's own) and say what the tree holds in its place.
+pub fn parse_with<'a>(text: &'a str, take: &mut Take<'_, 'a>) -> Result<Json, JsonError> {
+    let mut reader = Reader::new(text);
+    let value = reader.tree(take)?;
+    reader.end().map(|()| value)
 }
 
 #[cfg(test)]
@@ -548,6 +626,67 @@ mod tests {
         let err = parse("{\"a\": }").unwrap_err();
         assert!(err.at > 0);
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn skipping_and_taking_members_validate_as_parsing_does() {
+        let texts = [
+            r#"{"a":[1,{"b":[true,null,{"c":"d\n\u00e9"}]},[]],"e":{},"f":-1.5e3}"#,
+            r#" [ 1 , [ 2 , [ 3 , [ 4 , { "k" : [ ] } ] ] ] ] "#,
+            r#""just a string""#,
+            r#"{"a":[1,{"b":[true,nul]}]}"#,
+            r#"{"a":[1,{"b":"\ud800"}]}"#,
+            r#"{"a":[1,{"b":1e999}]}"#,
+            r#"{"a":[1,{"b" 1}]}"#,
+            r#"{"a":[1,{"b":1}]"#,
+            r#"[[[[1]]]] x"#,
+        ];
+        for text in texts {
+            let full = parse(text);
+            let mut reader = Reader::new(text);
+            let skipped = reader.skip_value().and_then(|()| reader.end());
+            assert_eq!(skipped.err(), full.clone().err(), "{text}");
+            // Members taken by skipping them fail or succeed as the whole.
+            let taken = parse_with(text, &mut |key, at| match key {
+                "b" | "e" => at.skip_value().map(|()| Some(Json::Null)),
+                _ => Ok(None),
+            });
+            assert_eq!(taken.err(), full.err(), "{text}");
+        }
+        let taken = parse_with(r#"{"a":[{"b":[1, 2]},3],"b":"d"}"#, &mut |key, at| {
+            if key != "b" {
+                return Ok(None);
+            }
+            let stood_at = at.pos() as u64;
+            at.skip_value().map(|()| Some(Json::num(stood_at)))
+        });
+        assert_eq!(taken.unwrap().to_string(), r#"{"a":[{"b":11},3],"b":26}"#);
+    }
+
+    #[test]
+    fn a_reader_borrows_plain_strings_and_bookmarks_by_clone() {
+        let mut reader = Reader::new(r#" {"plain":"as is","esc\"aped":[true,7]} "#);
+        assert_eq!(reader.pos(), 1);
+        assert_eq!(reader.token(), Ok(Token::Obj(true)));
+        assert!(matches!(reader.key(), Ok(Cow::Borrowed("plain"))));
+        assert!(matches!(
+            reader.token(),
+            Ok(Token::Str(Cow::Borrowed("as is")))
+        ));
+        assert_eq!(reader.object_next(), Ok(true));
+        assert!(matches!(reader.key(), Ok(Cow::Owned(key)) if key == "esc\"aped"));
+        let bookmark = reader.clone();
+        assert_eq!(
+            reader.skip_value().and_then(|()| reader.object_next()),
+            Ok(false)
+        );
+        assert_eq!(reader.end(), Ok(()));
+        let mut again = bookmark;
+        assert_eq!(again.token(), Ok(Token::Arr(true)));
+        assert_eq!(again.token(), Ok(Token::Bool(true)));
+        assert_eq!(again.array_next(), Ok(true));
+        assert_eq!(again.token(), Ok(Token::Num(Json::UInt(7))));
+        assert_eq!(again.array_next(), Ok(false));
     }
 
     #[test]

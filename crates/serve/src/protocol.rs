@@ -35,11 +35,22 @@
 //! Result values are carried in the object layer's canonical printed form
 //! (`"{a1, a2}"`, `"42"`, `"(true, a7)"`), which is what the sorted,
 //! duplicate-free [`Value`] display guarantees to be deterministic.
+//!
+//! # Bytes ↔ rows
+//!
+//! No [`Json`] tree is built for a `value`, in either direction. A request
+//! line is read once: its envelope becomes a tree, and each binding value is
+//! decoded on the way, token by token — a set of flat same-shape elements
+//! straight into the columnar rows the kernels run on. [`value_to_json`]
+//! writes a result's wire text from its rows, as `Display` does `printed`.
+//! A `value` is an object of exactly one member: a second key, a repeated
+//! one, `"unit"` other than `true` get a `protocol` error, `invalid value
+//! encoding at byte N: …` (at most 80 bytes of the line from `N` on).
 
-use crate::json::Json;
+use crate::json::{Json, JsonError, Reader, Token};
 use ncql_core::EvalError;
 use ncql_engine::Error;
-use ncql_object::{Type, Value};
+use ncql_object::{FlatShape, Type, VSet, Value};
 
 /// The error-code strings of the wire protocol.
 pub mod code {
@@ -158,158 +169,262 @@ impl ProtocolError {
     }
 }
 
-/// Encode a [`Value`] as wire JSON (the `value` production of the grammar).
+/// Encode a [`Value`] as wire JSON (the `value` production): a [`Json::Raw`]
+/// of the text, written directly — a columnar set's straight from its rows.
 pub fn value_to_json(value: &Value) -> Json {
+    let mut out = String::new();
+    write_value(&mut out, value);
+    Json::Raw(out)
+}
+
+fn write_value(out: &mut String, value: &Value) {
     match value {
-        Value::Atom(a) => Json::Obj(vec![("atom".to_string(), Json::num(*a))]),
-        Value::Bool(b) => Json::Obj(vec![("bool".to_string(), Json::Bool(*b))]),
-        Value::Unit => Json::Obj(vec![("unit".to_string(), Json::Bool(true))]),
-        Value::Nat(n) => Json::Obj(vec![("nat".to_string(), Json::num(*n))]),
-        Value::Pair(a, b) => Json::Obj(vec![(
-            "pair".to_string(),
-            Json::Arr(vec![value_to_json(a), value_to_json(b)]),
-        )]),
-        Value::Set(s) => Json::Obj(vec![(
-            "set".to_string(),
-            Json::Arr(s.iter().map(value_to_json).collect()),
-        )]),
-    }
-}
-
-/// Decode a wire-JSON value (the inverse of [`value_to_json`]). Set elements
-/// are canonicalized (sorted, deduplicated) by construction.
-pub fn value_from_json(json: &Json) -> Result<Value, String> {
-    let fail = || format!("invalid value encoding: {json}");
-    match json {
-        Json::Obj(_) => {
-            if let Some(n) = json.get("atom") {
-                return n.as_u64().map(Value::Atom).ok_or_else(fail);
-            }
-            if let Some(b) = json.get("bool") {
-                return b.as_bool().map(Value::Bool).ok_or_else(fail);
-            }
-            if json.get("unit").is_some() {
-                return Ok(Value::Unit);
-            }
-            if let Some(n) = json.get("nat") {
-                return n.as_u64().map(Value::Nat).ok_or_else(fail);
-            }
-            if let Some(p) = json.get("pair") {
-                let items = p.as_arr().ok_or_else(fail)?;
-                if items.len() != 2 {
-                    return Err(fail());
-                }
-                return Ok(Value::pair(
-                    value_from_json(&items[0])?,
-                    value_from_json(&items[1])?,
-                ));
-            }
-            if let Some(s) = json.get("set") {
-                let items = s.as_arr().ok_or_else(fail)?;
-                let elems: Result<Vec<Value>, String> = items.iter().map(value_from_json).collect();
-                return Ok(Value::set_from(elems?));
-            }
-            Err(fail())
+        Value::Atom(a) => write_scalar(out, "{\"atom\":", *a),
+        Value::Nat(n) => write_scalar(out, "{\"nat\":", *n),
+        Value::Bool(b) => write_row(out, &FlatShape::Bool, &[u64::from(*b)]),
+        Value::Unit => write_row(out, &FlatShape::Unit, &[]),
+        Value::Pair(a, b) => {
+            out.push_str("{\"pair\":[");
+            write_value(out, a);
+            out.push(',');
+            write_value(out, b);
+            out.push_str("]}");
         }
-        _ => Err(fail()),
+        Value::Set(s) => {
+            out.push_str("{\"set\":[");
+            if let Some((shape, width, words)) = s.columnar_rows() {
+                for row in words.chunks_exact(width) {
+                    write_row(out, shape, row);
+                    out.push(',');
+                }
+            } else {
+                for x in s.iter() {
+                    write_value(out, x);
+                    out.push(',');
+                }
+            }
+            out.truncate(out.trim_end_matches(',').len()); // the last element's comma
+            out.push_str("]}");
+        }
     }
 }
 
-/// Parse one request line (already length-checked by the connection loop).
+/// [`write_value`] for the flat value that `shape` lays out in `row`.
+fn write_row(out: &mut String, shape: &FlatShape, row: &[u64]) {
+    match shape {
+        FlatShape::Atom => write_scalar(out, "{\"atom\":", row[0]),
+        FlatShape::Nat => write_scalar(out, "{\"nat\":", row[0]),
+        FlatShape::Bool if row[0] == 0 => out.push_str("{\"bool\":false}"),
+        FlatShape::Bool => out.push_str("{\"bool\":true}"),
+        FlatShape::Unit => out.push_str("{\"unit\":true}"),
+        FlatShape::Pair(a, b) => {
+            let (first, second) = row.split_at(a.width());
+            out.push_str("{\"pair\":[");
+            write_row(out, a, first);
+            out.push(',');
+            write_row(out, b, second);
+            out.push_str("]}");
+        }
+    }
+}
+
+fn write_scalar(out: &mut String, open: &str, n: u64) {
+    out.push_str(open);
+    ncql_object::flat::write_u64(out, n).expect("a String accepts every write");
+    out.push('}');
+}
+
+/// `error`, with at most 80 bytes of `text` from where it points.
+fn with_excerpt(error: JsonError, text: &str) -> String {
+    let mut ends = (0..=text.len().min(error.at + 80)).rev();
+    let end = ends.find(|&end| text.is_char_boundary(end)).unwrap_or(0);
+    format!("{error}: {}", &text[error.at.min(end)..end])
+}
+
+/// Decode the wire value that is the whole of `text` (the inverse of
+/// [`value_to_json`]). Sets are canonical (sorted, deduplicated) by
+/// construction; one of flat same-shape elements is read straight into rows.
+pub fn decode_value(text: &str) -> Result<Value, String> {
+    let mut reader = Reader::new(text);
+    let decoded = read_value(&mut reader).and_then(|v| reader.end().map(|()| v));
+    decoded.map_err(|error| with_excerpt(error, text))
+}
+
+/// One `value` production, boxed. This is the grammar of record: an object of
+/// exactly one member, whose key names the constructor of its payload.
+fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
+    let at = r.pos();
+    let value = match r.token()? {
+        Token::Obj(true) => match (&*r.key()?, r.token()?) {
+            ("atom", Token::Num(n)) => n.as_u64().map(Value::Atom),
+            ("nat", Token::Num(n)) => n.as_u64().map(Value::Nat),
+            ("bool", Token::Bool(b)) => Some(Value::Bool(b)),
+            ("unit", Token::Bool(true)) => Some(Value::Unit),
+            ("pair", Token::Arr(true)) => {
+                let first = read_value(r)?;
+                if r.array_next()? {
+                    let second = read_value(r)?;
+                    (!r.array_next()?).then(|| Value::pair(first, second))
+                } else {
+                    None
+                }
+            }
+            ("set", Token::Arr(more)) => Some(read_set(r, more)?),
+            _ => None,
+        },
+        _ => None,
+    };
+    let message = "invalid value encoding".to_string();
+    match value {
+        Some(value) if !r.object_next()? => Ok(value),
+        _ => Err(JsonError { message, at }),
+    }
+}
+
+/// The elements of a `set`, the reader past its `[`. While each has the first
+/// one's flat shape (of width ≥ 1) their words fill one buffer; an element that
+/// has not is re-read boxed, as is the rest.
+fn read_set(r: &mut Reader<'_>, mut more: bool) -> Result<Value, JsonError> {
+    let mut elems = Vec::new();
+    if more {
+        elems.push(read_value(r)?);
+        more = r.array_next()?;
+    }
+    let shape = elems.first().and_then(FlatShape::of_value);
+    if let Some(shape) = shape.filter(|shape| shape.width() >= 1) {
+        let mut words = Vec::new();
+        shape.encode_into(&elems[0], &mut words);
+        while more {
+            let (before, whole_rows) = (r.clone(), words.len());
+            if !read_row(r, &shape, &mut words).unwrap_or(false) {
+                *r = before;
+                words.truncate(whole_rows);
+                break;
+            }
+            more = r.array_next()?;
+        }
+        if !more {
+            return Ok(Value::Set(VSet::from_raw_rows(shape, words)));
+        }
+        let rows = words.chunks_exact(shape.width());
+        elems = rows.map(|row| shape.decode(row)).collect();
+    }
+    while more {
+        elems.push(read_value(r)?);
+        more = r.array_next()?;
+    }
+    Ok(Value::set_from(elems))
+}
+
+/// Append the words of one element of `shape`. Anything but `Ok(true)` says
+/// only that this fast path does not apply; [`read_value`] re-reads and judges.
+fn read_row(r: &mut Reader<'_>, shape: &FlatShape, out: &mut Vec<u64>) -> Result<bool, JsonError> {
+    let Token::Obj(true) = r.token()? else {
+        return Ok(false);
+    };
+    let fits = match (shape, &*r.key()?, r.token()?) {
+        (FlatShape::Atom, "atom", Token::Num(n)) | (FlatShape::Nat, "nat", Token::Num(n)) => {
+            n.as_u64().map(|n| out.push(n)).is_some()
+        }
+        (FlatShape::Bool, "bool", Token::Bool(b)) => {
+            out.push(u64::from(b));
+            true
+        }
+        (FlatShape::Unit, "unit", Token::Bool(true)) => true,
+        (FlatShape::Pair(a, b), "pair", Token::Arr(true)) => {
+            read_row(r, a, out)? && r.array_next()? && read_row(r, b, out)? && !r.array_next()?
+        }
+        _ => false,
+    };
+    Ok(fits && !r.object_next()?)
+}
+
+/// Parse one request line (already length-checked by the connection loop). A
+/// member keyed `value` is decoded as read: the tree holds its index in `values`.
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    let json = crate::json::parse(line)
-        .map_err(|e| ProtocolError::new(None, format!("request is not valid JSON: {e}")))?;
+    let mut values: Vec<Result<Value, String>> = Vec::new();
+    let json = crate::json::parse_with(line, &mut |key, at| {
+        if key != "value" {
+            return Ok(None);
+        }
+        let start = at.clone();
+        let value = read_value(at).map_err(|error| with_excerpt(error, line));
+        if value.is_err() {
+            *at = start; // what the decoder gave up on must still be JSON
+            at.skip_value()?;
+        }
+        values.push(value);
+        Ok(Some(Json::num(values.len() as u64 - 1)))
+    });
+    let json =
+        json.map_err(|e| ProtocolError::new(None, format!("request is not valid JSON: {e}")))?;
     // The id is extracted first so even a bad envelope echoes it back.
     let id = json.get("id").and_then(Json::as_u64);
-    let op = json
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtocolError::new(id, "missing or non-string `op`"))?
-        .to_string();
+    let op = json.get("op").and_then(Json::as_str);
+    let op = op.ok_or_else(|| ProtocolError::new(id, "missing or non-string `op`"))?;
     let id = id.ok_or_else(|| ProtocolError::new(None, "missing or non-integer `id`"))?;
+    let fail = |message: &str| ProtocolError::new(Some(id), message);
+    // The elements of the array member `field`; none when it is absent.
+    let entries = |field: &str| match json.get(field).map(Json::as_arr) {
+        Some(None) => Err(fail(&format!("`{field}` must be an array"))),
+        Some(Some(entries)) => Ok(entries),
+        None => Ok(&[][..]),
+    };
 
-    let text = |field_required: bool| -> Result<String, ProtocolError> {
-        match json.get("text").and_then(Json::as_str) {
-            Some(t) => Ok(t.to_string()),
-            None if field_required => Err(ProtocolError::new(id.into(), "missing `text`")),
-            None => Ok(String::new()),
-        }
+    let text = || match json.get("text").and_then(Json::as_str) {
+        Some(text) => Ok(text.to_string()),
+        None => Err(fail("missing `text`")),
     };
     let schema = || -> Result<Vec<(String, Type)>, ProtocolError> {
         let mut out = Vec::new();
-        if let Some(entries) = json.get("schema") {
-            let entries = entries
-                .as_arr()
-                .ok_or_else(|| ProtocolError::new(id.into(), "`schema` must be an array"))?;
-            for entry in entries {
-                let name = entry
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ProtocolError::new(id.into(), "schema entry missing `name`"))?;
-                let ty_text = entry
-                    .get("type")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ProtocolError::new(id.into(), "schema entry missing `type`"))?;
-                let ty = ncql_surface::parse_type(ty_text).map_err(|e| {
-                    ProtocolError::new(id.into(), format!("invalid schema type `{ty_text}`: {e}"))
-                })?;
-                out.push((name.to_string(), ty));
-            }
+        for entry in entries("schema")? {
+            let name = entry.get("name").and_then(Json::as_str);
+            let name = name.ok_or_else(|| fail("schema entry missing `name`"))?;
+            let ty_text = entry.get("type").and_then(Json::as_str);
+            let ty_text = ty_text.ok_or_else(|| fail("schema entry missing `type`"))?;
+            let ty = ncql_surface::parse_type(ty_text)
+                .map_err(|e| fail(&format!("invalid schema type `{ty_text}`: {e}")))?;
+            out.push((name.to_string(), ty));
         }
         Ok(out)
     };
 
-    match op.as_str() {
+    match op {
         "prepare" => Ok(Request::Prepare {
             id,
-            text: text(true)?,
+            text: text()?,
             schema: schema()?,
         }),
         "execute" | "execute_with_bindings" => {
             let mut bindings = Vec::new();
-            if let Some(entries) = json.get("bindings") {
-                let entries = entries
-                    .as_arr()
-                    .ok_or_else(|| ProtocolError::new(id.into(), "`bindings` must be an array"))?;
-                for entry in entries {
-                    let name = entry.get("name").and_then(Json::as_str).ok_or_else(|| {
-                        ProtocolError::new(id.into(), "binding entry missing `name`")
-                    })?;
-                    let value = entry.get("value").ok_or_else(|| {
-                        ProtocolError::new(id.into(), "binding entry missing `value`")
-                    })?;
-                    let value =
-                        value_from_json(value).map_err(|e| ProtocolError::new(id.into(), e))?;
-                    bindings.push((name.to_string(), value));
-                }
+            for entry in entries("bindings")? {
+                let name = entry.get("name").and_then(Json::as_str);
+                let name = name.ok_or_else(|| fail("binding entry missing `name`"))?;
+                let value = entry.get("value").and_then(Json::as_u64);
+                let value = value.ok_or_else(|| fail("binding entry missing `value`"))?;
+                let value = values[value as usize].clone().map_err(|e| fail(&e))?;
+                bindings.push((name.to_string(), value));
             }
-            let uint_field = |name: &str| -> Result<Option<u64>, ProtocolError> {
-                match json.get(name) {
-                    None => Ok(None),
-                    Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                        ProtocolError::new(
-                            id.into(),
-                            format!("`{name}` must be a non-negative integer"),
-                        )
-                    }),
-                }
+            let uint_field = |name: &str| match json.get(name).map(Json::as_u64) {
+                Some(None) => Err(fail(&format!("`{name}` must be a non-negative integer"))),
+                Some(n) => Ok(n),
+                None => Ok(None),
             };
+            let in_range =
+                |n| usize::try_from(n).map_err(|_| fail("`max_set_size` is out of range"));
             Ok(Request::Execute {
                 id,
-                text: text(true)?,
+                text: text()?,
                 schema: schema()?,
                 bindings,
                 deadline_ms: uint_field("deadline_ms")?,
                 max_work: uint_field("max_work")?,
-                max_set_size: uint_field("max_set_size")?.map(|n| n as usize),
+                max_set_size: uint_field("max_set_size")?.map(in_range).transpose()?,
             })
         }
         "stats" => Ok(Request::Stats { id }),
         "close" => Ok(Request::Close { id }),
-        other => Err(ProtocolError::new(
-            id.into(),
-            format!("unknown op `{other}`"),
-        )),
+        other => Err(fail(&format!("unknown op `{other}`"))),
     }
 }
 
@@ -358,7 +473,7 @@ mod tests {
         ];
         for v in values {
             let json = value_to_json(&v);
-            let back = value_from_json(&crate::json::parse(&json.to_string()).unwrap()).unwrap();
+            let back = decode_value(&json.to_string()).unwrap();
             assert_eq!(v, back, "{json}");
         }
     }
@@ -370,7 +485,7 @@ mod tests {
         for n in [(1u64 << 53) - 1, 1u64 << 53, (1u64 << 53) + 1, u64::MAX] {
             let v = Value::Nat(n);
             let json = value_to_json(&v);
-            let back = value_from_json(&crate::json::parse(&json.to_string()).unwrap()).unwrap();
+            let back = decode_value(&json.to_string()).unwrap();
             assert_eq!(v, back, "{json}");
         }
         let stats = Json::Obj(vec![
@@ -389,8 +504,7 @@ mod tests {
     fn set_encodings_canonicalize() {
         // Duplicates and out-of-order elements are legal on the wire; the
         // decoded set is canonical regardless.
-        let json = crate::json::parse(r#"{"set":[{"atom":9},{"atom":1},{"atom":9}]}"#).unwrap();
-        let v = value_from_json(&json).unwrap();
+        let v = decode_value(r#"{"set":[{"atom":9},{"atom":1},{"atom":9}]}"#).unwrap();
         assert_eq!(v, Value::atom_set([1, 9]));
     }
 
@@ -434,6 +548,181 @@ mod tests {
         .unwrap_err();
         assert_eq!(bad_schema.id, Some(4));
         assert!(bad_schema.message.contains("invalid schema type"));
+    }
+
+    /// `elems` as the text of a `set`, in the order given.
+    fn set_text(elems: &[Value]) -> String {
+        let elems: Vec<String> = elems.iter().map(|v| value_to_json(v).to_string()).collect();
+        format!(r#"{{"set":[{}]}}"#, elems.join(","))
+    }
+
+    fn execute_line(value: &str) -> String {
+        format!(
+            r#"{{"op":"execute","id":5,"text":"s","schema":[{{"name":"s","type":"{{(atom * nat)}}"}}],"bindings":[{{"name":"s","value":{value}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn width_zero_sets_decode_boxed() {
+        // All-unit shapes have width 0: `from_raw_rows` asserts on them, so
+        // they must never reach it.
+        let units = decode_value(r#"{"set":[{"unit":true},{"unit":true}]}"#).unwrap();
+        assert_eq!(units, Value::singleton(Value::Unit));
+        let pair = Value::pair(Value::Unit, Value::pair(Value::Unit, Value::Unit));
+        let pairs = decode_value(&set_text(&vec![pair.clone(); 12])).unwrap();
+        assert_eq!(pairs, Value::singleton(pair));
+        assert!(!pairs.as_set().unwrap().is_columnar());
+    }
+
+    #[test]
+    fn a_set_that_changes_shape_midway_is_the_boxed_set_and_an_object_error() {
+        let row = |i: u64| Value::pair(Value::Atom(i), Value::Nat(i));
+        let mut elems: Vec<Value> = (0..8).map(row).collect();
+        elems.push(Value::pair(Value::Atom(8), Value::Bool(true)));
+        elems.extend((9..12).map(row));
+        elems.push(Value::pair(Value::Atom(12), Value::empty_set()));
+        let decoded = decode_value(&set_text(&elems)).unwrap();
+        assert_eq!(decoded, Value::set_from(elems.clone()));
+        assert!(!decoded.as_set().unwrap().is_columnar());
+
+        // Ill-typed, so the engine refuses it — with `object`, the binding
+        // check's code, not a `protocol` error and not a panic.
+        let Request::Execute {
+            text,
+            schema,
+            bindings,
+            ..
+        } = parse_request(&execute_line(&set_text(&elems))).unwrap()
+        else {
+            panic!("not an execute");
+        };
+        let session = ncql_engine::Session::new();
+        let plan = session.prepare_with_schema(&text, &schema).unwrap();
+        let refused = session.execute_with_bindings(&plan, &bindings).unwrap_err();
+        assert_eq!(error_code(&refused), code::OBJECT);
+    }
+
+    #[test]
+    fn decoded_sets_take_the_representation_set_from_gives_them() {
+        let row = |i: u64| Value::pair(Value::Atom(i % 8), Value::Nat(i % 8));
+        for (n, columnar) in [(0, false), (1, false), (7, false), (8, true), (9, false)] {
+            // Nine rows hold one duplicate: eight elements... of which the
+            // first and the last are equal, so seven.
+            let elems: Vec<Value> = (0..n)
+                .map(|i| row(if n == 9 { i % 7 } else { i }))
+                .collect();
+            let decoded = decode_value(&set_text(&elems)).unwrap();
+            let built = Value::set_from(elems);
+            assert_eq!(decoded, built, "{n} rows");
+            let is_columnar = |v: &Value| v.as_set().unwrap().is_columnar();
+            assert_eq!(is_columnar(&decoded), is_columnar(&built), "{n} rows");
+            assert_eq!(is_columnar(&decoded), columnar, "{n} rows");
+        }
+    }
+
+    #[test]
+    fn unsorted_and_duplicated_rows_canonicalize() {
+        let row = |(a, n): (u64, u64)| Value::pair(Value::Atom(a), Value::Nat(n));
+        let wire = [
+            (9, 1),
+            (3, 7),
+            (9, 0),
+            (3, 7),
+            (1, 1),
+            (8, 2),
+            (2, 2),
+            (7, 3),
+            (6, 4),
+            (5, 5),
+        ];
+        let decoded = decode_value(&set_text(&wire.map(row))).unwrap();
+        let printed =
+            "{(a1, 1), (a2, 2), (a3, 7), (a5, 5), (a6, 4), (a7, 3), (a8, 2), (a9, 0), (a9, 1)}";
+        assert!(decoded.as_set().unwrap().is_columnar());
+        assert_eq!(decoded.to_string(), printed);
+        // A canonical value's own text comes back as the same text.
+        assert_eq!(
+            value_to_json(&decoded).to_string(),
+            set_text(decoded.as_set().unwrap().as_slice())
+        );
+    }
+
+    #[test]
+    fn nesting_is_limited_alike_by_the_line_check_and_by_the_decoder() {
+        use crate::json::MAX_DEPTH;
+        const TOO_DEEP: &str = "nesting deeper than the protocol allows at byte";
+        // `sets` nested sets around the array `core`. A set is two JSON
+        // levels, an object and an array: alone, the k-th set's array has
+        // 2k − 1 containers around it; bound in a request — the value is three
+        // levels down the envelope — it has 2k + 2.
+        let nested = |sets: usize, core: &str| {
+            let (open, close) = ("{\"set\":[".repeat(sets - 1), "]}".repeat(sets - 1));
+            format!("{open}{{\"set\":{core}}}{close}")
+        };
+        let alone = MAX_DEPTH / 2;
+        assert_eq!(
+            decode_value(&nested(alone, "[]")).unwrap().set_height(),
+            alone
+        );
+        // The decoder stops at what is no value, so it goes deeper only by
+        // another set: two levels.
+        let past = decode_value(&nested(alone + 1, "[]")).unwrap_err();
+        assert!(past.contains(TOO_DEEP), "{past}");
+
+        let bound = (MAX_DEPTH - 2) / 2;
+        let Request::Execute { bindings, .. } =
+            parse_request(&execute_line(&nested(bound, "[]"))).unwrap()
+        else {
+            panic!("not an execute");
+        };
+        assert_eq!(bindings[0].1.set_height(), bound);
+        let past = parse_request(&execute_line(&nested(bound, "[[]]"))).unwrap_err();
+        let expected = format!("request is not valid JSON: {TOO_DEEP}");
+        assert!(past.message.starts_with(&expected), "{}", past.message);
+        assert_eq!(past.id, None);
+    }
+
+    #[test]
+    fn the_value_grammar_is_enforced_with_a_bounded_excerpt() {
+        for bad in [
+            r#"{"nat":1,"atom":2}"#,
+            r#"{"atom":1,"atom":2}"#,
+            r#"{"unit":false}"#,
+            r#"{"unit":1}"#,
+            r#"{"unit":null}"#,
+            r#"{}"#,
+            r#"{"atom":-1}"#,
+            r#"{"atom":1.5}"#,
+            r#"{"pair":[{"atom":1}]}"#,
+            r#"{"pair":[{"atom":1},{"atom":2},{"atom":3}]}"#,
+            r#"{"set":{"atom":1}}"#,
+            r#"{"bool":1}"#,
+            r#"[{"atom":1}]"#,
+            r#"7"#,
+        ] {
+            let message = decode_value(bad).unwrap_err();
+            assert_eq!(message, format!("invalid value encoding at byte 0: {bad}"));
+        }
+        // Integral floats keep `Json::as_u64`'s rule.
+        assert_eq!(decode_value(r#"{"atom": 3.0}"#), Ok(Value::Atom(3)));
+        assert_eq!(decode_value(r#"{"nat":1e3}"#), Ok(Value::Nat(1000)));
+        // In a request the offender is named by its offset in the line, and
+        // quoted up to 80 bytes — on a character boundary.
+        let long = format!(
+            r#"{{"set":[{{"atom":1}},{{"atom":"{}"}}]}}"#,
+            "é".repeat(100)
+        );
+        let line = execute_line(&long);
+        let refused = parse_request(&line).unwrap_err();
+        assert_eq!(refused.id, Some(5));
+        let at = line.find(r#"{"atom":"é"#).unwrap();
+        let prefix = format!("invalid value encoding at byte {at}: ");
+        let excerpt = refused.message.strip_prefix(prefix.as_str());
+        let excerpt = excerpt.unwrap_or_else(|| panic!("{}", refused.message));
+        assert!(
+            excerpt.starts_with(r#"{"atom":"éé"#) && excerpt.len() == 79,
+            "{excerpt}"
+        );
     }
 
     #[test]

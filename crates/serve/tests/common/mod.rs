@@ -9,6 +9,8 @@
 
 use ncql_engine::{Outcome, Session};
 use ncql_object::{Type, Value};
+use ncql_serve::json::Json;
+use ncql_serve::protocol::{value_to_json, Request};
 use ncql_serve::ExecuteParams;
 use std::sync::OnceLock;
 
@@ -32,6 +34,22 @@ impl PackEntry {
             schema: &self.schema,
             bindings: &self.bindings,
             ..Default::default()
+        }
+    }
+
+    /// The `execute` request that carries this entry, with no limits set.
+    pub fn request(&self, id: u64) -> Request {
+        let typed = |(name, ty): &(String, String)| {
+            (name.clone(), ncql_surface::parse_type(ty).expect(self.name))
+        };
+        Request::Execute {
+            id,
+            text: self.text.to_string(),
+            schema: self.schema.iter().map(typed).collect(),
+            bindings: self.bindings.clone(),
+            deadline_ms: None,
+            max_work: None,
+            max_set_size: None,
         }
     }
 
@@ -102,6 +120,55 @@ pub fn pack() -> &'static [PackEntry] {
         }
         pack
     })
+}
+
+/// `request` as a line of the protocol (the inverse of `parse_request`).
+pub fn encode(request: &Request) -> String {
+    let quoted = |s: &str| Json::str(s).to_string();
+    let common = |op: &str, id: u64, text: &str, schema: &[(String, Type)]| {
+        let schema: Vec<String> = schema
+            .iter()
+            .map(|(name, ty)| {
+                let ty = quoted(&ty.to_string());
+                format!(r#"{{"name":{},"type":{ty}}}"#, quoted(name))
+            })
+            .collect();
+        let (text, schema) = (quoted(text), schema.join(","));
+        format!(r#"{{"op":"{op}","id":{id},"text":{text},"schema":[{schema}]"#)
+    };
+    match request {
+        Request::Prepare { id, text, schema } => common("prepare", *id, text, schema) + "}",
+        Request::Stats { id } => format!(r#"{{"op":"stats","id":{id}}}"#),
+        Request::Close { id } => format!(r#"{{"op":"close","id":{id}}}"#),
+        Request::Execute {
+            id,
+            text,
+            schema,
+            bindings,
+            deadline_ms,
+            max_work,
+            max_set_size,
+        } => {
+            let bindings: Vec<String> = bindings
+                .iter()
+                .map(|(name, value)| {
+                    let value = value_to_json(value);
+                    format!(r#"{{"name":{},"value":{value}}}"#, quoted(name))
+                })
+                .collect();
+            let mut line = common("execute", *id, text, schema);
+            line += &format!(r#","bindings":[{}]"#, bindings.join(","));
+            let limits = [
+                ("deadline_ms", *deadline_ms),
+                ("max_work", *max_work),
+                ("max_set_size", max_set_size.map(|n| n as u64)),
+            ];
+            for (name, limit) in limits {
+                line += &limit.map_or(String::new(), |n| format!(r#","{name}":{n}"#));
+            }
+            line + "}"
+        }
+    }
 }
 
 /// A closed query whose evaluation cost grows cubically with `n`: the set of

@@ -7,12 +7,12 @@
 
 mod common;
 
-use common::expensive_query;
+use common::{encode, expensive_query};
 use ncql_core::CostStats;
 use ncql_engine::{LintPolicy, Session, SessionBuilder};
 use ncql_object::Value;
 use ncql_serve::json::Json;
-use ncql_serve::protocol::{code, value_from_json, value_to_json};
+use ncql_serve::protocol::{code, decode_value, parse_request, value_to_json, Request};
 use ncql_serve::{
     Client, ClientError, ExecuteParams, ServeConfig, Server, ServerHandle, WireDiagnostic,
 };
@@ -437,7 +437,8 @@ fn a_served_open_query_reaches_the_evaluator_with_the_direct_sessions_stats() {
         served.ext_calls >= common::EDGE_ROWS,
         "one `ext` application per bound row: {served:?}"
     );
-    assert_eq!(value_from_json(ok.get("value").unwrap()), Ok(direct.value));
+    let value = ok.get("value").expect("value").to_string();
+    assert_eq!(decode_value(&value), Ok(direct.value));
 
     client.close().expect("close");
     handle.shutdown();
@@ -502,4 +503,83 @@ fn pipelined_batches_are_answered_in_order_without_a_nagle_stall() {
     let elapsed = started.elapsed();
     assert!(elapsed < Duration::from_millis(100), "took {elapsed:?}");
     handle.shutdown();
+}
+
+/// No socket here: `parse_request` alone against damaged request lines. The
+/// three pack requests, each with the three limits, are hit by a fixed-seed
+/// stream of byte flips, deletions, truncations and duplications; whatever
+/// comes out is a `Request` or a `ProtocolError`, never a panic, and every
+/// `Request` is a fixed point of encode-then-parse.
+#[test]
+fn twenty_thousand_damaged_request_lines_parse_or_are_refused() {
+    let seeds: Vec<Vec<u8>> = common::pack()
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let Request::Execute {
+                id,
+                text,
+                schema,
+                bindings,
+                ..
+            } = entry.request(i as u64 + 1)
+            else {
+                unreachable!("a pack entry is an execute");
+            };
+            let request = Request::Execute {
+                id,
+                text,
+                schema,
+                bindings,
+                deadline_ms: Some(250),
+                max_work: Some(1 << 40),
+                max_set_size: Some(4096),
+            };
+            let line = encode(&request);
+            assert_eq!(parse_request(&line), Ok(request), "{}", entry.name);
+            line.into_bytes()
+        })
+        .collect();
+
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |below: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % below
+    };
+    let (mut accepted, mut refused) = (0, 0);
+    for mutant in 0..21_000 {
+        let mut bytes = seeds[mutant % seeds.len()].clone();
+        for _ in 0..=next(2) {
+            let at = next(bytes.len());
+            match next(4) {
+                0 => bytes[at] ^= 1 << next(8),
+                1 => drop(bytes.remove(at)),
+                2 => bytes.truncate(at),
+                _ => bytes.insert(at, bytes[at]),
+            }
+            if bytes.is_empty() {
+                bytes.push(b'{');
+            }
+        }
+        // As the connection loop does with a line that is not UTF-8.
+        let line = String::from_utf8_lossy(&bytes);
+        match parse_request(&line) {
+            Ok(request) => {
+                accepted += 1;
+                let again = parse_request(&encode(&request));
+                assert_eq!(again.as_ref(), Ok(&request), "mutant {mutant}: {line}");
+            }
+            Err(error) => {
+                refused += 1;
+                assert!(!error.message.is_empty(), "mutant {mutant}");
+            }
+        }
+    }
+    // Damage inside a number or a name leaves a well-formed request.
+    assert!(
+        accepted > 1_000 && refused > 10_000,
+        "{accepted} / {refused}"
+    );
 }
