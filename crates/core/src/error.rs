@@ -211,11 +211,11 @@ pub enum EvalError {
         span: Option<Span>,
     },
     /// The evaluation was cancelled from outside through a
-    /// [`CancelToken`](crate::eval::CancelToken) — e.g. a server's deadline
-    /// watchdog flagged an over-deadline request, or a shutting-down host
-    /// asked in-flight work to stop. The evaluator checks the token
-    /// cooperatively at every work charge, so cancellation lands within a few
-    /// elementary operations of the flag being raised.
+    /// [`CancelToken`](crate::eval::CancelToken) — e.g. a shutting-down host
+    /// asked in-flight work to stop — or by its deadline. The evaluator checks
+    /// the token at every work charge: a raised flag lands within a few
+    /// elementary operations, an expired deadline within 4 096 units of work
+    /// per thread.
     Cancelled {
         /// Why the evaluation was cancelled (the canceller's message, e.g.
         /// `"deadline of 50ms exceeded"`).

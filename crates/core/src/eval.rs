@@ -17,6 +17,7 @@ use ncql_pram::{RegionPermit, TaskError, WorkStealingPool};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Resource limits and options for an evaluation.
 #[derive(Clone)]
@@ -178,16 +179,16 @@ pub fn env_switch(name: &str, off_word: &str, on_word: &str) -> Option<bool> {
 }
 
 /// A shared flag for cooperatively cancelling an in-flight evaluation from
-/// another thread.
+/// another thread, or once a deadline passes.
 ///
 /// Hand a clone of the token to [`Evaluator::attach_cancel`] (or the engine's
 /// execute-time options) before starting the evaluation, keep the original,
-/// and call [`CancelToken::cancel`] from any thread — a deadline watchdog, a
-/// shutdown path, a client disconnect handler. The evaluator polls the flag
-/// at every work charge (one relaxed atomic load on the hot path), so the
-/// evaluation unwinds with [`EvalError::Cancelled`] within a few elementary
-/// operations. Worker evaluators of a forked region inherit the parent's
-/// token, so one `cancel` stops every thread of the evaluation.
+/// and call [`CancelToken::cancel`] from any thread — a shutdown path, a
+/// client disconnect handler. The evaluator polls the flag at every work
+/// charge (one relaxed atomic load) and unwinds with [`EvalError::Cancelled`]
+/// within a few elementary operations; it reads a deadline's clock once per
+/// 4 096 units each thread charges and as each forked chunk starts. Forked
+/// workers inherit the token, so one `cancel` stops every thread.
 ///
 /// Tokens are single-shot: once cancelled they stay cancelled, and the first
 /// recorded reason wins. Reuse across evaluations is therefore only sound for
@@ -200,12 +201,36 @@ pub struct CancelToken {
     flag: Arc<AtomicBool>,
     /// Why the evaluation was cancelled, set before the flag is raised.
     reason: Arc<OnceLock<String>>,
+    /// When the token cancels itself, and the deadline it was given.
+    deadline: Option<(Instant, Duration)>,
 }
 
 impl CancelToken {
     /// A fresh, uncancelled token.
     pub fn new() -> CancelToken {
         CancelToken::default()
+    }
+
+    /// A token that cancels itself (`deadline of {ms}ms exceeded`) once its
+    /// evaluation reads the clock `after` from now; too far off is no deadline.
+    pub fn with_deadline(after: Duration) -> CancelToken {
+        CancelToken {
+            deadline: Instant::now().checked_add(after).map(|due| (due, after)),
+            ..CancelToken::default()
+        }
+    }
+
+    /// The evaluator's poll; an expired deadline cancels if `read_clock`.
+    fn check(&self, read_clock: bool) -> EvalResult<()> {
+        if let Some((due, after)) = self.deadline.filter(|_| read_clock) {
+            if Instant::now() >= due {
+                self.cancel(format!("deadline of {}ms exceeded", after.as_millis()));
+            }
+        }
+        if self.is_cancelled() {
+            return Err(EvalError::cancelled(self.reason()));
+        }
+        Ok(())
     }
 
     /// Raise the flag with a reason (e.g. `"deadline of 50ms exceeded"`).
@@ -405,6 +430,9 @@ fn concat(shards: Vec<(Vec<u64>, Vec<u64>)>) -> (Vec<u64>, Vec<u64>) {
 /// every path produces the same canonical set.
 const PAR_MERGE_MIN_ROWS: usize = 1024;
 
+/// Work units between two clock reads under a deadline token.
+const CLOCK_EVERY: u64 = 4096;
+
 /// The instrumented evaluator.
 #[derive(Debug)]
 pub struct Evaluator {
@@ -574,11 +602,9 @@ impl Evaluator {
         // every elementary operation passes through, so polling here bounds
         // the reaction latency by a handful of operations. A relaxed load of
         // an untouched cache line is noise next to the atomic budget add
-        // below.
+        // below; the clock is read once per `CLOCK_EVERY` units of the tally.
         if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(EvalError::cancelled(token.reason()));
-            }
+            token.check((self.stats.work % CLOCK_EVERY).saturating_add(amount) >= CLOCK_EVERY)?;
         }
         self.stats.work = self.stats.work.saturating_add(amount);
         let charged = match &self.shared_work {
@@ -1141,6 +1167,10 @@ impl Evaluator {
         let shards = region
             .run(&starts, |_, shard| {
                 let mut ev = parent.worker();
+                // Its tally starts at 0, so a chunk reads the clock as it starts.
+                if let Some(token) = &ev.cancel {
+                    token.check(true)?;
+                }
                 let end = (shard[shard.len() - 1] + grain).min(items.len());
                 let out = body(&mut ev, Cow::Borrowed(&items[shard[0]..end]), shard[0])?;
                 Ok::<_, EvalError>((out, ev.stats))
@@ -1797,5 +1827,51 @@ mod tests {
         // Not set in the test environment by default; just exercise the parser
         // logic via the public API shape.
         let _ = parallelism_from_env();
+    }
+
+    /// Evaluate a parity of 2 000 atoms — several multiples of `CLOCK_EVERY`
+    /// units of work — under `token`.
+    fn run_under(token: &CancelToken) -> (EvalResult<Value>, CostStats) {
+        let mut ev = Evaluator::default();
+        ev.attach_cancel(token.clone());
+        let result = ev.eval_closed(&parity_n(2_000));
+        (result, ev.stats())
+    }
+
+    #[test]
+    fn an_expired_deadline_cancels_its_token_with_its_reason() {
+        let token = CancelToken::with_deadline(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!token.is_cancelled(), "only an evaluation reads the clock");
+        let (result, _) = run_under(&token);
+        let reason = "deadline of 10ms exceeded";
+        assert_eq!(result, Err(EvalError::cancelled(reason)));
+        assert!(token.is_cancelled());
+        assert_eq!(token.reason(), reason);
+    }
+
+    #[test]
+    fn a_deadline_its_evaluation_met_never_fires() {
+        let token = CancelToken::with_deadline(Duration::from_secs(60));
+        let (result, stats) = run_under(&token);
+        assert!(!token.is_cancelled());
+        assert_eq!(result, Ok(Value::Bool(false)));
+        assert!(
+            stats.work > 2 * CLOCK_EVERY,
+            "the clock was read: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn deadlines_expire_independently() {
+        let fast = CancelToken::with_deadline(Duration::from_millis(5));
+        let slow = CancelToken::with_deadline(Duration::from_secs(60));
+        let never = CancelToken::with_deadline(Duration::MAX);
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(run_under(&fast).0.is_err());
+        assert!(run_under(&slow).0.is_ok());
+        assert!(run_under(&never).0.is_ok());
+        assert!(fast.is_cancelled());
+        assert!(!slow.is_cancelled() && !never.is_cancelled());
     }
 }

@@ -75,8 +75,8 @@ impl PlanKey {
 ///
 /// This is the isolation surface a serving front end needs: the session is
 /// shared by every in-flight request (one plan cache, one work-stealing
-/// pool), while each request runs under its own budget — a deadline watchdog
-/// holding the [`CancelToken`], a per-request work cap, a per-request set
+/// pool), while each request runs under its own budget — a [`CancelToken`]
+/// carrying the request's deadline, a per-request work cap, a per-request set
 /// cap. The limits only ever *lower* the session's: a request asking for more
 /// than the session allows still runs under the session limit, so a shared
 /// deployment cannot be talked out of its guardrails.
@@ -95,7 +95,8 @@ impl PlanKey {
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Cooperative cancellation flag for this execution, polled at every work
-    /// charge (see [`CancelToken`]). Cancelling aborts the evaluation with
+    /// charge, and its deadline, if it carries one (see [`CancelToken`]).
+    /// Cancelling aborts the evaluation with
     /// [`EvalError::Cancelled`](ncql_core::EvalError::Cancelled).
     pub cancel: Option<CancelToken>,
     /// Work budget for this execution; the effective limit is the *minimum*
@@ -620,9 +621,12 @@ impl Session {
     /// [`Session::execute_with_bindings`] with per-execution overrides: a
     /// cancellation token and/or tightened resource limits for this one
     /// request (see [`ExecOptions`]). The serving front end routes every
-    /// request through here — a deadline watchdog cancels over-deadline
-    /// evaluations, and per-request work budgets keep one expensive query
-    /// from starving the rest of the traffic on the shared session.
+    /// request through here — a token made by
+    /// [`CancelToken::with_deadline`] cancels an over-deadline evaluation
+    /// within 4 096 units of work on each of its threads once its deadline
+    /// has passed, and per-request work
+    /// budgets keep one expensive query from starving the rest of the
+    /// traffic on the shared session.
     pub fn execute_with_options(
         &self,
         query: &PreparedQuery,

@@ -104,13 +104,13 @@ impl<E: std::fmt::Display> std::fmt::Display for TaskError<E> {
 impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for TaskError<E> {}
 
 /// Best-effort extraction of a panic payload message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "worker panicked with a non-string payload".to_string()
+        "non-string panic payload".to_string()
     }
 }
 

@@ -16,12 +16,13 @@
 //!   the engine's structured [`Diagnostic`](ncql_engine::Diagnostic) — span,
 //!   line, column, snippet — plus a typed code, so clients never parse caret
 //!   art.
-//! * Per-request isolation: a wall-clock deadline enforced by a
-//!   [`DeadlineWatchdog`](deadline::DeadlineWatchdog) over cooperative
-//!   [`CancelToken`](ncql_engine::CancelToken)s, per-request
-//!   `max_work`/`max_set_size` budgets that only tighten the session's
-//!   limits, and an admission [`Semaphore`](limits::Semaphore) that answers
-//!   `busy` under overload instead of queueing unboundedly.
+//! * Per-request isolation: a wall-clock deadline carried by the request's
+//!   [`CancelToken`](ncql_engine::CancelToken) and checked where the
+//!   evaluator charges work (each thread reads the clock every 4 096 units),
+//!   per-request `max_work`/`max_set_size` budgets that only tighten the
+//!   session's limits, and an admission [`Semaphore`](limits::Semaphore)
+//!   that answers `busy` under overload instead of queueing unboundedly. A
+//!   request that panics is answered with an `internal` error.
 //! * [`Client`] is the blocking counterpart used by the protocol test suites
 //!   and Rust scripts.
 //!
@@ -54,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod deadline;
 pub mod json;
 pub mod limits;
 pub mod protocol;

@@ -31,14 +31,14 @@ impl Semaphore {
     /// Acquire a permit, waiting at most `timeout`. Returns a guard that
     /// releases on drop, or `None` if the timeout elapsed first.
     pub fn try_acquire_for(&self, timeout: Duration) -> Option<SemaphoreGuard<'_>> {
-        let deadline = Instant::now() + timeout;
+        let give_up = Instant::now() + timeout;
         let mut permits = self.permits.lock().expect("semaphore poisoned");
         loop {
             if *permits > 0 {
                 *permits -= 1;
                 return Some(SemaphoreGuard { semaphore: self });
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = give_up.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return None;
             }

@@ -23,6 +23,7 @@
 //!           | "deadline" | "work_budget"                      (per-request isolation)
 //!           | "busy"                                          (admission control)
 //!           | "protocol"                                      (malformed envelope)
+//!           | "internal"                                      (the request panicked)
 //! diag     := { "severity": string, "message": string,
 //!               "span": {"start": uint, "end": uint} | null,
 //!               "line": uint|null, "column": uint|null, "snippet": string|null }
@@ -75,6 +76,9 @@ pub mod code {
     /// The request line itself was malformed (bad JSON, unknown op, missing
     /// id, oversized line, invalid schema/binding encoding).
     pub const PROTOCOL: &str = "protocol";
+    /// The request panicked inside the server (a bug, often in a custom
+    /// extern); the message carries the panic payload.
+    pub const INTERNAL: &str = "internal";
 }
 
 /// The wire error code for an engine error: the five engine variants map to

@@ -11,19 +11,25 @@
 //!    [`ServeConfig::max_inflight`] evaluations run concurrently; a request
 //!    that cannot be admitted within the admission timeout gets a typed
 //!    `busy` error instead of queueing unboundedly.
-//! 2. **Deadlines** ([`DeadlineWatchdog`]): every execute is armed with a
-//!    wall-clock deadline (client-requested, capped by
-//!    [`ServeConfig::max_deadline_ms`]); expiry cancels the evaluation
-//!    cooperatively and the client sees a `deadline` error with the reason.
+//! 2. **Deadlines** ([`CancelToken::with_deadline`]): every execute carries
+//!    a wall-clock deadline (client-requested, capped by
+//!    [`ServeConfig::max_deadline_ms`]) from the end of prepare. The
+//!    evaluator reads the clock where it charges work, once per 4 096 units
+//!    on each thread, so expiry cancels the evaluation cooperatively within
+//!    4 096 units per thread and the client sees a `deadline` error with the
+//!    reason.
 //! 3. **Budgets** ([`ExecOptions`]): per-request `max_work`/`max_set_size`
 //!    only ever *tighten* the session's limits, so a shared deployment's
 //!    guardrails cannot be talked past from the wire.
+//!
+//! A request that panics (say, in a custom extern on a sequential session)
+//! is answered with an `internal` error; its admission slot is released and
+//! the connection keeps serving.
 //!
 //! Accepted sockets run with `TCP_NODELAY`, and a handler flushes once per
 //! drained batch: a reply stays buffered only while the next complete request
 //! line is already in hand.
 
-use crate::deadline::DeadlineWatchdog;
 use crate::json::Json;
 use crate::limits::Semaphore;
 use crate::protocol::{self, code, error_code, ProtocolError, Request};
@@ -31,6 +37,7 @@ use ncql_engine::{CancelToken, Diagnostic, ExecOptions, Outcome, Session};
 use ncql_object::Type;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -106,7 +113,6 @@ struct Inner {
     session: Session,
     config: ServeConfig,
     admission: Semaphore,
-    watchdog: DeadlineWatchdog,
     shutdown: AtomicBool,
 }
 
@@ -129,7 +135,6 @@ impl Server {
                 session,
                 config,
                 admission,
-                watchdog: DeadlineWatchdog::new(),
                 shutdown: AtomicBool::new(false),
             }),
         })
@@ -348,7 +353,12 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) -> io::Result<()> {
             }
         };
         let closing = matches!(request, Request::Close { .. });
-        let response = respond(&inner, request);
+        let id = request.id();
+        // A panic inside one request (a custom extern, say) unwinds to here,
+        // releasing the admission permit on the way; nothing it held outlives
+        // the request, so the connection answers it and carries on.
+        let response = catch_unwind(AssertUnwindSafe(|| respond(&inner, request)))
+            .unwrap_or_else(|payload| internal_response(id, payload));
         send(&mut writer, response)?;
         if closing {
             return writer.flush();
@@ -411,19 +421,14 @@ fn respond(inner: &Inner, request: Request) -> String {
             let deadline_ms = deadline_ms
                 .unwrap_or(inner.config.default_deadline_ms)
                 .min(inner.config.max_deadline_ms);
-            let token = CancelToken::new();
-            let mut options = ExecOptions::new().cancel(token.clone());
+            let token = CancelToken::with_deadline(Duration::from_millis(deadline_ms));
+            let mut options = ExecOptions::new().cancel(token);
             if let Some(limit) = max_work {
                 options = options.max_work(limit);
             }
             if let Some(limit) = max_set_size {
                 options = options.max_set_size(limit);
             }
-            let _armed = inner.watchdog.register(
-                &token,
-                Duration::from_millis(deadline_ms),
-                format!("deadline of {deadline_ms}ms exceeded"),
-            );
             match inner
                 .session
                 .execute_with_options(&plan, &bindings, &options)
@@ -448,6 +453,12 @@ fn busy_response(id: u64, inner: &Inner) -> String {
     );
     let diagnostic = Diagnostic::new(message, None, "");
     protocol::error_response(Some(id), code::BUSY, diagnostic.to_json())
+}
+
+fn internal_response(id: u64, payload: Box<dyn std::any::Any + Send>) -> String {
+    let message = format!("internal error: {}", ncql_pram::panic_message(payload));
+    let diagnostic = Diagnostic::new(message, None, "");
+    protocol::error_response(Some(id), code::INTERNAL, diagnostic.to_json())
 }
 
 fn protocol_error_response(id: Option<u64>, message: &str) -> String {

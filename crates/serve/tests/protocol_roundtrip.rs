@@ -10,7 +10,7 @@ mod common;
 use common::{encode, expensive_query};
 use ncql_core::CostStats;
 use ncql_engine::{LintPolicy, Session, SessionBuilder};
-use ncql_object::Value;
+use ncql_object::{Type, Value};
 use ncql_serve::json::Json;
 use ncql_serve::protocol::{code, decode_value, parse_request, value_to_json, Request};
 use ncql_serve::{
@@ -276,6 +276,48 @@ fn deadline_expiry_is_cancelled_and_typed() {
     // poisoned nothing.
     assert_eq!(client.execute("nat_mul(6, 7)").unwrap().printed, "42");
 
+    client.close().expect("close");
+    handle.shutdown();
+}
+
+#[test]
+fn a_panicking_request_is_an_internal_error_and_frees_its_slot() {
+    let mut registry = ncql_core::externs::ExternRegistry::standard();
+    registry.register("boom", vec![Type::Nat], Type::Nat, |_| {
+        panic!("boom went the extern")
+    });
+    let session = SessionBuilder::new().registry(registry).build();
+    let config = ServeConfig {
+        max_inflight: 1,
+        admission_timeout_ms: 1,
+        ..ServeConfig::default()
+    };
+    let handle = serve_with(session, config);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    // Open, so prepare cannot fold the call: the panic happens in execute.
+    let schema = vec![("n".to_string(), "nat".to_string())];
+    let bindings = vec![("n".to_string(), Value::Nat(1))];
+    let err = client
+        .execute_with(
+            "boom(n)",
+            &ExecuteParams {
+                schema: &schema,
+                bindings: &bindings,
+                ..Default::default()
+            },
+        )
+        .expect_err("the extern panics");
+    let diag = err.remote().expect("a typed error, not a hangup");
+    assert_eq!(diag.code, code::INTERNAL);
+    assert_eq!(diag.message, "internal error: boom went the extern");
+
+    // The connection and the one admission slot both survive.
+    assert_eq!(client.execute("nat_mul(6, 7)").unwrap().printed, "42");
+    let mut second = Client::connect(handle.addr()).expect("connect");
+    assert_eq!(second.execute("nat_add(1, 2)").unwrap().printed, "3");
+
+    second.close().expect("close");
     client.close().expect("close");
     handle.shutdown();
 }

@@ -521,14 +521,24 @@ fn a_work_limit_trips_inside_a_kernel_run_ext_on_every_strategy() {
 
 #[test]
 fn a_cancelled_token_stops_a_large_kernel_ext() {
+    use ncql::{CancelToken, ExecOptions};
+    use std::time::Duration;
+
     let schema: Vec<(String, Type)> = ["r", "s"]
         .map(|name| (name.to_string(), Type::set(pair_ty())))
         .into();
-    let bindings = vec![
-        ("r".to_string(), input_value(&scrambled_rows(64))),
-        ("s".to_string(), input_value(&scrambled_rows(100_000))),
-    ];
-    for (shape, expr) in kernel_shapes(|name, _| Expr::var(name)) {
+    let bindings = |s_rows| {
+        vec![
+            ("r".to_string(), input_value(&scrambled_rows(64))),
+            ("s".to_string(), input_value(&scrambled_rows(s_rows))),
+        ]
+    };
+    let (large, small) = (bindings(100_000), bindings(9_000));
+    // Beside the three shapes, the other kernel tree of
+    // `a_scalar_dcr_runs_the_interpreters_tree_on_kernels`: combiner `pi1 q`.
+    let first = scalar_dcr_over(Expr::proj1(Expr::var("q")), Expr::var("s"));
+    let shapes = kernel_shapes(|name, _| Expr::var(name));
+    for (shape, expr) in shapes.into_iter().chain([("dcr pi1", first)]) {
         for (kernels, threads) in STRATEGIES {
             let session = SessionBuilder::new()
                 .parallel_cutoff(1)
@@ -538,19 +548,85 @@ fn a_cancelled_token_stops_a_large_kernel_ext() {
             let query = session
                 .prepare_expr_with_schema(expr.clone(), &schema)
                 .expect("prepares");
-            let token = ncql::CancelToken::new();
-            token.cancel("stop");
-            let options = ncql::ExecOptions::new().cancel(token);
+            let execute = |token: &CancelToken, bindings| {
+                let options = ExecOptions::new().cancel(token.clone());
+                session.execute_with_options(&query, bindings, &options)
+            };
+            let case = format!("{shape}: kernels {kernels}, threads {threads:?}");
+
+            // Raised before the evaluation starts, and past due before it
+            // starts: each evaluator reads the clock within its first 4 096
+            // units of work, so a zero deadline stops every schedule.
+            let stopped = CancelToken::new();
+            stopped.cancel("stop");
+            let expired = CancelToken::with_deadline(Duration::ZERO);
+            for (token, expected) in [(stopped, "stop"), (expired, "deadline of 0ms exceeded")] {
+                let error = execute(&token, &large).expect_err("cancelled");
+                assert!(
+                    matches!(
+                        &error,
+                        ncql::Error::Eval(ncql::core::EvalError::Cancelled { reason, .. }) if reason == expected
+                    ),
+                    "{case}: {error}"
+                );
+                assert!(token.is_cancelled(), "{case}");
+            }
+
+            // A deadline far off: the clock is read, nothing else changes.
+            let reference = session
+                .execute_with_bindings(&query, &small)
+                .expect("evaluates");
+            let distant = CancelToken::with_deadline(Duration::from_secs(60));
+            let timed = execute(&distant, &small).expect("well inside 60 s");
+            assert!(reference.stats.work > 4096, "{case}: {:?}", reference.stats);
+            assert_eq!(timed.value, reference.value, "{case}");
+            assert_eq!(timed.stats, reference.stats, "{case}");
+            assert!(!distant.is_cancelled(), "{case}");
+        }
+    }
+
+    // An `ext` region of some 8 000 units at the default cutoff, alone and as
+    // each of the 64 rounds of a chain. Forked, its chunks charge far less
+    // than 4 096 units each, and around the lone region the evaluator charges
+    // less than that in all: only the clock read where each chunk starts
+    // stops it.
+    let result_ty = || Type::prod(Type::Nat, Type::Nat);
+    let round = Expr::ext(Expr::lam("x", pair_ty(), branching_body()), Expr::var("s"));
+    let chain = Expr::loop_(
+        Expr::lam("acc", Type::set(result_ty()), round.clone()),
+        Expr::var("r"),
+        Expr::empty(result_ty()),
+    );
+    let few = bindings(256);
+    for (shape, expr, rounds) in [("region", round, 1), ("loop", chain, 64)] {
+        for (kernels, threads) in STRATEGIES {
+            let session = SessionBuilder::new()
+                .parallelism(threads)
+                .row_kernels(kernels)
+                .build();
+            let query = session
+                .prepare_expr_with_schema(expr.clone(), &schema)
+                .expect("prepares");
+            let case = format!("{shape}: kernels {kernels}, threads {threads:?}");
+            let reference = session
+                .execute_with_bindings(&query, &few)
+                .expect("evaluates");
+            let per_round = reference.stats.work / rounds;
+            assert!((4096..3 * 4096).contains(&per_round), "{case}: {per_round}");
+            let expired = CancelToken::with_deadline(Duration::ZERO);
+            let options = ExecOptions::new().cancel(expired.clone());
             let error = session
-                .execute_with_options(&query, &bindings, &options)
+                .execute_with_options(&query, &few, &options)
                 .expect_err("cancelled");
             assert!(
                 matches!(
                     &error,
-                    ncql::Error::Eval(ncql::core::EvalError::Cancelled { reason, .. }) if reason == "stop"
+                    ncql::Error::Eval(ncql::core::EvalError::Cancelled { reason, .. })
+                        if reason == "deadline of 0ms exceeded"
                 ),
-                "{shape}: kernels {kernels}, threads {threads:?}: {error}"
+                "{case}: {error}"
             );
+            assert!(expired.is_cancelled(), "{case}");
         }
     }
 }
