@@ -412,6 +412,21 @@ struct SiteKernel {
     captures: Vec<u64>,
 }
 
+/// Sort and deduplicate the rows of `width` words in `out[start..]`, in
+/// place; returns how many remain.
+fn canonical_tail(out: &mut Vec<u64>, start: usize, width: usize) -> usize {
+    let rows = out[start..].chunks_exact(width);
+    if !rows.clone().is_sorted_by(|a, b| a < b) {
+        let mut rows: Vec<&[u64]> = rows.collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let rows = rows.concat();
+        out.truncate(start);
+        out.extend(rows);
+    }
+    (out.len() - start) / width
+}
+
 /// The `(result rows, spans)` of the shards of one kernel pass, each
 /// concatenated in shard order.
 fn concat(shards: Vec<(Vec<u64>, Vec<u64>)>) -> (Vec<u64>, Vec<u64>) {
@@ -664,12 +679,21 @@ impl Evaluator {
         self.pool.as_ref()?.try_borrow(apps.min(threads))
     }
 
-    fn note_set(&mut self, s: &VSet) -> EvalResult<()> {
-        if s.len() > self.stats.max_set_size {
-            self.stats.max_set_size = s.len();
+    /// What `ext` charges once its elements are mapped to a result of `len`
+    /// elements: the result's work and size check. Returns the `ext`'s span
+    /// over its function's, its argument's and its largest element's.
+    fn ext_result(&mut self, len: usize, spans: [u64; 3]) -> EvalResult<u64> {
+        self.add_work(len as u64)?;
+        self.note_set(len)?;
+        Ok(cost::EXT.span_over(spans))
+    }
+
+    fn note_set(&mut self, len: usize) -> EvalResult<()> {
+        if len > self.stats.max_set_size {
+            self.stats.max_set_size = len;
         }
-        if s.len() > self.config.max_set_size {
-            return Err(EvalError::set_too_large(self.config.max_set_size, s.len()));
+        if len > self.config.max_set_size {
+            return Err(EvalError::set_too_large(self.config.max_set_size, len));
         }
         Ok(())
     }
@@ -704,7 +728,7 @@ impl Evaluator {
         let (v, s) = self.apply_obj(clo, arg)?;
         let v = clip(v, bound)?;
         if let Value::Set(set) = &v {
-            self.note_set(set)?;
+            self.note_set(set.len())?;
         }
         Ok((v, s))
     }
@@ -831,7 +855,7 @@ impl Evaluator {
                 let (bv, sb) = self.eval_set(b, env, "union")?;
                 let u = av.union(&bv);
                 self.add_work(u.len() as u64)?;
-                self.note_set(&u)?;
+                self.note_set(u.len())?;
                 obj(Value::Set(u), cost::UNION.span_over([sa, sb]))
             }
             ExprKind::IsEmpty(e) => {
@@ -850,19 +874,20 @@ impl Evaluator {
                 let kernel = set.columnar_rows().and_then(|(shape, _, _)| {
                     self.site_kernel(&clo, |kernel| kernel.input_shape() == shape)
                 });
-                let mapped = match kernel {
-                    Some(kernel) => self.ext_rows_kernel(region.as_ref(), &kernel, &set)?,
-                    None => {
-                        let elements = Cow::Borrowed(set.as_slice());
-                        self.map_region(region.as_ref(), elements, 1, |ev, shard, _| {
-                            let mut out = Vec::with_capacity(shard.len());
-                            for x in shard.iter() {
-                                ev.stats.ext_calls += 1;
-                                out.push(ev.apply_obj(&clo, x.clone())?);
-                            }
-                            Ok(out)
-                        })?
-                    }
+                let mapped = if let Some(kernel) = kernel {
+                    self.ext_rows_kernel(region.as_ref(), &kernel, &set)?
+                } else if let Some(mapped) = self.ext_join(region.as_ref(), &clo, &set) {
+                    mapped?
+                } else {
+                    let elements = Cow::Borrowed(set.as_slice());
+                    self.map_region(region.as_ref(), elements, 1, |ev, shard, _| {
+                        let mut out = Vec::with_capacity(shard.len());
+                        for x in shard.iter() {
+                            ev.stats.ext_calls += 1;
+                            out.push(ev.apply_obj(&clo, x.clone())?);
+                        }
+                        Ok(out)
+                    })?
                 };
                 let mut parts: Vec<VSet> = Vec::with_capacity(mapped.len());
                 let mut max_elem_span = 0u64;
@@ -878,12 +903,8 @@ impl Evaluator {
                     }
                 }
                 let result = self.merge_ext_parts(region.as_ref(), parts)?;
-                self.add_work(result.len() as u64)?;
-                self.note_set(&result)?;
-                obj(
-                    Value::Set(result),
-                    cost::EXT.span_over([sf, se, max_elem_span]),
-                )
+                let span = self.ext_result(result.len(), [sf, se, max_elem_span])?;
+                obj(Value::Set(result), span)
             }
 
             ExprKind::UnionRec { form, e, f, u, arg } => {
@@ -1072,8 +1093,77 @@ impl Evaluator {
             })?;
             Ok(vec![(Value::Set(part), span)])
         })?;
-        crate::kernel::note_hit(set.len());
+        crate::kernel::note_hits(1, set.len());
         Ok(parts)
+    }
+
+    /// The join-site element map (see [`crate::kernel`]) of `ext(\a. ext(\b.
+    /// body, S), R)` over `outer` (`R`) in the outer `ext`'s regions, each
+    /// error located where the interpreter would raise it — or `None` if
+    /// `clo` is no such `λ`, a side is boxed, or no keyed inner kernel fits
+    /// (the first row of `outer` stands in for `a` to encode captures).
+    fn ext_join(
+        &mut self,
+        region: Option<&RegionPermit>,
+        clo: &Closure,
+        outer: &VSet,
+    ) -> Option<EvalResult<Vec<(Value, u64)>>> {
+        let ext: &Expr = &clo.body;
+        let ExprKind::Ext(function, set) = &ext.kind else {
+            return None;
+        };
+        let ExprKind::Lam(param, _, body) = &function.kind else {
+            return None;
+        };
+        let inner = match &set.kind {
+            ExprKind::Var(x) if *x != clo.param => match clo.env.lookup(x)? {
+                RtVal::Obj(Value::Set(inner)) => inner,
+                _ => return None,
+            },
+            ExprKind::Const(Value::Set(inner)) => inner,
+            _ => return None,
+        };
+        let ((shape, _, inner_rows), (row, width, rows)) =
+            (inner.columnar_rows()?, outer.columnar_rows()?);
+        let env = (clo.env).extend(clo.param.clone(), RtVal::Obj(row.decode(&rows[..width])));
+        let (param, body) = (param.clone(), body.clone());
+        let fits = |k: &RowKernel| k.keyed() && k.input_shape() == shape;
+        let site = self.site_kernel(&Closure { param, body, env }, fits)?;
+        let located = |nodes: &[&Expr], e: EvalError| {
+            (nodes.iter()).fold(e, |e, node| e.with_span_if_missing(node.span))
+        };
+        let (kernel, slot) = (&site.kernel, site.kernel.capture_slot(&clo.param));
+        let out_width = kernel.output_shape().width();
+        let parts = self.map_region(region, Cow::Borrowed(rows), width, |ev, shard, _| {
+            let (mut scratch, mut out, mut max_span) = (kernel.scratch(&site.captures), vec![], 0);
+            for row in shard.chunks_exact(width) {
+                // Replayed by hand from `apply_obj` and `eval_kind`: the
+                // application, a node each for the inner `ext`, its `λ` and
+                // its set. The `Ext` arm's tail is `ext_result`, shared.
+                ev.stats.ext_calls += 1;
+                ev.add_work(cost::APPLY.work)?;
+                for nodes in [&[ext][..], &[&**function, ext], &[&**set, ext]] {
+                    ev.add_work(cost::NODE).map_err(|e| located(nodes, e))?;
+                }
+                if let Some(slot) = slot.clone() {
+                    scratch[slot].copy_from_slice(row);
+                }
+                let start = out.len();
+                let charge = |rows, work| {
+                    ev.stats.ext_calls += rows;
+                    ev.add_work(work)
+                };
+                let probed = kernel.probe(inner_rows, &mut scratch, &mut out, charge);
+                let span = probed.map_err(|e| located(&[ext], e))?;
+                let len = canonical_tail(&mut out, start, out_width);
+                let span = ev.ext_result(len, [cost::LEAF.span, cost::LEAF.span, span]);
+                let span = span.map_err(|e| located(&[ext], e))?;
+                max_span = cost::INDEPENDENT.join(max_span, cost::APPLY.span_over([span]));
+            }
+            let part = VSet::from_raw_rows(kernel.output_shape().clone(), out);
+            Ok(vec![(Value::Set(part), max_span)])
+        });
+        Some(parts.inspect(|_| crate::kernel::note_hits(outer.len(), outer.len() * inner.len())))
     }
 
     /// The kernel-path tree of an unbounded `dcr`/`sru` over a columnar set:
@@ -1133,7 +1223,7 @@ impl Evaluator {
             })?;
             (words, spans) = concat(halved);
         }
-        crate::kernel::note_hit(set.len());
+        crate::kernel::note_hits(1, set.len());
         Ok((result.decode(&words), spans[0]))
     }
 

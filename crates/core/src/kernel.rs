@@ -17,8 +17,17 @@
 //! comprehension is select-project-join whatever it closes over: a captured
 //! flat value is a constant for the duration of one inner loop, so it is a
 //! kernel *parameter* — scratch words the run loads once per call from the
-//! closure's environment, exactly as literals are preloaded. That is what
-//! runs the inner `ext` of a join as a row loop per outer row.
+//! closure's environment, exactly as literals are preloaded. A body that
+//! begins `if x = y then … else empty`, `x` read from its row and `y`
+//! preloaded, is *keyed*: a row whose key differs takes path 0 and emits
+//! nothing. For a column-prefix key only the range of the sorted rows that
+//! can match executes (binary search); the rest are charged as path 0. An
+//! `ext` of `\a: A. ext(\b: B. body, S)`, `A` flat, `S` a constant or a
+//! variable other than `a` and `body` keyed, is a *join site* ([`Sites`]):
+//! per outer row, loaded as the capture `a`, the inner kernel runs over `S`
+//! into one buffer per shard while every charge of the nested loop is
+//! replayed in the interpreter's order, so cost is unchanged by construction.
+//! A boxed side, or kernels off, runs the nested loop.
 //!
 //! An unbounded `dcr`/`sru` whose `f : row → R` and `u : (R * R) → R` both
 //! lower to scalars of one flat shape `R` runs as a kernel tree
@@ -61,6 +70,7 @@ use crate::expr::{Expr, ExprKind, Form, UnionForm};
 use crate::externs::{ExternRegistry, ScalarExternFn};
 use crate::span::Span;
 use ncql_object::{FlatShape, VSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -178,6 +188,43 @@ struct Capture {
     at: usize,
 }
 
+/// The key of a keyed comprehension (see the module docs): `width` words at
+/// `at` in the input row against preloaded words at `probe`.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    at: usize,
+    probe: usize,
+    width: usize,
+}
+
+/// The key of `body`, `if x = y then … else …` lowered to `ops`: with no
+/// instruction for `x`, `y` or the else-arm, `ops` begin comparing row words
+/// with preloaded ones and branching to the end.
+fn key(body: &Expr, ops: &[Op], input_width: usize) -> Option<Key> {
+    let [Op::Cmp { a, b, width, .. }, Op::BranchIfZero { target, .. }, ..] = *ops else {
+        return None;
+    };
+    let eq = matches!(&body.kind, ExprKind::If(cond, ..) if matches!(cond.kind, ExprKind::Eq(..)));
+    let in_row = |at: usize| at + width <= input_width;
+    let (at, probe) = if in_row(a) { (a, b) } else { (b, a) };
+    let keyed = eq && width > 0 && target == ops.len() && in_row(at) && !in_row(probe);
+    keyed.then_some(Key { at, probe, width })
+}
+
+/// The first of `0..n` at which the monotone `before` turns false.
+fn partition(n: usize, before: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        (lo, hi) = if before(mid) {
+            (mid + 1, hi)
+        } else {
+            (lo, mid)
+        };
+    }
+    lo
+}
+
 /// A compiled `λ` body: a flat program over one input row.
 #[derive(Debug)]
 pub struct RowKernel {
@@ -191,6 +238,7 @@ pub struct RowKernel {
     captures: Vec<Capture>,
     ops: Vec<Op>,
     cost: Cost,
+    key: Option<Key>,
 }
 
 impl RowKernel {
@@ -217,11 +265,11 @@ impl RowKernel {
         self.captures.iter().map(|c| (c.name.as_str(), &c.shape))
     }
 
-    /// Run an `ext` body over one shard of input rows (row-major, whole rows)
-    /// and return the canonical set of the emitted rows with the largest
-    /// span any row took (the apply level included). `captures` holds the
-    /// words of the captured values, concatenated in [`RowKernel::captures`]
-    /// order.
+    /// Run an `ext` body over one shard of input rows (row-major, whole rows,
+    /// in canonical order) and return the canonical set of the emitted rows
+    /// with the largest span any row took (the apply level included).
+    /// `captures` holds the words of the captured values, concatenated in
+    /// [`RowKernel::captures`] order.
     ///
     /// One call owns everything a shard needs — the scratch buffer, the
     /// output rows and the per-block `(path, rows)` tally — so nothing is
@@ -230,28 +278,26 @@ impl RowKernel {
     /// receives the block's row count and the exact work the interpreter
     /// charges for applying the closure to those rows, and its error (work
     /// limit, cancellation) stops the shard.
-    pub fn run_rows<E>(
+    pub(crate) fn run_rows<E>(
         &self,
         rows: &[u64],
         captures: &[u64],
         charge: impl FnMut(u64, u64) -> Result<(), E>,
     ) -> Result<(VSet, u64), E> {
-        let mut out = Vec::with_capacity(rows.len() / self.input_width * self.output_shape.width());
-        let max_span =
-            self.run_blocks::<false, E>(rows, captures, &mut out, &mut Vec::new(), charge)?;
+        let mut out = Vec::new();
+        let max_span = self.probe(rows, &mut self.scratch(captures), &mut out, charge)?;
         // A selective filter leaves most of the reservation unused, and an
         // already-canonical batch is adopted as the set's buffer as is.
         out.shrink_to_fit();
-        Ok((
-            VSet::from_raw_rows(self.output_shape.clone(), out),
-            max_span,
-        ))
+        let set = VSet::from_raw_rows(self.output_shape.clone(), out);
+        Ok((set, max_span))
     }
 
     /// Run a recursor's `f` or `u` body — a scalar, so every row yields
     /// exactly one result — over one shard of input rows: the result rows in
-    /// input order, and the span of each application. `captures` and `charge`
-    /// are [`RowKernel::run_rows`]'s.
+    /// input order, and the span of each application. `captures` holds the
+    /// captured values' words in [`RowKernel::captures`] order; `charge`
+    /// receives each block's rows and work, as for an `ext` body.
     pub fn map_rows<E>(
         &self,
         rows: &[u64],
@@ -261,7 +307,8 @@ impl RowKernel {
         let count = rows.len() / self.input_width;
         let mut out = Vec::with_capacity(count * self.output_shape.width());
         let mut spans = Vec::with_capacity(count);
-        self.run_blocks::<true, E>(rows, captures, &mut out, &mut spans, charge)?;
+        let scratch = &mut self.scratch(captures);
+        self.run_blocks::<true, E>(rows, scratch, 0..count, &mut out, &mut spans, charge)?;
         assert_eq!(
             out.len(),
             count * self.output_shape.width(),
@@ -270,19 +317,9 @@ impl RowKernel {
         Ok((out, spans))
     }
 
-    /// The row loop behind both entry points: blocks of [`BLOCK_ROWS`] rows,
-    /// each charged `Σ rows(path) × work(path)`. Returns the largest span any
-    /// row took; with `SPANS`, also appends every row's span to `spans`.
-    fn run_blocks<const SPANS: bool, E>(
-        &self,
-        rows: &[u64],
-        captures: &[u64],
-        out: &mut Vec<u64>,
-        spans: &mut Vec<u64>,
-        mut charge: impl FnMut(u64, u64) -> Result<(), E>,
-    ) -> Result<u64, E> {
-        let width = self.input_width;
-        debug_assert!(rows.len().is_multiple_of(width));
+    /// A scratch buffer with the body's constants and the captured values'
+    /// words (see [`RowKernel::run_rows`]) in place.
+    pub(crate) fn scratch(&self, captures: &[u64]) -> Vec<u64> {
         let mut scratch = vec![0u64; self.scratch_len];
         for &(at, word) in &self.consts {
             scratch[at] = word;
@@ -294,16 +331,74 @@ impl RowKernel {
             }
         }
         debug_assert!(words.next().is_none());
+        scratch
+    }
+
+    /// Is the body keyed (see the module docs)?
+    pub(crate) fn keyed(&self) -> bool {
+        self.key.is_some()
+    }
+
+    /// Where the words of the captured variable `name` sit in a scratch
+    /// buffer: a join site writes each outer row there.
+    pub(crate) fn capture_slot(&self, name: &str) -> Option<Range<usize>> {
+        let capture = self.captures.iter().find(|c| c.name == name)?;
+        Some(capture.at..capture.at + capture.shape.width())
+    }
+
+    /// [`RowKernel::run_rows`] over a loaded `scratch`, appending to `out`
+    /// and returning the largest span: a column-prefix key executes only the
+    /// range of `rows` that can match, any other body every row.
+    pub(crate) fn probe<E>(
+        &self,
+        rows: &[u64],
+        scratch: &mut [u64],
+        out: &mut Vec<u64>,
+        charge: impl FnMut(u64, u64) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let (width, count) = (self.input_width, rows.len() / self.input_width);
+        let hits = match self.key {
+            Some(key) if key.at == 0 => {
+                debug_assert!(rows.chunks_exact(width).is_sorted());
+                let probe = &scratch[key.probe..][..key.width];
+                let at = |i: usize| &rows[i * width..][..key.width];
+                partition(count, |i| at(i) < probe)..partition(count, |i| at(i) <= probe)
+            }
+            _ => 0..count,
+        };
+        out.reserve(hits.len() * self.output_shape.width());
+        self.run_blocks::<false, E>(rows, scratch, hits, out, &mut Vec::new(), charge)
+    }
+
+    /// The row loop behind every entry point: blocks of [`BLOCK_ROWS`] rows,
+    /// each charged `Σ rows(path) × work(path)`, where the rows outside
+    /// `hits` cannot match the key and are charged as path 0 unexecuted.
+    /// Returns the largest span any row took; with `SPANS` (all rows hits),
+    /// also appends every row's span to `spans`.
+    fn run_blocks<const SPANS: bool, E>(
+        &self,
+        rows: &[u64],
+        scratch: &mut [u64],
+        hits: Range<usize>,
+        out: &mut Vec<u64>,
+        spans: &mut Vec<u64>,
+        mut charge: impl FnMut(u64, u64) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let width = self.input_width;
+        debug_assert!(rows.len().is_multiple_of(width));
+        let count = rows.len() / width;
         // `(path, rows, span)` per path the block took; the span is filled in
         // when the block is charged. With `SPANS`, `paths` is each row's.
         let mut tally: Vec<(u64, u64, u64)> = Vec::new();
         let mut paths: Vec<u64> = Vec::new();
         let mut max_span = 0u64;
-        for block in rows.chunks(BLOCK_ROWS * width) {
+        for start in (0..count).step_by(BLOCK_ROWS) {
+            let end = count.min(start + BLOCK_ROWS);
             tally.clear();
             paths.clear();
-            for row in block.chunks_exact(width) {
-                let path = self.run(row, &mut scratch, out);
+            let (from, to) = (hits.start.clamp(start, end), hits.end.clamp(start, end));
+            for row in rows[from * width..to * width].chunks_exact(width) {
+                let path = self.run(row, scratch, out);
                 match tally.iter_mut().find(|(seen, ..)| *seen == path) {
                     Some((_, count, _)) => *count += 1,
                     None => tally.push((path, 1, 0)),
@@ -311,6 +406,12 @@ impl RowKernel {
                 if SPANS {
                     paths.push(path);
                 }
+            }
+            // A row that cannot match takes path 0 (an entry of its own).
+            let skipped = end - start - (to - from);
+            debug_assert!(!SPANS || skipped == 0);
+            if skipped > 0 {
+                tally.push((0, skipped as u64, 0));
             }
             let mut work = 0u64;
             for (path, count, span) in &mut tally {
@@ -325,7 +426,7 @@ impl RowKernel {
                     taken.expect("every row's path was tallied").2
                 }));
             }
-            charge((block.len() / width) as u64, work)?;
+            charge((end - start) as u64, work)?;
         }
         Ok(max_span)
     }
@@ -826,6 +927,7 @@ fn lower_body(
             (shape, cost)
         }
     };
+    let key = key(body, &c.ops, input_width).filter(|_| matches!(role, Role::Comprehension));
     Ok(RowKernel {
         input_shape: input_shape.clone(),
         input_width,
@@ -835,6 +937,7 @@ fn lower_body(
         captures: c.captures,
         ops: c.ops,
         cost: Cost::node(cost::APPLY, vec![cost]),
+        key,
     })
 }
 
@@ -850,8 +953,9 @@ pub struct KernelSite {
     pub compiled: bool,
     /// For a compiled site the row shapes of its kernels, captured variables
     /// in brackets — `(atom * nat) [a: (atom * atom)] -> (atom * nat)`, and
-    /// `f`'s then `u`'s for a recursor; otherwise the compiler's rejection
-    /// reason.
+    /// `f`'s then `u`'s for a recursor, or a join site's two sides and key —
+    /// `(atom * atom) ⋈ (atom * nat) on pi2 a = pi1 p -> (atom * nat)`;
+    /// otherwise the compiler's rejection reason.
     pub detail: String,
 }
 
@@ -878,10 +982,16 @@ impl<'e> Survey<'e, '_> {
     /// `at_site`: is `expr` the function written at an `ext` or recursor
     /// site, which that site has decided?
     fn visit(&mut self, expr: &'e Expr, at_site: bool) {
+        // An `ext` site whose body did not compile may be a join, decided once
+        // its inner site is: its report entry, the first kernel compiled below.
+        let mut join = None;
         // The functions this node decides, if it is a site.
         let functions: [Option<&Expr>; 2] = match &expr.kind {
             ExprKind::Ext(f, _) if self.kernels => {
                 let decision = self.site_kernel(f, Role::Comprehension).map(|k| vec![k]);
+                if decision.is_err() {
+                    join = Some((self.report.len(), self.compiled.len()));
+                }
                 self.decided(expr, decision);
                 [Some(f), None]
             }
@@ -921,6 +1031,51 @@ impl<'e> Survey<'e, '_> {
             self.visit(child.expr, false);
             self.scope.pop();
         }
+        if let (Some((site, from)), ExprKind::Ext(f, _)) = (join, &expr.kind) {
+            self.join_site(site, f, from);
+        }
+    }
+
+    /// Decide whether the `ext` site reported at `report[site]`, whose own
+    /// body did not compile, is a join site (see the module docs) whose inner
+    /// kernel is at or after `compiled[from]`. A function of another form
+    /// keeps the compiler's reason.
+    fn join_site(&mut self, site: usize, function: &'e Expr, from: usize) {
+        let ExprKind::Lam(a, ty, body) = &function.kind else {
+            return;
+        };
+        let (Some(outer), ExprKind::Ext(inner, set)) = (FlatShape::of_type(ty), &body.kind) else {
+            return;
+        };
+        let ExprKind::Lam(_, _, inner) = &inner.kind else {
+            return;
+        };
+        let leaf = matches!(&set.kind, ExprKind::Var(s) if s != a)
+            || matches!(set.kind, ExprKind::Const(_));
+        let kernel = self.compiled[from..]
+            .iter()
+            .find(|(b, _)| Arc::ptr_eq(b, inner));
+        let site = &mut self.report[site];
+        let why = match (kernel, &inner.kind) {
+            _ if !leaf => format!(
+                "the inner set `{set}` is neither a variable other than `{a}` nor a constant"
+            ),
+            (None, _) => "the inner site runs interpreted".to_string(),
+            (Some((_, kernel)), ExprKind::If(cond, ..)) if kernel.keyed() => {
+                let ExprKind::Eq(x, y) = &cond.kind else {
+                    unreachable!("a key is an equality")
+                };
+                let (from, to) = (kernel.input_shape(), kernel.output_shape());
+                let (outer, from, to) = (shape_desc(&outer), shape_desc(from), shape_desc(to));
+                site.detail = format!("{outer} ⋈ {from} on {x} = {y} -> {to}");
+                site.compiled = true;
+                return;
+            }
+            _ => "no equality key: the inner body does not begin `if x = y then … else empty` \
+                 with `x` in its row and `y` a capture or a constant"
+                .to_string(),
+        };
+        site.detail = format!("`ext` body runs as a nested loop: {why}");
     }
 
     /// Report the site `expr` and keep the kernels it compiled to.
@@ -1112,15 +1267,18 @@ pub struct KernelStats {
     /// `λ` bodies the compiler rejected; their sites run interpreted. Counted
     /// once per survey of the plan — not once per closure made from them.
     pub fallbacks: u64,
-    /// `ext` and `dcr`/`sru` evaluations that executed through kernels.
+    /// `ext` and `dcr`/`sru` evaluations that executed through kernels (a
+    /// join site's inner `ext` once per outer row).
     pub ext_hits: u64,
-    /// Elements of the argument sets of those evaluations.
+    /// Elements of the argument sets of those evaluations: `|R| × |S|` for a
+    /// join site over `R` and `S`, as its nested loop counts them.
     pub rows: u64,
 }
 
-/// Record one kernel-executed `ext` or recursor over a set of `rows` elements.
-pub(crate) fn note_hit(rows: usize) {
-    EXT_HITS.fetch_add(1, Ordering::Relaxed);
+/// Record `exts` kernel-executed `ext`s or recursors over `rows` elements in
+/// all.
+pub(crate) fn note_hits(exts: usize, rows: usize) {
+    EXT_HITS.fetch_add(exts as u64, Ordering::Relaxed);
     ROWS.fetch_add(rows as u64, Ordering::Relaxed);
 }
 
@@ -1332,31 +1490,62 @@ mod tests {
         assert!(sites[0].detail.contains("not a flat shape"));
 
         // A join: the inner body reads the outer row, which is a kernel
-        // parameter; the outer body is an `ext`, not a comprehension.
+        // parameter, and begins with a key equality, so the outer site runs
+        // the inner kernel over the matching rows of `papers` only.
         let (a, p) = (|| Expr::var("a"), || Expr::var("p"));
-        let inner = Expr::lam(
-            "p",
-            pair_ty(),
-            Expr::ite(
-                Expr::eq(Expr::proj2(a()), Expr::proj1(p())),
-                Expr::singleton(Expr::pair(Expr::proj1(a()), Expr::proj2(p()))),
-                Expr::empty(pair_ty()),
-            ),
-        );
-        let outer = Expr::lam(
-            "a",
-            Type::prod(Type::Base, Type::Base),
-            Expr::ext(inner, Expr::var("papers")),
-        );
-        let join = Expr::ext(outer, Expr::var("authored"));
-        let sites = analyze_sites(&join, &ExternRegistry::standard());
+        let join = |a_ty: Type, cond: Expr, papers: Expr| {
+            let inner = Expr::lam(
+                "p",
+                pair_ty(),
+                Expr::ite(
+                    cond,
+                    Expr::singleton(Expr::pair(Expr::proj1(a()), Expr::proj2(p()))),
+                    Expr::empty(pair_ty()),
+                ),
+            );
+            let outer = Expr::lam("a", a_ty, Expr::ext(inner, papers));
+            let join = Expr::ext(outer, Expr::var("authored"));
+            analyze_sites(&join, &ExternRegistry::standard())
+        };
+        let authored = || Type::prod(Type::Base, Type::Base);
+        let key = || Expr::eq(Expr::proj2(a()), Expr::proj1(p()));
+        let sites = join(authored(), key(), Expr::var("papers"));
         assert_eq!(sites.len(), 2);
-        assert!(!sites[0].compiled && sites[0].detail.contains("`ext`"));
+        assert!(sites[0].compiled);
+        assert_eq!(
+            sites[0].detail,
+            "(atom * atom) ⋈ (atom * nat) on pi2 a = pi1 p -> (atom * nat)"
+        );
         assert!(sites[1].compiled);
         assert_eq!(
             sites[1].detail,
             "(atom * nat) [a: (atom * atom)] -> (atom * nat)"
         );
+        // Without an equality key, or over an inner set that reads `a`, the
+        // inner kernel still compiles but runs once per outer row.
+        let no_key = Expr::extern_call("nat_leq", vec![Expr::proj2(a()), Expr::proj2(p())]);
+        let reads_a = Expr::singleton(Expr::pair(Expr::proj1(a()), Expr::nat(1)));
+        for (sites, why) in [
+            (
+                join(pair_ty(), no_key, Expr::var("papers")),
+                "no equality key",
+            ),
+            (
+                join(authored(), key(), reads_a),
+                "the inner set `{(pi1 a, 1)}`",
+            ),
+        ] {
+            assert!(!sites[0].compiled, "{}", sites[0].detail);
+            assert!(
+                sites[0]
+                    .detail
+                    .starts_with("`ext` body runs as a nested loop")
+                    && sites[0].detail.contains(why),
+                "{}",
+                sites[0].detail
+            );
+            assert!(sites.last().expect("the inner site").compiled);
+        }
 
         // A scalar recursor is one site with two kernels; a bound rejects.
         let leaf = Expr::lam("p", pair_ty(), Expr::proj2(p()));

@@ -5,8 +5,9 @@
 //! `ext(\x. body, set)` with row kernels enabled must be **bit-identical** —
 //! value *and* `CostStats` — to evaluating with kernels disabled, on both the
 //! sequential and the parallel backend; likewise a body that reads the row of
-//! an enclosing `ext` (a kernel parameter), and a scalar `dcr` run as a kernel
-//! tree. Unliftable bodies must reject at compile time (prepare-time analysis
+//! an enclosing `ext` (a kernel parameter), a join site that probes its inner
+//! set by a key equality, and a scalar `dcr` run as a kernel tree.
+//! Unliftable bodies must reject at compile time (prepare-time analysis
 //! and the runtime dispatch make the same decision) and fall back to the
 //! interpreter with no observable change.
 
@@ -94,6 +95,51 @@ fn arb_liftable_body(vars: Vars) -> impl Strategy<Value = Expr> {
     ]
 }
 
+/// Join sides of no rows, a few (boxed), a columnar handful, and more than
+/// two accounting blocks.
+fn arb_join_size() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0), 1usize..8, 8usize..65, 2049usize..2100]
+}
+
+/// `(nat * nat)`: the rows of both sides of a generated join, so that any
+/// column can be a key against any other.
+fn nat_pair() -> Type {
+    Type::prod(Type::Nat, Type::Nat)
+}
+
+const JOIN_BODIES: usize = 7;
+
+/// The inner body of a generated join over `a, b : nat * nat`.
+fn join_body(which: usize) -> Expr {
+    let (a, b) = (|| Expr::var("a"), || Expr::var("b"));
+    let joined = || Expr::singleton(Expr::pair(Expr::proj1(a()), Expr::proj2(b())));
+    let (key, then) = match which {
+        // A column-prefix key, and the same with its operands swapped.
+        0 => (Expr::eq(Expr::proj2(a()), Expr::proj1(b())), joined()),
+        1 => (Expr::eq(Expr::proj1(b()), Expr::proj2(a())), joined()),
+        // A key that is not a column prefix.
+        2 => (Expr::eq(Expr::proj2(a()), Expr::proj2(b())), joined()),
+        // A key against a constant, and the whole row as the key.
+        3 => (Expr::eq(Expr::proj1(b()), Expr::nat(1)), joined()),
+        4 => (Expr::eq(b(), a()), joined()),
+        // Every match of one outer row emits the same row.
+        5 => (
+            Expr::eq(Expr::proj2(a()), Expr::proj1(b())),
+            Expr::singleton(Expr::proj1(a())),
+        ),
+        // The shape of a transitive-closure step: a then-arm with its own `if`.
+        _ => (
+            Expr::eq(Expr::proj2(a()), Expr::proj1(b())),
+            Expr::ite(
+                Expr::eq(Expr::proj2(a()), Expr::nat(2)),
+                Expr::empty(nat_pair()),
+                joined(),
+            ),
+        ),
+    };
+    Expr::ite(key, then, Expr::empty(nat_pair()))
+}
+
 fn input_value(rows: &[(u64, u64)]) -> Value {
     Value::set_from(
         rows.iter()
@@ -165,9 +211,10 @@ proptest! {
             Expr::lam("a", pair_ty(), ext_over(body, &inner)),
             Expr::constant(input_value(&outer)),
         );
+        // The outer site is a join site when the body happens to begin with
+        // a key equality and an empty else-arm; either way the inner compiles.
         let sites = analyze_sites(&join, &ExternRegistry::standard());
         prop_assert_eq!(sites.len(), 2);
-        prop_assert!(!sites[0].compiled, "an `ext` body is not a comprehension");
         assert_all_four_agree(&join);
     }
 
@@ -213,6 +260,75 @@ proptest! {
         prop_assert_eq!(v_on, v_off);
         prop_assert_eq!(s_on, s_off);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A join site — an outer `ext` whose body is an inner `ext` with a key
+    /// equality — runs the inner kernel over the matching rows only, and is
+    /// invisible on all four strategies: both sides empty, boxed, columnar or
+    /// several blocks long, the inner set a constant or a variable, keys that
+    /// are and are not column prefixes, in either operand order or against a
+    /// constant, sides where every row matches, duplicate emissions, and a
+    /// then-arm with its own `if`.
+    #[test]
+    fn a_join_site_is_bit_identical(
+        sizes in (arb_join_size(), arb_join_size()),
+        spreads in (0usize..5, 0usize..5),
+        body in 0usize..JOIN_BODIES,
+        bound in any::<bool>(),
+    ) {
+        // One side of more than two blocks at a time: the interpreted
+        // strategies visit every pair of rows.
+        let (outer, inner) = match sizes {
+            (r, s) if r > 2048 => (r, s.min(24)),
+            (r, s) if s > 2048 => (r.min(24), s),
+            sizes => sizes,
+        };
+        let rows = |n: usize, spread: usize| {
+            // One column repeats with period `m`, the other counts the
+            // periods: all rows distinct, every value of `pi1` shared by
+            // the whole set (m = 1) or of `pi2` (m = n), or neither — and
+            // then `pi2` is out of order.
+            let m = [1, n.max(1), 2, 3, n / 3 + 2][spread];
+            let rows: Vec<Value> = (0..n as u64).map(|i| {
+                Value::pair(Value::Nat(i % m as u64), Value::Nat(i / m as u64))
+            }).collect();
+            Expr::constant(Value::set_from(rows))
+        };
+        let (r, s) = (rows(outer, spreads.0), rows(inner, spreads.1));
+        let inner_set = if bound { Expr::var("s") } else { s.clone() };
+        let inner_ext = Expr::ext(Expr::lam("b", nat_pair(), join_body(body)), inner_set);
+        let mut join = Expr::ext(Expr::lam("a", nat_pair(), inner_ext), r);
+        if bound {
+            join = Expr::let_in("s", s, join);
+        }
+        let sites = analyze_sites(&join, &ExternRegistry::standard());
+        prop_assert!(sites[0].compiled && sites[0].detail.contains('⋈'), "{}", sites[0].detail);
+        assert_all_four_agree(&join);
+    }
+}
+
+/// Every outer row of a join site matches all of more than two blocks of
+/// inner rows and emits the same row for each match: each outer row's result
+/// is that one row, as in the nested loop, and so is every charge.
+#[test]
+fn a_join_site_whose_matches_all_emit_one_row_is_bit_identical() {
+    let nats = |x: u64, y: u64| Value::pair(Value::Nat(x), Value::Nat(y));
+    let r = Value::set_from((0..24).map(|i| nats(i, 0)));
+    let s = Value::set_from((0..3_000).map(|i| nats(0, i)));
+    let inner = Expr::ext(Expr::lam("b", nat_pair(), join_body(5)), Expr::constant(s));
+    let join = Expr::ext(Expr::lam("a", nat_pair(), inner), Expr::constant(r));
+    let site = &analyze_sites(&join, &ExternRegistry::standard())[0];
+    assert!(
+        site.compiled && site.detail.contains('⋈'),
+        "{}",
+        site.detail
+    );
+    let (value, stats) = assert_all_four_agree(&join);
+    assert_eq!(value.as_set().expect("a set").len(), 24);
+    assert_eq!((stats.ext_calls, stats.max_set_size), (24 + 24 * 3_000, 24));
 }
 
 /// A deterministic large-input check pinning the kernel path against the

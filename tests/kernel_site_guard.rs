@@ -77,7 +77,8 @@ fn an_execution_compiles_each_site_once_whatever_the_cardinality() {
         plan
     });
     // One call per flat-annotated `λ`: both of the join's and of `tc`'s
-    // (whose outer bodies are rejected), `f` and `u` of the `dcr`.
+    // (whose outer sites reuse their inner kernels as join sites), `f` and
+    // `u` of the `dcr`.
     assert_eq!(prepared_with, [2, 2, 2, 1]);
     let compiled = |plan: &ncql::PreparedQuery| plan.kernel_sites().iter().any(|s| s.compiled);
     assert_eq!(plans.each_ref().map(compiled), [true, true, true, false]);
