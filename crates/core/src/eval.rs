@@ -1146,7 +1146,7 @@ impl Evaluator {
                     ev.add_work(cost::NODE).map_err(|e| located(nodes, e))?;
                 }
                 if let Some(slot) = slot.clone() {
-                    scratch[slot].copy_from_slice(row);
+                    scratch.words[slot].copy_from_slice(row);
                 }
                 let start = out.len();
                 let charge = |rows, work| {

@@ -15,7 +15,7 @@
 //! black boxes).
 
 use crate::error::EvalError;
-use ncql_object::{Type, Value};
+use ncql_object::{FlatShape, Type, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -23,12 +23,45 @@ use std::sync::Arc;
 /// Shared implementation signature of an external function.
 pub type ExternBody = Arc<dyn Fn(&[Value]) -> Result<Value, EvalError> + Send + Sync>;
 
-/// Word-level twin of an external implementation, used by the row-kernel
-/// compiler (`crate::kernel`): a *total* function over the encoded words of
-/// the function's scalar arguments, producing the encoded word of its scalar
-/// result. Only meaningful for externals whose parameter and result types are
-/// all one-word scalars; the slice has exactly the declared arity.
-pub type ScalarExternFn = fn(&[u64]) -> u64;
+/// The word-level meaning of a standard external over one-word scalars.
+/// Booleans encode as 0/1 and atoms/naturals as themselves, so
+/// [`WordOp::apply`] on the encoded arguments is the encoded result: the
+/// boxed bodies of the standard arithmetic are `apply` on their arguments'
+/// words, and the row-kernel compiler (`crate::kernel`) runs a call as one
+/// loop of `apply` over a block of rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WordOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Max,
+    Min,
+    Leq,
+    Bit,
+    /// The unary coercions `atom_to_nat` and `nat_to_atom`.
+    Identity,
+}
+
+impl WordOp {
+    /// The op on the words `a` and `b` (`Identity` ignores `b`). Total.
+    #[inline(always)]
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            WordOp::Add => a.saturating_add(b),
+            WordOp::Sub => a.saturating_sub(b),
+            WordOp::Mul => a.saturating_mul(b),
+            WordOp::Div => a.checked_div(b).unwrap_or(0),
+            WordOp::Max => a.max(b),
+            WordOp::Min => a.min(b),
+            WordOp::Leq => u64::from(a <= b),
+            // BIT(i, j): the j-th bit of the binary representation of i (the
+            // BIT relation of Immerman used throughout §7).
+            WordOp::Bit => u64::from(b < 64 && (a >> b) & 1 == 1),
+            WordOp::Identity => a,
+        }
+    }
+}
 
 /// Implementation of a single external function.
 #[derive(Clone)]
@@ -45,13 +78,13 @@ pub struct ExternFn {
     /// re-registering a standard name with a custom body also disables the
     /// kernel shortcut for that name — the hint can never diverge from the
     /// boxed implementation.
-    pub(crate) scalar: Option<ScalarExternFn>,
+    pub(crate) word: Option<WordOp>,
 }
 
 impl ExternFn {
-    /// The word-level twin, when one exists (see [`ScalarExternFn`]).
-    pub fn scalar_hint(&self) -> Option<ScalarExternFn> {
-        self.scalar
+    /// The word-level twin, when one exists (see [`WordOp`]).
+    pub fn scalar_hint(&self) -> Option<WordOp> {
+        self.word
     }
 }
 
@@ -89,24 +122,32 @@ impl ExternRegistry {
     pub fn standard() -> ExternRegistry {
         let mut reg = ExternRegistry::empty();
 
-        reg.register_binary_nat("nat_add", |a, b| a.saturating_add(b));
-        reg.register_binary_nat("nat_sub", |a, b| a.saturating_sub(b));
-        reg.register_binary_nat("nat_mul", |a, b| a.saturating_mul(b));
-        reg.register_binary_nat("nat_div", |a, b| a.checked_div(b).unwrap_or(0));
-        reg.register_binary_nat("nat_max", |a, b| a.max(b));
-        reg.register_binary_nat("nat_min", |a, b| a.min(b));
-
-        reg.register("nat_leq", vec![Type::Nat, Type::Nat], Type::Bool, |args| {
-            let (a, b) = two_nats(args)?;
-            Ok(Value::Bool(a <= b))
-        });
-
-        // BIT(i, j): the j-th bit of the binary representation of i (the BIT
-        // relation of Immerman used throughout §7).
-        reg.register("nat_bit", vec![Type::Nat, Type::Nat], Type::Bool, |args| {
-            let (i, j) = two_nats(args)?;
-            Ok(Value::Bool(j < 64 && (i >> j) & 1 == 1))
-        });
+        // The word-level externals: each body is its word op on the
+        // arguments' words, so the kernel's loop of the op is the body by
+        // construction. The last two coerce along the order isomorphism.
+        for (name, op, param, result) in [
+            ("nat_add", WordOp::Add, Type::Nat, Type::Nat),
+            ("nat_sub", WordOp::Sub, Type::Nat, Type::Nat),
+            ("nat_mul", WordOp::Mul, Type::Nat, Type::Nat),
+            ("nat_div", WordOp::Div, Type::Nat, Type::Nat),
+            ("nat_max", WordOp::Max, Type::Nat, Type::Nat),
+            ("nat_min", WordOp::Min, Type::Nat, Type::Nat),
+            ("nat_leq", WordOp::Leq, Type::Nat, Type::Bool),
+            ("nat_bit", WordOp::Bit, Type::Nat, Type::Bool),
+            ("atom_to_nat", WordOp::Identity, Type::Base, Type::Nat),
+            ("nat_to_atom", WordOp::Identity, Type::Nat, Type::Base),
+        ] {
+            let params = vec![param; if op == WordOp::Identity { 1 } else { 2 }];
+            let scalar = |ty: &Type| FlatShape::of_type(ty).expect("a one-word scalar");
+            let (shapes, out): (Vec<_>, _) = (params.iter().map(scalar).collect(), scalar(&result));
+            reg.register(name, params, result, move |args| {
+                let [a, b] = words(args, &shapes).ok_or_else(|| {
+                    EvalError::extern_failure(format!("{name} expects {shapes:?}, got {args:?}"))
+                })?;
+                Ok(out.decode(&[op.apply(a, b)]))
+            });
+            reg.attach_word(name, op);
+        }
 
         // Cardinality of any set, as a natural number.
         reg.register(
@@ -120,46 +161,6 @@ impl ExternRegistry {
                 ))),
             },
         );
-
-        reg.register(
-            "atom_to_nat",
-            vec![Type::Base],
-            Type::Nat,
-            |args| match args.first() {
-                Some(Value::Atom(a)) => Ok(Value::Nat(*a)),
-                other => Err(EvalError::extern_failure(format!(
-                    "atom_to_nat expects an atom, got {other:?}"
-                ))),
-            },
-        );
-
-        reg.register(
-            "nat_to_atom",
-            vec![Type::Nat],
-            Type::Base,
-            |args| match args.first() {
-                Some(Value::Nat(n)) => Ok(Value::Atom(*n)),
-                other => Err(EvalError::extern_failure(format!(
-                    "nat_to_atom expects a natural, got {other:?}"
-                ))),
-            },
-        );
-
-        // Word-level twins for the kernel compiler. Booleans encode as 0/1
-        // and atoms/naturals as their identity, so each twin is exactly the
-        // boxed body on encoded words.
-        reg.attach_scalar("nat_add", |w| w[0].saturating_add(w[1]));
-        reg.attach_scalar("nat_sub", |w| w[0].saturating_sub(w[1]));
-        reg.attach_scalar("nat_mul", |w| w[0].saturating_mul(w[1]));
-        reg.attach_scalar("nat_div", |w| w[0].checked_div(w[1]).unwrap_or(0));
-        reg.attach_scalar("nat_max", |w| w[0].max(w[1]));
-        reg.attach_scalar("nat_min", |w| w[0].min(w[1]));
-        reg.attach_scalar("nat_leq", |w| u64::from(w[0] <= w[1]));
-        reg.attach_scalar("nat_bit", |w| {
-            u64::from(w[1] < 64 && (w[0] >> w[1]) & 1 == 1)
-        });
-        reg.attach_scalar("atom_to_nat", |w| w[0]);
-        reg.attach_scalar("nat_to_atom", |w| w[0]);
 
         reg
     }
@@ -177,7 +178,7 @@ impl ExternRegistry {
                 params,
                 result,
                 body: Arc::new(body),
-                scalar: None,
+                word: None,
             },
         );
     }
@@ -186,20 +187,10 @@ impl ExternRegistry {
     /// [`ExternFn::scalar_hint`]). Private on purpose: hints are only sound
     /// when the twin matches the boxed body bit-for-bit, which this crate can
     /// promise for its own standard registry but not for user registrations.
-    fn attach_scalar(&mut self, name: &str, scalar: ScalarExternFn) {
+    fn attach_word(&mut self, name: &str, op: WordOp) {
         if let Some(f) = Arc::make_mut(&mut self.fns).get_mut(name) {
-            f.scalar = Some(scalar);
+            f.word = Some(op);
         }
-    }
-
-    fn register_binary_nat<F>(&mut self, name: &str, op: F)
-    where
-        F: Fn(u64, u64) -> u64 + Send + Sync + 'static,
-    {
-        self.register(name, vec![Type::Nat, Type::Nat], Type::Nat, move |args| {
-            let (a, b) = two_nats(args)?;
-            Ok(Value::Nat(op(a, b)))
-        });
     }
 
     /// Look up an external by name.
@@ -251,13 +242,20 @@ impl ExternRegistry {
     }
 }
 
-fn two_nats(args: &[Value]) -> Result<(u64, u64), EvalError> {
-    match (args.first(), args.get(1)) {
-        (Some(Value::Nat(a)), Some(Value::Nat(b))) => Ok((*a, *b)),
-        _ => Err(EvalError::extern_failure(format!(
-            "expected two naturals, got {args:?}"
-        ))),
+/// The words of `args`, one-word scalars of the given shapes (the second
+/// 0 for one argument), or `None` if they are not.
+fn words(args: &[Value], shapes: &[FlatShape]) -> Option<[u64; 2]> {
+    let mut words = [0; 2];
+    if args.len() != shapes.len() {
+        return None;
     }
+    for ((arg, shape), word) in args.iter().zip(shapes).zip(&mut words) {
+        *word = arg
+            .as_atom()
+            .or(arg.as_nat())
+            .filter(|_| FlatShape::of_value(arg).as_ref() == Some(shape))?;
+    }
+    Some(words)
 }
 
 #[cfg(test)]
@@ -364,7 +362,7 @@ mod tests {
             for &a in &samples {
                 for &b in &samples {
                     let boxed = (f.body)(&[Value::Nat(a), Value::Nat(b)]).unwrap();
-                    let word = scalar(&[a, b]);
+                    let word = scalar.apply(a, b);
                     let expected = match boxed {
                         Value::Nat(n) => n,
                         Value::Bool(v) => u64::from(v),
@@ -375,7 +373,11 @@ mod tests {
             }
         }
         assert_eq!(
-            reg.get("atom_to_nat").unwrap().scalar_hint().unwrap()(&[9]),
+            reg.get("atom_to_nat")
+                .unwrap()
+                .scalar_hint()
+                .unwrap()
+                .apply(9, 0),
             9
         );
         assert!(reg.get("card").unwrap().scalar_hint().is_none());
@@ -385,7 +387,7 @@ mod tests {
     fn user_registration_clears_the_scalar_hint() {
         let mut reg = ExternRegistry::standard();
         reg.register("nat_add", vec![Type::Nat, Type::Nat], Type::Nat, |args| {
-            let (a, b) = two_nats(args)?;
+            let [a, b] = words(args, &[FlatShape::Nat, FlatShape::Nat]).unwrap();
             Ok(Value::Nat(a.wrapping_add(b).wrapping_add(1)))
         });
         assert!(

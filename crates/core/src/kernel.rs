@@ -1,33 +1,35 @@
 //! Compiled row kernels: running `ext` bodies and scalar `dcr`/`sru` trees
-//! directly over columnar rows.
+//! directly over columnar rows, a block of rows at a time.
 //!
 //! [`VSet`] stores large flat-shaped sets as fixed-width `u64` rows; an
 //! interpreted `ext` boxes every element back into a
 //! [`Value`](ncql_object::Value) the moment its closure touches the set.
 //! When an `ext` body is built from projections, pair construction, scalar
 //! comparisons/arithmetic, `let`/`if`, and constants over a flat-shaped
-//! input, [`compile`] lowers it to a [`RowKernel`] — one flat instruction
-//! vector over a scratch buffer of machine words, run once per input row,
-//! emitting output rows without constructing a single `Value`. Every operand
-//! offset is fixed at compile time: variables, `let`-bound values,
-//! projections and literals are plain offsets and cost no instruction; only
-//! calls, comparisons, pair assembly, branches and the emit execute.
+//! input, [`compile`] lowers it to a [`RowKernel`]: a flat instruction list
+//! over one-word *slots*, run over blocks of up to 1 024 rows as in
+//! vectorised execution (MonetDB/X100). A block's rows are transposed into a
+//! column per slot and each instruction sweeps whole columns — an external
+//! is one loop of its [`WordOp`] — so nothing is dispatched per row and no
+//! `Value` is built. Variables, `let`-bound values, projections and literals
+//! are plain slots and cost no instruction. Every liftable operation is
+//! total, so both arms of an `if` compute over the whole block: the `if` only
+//! sets a bit of each row's *path key*, and the join of a scalar `if` and the
+//! choice of the rows that emit commit on the rows of their arm alone.
 //!
-//! A body may read variables bound outside it. A flat-in/flat-out
-//! comprehension is select-project-join whatever it closes over: a captured
-//! flat value is a constant for the duration of one inner loop, so it is a
-//! kernel *parameter* — scratch words the run loads once per call from the
-//! closure's environment, exactly as literals are preloaded. A body that
-//! begins `if x = y then … else empty`, `x` read from its row and `y`
-//! preloaded, is *keyed*: a row whose key differs takes path 0 and emits
-//! nothing. For a column-prefix key only the range of the sorted rows that
-//! can match executes (binary search); the rest are charged as path 0. An
-//! `ext` of `\a: A. ext(\b: B. body, S)`, `A` flat, `S` a constant or a
-//! variable other than `a` and `body` keyed, is a *join site* ([`Sites`]):
-//! per outer row, loaded as the capture `a`, the inner kernel runs over `S`
-//! into one buffer per shard while every charge of the nested loop is
-//! replayed in the interpreter's order, so cost is unchanged by construction.
-//! A boxed side, or kernels off, runs the nested loop.
+//! A body may read variables bound outside it: a captured flat value is a
+//! constant for the duration of one inner loop, so it is a kernel
+//! *parameter*, preloaded once per call like a literal. A body that begins
+//! `if x = y then … else empty`, `x` read from its row and `y` preloaded, is
+//! *keyed*: a row whose key differs takes path 0 and emits nothing. For a
+//! column-prefix key only the range of the sorted rows that can match
+//! executes (binary search); the rest are charged as path 0. An `ext` of
+//! `\a: A. ext(\b: B. body, S)`, `A` flat, `S` a constant or a variable other
+//! than `a` and `body` keyed, is a *join site* ([`Sites`]): per outer row,
+//! loaded as the capture `a`, the inner kernel runs over `S` into one buffer
+//! per shard while every charge of the nested loop is replayed in the
+//! interpreter's order, so cost is unchanged by construction. A boxed side,
+//! or kernels off, runs the nested loop.
 //!
 //! An unbounded `dcr`/`sru` whose `f : row → R` and `u : (R * R) → R` both
 //! lower to scalars of one flat shape `R` runs as a kernel tree
@@ -42,16 +44,15 @@
 //!    [`VSet::from_raw_rows`], produce exactly the set the interpreted
 //!    element map produces (canonical representations are unique).
 //! 2. **Cost** — the compiler folds the rules of [`crate::cost`] — the ones
-//!    the interpreter charges — into a cost term per body. A straight-line
-//!    body has one constant `(work, span)`; each `if` owns one bit of a
-//!    per-row path key (conditionals charge only the taken arm), and a run
-//!    charges a block of rows `Σ rows(path) × work(path)` and reports the
-//!    span of each path taken.
+//!    the interpreter charges — into a cost term per body: each `if` owns
+//!    one bit of the path key, set on the rows that take its then-arm
+//!    (conditionals charge only the taken arm), and a run charges a block of
+//!    rows `Σ rows(path) × work(path)` and reports the span of each path.
 //! 3. **Fallback** — anything unliftable (set-typed subterms, a captured
 //!    variable no enclosing `λ` binds at a flat type, non-flat constants,
-//!    externals without a word-level twin, more conditionals than the path
-//!    key has bits) rejects at compile time with a reason, and the site runs
-//!    the ordinary interpreter. The decision depends only on the body, the
+//!    externals without a word op, more conditionals than the path key has
+//!    bits) rejects at compile time with a reason, and the site runs the
+//!    ordinary interpreter. The decision depends only on the body, the
 //!    annotated shapes of its parameter and of the enclosing `λ`s, and the
 //!    registry, so prepare-time analysis ([`analyze_sites`]) predicts it
 //!    exactly.
@@ -67,64 +68,75 @@
 
 use crate::cost::{self, Rule};
 use crate::expr::{Expr, ExprKind, Form, UnionForm};
-use crate::externs::{ExternRegistry, ScalarExternFn};
+use crate::externs::{ExternRegistry, WordOp};
 use crate::span::Span;
 use ncql_object::{FlatShape, VSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Maximum external-call arity the kernel executor supports (the argument
-/// words live in a stack buffer; the standard registry's maximum is 2).
-const MAX_CALL_ARGS: usize = 4;
-
 /// Conditionals one body may hold: each owns one bit of the `u64` path key.
 const MAX_BRANCHES: u32 = u64::BITS;
 
-/// Rows per accounting block: the work limit and the cancel token are
-/// polled, and `ext_calls`/work charged, once per block.
+/// Conditionals up to which a kernel tabulates the charge of every path key;
+/// a body with more folds its cost term once per distinct path of a block.
+const TABLE_BITS: u32 = 8;
+
+/// Rows per block: the execution block, over which each instruction runs
+/// once, and the accounting block, after which the work limit and the
+/// cancel token are polled and `ext_calls`/work charged.
 const BLOCK_ROWS: usize = 1024;
 
-/// One instruction. Operands are offsets into the scratch buffer, which
-/// holds the input row at offset 0, then — in the order the body first uses
-/// them — the preloaded constants, the captured variables, and one fixed
-/// destination per instruction that creates words. The body is
-/// loop-free, so an instruction runs at most once per row and a destination
-/// is never overwritten while a later instruction still reads it.
+/// One instruction, run once over every row of a block. Operands are slots:
+/// the input row's words, then — in the order the body first uses them —
+/// the preloaded constants and captures, and a destination per instruction
+/// that creates words, after its operands. The body is loop-free, so a
+/// destination is written once per block.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// `scratch[at] = f(scratch[args[0]], …)`: an external through its
-    /// word-level twin.
+    /// `at = op(a, b)`: an external through its word op.
     Call {
-        f: ScalarExternFn,
-        args: [usize; MAX_CALL_ARGS],
-        arity: usize,
+        op: WordOp,
+        a: usize,
+        b: usize,
         at: usize,
     },
-    /// `=` / `<=` on two same-shape operands of `width` words:
+    /// `=` / `<=` on two same-shape operands of `len` slots:
     /// word-lexicographic comparison, which equals the lifted value order.
     Cmp {
         leq: bool,
         a: usize,
         b: usize,
-        width: usize,
+        len: usize,
         at: usize,
     },
-    /// Pair assembly, and the join of a scalar `if` (both arms copy their
-    /// result into one destination).
-    Copy { src: usize, dst: usize, len: usize },
-    /// Jump to `target` (the else-arm) on a false condition; otherwise fall
-    /// through into the then-arm and set this conditional's path-key bit.
-    BranchIfZero {
-        cond: usize,
-        target: usize,
-        bit: u32,
-    },
-    /// Skip the else-arm at the end of a then-arm.
-    Jump { target: usize },
-    /// Append `width` words to the output row (`{scalar}` emits its row in
-    /// one piece, or component by component when the scalar is a pair).
-    Emit { at: usize, width: usize },
+    /// A word of a pair, or of the one destination the arms of a scalar `if`
+    /// or several `{…}` copy into: committed on the rows of `arm` only.
+    Copy { src: usize, dst: usize, arm: Arm },
+    /// A conditional in `arm`: its rows whose `cond` holds take the then-arm
+    /// and set `bit` of their path key.
+    If { cond: usize, bit: u32, arm: Arm },
+}
+
+/// The rows of one arm of a body's conditionals: those whose path keys agree
+/// with `want` on `care`, the bits of the conditionals around the arm (a row
+/// that did not reach one of them already disagrees on an outer one).
+#[derive(Debug, Clone, Copy, Default)]
+struct Arm {
+    care: u64,
+    want: u64,
+}
+
+impl Arm {
+    fn holds(self, path: u64) -> bool {
+        path & self.care == self.want
+    }
+
+    /// The then-arm (`taken`) or the else-arm of the conditional owning `bit`.
+    fn inner(self, bit: u32, taken: bool) -> Arm {
+        let (care, want) = (self.care | 1 << bit, self.want | u64::from(taken) << bit);
+        Arm { care, want }
+    }
 }
 
 /// The interpreter's `(work, span)` charge for one body, as a function of
@@ -179,8 +191,8 @@ impl Cost {
     }
 }
 
-/// A variable the body reads from outside itself: the scratch words at `at`,
-/// loaded once per run.
+/// A variable the body reads from outside itself: the preloaded words at
+/// `at`, loaded once per run.
 #[derive(Debug)]
 struct Capture {
     name: String,
@@ -188,27 +200,36 @@ struct Capture {
     at: usize,
 }
 
-/// The key of a keyed comprehension (see the module docs): `width` words at
+impl Capture {
+    fn slots(&self) -> Range<usize> {
+        self.at..self.at + self.shape.width()
+    }
+}
+
+/// The key of a keyed comprehension (see the module docs): `len` words at
 /// `at` in the input row against preloaded words at `probe`.
 #[derive(Debug, Clone, Copy)]
 struct Key {
     at: usize,
     probe: usize,
-    width: usize,
+    len: usize,
 }
 
-/// The key of `body`, `if x = y then … else …` lowered to `ops`: with no
-/// instruction for `x`, `y` or the else-arm, `ops` begin comparing row words
-/// with preloaded ones and branching to the end.
+/// The key of `body`, `if x = y then … else empty` lowered to `ops`: with
+/// no instruction for `x` or `y`, `ops` begin comparing row words with
+/// preloaded ones.
 fn key(body: &Expr, ops: &[Op], input_width: usize) -> Option<Key> {
-    let [Op::Cmp { a, b, width, .. }, Op::BranchIfZero { target, .. }, ..] = *ops else {
+    let (&[Op::Cmp { a, b, len, .. }, Op::If { .. }, ..], ExprKind::If(test, _, otherwise)) =
+        (ops, &body.kind)
+    else {
         return None;
     };
-    let eq = matches!(&body.kind, ExprKind::If(cond, ..) if matches!(cond.kind, ExprKind::Eq(..)));
-    let in_row = |at: usize| at + width <= input_width;
+    let shaped =
+        matches!(test.kind, ExprKind::Eq(..)) && matches!(otherwise.kind, ExprKind::Empty(_));
+    let in_row = |at: usize| at + len <= input_width;
     let (at, probe) = if in_row(a) { (a, b) } else { (b, a) };
-    let keyed = eq && width > 0 && target == ops.len() && in_row(at) && !in_row(probe);
-    keyed.then_some(Key { at, probe, width })
+    let keyed = shaped && len > 0 && in_row(at) && !in_row(probe);
+    keyed.then_some(Key { at, probe, len })
 }
 
 /// The first of `0..n` at which the monotone `before` turns false.
@@ -225,20 +246,78 @@ fn partition(n: usize, before: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
-/// A compiled `λ` body: a flat program over one input row.
+/// A compiled `λ` body: a flat program over the slots of a block of rows.
 #[derive(Debug)]
 pub struct RowKernel {
     input_shape: FlatShape,
     input_width: usize,
     output_shape: FlatShape,
-    /// Total scratch words: input row, constants, captures, destinations.
-    scratch_len: usize,
-    /// Constant words preloaded once per scratch buffer: `(offset, word)`.
+    /// Total slots: input row, constants, captures, destinations.
+    slots: usize,
+    /// Constant words preloaded once per scratch: `(slot, word)`.
     consts: Vec<(usize, u64)>,
     captures: Vec<Capture>,
     ops: Vec<Op>,
+    /// The slot of each word of an output row.
+    emit: Vec<usize>,
+    /// The arms of the `{…}`s: the rows of these emit.
+    keeps: Vec<Arm>,
     cost: Cost,
+    /// `cost.of(path)` for every path key, when the body has at most
+    /// [`TABLE_BITS`] conditionals; empty otherwise.
+    table: Vec<(u64, u64)>,
     key: Option<Key>,
+}
+
+/// What one shard's runs of a kernel work in: allocated once per shard and
+/// grown to the largest block it has run, so a run over a handful of rows
+/// pays for a handful. `cols` holds one column of `rows` words per slot,
+/// `paths` each row's path key and `sel` the rows that emit, in order.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The preloaded words — constants and captured values — at their slots.
+    /// A join site writes each outer row into its capture's.
+    pub(crate) words: Vec<u64>,
+    rows: usize,
+    cols: Vec<u64>,
+    paths: Vec<u64>,
+    sel: Vec<usize>,
+}
+
+impl Scratch {
+    /// Room for a block of `n` rows of `kernel`; no column outlives a block.
+    fn fit(&mut self, kernel: &RowKernel, n: usize) {
+        if n > self.rows {
+            self.rows = n.max(2 * self.rows).min(BLOCK_ROWS);
+            self.cols.resize(kernel.slots * self.rows, 0);
+            self.paths.resize(self.rows, 0);
+            self.sel = (0..self.rows).collect();
+        }
+    }
+}
+
+/// `out[i] = op(a[i], b[i])` over a block: every arm passes [`each`] a
+/// constant op, so each op runs as a loop of its own.
+fn sweep(op: WordOp, a: &[u64], b: &[u64], out: &mut [u64]) {
+    use WordOp::*;
+    match op {
+        Add => each(Add, a, b, out),
+        Sub => each(Sub, a, b, out),
+        Mul => each(Mul, a, b, out),
+        Div => each(Div, a, b, out),
+        Max => each(Max, a, b, out),
+        Min => each(Min, a, b, out),
+        Leq => each(Leq, a, b, out),
+        Bit => each(Bit, a, b, out),
+        Identity => each(Identity, a, b, out),
+    }
+}
+
+#[inline(always)]
+fn each(op: WordOp, a: &[u64], b: &[u64], out: &mut [u64]) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = op.apply(x, y);
+    }
 }
 
 impl RowKernel {
@@ -271,10 +350,9 @@ impl RowKernel {
     /// `captures` holds the words of the captured values, concatenated in
     /// [`RowKernel::captures`] order.
     ///
-    /// One call owns everything a shard needs — the scratch buffer, the
-    /// output rows and the per-block `(path, rows)` tally — so nothing is
-    /// allocated per row or per block. The caller owns the statistics: after
-    /// each block of at most 1 024 rows, `charge(rows, work)`
+    /// One call owns everything a shard needs — the scratch columns and the
+    /// output rows — so nothing is allocated per block. The caller owns the
+    /// statistics: after each block of at most 1 024 rows, `charge(rows, work)`
     /// receives the block's row count and the exact work the interpreter
     /// charges for applying the closure to those rows, and its error (work
     /// limit, cancellation) stops the shard.
@@ -317,21 +395,20 @@ impl RowKernel {
         Ok((out, spans))
     }
 
-    /// A scratch buffer with the body's constants and the captured values'
-    /// words (see [`RowKernel::run_rows`]) in place.
-    pub(crate) fn scratch(&self, captures: &[u64]) -> Vec<u64> {
-        let mut scratch = vec![0u64; self.scratch_len];
-        for &(at, word) in &self.consts {
-            scratch[at] = word;
+    /// A scratch with the body's constants and the captured values' words
+    /// (see [`RowKernel::run_rows`]) preloaded, and no columns yet.
+    pub(crate) fn scratch(&self, captures: &[u64]) -> Scratch {
+        let mut words = vec![0u64; self.slots];
+        let captured = self.captures.iter().flat_map(Capture::slots);
+        debug_assert_eq!(captured.clone().count(), captures.len(), "a word per slot");
+        let loaded = captured.zip(captures.iter().copied());
+        for (at, word) in self.consts.iter().copied().chain(loaded) {
+            words[at] = word;
         }
-        let mut words = captures.iter();
-        for capture in &self.captures {
-            for cell in &mut scratch[capture.at..capture.at + capture.shape.width()] {
-                *cell = *words.next().expect("one word per captured slot");
-            }
+        Scratch {
+            words,
+            ..Scratch::default()
         }
-        debug_assert!(words.next().is_none());
-        scratch
     }
 
     /// Is the body keyed (see the module docs)?
@@ -339,11 +416,10 @@ impl RowKernel {
         self.key.is_some()
     }
 
-    /// Where the words of the captured variable `name` sit in a scratch
-    /// buffer: a join site writes each outer row there.
+    /// Where the words of the captured variable `name` sit among a scratch's
+    /// preloaded words: a join site writes each outer row there.
     pub(crate) fn capture_slot(&self, name: &str) -> Option<Range<usize>> {
-        let capture = self.captures.iter().find(|c| c.name == name)?;
-        Some(capture.at..capture.at + capture.shape.width())
+        Some(self.captures.iter().find(|c| c.name == name)?.slots())
     }
 
     /// [`RowKernel::run_rows`] over a loaded `scratch`, appending to `out`
@@ -352,7 +428,7 @@ impl RowKernel {
     pub(crate) fn probe<E>(
         &self,
         rows: &[u64],
-        scratch: &mut [u64],
+        scratch: &mut Scratch,
         out: &mut Vec<u64>,
         charge: impl FnMut(u64, u64) -> Result<(), E>,
     ) -> Result<u64, E> {
@@ -360,8 +436,8 @@ impl RowKernel {
         let hits = match self.key {
             Some(key) if key.at == 0 => {
                 debug_assert!(rows.chunks_exact(width).is_sorted());
-                let probe = &scratch[key.probe..][..key.width];
-                let at = |i: usize| &rows[i * width..][..key.width];
+                let probe = &scratch.words[key.probe..][..key.len];
+                let at = |i: usize| &rows[i * width..][..key.len];
                 partition(count, |i| at(i) < probe)..partition(count, |i| at(i) <= probe)
             }
             _ => 0..count,
@@ -370,15 +446,15 @@ impl RowKernel {
         self.run_blocks::<false, E>(rows, scratch, hits, out, &mut Vec::new(), charge)
     }
 
-    /// The row loop behind every entry point: blocks of [`BLOCK_ROWS`] rows,
-    /// each charged `Σ rows(path) × work(path)`, where the rows outside
-    /// `hits` cannot match the key and are charged as path 0 unexecuted.
-    /// Returns the largest span any row took; with `SPANS` (all rows hits),
-    /// also appends every row's span to `spans`.
+    /// The loop behind every entry point: blocks of [`BLOCK_ROWS`] rows,
+    /// each run at once and charged `Σ rows(path) × work(path)`, where the
+    /// rows outside `hits` cannot match the key and are charged as path 0
+    /// unexecuted. Returns the largest span any row took; with `SPANS` (all
+    /// rows hits), also appends every row's span to `spans`.
     fn run_blocks<const SPANS: bool, E>(
         &self,
         rows: &[u64],
-        scratch: &mut [u64],
+        scratch: &mut Scratch,
         hits: Range<usize>,
         out: &mut Vec<u64>,
         spans: &mut Vec<u64>,
@@ -387,101 +463,155 @@ impl RowKernel {
         let width = self.input_width;
         debug_assert!(rows.len().is_multiple_of(width));
         let count = rows.len() / width;
-        // `(path, rows, span)` per path the block took; the span is filled in
-        // when the block is charged. With `SPANS`, `paths` is each row's.
-        let mut tally: Vec<(u64, u64, u64)> = Vec::new();
-        let mut paths: Vec<u64> = Vec::new();
+        // A row that cannot match takes path 0.
+        let path0 = self.table.first().copied();
+        let (w0, s0) = path0.unwrap_or_else(|| self.cost.of(0));
         let mut max_span = 0u64;
         for start in (0..count).step_by(BLOCK_ROWS) {
             let end = count.min(start + BLOCK_ROWS);
-            tally.clear();
-            paths.clear();
             let (from, to) = (hits.start.clamp(start, end), hits.end.clamp(start, end));
-            for row in rows[from * width..to * width].chunks_exact(width) {
-                let path = self.run(row, scratch, out);
-                match tally.iter_mut().find(|(seen, ..)| *seen == path) {
-                    Some((_, count, _)) => *count += 1,
-                    None => tally.push((path, 1, 0)),
-                }
-                if SPANS {
-                    paths.push(path);
-                }
+            let mut work = 0u64;
+            if from < to {
+                self.run_block(&rows[from * width..to * width], scratch, out);
+                let (w, span) = self.fold::<SPANS>(&mut scratch.paths[..to - from], spans);
+                (work, max_span) = (w, max_span.max(span));
             }
-            // A row that cannot match takes path 0 (an entry of its own).
-            let skipped = end - start - (to - from);
+            let skipped = (end - start - (to - from)) as u64;
             debug_assert!(!SPANS || skipped == 0);
             if skipped > 0 {
-                tally.push((0, skipped as u64, 0));
-            }
-            let mut work = 0u64;
-            for (path, count, span) in &mut tally {
-                let (w, s) = self.cost.of(*path);
-                work = work.saturating_add(count.saturating_mul(w));
-                max_span = max_span.max(s);
-                *span = s;
-            }
-            if SPANS {
-                spans.extend(paths.iter().map(|path| {
-                    let taken = tally.iter().find(|(seen, ..)| seen == path);
-                    taken.expect("every row's path was tallied").2
-                }));
+                work = work.saturating_add(skipped.saturating_mul(w0));
+                max_span = max_span.max(s0);
             }
             charge((end - start) as u64, work)?;
         }
         Ok(max_span)
     }
 
-    /// Execute the program over one input row, appending zero or one output
-    /// rows; returns the row's path key. Total and infallible: every
-    /// liftable operation is. Words move in plain loops: every length here
-    /// is a run-time value of one to a few words, and a `memcpy` call per
-    /// row costs more than the row's whole program.
-    #[inline]
-    fn run(&self, row: &[u64], scratch: &mut [u64], out: &mut Vec<u64>) -> u64 {
-        for (cell, &word) in scratch.iter_mut().zip(row) {
-            *cell = word;
+    /// The work and the largest span of the rows whose path keys are
+    /// `paths`; with `SPANS`, each row's span appended to `spans`.
+    fn fold<const SPANS: bool>(&self, paths: &mut [u64], spans: &mut Vec<u64>) -> (u64, u64) {
+        let folded: Vec<(u64, u64)>;
+        let table = match self.table[..] {
+            // A straight-line body: one path.
+            [(work, span)] => {
+                if SPANS {
+                    spans.resize(spans.len() + paths.len(), span);
+                }
+                return (paths.len() as u64 * work, span);
+            }
+            // One conditional: the keys of the rows that took it sum to that.
+            [(w0, s0), (w1, s1)] if !SPANS => {
+                let taken = paths.iter().sum::<u64>();
+                let rest = paths.len() as u64 - taken;
+                let span = match (rest, taken) {
+                    (_, 0) => s0,
+                    (0, _) => s1,
+                    _ => s0.max(s1),
+                };
+                return (rest * w0 + taken * w1, span);
+            }
+            // Too many conditionals to tabulate: fold the cost term once per
+            // distinct path, and key each row by its path's place.
+            [] => {
+                let mut distinct = paths.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                for path in paths.iter_mut() {
+                    *path = distinct.binary_search(path).expect("a path of the block") as u64;
+                }
+                folded = distinct.iter().map(|&path| self.cost.of(path)).collect();
+                &folded
+            }
+            ref table => table,
+        };
+        let (mut work, mut max_span) = (0, 0);
+        for &path in paths.iter() {
+            let (w, s) = table[path as usize];
+            work += w;
+            max_span = max_span.max(s);
+            if SPANS {
+                spans.push(s);
+            }
         }
-        let (mut pc, mut path) = (0usize, 0u64);
-        while let Some(&op) = self.ops.get(pc) {
-            pc += 1;
+        (work, max_span)
+    }
+
+    /// Run the program once over a block of whole rows (row-major), leaving
+    /// each row's path key in `s.paths`, and append the rows that emit to
+    /// `out`, in row order. Total and infallible: every liftable operation is.
+    fn run_block(&self, rows: &[u64], s: &mut Scratch, out: &mut Vec<u64>) {
+        let (width, n) = (self.input_width, rows.len() / self.input_width);
+        s.fit(self, n);
+        let stride = s.rows;
+        let col = |slot: usize| slot * stride..slot * stride + n;
+        let cols = &mut s.cols;
+        for c in 0..width {
+            for (cell, row) in cols[col(c)].iter_mut().zip(rows.chunks_exact(width)) {
+                *cell = row[c];
+            }
+        }
+        let captured = self.captures.iter().flat_map(Capture::slots);
+        for slot in self.consts.iter().map(|&(at, _)| at).chain(captured) {
+            cols[col(slot)].fill(s.words[slot]);
+        }
+        let paths = &mut s.paths[..n];
+        paths.fill(0);
+        for &op in &self.ops {
             match op {
-                Op::Call { f, args, arity, at } => {
-                    // Offsets past `arity` are 0, a valid word: gathering
-                    // all four beats a loop of run-time length.
-                    let vals = args.map(|arg| scratch[arg]);
-                    scratch[at] = f(&vals[..arity]);
+                Op::Call { op, a, b, at } => {
+                    let (ins, dst) = cols.split_at_mut(at * stride);
+                    sweep(op, &ins[col(a)], &ins[col(b)], &mut dst[..n]);
                 }
-                Op::Cmp {
-                    leq,
-                    a,
-                    b,
-                    width,
-                    at,
-                } => {
-                    let (x, y) = (&scratch[a..a + width], &scratch[b..b + width]);
-                    scratch[at] = u64::from(if leq { x <= y } else { x == y });
-                }
-                Op::Copy { src, dst, len } => {
-                    for i in 0..len {
-                        scratch[dst + i] = scratch[src + i];
+                Op::Cmp { leq, a, b, len, at } => {
+                    let (ins, dst) = cols.split_at_mut(at * stride);
+                    let res = &mut dst[..n];
+                    res.fill(1);
+                    // From the last word to the first: `x <= y` is `x₀ < y₀`
+                    // or `x₀ = y₀` and the rest `<=`; `=` is every word `=`.
+                    for k in (0..len).rev() {
+                        let words = ins[col(a + k)].iter().zip(&ins[col(b + k)]);
+                        for (r, (&x, &y)) in res.iter_mut().zip(words) {
+                            let tie = u64::from(x == y) & *r;
+                            *r = if leq { u64::from(x < y) | tie } else { tie };
+                        }
                     }
                 }
-                Op::BranchIfZero { cond, target, bit } => {
-                    if scratch[cond] == 0 {
-                        pc = target;
-                    } else {
-                        path |= 1 << bit;
+                Op::Copy { src, dst, arm } if arm.care == 0 => {
+                    cols.copy_within(col(src), dst * stride);
+                }
+                Op::Copy { src, dst, arm } => {
+                    for (i, &path) in paths.iter().enumerate() {
+                        if arm.holds(path) {
+                            cols[dst * stride + i] = cols[src * stride + i];
+                        }
                     }
                 }
-                Op::Jump { target } => pc = target,
-                Op::Emit { at, width } => {
-                    for &word in &scratch[at..at + width] {
-                        out.push(word);
+                Op::If { cond, bit, arm } => {
+                    for (path, &c) in paths.iter_mut().zip(&cols[col(cond)]) {
+                        *path |= u64::from(arm.holds(*path) & (c != 0)) << bit;
                     }
                 }
             }
         }
-        path
+        let len = match self.keeps[..] {
+            [arm] if arm.care == 0 => n,
+            ref keeps => {
+                let mut len = 0;
+                for (i, &path) in paths.iter().enumerate() {
+                    s.sel[len] = i;
+                    len += usize::from(keeps.iter().any(|arm| arm.holds(path)));
+                }
+                len
+            }
+        };
+        let (width, start) = (self.emit.len(), out.len());
+        out.resize(start + len * width, 0);
+        for (c, &slot) in self.emit.iter().enumerate() {
+            let column = &cols[col(slot)];
+            for (row, &i) in out[start..].chunks_exact_mut(width).zip(&s.sel[..len]) {
+                row[c] = column[i];
+            }
+        }
     }
 }
 
@@ -515,8 +645,8 @@ pub type Scope<'a> = [(&'a str, Option<FlatShape>)];
 
 struct Compiler<'a> {
     registry: &'a ExternRegistry,
-    /// Names bound inside the body with the offset and shape of their words:
-    /// the lambda parameter at offset 0, a `let`-bound scalar wherever its
+    /// Names bound inside the body with the slot and shape of their words:
+    /// the lambda parameter at slot 0, a `let`-bound scalar wherever its
     /// bound expression left its result.
     scope: Vec<(String, usize, FlatShape)>,
     /// The binders around the body, and the ones it has read so far.
@@ -526,6 +656,10 @@ struct Compiler<'a> {
     next: usize,
     ops: Vec<Op>,
     branches: u32,
+    /// The arm the compiler is in.
+    arm: Arm,
+    /// The arm and the output-row slots of each `{…}`, in order.
+    emits: Vec<(Arm, Vec<usize>)>,
 }
 
 impl Compiler<'_> {
@@ -536,8 +670,9 @@ impl Compiler<'_> {
     }
 
     fn copy(&mut self, src: usize, dst: usize, len: usize) {
-        if len > 0 {
-            self.ops.push(Op::Copy { src, dst, len });
+        let arm = self.arm;
+        for (src, dst) in (src..src + len).zip(dst..) {
+            self.ops.push(Op::Copy { src, dst, arm });
         }
     }
 
@@ -568,8 +703,7 @@ impl Compiler<'_> {
     }
 
     /// Lower `if c then t else e`, each arm through `arm`: the condition,
-    /// a branch that owns the next path-key bit, the then-arm, a jump over
-    /// the else-arm (dropped when that arm lowers to no instruction).
+    /// an `If` that owns the next path-key bit, the then-arm, the else-arm.
     fn conditional<T>(
         &mut self,
         c: &Expr,
@@ -586,22 +720,17 @@ impl Compiler<'_> {
         }
         let bit = self.branches;
         self.branches += 1;
-        let branch = self.ops.len();
-        self.ops.push(Op::Jump { target: 0 }); // patched below
+        let outer = self.arm;
+        self.ops.push(Op::If {
+            cond,
+            bit,
+            arm: outer,
+        });
+        self.arm = outer.inner(bit, true);
         let (rt, ct) = arm(self, t)?;
-        let jump = self.ops.len();
-        self.ops.push(Op::Jump { target: 0 });
+        self.arm = outer.inner(bit, false);
         let (re, ce) = arm(self, e)?;
-        let mut target = jump + 1;
-        if self.ops.len() == target {
-            self.ops.pop();
-            target = jump;
-        } else {
-            self.ops[jump] = Op::Jump {
-                target: self.ops.len(),
-            };
-        }
-        self.ops[branch] = Op::BranchIfZero { cond, target, bit };
+        self.arm = outer;
         let taken = Cost::Branch {
             bit,
             t: Box::new(ct),
@@ -626,7 +755,7 @@ impl Compiler<'_> {
         Ok((lowered, Cost::node(cost::LET, vec![cb, cr])))
     }
 
-    /// Lower a scalar (value-level) subterm; returns the offset and shape of
+    /// Lower a scalar (value-level) subterm; returns the slot and shape of
     /// its words.
     fn scalar(&mut self, expr: &Expr) -> Lowered<(usize, FlatShape)> {
         match &expr.kind {
@@ -672,8 +801,8 @@ impl Compiler<'_> {
                 Ok((part, Cost::node(cost::PROJ, vec![c])))
             }
             ExprKind::If(c, t, e) => {
-                // Both arms copy their result into one destination, so the
-                // value has one offset whichever arm ran.
+                // Both arms copy their result into one destination, each on
+                // its own rows, so the value has one slot whichever arm ran.
                 let mut dest = None;
                 let (st, se, cost) = self.conditional(c, t, e, |this, arm| {
                     let ((at, shape), cost) = this.scalar(arm)?;
@@ -699,7 +828,7 @@ impl Compiler<'_> {
                     leq: matches!(expr.kind, ExprKind::Leq(..)),
                     a: oa,
                     b: ob,
-                    width: sa.width(),
+                    len: sa.width(),
                     at,
                 });
                 // Both operands have the one shape, so `min(|a|, |b|)` is
@@ -714,35 +843,34 @@ impl Compiler<'_> {
                     .registry
                     .get(name)
                     .ok_or_else(|| format!("unknown external `{name}`"))?;
-                let scalar = f
+                // Only the standard one-word externals have a word op.
+                let op = f
                     .scalar_hint()
                     .ok_or_else(|| format!("external `{name}` has no word-level twin"))?;
-                if args.len() != f.params.len() || args.len() > MAX_CALL_ARGS {
+                if args.len() != f.params.len() {
                     return Err(format!("external `{name}` arity not liftable"));
                 }
-                let result_shape = FlatShape::of_type(&f.result)
-                    .filter(|s| s.width() == 1)
-                    .ok_or_else(|| format!("external `{name}` result is not one word"))?;
-                let mut offsets = [0usize; MAX_CALL_ARGS];
+                let mut slots = Vec::with_capacity(args.len());
                 let mut costs = Vec::with_capacity(args.len() + 1);
-                for ((arg, param_ty), offset) in args.iter().zip(&f.params).zip(&mut offsets) {
-                    let want = FlatShape::of_type(param_ty)
-                        .filter(|s| s.width() == 1)
-                        .ok_or_else(|| format!("external `{name}` parameter is not one word"))?;
+                for (arg, param_ty) in args.iter().zip(&f.params) {
                     let ((at, shape), cost) = self.scalar(arg)?;
-                    if shape != want {
+                    if FlatShape::of_type(param_ty) != Some(shape) {
                         return Err(format!("external `{name}` argument shape mismatch"));
                     }
-                    *offset = at;
+                    slots.push(at);
                     costs.push(cost);
                 }
-                let at = self.alloc(1);
-                self.ops.push(Op::Call {
-                    f: scalar,
-                    args: offsets,
-                    arity: args.len(),
-                    at,
-                });
+                let result_shape = FlatShape::of_type(&f.result).expect("a one-word result");
+                // An identity's result is its argument's word: no instruction.
+                let at = match (op, &slots[..]) {
+                    (WordOp::Identity, &[a]) => a,
+                    (_, &[a, b]) => {
+                        let at = self.alloc(1);
+                        self.ops.push(Op::Call { op, a, b, at });
+                        at
+                    }
+                    _ => return Err(format!("external `{name}` arity not liftable")),
+                };
                 costs.push(Cost::extra(cost::EXTERN_CALL));
                 Ok(((at, result_shape), Cost::node(cost::EXTERN, costs)))
             }
@@ -758,21 +886,18 @@ impl Compiler<'_> {
         }
     }
 
-    /// Append the words of `expr` to the output row. An emitted pair goes out
-    /// component by component: assembling it in scratch first would only
-    /// add copies.
-    fn emit(&mut self, expr: &Expr) -> Lowered<FlatShape> {
+    /// The slots of the words of `expr` as an output row, appended to
+    /// `slots`. An emitted pair is gathered component by component:
+    /// assembling it first would only add copies.
+    fn emit(&mut self, expr: &Expr, slots: &mut Vec<usize>) -> Lowered<FlatShape> {
         if let ExprKind::Pair(a, b) = &expr.kind {
-            let (sa, ca) = self.emit(a)?;
-            let (sb, cb) = self.emit(b)?;
+            let (sa, ca) = self.emit(a, slots)?;
+            let (sb, cb) = self.emit(b, slots)?;
             let shape = FlatShape::Pair(Box::new(sa), Box::new(sb));
             return Ok((shape, Cost::node(cost::PAIR, vec![ca, cb])));
         }
         let ((at, shape), cost) = self.scalar(expr)?;
-        let width = shape.width();
-        if width > 0 {
-            self.ops.push(Op::Emit { at, width });
-        }
+        slots.extend(at..at + shape.width());
         Ok((shape, cost))
     }
 
@@ -785,10 +910,12 @@ impl Compiler<'_> {
         match &expr.kind {
             ExprKind::Empty(_) => Ok((None, Cost::node(cost::LEAF, Vec::new()))),
             ExprKind::Singleton(e) => {
-                let (shape, c) = self.emit(e)?;
+                let mut slots = Vec::new();
+                let (shape, c) = self.emit(e, &mut slots)?;
                 if shape.width() == 0 {
                     return Err("zero-width output rows (all-unit elements)".to_string());
                 }
+                self.emits.push((self.arm, slots));
                 Ok((Some(shape), Cost::node(cost::SINGLETON, vec![c])))
             }
             ExprKind::If(c, t, e) => {
@@ -910,6 +1037,8 @@ fn lower_body(
         next: input_width,
         ops: Vec::new(),
         branches: 0,
+        arm: Arm::default(),
+        emits: Vec::new(),
     };
     let (output_shape, cost) = match role {
         // A body that provably never emits (every path is `{}`) has no
@@ -920,23 +1049,53 @@ fn lower_body(
             (shape.unwrap_or_else(|| input_shape.clone()), cost)
         }
         Role::Scalar => {
-            let (shape, cost) = c.emit(body)?;
+            let mut slots = Vec::new();
+            let (shape, cost) = c.emit(body, &mut slots)?;
+            c.emits.push((Arm::default(), slots));
             if shape.width() == 0 {
                 return Err("zero-width results (all-unit values)".to_string());
             }
             (shape, cost)
         }
     };
-    let key = key(body, &c.ops, input_width).filter(|_| matches!(role, Role::Comprehension));
+    let key = key(body, &c.ops, input_width);
+    // A row emits the slots of the `{…}` of its arm. With several, each copies
+    // its words into one destination once every path is known: the slots
+    // they read are never overwritten.
+    let emits = std::mem::take(&mut c.emits);
+    let keeps = emits.iter().map(|&(arm, _)| arm).collect();
+    let emit = match &emits[..] {
+        [] => Vec::new(),
+        [(_, slots)] => slots.clone(),
+        several => {
+            let at = c.alloc(several[0].1.len());
+            for &(arm, ref slots) in several {
+                for (dst, &src) in (at..).zip(slots) {
+                    c.ops.push(Op::Copy { src, dst, arm });
+                }
+            }
+            (at..c.next).collect()
+        }
+    };
+    let cost = Cost::node(cost::APPLY, vec![cost]);
+    let paths = (c.branches <= TABLE_BITS).then(|| 0..1u64 << c.branches);
+    let table = paths
+        .into_iter()
+        .flatten()
+        .map(|path| cost.of(path))
+        .collect();
     Ok(RowKernel {
         input_shape: input_shape.clone(),
         input_width,
         output_shape,
-        scratch_len: c.next,
+        slots: c.next,
         consts: c.consts,
         captures: c.captures,
         ops: c.ops,
-        cost: Cost::node(cost::APPLY, vec![cost]),
+        emit,
+        keeps,
+        cost,
+        table,
         key,
     })
 }
@@ -1306,12 +1465,15 @@ mod tests {
         Type::prod(Type::Base, Type::Nat)
     }
 
-    /// Input set: n scrambled (atom, nat) pairs, columnar.
+    /// The `nat` of row `i` of [`input`].
+    fn scrambled(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 41
+    }
+
+    /// Input set: `n` distinct (atom, nat) rows — row `i` is `(i, scrambled
+    /// nat)` — columnar from eight rows on.
     fn input(n: u64) -> Value {
-        Value::set_from((0..n).map(|i| {
-            let k = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Value::pair(Value::Atom(k % 97), Value::Nat(k % 41))
-        }))
+        Value::set_from((0..n).map(|i| Value::pair(Value::Atom(i), Value::Nat(scrambled(i)))))
     }
 
     /// Evaluate `ext(\x: atom*nat. BODY, input)` with kernels forced on/off
@@ -1390,6 +1552,48 @@ mod tests {
             )),
             64,
         );
+    }
+
+    /// Arms that emit nothing, a then-arm that ends in an `if`, a scalar `if`
+    /// inside an emitted pair and a two-word key, on both sides of the block
+    /// edges.
+    #[test]
+    fn control_flow_edge_cases_match_the_interpreter_across_block_edges() {
+        let x = || Expr::var("x");
+        let small = || Expr::extern_call("nat_leq", vec![Expr::proj2(x()), Expr::nat(20)]);
+        let empty = || Expr::empty(pair_ty());
+        let tagged = |n: Expr| Expr::singleton(Expr::pair(Expr::proj1(x()), n));
+        let plus_one = || Expr::extern_call("nat_add", vec![Expr::proj2(x()), Expr::nat(1)]);
+        for n in [8, 1_023, 1_024, 1_025, 3_000] {
+            let row = Value::pair(Value::Atom(n / 2), Value::Nat(scrambled(n / 2)));
+            let keyed = Expr::ite(
+                Expr::eq(x(), Expr::constant(row)),
+                tagged(Expr::nat(1)),
+                empty(),
+            );
+            let reg = ExternRegistry::standard();
+            assert!(compile("x", &keyed, &pair_shape(), &[], &reg)
+                .unwrap()
+                .keyed());
+            let ends_in_if = Expr::let_in(
+                "y",
+                plus_one(),
+                Expr::ite(
+                    Expr::leq(Expr::var("y"), Expr::nat(10)),
+                    tagged(Expr::var("y")),
+                    empty(),
+                ),
+            );
+            for body in [
+                Expr::ite(small(), empty(), Expr::singleton(x())),
+                Expr::ite(small(), empty(), empty()),
+                Expr::ite(small(), ends_in_if, tagged(Expr::nat(0))),
+                tagged(Expr::ite(small(), plus_one(), Expr::nat(0))),
+                keyed,
+            ] {
+                assert_kernel_matches_interpreter(body, n);
+            }
+        }
     }
 
     #[test]

@@ -22,12 +22,17 @@ fn pair_ty() -> Type {
     Type::prod(Type::Base, Type::Nat)
 }
 
-/// Random input sets of `(atom, nat)` pairs. The size range deliberately
-/// straddles the columnar promotion threshold, so the suite exercises both
+/// Random input sets of `(atom, nat)` pairs. The small sizes deliberately
+/// straddle the columnar promotion threshold, so the suite exercises both
 /// the kernel path (columnar input) and the boxed path (small input) under
-/// the same bodies.
+/// the same bodies; the large ones straddle the kernel's first and second
+/// block edges (1 024 and 2 048 rows, a few repeated rows aside).
 fn arb_input_set() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec((0u64..40, 0u64..30), 0..96)
+    prop_oneof![
+        proptest::collection::vec((0u64..40, 0u64..30), 0..96),
+        proptest::collection::vec((0u64..4_000, 0u64..30), 1_000..1_100),
+        proptest::collection::vec((0u64..4_000, 0u64..30), 2_040..2_100),
+    ]
 }
 
 /// The pair variables a generated body may read: its own parameter, or that
@@ -36,21 +41,27 @@ type Vars = &'static [&'static str];
 const OWN: Vars = &["x"];
 const OWN_AND_CAPTURED: Vars = &["x", "a"];
 
-/// Random kernel-liftable nat-valued scalars over `vars : atom * nat`.
+/// Random kernel-liftable nat-valued scalars over `vars : atom * nat`:
+/// arithmetic, and a scalar `if` as an operand, whose two arms join in one
+/// slot, each on its own rows.
 fn arb_nat_expr(vars: Vars) -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         prop::sample::select(vars.to_vec()).prop_map(|v| Expr::proj2(Expr::var(v))),
         (0u64..40).prop_map(Expr::nat),
     ];
     leaf.prop_recursive(3, 12, 2, |inner| {
-        (
+        let arithmetic = (
             inner.clone(),
-            inner,
+            inner.clone(),
             prop::sample::select(vec![
                 "nat_add", "nat_sub", "nat_mul", "nat_div", "nat_min", "nat_max",
             ]),
         )
-            .prop_map(|(a, b, op)| Expr::extern_call(op, vec![a, b]))
+            .prop_map(|(a, b, op)| Expr::extern_call(op, vec![a, b]));
+        let chosen = (inner.clone(), 0u64..40, inner.clone(), inner).prop_map(|(a, k, t, e)| {
+            Expr::ite(Expr::extern_call("nat_leq", vec![a, Expr::nat(k)]), t, e)
+        });
+        prop_oneof![arithmetic, chosen]
     })
 }
 
@@ -73,7 +84,8 @@ fn arb_bool_expr(vars: Vars) -> impl Strategy<Value = Expr> {
 }
 
 /// Random kernel-liftable `ext` bodies emitting `(atom, nat)` rows: filters,
-/// projections-with-rebuild, lets, and nested conditionals.
+/// projections-with-rebuild, lets, and nested conditionals — a set-level `if`
+/// in a then-arm, and two arms that both emit, different rows.
 fn arb_liftable_body(vars: Vars) -> impl Strategy<Value = Expr> {
     let var = || prop::sample::select(vars.to_vec());
     let emit = prop_oneof![
@@ -85,11 +97,33 @@ fn arb_liftable_body(vars: Vars) -> impl Strategy<Value = Expr> {
         // {} — drop the row.
         Just(Expr::empty(pair_ty())),
     ];
-    let guarded = (arb_bool_expr(vars), emit.clone(), emit)
+    let guarded = (arb_bool_expr(vars), emit.clone(), emit.clone())
         .prop_map(|(c, t, e)| Expr::ite(c, t, e))
         .boxed();
+    // if c then (if d then <emit> else <emit>) else <emit>
+    let nested =
+        (arb_bool_expr(vars), guarded.clone(), emit).prop_map(|(c, t, e)| Expr::ite(c, t, e));
+    // if c then {v} or {(pi1 v, n)} else {(pi1 w, m)}: the whole row next to
+    // a rebuilt one, or two rebuilt ones.
+    let rebuilt = |v: &'static str, n| Expr::singleton(Expr::pair(Expr::proj1(Expr::var(v)), n));
+    let both = (
+        arb_bool_expr(vars),
+        (var(), arb_nat_expr(vars)),
+        (var(), arb_nat_expr(vars)),
+        any::<bool>(),
+    )
+        .prop_map(move |(c, (v, n), (w, m), whole)| {
+            let then = if whole {
+                Expr::singleton(Expr::var(v))
+            } else {
+                rebuilt(v, n)
+            };
+            Expr::ite(c, then, rebuilt(w, m))
+        });
     prop_oneof![
         guarded.clone(),
+        nested,
+        both,
         // let y = nat-expr in if nat_leq(y, k) then <emit> else <emit>
         (arb_nat_expr(vars), guarded).prop_map(|(bound, body)| Expr::let_in("y", bound, body)),
     ]
@@ -259,6 +293,32 @@ proptest! {
         let (v_off, s_off) = run(&expr, false, None);
         prop_assert_eq!(v_on, v_off);
         prop_assert_eq!(s_on, s_off);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A scalar `dcr` whose leaf branches, over more than two blocks of
+    /// rows: the kernel tree is invisible on all four strategies.
+    #[test]
+    fn a_scalar_dcr_with_a_branching_leaf_is_bit_identical(
+        rows in proptest::collection::vec((0u64..4_000, 0u64..30), 2_100..2_200),
+        leaf in (arb_bool_expr(OWN), arb_nat_expr(OWN), arb_nat_expr(OWN)),
+        subtract in any::<bool>(),
+    ) {
+        let (c, t, e) = leaf;
+        let leaf = Expr::lam("x", pair_ty(), Expr::ite(c, t, e));
+        let q = || Expr::var("q");
+        let combine = if subtract {
+            sub_combiner()
+        } else {
+            call("nat_add", Expr::proj1(q()), Expr::proj2(q()))
+        };
+        let u = Expr::lam("q", Type::prod(Type::Nat, Type::Nat), combine);
+        let sum = Expr::dcr(Expr::nat(0), leaf, u, Expr::constant(input_value(&rows)));
+        let (_, stats) = assert_all_four_agree(&sum);
+        prop_assert!(stats.combiner_calls > 2048, "{stats:?}");
     }
 }
 
