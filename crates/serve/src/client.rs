@@ -6,8 +6,8 @@
 //! of [`crate::protocol`]: requests out as single JSON lines, responses back
 //! as [`WireOutcome`]/[`WireDiagnostic`].
 
-use crate::json::{self, Json};
-use crate::protocol::{decode_value, value_to_json};
+use crate::json::Json;
+use crate::protocol::{parse_line, value_to_json};
 use ncql_object::Value;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -197,7 +197,7 @@ impl Client {
     ) -> Result<WirePrepared, ClientError> {
         let mut fields = vec![("op".to_string(), Json::str("prepare"))];
         push_common(&mut fields, self.take_id(), text, schema);
-        let ok = self.round_trip(Json::Obj(fields))?;
+        let (ok, _) = self.round_trip(Json::Obj(fields))?;
         Ok(WirePrepared {
             ty: require_str(&ok, "type")?,
             ac_level: require_u64(&ok, "ac_level")?,
@@ -250,14 +250,17 @@ impl Client {
         if let Some(s) = params.max_set_size {
             fields.push(("max_set_size".to_string(), Json::num(s)));
         }
-        let ok = self.round_trip(Json::Obj(fields))?;
+        let (ok, values) = self.round_trip(Json::Obj(fields))?;
         let stats = ok
             .get("stats")
             .ok_or_else(|| ClientError::Malformed("missing `stats`".to_string()))?;
-        let value_json = ok
+        let value = ok
             .get("value")
+            .and_then(Json::as_u64)
             .ok_or_else(|| ClientError::Malformed("missing `value`".to_string()))?;
-        let value = decode_value(&value_json.to_string()).map_err(ClientError::Malformed)?;
+        let value = values[value as usize]
+            .clone()
+            .map_err(ClientError::Malformed)?;
         Ok(WireOutcome {
             value,
             printed: require_str(&ok, "printed")?,
@@ -277,7 +280,7 @@ impl Client {
             ("op".to_string(), Json::str("stats")),
             ("id".to_string(), Json::num(self.take_id())),
         ];
-        let ok = self.round_trip(Json::Obj(fields))?;
+        let (ok, _) = self.round_trip(Json::Obj(fields))?;
         let cache = ok
             .get("cache")
             .ok_or_else(|| ClientError::Malformed("missing `cache`".to_string()))?;
@@ -323,17 +326,22 @@ impl Client {
         self.next_id
     }
 
-    fn round_trip(&mut self, request: Json) -> Result<Json, ClientError> {
+    /// Send `request` and read the reply's `ok` member, decoding each `value`
+    /// in it as [`parse_request`](crate::protocol::parse_request) decodes a
+    /// binding: the tree holds the value's index in the vector.
+    fn round_trip(
+        &mut self,
+        request: Json,
+    ) -> Result<(Json, Vec<Result<Value, String>>), ClientError> {
         let line = self.round_trip_raw(&request.to_string())?;
-        let response =
-            json::parse(&line).map_err(|e| ClientError::Malformed(format!("{e}: {line}")))?;
+        let (response, values) =
+            parse_line(&line).map_err(|e| ClientError::Malformed(format!("{e}: {line}")))?;
         if let Some(error) = response.get("error") {
             return Err(ClientError::Remote(Box::new(parse_diagnostic(error)?)));
         }
-        response
-            .get("ok")
-            .cloned()
-            .ok_or_else(|| ClientError::Malformed(format!("neither `ok` nor `error`: {line}")))
+        let ok = response.get("ok").cloned();
+        let neither = || ClientError::Malformed(format!("neither `ok` nor `error`: {line}"));
+        Ok((ok.ok_or_else(neither)?, values))
     }
 }
 

@@ -9,6 +9,8 @@
 //! request cannot blow the stack, and a compact writer. [`Reader`] is the only
 //! lexer: [`parse`] builds a [`Json`] tree with it, and [`parse_with`] lets a
 //! caller read chosen members itself — as the protocol does binding values.
+//! (The protocol matches a set's later rows against the bytes it writes for
+//! them, and hands the reader only a row that does not match.)
 //!
 //! Numbers come in two variants. Non-negative integer literals that fit a
 //! `u64` parse to [`Json::UInt`] and print from the integer directly, so the
@@ -287,6 +289,21 @@ impl<'a> Reader<'a> {
         self.pos
     }
 
+    /// The text not yet read, whitespace included.
+    pub(crate) fn unread(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
+    /// Pass over the first `len` bytes of [`Reader::unread`], which the caller
+    /// has matched itself: whole values, so the depth is where it was.
+    pub(crate) fn advance(&mut self, len: usize) {
+        self.pos += len;
+        debug_assert!(
+            self.text.is_char_boundary(self.pos),
+            "advanced into a character"
+        );
+    }
+
     fn err<T>(&self, message: impl fmt::Display) -> Result<T, JsonError> {
         let (message, at) = (message.to_string(), self.pos);
         Err(JsonError { message, at })
@@ -449,14 +466,18 @@ impl<'a> Reader<'a> {
         Ok(c)
     }
 
+    /// The four hex digits of a `\u` escape: ASCII hex digits only, so no sign.
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let Some(digits) = self.text.as_bytes().get(self.pos..self.pos + 4) else {
             return self.err("truncated \\u escape");
         };
-        let digits = std::str::from_utf8(digits).ok();
-        let Some(code) = digits.and_then(|text| u32::from_str_radix(text, 16).ok()) else {
-            return self.err("invalid \\u escape");
-        };
+        let mut code = 0;
+        for &digit in digits {
+            let Some(value) = char::from(digit).to_digit(16) else {
+                return self.err("invalid \\u escape");
+            };
+            code = code << 4 | value;
+        }
         self.pos += 4;
         Ok(code)
     }
@@ -626,6 +647,15 @@ mod tests {
         let err = parse("{\"a\": }").unwrap_err();
         assert!(err.at > 0);
         assert!(err.to_string().contains("byte"));
+        // A `\u` escape is four hex digits: a sign is not one.
+        for bad in [r#""\u+041""#, r#""\u+0e9x""#] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.at),
+                ("invalid \\u escape", 3),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -41,12 +41,18 @@
 //!
 //! No [`Json`] tree is built for a `value`, in either direction. A request
 //! line is read once: its envelope becomes a tree, and each binding value is
-//! decoded on the way, token by token — a set of flat same-shape elements
-//! straight into the columnar rows the kernels run on. [`value_to_json`]
-//! writes a result's wire text from its rows, as `Display` does `printed`.
-//! A `value` is an object of exactly one member: a second key, a repeated
-//! one, `"unit"` other than `true` get a `protocol` error, `invalid value
-//! encoding at byte N: …` (at most 80 bytes of the line from `N` on).
+//! decoded on the way by the pull reader, which is the grammar of record. A
+//! flat value's text is fixed by its shape (§5), so a set's rows are not
+//! lexed token by token: the first element's shape gives a row template, the
+//! literal text [`value_to_json`] writes around each word, and every later row
+//! is matched against it — a slice compare per piece, a digit loop per
+//! number, the words straight into the columnar rows the kernels run on. A
+//! row written any other way (whitespace, `1e1`, `30.0`, 20 digits, another
+//! shape) is read by the reader, that row alone. [`value_to_json`] writes a
+//! result's wire text from its rows, as `Display` does `printed`. A `value` is
+//! an object of exactly one member: a second key, a repeated one, `"unit"`
+//! other than `true` get a `protocol` error, `invalid value encoding at byte
+//! N: …` (at most 80 bytes of the line from `N` on).
 
 use crate::json::{Json, JsonError, Reader, Token};
 use ncql_core::EvalError;
@@ -286,8 +292,10 @@ fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
 }
 
 /// The elements of a `set`, the reader past its `[`. While each has the first
-/// one's flat shape (of width ≥ 1) their words fill one buffer; an element that
-/// has not is re-read boxed, as is the rest.
+/// one's flat shape (of width ≥ 1) their words fill one buffer: a row written
+/// as [`write_row`] writes it is matched by the shape's [`Template`], any other
+/// is read by [`read_value`]. From the first element of another shape on, the
+/// elements are boxed.
 fn read_set(r: &mut Reader<'_>, mut more: bool) -> Result<Value, JsonError> {
     let mut elems = Vec::new();
     if more {
@@ -296,22 +304,29 @@ fn read_set(r: &mut Reader<'_>, mut more: bool) -> Result<Value, JsonError> {
     }
     let shape = elems.first().and_then(FlatShape::of_value);
     if let Some(shape) = shape.filter(|shape| shape.width() >= 1) {
+        let template = Template::of(&shape);
         let mut words = Vec::new();
         shape.encode_into(&elems[0], &mut words);
-        while more {
-            let (before, whole_rows) = (r.clone(), words.len());
-            if !read_row(r, &shape, &mut words).unwrap_or(false) {
-                *r = before;
+        let mut other = None;
+        while more && other.is_none() {
+            let whole_rows = words.len();
+            if let Some(len) = template.read(r.unread(), &mut words) {
+                r.advance(len);
+            } else {
                 words.truncate(whole_rows);
-                break;
+                let elem = read_value(r)?;
+                if !shape.encode_into(&elem, &mut words) {
+                    words.truncate(whole_rows);
+                    other = Some(elem);
+                }
             }
             more = r.array_next()?;
         }
-        if !more {
+        let Some(other) = other else {
             return Ok(Value::Set(VSet::from_raw_rows(shape, words)));
-        }
+        };
         let rows = words.chunks_exact(shape.width());
-        elems = rows.map(|row| shape.decode(row)).collect();
+        elems = rows.map(|row| shape.decode(row)).chain([other]).collect();
     }
     while more {
         elems.push(read_value(r)?);
@@ -320,33 +335,97 @@ fn read_set(r: &mut Reader<'_>, mut more: bool) -> Result<Value, JsonError> {
     Ok(Value::set_from(elems))
 }
 
-/// Append the words of one element of `shape`. Anything but `Ok(true)` says
-/// only that this fast path does not apply; [`read_value`] re-reads and judges.
-fn read_row(r: &mut Reader<'_>, shape: &FlatShape, out: &mut Vec<u64>) -> Result<bool, JsonError> {
-    let Token::Obj(true) = r.token()? else {
-        return Ok(false);
-    };
-    let fits = match (shape, &*r.key()?, r.token()?) {
-        (FlatShape::Atom, "atom", Token::Num(n)) | (FlatShape::Nat, "nat", Token::Num(n)) => {
-            n.as_u64().map(|n| out.push(n)).is_some()
-        }
-        (FlatShape::Bool, "bool", Token::Bool(b)) => {
-            out.push(u64::from(b));
-            true
-        }
-        (FlatShape::Unit, "unit", Token::Bool(true)) => true,
-        (FlatShape::Pair(a, b), "pair", Token::Arr(true)) => {
-            read_row(r, a, out)? && r.array_next()? && read_row(r, b, out)? && !r.array_next()?
-        }
-        _ => false,
-    };
-    Ok(fits && !r.object_next()?)
+/// A flat shape's row as [`write_row`] writes it: literal text with a word
+/// between each two pieces. A row that matches is decoded by slice compares and
+/// digit loops; one that does not — whitespace, a sign, a fraction or exponent,
+/// more than 19 digits, another key — is left to [`read_value`].
+struct Template {
+    /// Each word's kind, with the text that comes before it.
+    slots: Vec<(Vec<u8>, Slot)>,
+    /// The text after the last word.
+    tail: Vec<u8>,
 }
 
-/// Parse one request line (already length-checked by the connection loop). A
-/// member keyed `value` is decoded as read: the tree holds its index in `values`.
-pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    let mut values: Vec<Result<Value, String>> = Vec::new();
+enum Slot {
+    /// An `atom` or `nat`: 1 to 19 decimal digits, so no overflow.
+    Number,
+    /// `true` or `false`.
+    Bool,
+}
+
+impl Template {
+    fn of(shape: &FlatShape) -> Template {
+        let mut template = Template {
+            slots: Vec::new(),
+            tail: Vec::new(),
+        };
+        template.push(shape);
+        template
+    }
+
+    fn push(&mut self, shape: &FlatShape) {
+        let mut scalar = |open: &str, slot| {
+            self.tail.extend_from_slice(open.as_bytes());
+            let before = std::mem::take(&mut self.tail);
+            self.slots.push((before, slot));
+            self.tail.push(b'}');
+        };
+        match shape {
+            FlatShape::Atom => scalar("{\"atom\":", Slot::Number),
+            FlatShape::Nat => scalar("{\"nat\":", Slot::Number),
+            FlatShape::Bool => scalar("{\"bool\":", Slot::Bool),
+            FlatShape::Unit => self.tail.extend_from_slice(b"{\"unit\":true}"),
+            FlatShape::Pair(a, b) => {
+                self.tail.extend_from_slice(b"{\"pair\":[");
+                self.push(a);
+                self.tail.push(b',');
+                self.push(b);
+                self.tail.extend_from_slice(b"]}");
+            }
+        }
+    }
+
+    /// Match one row at the start of `text`, appending its words to `out`:
+    /// the bytes it spans, or `None` (with part of a row perhaps pushed).
+    fn read(&self, text: &[u8], out: &mut Vec<u64>) -> Option<usize> {
+        let mut at = 0;
+        for (before, slot) in &self.slots {
+            if !text[at..].starts_with(before) {
+                return None;
+            }
+            at += before.len();
+            let rest = &text[at..];
+            let (word, len) = match slot {
+                Slot::Number => {
+                    let len = rest
+                        .iter()
+                        .take(20)
+                        .take_while(|b| b.is_ascii_digit())
+                        .count();
+                    if !(1..=19).contains(&len) {
+                        return None;
+                    }
+                    let digits = rest[..len].iter().map(|digit| u64::from(digit - b'0'));
+                    (digits.fold(0, |n, digit| n * 10 + digit), len)
+                }
+                Slot::Bool if rest.starts_with(b"true") => (1, 4),
+                Slot::Bool if rest.starts_with(b"false") => (0, 5),
+                Slot::Bool => return None,
+            };
+            out.push(word);
+            at += len;
+        }
+        text[at..]
+            .starts_with(&self.tail)
+            .then_some(at + self.tail.len())
+    }
+}
+
+/// Parse `line` as JSON, decoding each member keyed `value` as it is read: the
+/// tree holds the member's index in the vector, which holds the value — or,
+/// for JSON that is not the `value` grammar, why not, quoting `line`.
+pub(crate) fn parse_line(line: &str) -> Result<(Json, Vec<Result<Value, String>>), JsonError> {
+    let mut values = Vec::new();
     let json = crate::json::parse_with(line, &mut |key, at| {
         if key != "value" {
             return Ok(None);
@@ -359,9 +438,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         }
         values.push(value);
         Ok(Some(Json::num(values.len() as u64 - 1)))
-    });
-    let json =
-        json.map_err(|e| ProtocolError::new(None, format!("request is not valid JSON: {e}")))?;
+    })?;
+    Ok((json, values))
+}
+
+/// Parse one request line (already length-checked by the connection loop).
+pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
+    let (json, values) = parse_line(line)
+        .map_err(|e| ProtocolError::new(None, format!("request is not valid JSON: {e}")))?;
     // The id is extracted first so even a bad envelope echoes it back.
     let id = json.get("id").and_then(Json::as_u64);
     let op = json.get("op").and_then(Json::as_str);
@@ -649,6 +733,135 @@ mod tests {
             value_to_json(&decoded).to_string(),
             set_text(decoded.as_set().unwrap().as_slice())
         );
+    }
+
+    const TEMPLATE_TYPES: [&str; 6] = [
+        "atom",
+        "nat",
+        "bool",
+        "(unit * atom)",
+        "(atom * (bool * nat))",
+        "((nat * nat) * atom)",
+    ];
+
+    /// `count` values of the flat type `ty`, their words from 1 to 19 digits
+    /// (the named atoms' tag bit set on some).
+    fn flat_values(ty: &str, count: usize) -> (FlatShape, Vec<Value>) {
+        let words = [
+            0,
+            1,
+            7,
+            42,
+            999,
+            1 << 16,
+            1 << 32,
+            (1 << 53) + 1,
+            1 << 63,
+            (1 << 63) + 5,
+            9_999_999_999_999_999_998,
+            9_999_999_999_999_999_999,
+        ];
+        let shape = FlatShape::of_type(&ncql_surface::parse_type(ty).unwrap()).unwrap();
+        let row = |i: usize| -> Vec<u64> {
+            let words = (0..shape.width()).map(|j| words[(i + j) % words.len()]);
+            words.collect()
+        };
+        let values = (0..count).map(|i| shape.decode(&row(i))).collect();
+        (shape, values)
+    }
+
+    #[test]
+    fn the_template_reads_exactly_the_rows_value_to_json_writes() {
+        for ty in TEMPLATE_TYPES {
+            let (shape, values) = flat_values(ty, 21);
+            let template = Template::of(&shape);
+            for value in values {
+                let row = value_to_json(&value).to_string();
+                let mut read = Vec::new();
+                let text = format!("{row},{row}]");
+                assert_eq!(
+                    template.read(text.as_bytes(), &mut read),
+                    Some(row.len()),
+                    "{row}"
+                );
+                let mut words = Vec::new();
+                assert!(shape.encode_into(&value, &mut words));
+                assert_eq!(read, words, "{row}");
+            }
+        }
+    }
+
+    /// `row` with its first number replaced by `number`.
+    fn with_number(row: &str, number: &str) -> String {
+        let start = row.find(|c: char| c.is_ascii_digit()).unwrap();
+        let len = row[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        format!("{}{number}{}", &row[..start], &row[start + len..])
+    }
+
+    #[test]
+    fn rows_the_template_declines_decode_as_the_grammar_reads_them() {
+        for ty in TEMPLATE_TYPES {
+            let (_, values) = flat_values(ty, 12);
+            let mut rows: Vec<String> = values
+                .iter()
+                .map(|v| value_to_json(v).to_string())
+                .collect();
+            rows[3] = rows[3].replace(':', ": ").replace(',', ", ");
+            if rows[5].contains(|c: char| c.is_ascii_digit()) {
+                rows[5] = with_number(&rows[5], "1e1");
+                rows[7] = with_number(&rows[7], "30.0");
+                rows[9] = with_number(&rows[9], "18446744073709551615");
+            }
+            rows.push(rows[1].clone());
+            let text = format!(
+                r#"{{"set":[{}, {}]}}"#,
+                rows[..6].join(","),
+                rows[6..].join(",")
+            );
+            let decoded = decode_value(&text).unwrap();
+            let one_by_one = rows.iter().map(|row| decode_value(row).unwrap());
+            let expected = Value::set_from(one_by_one);
+            assert_eq!(decoded, expected, "{text}");
+            let is_columnar = |v: &Value| v.as_set().unwrap().is_columnar();
+            // Two booleans are too few for rows.
+            assert_eq!(is_columnar(&decoded), ty != "bool", "{text}");
+            assert_eq!(is_columnar(&expected), ty != "bool", "{text}");
+        }
+    }
+
+    #[test]
+    fn an_invalid_row_midway_is_refused_as_it_is_alone() {
+        let (_, values) = flat_values("(atom * nat)", 40);
+        let mut rows: Vec<String> = values
+            .iter()
+            .map(|v| value_to_json(v).to_string())
+            .collect();
+        for bad in [
+            with_number(&rows[20], "-1"),
+            with_number(&rows[20], "1.5"),
+            with_number(&rows[20], "18446744073709551616"),
+            r#"{"bool":1}"#.to_string(),
+            r#"{"atom":1,"nat":2}"#.to_string(),
+        ] {
+            let alone = decode_value(&bad).unwrap_err();
+            let prefix = "invalid value encoding at byte ";
+            let at = alone
+                .strip_prefix(prefix)
+                .and_then(|rest| rest.split(':').next());
+            let at: usize = at.and_then(|at| at.parse().ok()).unwrap();
+            assert_eq!(alone, format!("{prefix}{at}: {}", &bad[at..]));
+
+            rows[20] = bad.clone();
+            let line = execute_line(&format!(r#"{{"set":[{}]}}"#, rows.join(",")));
+            let refused = parse_request(&line).unwrap_err();
+            let message = "invalid value encoding".to_string();
+            let at = line.find(&bad).unwrap() + at;
+            assert_eq!(
+                refused.message,
+                with_excerpt(JsonError { message, at }, &line)
+            );
+            assert!(refused.message.starts_with(&format!("{prefix}{at}: ")));
+        }
     }
 
     #[test]

@@ -551,7 +551,9 @@ fn pipelined_batches_are_answered_in_order_without_a_nagle_stall() {
 /// three pack requests, each with the three limits, are hit by a fixed-seed
 /// stream of byte flips, deletions, truncations and duplications; whatever
 /// comes out is a `Request` or a `ProtocolError`, never a panic, and every
-/// `Request` is a fixed point of encode-then-parse.
+/// `Request` is a fixed point of encode-then-parse. The outcomes, in order,
+/// fold into one FNV-1a digest: a decoder change that reads any damaged line
+/// differently, or words a refusal differently, moves it.
 #[test]
 fn twenty_thousand_damaged_request_lines_parse_or_are_refused() {
     let seeds: Vec<Vec<u8>> = common::pack()
@@ -591,6 +593,12 @@ fn twenty_thousand_damaged_request_lines_parse_or_are_refused() {
         (state >> 33) as usize % below
     };
     let (mut accepted, mut refused) = (0, 0);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |outcome: &str| {
+        for byte in outcome.bytes().chain([b'\n']) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
     for mutant in 0..21_000 {
         let mut bytes = seeds[mutant % seeds.len()].clone();
         for _ in 0..=next(2) {
@@ -610,11 +618,14 @@ fn twenty_thousand_damaged_request_lines_parse_or_are_refused() {
         match parse_request(&line) {
             Ok(request) => {
                 accepted += 1;
-                let again = parse_request(&encode(&request));
+                let encoded = encode(&request);
+                fold(&encoded);
+                let again = parse_request(&encoded);
                 assert_eq!(again.as_ref(), Ok(&request), "mutant {mutant}: {line}");
             }
             Err(error) => {
                 refused += 1;
+                fold(&format!("{:?} {}", error.id, error.message));
                 assert!(!error.message.is_empty(), "mutant {mutant}");
             }
         }
@@ -624,4 +635,5 @@ fn twenty_thousand_damaged_request_lines_parse_or_are_refused() {
         accepted > 1_000 && refused > 10_000,
         "{accepted} / {refused}"
     );
+    assert_eq!(digest, 0xd206_d436_f536_91b6, "{digest:#018x}");
 }
