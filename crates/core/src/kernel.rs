@@ -8,14 +8,19 @@
 //! comparisons/arithmetic, `let`/`if`, and constants over a flat-shaped
 //! input, [`compile`] lowers it to a [`RowKernel`]: a flat instruction list
 //! over one-word *slots*, run over blocks of up to 1 024 rows as in
-//! vectorised execution (MonetDB/X100). A block's rows are transposed into a
-//! column per slot and each instruction sweeps whole columns — an external
-//! is one loop of its [`WordOp`] — so nothing is dispatched per row and no
-//! `Value` is built. Variables, `let`-bound values, projections and literals
-//! are plain slots and cost no instruction. Every liftable operation is
-//! total, so both arms of an `if` compute over the whole block: the `if` only
-//! sets a bit of each row's *path key*, and the join of a scalar `if` and the
-//! choice of the rows that emit commit on the rows of their arm alone.
+//! vectorised execution (MonetDB/X100). Each slot has a column, and each
+//! instruction sweeps whole columns — an external is one loop of its
+//! [`WordOp`] — so nothing is dispatched per row and no `Value` is built.
+//! What a block fills is decided when the body is compiled: of a block's
+//! rows only the words some instruction reads are transposed into columns,
+//! an emitted word of the row is gathered straight from the rows, and
+//! constants' columns are filled once, when a run lays its columns out.
+//! Variables, `let`-bound values, projections and literals are plain slots
+//! and cost no instruction. Every liftable operation is total, so both arms
+//! of an `if` compute over the whole block: the `if` only sets a bit of each
+//! row's *path key*, and the join of a scalar `if` and the choice of the
+//! rows that emit — one branch-free pass — commit on the rows of their arm
+//! alone.
 //!
 //! A body may read variables bound outside it: a captured flat value is a
 //! constant for the duration of one inner loop, so it is a kernel
@@ -116,6 +121,18 @@ enum Op {
     /// A conditional in `arm`: its rows whose `cond` holds take the then-arm
     /// and set `bit` of their path key.
     If { cond: usize, bit: u32, arm: Arm },
+}
+
+impl Op {
+    /// The slots the instruction reads.
+    fn operands(self) -> [Range<usize>; 2] {
+        match self {
+            Op::Call { a, b, .. } => [a..a + 1, b..b + 1],
+            Op::Cmp { a, b, len, .. } => [a..a + len, b..b + len],
+            Op::Copy { src, .. } => [src..src + 1, 0..0],
+            Op::If { cond, .. } => [cond..cond + 1, 0..0],
+        }
+    }
 }
 
 /// The rows of one arm of a body's conditionals: those whose path keys agree
@@ -254,6 +271,9 @@ pub struct RowKernel {
     output_shape: FlatShape,
     /// Total slots: input row, constants, captures, destinations.
     slots: usize,
+    /// The input words some instruction reads, ascending: the only ones a
+    /// block transposes into columns.
+    reads: Vec<usize>,
     /// Constant words preloaded once per scratch: `(slot, word)`.
     consts: Vec<(usize, u64)>,
     captures: Vec<Capture>,
@@ -271,8 +291,10 @@ pub struct RowKernel {
 
 /// What one shard's runs of a kernel work in: allocated once per shard and
 /// grown to the largest block it has run, so a run over a handful of rows
-/// pays for a handful. `cols` holds one column of `rows` words per slot,
-/// `paths` each row's path key and `sel` the rows that emit, in order.
+/// pays for a handful. `cols` holds one column of `rows` words per slot (a
+/// constant's is filled when the columns are laid out, an input word's only
+/// if some instruction reads it), `paths` each row's path key and `sel` the
+/// rows that emit, in order.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// The preloaded words — constants and captured values — at their slots.
@@ -290,6 +312,10 @@ impl Scratch {
         if n > self.rows {
             self.rows = n.max(2 * self.rows).min(BLOCK_ROWS);
             self.cols.resize(kernel.slots * self.rows, 0);
+            // Nothing writes a constant's column but this, once per layout.
+            for &(at, word) in &kernel.consts {
+                self.cols[at * self.rows..][..self.rows].fill(word);
+            }
             self.paths.resize(self.rows, 0);
             self.sel = (0..self.rows).collect();
         }
@@ -311,6 +337,18 @@ fn sweep(op: WordOp, a: &[u64], b: &[u64], out: &mut [u64]) {
         Bit => each(Bit, a, b, out),
         Identity => each(Identity, a, b, out),
     }
+}
+
+/// Write the rows of a block whose path keys `keep` holds for into `sel`, in
+/// order, with no branch per row; returns how many there are.
+#[inline(always)]
+fn select(paths: &[u64], sel: &mut [usize], keep: impl Fn(u64) -> bool) -> usize {
+    let mut len = 0;
+    for (i, &path) in paths.iter().enumerate() {
+        sel[len] = i;
+        len += usize::from(keep(path));
+    }
+    len
 }
 
 #[inline(always)]
@@ -545,13 +583,13 @@ impl RowKernel {
         let stride = s.rows;
         let col = |slot: usize| slot * stride..slot * stride + n;
         let cols = &mut s.cols;
-        for c in 0..width {
+        for &c in &self.reads {
             for (cell, row) in cols[col(c)].iter_mut().zip(rows.chunks_exact(width)) {
                 *cell = row[c];
             }
         }
-        let captured = self.captures.iter().flat_map(Capture::slots);
-        for slot in self.consts.iter().map(|&(at, _)| at).chain(captured) {
+        // A join site rewrites its captures for every outer row.
+        for slot in self.captures.iter().flat_map(Capture::slots) {
             cols[col(slot)].fill(s.words[slot]);
         }
         let paths = &mut s.paths[..n];
@@ -595,21 +633,26 @@ impl RowKernel {
         }
         let len = match self.keeps[..] {
             [arm] if arm.care == 0 => n,
-            ref keeps => {
-                let mut len = 0;
-                for (i, &path) in paths.iter().enumerate() {
-                    s.sel[len] = i;
-                    len += usize::from(keeps.iter().any(|arm| arm.holds(path)));
-                }
-                len
-            }
+            [arm] => select(paths, &mut s.sel, |path| arm.holds(path)),
+            ref keeps => select(paths, &mut s.sel, |path| {
+                keeps.iter().any(|arm| arm.holds(path))
+            }),
         };
-        let (width, start) = (self.emit.len(), out.len());
-        out.resize(start + len * width, 0);
+        let (out_width, start) = (self.emit.len(), out.len());
+        out.resize(start + len * out_width, 0);
+        let (sel, emitted) = (&s.sel[..len], &mut out[start..]);
         for (c, &slot) in self.emit.iter().enumerate() {
-            let column = &cols[col(slot)];
-            for (row, &i) in out[start..].chunks_exact_mut(width).zip(&s.sel[..len]) {
-                row[c] = column[i];
+            let dst = emitted.chunks_exact_mut(out_width).zip(sel);
+            if slot < width {
+                // An input word, read or not, comes straight from its row.
+                for (row, &i) in dst {
+                    row[c] = rows[i * width + slot];
+                }
+            } else {
+                let column = &cols[col(slot)];
+                for (row, &i) in dst {
+                    row[c] = column[i];
+                }
             }
         }
     }
@@ -1077,6 +1120,12 @@ fn lower_body(
             (at..c.next).collect()
         }
     };
+    let mut reads: Vec<usize> = (c.ops.iter())
+        .flat_map(|op| op.operands().into_iter().flatten())
+        .filter(|&slot| slot < input_width)
+        .collect();
+    reads.sort_unstable();
+    reads.dedup();
     let cost = Cost::node(cost::APPLY, vec![cost]);
     let paths = (c.branches <= TABLE_BITS).then(|| 0..1u64 << c.branches);
     let table = paths
@@ -1089,6 +1138,7 @@ fn lower_body(
         input_width,
         output_shape,
         slots: c.next,
+        reads,
         consts: c.consts,
         captures: c.captures,
         ops: c.ops,
@@ -1638,6 +1688,99 @@ mod tests {
             }
         });
         assert_eq!((refused.unwrap_err(), calls), ("over budget", 2));
+    }
+
+    /// The three bodies of the benchmark's `scan` read only `pi2` of their
+    /// rows, and a transitive-closure step only `pi1` of its inner row: a
+    /// block transposes no other word.
+    #[test]
+    fn a_block_transposes_only_the_words_its_instructions_read() {
+        let reg = ExternRegistry::standard();
+        let p = || Expr::var("p");
+        let year = || Expr::proj2(p());
+        let call = |f: &str, a, b| Expr::extern_call(f, vec![a, b]);
+        let filter_rare = Expr::ite(
+            call("nat_leq", year(), Expr::nat(1950)),
+            Expr::singleton(p()),
+            Expr::empty(pair_ty()),
+        );
+        let filter_project = Expr::ite(
+            call("nat_leq", Expr::nat(2015), year()),
+            Expr::singleton(Expr::pair(
+                Expr::proj1(p()),
+                call("nat_sub", year(), Expr::nat(1950)),
+            )),
+            Expr::empty(pair_ty()),
+        );
+        let project_swap = Expr::singleton(Expr::pair(
+            call("nat_add", year(), Expr::nat(0)),
+            Expr::proj1(p()),
+        ));
+        for body in [filter_rare, filter_project, project_swap] {
+            let kernel = compile("p", &body, &pair_shape(), &[], &reg).unwrap();
+            assert_eq!(kernel.reads, [1], "{body}");
+        }
+
+        let edge_ty = || Type::prod(Type::Base, Type::Base);
+        let edge = FlatShape::of_type(&edge_ty()).unwrap();
+        let (a, b) = (|| Expr::var("a"), || Expr::var("b"));
+        let step = Expr::ite(
+            Expr::eq(Expr::proj2(a()), Expr::proj1(b())),
+            Expr::ite(
+                Expr::eq(Expr::proj2(a()), Expr::atom(999_999)),
+                Expr::empty(edge_ty()),
+                Expr::singleton(Expr::pair(Expr::proj1(a()), Expr::proj2(b()))),
+            ),
+            Expr::empty(edge_ty()),
+        );
+        let scope = [("a", Some(edge.clone()))];
+        let kernel = compile("b", &step, &edge, &scope, &reg).unwrap();
+        assert!(kernel.keyed());
+        assert_eq!(kernel.reads, [0]);
+    }
+
+    /// A join site's scratch grows with the matching range of its outer
+    /// rows, and its constants' columns are laid out anew each time: a grown
+    /// scratch runs exactly as a fresh one.
+    #[test]
+    fn a_scratch_that_grew_runs_as_a_fresh_one() {
+        let (a, x) = (|| Expr::var("a"), || Expr::var("x"));
+        let body = Expr::ite(
+            Expr::eq(Expr::proj1(x()), Expr::proj2(a())),
+            Expr::ite(
+                Expr::extern_call("nat_leq", vec![Expr::proj2(x()), Expr::nat(20)]),
+                Expr::singleton(x()),
+                Expr::empty(pair_ty()),
+            ),
+            Expr::empty(pair_ty()),
+        );
+        let edge = FlatShape::Pair(Box::new(FlatShape::Atom), Box::new(FlatShape::Atom));
+        let scope = [("a", Some(edge))];
+        let reg = ExternRegistry::standard();
+        let kernel = compile("x", &body, &pair_shape(), &scope, &reg).unwrap();
+        assert!(kernel.keyed());
+        // Key `k` matches 1, 3, 40 and 700 rows: each probe outgrows the last.
+        let rows: Vec<u64> = [1, 3, 40, 700]
+            .into_iter()
+            .zip(0u64..)
+            .flat_map(|(n, k)| (0..n).flat_map(move |i| [k, i]))
+            .collect();
+        let slot = kernel.capture_slot("a").unwrap();
+        let run = |scratch: &mut Scratch, k: u64| {
+            scratch.words[slot.clone()].copy_from_slice(&[0, k]);
+            let (mut out, mut charges) = (Vec::new(), Vec::new());
+            let span = kernel.probe(&rows, scratch, &mut out, |rows, work| {
+                charges.push((rows, work));
+                Ok::<(), ()>(())
+            });
+            (out, span.unwrap(), charges)
+        };
+        let mut grown = kernel.scratch(&[0, 0]);
+        for k in 0..4 {
+            let fresh = run(&mut kernel.scratch(&[0, 0]), k);
+            assert!(!fresh.0.is_empty());
+            assert_eq!(run(&mut grown, k), fresh, "key {k}");
+        }
     }
 
     #[test]

@@ -24,12 +24,16 @@
 //! operations as tight word loops with no per-element dispatch.
 //!
 //! Bulk canonicalization (`row_sort_dedup`) works inside the buffer it is
-//! given. Strictly ascending rows are returned untouched; otherwise rows of
-//! up to four words are sorted as `[u64; W]` chunks and deduplicated in place
-//! — by an LSD radix sort over the bytes that vary when those are few for the
-//! batch's size, by comparison otherwise. The radix sort skips the trailing
-//! columns the input is already ordered by: a stable sort of a sorted
-//! sequence is the identity.
+//! given. Rows of up to four words are viewed as `[u64; W]` chunks and
+//! surveyed once, adjacent row against adjacent row: for every trailing run
+//! of word columns, whether the rows ever descend or repeat in it, and which
+//! bits vary. Strictly ascending rows are returned untouched; otherwise they
+//! are sorted in place — by an LSD radix sort over the bytes that vary when
+//! those are few for the batch's size, by comparison otherwise. The radix
+//! sort skips the trailing columns the input is already ordered by (a stable
+//! sort of a sorted sequence is the identity), and the duplicate-removing
+//! pass runs only if the rows repeat somewhere in those columns: rows
+//! strictly ascending in them are pairwise distinct.
 
 use crate::types::Type;
 use crate::value::Value;
@@ -321,21 +325,23 @@ pub(crate) fn row_sort_dedup(mut words: Vec<u64>, width: usize) -> Vec<u64> {
 /// [`row_sort_dedup`] for rows of `W` words, entirely within `words`.
 fn canonicalize_chunks<const W: usize>(words: &mut Vec<u64>) {
     let (rows, _) = words.as_chunks_mut::<W>();
-    // `ordered[c]`: the rows are non-descending in the key made of word
-    // columns `c..W`; `strict`: no two adjacent rows are equal.
-    let (mut ordered, mut strict) = ([true; W], true);
+    // One pass over adjacent rows, with no branch per row. For the key made
+    // of word columns `c..W`: `descends[c]`, some row is above the next in
+    // it; `repeats[c]`, some row equals the next in it. `varying[c]`: the
+    // bits of column `c` on which some two rows differ.
+    let (mut descends, mut repeats, mut varying) = ([false; W], [false; W], [0u64; W]);
     for pair in rows.windows(2) {
-        let mut tail = Ordering::Equal;
+        let (mut above, mut equal) = (false, true);
         for c in (0..W).rev() {
-            tail = pair[0][c].cmp(&pair[1][c]).then(tail);
-            ordered[c] &= tail != Ordering::Greater;
-        }
-        strict &= tail != Ordering::Equal;
-        if ordered == [false; W] {
-            break;
+            let (x, y) = (pair[0][c], pair[1][c]);
+            above = (x > y) | ((x == y) & above);
+            equal &= x == y;
+            descends[c] |= above;
+            repeats[c] |= equal;
+            varying[c] |= x ^ y;
         }
     }
-    if ordered[0] && strict {
+    if !descends[0] && !repeats[0] {
         return;
     }
     // An LSD radix sort is a chain of stable passes, least significant byte
@@ -344,13 +350,8 @@ fn canonicalize_chunks<const W: usize>(words: &mut Vec<u64>) {
     // are skipped for the widest such suffix (a column swap of a canonical
     // relation keeps every column but the new first one in order), as is a
     // pass over a byte on which all rows agree.
-    let sorted_from = ordered.iter().position(|&o| o).unwrap_or(W);
-    let mut varying = [0u64; W];
-    for row in rows.iter() {
-        for c in 0..sorted_from {
-            varying[c] |= row[c] ^ rows[0][c];
-        }
-    }
+    let sorted_from = descends.iter().position(|&d| !d).unwrap_or(W);
+    varying[sorted_from..].fill(0);
     let bytes = varying.iter().flat_map(|bits| bits.to_le_bytes());
     let passes = bytes.filter(|&byte| byte != 0).count();
     // A comparison sort looks at each row about log2(rows) times; a radix
@@ -359,6 +360,10 @@ fn canonicalize_chunks<const W: usize>(words: &mut Vec<u64>) {
         radix_sort::<W>(words, varying);
     } else {
         rows.sort_unstable();
+    }
+    // Rows strictly ascending in the key the sort kept are pairwise distinct.
+    if repeats.get(sorted_from) == Some(&false) {
+        return;
     }
     let (rows, _) = words.as_chunks_mut::<W>();
     let mut kept = 0;

@@ -257,7 +257,9 @@ fn atoms_shape(width: usize) -> FlatShape {
 /// vary in one byte, in the lowest and the highest (interned atoms set bit
 /// 63), and in all eight (`0`, `u64::MAX`, random), `from_raw_rows` must
 /// build exactly the set the boxed reference builds from the decoded rows,
-/// whatever order the rows arrive in.
+/// whatever order the rows arrive in — among them rows strictly ascending in
+/// the columns the sort keeps, which skip the duplicate-removing pass, and
+/// rows that repeat in those columns, which must not.
 #[test]
 fn from_raw_rows_matches_the_boxed_reference_at_every_size_and_order() {
     use ncql::object::NAMED_ATOM_BASE;
@@ -298,6 +300,21 @@ fn from_raw_rows_matches_the_boxed_reference_at_every_size_and_order() {
                 row
             })
             .collect();
+        // Random words before a strictly ascending last column: the rows are
+        // pairwise distinct, so the sort need not deduplicate.
+        let key_last: Vec<u64> = (0..rows as u64)
+            .flat_map(|i| {
+                let mut row: Vec<u64> = (1..width).map(|_| word(50)).collect();
+                row.push(i);
+                row
+            })
+            .collect();
+        // Every row of `trailing` twice in a row: the columns the sort keeps
+        // repeat, so it must deduplicate.
+        let trailing_twice: Vec<u64> = trailing
+            .chunks(width)
+            .flat_map(|row| row.repeat(2))
+            .collect();
         for (name, words) in [
             ("shuffled", shuffled),
             ("canonical", canonical),
@@ -305,6 +322,8 @@ fn from_raw_rows_matches_the_boxed_reference_at_every_size_and_order() {
             ("all equal", all_equal),
             ("duplicated", duplicated),
             ("trailing columns sorted", trailing),
+            ("key column last", key_last),
+            ("trailing columns sorted, every row twice", trailing_twice),
         ] {
             let expected = VSet::from_iter_boxed(words.chunks(width).map(|row| shape.decode(row)));
             let built = VSet::from_raw_rows(shape.clone(), words);

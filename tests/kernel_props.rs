@@ -568,6 +568,47 @@ fn shards_spanning_several_accounting_blocks_charge_the_interpreters_cost() {
     assert!(shallow_stats.span < stats.span);
 }
 
+/// Bodies that emit an input word no instruction reads, or read nothing at
+/// all, over three blocks of which the last holds one row: a block
+/// transposes only the words its instructions read and gathers the others
+/// straight from its rows.
+#[test]
+fn bodies_that_emit_words_they_never_read_are_bit_identical_over_three_blocks() {
+    let rows = scrambled_rows(2_049);
+    let x = || Expr::var("x");
+    let small = || call("nat_leq", Expr::proj2(x()), Expr::nat(500));
+    let tagged = |n| Expr::singleton(Expr::pair(Expr::proj1(x()), Expr::nat(n)));
+    let swapped = |first| Expr::singleton(Expr::pair(first, Expr::proj1(x())));
+    // The inner step of a transitive closure, keyed on `pi2 x`: it emits
+    // `pi2 b`, which nothing reads, and one outer value emits nothing.
+    let b = || Expr::var("b");
+    let excluded = rows.iter().map(|r| r.1).find(|&n| n < 64).expect("a match");
+    let step = Expr::ite(
+        Expr::eq(Expr::proj2(x()), Expr::proj1(b())),
+        Expr::ite(
+            Expr::eq(Expr::proj2(x()), Expr::nat(excluded)),
+            Expr::empty(pair_ty()),
+            Expr::singleton(Expr::pair(Expr::proj1(x()), Expr::proj2(b()))),
+        ),
+        Expr::empty(pair_ty()),
+    );
+    let steps = Value::set_from((0..64).map(|j| Value::pair(Value::Nat(j), Value::Nat(3 * j))));
+    let join = Expr::ext(Expr::lam("b", nat_pair(), step), Expr::constant(steps));
+    for body in [
+        Expr::ite(small(), Expr::singleton(x()), Expr::empty(pair_ty())),
+        swapped(Expr::proj2(x())),
+        swapped(call("nat_add", Expr::proj2(x()), Expr::nat(1))),
+        Expr::ite(small(), tagged(1), tagged(2)),
+        join.clone(),
+    ] {
+        let expr = ext_over(body, &rows);
+        let (value, _) = assert_all_four_agree(&expr);
+        assert!(!value.as_set().expect("a set").is_empty(), "{expr}");
+    }
+    let sites = analyze_sites(&ext_over(join, &rows), &ExternRegistry::standard());
+    assert!(sites[0].detail.contains('⋈'), "{}", sites[0].detail);
+}
+
 /// `\x. if pi2 a = pi2 x then {(pi1 a, nat_add(pi2 x, 1))} else {}`: a body
 /// that reads `a`, the row of an enclosing `ext`.
 fn join_inner() -> Expr {
