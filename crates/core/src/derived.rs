@@ -3,10 +3,13 @@
 //! The paper notes that NRA "is powerful enough to express the following
 //! functions: set difference, set intersection, cartesian product, database
 //! projections, equalities at all types, selections over predicates definable in
-//! the language, nest and unnest". This module provides exactly those, as
-//! *expression builders*: each function assembles the NRA expression that
-//! computes the operation, so that everything downstream (evaluation, cost
-//! accounting, translation, circuit compilation) still sees pure language terms.
+//! the language, nest and unnest". This module provides the ones the
+//! translations and examples assemble in Rust, as *expression builders*: each
+//! function builds the NRA expression that computes the operation, so that
+//! everything downstream (evaluation, cost accounting, translation, circuit
+//! compilation) still sees pure language terms. Projections, selections and
+//! relation composition are written as the `ext` comprehensions they are, in
+//! the query texts that use them (`ncql-queries`' pack).
 //!
 //! Builders take the element types they need because λ-binders are annotated.
 
@@ -16,11 +19,6 @@ use ncql_object::Type;
 /// Boolean negation `not e` — definable as `if e then false else true`.
 pub fn not(e: Expr) -> Expr {
     Expr::ite(e, Expr::bool_val(false), Expr::bool_val(true))
-}
-
-/// Boolean conjunction.
-pub fn and(a: Expr, b: Expr) -> Expr {
-    Expr::ite(a, b, Expr::bool_val(false))
 }
 
 /// Boolean disjunction.
@@ -111,11 +109,6 @@ pub fn difference(elem_ty: Type, r: Expr, s: Expr) -> Expr {
     )
 }
 
-/// Subset test `r ⊆ s` at element type `t`: `empty(r \ s)`.
-pub fn subset(elem_ty: Type, r: Expr, s: Expr) -> Expr {
-    Expr::is_empty(difference(elem_ty, r, s))
-}
-
 /// Cartesian product `r × s` for element types `(a, b)`:
 /// `ext(λx. ext(λy. {(x, y)})(s))(r)`.
 pub fn cartesian_product(a_ty: Type, b_ty: Type, r: Expr, s: Expr) -> Expr {
@@ -134,84 +127,6 @@ pub fn cartesian_product(a_ty: Type, b_ty: Type, r: Expr, s: Expr) -> Expr {
                         y.clone(),
                         b_ty,
                         Expr::singleton(Expr::pair(Expr::var(x.clone()), Expr::var(y))),
-                    ),
-                    Expr::var(sv),
-                ),
-            ),
-            r,
-        ),
-    )
-}
-
-/// Map `f` over a set: `ext(λx. {f(x)})(s)`. `f` is given as a builder from the
-/// bound variable expression to the image expression.
-pub fn map_set<F: FnOnce(Expr) -> Expr>(elem_ty: Type, s: Expr, f: F) -> Expr {
-    let x = fresh_var("x");
-    Expr::ext(
-        Expr::lam(x.clone(), elem_ty, Expr::singleton(f(Expr::var(x)))),
-        s,
-    )
-}
-
-/// Filter a set by a predicate (relational *selection*): `ext(λx. if p(x) then
-/// {x} else ∅)(s)`.
-pub fn select<F: FnOnce(Expr) -> Expr>(elem_ty: Type, s: Expr, predicate: F) -> Expr {
-    let x = fresh_var("x");
-    Expr::ext(
-        Expr::lam(
-            x.clone(),
-            elem_ty.clone(),
-            Expr::ite(
-                predicate(Expr::var(x.clone())),
-                Expr::singleton(Expr::var(x)),
-                Expr::empty(elem_ty),
-            ),
-        ),
-        s,
-    )
-}
-
-/// Relational projection Π₁ of a relation of type `{a × b}`.
-pub fn project1(a_ty: Type, b_ty: Type, r: Expr) -> Expr {
-    map_set(Type::prod(a_ty, b_ty), r, Expr::proj1)
-}
-
-/// Relational projection Π₂ of a relation of type `{a × b}`.
-pub fn project2(a_ty: Type, b_ty: Type, r: Expr) -> Expr {
-    map_set(Type::prod(a_ty, b_ty), r, Expr::proj2)
-}
-
-/// Relation composition `r ∘ s` for `r : {a × b}`, `s : {b × c}`:
-/// `{(x, z) | (x, y) ∈ r, (y', z) ∈ s, y = y'}`.
-pub fn compose(a_ty: Type, b_ty: Type, c_ty: Type, r: Expr, s: Expr) -> Expr {
-    let sv = fresh_var("cset");
-    let p = fresh_var("p");
-    let q = fresh_var("q");
-    let rp_ty = Type::prod(a_ty.clone(), b_ty.clone());
-    let sp_ty = Type::prod(b_ty, c_ty.clone());
-    let out_ty = Type::prod(a_ty, c_ty);
-    Expr::let_in(
-        sv.clone(),
-        s,
-        Expr::ext(
-            Expr::lam(
-                p.clone(),
-                rp_ty,
-                Expr::ext(
-                    Expr::lam(
-                        q.clone(),
-                        sp_ty,
-                        Expr::ite(
-                            Expr::eq(
-                                Expr::proj2(Expr::var(p.clone())),
-                                Expr::proj1(Expr::var(q.clone())),
-                            ),
-                            Expr::singleton(Expr::pair(
-                                Expr::proj1(Expr::var(p.clone())),
-                                Expr::proj2(Expr::var(q)),
-                            )),
-                            Expr::empty(out_ty.clone()),
-                        ),
                     ),
                     Expr::var(sv),
                 ),
@@ -363,10 +278,6 @@ mod tests {
     #[test]
     fn boolean_connectives() {
         assert_eq!(
-            eval_closed(&and(Expr::bool_val(true), Expr::bool_val(false))).unwrap(),
-            Value::Bool(false)
-        );
-        assert_eq!(
             eval_closed(&or(Expr::bool_val(false), Expr::bool_val(true))).unwrap(),
             Value::Bool(true)
         );
@@ -385,15 +296,11 @@ mod tests {
     }
 
     #[test]
-    fn member_and_subset() {
+    fn membership() {
         let e = member(Type::Base, Expr::atom(2), atoms(vec![1, 2, 3]));
         assert_eq!(eval_closed(&e).unwrap(), Value::Bool(true));
         let e2 = member(Type::Base, Expr::atom(9), atoms(vec![1, 2, 3]));
         assert_eq!(eval_closed(&e2).unwrap(), Value::Bool(false));
-        let s = subset(Type::Base, atoms(vec![1, 3]), atoms(vec![1, 2, 3]));
-        assert_eq!(eval_closed(&s).unwrap(), Value::Bool(true));
-        let s2 = subset(Type::Base, atoms(vec![1, 4]), atoms(vec![1, 2, 3]));
-        assert_eq!(eval_closed(&s2).unwrap(), Value::Bool(false));
     }
 
     #[test]
@@ -412,38 +319,6 @@ mod tests {
         assert_eq!(
             eval_closed(&p).unwrap(),
             Value::relation_from_pairs(vec![(1, 3), (1, 4), (2, 3), (2, 4)])
-        );
-    }
-
-    #[test]
-    fn projections_and_selection() {
-        let r = rel(vec![(1, 10), (2, 20)]);
-        assert_eq!(
-            eval_closed(&project1(Type::Base, Type::Base, r.clone())).unwrap(),
-            Value::atom_set(vec![1, 2])
-        );
-        assert_eq!(
-            eval_closed(&project2(Type::Base, Type::Base, r.clone())).unwrap(),
-            Value::atom_set(vec![10, 20])
-        );
-        let sel = select(Type::prod(Type::Base, Type::Base), r, |p| {
-            Expr::leq(Expr::proj1(p), Expr::atom(1))
-        });
-        assert_eq!(
-            eval_closed(&sel).unwrap(),
-            Value::relation_from_pairs(vec![(1, 10)])
-        );
-    }
-
-    #[test]
-    fn composition_of_relations() {
-        let r = rel(vec![(1, 2), (2, 3)]);
-        let s = rel(vec![(2, 5), (3, 6)]);
-        let c = compose(Type::Base, Type::Base, Type::Base, r, s);
-        assert!(typecheck_closed(&c).is_ok());
-        assert_eq!(
-            eval_closed(&c).unwrap(),
-            Value::relation_from_pairs(vec![(1, 5), (2, 6)])
         );
     }
 
@@ -507,7 +382,6 @@ mod tests {
             member(Type::Base, Expr::atom(1), atoms(vec![1])),
             intersect(Type::Base, atoms(vec![1]), atoms(vec![2])),
             difference(Type::Base, atoms(vec![1]), atoms(vec![2])),
-            subset(Type::Base, atoms(vec![1]), atoms(vec![2])),
             cartesian_product(Type::Base, Type::Base, atoms(vec![1]), atoms(vec![2])),
             flatten(
                 Type::Base,

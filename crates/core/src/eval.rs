@@ -25,8 +25,8 @@ pub struct EvalConfig {
     /// Maximum allowed cardinality of any intermediate set. Exceeding it aborts
     /// evaluation with [`EvalError::SetTooLarge`]; this is how the exponential
     /// blow-up of unbounded `dcr` over complex objects (e.g. `powerset`) is
-    /// surfaced without hanging the process (pinned by
-    /// `queries::powerset::unbounded_powerset_blows_past_a_resource_limit`).
+    /// surfaced without hanging the process (pinned by the `powerset` rows of
+    /// `pack_families_meet_their_claims` in `ncql-queries`).
     pub max_set_size: usize,
     /// Maximum total work before aborting with [`EvalError::WorkLimitExceeded`].
     pub max_work: u64,

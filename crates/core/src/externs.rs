@@ -5,8 +5,8 @@
 //! etc), and the usual aggregate functions (cardinality, sum, average, etc.)".
 //! Proposition 6.3 states that `NRA(Σ, bdcr)` stays within NC, whereas unbounded
 //! `dcr` together with unbounded arithmetic (`NRA¹(ℕ, +, dcr)`) can express
-//! exponential-space queries (pinned by
-//! `queries::aggregates::double_exponential_grows`) — the registry here is
+//! exponential-space queries (pinned by the `aggregates/double_exponential`
+//! rows of `pack_families_meet_their_claims` in `ncql-queries`) — the registry here is
 //! what decides which side of that line a session is on.
 //!
 //! Every external is a total Rust function on values with a declared signature;

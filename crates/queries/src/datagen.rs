@@ -123,6 +123,35 @@ pub fn document_store(groups: u64, edges_per_group: u64, seed: u64) -> Value {
     }))
 }
 
+/// The addition table `{((a, b), c) | a + b = c, all below p}`, of type
+/// `{((atom * atom) * atom)}`: Proposition 7.8's precomputed arithmetic
+/// relation, which queries read like any other input.
+pub fn addition_table(p: u64) -> Value {
+    arithmetic_table(p, |a, b| a + b)
+}
+
+/// The multiplication table `{((a, b), c) | a · b = c, all below p}`.
+pub fn multiplication_table(p: u64) -> Value {
+    arithmetic_table(p, |a, b| a * b)
+}
+
+fn arithmetic_table(p: u64, op: fn(u64, u64) -> u64) -> Value {
+    let row = |a, b, c| Value::pair(Value::pair(Value::Atom(a), Value::Atom(b)), Value::Atom(c));
+    Value::set_from((0..p).flat_map(|a| {
+        (0..p).filter_map(move |b| Some(op(a, b)).filter(|&c| c < p).map(|c| row(a, b, c)))
+    }))
+}
+
+/// The BIT relation `{(i, j) | bit j of i is 1, i < p}` of type
+/// `{(atom * atom)}`: Immerman's BIT predicate as a database relation.
+pub fn bit_table(p: u64) -> Value {
+    Value::relation_from_pairs((0..p).flat_map(|i| {
+        (0..64u64)
+            .filter(move |j| (i >> j) & 1 == 1)
+            .map(move |j| (i, j))
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,5 +197,35 @@ mod tests {
         let ty = Type::set(Type::prod(Type::Base, Type::binary_relation()));
         assert!(doc.has_type(&ty));
         assert_eq!(doc.cardinality(), Some(3));
+    }
+
+    #[test]
+    fn arithmetic_tables_are_correct() {
+        for (table, op) in [
+            (addition_table(8), (|a, b| a + b) as fn(u64, u64) -> u64),
+            (multiplication_table(6), |a, b| a * b),
+        ] {
+            for row in table.as_set().unwrap().iter() {
+                let (key, c) = row.as_pair().unwrap();
+                let (a, b) = key.as_pair().unwrap();
+                let (a, b) = (a.as_atom().unwrap(), b.as_atom().unwrap());
+                assert_eq!(op(a, b), c.as_atom().unwrap());
+            }
+        }
+        assert_eq!(addition_table(8).cardinality(), Some(36));
+        let bits = Relation::from_value(&bit_table(8)).unwrap();
+        assert!(bits.contains(5, 0));
+        assert!(!bits.contains(5, 1));
+        assert!(bits.contains(5, 2));
+        assert!(bits.contains(4, 2));
+        assert!(!bits.contains(0, 0));
+    }
+
+    #[test]
+    fn tables_have_flat_types() {
+        let row = Type::prod(Type::prod(Type::Base, Type::Base), Type::Base);
+        assert!(addition_table(4).has_type(&Type::set(row.clone())));
+        assert!(multiplication_table(4).has_type(&Type::set(row)));
+        assert!(bit_table(4).has_type(&Type::binary_relation()));
     }
 }

@@ -1,39 +1,35 @@
-//! Query library and workload generators for the NC query language.
+//! The query pack of the NC query language, its workload generators and a
+//! native baseline.
 //!
-//! Everything here is *built from the public API of `ncql-core`*: each query is an
-//! ordinary expression of the language, assembled by a builder function. The
-//! library covers the paper's worked examples and the workloads the experiments
-//! need:
+//! Every query here is written in the language itself: one NCQL text per
+//! `pack/<family>/<variant>.ncql`, whose header declares the text's free
+//! variables. The families cover the paper's worked examples:
 //!
-//! * [`parity`] — the §1 parity example, in its `dcr`, `sri`/`esr` and `loop`
-//!   variants.
-//! * [`graph`] — transitive closure in the §1 `dcr` form, the Example 7.1
-//!   `log-loop` form, and an element-by-element (PTIME-style) form; plus
-//!   reachability and related graph queries, and a native Rust baseline
-//!   ([`relation::Relation`]) to cross-check results.
-//! * [`relalg`] — classical relational-algebra queries phrased in NRA.
-//! * [`aggregates`] — cardinality/sum/max aggregates via `dcr` with the external
-//!   arithmetic Σ of Proposition 6.3.
-//! * [`powerset`] — the high-complexity query that motivates *bounded* dcr over
-//!   complex objects (§2), in unbounded and bounded forms.
-//! * [`arith`] — the ordered-universe arithmetic toolkit of Proposition 7.8
-//!   step 2 (successor, linear order, addition/multiplication/bit tables).
-//! * [`iterate`] — the Example 7.2 iteration-count gadgets (`n`, `n²`, `log n`,
-//!   `log² n` rounds).
-//! * [`datagen`] — deterministic random workload generators (graphs, relations,
-//!   nested complex objects).
-//! * [`corpus`] — one closed instance of every query family above, iterated by
-//!   the cross-backend differential test suite.
+//! * `parity` — the §1 parity example, in its `dcr`, `esr` and `loop` forms;
+//! * `graph` — transitive closure in the §1 `dcr` form, the Example 7.1
+//!   `logloop` form, a bounded `blogloop` form and an element-by-element
+//!   (PTIME-style) form, plus reachability, strong connectivity, symmetric
+//!   closure and same generation;
+//! * `relalg` — relational algebra in NRA (join, semi- and anti-join,
+//!   division, an order-based selection);
+//! * `arith` — the ordered-universe toolkit of Proposition 7.8 (strict order,
+//!   successor, a lookup in a precomputed addition table) and the arithmetic
+//!   externals;
+//! * `aggregates` — cardinality, sum, max and min, the Proposition 6.3
+//!   doubling witness;
+//! * `powerset` — the query that forces *bounded* recursion over complex
+//!   objects (§2), unbounded and bounded;
+//! * `iterate` — the Example 7.2 iteration counters and the bounded
+//!   iterators;
+//! * `recursion`, `nra` — the remaining recursion forms and NRA constructs.
+//!
+//! [`pack`] loads the texts; [`corpus`] binds each to [`datagen`] relations
+//! at fixed sizes, the input of the cross-backend differential suites;
+//! [`relation::Relation`] is the native baseline results are checked against.
 
-pub mod aggregates;
-pub mod arith;
 pub mod corpus;
 pub mod datagen;
-pub mod graph;
-pub mod iterate;
-pub mod parity;
-pub mod powerset;
-pub mod relalg;
+pub mod pack;
 pub mod relation;
 
 pub use corpus::{differential_corpus, CorpusEntry};

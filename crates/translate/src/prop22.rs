@@ -49,11 +49,24 @@ pub fn sri_via_bsri_binary(e: Expr, i: Expr, arg: Expr, universe: Expr) -> Expr 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ncql_core::eval::eval_closed;
     use ncql_core::typecheck::typecheck_closed;
     use ncql_object::Value;
+
+    /// `r ∘ s` over binary relations: `{(pi1 a, pi2 b) | a ∈ r, b ∈ s, pi2 a = pi1 b}`.
+    pub(crate) fn compose(r: Expr, s: Expr) -> Expr {
+        let edge = Type::prod(Type::Base, Type::Base);
+        let (a, b) = (Expr::var("a"), Expr::var("b"));
+        let joined = Expr::ite(
+            Expr::eq(Expr::proj2(a.clone()), Expr::proj1(b.clone())),
+            Expr::singleton(Expr::pair(Expr::proj1(a), Expr::proj2(b))),
+            Expr::empty(edge.clone()),
+        );
+        let inner = Expr::ext(Expr::lam("b", edge.clone(), joined), s);
+        Expr::ext(Expr::lam("a", edge, inner), r)
+    }
 
     /// The §1 transitive-closure dcr, in both unbounded and bounded form, over a
     /// small graph: Proposition 2.2 says they agree.
@@ -69,19 +82,15 @@ mod tests {
             Type::prod(rel_ty.clone(), rel_ty.clone()),
             Expr::union(
                 Expr::union(Expr::var("r1"), Expr::var("r2")),
-                derived::compose(
-                    Type::Base,
-                    Type::Base,
-                    Type::Base,
-                    Expr::var("r1"),
-                    Expr::var("r2"),
-                ),
+                compose(Expr::var("r1"), Expr::var("r2")),
             ),
         );
-        let vertices = Expr::union(
-            derived::project1(Type::Base, Type::Base, r.clone()),
-            derived::project2(Type::Base, Type::Base, r.clone()),
-        );
+        let edge = Type::prod(Type::Base, Type::Base);
+        let column = |proj: fn(Expr) -> Expr| {
+            let e = Expr::lam("e", edge.clone(), Expr::singleton(proj(Expr::var("e"))));
+            Expr::ext(e, r.clone())
+        };
+        let vertices = Expr::union(column(Expr::proj1), column(Expr::proj2));
         let direct = Expr::dcr(
             Expr::empty(Type::prod(Type::Base, Type::Base)),
             f.clone(),

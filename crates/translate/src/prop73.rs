@@ -216,6 +216,7 @@ pub fn verify_dcr_halving(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prop22::tests::compose;
     use ncql_core::derived;
     use ncql_object::Type;
 
@@ -261,13 +262,7 @@ mod tests {
             Type::prod(rel_ty.clone(), rel_ty),
             Expr::union(
                 Expr::union(Expr::var("r1"), Expr::var("r2")),
-                derived::compose(
-                    Type::Base,
-                    Type::Base,
-                    Type::Base,
-                    Expr::var("r1"),
-                    Expr::var("r2"),
-                ),
+                compose(Expr::var("r1"), Expr::var("r2")),
             ),
         );
         let vertices = atoms((0..5).collect());
@@ -293,16 +288,7 @@ mod tests {
         let body = Expr::lam(
             "s",
             rel_ty.clone(),
-            Expr::union(
-                Expr::var("s"),
-                derived::compose(
-                    Type::Base,
-                    Type::Base,
-                    Type::Base,
-                    Expr::var("s"),
-                    Expr::var("s"),
-                ),
-            ),
+            Expr::union(Expr::var("s"), compose(Expr::var("s"), Expr::var("s"))),
         );
         for n in [0usize, 1, 3, 5, 11] {
             let counting = atoms((0..n as u64).collect());

@@ -8,8 +8,15 @@ use ncql::core::derived;
 use ncql::core::expr::Expr;
 use ncql::core::EvalError;
 use ncql::object::{Type, Value};
-use ncql::queries::{datagen, powerset};
-use ncql::{Session, SessionBuilder};
+use ncql::queries::{datagen, pack};
+use ncql::{Error, Outcome, Session, SessionBuilder};
+
+/// The pack text `name` run on `session` over the set `s`.
+fn run(session: &Session, name: &str, s: Value) -> Result<Outcome, Error> {
+    let query = pack::query(name).expect("in the pack");
+    let plan = session.prepare_with_schema(query.text, &query.schema)?;
+    session.execute_with_bindings(&plan, &[("s".to_string(), s)])
+}
 
 fn main() {
     let session = Session::new();
@@ -53,11 +60,11 @@ fn main() {
     // Powerset via unbounded dcr explodes: a session with a set-size limit
     // reports the blow-up instead of exhausting memory.
     let limited = SessionBuilder::new().max_set_size(4096).build();
-    let input = Expr::constant(Value::atom_set(0..18));
-    match limited.evaluate(&powerset::powerset_dcr(input.clone())) {
-        Err(EvalError::SetTooLarge {
+    let input = Value::atom_set(0..18);
+    match run(&limited, "powerset/dcr", input.clone()) {
+        Err(Error::Eval(EvalError::SetTooLarge {
             limit, attempted, ..
-        }) => println!(
+        })) => println!(
             "\nunbounded powerset of an 18-element set: aborted \
              (intermediate set of {attempted} elements exceeds the limit {limit})"
         ),
@@ -66,8 +73,7 @@ fn main() {
 
     // The bounded variant (bdcr) stays within the bound, as Theorem 6.1
     // requires — same limited session, no error.
-    let bounded = limited
-        .evaluate(&powerset::bounded_small_subsets(input))
+    let bounded = run(&limited, "powerset/bounded_small_subsets", input)
         .expect("bounded recursion stays within the limit");
     println!(
         "bounded recursion over the same set: {} subsets, largest intermediate set {}",
@@ -76,11 +82,7 @@ fn main() {
     );
 
     // Small powersets are still fine, and exact.
-    let small = session
-        .evaluate(&powerset::powerset_dcr(Expr::constant(Value::atom_set(
-            0..6,
-        ))))
-        .expect("small powerset");
+    let small = run(&session, "powerset/dcr", Value::atom_set(0..6)).expect("small powerset");
     println!(
         "\npowerset of a 6-element set: {} subsets (work {}, span {})",
         small.value.cardinality().unwrap_or(0),

@@ -1,12 +1,12 @@
-//! Quickstart: build a small ordered database, write queries in both the Rust
-//! builder API and the surface syntax, run them through the engine's
-//! `Session`, and look at the work/span cost model that makes the NC claims of
-//! the paper measurable.
+//! Quickstart: build a small ordered database, run queries of the pack (NCQL
+//! texts whose header declares their free variables) over it and write one in
+//! the surface syntax directly, all through the engine's `Session`, and look
+//! at the work/span cost model that makes the NC claims of the paper
+//! measurable.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use ncql::core::expr::Expr;
-use ncql::queries::{graph, parity, Relation};
+use ncql::queries::{pack, Relation};
 use ncql::surface;
 use ncql::{object::Value, Session};
 
@@ -17,12 +17,13 @@ fn main() {
 
     // An ordered database: a binary relation (a small directed graph).
     let edges = Relation::from_pairs(vec![(1, 2), (2, 3), (3, 4), (4, 2), (7, 8)]);
-    let r = Expr::constant(edges.to_value());
 
-    // --- Transitive closure via divide-and-conquer recursion (the §1 example),
-    // phrased in the Rust builder API and prepared (typechecked + analysed).
+    // --- Transitive closure via divide-and-conquer recursion (the §1 example):
+    // the pack's text, prepared (typechecked + analysed) against the schema
+    // its header declares, `r : {(atom * atom)}`.
+    let tc = pack::query("graph/tc_dcr").expect("in the pack");
     let tc_query = session
-        .prepare_expr(graph::tc_dcr(r.clone()))
+        .prepare_with_schema(tc.text, &tc.schema)
         .expect("the query typechecks");
     println!(
         "transitive closure query : dcr(∅, λy.r, λ(r1,r2). r1 ∪ r2 ∪ r1∘r2)(Π1 r ∪ Π2 r) (type {})",
@@ -34,7 +35,9 @@ fn main() {
         tc_query.ac_level()
     );
 
-    let outcome = session.execute(&tc_query).expect("evaluation succeeds");
+    let outcome = session
+        .execute_with_bindings(&tc_query, &[("r".to_string(), edges.to_value())])
+        .expect("evaluation succeeds");
     println!("result                   : {}", outcome.value);
     println!(
         "work / span              : {} / {}",
@@ -50,17 +53,21 @@ fn main() {
     println!("matches the native semi-naive baseline ✓");
 
     // --- Parity, straight from the paper's introduction.
-    let numbers = Expr::constant(Value::atom_set(0..13));
+    let parity = pack::query("parity/dcr").expect("in the pack");
+    let parity_query = session
+        .prepare_with_schema(parity.text, &parity.schema)
+        .expect("parity typechecks");
+    let numbers = [("s".to_string(), Value::atom_set(0..13))];
     let parity_out = session
-        .evaluate(&parity::parity_dcr(numbers))
+        .execute_with_bindings(&parity_query, &numbers)
         .expect("parity evaluates");
     println!(
         "\nparity of a 13-element set: {} (span {}, work {})",
         parity_out.value, parity_out.stats.span, parity_out.stats.work
     );
 
-    // --- The same queries can be written in the surface syntax; `prepare`
-    // parses, typechecks and caches the plan, `execute` evaluates it.
+    // --- A closed query can be written inline too; `prepare` parses,
+    // typechecks and caches the plan, `execute` evaluates it.
     let text = "dcr(false, \\y: atom. true, \
                 \\p: (bool * bool). if pi1 p then (if pi2 p then false else true) else pi2 p, \
                 {@1} union {@2} union {@3} union {@4} union {@5})";

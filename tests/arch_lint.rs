@@ -98,12 +98,8 @@ fn readme_section(title: &str) -> String {
 #[test]
 fn evaluators_are_constructed_only_behind_the_session_front_door() {
     // Call sites that predate the unified `Session` API and deliberately
-    // drive the evaluator directly: the Proposition 7.3 translation check
-    // and the powerset module's cost-assertion tests.
-    const ALLOWLIST: &[&str] = &[
-        "crates/translate/src/prop73.rs",
-        "crates/queries/src/powerset.rs",
-    ];
+    // drive the evaluator directly: the Proposition 7.3 translation check.
+    const ALLOWLIST: &[&str] = &["crates/translate/src/prop73.rs"];
     let constructor = "Evaluator::new(";
 
     let sources = rust_sources();

@@ -1,15 +1,18 @@
 //! The full query corpus must be lint-clean at deny level: none of the
-//! library queries the differential suites trust may trip a deny-level
-//! finding (an ignored combiner argument, a doomed work bound, ...). CI runs
-//! this alongside the arch lint on every push.
+//! pack's queries the differential suites trust may trip a deny-level
+//! finding (an ignored combiner argument, a doomed work bound, ...), and
+//! every one of them prepares on the checked pipeline. CI runs this alongside
+//! the arch lint on every push.
 
 use ncql::core::analyze_query;
 use ncql::core::externs::ExternRegistry;
 use ncql::queries::corpus::differential_corpus;
-use ncql::{Error, LintPolicy, SessionBuilder};
+use ncql::{LintPolicy, SessionBuilder};
 
 #[test]
 fn corpus_is_deny_clean() {
+    // The entries closed over their bindings: the analysis sees the data, so
+    // a bound doomed at these sizes would be found.
     let registry = ExternRegistry::standard();
     for entry in differential_corpus() {
         let analysis = analyze_query(&entry.expr, &[], &registry);
@@ -24,29 +27,18 @@ fn corpus_is_deny_clean() {
 
 #[test]
 fn corpus_prepares_under_a_deny_session() {
-    // The engine-level gate agrees: a deny-policy session never rejects a
-    // corpus query for lint reasons. (A few corpus idioms predate the
-    // surface typechecker and fail `prepare_expr` with a *type* error on the
-    // checked pipeline — the differential suites run them on the trusted-AST
-    // path — but none may fail with a lint rejection.)
+    // The engine-level gate agrees: every pack text prepares against its
+    // header's schema under a deny-policy session.
     let session = SessionBuilder::new().lint_policy(LintPolicy::Deny).build();
+    let corpus = differential_corpus();
     let mut prepared = 0usize;
-    for entry in differential_corpus() {
-        match session.prepare_expr(entry.expr.clone()) {
-            Ok(_) => prepared += 1,
-            Err(Error::Lint { message, .. }) => {
-                panic!(
-                    "{}: lint rejection under deny policy: {message}",
-                    entry.name
-                )
-            }
-            Err(_) => {}
-        }
+    for entry in &corpus {
+        session
+            .prepare_with_schema(entry.text, &entry.schema)
+            .unwrap_or_else(|e| panic!("{}: rejected under deny policy: {e}", entry.name));
+        prepared += 1;
     }
-    assert!(
-        prepared >= 40,
-        "only {prepared} corpus queries prepared under the deny policy"
-    );
+    assert_eq!(prepared, corpus.len());
 }
 
 #[test]
@@ -59,27 +51,22 @@ fn corpus_stays_deny_clean_under_the_optimizer() {
         .lint_policy(LintPolicy::Deny)
         .opt_level(ncql::OptLevel::Default)
         .build();
+    let corpus = differential_corpus();
     let mut prepared = 0usize;
     let mut fired = 0usize;
-    for entry in differential_corpus() {
-        match session.prepare_expr(entry.expr.clone()) {
-            Ok(q) => {
-                prepared += 1;
-                fired += q.rewrites().len();
-            }
-            Err(Error::Lint { message, .. }) => {
+    for entry in &corpus {
+        let q = session
+            .prepare_with_schema(entry.text, &entry.schema)
+            .unwrap_or_else(|e| {
                 panic!(
-                    "{}: the optimizer introduced a deny-policy rejection: {message}",
+                    "{}: rejected under deny policy with the optimizer: {e}",
                     entry.name
                 )
-            }
-            Err(_) => {}
-        }
+            });
+        prepared += 1;
+        fired += q.rewrites().len();
     }
-    assert!(
-        prepared >= 40,
-        "only {prepared} corpus queries prepared under deny + optimizer"
-    );
+    assert_eq!(prepared, corpus.len());
     assert!(
         fired > 0,
         "the optimizing deny session never rewrote anything — the level is not wired"

@@ -3,13 +3,34 @@
 //! facade.
 
 use ncql::core::analysis;
-use ncql::core::eval::eval_with_stats;
 use ncql::core::expr::Expr;
 use ncql::object::morphism::{commutes_with, Morphism};
 use ncql::object::{Type, Value};
-use ncql::queries::{aggregates, datagen, graph, parity, relalg, Relation};
+use ncql::queries::{datagen, differential_corpus, pack, Relation};
 use ncql::surface;
-use ncql::Session;
+use ncql::{PreparedQuery, Session};
+
+/// The pack text `name`, parsed: its free variables stay open.
+fn pack_expr(name: &str) -> Expr {
+    surface::parse(pack::query(name).expect("in the pack").text).expect("parses")
+}
+
+/// The pack text `name`, prepared against its header's schema.
+fn prepare(session: &Session, name: &str) -> PreparedQuery {
+    let query = pack::query(name).expect("in the pack");
+    session
+        .prepare_with_schema(query.text, &query.schema)
+        .expect("prepares")
+}
+
+/// `plan` run with its one variable `var` bound to `value`.
+fn run(session: &Session, plan: &PreparedQuery, var: &str, value: &Value) -> Value {
+    let bindings = [(var.to_string(), value.clone())];
+    session
+        .execute_with_bindings(plan, &bindings)
+        .expect("evaluates")
+        .value
+}
 
 #[test]
 fn surface_to_result_pipeline() {
@@ -40,54 +61,60 @@ fn transitive_closure_matches_baseline_on_many_graphs() {
         datagen::random_graph(10, 0.2, 1),
         datagen::random_graph(12, 0.15, 2),
     ];
+    let session = Session::new();
+    let dcr = prepare(&session, "graph/tc_dcr");
+    let log_loop = prepare(&session, "graph/tc_log_loop");
     for rel in graphs {
         let expected = rel.transitive_closure().to_value();
-        let r = Expr::constant(rel.to_value());
-        assert_eq!(
-            ncql::core::eval::eval_closed(&graph::tc_dcr(r.clone())).unwrap(),
-            expected
-        );
-        assert_eq!(
-            ncql::core::eval::eval_closed(&graph::tc_log_loop(r)).unwrap(),
-            expected
-        );
+        assert_eq!(run(&session, &dcr, "r", &rel.to_value()), expected);
+        assert_eq!(run(&session, &log_loop, "r", &rel.to_value()), expected);
     }
 }
 
 #[test]
 fn queries_are_generic_under_order_preserving_renamings() {
     // Chandra–Harel genericity (§5): TC and parity commute with morphisms.
+    let session = Session::new();
     let rel = datagen::random_graph(8, 0.3, 5);
     let input = rel.to_value();
     let phi = Morphism::stretch(&input.atoms(), 17);
-    let tc = |v: &Value| {
-        ncql::core::eval::eval_closed(&graph::tc_dcr(Expr::constant(v.clone()))).unwrap()
-    };
-    assert!(commutes_with(tc, &input, &phi));
+    let tc = prepare(&session, "graph/tc_dcr");
+    assert!(commutes_with(|v| run(&session, &tc, "r", v), &input, &phi));
 
     let set = Value::atom_set(vec![3, 8, 20, 21]);
     let phi2 = Morphism::shift(&set.atoms(), 1000);
-    let par = |v: &Value| {
-        ncql::core::eval::eval_closed(&parity::parity_dcr(Expr::constant(v.clone()))).unwrap()
-    };
-    assert!(commutes_with(par, &set, &phi2));
+    let parity = prepare(&session, "parity/dcr");
+    assert!(commutes_with(
+        |v| run(&session, &parity, "s", v),
+        &set,
+        &phi2
+    ));
 }
 
 #[test]
 fn relational_algebra_composes_with_recursion() {
-    // reachable pairs restricted by a semijoin, then aggregated.
-    let rel = datagen::path_graph(6);
-    let tc = graph::tc_dcr(Expr::constant(rel.to_value()));
-    let filtered = relalg::semijoin(
-        tc,
-        Expr::constant(Relation::from_pairs(vec![(3, 0), (5, 0)]).to_value()),
-    );
-    let count = aggregates::cardinality_dcr(ncql::core::derived::project1(
-        Type::Base,
-        Type::Base,
-        filtered,
-    ));
-    let (value, stats) = eval_with_stats(&count).unwrap();
+    // Reachable pairs restricted by a semijoin, then aggregated: pack texts
+    // compose as terms, each `let` binding the next text's free variable.
+    // `let r = tc in semijoin` reads the graph `r` in `tc` and the closure
+    // in `semijoin`; the count's `s` shadows the semijoin's filter `s`.
+    let filtered = Expr::let_in("r", pack_expr("graph/tc_dcr"), pack_expr("relalg/semijoin"));
+    let firsts = surface::parse("ext(\\e: (atom * atom). {pi1 e}, r)").expect("parses");
+    let firsts = Expr::let_in("r", filtered, firsts);
+    let count = Expr::let_in("s", firsts, pack_expr("aggregates/cardinality_dcr"));
+    let session = Session::new();
+    let schema = ["r", "s"].map(|name| (name.to_string(), Type::binary_relation()));
+    let query = session
+        .prepare_expr_with_schema(count, &schema)
+        .expect("the composition typechecks");
+    let bindings = [
+        ("r".to_string(), datagen::path_graph(6).to_value()),
+        (
+            "s".to_string(),
+            Relation::from_pairs(vec![(3, 0), (5, 0)]).to_value(),
+        ),
+    ];
+    let outcome = session.execute_with_bindings(&query, &bindings).unwrap();
+    let (value, stats) = (outcome.value, outcome.stats);
     // Pairs (x, y) in the closure with y ∈ {3, 5}: y=3 ← {0,1,2}, y=5 ← {0..4};
     // distinct first components = {0,1,2,3,4}.
     assert_eq!(value, Value::Nat(5));
@@ -96,12 +123,10 @@ fn relational_algebra_composes_with_recursion() {
 
 #[test]
 fn ac_level_reporting_matches_construct_usage() {
-    let r = Expr::constant(datagen::path_graph(4).to_value());
-    assert_eq!(analysis::ac_level(&relalg::select_leq(r.clone())), 1);
-    assert_eq!(analysis::recursion_depth(&graph::tc_dcr(r.clone())), 1);
-    let nested = ncql::queries::iterate::count_log_squared_n(Expr::constant(Value::atom_set(0..9)));
+    assert_eq!(analysis::ac_level(&pack_expr("relalg/select_leq")), 1);
+    assert_eq!(analysis::recursion_depth(&pack_expr("graph/tc_dcr")), 1);
+    let nested = pack_expr("iterate/count_log_squared_n");
     assert_eq!(analysis::recursion_depth(&nested), 2);
-    let _ = r;
 }
 
 #[test]
@@ -120,18 +145,20 @@ fn evaluation_is_deterministic_across_runs() {
 
 #[test]
 fn pretty_printer_round_trips_library_queries() {
-    let r = Expr::constant(datagen::path_graph(3).to_value());
-    for query in [
-        graph::tc_dcr(r.clone()),
-        graph::tc_log_loop(r.clone()),
-        parity::parity_dcr(Expr::constant(Value::atom_set(0..4))),
-        aggregates::cardinality_dcr(Expr::constant(Value::atom_set(0..4))),
+    let corpus = differential_corpus();
+    for name in [
+        "graph/tc_dcr/path/6",
+        "graph/tc_log_loop/cycle/6",
+        "parity/dcr/7",
+        "aggregates/cardinality_dcr/9",
     ] {
-        let printed = surface::print_expr(&query);
+        let entry = corpus.iter().find(|e| e.name == name).expect(name);
+        let query = &entry.expr;
+        let printed = surface::print_expr(query);
         let reparsed = surface::parse(&printed)
             .unwrap_or_else(|e| panic!("reparse failed for {printed}: {e}"));
         assert_eq!(
-            ncql::core::eval::eval_closed(&query).unwrap(),
+            ncql::core::eval::eval_closed(query).unwrap(),
             ncql::core::eval::eval_closed(&reparsed).unwrap()
         );
     }

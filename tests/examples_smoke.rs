@@ -11,8 +11,29 @@ use ncql::core::derived;
 use ncql::core::expr::Expr;
 use ncql::core::EvalError;
 use ncql::object::{Type, Value};
-use ncql::queries::{datagen, graph, parity, powerset, Relation};
-use ncql::{Session, SessionBuilder};
+use ncql::queries::{datagen, pack, Relation};
+use ncql::{Error, Outcome, PreparedQuery, Session, SessionBuilder};
+
+/// The pack text `name`, prepared on `session` against its header's schema.
+fn prepare(session: &Session, name: &str) -> PreparedQuery {
+    let query = pack::query(name).expect("in the pack");
+    session
+        .prepare_with_schema(query.text, &query.schema)
+        .expect("the pack text typechecks")
+}
+
+/// `plan` run with `bindings`.
+fn run(
+    session: &Session,
+    plan: &PreparedQuery,
+    bindings: &[(&str, Value)],
+) -> Result<Outcome, Error> {
+    let bindings: Vec<(String, Value)> = bindings
+        .iter()
+        .map(|(name, value)| (name.to_string(), value.clone()))
+        .collect();
+    session.execute_with_bindings(plan, &bindings)
+}
 
 /// `examples/quickstart.rs`: transitive closure and parity via dcr through the
 /// engine's `Session`, plus the surface-syntax round trip and the plan cache.
@@ -20,20 +41,15 @@ use ncql::{Session, SessionBuilder};
 fn quickstart_core_path() {
     let session = Session::new();
     let edges = Relation::from_pairs(vec![(1, 2), (2, 3), (3, 4), (4, 2), (7, 8)]);
-    let r = Expr::constant(edges.to_value());
 
-    let tc_query = session
-        .prepare_expr(graph::tc_dcr(r))
-        .expect("the query typechecks");
+    let tc_query = prepare(&session, "graph/tc_dcr");
     assert!(tc_query.recursion_depth() >= 1);
-    let outcome = session.execute(&tc_query).expect("evaluation succeeds");
+    let outcome = run(&session, &tc_query, &[("r", edges.to_value())]).expect("evaluates");
     assert_eq!(outcome.value, edges.transitive_closure().to_value());
     assert!(outcome.stats.span <= outcome.stats.work);
 
-    let numbers = Expr::constant(Value::atom_set(0..13));
-    let odd = session
-        .evaluate(&parity::parity_dcr(numbers))
-        .expect("parity evaluates");
+    let parity = prepare(&session, "parity/dcr");
+    let odd = run(&session, &parity, &[("s", Value::atom_set(0..13))]).expect("parity evaluates");
     assert_eq!(odd.value, Value::Bool(true));
 
     let text = "dcr(false, \\y: atom. true, \
@@ -63,13 +79,13 @@ fn quickstart_core_path() {
 #[test]
 fn graph_analytics_core_path() {
     let session = Session::new();
+    let tc_dcr = prepare(&session, "graph/tc_dcr");
+    let tc_elementwise = prepare(&session, "graph/tc_elementwise");
     for n in [8u64, 16] {
         let rel = datagen::random_graph(n, 2.0 / n as f64, 42);
-        let r = Expr::constant(rel.to_value());
-        let dcr = session.evaluate(&graph::tc_dcr(r.clone())).expect("tc dcr");
-        let elem = session
-            .evaluate(&graph::tc_elementwise(r))
-            .expect("tc elementwise");
+        let r = [("r", rel.to_value())];
+        let dcr = run(&session, &tc_dcr, &r).expect("tc dcr");
+        let elem = run(&session, &tc_elementwise, &r).expect("tc elementwise");
         assert_eq!(
             dcr.value, elem.value,
             "both strategies compute the same closure"
@@ -78,33 +94,27 @@ fn graph_analytics_core_path() {
         assert!(dcr.stats.span <= elem.stats.span || rel.is_empty());
     }
 
-    let rel = datagen::cycle_graph(12);
-    let r = Expr::constant(rel.to_value());
-    let reach = session
-        .evaluate(&graph::reachable_from(r.clone(), Expr::atom(0)))
-        .expect("reachability")
-        .value;
-    assert_eq!(reach.cardinality(), Some(12));
-    let connected = session
-        .evaluate(&graph::strongly_connected(r))
-        .expect("connectivity")
-        .value;
-    assert_eq!(connected, Value::Bool(true));
-    let path = Expr::constant(datagen::path_graph(12).to_value());
-    let connected_path = session
-        .evaluate(&graph::strongly_connected(path))
-        .expect("connectivity")
-        .value;
-    assert_eq!(connected_path, Value::Bool(false));
+    let cycle = datagen::cycle_graph(12).to_value();
+    let reachable_from = prepare(&session, "graph/reachable_from");
+    let from_0 = [("r", cycle.clone()), ("start", Value::Atom(0))];
+    let reach = run(&session, &reachable_from, &from_0).expect("reachability");
+    assert_eq!(reach.value.cardinality(), Some(12));
+    let strongly_connected = prepare(&session, "graph/strongly_connected");
+    let connected = run(&session, &strongly_connected, &[("r", cycle)]).expect("connectivity");
+    assert_eq!(connected.value, Value::Bool(true));
+    let path = [("r", datagen::path_graph(12).to_value())];
+    let connected_path = run(&session, &strongly_connected, &path).expect("connectivity");
+    assert_eq!(connected_path.value, Value::Bool(false));
 
     let n = 12u64;
-    let query = graph::tc_dcr(Expr::constant(datagen::path_graph(n).to_value()));
+    let path = [("r", datagen::path_graph(n).to_value())];
     for threads in [1usize, 4] {
         let parallel_session = SessionBuilder::new()
             .parallelism(Some(threads))
             .parallel_cutoff(256)
             .build();
-        let out = parallel_session.evaluate(&query).expect("parallel tc");
+        let query = prepare(&parallel_session, "graph/tc_dcr");
+        let out = run(&parallel_session, &query, &path).expect("parallel tc");
         assert_eq!(out.value.cardinality(), Some(((n + 1) * n / 2) as usize));
     }
 }
@@ -136,22 +146,19 @@ fn complex_objects_core_path() {
     assert_eq!(grouped.cardinality(), Some(4));
 
     let limited = SessionBuilder::new().max_set_size(4096).build();
-    let input = Expr::constant(Value::atom_set(0..18));
-    match limited.evaluate(&powerset::powerset_dcr(input.clone())) {
-        Err(EvalError::SetTooLarge {
+    let input = [("s", Value::atom_set(0..18))];
+    let unbounded = prepare(&limited, "powerset/dcr");
+    match run(&limited, &unbounded, &input) {
+        Err(Error::Eval(EvalError::SetTooLarge {
             limit, attempted, ..
-        }) => assert!(attempted > limit),
+        })) => assert!(attempted > limit),
         other => panic!("expected the powerset blow-up to be caught, got {other:?}"),
     }
-    limited
-        .evaluate(&powerset::bounded_small_subsets(input))
-        .expect("bounded recursion stays within the limit");
+    let bounded = prepare(&limited, "powerset/bounded_small_subsets");
+    run(&limited, &bounded, &input).expect("bounded recursion stays within the limit");
 
-    let small = session
-        .evaluate(&powerset::powerset_dcr(Expr::constant(Value::atom_set(
-            0..6,
-        ))))
-        .expect("small powerset");
+    let powerset = prepare(&session, "powerset/dcr");
+    let small = run(&session, &powerset, &[("s", Value::atom_set(0..6))]).expect("small powerset");
     assert_eq!(small.value.cardinality(), Some(64));
 }
 

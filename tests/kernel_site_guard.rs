@@ -7,6 +7,8 @@
 //! was compiled to at prepare. A plan nobody prepared pays the same compiles
 //! once per evaluation.
 //!
+//! The same counters show that the query pack keeps its kernel coverage.
+//!
 //! This is deliberately the **only** test in this integration-test binary: it
 //! asserts on the process-global [`ncql::engine::kernel_stats`] counters, and
 //! any concurrently running test that evaluates anything would race it. Keep
@@ -156,4 +158,25 @@ fn an_execution_compiles_each_site_once_whatever_the_cardinality() {
             );
         }
     }
+
+    // Kernel coverage of the query pack: prepared from their texts and run
+    // once each with their bindings, at least 33 corpus entries have a
+    // compiled site and the kernels run `ext` at least 7 200 times.
+    let before = kernel_stats();
+    let mut with_compiled_site = 0;
+    for entry in ncql::queries::differential_corpus() {
+        let plan = session
+            .prepare_with_schema(entry.text, &entry.schema)
+            .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+        with_compiled_site += usize::from(compiled(&plan));
+        session
+            .execute_with_bindings(&plan, &entry.bindings)
+            .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
+    }
+    let hits = kernel_stats().ext_hits - before.ext_hits;
+    assert!(
+        with_compiled_site >= 33,
+        "{with_compiled_site} entries compiled"
+    );
+    assert!(hits >= 7_200, "{hits} kernel ext runs");
 }

@@ -8,9 +8,25 @@ use ncql::core::expr::Expr;
 use ncql::object::encoding::{decode, encode, minimal_encoding};
 use ncql::object::morphism::Morphism;
 use ncql::object::{Type, VSet, Value};
-use ncql::queries::{graph, parity, Relation};
+use ncql::queries::{pack, Relation};
 use ncql::translate::prop73::HalvingSimulator;
+use ncql::Session;
 use proptest::prelude::*;
+
+/// The pack text `name` run with its one variable bound to `input`, on the
+/// checked pipeline.
+fn run_pack(name: &str, input: &Value) -> Value {
+    let query = pack::query(name).expect("in the pack");
+    let session = Session::new();
+    let plan = session
+        .prepare_with_schema(query.text, &query.schema)
+        .expect("prepares");
+    let bindings = [(query.schema[0].0.clone(), input.clone())];
+    session
+        .execute_with_bindings(&plan, &bindings)
+        .expect("evaluates")
+        .value
+}
 
 fn arb_atoms() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..200, 0..40)
@@ -73,19 +89,17 @@ proptest! {
     fn parity_strategies_agree_and_match_cardinality(atoms in arb_atoms()) {
         let v = Value::atom_set(atoms);
         let expected = Value::Bool(v.cardinality().unwrap() % 2 == 1);
-        let input = Expr::constant(v);
-        prop_assert_eq!(eval_closed(&parity::parity_dcr(input.clone())).unwrap(), expected.clone());
-        prop_assert_eq!(eval_closed(&parity::parity_esr(input.clone())).unwrap(), expected.clone());
-        prop_assert_eq!(eval_closed(&parity::parity_loop(input)).unwrap(), expected);
+        for form in ["parity/dcr", "parity/esr", "parity/loop"] {
+            prop_assert_eq!(run_pack(form, &v), expected.clone());
+        }
     }
 
     #[test]
     fn transitive_closure_strategies_agree_with_baseline(pairs in arb_pairs()) {
         let rel = Relation::from_pairs(pairs);
         let expected = rel.transitive_closure().to_value();
-        let r = Expr::constant(rel.to_value());
-        prop_assert_eq!(eval_closed(&graph::tc_dcr(r.clone())).unwrap(), expected.clone());
-        prop_assert_eq!(eval_closed(&graph::tc_log_loop(r)).unwrap(), expected);
+        prop_assert_eq!(run_pack("graph/tc_dcr", &rel.to_value()), expected.clone());
+        prop_assert_eq!(run_pack("graph/tc_log_loop", &rel.to_value()), expected);
     }
 
     #[test]
@@ -113,8 +127,8 @@ proptest! {
         let rel = Relation::from_pairs(pairs);
         let input = rel.to_value();
         let phi = Morphism::shift(&input.atoms(), offset);
-        let lhs = phi.apply(&eval_closed(&graph::tc_dcr(Expr::constant(input.clone()))).unwrap());
-        let rhs = eval_closed(&graph::tc_dcr(Expr::constant(phi.apply(&input)))).unwrap();
+        let lhs = phi.apply(&run_pack("graph/tc_dcr", &input));
+        let rhs = run_pack("graph/tc_dcr", &phi.apply(&input));
         prop_assert_eq!(lhs, rhs);
     }
 

@@ -1,142 +1,27 @@
-//! Surface-syntax round-trip suite over the E1–E12 query corpus:
-//! `parse ∘ pretty ∘ parse` must be the identity on ASTs, so the REPL path
-//! (`Session::prepare` → `Session::execute`, with the `parallelism` knob a
-//! session-level choice) cannot silently drift from the builder API.
+//! Surface-syntax round-trip suite over the query pack: `parse ∘ pretty ∘
+//! parse` must be the identity on ASTs, so the REPL path
+//! (`Session::prepare_with_schema` → `Session::execute_with_bindings`, with
+//! the `parallelism` knob a session-level choice) cannot silently drift.
 //!
-//! The corpus below is the surface-syntax rendering of the queries the E1–E12
-//! experiments exercise: every recursion form (`dcr`, `sru`, `sri`, `esr`,
-//! `bdcr`, `bsri`), every iterator (`loop`, `logloop`, `bloop`, `blogloop`),
-//! the NRA constructs, and the external arithmetic Σ.
+//! The input is the differential corpus: every pack text — every recursion
+//! form (`dcr`, `sru`, `sri`, `esr`, `bdcr`, `bsri`), every iterator (`loop`,
+//! `logloop`, `bloop`, `blogloop`), the NRA constructs and the external
+//! arithmetic Σ — with the bindings of its header's schema.
 
+use ncql::queries::{differential_corpus, CorpusEntry};
 use ncql::surface;
-use ncql::{Session, SessionBuilder};
+use ncql::{Outcome, Session, SessionBuilder};
 
-/// Surface-syntax corpus: `(label, query text)`.
-fn corpus() -> Vec<(&'static str, &'static str)> {
-    vec![
-        // E1 — parity: dcr, esr and loop variants.
-        (
-            "e1/parity_dcr",
-            "dcr(false, \\y: atom. true, \
-             \\p: (bool * bool). if pi1 p then (if pi2 p then false else true) else pi2 p, \
-             {@1} union {@2} union {@3} union {@4} union {@5})",
-        ),
-        (
-            "e1/parity_esr",
-            "esr(false, \\p: (atom * bool). if pi2 p then false else true, \
-             {@1} union {@2} union {@3})",
-        ),
-        (
-            "e1/parity_loop",
-            "loop(\\acc: bool. if acc then false else true, {@1} union {@2} union {@3}, false)",
-        ),
-        // E2 — transitive closure: the §1 dcr form and the Example 7.1
-        // log-loop squaring form over a small path graph.
-        (
-            "e2/tc_dcr",
-            "let r = {(@1, @2)} union {(@2, @3)} union {(@3, @4)} in \
-             dcr(empty[(atom * atom)], \\y: atom. r, \
-                 \\p: ({(atom * atom)} * {(atom * atom)}). \
-                   pi1 p union pi2 p union \
-                   ext(\\e1: (atom * atom). \
-                     ext(\\e2: (atom * atom). \
-                       if (pi2 e1) = (pi1 e2) then {(pi1 e1, pi2 e2)} else empty[(atom * atom)], \
-                     pi2 p), \
-                   pi1 p), \
-                 {@1} union {@2} union {@3} union {@4})",
-        ),
-        (
-            "e2/tc_logloop",
-            "let r = {(@1, @2)} union {(@2, @3)} in \
-             logloop(\\s: {(atom * atom)}. \
-               s union ext(\\e1: (atom * atom). \
-                 ext(\\e2: (atom * atom). \
-                   if (pi2 e1) = (pi1 e2) then {(pi1 e1, pi2 e2)} else empty[(atom * atom)], \
-                 s), s), \
-             {@1} union {@2} union {@3}, r)",
-        ),
-        // E3 — Prop 2.1: the same recursion phrased with sru and sri.
-        (
-            "e3/union_sru",
-            "sru(empty[atom], \\y: atom. {y}, \
-             \\p: ({atom} * {atom}). pi1 p union pi2 p, {@3} union {@1} union {@2})",
-        ),
-        (
-            "e3/identity_sri",
-            "sri(empty[atom], \\p: (atom * {atom}). {pi1 p} union pi2 p, \
-             {@5} union {@1} union {@9})",
-        ),
-        // E4 — bounded recursion: bdcr and bsri with explicit bounds.
-        (
-            "e4/bdcr_bounded_union",
-            "bdcr(empty[atom], \\y: atom. {y}, \
-              \\p: ({atom} * {atom}). pi1 p union pi2 p, \
-              {@1} union {@2}, {@1} union {@2} union {@3})",
-        ),
-        (
-            "e4/bsri_bounded_fold",
-            "bsri(empty[atom], \\p: (atom * {atom}). {pi1 p} union pi2 p, \
-              {@2} union {@3}, {@1} union {@2} union {@3})",
-        ),
-        // E5/E11 — iterators, including the bounded forms and depth-2 nesting.
-        (
-            "e5/logloop_counter",
-            "logloop(\\c: nat. nat_add(c, 1), \
-             {@1} union {@2} union {@3} union {@4} union {@5}, 0)",
-        ),
-        (
-            "e11/loop_nested_counter",
-            "let s = {@1} union {@2} union {@3} in \
-             logloop(\\outer: nat. logloop(\\c: nat. nat_add(c, 1), s, outer), s, 0)",
-        ),
-        (
-            "e11/bloop_bounded",
-            "bloop(\\r: {atom}. r union {@1}, {@1} union {@2}, {@1} union {@2} union {@3}, empty[atom])",
-        ),
-        (
-            "e11/blogloop_bounded",
-            "blogloop(\\r: {atom}. r union {@2}, {@1} union {@2}, \
-             {@1} union {@2} union {@3} union {@4}, empty[atom])",
-        ),
-        // E7/E8 — aggregates over the external arithmetic Σ.
-        (
-            "e8/sum_dcr_externs",
-            "dcr(0, \\x: atom. atom_to_nat(x), \
-             \\p: (nat * nat). nat_add(pi1 p, pi2 p), \
-             {@4} union {@7} union {@9})",
-        ),
-        ("e8/card_extern", "card({@1} union {@2} union {@3})"),
-        ("e8/nat_arith", "nat_add(nat_mul(6, 7), nat_sub(10, 10))"),
-        ("e8/nat_bit", "nat_bit(5, 2)"),
-        // E9-adjacent — NRA constructs: pairs, projections, conditionals,
-        // equality and order, emptiness, application, let.
-        ("nra/pair_projections", "pi1 (pi2 ((@1, (@2, @3))))"),
-        ("nra/eq_leq", "if (@1 <= @2) then ((@1, @2) = (@1, @2)) else false"),
-        ("nra/isempty", "isempty(ext(\\x: atom. empty[atom], {@1} union {@2}))"),
-        ("nra/apply_lambda", "apply(\\x: {atom}. x union {@9}, {@1})"),
-        (
-            "nra/let_shadowing",
-            "let x = {@1} in let y = x union {@2} in (let x = y in x) union x",
-        ),
-        ("nra/unit_value", "if true then () else ()"),
-        // E8 powerset-shaped nested sets (kept tiny).
-        (
-            "e8/nested_sets",
-            "ext(\\a: {atom}. ext(\\b: {atom}. {a union b}, {{@2}} union {empty[atom]}), \
-             {{@1}} union {{@3}})",
-        ),
-        // E12 — a combiner that the well-formedness experiment flags (still
-        // must round-trip syntactically).
-        (
-            "e12/left_projection_combiner",
-            "dcr(empty[atom], \\y: atom. {y}, \\p: ({atom} * {atom}). pi1 p, {@1} union {@2})",
-        ),
-    ]
+/// Prepare `text` against the entry's schema and run it with its bindings.
+fn run(session: &Session, entry: &CorpusEntry, text: &str) -> Result<Outcome, ncql::Error> {
+    let prepared = session.prepare_with_schema(text, &entry.schema)?;
+    session.execute_with_bindings(&prepared, &entry.bindings)
 }
 
 #[test]
 fn parse_pretty_parse_is_identity_on_the_corpus() {
-    for (label, text) in corpus() {
+    for entry in differential_corpus() {
+        let (label, text) = (&entry.name, entry.text);
         let parsed = surface::parse(text).unwrap_or_else(|e| panic!("{label}: parse failed: {e}"));
         let printed = surface::print_expr(&parsed);
         let reparsed = surface::parse(&printed)
@@ -160,12 +45,11 @@ fn corpus_typechecks_and_evaluates_identically_on_both_backends() {
         .parallelism(Some(4))
         .parallel_cutoff(1)
         .build();
-    for (label, text) in corpus() {
-        let seq_out = seq
-            .run(text)
+    for entry in differential_corpus() {
+        let (label, text) = (&entry.name, entry.text);
+        let seq_out = run(&seq, &entry, text)
             .unwrap_or_else(|e| panic!("{label}: sequential session failed: {e}"));
-        let par_out = par
-            .run(text)
+        let par_out = run(&par, &entry, text)
             .unwrap_or_else(|e| panic!("{label}: parallel session failed: {e}"));
         assert_eq!(par_out.value, seq_out.value, "{label}: backends disagree");
         assert_eq!(par_out.stats, seq_out.stats, "{label}: cost statistics disagree");
@@ -175,17 +59,18 @@ fn corpus_typechecks_and_evaluates_identically_on_both_backends() {
 #[test]
 fn pretty_printed_corpus_still_evaluates_to_the_same_value() {
     let session = Session::new();
-    for (label, text) in corpus() {
-        let prepared =
-            session.prepare(text).unwrap_or_else(|e| panic!("{label}: prepare failed: {e}"));
+    for entry in differential_corpus() {
+        let (label, text) = (&entry.name, entry.text);
+        let prepared = session
+            .prepare_with_schema(text, &entry.schema)
+            .unwrap_or_else(|e| panic!("{label}: prepare failed: {e}"));
         // The prepared plan's normal form is the pretty-printed query; running
         // *that* text must produce the same value.
         let v1 = session
-            .execute(&prepared)
+            .execute_with_bindings(&prepared, &entry.bindings)
             .unwrap_or_else(|e| panic!("{label}: eval failed: {e}"))
             .value;
-        let v2 = session
-            .run(prepared.normal_form())
+        let v2 = run(&session, &entry, prepared.normal_form())
             .unwrap_or_else(|e| panic!("{label}: eval of round trip failed: {e}"))
             .value;
         assert_eq!(v1, v2, "{label}");

@@ -8,8 +8,28 @@ use ncql::core::derived;
 use ncql::core::eval::eval_closed;
 use ncql::core::expr::Expr;
 use ncql::object::{Type, Value};
-use ncql::queries::{datagen, graph, Relation};
+use ncql::queries::{datagen, pack, Relation};
 use ncql::translate::{orderly, prop21, prop22, prop73};
+use ncql::{surface, Session};
+
+/// The pack text `name`, parsed: its free variables stay open.
+fn pack_expr(name: &str) -> Expr {
+    surface::parse(pack::query(name).expect("in the pack").text).expect("parses")
+}
+
+/// The operands `(e, f, u, x)` of the pack's §1 transitive closure
+/// `dcr(∅, λy. r, λ(r1, r2). r1 ∪ r2 ∪ r1∘r2, Π1 r ∪ Π2 r)`, over a free `r`.
+fn tc_dcr_operands() -> (Expr, Expr, Expr, Expr) {
+    let tc = pack_expr("graph/tc_dcr");
+    let operands: Vec<Expr> = tc.children().iter().map(|c| c.expr.clone()).collect();
+    let [e, f, u, x] = <[Expr; 4]>::try_from(operands).expect("dcr has four operands");
+    (e, f, u, x)
+}
+
+/// `expr` with its free `r` bound to `rel`.
+fn over(rel: &Relation, expr: Expr) -> Expr {
+    Expr::let_in("r", Expr::constant(rel.to_value()), expr)
+}
 
 fn xor_u() -> Expr {
     Expr::lam2(
@@ -38,24 +58,15 @@ fn prop21_translation_preserves_semantics_on_parity() {
 fn prop21_translations_preserve_semantics_on_graph_queries() {
     // dcr → esr on the union-of-relations recursion used by TC.
     let rel = datagen::cycle_graph(5);
-    let r = Expr::constant(rel.to_value());
     let rel_ty = Type::binary_relation();
-    let f = Expr::lam("y", Type::Base, r.clone());
-    let u = graph::tc_combiner();
-    let vertices = graph::vertices(r);
-    let direct = Expr::dcr(
-        Expr::empty(Type::prod(Type::Base, Type::Base)),
-        f.clone(),
-        u.clone(),
-        vertices.clone(),
+    let (e, f, u, vertices) = tc_dcr_operands();
+    let direct = over(
+        &rel,
+        Expr::dcr(e.clone(), f.clone(), u.clone(), vertices.clone()),
     );
-    let translated = prop21::dcr_via_esr(
-        Expr::empty(Type::prod(Type::Base, Type::Base)),
-        f,
-        u,
-        vertices,
-        Type::Base,
-        rel_ty,
+    let translated = over(
+        &rel,
+        prop21::dcr_via_esr(e, f, u, vertices, Type::Base, rel_ty),
     );
     assert_eq!(
         eval_closed(&direct).unwrap(),
@@ -74,22 +85,14 @@ fn prop22_bounded_recursion_is_exact_on_random_graphs() {
         if rel.is_empty() {
             continue;
         }
-        let r = Expr::constant(rel.to_value());
-        let f = Expr::lam("y", Type::Base, r.clone());
-        let u = graph::tc_combiner();
-        let vertices = graph::vertices(r);
-        let direct = Expr::dcr(
-            Expr::empty(Type::prod(Type::Base, Type::Base)),
-            f.clone(),
-            u.clone(),
-            vertices.clone(),
+        let (e, f, u, vertices) = tc_dcr_operands();
+        let direct = over(
+            &rel,
+            Expr::dcr(e.clone(), f.clone(), u.clone(), vertices.clone()),
         );
-        let bounded = prop22::dcr_via_bdcr_binary(
-            Expr::empty(Type::prod(Type::Base, Type::Base)),
-            f,
-            u,
-            vertices.clone(),
-            vertices,
+        let bounded = over(
+            &rel,
+            prop22::dcr_via_bdcr_binary(e, f, u, vertices.clone(), vertices),
         );
         assert_eq!(
             eval_closed(&direct).unwrap(),
@@ -105,7 +108,7 @@ fn prop73_halving_rounds_track_the_logarithm_on_graph_workloads() {
         let rel = datagen::path_graph(n);
         let r_val = rel.to_value();
         let f = Expr::lam("y", Type::Base, Expr::constant(r_val.clone()));
-        let u = graph::tc_combiner();
+        let (_, _, u, _) = tc_dcr_operands();
         let vertices = Value::atom_set(0..=n);
         let mut sim = prop73::HalvingSimulator::default();
         let outcome = sim
@@ -152,26 +155,34 @@ fn prop73_both_directions_agree_with_direct_semantics() {
 
 #[test]
 fn library_tc_query_is_in_the_orderly_sublanguage() {
-    let r = Expr::constant(datagen::path_graph(4).to_value());
-    let q = graph::tc_dcr(r);
+    let q = over(&datagen::path_graph(4), pack_expr("graph/tc_dcr"));
     assert!(
         orderly::is_orderly(&q),
         "the library transitive closure should use a whitelisted combiner"
     );
     // The parity query is orderly too.
-    let p = ncql::queries::parity::parity_dcr(Expr::constant(Value::atom_set(0..4)));
+    let s = Expr::constant(Value::atom_set(0..4));
+    let p = Expr::let_in("s", s, pack_expr("parity/dcr"));
     assert!(orderly::is_orderly(&p));
 }
 
 #[test]
 fn compiled_circuits_agree_with_the_language_semantics_on_shared_graphs() {
-    // The same graph evaluated (a) by the core evaluator on the NRA(dcr) TC
-    // query and (b) by the compiled positional circuit must coincide.
+    // The same graph evaluated (a) by the engine on the pack's NRA(dcr) TC
+    // text and (b) by the compiled positional circuit must coincide.
+    let session = Session::new();
+    let tc = pack::query("graph/tc_dcr").expect("in the pack");
+    let tc = session
+        .prepare_with_schema(tc.text, &tc.schema)
+        .expect("prepares");
     for n in [4usize, 6, 9] {
         let pairs: Vec<(usize, usize)> =
             (0..n - 1).map(|i| (i, i + 1)).chain([(n - 1, 0)]).collect();
         let rel = Relation::from_pairs(pairs.iter().map(|&(a, b)| (a as u64, b as u64)));
-        let semantic = eval_closed(&graph::tc_dcr(Expr::constant(rel.to_value()))).unwrap();
+        let semantic = session
+            .execute_with_bindings(&tc, &[("r".to_string(), rel.to_value())])
+            .expect("evaluates")
+            .value;
         let semantic_rel = Relation::from_value(&semantic).unwrap();
 
         let bitrel = BitRelation::from_pairs(n, &pairs);
