@@ -14,65 +14,29 @@
 //! once per element, in parallel). Similarly for `sri(e, i)` only the step `i`
 //! counts, and for the iterators only the body counts.
 
-use crate::expr::{Expr, ExprKind};
+use crate::expr::{Expr, ExprKind, Slot};
+use crate::resolve::resolve;
 use crate::span::Span;
 use ncql_object::{Type, Value};
 use std::collections::BTreeSet;
 
-/// The set of free variables of an expression.
+/// The set of free variables of an expression: its resolved free table.
 pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
-    fn walk(expr: &Expr, bound: &mut Vec<String>, out: &mut BTreeSet<String>) {
-        if let ExprKind::Var(x) = &expr.kind {
-            if !bound.iter().any(|b| b == x) {
-                out.insert(x.clone());
-            }
-        }
-        for child in expr.children() {
-            match child.binds {
-                Some(name) => {
-                    bound.push(name.to_string());
-                    walk(child.expr, bound, out);
-                    bound.pop();
-                }
-                None => walk(child.expr, bound, out),
-            }
-        }
-    }
-    let mut out = BTreeSet::new();
-    walk(expr, &mut Vec::new(), &mut out);
-    out
+    resolve(expr).free.into_iter().map(String::from).collect()
 }
 
 /// The source span of the first *free* occurrence of `name` in `expr`
 /// (pre-order), when the expression was parsed from text. The engine uses
 /// this to point binding-validation errors at the schema variable's use site.
 pub fn free_var_span(expr: &Expr, name: &str) -> Option<Span> {
-    fn walk(expr: &Expr, name: &str, bound: &mut Vec<String>) -> Option<Option<Span>> {
-        // `Some(span)` = found (span may itself be None on span-less trees);
-        // `None` = keep looking.
-        if let ExprKind::Var(x) = &expr.kind {
-            if x == name && !bound.iter().any(|b| b == x) {
-                return Some(expr.span);
-            }
-        }
-        for child in expr.children() {
-            let found = match child.binds {
-                Some(binder) if binder == name => continue, // shadowed below here
-                Some(binder) => {
-                    bound.push(binder.to_string());
-                    let r = walk(child.expr, name, bound);
-                    bound.pop();
-                    r
-                }
-                None => walk(child.expr, name, bound),
-            };
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
-    }
-    walk(expr, name, &mut Vec::new()).flatten()
+    let plan = resolve(expr);
+    let slot = Slot::Free(plan.free.iter().position(|&x| x == name)?);
+    let mut first = None;
+    plan.expr.visit(&mut |e| match &e.kind {
+        ExprKind::Var(x) if x.slot == slot && first.is_none() => first = Some(e.span),
+        _ => {}
+    });
+    first.flatten()
 }
 
 /// The depth of recursion/iteration nesting (§3 and §7.1). An expression with no
@@ -186,58 +150,112 @@ fn statically_empty(e: &Expr) -> bool {
     }
 }
 
-fn is_var(e: &Expr, name: &str) -> bool {
-    matches!(&e.kind, ExprKind::Var(x) if x == name)
+/// Does `e` read the binder `k` binders out from it?
+fn refers(e: &Expr, k: usize) -> bool {
+    match &e.kind {
+        ExprKind::Var(x) => x.slot == Slot::Bound(k),
+        _ => (e.children().iter()).any(|c| refers(c.expr, k + usize::from(c.binds.is_some()))),
+    }
 }
 
-fn uses_var(e: &Expr, name: &str) -> bool {
-    free_vars(e).contains(name)
-}
-
-/// Which components of the pair parameter `p` does `body` use? Sees through
-/// the `lam2` desugaring (`let a = π₁ p in let b = π₂ p in …` counts a
-/// component as used only when its `let` binder is), and is conservative
-/// toward "used" everywhere else.
-fn pair_component_use(p: &str, body: &Expr) -> (bool, bool) {
-    fn walk(p: &str, e: &Expr, used: &mut (bool, bool)) {
+/// Which components of the pair parameter of `\p. body` does `body` use?
+/// Sees through the `lam2` desugaring (`let a = π₁ p in let b = π₂ p in …`
+/// counts a component as used only when its `let` binder is), and is
+/// conservative toward "used" everywhere else.
+fn pair_component_use(body: &Expr) -> (bool, bool) {
+    /// `p` is the binder `p` binders out from `e`.
+    fn walk(e: &Expr, p: usize, used: &mut (bool, bool)) {
+        let is_p = |e: &Expr| matches!(&e.kind, ExprKind::Var(x) if x.slot == Slot::Bound(p));
         match &e.kind {
-            ExprKind::Var(x) if x == p => *used = (true, true),
-            ExprKind::Proj1(inner) if is_var(inner, p) => used.0 = true,
-            ExprKind::Proj2(inner) if is_var(inner, p) => used.1 = true,
-            ExprKind::Let(name, rhs, inner) => {
+            ExprKind::Var(_) if is_p(e) => *used = (true, true),
+            ExprKind::Proj1(inner) if is_p(inner) => used.0 = true,
+            ExprKind::Proj2(inner) if is_p(inner) => used.1 = true,
+            ExprKind::Let(_, rhs, inner) => {
                 match &rhs.kind {
-                    ExprKind::Proj1(arg) if is_var(arg, p) => {
-                        if uses_var(inner, name) {
-                            used.0 = true;
-                        }
-                    }
-                    ExprKind::Proj2(arg) if is_var(arg, p) => {
-                        if uses_var(inner, name) {
-                            used.1 = true;
-                        }
-                    }
-                    _ => walk(p, rhs, used),
+                    ExprKind::Proj1(arg) if is_p(arg) => used.0 |= refers(inner, 0),
+                    ExprKind::Proj2(arg) if is_p(arg) => used.1 |= refers(inner, 0),
+                    _ => walk(rhs, p, used),
                 }
-                if name != p {
-                    walk(p, inner, used);
-                }
+                walk(inner, p + 1, used);
             }
             _ => {
                 for child in e.children() {
-                    if child.binds == Some(p) {
-                        continue; // shadowed below here
-                    }
-                    walk(p, child.expr, used);
+                    walk(child.expr, p + usize::from(child.binds.is_some()), used);
                 }
             }
         }
     }
     let mut used = (false, false);
-    walk(p, body, &mut used);
+    walk(body, 0, &mut used);
     used
 }
 
-/// The syntactic lint pass: appends its findings in source order.
+/// Is this node a value-like literal: not worth folding, nor flagged as a
+/// constant subexpression?
+pub(crate) fn is_literal(expr: &Expr) -> bool {
+    matches!(
+        expr.kind,
+        ExprKind::Var(_)
+            | ExprKind::Lam(..)
+            | ExprKind::Unit
+            | ExprKind::Bool(_)
+            | ExprKind::Const(_)
+            | ExprKind::Empty(_)
+    )
+}
+
+/// What the lint pass and the optimizer read of one node of a resolved plan:
+/// its size, whether it is closed (it reads no binder outside itself and no
+/// schema relation), and for a `λ` or `let` whether its body reads the
+/// binder.
+pub(crate) struct Facts {
+    pub(crate) size: usize,
+    pub(crate) closed: bool,
+    used: bool,
+}
+
+/// The facts of every node of `plan`, in pre-order: a node's children
+/// follow it, each after the previous child's `size` entries.
+pub(crate) fn facts(plan: &Expr) -> Vec<Facts> {
+    let mut out = Vec::new();
+    walk_facts(plan, &mut Vec::new(), &mut out);
+    out
+}
+
+/// One bottom-up walk: `expr` sits under `uses.len()` binders, whose flags
+/// `uses` raises as they are read; returns the outermost binder `expr` reads
+/// (`i + 1` for the `i`th from the root, 0 for a schema relation).
+fn walk_facts(expr: &Expr, uses: &mut Vec<bool>, out: &mut Vec<Facts>) -> usize {
+    let (at, depth) = (out.len(), uses.len());
+    out.push(Facts {
+        size: 1,
+        closed: true,
+        used: false,
+    });
+    let mut outermost = match &expr.kind {
+        ExprKind::Var(x) => match x.slot {
+            Slot::Bound(d) if d < depth => {
+                uses[depth - 1 - d] = true;
+                depth - d
+            }
+            _ => 0,
+        },
+        _ => usize::MAX,
+    };
+    for child in expr.children() {
+        uses.extend(child.binds.map(|_| false));
+        outermost = outermost.min(walk_facts(child.expr, uses, out));
+        if child.binds.is_some() {
+            out[at].used = uses.pop().expect("pushed above");
+        }
+    }
+    out[at].size = out.len() - at;
+    out[at].closed = outermost > depth;
+    outermost
+}
+
+/// The syntactic lint pass over a resolved plan: appends its findings in
+/// source order.
 pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut Vec<Finding>) {
     fn empty_operand(e: &Expr, what: &str, findings: &mut Vec<Finding>) {
         if statically_empty(e) {
@@ -249,21 +267,20 @@ pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut V
         }
     }
 
-    fn walk(expr: &Expr, schema: &[(String, Type)], in_lambda: bool, findings: &mut Vec<Finding>) {
+    /// `facts[at]` are the facts of `expr`.
+    fn walk(
+        expr: &Expr,
+        (facts, at): (&[Facts], usize),
+        schema: &[(String, Type)],
+        in_lambda: bool,
+        findings: &mut Vec<Finding>,
+    ) {
         // Constant subexpressions: only meaningful inside a lambda body
         // (that's when they are re-evaluated per application), only for
         // non-trivial non-literal nodes, and flagged maximally — a flagged
         // node's children are not revisited.
-        let literal = matches!(
-            expr.kind,
-            ExprKind::Const(_)
-                | ExprKind::Bool(_)
-                | ExprKind::Unit
-                | ExprKind::Empty(_)
-                | ExprKind::Var(_)
-                | ExprKind::Lam(_, _, _)
-        );
-        if in_lambda && !literal && expr.size() >= 4 && free_vars(expr).is_empty() {
+        let here = &facts[at];
+        if in_lambda && !is_literal(expr) && here.size >= 4 && here.closed {
             findings.push(Finding::new(
                 Lint::ConstantSubexpression,
                 "this subexpression is constant but sits under a lambda, so it is \
@@ -275,12 +292,11 @@ pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut V
         }
 
         let binder = match &expr.kind {
-            ExprKind::Lam(p, _, body) => Some((p, &**body)),
-            ExprKind::Let(p, _, body) => Some((p, &**body)),
+            ExprKind::Lam(p, _, _) | ExprKind::Let(p, _, _) => Some(p),
             _ => None,
         };
-        if let Some((p, body)) = binder.filter(|(p, _)| !p.starts_with('%')) {
-            if !uses_var(body, p) {
+        if let Some(p) = binder.filter(|p| !p.starts_with('%')) {
+            if !here.used {
                 findings.push(Finding::new(
                     Lint::UnusedBinding,
                     format!("binding `{p}` is never used"),
@@ -319,8 +335,8 @@ pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut V
                     "recursing over a statically-empty set always yields the zero value `e`",
                     findings,
                 );
-                if let ExprKind::Lam(p, _, body) = &u.kind {
-                    let (first, second) = pair_component_use(p, body);
+                if let ExprKind::Lam(_, _, body) = &u.kind {
+                    let (first, second) = pair_component_use(body);
                     if !(first && second) {
                         let which = if first { "second" } else { "first" };
                         findings.push(Finding::new(
@@ -345,8 +361,8 @@ pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut V
                 // The element may legitimately be ignored (e.g. a parity flip
                 // per element); dropping the *accumulator* discards all prior
                 // work and breaks insert-commutativity.
-                if let ExprKind::Lam(p, _, body) = &i.kind {
-                    let (_, acc_used) = pair_component_use(p, body);
+                if let ExprKind::Lam(_, _, body) = &i.kind {
+                    let (_, acc_used) = pair_component_use(body);
                     if !acc_used {
                         findings.push(Finding::new(
                             Lint::IgnoredCombinerArgument,
@@ -366,14 +382,16 @@ pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut V
             _ => {}
         }
 
+        let mut at = at + 1;
         for child in expr.children() {
             let entered_lambda =
                 in_lambda || child.iterated || matches!(expr.kind, ExprKind::Lam(_, _, _));
-            walk(child.expr, schema, entered_lambda, findings);
+            walk(child.expr, (facts, at), schema, entered_lambda, findings);
+            at += facts[at].size;
         }
     }
 
-    walk(expr, schema, false, findings);
+    walk(expr, (&facts(expr), 0), schema, false, findings);
 }
 
 #[cfg(test)]

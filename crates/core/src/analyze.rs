@@ -26,6 +26,10 @@
 //! tree / chain *numerically*, round by round, which gives finite bounds even
 //! for non-linear combiners (the powerset query).
 //!
+//! The interpreter walks the resolved plan ([`crate::resolve`]): a closure
+//! keeps the abstract values of its binders as positional `Frames`, and a
+//! free name's schema relation is matched to it once, by name.
+//!
 //! Everything here is a *bound*, never a promise of tightness: `Unbounded`
 //! (and a floor of 0) is always a sound answer, and the analyser degrades to
 //! it (never panics) when its node budget runs out or a recurrence is not
@@ -33,8 +37,9 @@
 
 use crate::analysis::{lint_pass, Finding, Severity};
 use crate::cost::{self, log_rounds, Carrier, Rule, SpanCarrier};
-use crate::expr::{Expr, ExprKind, Form};
+use crate::expr::{Expr, ExprKind, Form, Slot};
 use crate::externs::ExternRegistry;
+use crate::resolve::{resolve, Frames, Resolved};
 use ncql_object::{Type, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -807,41 +812,16 @@ pub(crate) enum AbsVal<'a> {
     Top,
 }
 
+/// A `λ` body with the abstract values of the binders around it; its
+/// parameter is the body's `Slot::Bound(0)`.
 #[derive(Debug)]
 pub(crate) struct AbsClosure<'a> {
-    param: &'a str,
     body: &'a Expr,
     env: AbsEnv<'a>,
 }
 
-/// A persistent environment: an immutable linked list of bindings.
-type AbsEnv<'a> = Option<Rc<EnvNode<'a>>>;
-
-#[derive(Debug)]
-pub(crate) struct EnvNode<'a> {
-    name: &'a str,
-    val: AbsVal<'a>,
-    next: AbsEnv<'a>,
-}
-
-fn env_bind<'a>(env: &AbsEnv<'a>, name: &'a str, val: AbsVal<'a>) -> AbsEnv<'a> {
-    Some(Rc::new(EnvNode {
-        name,
-        val,
-        next: env.clone(),
-    }))
-}
-
-fn env_lookup<'a>(env: &AbsEnv<'a>, name: &str) -> Option<AbsVal<'a>> {
-    let mut cur = env;
-    while let Some(node) = cur {
-        if node.name == name {
-            return Some(node.val.clone());
-        }
-        cur = &node.next;
-    }
-    None
-}
+/// The abstract values of the binders in scope, innermost first.
+type AbsEnv<'a> = Frames<AbsVal<'a>>;
 
 impl<'a> AbsVal<'a> {
     /// View as an object bound (functions and Top degrade to `top()`).
@@ -886,20 +866,18 @@ const NUMERIC_STEP_CAP: u64 = 256;
 
 pub(crate) struct Analyzer<'a> {
     registry: &'a ExternRegistry,
-    schema: BTreeMap<&'a str, ObjBound>,
+    /// The schema relation each free name of the plan is, if it is one.
+    free: Vec<Option<ObjBound>>,
     budget: u64,
     depth: u32,
     fresh: u64,
 }
 
 impl<'a> Analyzer<'a> {
-    pub fn new(registry: &'a ExternRegistry, schema: &'a [(String, Type)], budget: u64) -> Self {
+    pub fn new(registry: &'a ExternRegistry, free: Vec<Option<ObjBound>>, budget: u64) -> Self {
         Analyzer {
             registry,
-            schema: schema
-                .iter()
-                .map(|(name, ty)| (name.as_str(), ObjBound::schema_relation(name, ty)))
-                .collect(),
+            free,
             budget,
             depth: 0,
             fresh: 0,
@@ -923,14 +901,15 @@ impl<'a> Analyzer<'a> {
         let leaf = || Cost::node(cost::LEAF, []);
         match &expr.kind {
             ExprKind::Var(x) => {
-                let val = env_lookup(env, x)
-                    .or_else(|| self.schema.get(x.as_str()).cloned().map(AbsVal::Obj))
-                    .unwrap_or(AbsVal::Top);
-                (val, leaf())
+                let val = match x.slot {
+                    Slot::Bound(d) => env.get(d).cloned(),
+                    Slot::Free(i) => self.free.get(i).cloned().flatten().map(AbsVal::Obj),
+                    Slot::Unresolved => None,
+                };
+                (val.unwrap_or(AbsVal::Top), leaf())
             }
-            ExprKind::Lam(p, _, body) => (
+            ExprKind::Lam(_, _, body) => (
                 AbsVal::Fun(Rc::new(AbsClosure {
-                    param: p,
                     body,
                     env: env.clone(),
                 })),
@@ -952,9 +931,9 @@ impl<'a> Analyzer<'a> {
                 let (rv, rc) = self.apply(&fv, av);
                 (rv, Cost::node(cost::APP, [fc, ac, rc]))
             }
-            ExprKind::Let(name, rhs, body) => {
+            ExprKind::Let(_, rhs, body) => {
                 let (rv, rc) = self.eval(rhs, env);
-                let inner = env_bind(env, name, rv);
+                let inner = env.bind(rv);
                 let (bv, bc) = self.eval(body, &inner);
                 (bv, Cost::node(cost::LET, [rc, bc]))
             }
@@ -1057,7 +1036,7 @@ impl<'a> Analyzer<'a> {
                     return (AbsVal::Top, Cost::opaque(cost::NODE));
                 }
                 self.depth += 1;
-                let inner = env_bind(&clo.env, clo.param, arg);
+                let inner = clo.env.bind(arg);
                 let (v, c) = self.eval(clo.body, &inner);
                 self.depth -= 1;
                 (v, Cost::node(cost::APPLY, [c]))
@@ -1449,16 +1428,28 @@ pub fn analyze_query(
     schema: &[(String, Type)],
     registry: &ExternRegistry,
 ) -> QueryAnalysis {
-    let mut analyzer = Analyzer::new(registry, schema, DEFAULT_BUDGET);
-    let (_, cost) = analyzer.eval(expr, &None);
-    let cost = CostBound {
-        work: cost.work.hi,
-        span: cost.span,
-        work_floor: cost.work.lo,
-    };
-    let mut findings = Vec::new();
-    lint_pass(expr, schema, &mut findings);
-    QueryAnalysis { cost, findings }
+    resolve(expr).analyze(schema, registry)
+}
+
+impl Resolved<'_> {
+    /// [`analyze_query`] of a resolved plan.
+    pub fn analyze(&self, schema: &[(String, Type)], registry: &ExternRegistry) -> QueryAnalysis {
+        let relation = |name: &&str| {
+            let (name, ty) = schema.iter().rev().find(|(n, _)| n == name)?;
+            Some(ObjBound::schema_relation(name, ty))
+        };
+        let free = self.free.iter().map(relation).collect();
+        let mut analyzer = Analyzer::new(registry, free, DEFAULT_BUDGET);
+        let (_, cost) = analyzer.eval(&self.expr, &Frames(None));
+        let cost = CostBound {
+            work: cost.work.hi,
+            span: cost.span,
+            work_floor: cost.work.lo,
+        };
+        let mut findings = Vec::new();
+        lint_pass(&self.expr, schema, &mut findings);
+        QueryAnalysis { cost, findings }
+    }
 }
 
 /// The per-application cost estimate behind the evaluator's parallel-region
@@ -1466,9 +1457,10 @@ pub fn analyze_query(
 /// finite constant, else the legacy `1 + body size` heuristic. Memoised per
 /// `λ` body in the plan's survey (`kernel::Sites`), so the (cheap,
 /// gate-budgeted) analysis runs at most once per distinct lambda per plan.
+/// The body is resolved in its plan; what it reads from outside is unknown.
 pub(crate) fn region_gate_cost(body: &Expr, registry: &ExternRegistry) -> u64 {
-    let mut analyzer = Analyzer::new(registry, &[], GATE_BUDGET);
-    let (_, cost) = analyzer.eval(body, &None);
+    let mut analyzer = Analyzer::new(registry, Vec::new(), GATE_BUDGET);
+    let (_, cost) = analyzer.eval(body, &Frames(None));
     match cost.work.hi.eval_closed() {
         Some(w) => w.max(1),
         None => 1 + body.size() as u64,

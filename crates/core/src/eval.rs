@@ -5,12 +5,18 @@
 //! every construct charges and how spans compose — is stated once, in
 //! [`crate::cost`]; this module charges from that table and contains no cost
 //! rule of its own.
+//!
+//! A plan is evaluated resolved ([`crate::resolve`]): a variable reads the
+//! `Frames` of its binders by position, or the table of free values the
+//! bindings were placed in once, when the run started. Closures, `let` and
+//! application bind by position and allocate no name.
 
 use crate::cost;
 use crate::error::EvalError;
-use crate::expr::{Expr, ExprKind, Form};
+use crate::expr::{Expr, ExprKind, Form, Slot, Var};
 use crate::externs::ExternRegistry;
 use crate::kernel::{RowKernel, Sites};
+use crate::resolve::{resolve, Frames};
 use crate::EvalResult;
 use ncql_object::{VSet, Value};
 use ncql_pram::{RegionPermit, TaskError, WorkStealingPool};
@@ -292,53 +298,15 @@ enum RtVal {
 /// to be would have pinned evaluation to one thread). The body is the plan's
 /// own (`ExprKind::Lam` holds it as an `Arc`), so making a closure copies
 /// nothing and every closure of one `λ` names its site by the body's address
-/// (see [`Sites`]).
+/// (see [`Sites`]). Its parameter is the body's `Slot::Bound(0)`.
 #[derive(Debug, Clone)]
 struct Closure {
-    param: String,
     body: Arc<Expr>,
     env: Env,
 }
 
-/// Persistent environment (cheap to clone, shared tails across threads).
-#[derive(Debug, Clone, Default)]
-struct Env {
-    head: Option<Arc<EnvNode>>,
-}
-
-#[derive(Debug)]
-struct EnvNode {
-    name: String,
-    val: RtVal,
-    next: Option<Arc<EnvNode>>,
-}
-
-impl Env {
-    fn empty() -> Env {
-        Env { head: None }
-    }
-
-    fn extend(&self, name: String, val: RtVal) -> Env {
-        Env {
-            head: Some(Arc::new(EnvNode {
-                name,
-                val,
-                next: self.head.clone(),
-            })),
-        }
-    }
-
-    fn lookup(&self, name: &str) -> Option<&RtVal> {
-        let mut cur = self.head.as_ref();
-        while let Some(node) = cur {
-            if node.name == name {
-                return Some(&node.val);
-            }
-            cur = node.next.as_ref();
-        }
-        None
-    }
-}
+/// The values of the binders in scope, innermost first.
+type Env = Frames<RtVal>;
 
 impl RtVal {
     fn into_obj(self, context: &str) -> EvalResult<Value> {
@@ -471,10 +439,13 @@ pub struct Evaluator {
     /// whole evaluation stops together.
     cancel: Option<CancelToken>,
     /// The row kernels and region-gate estimates of the plan under
-    /// evaluation, one entry per `λ` body: the survey the plan was prepared
-    /// with, or one made when the evaluation started. Shared with its
-    /// workers; `None` when neither kernels nor forking are enabled.
-    sites: Option<Arc<Sites>>,
+    /// evaluation, one entry per `λ` body, and its free names: the survey
+    /// the plan was prepared with, or one made when the evaluation started.
+    /// Shared with its workers.
+    sites: Arc<Sites>,
+    /// The value bound to each free name of the plan, `None` for a name no
+    /// binding supplies (an error only where it is read).
+    free: Arc<[Option<Value>]>,
 }
 
 impl Default for Evaluator {
@@ -492,7 +463,8 @@ impl Evaluator {
             shared_work: None,
             pool: None,
             cancel: None,
-            sites: None,
+            sites: Arc::default(),
+            free: Arc::new([]),
         }
     }
 
@@ -532,6 +504,7 @@ impl Evaluator {
             pool: self.pool.clone(),
             cancel: self.cancel.clone(),
             sites: self.sites.clone(),
+            free: self.free.clone(),
         }
     }
 
@@ -551,42 +524,44 @@ impl Evaluator {
     }
 
     /// Evaluate an expression whose free variables are bound to the given
-    /// complex-object values. Resets the statistics. The plan is surveyed
-    /// first (kernels compiled, see [`Sites`]) unless neither kernels nor
-    /// forking are enabled; use [`Evaluator::eval_surveyed`] to survey a plan
-    /// once for many evaluations.
+    /// complex-object values; when a name is bound twice, the last binding
+    /// wins. Resets the statistics. The plan is resolved and surveyed first
+    /// (kernels compiled when enabled, see [`Sites`]); use
+    /// [`Evaluator::eval_surveyed`] to do that once for many evaluations.
     pub fn eval_with_bindings(
         &mut self,
         expr: &Expr,
         bindings: &[(String, Value)],
     ) -> EvalResult<Value> {
-        let kernels = self.config.kernels;
-        let parallel = normalize_parallelism(self.config.parallelism).is_some();
-        let sites = (kernels || parallel)
-            .then(|| Arc::new(Sites::survey(expr, &self.config.registry, kernels)));
-        self.run(expr, sites, bindings)
+        let plan = resolve(expr);
+        let sites = Sites::survey(&plan, &self.config.registry, self.config.kernels);
+        self.run(&plan.expr, Arc::new(sites), bindings)
     }
 
     /// [`Evaluator::eval_with_bindings`] on a plan that was surveyed before:
-    /// `sites` is [`Sites::of_plan`] of `expr`, under this configuration's
-    /// registry. Nothing is compiled. (The survey of some other plan is not
-    /// an error: a closure whose body it does not know runs interpreted.)
+    /// `sites` is [`Sites::of_plan`] of `expr` — a resolved plan — under
+    /// this configuration's registry. Nothing is resolved or compiled.
     pub fn eval_surveyed(
         &mut self,
         expr: &Expr,
         sites: &Arc<Sites>,
         bindings: &[(String, Value)],
     ) -> EvalResult<Value> {
-        self.run(expr, Some(sites.clone()), bindings)
+        self.run(expr, sites.clone(), bindings)
     }
 
     fn run(
         &mut self,
         expr: &Expr,
-        sites: Option<Arc<Sites>>,
+        sites: Arc<Sites>,
         bindings: &[(String, Value)],
     ) -> EvalResult<Value> {
         self.stats = CostStats::default();
+        // The schema boundary: each free name takes its last binding.
+        let bound = |name| bindings.iter().rev().find(|(n, _)| n == name);
+        self.free = (sites.free.iter())
+            .map(|name| bound(name).map(|(_, v)| v.clone()))
+            .collect();
         self.sites = sites;
         let parallel = normalize_parallelism(self.config.parallelism).is_some();
         // A finite work limit on a forking schedule needs one budget shared
@@ -601,11 +576,7 @@ impl Evaluator {
                 self.config.pool_config(),
             )));
         }
-        let mut env = Env::empty();
-        for (name, value) in bindings {
-            env = env.extend(name.clone(), RtVal::Obj(value.clone()));
-        }
-        let (val, span) = self.eval(expr, &env)?;
+        let (val, span) = self.eval(expr, &Frames(None))?;
         self.stats.span = span;
         val.into_obj("query result")
     }
@@ -663,10 +634,7 @@ impl Evaluator {
         if apps < 2 {
             return None;
         }
-        let gate_cost = self
-            .sites
-            .as_ref()?
-            .gate_cost(&clo.body, &self.config.registry);
+        let gate_cost = self.sites.gate_cost(&clo.body, &self.config.registry);
         let estimate = (apps as u64).saturating_mul(gate_cost);
         if estimate < self.config.parallel_cutoff {
             return None;
@@ -706,7 +674,7 @@ impl Evaluator {
 
     fn apply(&mut self, clo: &Closure, arg: RtVal) -> EvalResult<(RtVal, u64)> {
         self.add_work(cost::APPLY.work)?;
-        let env = clo.env.extend(clo.param.clone(), arg);
+        let env = clo.env.bind(arg);
         let (v, s) = self.eval(&clo.body, &env)?;
         Ok((v, cost::APPLY.span_over([s])))
     }
@@ -773,16 +741,22 @@ impl Evaluator {
             .map_err(|e| e.with_span_if_missing(expr.span))
     }
 
+    /// The value `x` refers to in `env`.
+    fn lookup(&self, x: &Var, env: &Env) -> EvalResult<RtVal> {
+        let found = match x.slot {
+            Slot::Bound(d) => env.get(d).cloned(),
+            Slot::Free(i) => self.free.get(i).cloned().flatten().map(RtVal::Obj),
+            Slot::Unresolved => None,
+        };
+        found.ok_or_else(|| EvalError::unbound(x.name.clone()))
+    }
+
     fn eval_kind(&mut self, expr: &Expr, env: &Env) -> EvalResult<(RtVal, u64)> {
         self.add_work(cost::NODE)?;
         match &expr.kind {
-            ExprKind::Var(x) => env
-                .lookup(x)
-                .map(|v| (v.clone(), cost::LEAF.span))
-                .ok_or_else(|| EvalError::unbound(x.clone())),
-            ExprKind::Lam(x, _, body) => Ok((
+            ExprKind::Var(x) => Ok((self.lookup(x, env)?, cost::LEAF.span)),
+            ExprKind::Lam(_, _, body) => Ok((
                 RtVal::Clo(Closure {
-                    param: x.clone(),
                     body: body.clone(),
                     env: env.clone(),
                 }),
@@ -795,9 +769,9 @@ impl Evaluator {
                 let (rv, sb) = self.apply(&clo, av)?;
                 Ok((rv, cost::APP.span_over([sf, sa, sb])))
             }
-            ExprKind::Let(x, bound, body) => {
+            ExprKind::Let(_, bound, body) => {
                 let (bv, sb) = self.eval(bound, env)?;
-                let env2 = env.extend(x.clone(), bv);
+                let env2 = env.bind(bv);
                 let (rv, sr) = self.eval(body, &env2)?;
                 Ok((rv, cost::LET.span_over([sb, sr])))
             }
@@ -1053,14 +1027,16 @@ impl Evaluator {
     /// survey compiled one that `fits` the rows at hand and that those values
     /// encode for.
     fn site_kernel(&self, clo: &Closure, fits: impl Fn(&RowKernel) -> bool) -> Option<SiteKernel> {
-        let sites = self.sites.as_ref().filter(|_| self.config.kernels)?;
-        sites.kernels(&clo.body).iter().find_map(|kernel| {
+        if !self.config.kernels {
+            return None;
+        }
+        self.sites.kernels(&clo.body).iter().find_map(|kernel| {
             if !fits(kernel) {
                 return None;
             }
             let mut captures = Vec::new();
-            for (name, shape) in kernel.captures() {
-                match clo.env.lookup(name)? {
+            for (up, shape) in kernel.captures() {
+                match clo.env.get(up)? {
                     RtVal::Obj(value) if shape.encode_into(value, &mut captures) => {}
                     _ => return None,
                 }
@@ -1112,27 +1088,28 @@ impl Evaluator {
         let ExprKind::Ext(function, set) = &ext.kind else {
             return None;
         };
-        let ExprKind::Lam(param, _, body) = &function.kind else {
+        let ExprKind::Lam(_, _, body) = &function.kind else {
             return None;
         };
+        let (row, width, rows) = outer.columnar_rows()?;
+        let env = clo.env.bind(RtVal::Obj(row.decode(&rows[..width])));
         let inner = match &set.kind {
-            ExprKind::Var(x) if *x != clo.param => match clo.env.lookup(x)? {
+            ExprKind::Var(x) if x.slot != Slot::Bound(0) => match self.lookup(x, &env).ok()? {
                 RtVal::Obj(Value::Set(inner)) => inner,
                 _ => return None,
             },
-            ExprKind::Const(Value::Set(inner)) => inner,
+            ExprKind::Const(Value::Set(inner)) => inner.clone(),
             _ => return None,
         };
-        let ((shape, _, inner_rows), (row, width, rows)) =
-            (inner.columnar_rows()?, outer.columnar_rows()?);
-        let env = (clo.env).extend(clo.param.clone(), RtVal::Obj(row.decode(&rows[..width])));
-        let (param, body) = (param.clone(), body.clone());
+        let (shape, _, inner_rows) = inner.columnar_rows()?;
         let fits = |k: &RowKernel| k.keyed() && k.input_shape() == shape;
-        let site = self.site_kernel(&Closure { param, body, env }, fits)?;
+        let body = body.clone();
+        let site = self.site_kernel(&Closure { body, env }, fits)?;
         let located = |nodes: &[&Expr], e: EvalError| {
             (nodes.iter()).fold(e, |e, node| e.with_span_if_missing(node.span))
         };
-        let (kernel, slot) = (&site.kernel, site.kernel.capture_slot(&clo.param));
+        // The outer row is the inner `λ`'s capture 0, if its body reads it.
+        let (kernel, slot) = (&site.kernel, site.kernel.capture_slot(0));
         let out_width = kernel.output_shape().width();
         let parts = self.map_region(region, Cow::Borrowed(rows), width, |ev, shard, _| {
             let (mut scratch, mut out, mut max_span) = (kernel.scratch(&site.captures), vec![], 0);
@@ -1686,6 +1663,57 @@ mod tests {
             .eval_with_bindings(&e, &[("r".to_string(), atoms(vec![1, 2]))])
             .unwrap();
         assert_eq!(v, atoms(vec![1, 2, 9]));
+    }
+
+    // ----- what a name refers to -----
+
+    #[test]
+    fn the_last_binding_of_a_duplicated_name_wins() {
+        let bindings = [
+            ("r".to_string(), atoms(vec![1])),
+            ("s".to_string(), atoms(vec![5])),
+            ("r".to_string(), atoms(vec![2])),
+        ];
+        let e = Expr::union(Expr::var("r"), Expr::var("s"));
+        let v = Evaluator::default().eval_with_bindings(&e, &bindings);
+        assert_eq!(v.unwrap(), atoms(vec![2, 5]));
+    }
+
+    #[test]
+    fn an_unbound_variable_in_an_untaken_arm_raises_nothing() {
+        let e = Expr::ite(Expr::bool_val(true), Expr::atom(1), Expr::var("nowhere"));
+        assert_eq!(eval_closed(&e).unwrap(), Value::Atom(1));
+    }
+
+    #[test]
+    fn a_reached_unbound_variable_raises_at_its_own_span() {
+        use crate::span::Span;
+        let missing = Expr::var("nowhere").at(Span::new(22, 29));
+        let e = Expr::singleton(Expr::ite(Expr::bool_val(false), Expr::atom(1), missing))
+            .at(Span::new(0, 30));
+        match eval_closed(&e) {
+            Err(EvalError::UnboundVariable { name, span }) => {
+                assert_eq!((name.as_str(), span), ("nowhere", Some(Span::new(22, 29))))
+            }
+            other => panic!("expected an unbound variable, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_parameter_that_shadows_a_bound_schema_name_reads_the_parameter() {
+        // (\r: {atom}. r union {@9})({@3}) with `r` bound to {@1, @2}.
+        let f = Expr::lam(
+            "r",
+            Type::set(Type::Base),
+            Expr::union(Expr::var("r"), Expr::singleton(Expr::atom(9))),
+        );
+        let e = Expr::union(
+            Expr::app(f, Expr::constant(atoms(vec![3]))),
+            Expr::singleton(Expr::atom(0)),
+        );
+        let bindings = [("r".to_string(), atoms(vec![1, 2]))];
+        let v = Evaluator::default().eval_with_bindings(&e, &bindings);
+        assert_eq!(v.unwrap(), atoms(vec![0, 3, 9]));
     }
 
     #[test]

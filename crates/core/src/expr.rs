@@ -20,7 +20,9 @@
 //!
 //! Equality ([`PartialEq`]) compares the `kind` only: spans are diagnostics
 //! metadata, and `parse ∘ pretty ∘ parse` must remain the identity even though
-//! the pretty text lays nodes out at different offsets.
+//! the pretty text lays nodes out at different offsets. A variable's [`Slot`]
+//! is ignored the same way: it is derived from the binders around the
+//! variable ([`crate::resolve`]), not written.
 
 use crate::span::Span;
 use ncql_object::{Type, Value};
@@ -61,7 +63,7 @@ impl From<ExprKind> for Expr {
 pub enum ExprKind {
     // ----- variables, functions, let -----
     /// A variable.
-    Var(String),
+    Var(Var),
     /// λ-abstraction `λx:s. e` (the paper writes `λxˢ.e`).
     Lam(String, Type, Arc<Expr>),
     /// Function application `f(e)`.
@@ -142,6 +144,34 @@ pub enum ExprKind {
     // ----- external functions Σ (Proposition 6.3) -----
     /// Application of a named external function to a list of arguments.
     Extern(String, Vec<Expr>),
+}
+
+/// A variable occurrence: its name, and what [`crate::resolve`] found it
+/// refers to. Equality compares names: the slot follows from the tree.
+#[derive(Debug, Clone, Eq)]
+pub struct Var {
+    /// The name as written.
+    pub name: String,
+    /// The binder or free name it refers to.
+    pub slot: Slot,
+}
+
+impl PartialEq for Var {
+    fn eq(&self, other: &Var) -> bool {
+        self.name == other.name
+    }
+}
+
+/// What a variable refers to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// Not resolved: how the parser and the builders make every variable.
+    Unresolved,
+    /// The binder `d` binders out from the occurrence, innermost `0` — its
+    /// de Bruijn index. A `λ` and a `let` body each bind one.
+    Bound(usize),
+    /// Entry `i` of the plan's table of free names.
+    Free(usize),
 }
 
 /// Which recursor an [`ExprKind::UnionRec`] is.
@@ -283,7 +313,12 @@ impl Expr {
 
     /// A variable reference.
     pub fn var(name: impl Into<String>) -> Expr {
-        ExprKind::Var(name.into()).into()
+        let name = name.into();
+        ExprKind::Var(Var {
+            name,
+            slot: Slot::Unresolved,
+        })
+        .into()
     }
 
     /// λ-abstraction.
@@ -649,10 +684,10 @@ impl Expr {
     /// child is the *iterated* operand of a recursor or iterator (the operand
     /// whose nesting stratifies the AC level per Theorems 6.1/6.2).
     ///
-    /// This is the single shared visitor: `visit`, `analysis::free_vars`,
-    /// `analysis::free_var_span`, `analysis::recursion_depth` and the
-    /// `analyze` lint pass all walk the tree through it, so a new `ExprKind`
-    /// variant only has to teach *this* function its shape.
+    /// This is the single shared visitor: `visit`, the resolver, the
+    /// optimizer, the kernel survey and the syntactic passes all walk the
+    /// tree through it, so a new `ExprKind` variant only has to teach *this*
+    /// function its shape.
     pub fn children(&self) -> Vec<Child<'_>> {
         fn plain(expr: &Expr) -> Child<'_> {
             Child {
@@ -743,7 +778,7 @@ pub struct Child<'a> {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
-            ExprKind::Var(x) => write!(f, "{x}"),
+            ExprKind::Var(x) => write!(f, "{}", x.name),
             ExprKind::Lam(x, ty, b) => write!(f, "(\\{x}: {ty}. {b})"),
             ExprKind::App(a, b) => write!(f, "{a}({b})"),
             ExprKind::Let(x, a, b) => write!(f, "(let {x} = {a} in {b})"),

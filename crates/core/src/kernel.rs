@@ -6,7 +6,7 @@
 //! [`Value`](ncql_object::Value) the moment its closure touches the set.
 //! When an `ext` body is built from projections, pair construction, scalar
 //! comparisons/arithmetic, `let`/`if`, and constants over a flat-shaped
-//! input, [`compile`] lowers it to a [`RowKernel`]: a flat instruction list
+//! input, the compiler lowers it to a [`RowKernel`]: a flat instruction list
 //! over one-word *slots*, run over blocks of up to 1 024 rows as in
 //! vectorised execution (MonetDB/X100). Each slot has a column, and each
 //! instruction sweeps whole columns — an external is one loop of its
@@ -24,7 +24,11 @@
 //!
 //! A body may read variables bound outside it: a captured flat value is a
 //! constant for the duration of one inner loop, so it is a kernel
-//! *parameter*, preloaded once per call like a literal. A body that begins
+//! *parameter*, preloaded once per call like a literal. The compiler reads
+//! the resolved plan ([`crate::resolve`]): a variable's slot says whether a
+//! binder inside the body or a capture holds it, and a capture is the value
+//! bound `up` frames out of the closure's environment, with the shape the
+//! survey's stack of enclosing binders gives it. A body that begins
 //! `if x = y then … else empty`, `x` read from its row and `y` preloaded, is
 //! *keyed*: a row whose key differs takes path 0 and emits nothing. For a
 //! column-prefix key only the range of the sorted rows that can match
@@ -72,10 +76,12 @@
 //! site its closure reaches.
 
 use crate::cost::{self, Rule};
-use crate::expr::{Expr, ExprKind, Form, UnionForm};
+use crate::expr::{Expr, ExprKind, Form, Slot, UnionForm, Var};
 use crate::externs::{ExternRegistry, WordOp};
+use crate::resolve::{resolve, Resolved};
 use crate::span::Span;
 use ncql_object::{FlatShape, VSet};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -208,11 +214,12 @@ impl Cost {
     }
 }
 
-/// A variable the body reads from outside itself: the preloaded words at
-/// `at`, loaded once per run.
+/// A variable the body reads from outside itself: the value bound `up`
+/// frames out of the closure's environment, preloaded once per run as the
+/// words at `at`.
 #[derive(Debug)]
 struct Capture {
-    name: String,
+    up: usize,
     shape: FlatShape,
     at: usize,
 }
@@ -377,9 +384,10 @@ impl RowKernel {
     }
 
     /// The variables the body captures, in the order a run expects their
-    /// words: each name with the flat shape its value must encode under.
-    pub fn captures(&self) -> impl Iterator<Item = (&str, &FlatShape)> {
-        self.captures.iter().map(|c| (c.name.as_str(), &c.shape))
+    /// words: how many frames out of the closure's environment each is
+    /// bound, with the flat shape its value must encode under.
+    pub fn captures(&self) -> impl Iterator<Item = (usize, &FlatShape)> {
+        self.captures.iter().map(|c| (c.up, &c.shape))
     }
 
     /// Run an `ext` body over one shard of input rows (row-major, whole rows,
@@ -454,10 +462,10 @@ impl RowKernel {
         self.key.is_some()
     }
 
-    /// Where the words of the captured variable `name` sit among a scratch's
-    /// preloaded words: a join site writes each outer row there.
-    pub(crate) fn capture_slot(&self, name: &str) -> Option<Range<usize>> {
-        Some(self.captures.iter().find(|c| c.name == name)?.slots())
+    /// Where the words of the capture bound `up` frames out sit among a
+    /// scratch's preloaded words: a join site writes each outer row there.
+    pub(crate) fn capture_slot(&self, up: usize) -> Option<Range<usize>> {
+        Some(self.captures.iter().find(|c| c.up == up)?.slots())
     }
 
     /// [`RowKernel::run_rows`] over a loaded `scratch`, appending to `out`
@@ -681,17 +689,18 @@ fn shape_desc(shape: &FlatShape) -> String {
 /// A lowered subterm: what the caller needs to place it, and its cost term.
 type Lowered<T> = Result<(T, Cost), String>;
 
-/// The binders enclosing a `λ` site, innermost last: each name with the flat
-/// shape a `λ` annotation gives it, `None` when it is bound any other way (a
-/// `let`, or a `λ` at a type with a set or a function in it).
+/// The binders enclosing a `λ` site, innermost last: each name (for reports)
+/// with the flat shape a `λ` annotation gives it, `None` when it is bound any
+/// other way (a `let`, or a `λ` at a type with a set or a function in it).
+/// A capture bound `up` frames out is entry `up` from the end.
 pub type Scope<'a> = [(&'a str, Option<FlatShape>)];
 
 struct Compiler<'a> {
     registry: &'a ExternRegistry,
-    /// Names bound inside the body with the slot and shape of their words:
-    /// the lambda parameter at slot 0, a `let`-bound scalar wherever its
-    /// bound expression left its result.
-    scope: Vec<(String, usize, FlatShape)>,
+    /// The binders inside the body, innermost last, with the slot and shape
+    /// of their words: the parameter at slot 0, a `let`-bound scalar
+    /// wherever its bound expression left its result.
+    locals: Vec<(usize, FlatShape)>,
     /// The binders around the body, and the ones it has read so far.
     outer: &'a Scope<'a>,
     captures: Vec<Capture>,
@@ -719,19 +728,31 @@ impl Compiler<'_> {
         }
     }
 
-    /// The slot of the captured variable `x`: allotted on its first use, from
-    /// the shape the innermost enclosing binder of that name gives it.
-    fn capture(&mut self, x: &str) -> Result<(usize, FlatShape), String> {
-        if let Some(c) = self.captures.iter().find(|c| c.name == x) {
+    /// The slot and shape of the words `x` refers to: a binder inside the
+    /// body, or a capture — allotted on its first use, from the shape its
+    /// binder's annotation gives it.
+    fn var(&mut self, x: &Var) -> Result<(usize, FlatShape), String> {
+        // A free name is bound by no `λ` around the body.
+        let d = match x.slot {
+            Slot::Bound(d) => d,
+            _ => usize::MAX,
+        };
+        if let Some(local) = self.locals.iter().rev().nth(d) {
+            return Ok(local.clone());
+        }
+        let up = d - self.locals.len();
+        if let Some(c) = self.captures.iter().find(|c| c.up == up) {
             return Ok((c.at, c.shape.clone()));
         }
-        let binder = self.outer.iter().rev().find(|(name, _)| *name == x);
-        let shape = binder
-            .and_then(|(_, shape)| shape.clone())
-            .ok_or_else(|| format!("captures `{x}`, which no enclosing λ binds at a flat type"))?;
-        let at = self.alloc(shape.width());
+        let Some((_, Some(shape))) = self.outer.iter().rev().nth(up) else {
+            let x = &x.name;
+            return Err(format!(
+                "captures `{x}`, which no enclosing λ binds at a flat type"
+            ));
+        };
+        let (at, shape) = (self.alloc(shape.width()), shape.clone());
         self.captures.push(Capture {
-            name: x.to_string(),
+            up,
             shape: shape.clone(),
             at,
         });
@@ -782,18 +803,13 @@ impl Compiler<'_> {
         Ok((rt, re, Cost::node(cost::IF, vec![cc, taken])))
     }
 
-    /// Lower `let x = bound in body`: the name resolves to wherever `bound`
-    /// left its words, so the binding itself costs no instruction.
-    fn bind<T>(
-        &mut self,
-        x: &str,
-        bound: &Expr,
-        body: impl FnOnce(&mut Self) -> Lowered<T>,
-    ) -> Lowered<T> {
-        let ((at, shape), cb) = self.scalar(bound)?;
-        self.scope.push((x.to_string(), at, shape));
+    /// Lower `let x = bound in body`: `x` reads wherever `bound` left its
+    /// words, so the binding itself costs no instruction.
+    fn bind<T>(&mut self, bound: &Expr, body: impl FnOnce(&mut Self) -> Lowered<T>) -> Lowered<T> {
+        let (local, cb) = self.scalar(bound)?;
+        self.locals.push(local);
         let result = body(self);
-        self.scope.pop();
+        self.locals.pop();
         let (lowered, cr) = result?;
         Ok((lowered, Cost::node(cost::LET, vec![cb, cr])))
     }
@@ -802,14 +818,7 @@ impl Compiler<'_> {
     /// its words.
     fn scalar(&mut self, expr: &Expr) -> Lowered<(usize, FlatShape)> {
         match &expr.kind {
-            ExprKind::Var(x) => {
-                let bound = self.scope.iter().rev().find(|(name, ..)| name == x);
-                let place = match bound {
-                    Some((_, at, shape)) => (*at, shape.clone()),
-                    None => self.capture(x)?,
-                };
-                Ok((place, Cost::node(cost::LEAF, Vec::new())))
-            }
+            ExprKind::Var(x) => Ok((self.var(x)?, Cost::node(cost::LEAF, Vec::new()))),
             ExprKind::Unit => self.lit(&[], FlatShape::Unit),
             ExprKind::Bool(b) => self.lit(&[u64::from(*b)], FlatShape::Bool),
             ExprKind::Const(v) => {
@@ -859,7 +868,7 @@ impl Compiler<'_> {
                 }
                 Ok(((dest.expect("both arms were lowered"), st), cost))
             }
-            ExprKind::Let(x, bound, body) => self.bind(x, bound, |this| this.scalar(body)),
+            ExprKind::Let(_, bound, body) => self.bind(bound, |this| this.scalar(body)),
             ExprKind::Eq(a, b) | ExprKind::Leq(a, b) => {
                 let ((oa, sa), ca) = self.scalar(a)?;
                 let ((ob, sb), cb) = self.scalar(b)?;
@@ -971,7 +980,7 @@ impl Compiler<'_> {
                 };
                 Ok((shape, cost))
             }
-            ExprKind::Let(x, bound, body) => self.bind(x, bound, |this| this.set_op(body)),
+            ExprKind::Let(_, bound, body) => self.bind(bound, |this| this.set_op(body)),
             other => Err(format!(
                 "`{}` is not a liftable set comprehension",
                 kind_name(other)
@@ -1017,39 +1026,21 @@ enum Role {
     Scalar,
 }
 
-/// Compile the body of `\param. body`, the function of an `ext`, into a row
-/// kernel over `input_shape` rows, or explain why it cannot be lifted. A
-/// variable the body reads from `scope` becomes a kernel parameter. Pure in
-/// (body, shapes, registry): the same inputs always make the same decision,
-/// which is what lets prepare-time analysis predict the runtime path.
-pub fn compile(
-    param: &str,
-    body: &Expr,
-    input_shape: &FlatShape,
-    scope: &Scope<'_>,
-    registry: &ExternRegistry,
-) -> Result<RowKernel, String> {
-    lower(
-        param,
-        body,
-        input_shape,
-        scope,
-        registry,
-        Role::Comprehension,
-    )
-}
-
-/// Every compilation goes through here, so [`kernel_stats`] counts them
-/// where they happen.
+/// Compile the body of a `λ` written under `scope` into a row kernel over
+/// `input_shape` rows, or explain why it cannot be lifted; `body` is
+/// resolved, its parameter `Slot::Bound(0)`. A variable the body reads from
+/// `scope` becomes a kernel parameter. Pure in (body, shapes, registry): the
+/// same inputs always make the same decision, which is what lets
+/// prepare-time analysis predict the runtime path. Every compilation goes
+/// through here, so [`kernel_stats`] counts them where they happen.
 fn lower(
-    param: &str,
     body: &Expr,
     input_shape: &FlatShape,
     scope: &Scope<'_>,
     registry: &ExternRegistry,
     role: Role,
 ) -> Result<RowKernel, String> {
-    let lowered = lower_body(param, body, input_shape, scope, registry, role);
+    let lowered = lower_body(body, input_shape, scope, registry, role);
     let counter = if lowered.is_ok() {
         &COMPILES
     } else {
@@ -1060,7 +1051,6 @@ fn lower(
 }
 
 fn lower_body(
-    param: &str,
     body: &Expr,
     input_shape: &FlatShape,
     scope: &Scope<'_>,
@@ -1073,7 +1063,7 @@ fn lower_body(
     }
     let mut c = Compiler {
         registry,
-        scope: vec![(param.to_string(), 0, input_shape.clone())],
+        locals: vec![(0, input_shape.clone())],
         outer: scope,
         captures: Vec::new(),
         consts: Vec::new(),
@@ -1176,7 +1166,7 @@ const NOT_A_LITERAL: &str = "the site's function is not a literal lambda \
 /// A kernel of the survey with the `λ` body it was compiled from.
 type BodyKernel<'e> = (&'e Arc<Expr>, RowKernel);
 
-/// One pre-order pass over a plan, carrying the binders in scope.
+/// One pre-order pass over a resolved plan, carrying the binders in scope.
 struct Survey<'e, 'r> {
     registry: &'r ExternRegistry,
     /// Whether to compile at all, or only collect the `λ` bodies.
@@ -1209,15 +1199,15 @@ impl<'e> Survey<'e, '_> {
                 self.decided(expr, decision);
                 [Some(f), Some(u)]
             }
-            ExprKind::Lam(param, ty, body) => {
+            ExprKind::Lam(_, ty, body) => {
                 self.bodies.push(body);
                 // A `λ` bound by a `let` or passed as an argument reaches its
                 // `ext` as a closure: it is no site of its own, but the site
                 // it reaches finds this kernel by the closure's body.
                 let shape = FlatShape::of_type(ty).filter(|_| self.kernels && !at_site);
                 let role = Role::Comprehension;
-                let kernel = shape
-                    .and_then(|s| lower(param, body, &s, &self.scope, self.registry, role).ok());
+                let kernel =
+                    shape.and_then(|s| lower(body, &s, &self.scope, self.registry, role).ok());
                 self.compiled.extend(kernel.map(|k| (body, k)));
                 [None, None]
             }
@@ -1259,7 +1249,7 @@ impl<'e> Survey<'e, '_> {
         let ExprKind::Lam(_, _, inner) = &inner.kind else {
             return;
         };
-        let leaf = matches!(&set.kind, ExprKind::Var(s) if s != a)
+        let leaf = matches!(&set.kind, ExprKind::Var(s) if s.slot != Slot::Bound(0))
             || matches!(set.kind, ExprKind::Const(_));
         let kernel = self.compiled[from..]
             .iter()
@@ -1294,8 +1284,10 @@ impl<'e> Survey<'e, '_> {
             compiled: decision.is_ok(),
             detail: match &decision {
                 Ok(kernels) => {
-                    let kernels: Vec<String> =
-                        kernels.iter().map(|(_, k)| kernel_desc(k)).collect();
+                    let kernels: Vec<String> = kernels
+                        .iter()
+                        .map(|(_, k)| kernel_desc(k, &self.scope))
+                        .collect();
                     kernels.join(", then ")
                 }
                 Err(reason) => reason.clone(),
@@ -1306,12 +1298,12 @@ impl<'e> Survey<'e, '_> {
 
     /// The kernel of the literal `λ` written at a site as `function`.
     fn site_kernel(&self, function: &'e Expr, role: Role) -> Result<BodyKernel<'e>, String> {
-        let ExprKind::Lam(param, ty, body) = &function.kind else {
+        let ExprKind::Lam(_, ty, body) = &function.kind else {
             return Err(NOT_A_LITERAL.to_string());
         };
         let shape = FlatShape::of_type(ty)
             .ok_or_else(|| format!("parameter type {ty} is not a flat shape"))?;
-        let kernel = lower(param, body, &shape, &self.scope, self.registry, role)?;
+        let kernel = lower(body, &shape, &self.scope, self.registry, role)?;
         Ok((body, kernel))
     }
 
@@ -1338,11 +1330,12 @@ impl<'e> Survey<'e, '_> {
     }
 }
 
-/// `input [captures] -> output` of one kernel.
-fn kernel_desc(kernel: &RowKernel) -> String {
+/// `input [captures] -> output` of one kernel compiled in `scope`.
+fn kernel_desc(kernel: &RowKernel, scope: &Scope<'_>) -> String {
+    let name = |up: usize| scope[scope.len() - 1 - up].0;
     let captures: Vec<String> = kernel
         .captures()
-        .map(|(name, shape)| format!("{name}: {}", shape_desc(shape)))
+        .map(|(up, shape)| format!("{}: {}", name(up), shape_desc(shape)))
         .collect();
     let captures = if captures.is_empty() {
         String::new()
@@ -1364,17 +1357,19 @@ fn kernel_desc(kernel: &RowKernel) -> String {
 /// evaluator will run through its kernels whenever the argument set is
 /// columnar (and kernels are enabled).
 pub fn analyze_sites(expr: &Expr, registry: &ExternRegistry) -> Vec<KernelSite> {
-    Sites::of_plan(expr, registry).report
+    Sites::survey(&resolve(expr), registry, true).report
 }
 
-/// What an evaluation knows about the `λ`s of its plan: the kernels every
-/// body compiled to, and a per-body memo of the region-gate estimate. Built
-/// once — when the plan is prepared, or else when an evaluation of it starts
-/// — and shared by every worker evaluator, so nothing is decided per closure
-/// instance; a closure finds its entry by the address of its body, which it
-/// shares with the plan.
-#[derive(Debug)]
+/// What an evaluation knows about its resolved plan: the free names, the
+/// kernels every `λ` body compiled to, and a per-body memo of the
+/// region-gate estimate. Built once — when the plan is prepared, or else
+/// when an evaluation of it starts — and shared by every worker evaluator, so
+/// nothing is decided per closure instance; a closure finds its entry by the
+/// address of its body, which it shares with the plan.
+#[derive(Debug, Default)]
 pub struct Sites {
+    /// The plan's free names: `Slot::Free(i)` refers to `free[i]`.
+    pub(crate) free: Vec<String>,
     /// One entry per `λ` body of the plan, sorted by the body's address.
     by_body: Vec<Site>,
     report: Vec<KernelSite>,
@@ -1391,15 +1386,18 @@ struct Site {
 }
 
 impl Sites {
-    /// Survey `plan`: compile every `ext` and `dcr`/`sru` site and every
-    /// other flat-annotated `λ` of it.
+    /// Survey `plan`, which is resolved ([`resolve`] returns it as is):
+    /// compile every `ext` and `dcr`/`sru` site and every other
+    /// flat-annotated `λ` of it.
     pub fn of_plan(plan: &Expr, registry: &ExternRegistry) -> Sites {
-        Sites::survey(plan, registry, true)
+        let plan = resolve(plan);
+        debug_assert!(matches!(plan.expr, Cow::Borrowed(_)), "surveyed unresolved");
+        Sites::survey(&plan, registry, true)
     }
 
     /// [`Sites::of_plan`], compiling only when `kernels` are enabled (the
     /// region-gate memo needs the bodies either way).
-    pub(crate) fn survey(plan: &Expr, registry: &ExternRegistry, kernels: bool) -> Sites {
+    pub(crate) fn survey(plan: &Resolved, registry: &ExternRegistry, kernels: bool) -> Sites {
         let mut survey = Survey {
             registry,
             kernels,
@@ -1408,7 +1406,7 @@ impl Sites {
             bodies: Vec::new(),
             compiled: Vec::new(),
         };
-        survey.visit(plan, false);
+        survey.visit(&plan.expr, false);
         survey.bodies.sort_by_key(|body| Arc::as_ptr(body));
         survey.bodies.dedup_by_key(|body| Arc::as_ptr(body));
         let entry = |body: &Arc<Expr>| Site {
@@ -1417,6 +1415,7 @@ impl Sites {
             gate: OnceLock::new(),
         };
         let mut sites = Sites {
+            free: plan.free.iter().map(|x| x.to_string()).collect(),
             by_body: survey.bodies.into_iter().map(entry).collect(),
             report: survey.report,
         };
@@ -1506,6 +1505,27 @@ mod tests {
     use super::*;
     use crate::eval::{EvalConfig, Evaluator};
     use ncql_object::{Type, Value};
+
+    /// The kernel of the `ext` function `\param. body` written under
+    /// `scope`, as a survey compiles it.
+    fn compile(
+        param: &str,
+        body: &Expr,
+        shape: &FlatShape,
+        scope: &Scope<'_>,
+        registry: &ExternRegistry,
+    ) -> Result<RowKernel, String> {
+        let names = scope.iter().map(|(name, _)| *name).chain([param]);
+        let wrapped = (names.rev()).fold(body.clone(), |e, x| Expr::lam(x, Type::Unit, e));
+        let mut plan = resolve(&wrapped).expr.into_owned();
+        for _ in 0..=scope.len() {
+            let ExprKind::Lam(_, _, body) = plan.kind else {
+                unreachable!("wrapped in a λ per binder")
+            };
+            plan = Arc::unwrap_or_clone(body);
+        }
+        lower(&plan, shape, scope, registry, Role::Comprehension)
+    }
 
     fn pair_shape() -> FlatShape {
         FlatShape::Pair(Box::new(FlatShape::Atom), Box::new(FlatShape::Nat))
@@ -1765,7 +1785,7 @@ mod tests {
             .zip(0u64..)
             .flat_map(|(n, k)| (0..n).flat_map(move |i| [k, i]))
             .collect();
-        let slot = kernel.capture_slot("a").unwrap();
+        let slot = kernel.capture_slot(0).unwrap();
         let run = |scratch: &mut Scratch, k: u64| {
             scratch.words[slot.clone()].copy_from_slice(&[0, k]);
             let (mut out, mut charges) = (Vec::new(), Vec::new());

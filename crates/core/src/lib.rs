@@ -14,6 +14,10 @@
 //!   `bloop`, `blog-loop`); the tag ([`expr::Form`]) is the one place each
 //!   form's keyword and diagnostic name are spelled — and external functions
 //!   Σ (Proposition 6.3).
+//! * [`resolve`] — binder resolution, the one place a name is looked up:
+//!   every variable of a plan gets its slot (its binder's de Bruijn index or
+//!   its entry in the plan's table of free names) once, and every layer
+//!   below reads slots.
 //! * [`mod@typecheck`] — a bidirectional-ish type checker for the language, including
 //!   the PS-type side conditions of the bounded constructs.
 //! * [`cost`] — the **work/span (PRAM) cost model**, stated once: one rule
@@ -31,7 +35,7 @@
 //!   every schedule.
 //! * [`analysis`] — the syntactic passes: free variables, the *depth of
 //!   recursion nesting* of §3, which stratifies the language into the ACᵏ
-//!   levels, and the span-aware lint pass.
+//!   levels, and the span-aware lint pass, which decides from slots.
 //! * [`analyze`] — the cost interpreter: the rules of [`cost`] over symbolic
 //!   carriers give work/span upper bounds in the schema-relation
 //!   cardinalities, and the work floor, an integer, for rejecting doomed
@@ -65,6 +69,7 @@ pub mod eval;
 pub mod expr;
 pub mod externs;
 pub mod kernel;
+pub mod resolve;
 pub mod rewrite;
 pub mod span;
 pub mod typecheck;
@@ -76,7 +81,7 @@ pub use error::{EvalError, TypeError, TypeErrorKind};
 pub use eval::{
     normalize_parallelism, parallelism_from_env, CancelToken, CostStats, EvalConfig, Evaluator,
 };
-pub use expr::{Expr, ExprKind};
+pub use expr::{Expr, ExprKind, Slot, Var};
 pub use kernel::{kernel_stats, KernelSite, KernelStats};
 pub use rewrite::{optimize, FiredRewrite, OptLevel, RewriteOutcome};
 pub use span::Span;

@@ -15,7 +15,7 @@
 //! # One pass, one budget
 //!
 //! The traversal is post-order and visits every node once; closedness and
-//! node counts are carried up from [`Expr::children`]'s binder info. Folding
+//! node counts are carried up from the variables' slots. Folding
 //! draws on a single budget per text (`FOLD_WORK_BUDGET`, 4 096 work units):
 //! every fold attempt, failed ones included, is charged the work it evaluated,
 //! so prepare evaluates at most that much of the text and a fold can never
@@ -26,7 +26,7 @@
 //!
 //! # The cost gate
 //!
-//! The rewritten plan is analysed once ([`analyze_query`] — the analysis the
+//! The rewritten plan is analysed once ([`crate::analyze_query`] — the analysis the
 //! prepared plan stores anyway) and kept only when its symbolic **work**
 //! bound and **span** bound are *provably* `≤` the raw plan's
 //! ([`crate::analyze::Bound::le_pointwise`] — a sound, incomplete check, so a
@@ -52,10 +52,11 @@
 //! is deliberately *not* preserved: a plan that exceeds a session limit may
 //! fail at a different (still spanned) node than the raw plan.
 
-use crate::analysis::free_vars;
-use crate::analyze::{analyze_query, CostBound, QueryAnalysis};
+use crate::analysis::{facts, free_vars, is_literal, Facts};
+use crate::analyze::{CostBound, QueryAnalysis};
 use crate::eval::{EvalConfig, Evaluator};
-use crate::expr::{Expr, ExprKind};
+use crate::expr::{Expr, ExprKind, Slot};
+use crate::resolve::{resolve, Resolved};
 use crate::span::Span;
 use ncql_object::{Type, Value};
 
@@ -92,7 +93,8 @@ pub struct FiredRewrite {
 /// The result of running [`optimize`] on one query.
 #[derive(Debug, Clone)]
 pub struct RewriteOutcome {
-    /// The rewritten expression (the input, unchanged, when nothing fired).
+    /// The rewritten expression, resolved (the input, resolved, when nothing
+    /// fired).
     pub expr: Expr,
     /// Every accepted rewrite, in firing order.
     pub fired: Vec<FiredRewrite>,
@@ -118,8 +120,8 @@ const FOLD_MIN_SIZE: usize = 2;
 /// a subtree that would trip a limit at runtime is left in the plan to trip
 /// it there).
 pub fn optimize(expr: &Expr, schema: &[(String, Type)], config: &EvalConfig) -> RewriteOutcome {
-    let before = analyze_query(expr, schema, &config.registry);
-    optimize_analyzed(expr, schema, config, before)
+    let plan = resolve(expr);
+    plan.optimize(schema, config, plan.analyze(schema, &config.registry))
 }
 
 /// [`optimize`], reusing an already-computed analysis of `expr`.
@@ -129,83 +131,75 @@ pub fn optimize_analyzed(
     config: &EvalConfig,
     before: QueryAnalysis,
 ) -> RewriteOutcome {
-    let mut pass = Pass {
-        fold: EvalConfig {
-            max_work: config.max_work.min(FOLD_WORK_BUDGET),
-            max_set_size: config.max_set_size.min(FOLD_SET_BUDGET),
-            parallelism: None,
-            // Same values and statistics either way; within the fold budget
-            // a survey of each candidate would cost more than it saves.
-            kernels: false,
-            ..config.clone()
-        },
-        fired: Vec::new(),
-        scope: Vec::new(),
-    };
-    let cost_before = before.cost.clone();
-    if let Some(rewritten) = pass.visit(expr).expr {
-        // The gate: both bounds of the whole rewritten plan provably no
-        // worse. Incompleteness of `le_pointwise` only ever refuses a plan.
-        let analysis = analyze_query(&rewritten, schema, &config.registry);
-        if analysis.cost.work.le_pointwise(&cost_before.work)
-            && analysis.cost.span.le_pointwise(&cost_before.span)
-        {
-            return RewriteOutcome {
-                expr: rewritten,
-                fired: pass.fired,
-                cost_before,
-                analysis,
-            };
+    resolve(expr).optimize(schema, config, before)
+}
+
+impl Resolved<'_> {
+    /// [`optimize_analyzed`] of a resolved plan.
+    pub fn optimize(
+        &self,
+        schema: &[(String, Type)],
+        config: &EvalConfig,
+        before: QueryAnalysis,
+    ) -> RewriteOutcome {
+        let mut pass = Pass {
+            fold: EvalConfig {
+                max_work: config.max_work.min(FOLD_WORK_BUDGET),
+                max_set_size: config.max_set_size.min(FOLD_SET_BUDGET),
+                parallelism: None,
+                // Same values and statistics either way; within the fold budget
+                // a survey of each candidate would cost more than it saves.
+                kernels: false,
+                ..config.clone()
+            },
+            fired: Vec::new(),
+        };
+        let cost_before = before.cost.clone();
+        if let Some(rewritten) = pass.visit(&self.expr, &facts(&self.expr), 0) {
+            // Ext-fusion moved bodies under a new binder: resolve again. The
+            // gate: both bounds of the whole rewritten plan provably no worse.
+            // Incompleteness of `le_pointwise` only ever refuses a plan.
+            let plan = resolve(&rewritten);
+            let analysis = plan.analyze(schema, &config.registry);
+            if analysis.cost.work.le_pointwise(&cost_before.work)
+                && analysis.cost.span.le_pointwise(&cost_before.span)
+            {
+                return RewriteOutcome {
+                    expr: plan.expr.into_owned(),
+                    fired: pass.fired,
+                    cost_before,
+                    analysis,
+                };
+            }
         }
-    }
-    RewriteOutcome {
-        expr: expr.clone(),
-        fired: Vec::new(),
-        cost_before,
-        analysis: before,
+        RewriteOutcome {
+            expr: Expr::clone(&self.expr),
+            fired: Vec::new(),
+            cost_before,
+            analysis: before,
+        }
     }
 }
 
-/// The state of one pass over one text.
-struct Pass<'a> {
+/// The state of one pass over one resolved text.
+struct Pass {
     /// The sequential configuration constant folding evaluates under. Its
     /// `max_work` is the part of [`FOLD_WORK_BUDGET`] not yet spent.
     fold: EvalConfig,
     fired: Vec<FiredRewrite>,
-    /// The binders in scope at the node being visited, innermost last.
-    scope: Vec<&'a str>,
 }
 
-/// What a visited subtree reports to its parent.
-struct Visited {
-    /// The rewritten subtree; `None` when nothing in it fired.
-    expr: Option<Expr>,
-    /// Node count of the subtree as written.
-    size: usize,
-    /// The outermost thing the subtree refers to: 0 for a schema relation,
-    /// `i + 1` for the binder at `scope[i]`, `usize::MAX` for nothing. A
-    /// subtree visited under `d` binders is closed iff this exceeds `d`.
-    outermost: usize,
-}
-
-impl<'a> Pass<'a> {
-    fn visit(&mut self, expr: &'a Expr) -> Visited {
-        let depth = self.scope.len();
+impl Pass {
+    /// The rewritten `expr`, whose facts are `facts[at]`; `None` when
+    /// nothing in it fired.
+    fn visit(&mut self, expr: &Expr, facts: &[Facts], at: usize) -> Option<Expr> {
         let fired_before = self.fired.len();
-        let mut size = 1;
-        let mut outermost = match &expr.kind {
-            ExprKind::Var(x) => self.scope.iter().rposition(|b| b == x).map_or(0, |i| i + 1),
-            _ => usize::MAX,
-        };
         let children = expr.children();
         let mut rewritten = Vec::with_capacity(children.len());
+        let mut next = at + 1;
         for child in &children {
-            self.scope.extend(child.binds);
-            let visited = self.visit(child.expr);
-            self.scope.truncate(depth);
-            size += visited.size;
-            outermost = outermost.min(visited.outermost);
-            rewritten.push(visited.expr);
+            rewritten.push(self.visit(child.expr, facts, next));
+            next += facts[next].size;
         }
         // Rebuilding keeps the node's span, binders and type annotations.
         let rebuilt = rewritten.iter().any(Option::is_some).then(|| {
@@ -216,15 +210,12 @@ impl<'a> Pass<'a> {
             )
         });
         let node = rebuilt.as_ref().unwrap_or(expr);
+        let Facts { size, closed, .. } = facts[at];
         let mut replaced = None;
-        if outermost > depth && !is_literal(node) && size >= FOLD_MIN_SIZE {
+        if closed && !is_literal(node) && size >= FOLD_MIN_SIZE {
             replaced = self.const_fold(node, size, fired_before);
         }
-        Visited {
-            expr: replaced.or_else(|| self.ext_fusion(node)).or(rebuilt),
-            size,
-            outermost,
-        }
+        replaced.or_else(|| self.ext_fusion(node)).or(rebuilt)
     }
 
     /// Rule 1: evaluate a closed node within what is left of the budget, and
@@ -270,7 +261,7 @@ impl<'a> Pass<'a> {
         let ExprKind::Lam(y, _, fbody) = &f.kind else {
             return None;
         };
-        if !injective_in(h, x) || free_vars(f).contains(x.as_str()) {
+        if !injective_in(h) || free_vars(f).contains(x.as_str()) {
             return None;
         }
         // The fused map takes the outer ext's span; the new λ and `let` take
@@ -290,28 +281,16 @@ impl<'a> Pass<'a> {
     }
 }
 
-/// Is this node already a value-like literal the folder should leave alone?
-fn is_literal(expr: &Expr) -> bool {
-    matches!(
-        expr.kind,
-        ExprKind::Var(_)
-            | ExprKind::Lam(..)
-            | ExprKind::Unit
-            | ExprKind::Bool(_)
-            | ExprKind::Const(_)
-            | ExprKind::Empty(_)
-    )
-}
-
-/// Is `h` syntactically injective as a function of `x`? Distinct inputs are
-/// then guaranteed distinct outputs, so fusing away the intermediate set
-/// cannot multiply the outer map's applications (the work-only-improves
-/// argument; the *value* is preserved by union idempotence either way).
-fn injective_in(h: &Expr, x: &str) -> bool {
+/// Is `h`, the body of `λx. {h}`, syntactically injective as a function of
+/// `x`? Distinct inputs are then guaranteed distinct outputs, so fusing away
+/// the intermediate set cannot multiply the outer map's applications (the
+/// work-only-improves argument; the *value* is preserved by union
+/// idempotence either way).
+fn injective_in(h: &Expr) -> bool {
     match &h.kind {
-        ExprKind::Var(v) => v == x,
-        ExprKind::Pair(a, b) => injective_in(a, x) || injective_in(b, x),
-        ExprKind::Singleton(a) => injective_in(a, x),
+        ExprKind::Var(v) => v.slot == Slot::Bound(0),
+        ExprKind::Pair(a, b) => injective_in(a) || injective_in(b),
+        ExprKind::Singleton(a) => injective_in(a),
         _ => false,
     }
 }

@@ -2,8 +2,11 @@
 //! conditions of §2 for the bounded recursors).
 //!
 //! The checker infers a type for every expression in a typing context. λ-binders
-//! are annotated, so inference is syntax-directed. The judgement implemented is
-//! the obvious one for the rules listed in §3; the extra conditions are:
+//! are annotated, so inference is syntax-directed. It walks the resolved plan
+//! ([`crate::resolve`]): a binder's type is pushed while its body is checked,
+//! a variable reads its binder's by position, and each free name is matched
+//! to its schema type ([`TypeEnv`]) once. The judgement implemented is the
+//! obvious one for the rules listed in §3; the extra conditions are:
 //!
 //! * `bdcr`/`bsri`/`blog-loop`/`bloop` require the result type to be a PS-type
 //!   (product of sets) so that the bounding intersection `⊓ b` is defined.
@@ -17,13 +20,15 @@
 //! back into the source text.
 
 use crate::error::{TypeError, TypeErrorKind};
-use crate::expr::{Expr, ExprKind, Form};
+use crate::expr::{Expr, ExprKind, Form, Slot};
 use crate::externs::ExternRegistry;
+use crate::resolve::{resolve, Resolved};
 use crate::span::Span;
 use ncql_object::{Type, Value};
 
-/// A typing context: an association list from variable names to types (inner
-/// bindings shadow outer ones).
+/// The typing context of a query's free names — its schema: an association
+/// list from names to types (a later binding of a name shadows an earlier
+/// one). The binders inside the query are the checker's own.
 #[derive(Debug, Clone, Default)]
 pub struct TypeEnv {
     bindings: Vec<(String, Type)>,
@@ -42,15 +47,6 @@ impl TypeEnv {
         let mut bindings = self.bindings.clone();
         bindings.push((name.into(), ty));
         TypeEnv { bindings }
-    }
-
-    /// Look up a variable (innermost binding wins).
-    pub fn lookup(&self, name: &str) -> Option<&Type> {
-        self.bindings
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t)
     }
 }
 
@@ -163,18 +159,17 @@ fn expect_ps(context: &str, ty: &Type, span: Option<Span>) -> Result<(), TypeErr
 /// `u : t × t → t`, `arg : {s}`; result `t`.
 fn check_union_recursor(
     name: &str,
-    env: &TypeEnv,
-    sigma: &ExternRegistry,
+    cx: &mut Checker,
     e: &Expr,
     f: &Expr,
     u: &Expr,
     arg: &Expr,
 ) -> Result<Type, TypeError> {
-    let t = infer(env, sigma, e)?;
-    let f_ty = infer(env, sigma, f)?;
+    let t = cx.infer(e)?;
+    let f_ty = cx.infer(f)?;
     let (s, t_from_f) = expect_fun(&format!("{name} singleton map f"), &f_ty, f.span)?;
     expect_eq(&format!("{name} f result vs e"), &t, &t_from_f, f.span)?;
-    let u_ty = infer(env, sigma, u)?;
+    let u_ty = cx.infer(u)?;
     let (u_dom, u_cod) = expect_fun(&format!("{name} combiner u"), &u_ty, u.span)?;
     expect_eq(
         &format!("{name} combiner domain"),
@@ -183,7 +178,7 @@ fn check_union_recursor(
         u.span,
     )?;
     expect_eq(&format!("{name} combiner codomain"), &t, &u_cod, u.span)?;
-    let arg_ty = infer(env, sigma, arg)?;
+    let arg_ty = cx.infer(arg)?;
     let elem = expect_set(&format!("{name} argument"), &arg_ty, arg.span)?;
     expect_eq(
         &format!("{name} argument element type"),
@@ -198,14 +193,13 @@ fn check_union_recursor(
 /// `arg : {s}`; result `t`.
 fn check_insert_recursor(
     name: &str,
-    env: &TypeEnv,
-    sigma: &ExternRegistry,
+    cx: &mut Checker,
     e: &Expr,
     i: &Expr,
     arg: &Expr,
 ) -> Result<Type, TypeError> {
-    let t = infer(env, sigma, e)?;
-    let i_ty = infer(env, sigma, i)?;
+    let t = cx.infer(e)?;
+    let i_ty = cx.infer(i)?;
     let (dom, cod) = expect_fun(&format!("{name} step i"), &i_ty, i.span)?;
     let (s, t_in) = match dom {
         Type::Prod(a, b) => ((*a).clone(), (*b).clone()),
@@ -221,7 +215,7 @@ fn check_insert_recursor(
     };
     expect_eq(&format!("{name} step accumulator"), &t, &t_in, i.span)?;
     expect_eq(&format!("{name} step result"), &t, &cod, i.span)?;
-    let arg_ty = infer(env, sigma, arg)?;
+    let arg_ty = cx.infer(arg)?;
     let elem = expect_set(&format!("{name} argument"), &arg_ty, arg.span)?;
     expect_eq(
         &format!("{name} argument element type"),
@@ -236,13 +230,12 @@ fn check_insert_recursor(
 /// `init : t`; result `t`.
 fn check_iterator(
     name: &str,
-    env: &TypeEnv,
-    sigma: &ExternRegistry,
+    cx: &mut Checker,
     f: &Expr,
     set: &Expr,
     init: &Expr,
 ) -> Result<Type, TypeError> {
-    let f_ty = infer(env, sigma, f)?;
+    let f_ty = cx.infer(f)?;
     let (dom, cod) = expect_fun(&format!("{name} body"), &f_ty, f.span)?;
     expect_eq(
         &format!("{name} body must be an endofunction"),
@@ -250,9 +243,9 @@ fn check_iterator(
         &cod,
         f.span,
     )?;
-    let set_ty = infer(env, sigma, set)?;
+    let set_ty = cx.infer(set)?;
     expect_set(&format!("{name} counting set"), &set_ty, set.span)?;
-    let init_ty = infer(env, sigma, init)?;
+    let init_ty = cx.infer(init)?;
     expect_eq(&format!("{name} initial value"), &dom, &init_ty, init.span)?;
     Ok(dom)
 }
@@ -261,15 +254,14 @@ fn check_iterator(
 /// type `t` is a PS-type and the bound has it.
 fn check_bound(
     form: &dyn Form,
-    env: &TypeEnv,
-    sigma: &ExternRegistry,
+    cx: &mut Checker,
     t: Type,
     span: Option<Span>,
 ) -> Result<Type, TypeError> {
     if let Some(bound) = form.bound() {
         let name = form.name();
         expect_ps(&format!("{name} result"), &t, span)?;
-        let b_ty = infer(env, sigma, bound)?;
+        let b_ty = cx.infer(bound)?;
         expect_eq(&format!("{name} bound"), &t, &b_ty, bound.span)?;
     }
     Ok(t)
@@ -279,33 +271,79 @@ fn check_bound(
 /// `sigma`. Errors carry the span of the most specific locatable
 /// subexpression (see the module docs).
 pub fn infer(env: &TypeEnv, sigma: &ExternRegistry, expr: &Expr) -> Result<Type, TypeError> {
-    infer_kind(env, sigma, expr).map_err(|e| e.with_span_if_missing(expr.span))
+    resolve(expr).infer(&env.bindings, sigma)
 }
 
-fn infer_kind(env: &TypeEnv, sigma: &ExternRegistry, expr: &Expr) -> Result<Type, TypeError> {
-    match &expr.kind {
-        ExprKind::Var(x) => env
-            .lookup(x)
-            .cloned()
-            .ok_or_else(|| TypeErrorKind::UnboundVariable(x.clone()).into()),
-        ExprKind::Lam(x, ty, body) => {
-            let body_ty = infer(&env.extend(x.clone(), ty.clone()), sigma, body)?;
-            Ok(Type::fun(ty.clone(), body_ty))
+impl Resolved<'_> {
+    /// [`infer`] of a resolved plan whose free names `schema` types (a later
+    /// binding of a name shadows an earlier one).
+    pub fn infer(
+        &self,
+        schema: &[(String, Type)],
+        sigma: &ExternRegistry,
+    ) -> Result<Type, TypeError> {
+        let typed = |x: &&str| Some(schema.iter().rev().find(|(n, _)| n == x)?.1.clone());
+        let free = self.free.iter().map(typed).collect();
+        let binders = Vec::new();
+        Checker {
+            sigma,
+            free,
+            binders,
         }
+        .infer(&self.expr)
+    }
+}
+
+/// One walk of the checker over a resolved plan.
+struct Checker<'a> {
+    sigma: &'a ExternRegistry,
+    /// The type of each free name of the plan, `None` for an unbound one.
+    free: Vec<Option<Type>>,
+    /// The types of the binders around the node being checked, innermost
+    /// last: `Slot::Bound(d)` is entry `d` from the end.
+    binders: Vec<Type>,
+}
+
+impl Checker<'_> {
+    fn infer(&mut self, expr: &Expr) -> Result<Type, TypeError> {
+        infer_kind(self, expr).map_err(|e| e.with_span_if_missing(expr.span))
+    }
+
+    /// The type of `body` with one more binder, of type `ty`, around it.
+    fn bind(&mut self, ty: Type, body: &Expr) -> Result<Type, TypeError> {
+        self.binders.push(ty);
+        let body_ty = self.infer(body);
+        self.binders.pop();
+        body_ty
+    }
+}
+
+fn infer_kind(cx: &mut Checker, expr: &Expr) -> Result<Type, TypeError> {
+    match &expr.kind {
+        ExprKind::Var(x) => {
+            let ty = match x.slot {
+                Slot::Bound(d) => cx.binders.iter().rev().nth(d),
+                Slot::Free(i) => cx.free.get(i).and_then(Option::as_ref),
+                Slot::Unresolved => None,
+            };
+            ty.cloned()
+                .ok_or_else(|| TypeErrorKind::UnboundVariable(x.name.clone()).into())
+        }
+        ExprKind::Lam(_, ty, body) => Ok(Type::fun(ty.clone(), cx.bind(ty.clone(), body)?)),
         ExprKind::App(f, a) => {
-            let f_ty = infer(env, sigma, f)?;
+            let f_ty = cx.infer(f)?;
             let (dom, cod) = expect_fun("application", &f_ty, f.span)?;
-            let a_ty = infer(env, sigma, a)?;
+            let a_ty = cx.infer(a)?;
             expect_eq("application argument", &dom, &a_ty, a.span)?;
             Ok(cod)
         }
-        ExprKind::Let(x, bound, body) => {
-            let bound_ty = infer(env, sigma, bound)?;
-            infer(&env.extend(x.clone(), bound_ty), sigma, body)
+        ExprKind::Let(_, bound, body) => {
+            let bound_ty = cx.infer(bound)?;
+            cx.bind(bound_ty, body)
         }
         ExprKind::Unit => Ok(Type::Unit),
-        ExprKind::Pair(a, b) => Ok(Type::prod(infer(env, sigma, a)?, infer(env, sigma, b)?)),
-        ExprKind::Proj1(e) => match infer(env, sigma, e)? {
+        ExprKind::Pair(a, b) => Ok(Type::prod(cx.infer(a)?, cx.infer(b)?)),
+        ExprKind::Proj1(e) => match cx.infer(e)? {
             Type::Prod(a, _) => Ok(*a),
             other => Err(TypeError::new(
                 TypeErrorKind::NotAProduct {
@@ -315,7 +353,7 @@ fn infer_kind(env: &TypeEnv, sigma: &ExternRegistry, expr: &Expr) -> Result<Type
                 e.span,
             )),
         },
-        ExprKind::Proj2(e) => match infer(env, sigma, e)? {
+        ExprKind::Proj2(e) => match cx.infer(e)? {
             Type::Prod(_, b) => Ok(*b),
             other => Err(TypeError::new(
                 TypeErrorKind::NotAProduct {
@@ -327,65 +365,65 @@ fn infer_kind(env: &TypeEnv, sigma: &ExternRegistry, expr: &Expr) -> Result<Type
         },
         ExprKind::Bool(_) => Ok(Type::Bool),
         ExprKind::If(c, t, e) => {
-            let c_ty = infer(env, sigma, c)?;
+            let c_ty = cx.infer(c)?;
             expect_bool("if condition", &c_ty, c.span)?;
-            let t_ty = infer(env, sigma, t)?;
-            let e_ty = infer(env, sigma, e)?;
+            let t_ty = cx.infer(t)?;
+            let e_ty = cx.infer(e)?;
             expect_eq("if branches", &t_ty, &e_ty, e.span)?;
             Ok(t_ty)
         }
         ExprKind::Eq(a, b) => {
-            let a_ty = infer(env, sigma, a)?;
-            let b_ty = infer(env, sigma, b)?;
+            let a_ty = cx.infer(a)?;
+            let b_ty = cx.infer(b)?;
             expect_comparable("equality", &a_ty, a.span)?;
             expect_eq("equality operands", &a_ty, &b_ty, b.span)?;
             Ok(Type::Bool)
         }
         ExprKind::Leq(a, b) => {
-            let a_ty = infer(env, sigma, a)?;
-            let b_ty = infer(env, sigma, b)?;
+            let a_ty = cx.infer(a)?;
+            let b_ty = cx.infer(b)?;
             expect_comparable("order comparison", &a_ty, a.span)?;
             expect_eq("order comparison operands", &a_ty, &b_ty, b.span)?;
             Ok(Type::Bool)
         }
         ExprKind::Const(v) => Ok(value_type(v)),
         ExprKind::Empty(t) => Ok(Type::set(t.clone())),
-        ExprKind::Singleton(e) => Ok(Type::set(infer(env, sigma, e)?)),
+        ExprKind::Singleton(e) => Ok(Type::set(cx.infer(e)?)),
         ExprKind::Union(a, b) => {
-            let a_ty = infer(env, sigma, a)?;
+            let a_ty = cx.infer(a)?;
             expect_set("union left operand", &a_ty, a.span)?;
-            let b_ty = infer(env, sigma, b)?;
+            let b_ty = cx.infer(b)?;
             expect_eq("union operands", &a_ty, &b_ty, b.span)?;
             Ok(a_ty)
         }
         ExprKind::IsEmpty(e) => {
-            let ty = infer(env, sigma, e)?;
+            let ty = cx.infer(e)?;
             expect_set("isempty", &ty, e.span)?;
             Ok(Type::Bool)
         }
         ExprKind::Ext(f, e) => {
-            let f_ty = infer(env, sigma, f)?;
+            let f_ty = cx.infer(f)?;
             let (dom, cod) = expect_fun("ext function", &f_ty, f.span)?;
             expect_set("ext function result", &cod, f.span)?;
-            let e_ty = infer(env, sigma, e)?;
+            let e_ty = cx.infer(e)?;
             let elem = expect_set("ext argument", &e_ty, e.span)?;
             expect_eq("ext argument element type", &dom, &elem, e.span)?;
             Ok(cod)
         }
         ExprKind::UnionRec { form, e, f, u, arg } => {
-            let t = check_union_recursor(form.name(), env, sigma, e, f, u, arg)?;
-            check_bound(form, env, sigma, t, expr.span)
+            let t = check_union_recursor(form.name(), cx, e, f, u, arg)?;
+            check_bound(form, cx, t, expr.span)
         }
         ExprKind::InsertRec { form, e, i, arg } => {
-            let t = check_insert_recursor(form.name(), env, sigma, e, i, arg)?;
-            check_bound(form, env, sigma, t, expr.span)
+            let t = check_insert_recursor(form.name(), cx, e, i, arg)?;
+            check_bound(form, cx, t, expr.span)
         }
         ExprKind::Iter { form, f, set, init } => {
-            let t = check_iterator(form.name(), env, sigma, f, set, init)?;
-            check_bound(form, env, sigma, t, expr.span)
+            let t = check_iterator(form.name(), cx, f, set, init)?;
+            check_bound(form, cx, t, expr.span)
         }
         ExprKind::Extern(name, args) => {
-            let ext = sigma
+            let ext = (cx.sigma)
                 .get(name)
                 .ok_or_else(|| TypeErrorKind::UnknownExtern(name.clone()))?;
             if ext.params.len() != args.len() {
@@ -397,7 +435,7 @@ fn infer_kind(env: &TypeEnv, sigma: &ExternRegistry, expr: &Expr) -> Result<Type
                 .into());
             }
             for (param, arg) in ext.params.iter().zip(args) {
-                let arg_ty = infer(env, sigma, arg)?;
+                let arg_ty = cx.infer(arg)?;
                 // `card` and similar polymorphic aggregates declare their set
                 // parameter as `{D}`; accept any set type for a declared set
                 // parameter whose element type is `D` (width subtyping would be

@@ -9,9 +9,9 @@ use ncql_core::eval::{
 use ncql_core::expr::Expr;
 use ncql_core::externs::ExternRegistry;
 use ncql_core::kernel::Sites;
-use ncql_core::rewrite::{optimize_analyzed, OptLevel};
-use ncql_core::typecheck::{infer, value_type, TypeEnv};
-use ncql_core::{analysis, analyze_query, EvalError, Finding, Lint};
+use ncql_core::rewrite::OptLevel;
+use ncql_core::typecheck::value_type;
+use ncql_core::{analysis, resolve::resolve, EvalError, Finding, Lint};
 use ncql_object::{ObjectError, Type, Value};
 use ncql_pram::WorkStealingPool;
 use std::sync::{Arc, OnceLock};
@@ -493,8 +493,8 @@ impl Session {
         Ok(PreparedQuery { plan })
     }
 
-    /// The front end minus parsing: typecheck against the session registry
-    /// under the declared schema, the cost-gated algebraic rewriter (at
+    /// The front end minus parsing: binder resolution, typecheck against the
+    /// session registry under the declared schema, the cost-gated rewriter (at
     /// [`OptLevel::Default`]), recursion-depth analysis, static cost/lint
     /// analysis, normal form.
     ///
@@ -514,12 +514,10 @@ impl Session {
         expr: Expr,
         schema: &[(String, Type)],
     ) -> Result<PreparedPlan, Error> {
-        let mut env = TypeEnv::new();
-        for (name, ty) in schema {
-            env = env.extend(name.clone(), ty.clone());
-        }
-        let ty = infer(&env, &self.config.registry, &expr)?;
-        let raw_analysis = analyze_query(&expr, schema, &self.config.registry);
+        // Resolved once; again only if a rewrite moves a body under a binder.
+        let plan = resolve(&expr);
+        let ty = plan.infer(schema, &self.config.registry)?;
+        let raw_analysis = plan.analyze(schema, &self.config.registry);
         let normal_form = ncql_surface::print_expr(&expr);
         // Like the findings, the §3 recursion depth and ACᵏ level classify
         // the query the user wrote — folding a closed `dcr` to a constant
@@ -527,12 +525,12 @@ impl Session {
         let depth = analysis::recursion_depth(&expr);
         let ac_level = analysis::ac_level(&expr);
         let (expr, mut query_analysis, rewrites, cost_before) = match self.opt_level {
-            OptLevel::None => (expr, raw_analysis, Vec::new(), None),
+            OptLevel::None => (plan.expr.into_owned(), raw_analysis, Vec::new(), None),
             OptLevel::Default => {
                 // Keep the raw expression's findings: syntactic lints must
                 // describe the source text, not the rewritten plan.
                 let raw_findings = raw_analysis.findings.clone();
-                let outcome = optimize_analyzed(&expr, schema, &self.config, raw_analysis);
+                let outcome = plan.optimize(schema, &self.config, raw_analysis);
                 let mut stored = outcome.analysis;
                 let cost_before = (!outcome.fired.is_empty()).then_some(outcome.cost_before);
                 stored.findings = raw_findings;

@@ -169,6 +169,11 @@ mod tests {
         ("iterate/count_n_squared/16", 0x602d_b018_277e_f422),
         ("iterate/count_log_n/16", 0xaf63_a84c_8601_9430),
         ("iterate/count_log_squared_n/16", 0x0802_ff07_b4c3_1660),
+        // Pinned before the evaluator resolved variables to slots.
+        ("scope/capture_under_reused_name", 0xb12a_b0b5_a6b7_4ac2),
+        ("scope/let_rebinds_in_kernel", 0x9065_f5a5_e7b1_e873),
+        ("scope/shadowed_join_capture", 0xfc42_447d_8f87_b5c4),
+        ("scope/dcr_combiner_shadows/24", 0x568e_9871_3ce5_0823),
     ];
 
     #[test]

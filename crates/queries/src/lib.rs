@@ -21,7 +21,8 @@
 //!   objects (§2), unbounded and bounded;
 //! * `iterate` — the Example 7.2 iteration counters and the bounded
 //!   iterators;
-//! * `recursion`, `nra` — the remaining recursion forms and NRA constructs.
+//! * `recursion`, `nra`, `scope` — the remaining recursion forms and NRA
+//!   constructs, and shadowing where the runtime binds by position.
 //!
 //! [`pack`] loads the texts; [`corpus`] binds each to [`datagen`] relations
 //! at fixed sizes, the input of the cross-backend differential suites;

@@ -110,6 +110,10 @@ pub(crate) const TABLE: &[Row] = pack![
     ("nra/apply_lambda", &[3], atoms),
     ("nra/let_shadowing", &[3], atoms),
     ("nra/unit_value", ONCE, closed),
+    ("scope/capture_under_reused_name", ONCE, relations),
+    ("scope/let_rebinds_in_kernel", ONCE, relation),
+    ("scope/shadowed_join_capture", ONCE, relations),
+    ("scope/dcr_combiner_shadows", &[24], atoms),
 ];
 
 /// `s` = `{@0, …, @n−1}`.

@@ -36,7 +36,7 @@ fn print_value(v: &Value) -> Option<String> {
 /// is the parser's convention for untyped empties.
 pub fn print_expr(e: &Expr) -> String {
     match &e.kind {
-        ExprKind::Var(x) => x.clone(),
+        ExprKind::Var(x) => x.name.clone(),
         ExprKind::Lam(x, ty, b) => format!("\\{x}: {ty}. {}", print_expr(b)),
         ExprKind::App(f, a) => format!("apply({}, {})", print_expr(f), print_expr(a)),
         ExprKind::Let(x, a, b) => format!("let {x} = {} in {}", print_expr(a), print_expr(b)),

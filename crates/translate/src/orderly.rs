@@ -56,7 +56,7 @@ pub struct OrderlyViolation {
 }
 
 fn is_var(e: &Expr, name: &str) -> bool {
-    matches!(&e.kind, ExprKind::Var(v) if v == name)
+    matches!(&e.kind, ExprKind::Var(v) if v.name == name)
 }
 
 /// Strip the `lam2` desugaring `λz. let a = π₁ z in let b = π₂ z in body`,

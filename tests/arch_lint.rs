@@ -23,6 +23,10 @@
 //!    and the spellings it replaced — the kernel's `Cost::par`/`seq`/`LEAF`
 //!    constructors, literal `add_const(…)` charges inside the `Analyzer` —
 //!    stay gone.
+//! 6. **One binder resolution.** `core::resolve` is the only place a name is
+//!    looked up: in the evaluator, the kernels, the analyser and the type
+//!    checker no environment, closure or capture struct holds a name, so a
+//!    scope searched by string cannot come back.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -281,4 +285,47 @@ fn the_cost_model_is_written_only_in_core_cost() {
         );
     }
     assert!(blocks >= 2, "found {blocks} `impl Analyzer` blocks");
+}
+
+#[test]
+fn environments_closures_and_captures_hold_no_names() {
+    for file in ["eval.rs", "kernel.rs", "analyze.rs", "typecheck.rs"] {
+        let rel = format!("crates/core/src/{file}");
+        let text =
+            fs::read_to_string(repo_root().join(&rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+        // The struct whose fields are being read, if it is one of those.
+        let mut inside: Option<String> = None;
+        for (lineno, line) in implementation(&text).lines().enumerate() {
+            let code = without_line_comment(line).trim();
+            if let Some((_, decl)) = code.split_once("struct ") {
+                let name: String = decl
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
+                let scoped = ["Env", "Closure", "Capture", "Frame"]
+                    .iter()
+                    .any(|kind| name.contains(kind));
+                inside = (scoped && code.ends_with('{')).then_some(name);
+                continue;
+            }
+            if line == "}" {
+                inside = None;
+            }
+            let (Some(owner), Some((field, ty))) = (&inside, code.split_once(':')) else {
+                continue;
+            };
+            let field = field.rsplit(' ').next().unwrap_or(field);
+            let ty = ty.trim().trim_end_matches(',');
+            let named = matches!(field, "name" | "names" | "param")
+                || ty == "String"
+                || (ty.starts_with('&') && ty.ends_with("str"));
+            assert!(
+                !named,
+                "{rel}:{}: `{owner}` holds a name (`{field}: {ty}`) — read the \
+                 variable's slot (core::resolve) instead: {}",
+                lineno + 1,
+                line.trim()
+            );
+        }
+    }
 }

@@ -976,18 +976,15 @@ fn a_body_with_more_conditionals_than_the_path_key_holds_runs_interpreted() {
     let full = ext_over(threshold_count_body(&thresholds[..64]), &rows);
     assert_all_four_agree(&full);
 
-    // One more does not fit: the compiler says so, prepare-time analysis
-    // reports the same reason, and the interpreter runs the site.
+    // One more does not fit: prepare-time analysis reports the compiler's
+    // reason, and the interpreter runs the site.
     let body = threshold_count_body(&thresholds);
-    let shape = ncql::object::FlatShape::of_type(&pair_ty()).expect("flat");
     let registry = ExternRegistry::standard();
-    let reason = ncql::core::kernel::compile("x", &body, &shape, &[], &registry)
-        .expect_err("65 conditionals");
-    assert!(reason.contains("more than 64 conditionals"), "{reason}");
     let over = ext_over(body, &rows);
     let site = &analyze_sites(&over, &registry)[0];
     assert!(!site.compiled);
-    assert_eq!(site.detail, reason);
+    let reason = &site.detail;
+    assert!(reason.contains("more than 64 conditionals"), "{reason}");
     let reference = run_forking(&over, false, None, None).expect("interpreted");
     for threads in [None, Some(4)] {
         assert_eq!(
