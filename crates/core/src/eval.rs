@@ -9,7 +9,9 @@
 //! A plan is evaluated resolved ([`crate::resolve`]): a variable reads the
 //! `Frames` of its binders by position, or the table of free values the
 //! bindings were placed in once, when the run started. Closures, `let` and
-//! application bind by position and allocate no name.
+//! application bind by position and allocate no name. A `dcr`/`sru` whose
+//! combiner compiled to one associative word op builds no tree: its leaves
+//! fold per shard ([`crate::kernel`]) and the tree's charges are computed.
 
 use crate::cost;
 use crate::error::EvalError;
@@ -1149,7 +1151,9 @@ impl Evaluator {
     /// where they lie — with an odd tail passed through, so the tree, its
     /// `combiner_calls`, and every entry's span are the interpreter's. Regions
     /// and their shard grain are the interpreter's too; work is charged per
-    /// block. Returns the result and the tree's span.
+    /// block. A combiner of one associative word op
+    /// ([`RowKernel::word_fold`]) builds no tree: the leaves fold per shard.
+    /// Returns the result and the tree's span.
     fn union_recursor_kernel(
         &mut self,
         (f_clo, leaf): (&Closure, &SiteKernel),
@@ -1161,19 +1165,46 @@ impl Evaluator {
             .expect("the kernel path is only taken for columnar sets");
         let result = leaf.kernel.output_shape();
         let entry = result.width();
+        // A combining node's span: its two subtrees', then the combiner's.
+        let combined = |a, b, node| {
+            let subtrees = cost::INDEPENDENT.span_over([a, b]);
+            cost::IN_SEQUENCE.span_over([subtrees, node])
+        };
+        let fold = node.kernel.word_fold();
         let leaves = {
             let region = self.parallel_region(set.len(), f_clo);
             let rows = Cow::Borrowed(rows);
             self.map_region(region.as_ref(), rows, width, |ev, shard, _| {
+                let (kernel, captures) = (&leaf.kernel, &leaf.captures);
                 let charge = |_, work| ev.add_work(work);
-                Ok(vec![leaf.kernel.map_rows(
-                    &shard,
-                    &leaf.captures,
-                    charge,
-                )?])
+                Ok(vec![match fold {
+                    Some((op, _)) => kernel.fold_rows(&shard, captures, op, charge)?,
+                    None => kernel.map_rows(&shard, captures, charge)?,
+                }])
             })?
         };
         let (mut words, mut spans) = concat(leaves);
+        if let Some((op, (work, node_span))) = fold {
+            // Any tree's value and charges: `m − 1` one-path calls, ⌈log₂ m⌉ deep.
+            let m = set.len() as u64;
+            self.stats.combiner_calls += m - 1;
+            self.add_work((m - 1).saturating_mul(work))?;
+            if let Some((_, s)) = leaf.kernel.straight() {
+                // Equally deep leaves: the first is combined in every round.
+                let rounds = if m < 2 { 0 } else { cost::tree_depth(m) };
+                spans = vec![(0..rounds).fold(s, |s, _| combined(s, s, node_span))];
+            }
+            while spans.len() > 1 {
+                let half = spans.len().div_ceil(2);
+                for i in 0..half {
+                    let (a, b) = (spans[2 * i], spans.get(2 * i + 1));
+                    spans[i] = b.map_or(a, |&b| combined(a, b, node_span));
+                }
+                spans.truncate(half);
+            }
+            let value = words.into_iter().reduce(|a, b| op.apply(a, b));
+            words = vec![value.expect("a non-empty set has leaves")];
+        }
         while spans.len() > 1 {
             let region = self.parallel_region(spans.len() / 2, u_clo);
             let level = Cow::Borrowed(words.as_slice());
@@ -1187,10 +1218,7 @@ impl Evaluator {
                 };
                 let (mut words, applied) = node.kernel.map_rows(paired, &node.captures, charge)?;
                 let mut spans: Vec<u64> = (applied.iter().zip(below.chunks_exact(2)))
-                    .map(|(&sc, sub)| {
-                        let subtrees = cost::INDEPENDENT.span_over([sub[0], sub[1]]);
-                        cost::IN_SEQUENCE.span_over([subtrees, sc])
-                    })
+                    .map(|(&sc, sub)| combined(sub[0], sub[1], sc))
                     .collect();
                 if !tail.is_empty() {
                     words.extend_from_slice(tail);

@@ -44,7 +44,10 @@
 //! lower to scalars of one flat shape `R` runs as a kernel tree
 //! ([`RowKernel::map_rows`]): one pass of the `f` kernel for the leaves, then
 //! one pass of the `u` kernel over adjacent entries per round — the
-//! interpreter's combining tree, so `u` need not be associative.
+//! interpreter's combining tree, so `u` need not be associative. But a `u`
+//! of one `nat_add`/`nat_mul`/`nat_max`/`nat_min` call over both its words
+//! (`RowKernel::word_fold`) gives every tree one value: no tree is built,
+//! and the leaves fold per shard as blocks compute them (`RowKernel::fold_rows`).
 //!
 //! Three invariants make the kernel path *indistinguishable* from the
 //! interpreter (the differential and property suites pin all three):
@@ -365,6 +368,20 @@ fn each(op: WordOp, a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
+/// `words` and `acc` folded with one of [`RowKernel::word_fold`]'s ops, each
+/// a loop of its own, as in [`sweep`].
+fn reduce(op: WordOp, words: &[u64], acc: Option<u64>) -> Option<u64> {
+    let words = words.iter().copied().chain(acc);
+    let fold = |op: WordOp| words.clone().reduce(|a, b| op.apply(a, b));
+    match op {
+        WordOp::Add => fold(WordOp::Add),
+        WordOp::Mul => fold(WordOp::Mul),
+        WordOp::Max => fold(WordOp::Max),
+        WordOp::Min => fold(WordOp::Min),
+        _ => unreachable!("{op:?} is no fold"),
+    }
+}
+
 impl RowKernel {
     /// The flat shape of the rows the kernel reads.
     pub fn input_shape(&self) -> &FlatShape {
@@ -439,6 +456,58 @@ impl RowKernel {
             "a scalar body yields one result per row"
         );
         Ok((out, spans))
+    }
+
+    /// [`RowKernel::map_rows`] for leaves whose one-word results fold with
+    /// `op`: each block's results are folded where its columns hold them, so
+    /// the words returned are the shard's fold (none for no rows), and the
+    /// spans are each row's only if the body branches ([`RowKernel::straight`]).
+    pub(crate) fn fold_rows<E>(
+        &self,
+        rows: &[u64],
+        captures: &[u64],
+        op: WordOp,
+        mut charge: impl FnMut(u64, u64) -> Result<(), E>,
+    ) -> Result<(Vec<u64>, Vec<u64>), E> {
+        let (width, slot) = (self.input_width, self.emit[0]);
+        let (s, mut acc, mut spans) = (&mut self.scratch(captures), None, Vec::new());
+        for block in rows.chunks(BLOCK_ROWS * width) {
+            let n = block.len() / width;
+            self.run_block(block, s, None);
+            let paths = &mut s.paths[..n];
+            let (work, _) = match self.straight() {
+                Some(_) => self.fold::<false>(paths, &mut spans),
+                None => self.fold::<true>(paths, &mut spans),
+            };
+            charge(n as u64, work)?;
+            let words = &mut s.cols[slot * s.rows..][..n];
+            if slot < width {
+                // An input word is no column unless an instruction reads it.
+                for (word, row) in words.iter_mut().zip(block.chunks_exact(width)) {
+                    *word = row[slot];
+                }
+            }
+            acc = reduce(op, words, acc);
+        }
+        Ok((acc.into_iter().collect(), spans))
+    }
+
+    /// The `(work, span)` every row of a body without conditionals takes.
+    pub(crate) fn straight(&self) -> Option<(u64, u64)> {
+        (self.table.len() == 1).then(|| self.table[0])
+    }
+
+    /// The op and the one path's charge of a combiner compiled to exactly
+    /// one call of an associative, commutative word op over its two input
+    /// words, either order, with no capture: `\q. nat_add(pi1 q, pi2 q)`.
+    pub(crate) fn word_fold(&self) -> Option<(WordOp, (u64, u64))> {
+        let &[Op::Call { op, a, b, at }] = &self.ops[..] else {
+            return None;
+        };
+        let folds = matches!(op, WordOp::Add | WordOp::Mul | WordOp::Max | WordOp::Min);
+        let operands = self.input_width == 2 && matches!((a, b), (0, 1) | (1, 0));
+        let plain = self.emit == [at] && self.captures.is_empty();
+        (folds && operands && plain).then_some((op, self.straight()?))
     }
 
     /// A scratch with the body's constants and the captured values' words
@@ -518,7 +587,7 @@ impl RowKernel {
             let (from, to) = (hits.start.clamp(start, end), hits.end.clamp(start, end));
             let mut work = 0u64;
             if from < to {
-                self.run_block(&rows[from * width..to * width], scratch, out);
+                self.run_block(&rows[from * width..to * width], scratch, Some(out));
                 let (w, span) = self.fold::<SPANS>(&mut scratch.paths[..to - from], spans);
                 (work, max_span) = (w, max_span.max(span));
             }
@@ -584,8 +653,8 @@ impl RowKernel {
 
     /// Run the program once over a block of whole rows (row-major), leaving
     /// each row's path key in `s.paths`, and append the rows that emit to
-    /// `out`, in row order. Total and infallible: every liftable operation is.
-    fn run_block(&self, rows: &[u64], s: &mut Scratch, out: &mut Vec<u64>) {
+    /// `out`, if any, in row order. Total and infallible: every liftable operation is.
+    fn run_block(&self, rows: &[u64], s: &mut Scratch, out: Option<&mut Vec<u64>>) {
         let (width, n) = (self.input_width, rows.len() / self.input_width);
         s.fit(self, n);
         let stride = s.rows;
@@ -639,6 +708,7 @@ impl RowKernel {
                 }
             }
         }
+        let Some(out) = out else { return };
         let len = match self.keeps[..] {
             [arm] if arm.care == 0 => n,
             [arm] => select(paths, &mut s.sel, |path| arm.holds(path)),
@@ -1515,6 +1585,18 @@ mod tests {
         scope: &Scope<'_>,
         registry: &ExternRegistry,
     ) -> Result<RowKernel, String> {
+        compile_as(Role::Comprehension, param, body, shape, scope, registry)
+    }
+
+    /// [`compile`] for a site that compiles `\param. body` as `role`.
+    fn compile_as(
+        role: Role,
+        param: &str,
+        body: &Expr,
+        shape: &FlatShape,
+        scope: &Scope<'_>,
+        registry: &ExternRegistry,
+    ) -> Result<RowKernel, String> {
         let names = scope.iter().map(|(name, _)| *name).chain([param]);
         let wrapped = (names.rev()).fold(body.clone(), |e, x| Expr::lam(x, Type::Unit, e));
         let mut plan = resolve(&wrapped).expr.into_owned();
@@ -1524,7 +1606,7 @@ mod tests {
             };
             plan = Arc::unwrap_or_clone(body);
         }
-        lower(&plan, shape, scope, registry, Role::Comprehension)
+        lower(&plan, shape, scope, registry, role)
     }
 
     fn pair_shape() -> FlatShape {
@@ -1834,6 +1916,60 @@ mod tests {
             .contains("twin"),
             "set-consuming externs have no word twin"
         );
+    }
+
+    #[test]
+    fn only_one_call_of_an_associative_word_op_over_both_input_words_folds() {
+        let nat2 = FlatShape::Pair(Box::new(FlatShape::Nat), Box::new(FlatShape::Nat));
+        let scope = [("y", Some(FlatShape::Nat))];
+        let reg = ExternRegistry::standard();
+        let q = || Expr::var("q");
+        let (pi1, pi2) = (|| Expr::proj1(q()), || Expr::proj2(q()));
+        let call = |f: &str, a, b| Expr::extern_call(f, vec![a, b]);
+        let combiner = |body: &Expr, reg| compile_as(Role::Scalar, "q", body, &nat2, &scope, reg);
+        let fold = |body: Expr| {
+            let kernel = combiner(&body, &reg).expect("compiles");
+            kernel.word_fold().map(|(op, _)| op)
+        };
+        for (name, op) in [
+            ("nat_add", WordOp::Add),
+            ("nat_mul", WordOp::Mul),
+            ("nat_max", WordOp::Max),
+            ("nat_min", WordOp::Min),
+        ] {
+            assert_eq!(fold(call(name, pi1(), pi2())), Some(op));
+            assert_eq!(fold(call(name, pi2(), pi1())), Some(op));
+            let (a, b) = (Expr::var("a"), Expr::var("b"));
+            let lets = Expr::let_in("a", pi1(), Expr::let_in("b", pi2(), call(name, a, b)));
+            assert_eq!(fold(lets), Some(op));
+        }
+        // The interpreter's charge: the application, the call's node, two
+        // projections of a variable and the call itself.
+        let sum = combiner(&call("nat_add", pi1(), pi2()), &reg).expect("compiles");
+        assert_eq!(sum.word_fold(), Some((WordOp::Add, (7, 3))));
+
+        for body in [
+            call("nat_sub", pi1(), pi2()),
+            call("nat_add", pi1(), Expr::nat(1)),
+            call("nat_add", pi1(), pi1()),
+            call("nat_add", pi1(), call("nat_add", pi2(), Expr::nat(0))),
+            call("nat_add", pi1(), call("nat_min", pi2(), Expr::var("y"))),
+            // Captures `y`, though no instruction reads it.
+            Expr::let_in("z", Expr::var("y"), call("nat_add", pi1(), pi2())),
+            Expr::ite(
+                call("nat_leq", pi1(), pi2()),
+                call("nat_add", pi1(), pi2()),
+                pi1(),
+            ),
+        ] {
+            assert_eq!(fold(body.clone()), None, "{body}");
+        }
+        // A re-registered `nat_add` has no word op: no kernel at all.
+        let mut custom = reg.clone();
+        custom.register("nat_add", vec![Type::Nat; 2], Type::Nat, |args| {
+            Ok(args[0].clone())
+        });
+        assert!(combiner(&call("nat_add", pi1(), pi2()), &custom).is_err());
     }
 
     #[test]

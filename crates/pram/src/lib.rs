@@ -145,10 +145,16 @@ struct Task {
     chunk: usize,
 }
 
-// SAFETY: the pointer is only dereferenced inside `run`, and the region-exit
-// protocol (see `RegionState`) guarantees the pointee outlives every `run`
-// call. The chunk worker closure itself is required to be `Sync` by
-// `RegionPermit::run`'s bounds.
+// SAFETY: invariant — a `Task` is built only by `RegionPermit::run`, whose
+// `region` points to that call's `RegionState<T, R, E, F>` and whose `run` is
+// `run_chunk::<T, R, E, F>` of the same four types, and the call's bounds
+// (`T: Sync`, `R: Send`, `E: Send`, `F: Sync`) are exactly what running a
+// chunk from another thread needs: it reads `items` and `worker` through
+// shared references and sends one `Result<R, TaskError<E>>` back. The
+// pointer is dereferenced only inside `run`, and the region-exit protocol
+// (see `RegionState`) keeps the pointee alive until every task of the region
+// has run, so moving a `Task` to another thread moves no unsynchronised
+// access; `chunk` is a plain index.
 unsafe impl Send for Task {}
 
 /// The shared state of one open region, allocated on the opening caller's
@@ -186,7 +192,13 @@ struct RegionState<'scope, T, R, E, F> {
 /// # Safety
 ///
 /// `region` must point to a live `RegionState<T, R, E, F>` of exactly these
-/// type parameters; the region-exit protocol above guarantees liveness.
+/// type parameters, and `chunk` must be one of its chunks not yet run. Both
+/// hold for every [`Task`]: `RegionPermit::run` pairs the pointer with this
+/// monomorphization when it builds the task and queues each chunk once, and
+/// the region-exit protocol above keeps the state alive while its `pending`
+/// count is above zero — which it is until this call's own decrement, after
+/// which a non-final chunk touches nothing and the final one only `done`,
+/// which the opening caller still waits on.
 unsafe fn run_chunk<T, R, E, F>(region: *const (), chunk: usize)
 where
     T: Sync,
@@ -194,6 +206,7 @@ where
     E: Send,
     F: Fn(usize, &[T]) -> Result<R, E> + Sync,
 {
+    // SAFETY: the `# Safety` contract above: a live state of these types.
     let state = &*(region as *const RegionState<'_, T, R, E, F>);
     let start = chunk * state.chunk_size;
     let end = (start + state.chunk_size).min(state.items.len());
@@ -304,8 +317,11 @@ fn worker_loop(shared: Arc<PoolShared>, index: usize) {
             break;
         }
         if let Some(task) = shared.find_task(index, &mut rng) {
-            // SAFETY: the region-exit protocol on `RegionState` keeps the
-            // pointee alive until after this call completes.
+            // SAFETY: invariant — a task popped from a deque has not run, so
+            // its region's `pending` count still includes it and the opening
+            // caller is still inside `RegionPermit::run`, waiting on `done`:
+            // the `RegionState` behind `task.region` is alive, and `task.run`
+            // is the `run_chunk` of its exact types (see `run_chunk`).
             unsafe { (task.run)(task.region, task.chunk) };
             continue;
         }
@@ -328,7 +344,8 @@ fn worker_loop(shared: Arc<PoolShared>, index: usize) {
             task
         };
         if let Some(task) = rescanned {
-            // SAFETY: as above.
+            // SAFETY: invariant — as above: this task was popped from a deque
+            // and has not run, so its region is still open and its state alive.
             unsafe { (task.run)(task.region, task.chunk) };
         }
     }
@@ -573,7 +590,10 @@ impl RegionPermit {
         // RegionState safety protocol).
         loop {
             if let Some(task) = self.shared.find_region_task(region) {
-                // SAFETY: `state` is alive; we have not exited the loop.
+                // SAFETY: invariant — `find_region_task` returns only tasks
+                // of this region, whose `state` lives on this frame, and this
+                // loop is the only way out of it: the state outlives the call,
+                // and `task.run` is `run` above, built for its exact types.
                 unsafe { (task.run)(task.region, task.chunk) };
                 if *state.done.lock().unwrap() {
                     break;

@@ -169,6 +169,12 @@ mod tests {
         ("iterate/count_n_squared/16", 0x602d_b018_277e_f422),
         ("iterate/count_log_n/16", 0xaf63_a84c_8601_9430),
         ("iterate/count_log_squared_n/16", 0x0802_ff07_b4c3_1660),
+        // Pinned on the interpreter's combining tree, before a `dcr` over an
+        // associative word op folded in one sweep.
+        ("aggregates/product_dcr/9", 0xd46d_402c_a43f_be4e),
+        ("aggregates/min_nat_dcr/9", 0x0814_0407_b4d1_9212),
+        ("aggregates/product_dcr/70", 0xedf2_a76b_38fc_3c54),
+        ("aggregates/min_nat_dcr/70", 0x07ff_7f07_b4c0_0709),
         // Pinned before the evaluator resolved variables to slots.
         ("scope/capture_under_reused_name", 0xb12a_b0b5_a6b7_4ac2),
         ("scope/let_rebinds_in_kernel", 0x9065_f5a5_e7b1_e873),

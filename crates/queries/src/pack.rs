@@ -87,6 +87,8 @@ pub(crate) const TABLE: &[Row] = pack![
     ("aggregates/sum_dcr", &[9, 70], atoms),
     ("aggregates/cardinality_dcr", &[9, 70], atoms),
     ("aggregates/cardinality_extern", &[33], atoms),
+    ("aggregates/product_dcr", &[9, 70], atoms),
+    ("aggregates/min_nat_dcr", &[9, 70], atoms),
     ("aggregates/max_atom_dcr", &[50], atoms),
     ("aggregates/min_atom_relational", &[20], atoms),
     ("aggregates/even_cardinality", &[21], atoms),

@@ -6,7 +6,8 @@
 //! value *and* `CostStats` — to evaluating with kernels disabled, on both the
 //! sequential and the parallel backend; likewise a body that reads the row of
 //! an enclosing `ext` (a kernel parameter), a join site that probes its inner
-//! set by a key equality, and a scalar `dcr` run as a kernel tree.
+//! set by a key equality, a scalar `dcr` run as a kernel tree, and one whose
+//! combiner is one associative word op, folded with no tree.
 //! Unliftable bodies must reject at compile time (prepare-time analysis
 //! and the runtime dispatch make the same decision) and fall back to the
 //! interpreter with no observable change.
@@ -653,32 +654,61 @@ fn sub_combiner() -> Expr {
     call("nat_sub", tripled, Expr::proj2(q()))
 }
 
+/// What a combiner computes on two words.
+type Combine = fn(u64, u64) -> u64;
+
+/// `leaves` combined along the tree the interpreter builds: adjacent pairs,
+/// an odd tail passed through; `None` for no leaves.
+fn tree(mut level: Vec<u64>, u: impl Fn(u64, u64) -> u64) -> Option<u64> {
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| pair.get(1).map_or(pair[0], |&b| u(pair[0], b)))
+            .collect();
+    }
+    level.pop()
+}
+
+/// `n` rows with distinct first columns — so the set has exactly `n` rows,
+/// in this order — and second columns `scrambled_rows`' mapped by `nat`.
+fn distinct_rows(n: u64, nat: impl Fn(u64) -> u64) -> Vec<(u64, u64)> {
+    (scrambled_rows(n).iter().zip(0..))
+        .map(|(row, i)| (i, nat(row.1)))
+        .collect()
+}
+
+/// What `branching_leaf` computes for the row `(_, y)`.
+fn branching_leaf_of(y: u64) -> u64 {
+    if y <= 300 {
+        2 * y + 1
+    } else {
+        y
+    }
+}
+
 #[test]
 fn a_scalar_dcr_runs_the_interpreters_tree_on_kernels() {
-    // What `branching_leaf` and the two combiners compute, folded along the
-    // tree the interpreter builds: adjacent pairs, an odd tail passed through.
-    type Combine = fn(u64, u64) -> u64;
-    fn tree(mut level: Vec<u64>, u: Combine) -> Option<u64> {
-        while level.len() > 1 {
-            level = level
-                .chunks(2)
-                .map(|pair| pair.get(1).map_or(pair[0], |&b| u(pair[0], b)))
-                .collect();
-        }
-        level.pop()
-    }
-    let combiners: [(Expr, Combine); 2] = [
+    // After these two, one-call combiners that still keep the tree: an op
+    // that is not associative, a constant operand, one operand twice.
+    let q = || Expr::var("q");
+    let combiners: [(Expr, Combine); 5] = [
         (sub_combiner(), |a, b| (3 * a).saturating_sub(b)),
-        (Expr::proj1(Expr::var("q")), |a, _| a),
+        (Expr::proj1(q()), |a, _| a),
+        (
+            call("nat_sub", Expr::proj1(q()), Expr::proj2(q())),
+            u64::saturating_sub,
+        ),
+        (call("nat_add", Expr::proj1(q()), Expr::nat(1)), |a, _| {
+            a + 1
+        }),
+        (
+            call("nat_add", Expr::proj1(q()), Expr::proj1(q())),
+            |a, _| 2 * a,
+        ),
     ];
     for n in [0u64, 1, 2, 3, 8, 1_025, 2_049] {
-        // Distinct first columns: the set has exactly `n` rows, in this order.
-        let rows: Vec<(u64, u64)> = (scrambled_rows(n).iter().zip(0..))
-            .map(|(row, i)| (i, row.1))
-            .collect();
-        let leaves: Vec<u64> = (rows.iter())
-            .map(|&(_, y)| if y <= 300 { 2 * y + 1 } else { y })
-            .collect();
+        let rows = distinct_rows(n, |y| y);
+        let leaves: Vec<u64> = rows.iter().map(|&(_, y)| branching_leaf_of(y)).collect();
         let mut spans = Vec::new();
         for (combine, u) in &combiners {
             let expr = scalar_dcr_over(combine.clone(), Expr::constant(input_value(&rows)));
@@ -691,6 +721,184 @@ fn a_scalar_dcr_runs_the_interpreters_tree_on_kernels() {
         }
         // `pi1 q` is a shallower combiner than `sub_combiner`.
         assert!(n < 2 || spans[1] < spans[0], "n = {n}: {spans:?}");
+    }
+}
+
+/// The four associative, commutative word ops a combiner folds by, each
+/// with its identity and what it does to two words.
+const FOLDS: [(&str, u64, Combine); 4] = [
+    ("nat_add", 0, u64::saturating_add),
+    ("nat_mul", 1, u64::saturating_mul),
+    ("nat_max", 0, |a, b| a.max(b)),
+    ("nat_min", u64::MAX, |a, b| a.min(b)),
+];
+
+/// `op(pi1 q, pi2 q)`, its swap, and the first through `let`s.
+fn one_call_combiners(op: &str) -> [Expr; 3] {
+    let q = || Expr::var("q");
+    let through_lets = Expr::let_in(
+        "a",
+        Expr::proj1(q()),
+        Expr::let_in(
+            "b",
+            Expr::proj2(q()),
+            call(op, Expr::var("a"), Expr::var("b")),
+        ),
+    );
+    [
+        call(op, Expr::proj1(q()), Expr::proj2(q())),
+        call(op, Expr::proj2(q()), Expr::proj1(q())),
+        through_lets,
+    ]
+}
+
+/// `nat_add`/`nat_mul`/`nat_max`/`nat_min` combiners, however written, fold
+/// to the tree's value and charges: at the sizes around a block and one far
+/// beyond, from a straight-line or a branching leaf, with `e` the op's
+/// identity or not, over words that saturate or do not.
+#[test]
+fn a_one_call_associative_combiner_folds_to_the_trees_value_and_cost() {
+    let straight = Expr::lam("x", pair_ty(), Expr::proj2(Expr::var("x")));
+    // Each leaf with what it computes for the row `(_, y)`.
+    let leaves = [
+        (straight, (|y| y) as fn(u64) -> u64),
+        (branching_leaf(), branching_leaf_of),
+    ];
+    for (i, m) in [0u64, 1, 2, 1_023, 1_024, 1_025, 40_000]
+        .into_iter()
+        .enumerate()
+    {
+        // Small words, and words near the largest nat, which sums and
+        // products saturate on.
+        let small = distinct_rows(m, |y| y);
+        let large = distinct_rows(m, |y| u64::MAX - y);
+        for (j, (op, identity, u)) in FOLDS.into_iter().enumerate() {
+            for (k, combine) in one_call_combiners(op).into_iter().enumerate() {
+                // Each op meets each leaf, `e` and word size at each `m`.
+                let (leaf, of) = &leaves[(j + k) % 2];
+                let e = if (i + k) % 2 == 0 { identity } else { 7 };
+                let rows = if (i + j + k) % 2 == 0 { &small } else { &large };
+                let u_lam = Expr::lam("q", nat_pair(), combine.clone());
+                let set = Expr::constant(input_value(rows));
+                let expr = Expr::dcr(Expr::nat(e), leaf.clone(), u_lam, set);
+                let (value, stats) = assert_all_four_agree(&expr);
+                let expected = tree(rows.iter().map(|&(_, y)| of(y)).collect(), u);
+                let context = format!("m = {m}, e = {e}, u = {combine}");
+                assert_eq!(value, Value::Nat(expected.unwrap_or(e)), "{context}");
+                assert_eq!(stats.combiner_calls, m.saturating_sub(1), "{context}");
+            }
+        }
+    }
+}
+
+/// A leaf whose deep arm outweighs three combining rounds, taken by the last
+/// of nine rows only: that row is each round's odd tail until the last, and
+/// its span, passed through, sets the fold's.
+#[test]
+fn an_odd_tail_passed_through_keeps_its_span_in_a_fold() {
+    let n = || Expr::proj2(Expr::var("x"));
+    let deep = (0..12).fold(n(), |e, _| call("nat_add", e, Expr::nat(1)));
+    let body = Expr::ite(call("nat_leq", n(), Expr::nat(300)), deep, n());
+    let q = || Expr::var("q");
+    let sum = Expr::lam(
+        "q",
+        nat_pair(),
+        call("nat_add", Expr::proj1(q()), Expr::proj2(q())),
+    );
+    let dcr = |rows: &[(u64, u64)]| {
+        let set = Expr::constant(input_value(rows));
+        Expr::dcr(
+            Expr::nat(0),
+            Expr::lam("x", pair_ty(), body.clone()),
+            sum.clone(),
+            set,
+        )
+    };
+    let shallow: Vec<(u64, u64)> = (0..9).map(|i| (i, 1_000 + i)).collect();
+    let mut last_deep = shallow.clone();
+    last_deep[8].1 = 0;
+    let (value, stats) = assert_all_four_agree(&dcr(&last_deep));
+    assert_eq!(
+        value,
+        Value::Nat((0..8).map(|i| 1_000 + i).sum::<u64>() + 12)
+    );
+    assert!(stats.span > assert_all_four_agree(&dcr(&shallow)).1.span);
+}
+
+/// A combiner that captures, and a registry whose `nat_add` is no word op,
+/// keep the interpreter's tree, and its value.
+#[test]
+fn a_capturing_or_re_registered_combiner_keeps_the_tree() {
+    let rows = distinct_rows(2_049, |y| y);
+    let set = || Expr::constant(input_value(&rows));
+    let leaves: Vec<u64> = rows.iter().map(|&(_, y)| branching_leaf_of(y)).collect();
+    let q = || Expr::var("q");
+
+    // A combiner that reads the outer λ's `y`.
+    let capturing = call(
+        "nat_add",
+        Expr::proj1(q()),
+        call("nat_min", Expr::proj2(q()), Expr::var("y")),
+    );
+    let dcr = scalar_dcr_over(capturing, set());
+    let applied = Expr::app(Expr::lam("y", Type::Nat, dcr), Expr::nat(5));
+    let (value, _) = assert_all_four_agree(&applied);
+    let expected = tree(leaves.clone(), |a, b| a + b.min(5)).expect("leaves");
+    assert_eq!(value, Value::Nat(expected));
+
+    // `nat_add` re-registered: no word op, so no kernel combines with it.
+    let mut registry = ExternRegistry::standard();
+    registry.register("nat_add", vec![Type::Nat; 2], Type::Nat, |args| {
+        let [a, b] = [&args[0], &args[1]].map(|v| v.as_nat().expect("a nat"));
+        Ok(Value::Nat(a.saturating_mul(2).saturating_add(b)))
+    });
+    let straight = Expr::lam("x", pair_ty(), Expr::proj2(Expr::var("x")));
+    let u = Expr::lam(
+        "q",
+        nat_pair(),
+        call("nat_add", Expr::proj1(q()), Expr::proj2(q())),
+    );
+    let expr = Expr::dcr(Expr::nat(0), straight, u, set());
+    let runs = STRATEGIES.map(|(kernels, threads)| {
+        let session = SessionBuilder::new()
+            .registry(registry.clone())
+            .parallel_cutoff(1)
+            .parallelism(threads)
+            .row_kernels(kernels)
+            .build();
+        let out = session.evaluate(&expr).expect("evaluates");
+        (out.value, out.stats)
+    });
+    assert!(runs.iter().all(|run| *run == runs[0]), "{runs:?}");
+    let twice_plus = |a: u64, b: u64| a.saturating_mul(2).saturating_add(b);
+    let expected = tree(rows.iter().map(|r| r.1).collect(), twice_plus).expect("leaves");
+    assert_eq!(runs[0].0, Value::Nat(expected));
+}
+
+/// A limit inside the leaves, and one between the leaves' work and the
+/// total, raise the interpreter's error on every strategy.
+#[test]
+fn a_work_limit_trips_in_a_folded_dcr_as_in_the_interpreters_tree() {
+    let q = || Expr::var("q");
+    let sum = call("nat_add", Expr::proj1(q()), Expr::proj2(q()));
+    let set = Expr::constant(input_value(&scrambled_rows(9_000)));
+    let expr = scalar_dcr_over(sum, set);
+    let (_, stats) = assert_all_four_agree(&expr);
+    // A `branching_leaf` application costs more than a combiner's, so a
+    // third of the work falls inside the leaves; each combiner call costs at
+    // least two units, so `work − combiner_calls` falls after the leaves.
+    for limit in [stats.work / 3, stats.work - stats.combiner_calls] {
+        let reference = run_forking(&expr, false, None, Some(limit)).expect_err("over budget");
+        assert!(
+            matches!(reference, ncql::core::EvalError::WorkLimitExceeded { limit: l, .. } if l == limit),
+            "{reference}"
+        );
+        for (kernels, threads) in STRATEGIES {
+            let error = run_forking(&expr, kernels, threads, Some(limit)).expect_err("over budget");
+            let context = format!("limit {limit}: kernels {kernels}, threads {threads:?}");
+            assert_eq!(error, reference, "{context}");
+            assert_eq!(error.span(), reference.span(), "{context}");
+        }
     }
 }
 
