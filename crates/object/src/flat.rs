@@ -141,19 +141,25 @@ impl FlatShape {
     }
 
     /// Print the value this shape lays out in `row`, exactly as its boxed
-    /// form's `Display` would.
-    pub(crate) fn write_row(&self, out: &mut impl fmt::Write, row: &[u64]) -> fmt::Result {
+    /// form's [`Value::write_printed`] would, each interned atom's name
+    /// through `name`.
+    pub(crate) fn write_row<W: fmt::Write>(
+        &self,
+        out: &mut W,
+        row: &[u64],
+        name: NameWriter<W>,
+    ) -> fmt::Result {
         match self {
             FlatShape::Unit => out.write_str("()"),
             FlatShape::Bool => out.write_str(if row[0] == 0 { "false" } else { "true" }),
-            FlatShape::Atom => write_atom(out, row[0]),
+            FlatShape::Atom => write_atom(out, row[0], name),
             FlatShape::Nat => write_u64(out, row[0]),
             FlatShape::Pair(a, b) => {
                 let (first, second) = row.split_at(a.width());
                 out.write_char('(')?;
-                a.write_row(out, first)?;
+                a.write_row(out, first, name)?;
                 out.write_str(", ")?;
-                b.write_row(out, second)?;
+                b.write_row(out, second, name)?;
                 out.write_char(')')
             }
         }
@@ -176,27 +182,51 @@ impl FlatShape {
     }
 }
 
+/// How printed text puts out an interned atom's name: as it is (`Display`),
+/// or escaped for the inside of a JSON string (a wire reply's `printed`).
+pub type NameWriter<W> = fn(&mut W, &str) -> fmt::Result;
+
 /// How an atom prints, boxed or in a row: an interned atom by name, a numeric
 /// one as `a{n}` (the tag-bit check keeps the numeric path lock-free).
-pub(crate) fn write_atom(out: &mut impl fmt::Write, atom: u64) -> fmt::Result {
+pub(crate) fn write_atom<W: fmt::Write>(
+    out: &mut W,
+    atom: u64,
+    name: NameWriter<W>,
+) -> fmt::Result {
     match crate::intern::atom_name(atom) {
-        Some(name) => write!(out, "@{name}"),
+        Some(atom_name) => out.write_char('@').and_then(|()| name(out, atom_name)),
         None => out.write_char('a').and_then(|()| write_u64(out, atom)),
     }
 }
 
-/// Append `n` in decimal. Printing a relation, or writing it to the wire,
-/// puts out a number per word: too many to send each through `fmt::Arguments`.
+/// `"00"`, `"01"`, …, `"99"`: the two digits of each number below 100.
+const DIGIT_PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append `n` in decimal, two digits per division, each pair a slice of one
+/// 200-byte table (text as it is, so nothing is validated as UTF-8). This is
+/// the one decimal formatter of the workspace's text: wire numbers, printed
+/// values and JSON integers all come through here, a number per word — too
+/// many to send each through `fmt::Arguments`.
 pub fn write_u64(out: &mut impl fmt::Write, mut n: u64) -> fmt::Result {
-    let mut digits = [b'0'; 20];
-    let mut at = digits.len() - 1;
-    while n >= 10 {
-        digits[at] += (n % 10) as u8;
-        n /= 10;
-        at -= 1;
+    // The pairs after the leading one or two digits, least significant first.
+    let mut pairs = [0; 9];
+    let mut len = 0;
+    while n >= 100 {
+        pairs[len] = 2 * (n % 100) as usize;
+        n /= 100;
+        len += 1;
     }
-    digits[at] += n as u8;
-    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+    let lead = 2 * n as usize;
+    out.write_str(&DIGIT_PAIRS[lead + usize::from(n < 10)..lead + 2])?;
+    for &pair in pairs[..len].iter().rev() {
+        out.write_str(&DIGIT_PAIRS[pair..pair + 2])?;
+    }
+    Ok(())
 }
 
 // ----- row kernels (crate-internal: `VSet` is the public surface) -----
@@ -519,6 +549,27 @@ mod tests {
         assert!(!row_subset(&b, &a, width));
         assert_eq!(row_search(&a, width, &[5, 6]), Ok(2));
         assert!(row_search(&a, width, &[5, 5]).is_err());
+    }
+
+    #[test]
+    fn write_u64_prints_what_the_standard_formatter_prints() {
+        let mut samples = vec![0, 9, 10, 99, 100, u64::MAX];
+        for k in 1..=19 {
+            samples.extend([10u64.pow(k) - 1, 10u64.pow(k)]);
+        }
+        // A seeded xorshift, shifted so that every digit count comes up.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            samples.push(state >> (state % 64));
+        }
+        for n in samples {
+            let mut out = String::new();
+            write_u64(&mut out, n).unwrap();
+            assert_eq!(out, n.to_string());
+        }
     }
 
     #[test]

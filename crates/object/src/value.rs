@@ -32,7 +32,7 @@
 //! sets are immutable in practice ([`VSet::insert`] copies-on-write when the
 //! buffer is shared).
 
-use crate::flat::{self, FlatShape};
+use crate::flat::{self, FlatShape, NameWriter};
 use crate::types::Type;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -790,41 +790,96 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Value {
+    /// Write the printed form — [`Display`](fmt::Display)'s text — to `out`,
+    /// each interned atom's name through `name`. A columnar set prints from
+    /// its rows; no boxed view is made.
+    pub fn write_printed<W: fmt::Write>(&self, out: &mut W, name: NameWriter<W>) -> fmt::Result {
         match self {
-            Value::Atom(a) => flat::write_atom(f, *a),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Unit => write!(f, "()"),
-            Value::Nat(n) => write!(f, "{n}"),
-            Value::Pair(a, b) => write!(f, "({a}, {b})"),
+            Value::Atom(a) => flat::write_atom(out, *a, name),
+            Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Value::Unit => out.write_str("()"),
+            Value::Nat(n) => flat::write_u64(out, *n),
+            Value::Pair(a, b) => {
+                out.write_char('(')?;
+                a.write_printed(out, name)?;
+                out.write_str(", ")?;
+                b.write_printed(out, name)?;
+                out.write_char(')')
+            }
             Value::Set(s) => {
-                f.write_str("{")?;
+                out.write_char('{')?;
                 match s.columnar_rows() {
-                    // Printed from the rows (no boxed view is made) into a buffer:
-                    // a formatter is a `dyn Write`, slow when fed piece by piece.
                     Some((shape, width, words)) => {
-                        let mut text = String::new();
                         for (i, row) in words.chunks_exact(width).enumerate() {
                             if i > 0 {
-                                text.push_str(", ");
+                                out.write_str(", ")?;
                             }
-                            shape.write_row(&mut text, row)?;
+                            shape.write_row(out, row, name)?;
                         }
-                        f.write_str(&text)?;
                     }
                     None => {
                         for (i, x) in s.iter().enumerate() {
                             if i > 0 {
-                                f.write_str(", ")?;
+                                out.write_str(", ")?;
                             }
-                            write!(f, "{x}")?;
+                            x.write_printed(out, name)?;
                         }
                     }
                 }
-                f.write_str("}")
+                out.write_char('}')
             }
         }
+    }
+}
+
+/// A formatter fed through a stack buffer: a printed row is many small
+/// pieces, and each write to a [`fmt::Formatter`] is a dynamic call.
+struct Buffered<'a, 'f> {
+    f: &'a mut fmt::Formatter<'f>,
+    buf: [u8; 512],
+    len: usize,
+}
+
+impl Buffered<'_, '_> {
+    fn flush(&mut self) -> fmt::Result {
+        let text = std::str::from_utf8(&self.buf[..self.len]).expect("whole pieces of text");
+        self.len = 0;
+        self.f.write_str(text)
+    }
+
+    /// [`fmt::Write::write_str`] for a piece that does not fit: out of line,
+    /// so the copy of one that does is small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn flush_and_write(&mut self, s: &str) -> fmt::Result {
+        self.flush()?;
+        self.f.write_str(s)
+    }
+}
+
+impl fmt::Write for Buffered<'_, '_> {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        if end > self.buf.len() {
+            return self.flush_and_write(s);
+        }
+        self.buf[self.len..end].copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = Buffered {
+            f,
+            buf: [0; 512],
+            len: 0,
+        };
+        self.write_printed(&mut out, fmt::Write::write_str)?;
+        out.flush()
     }
 }
 

@@ -158,11 +158,17 @@ impl PartialEq for Json {
     }
 }
 
-/// Append `s` as a JSON string literal: runs of ordinary text are written
-/// whole, only the escaped bytes (all ASCII, so never inside a multi-byte
-/// character) one at a time.
-fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+/// Append `s` as a JSON string literal.
+pub(crate) fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')?;
+    write_escaped(out, s)?;
+    out.write_char('"')
+}
+
+/// Append `s` as the inside of a JSON string literal: runs of ordinary text
+/// are written whole, only the escaped bytes (all ASCII, so never inside a
+/// multi-byte character) one at a time.
+pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     let mut written = 0;
     for (i, byte) in s.bytes().enumerate() {
         if byte >= 0x20 && byte != b'"' && byte != b'\\' {
@@ -179,8 +185,7 @@ fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
             _ => write!(out, "\\u{byte:04x}")?,
         }
     }
-    out.write_str(&s[written..])?;
-    out.write_char('"')
+    out.write_str(&s[written..])
 }
 
 /// Serialize `v` straight into `out`: numbers format in place, so a bulk

@@ -39,24 +39,33 @@
 //!
 //! # Bytes ↔ rows
 //!
-//! No [`Json`] tree is built for a `value`, in either direction. A request
-//! line is read once: its envelope becomes a tree, and each binding value is
-//! decoded on the way by the pull reader, which is the grammar of record. A
-//! flat value's text is fixed by its shape (§5), so a set's rows are not
-//! lexed token by token: the first element's shape gives a row template, the
-//! literal text [`value_to_json`] writes around each word, and every later row
-//! is matched against it — a slice compare per piece, a digit loop per
-//! number, the words straight into the columnar rows the kernels run on. A
-//! row written any other way (whitespace, `1e1`, `30.0`, 20 digits, another
-//! shape) is read by the reader, that row alone. [`value_to_json`] writes a
-//! result's wire text from its rows, as `Display` does `printed`. A `value` is
-//! an object of exactly one member: a second key, a repeated one, `"unit"`
-//! other than `true` get a `protocol` error, `invalid value encoding at byte
-//! N: …` (at most 80 bytes of the line from `N` on).
+//! No [`Json`] tree is built for a `value`, in either direction, and one
+//! `Template` per flat shape is the definition of its row text both ways. A
+//! request line is read once: its envelope becomes a tree, and each binding
+//! value is decoded on the way by the pull reader, which is the grammar of
+//! record. A flat value's text is fixed by its shape (§5), so a set's rows are
+//! not lexed token by token: the first element's shape gives the template — the
+//! literal text around each word — and every later row is matched against it, a
+//! slice compare per piece, a digit loop per number, the words straight into
+//! the columnar rows the kernels run on. A row written any other way
+//! (whitespace, `1e1`, `30.0`, a number past `u64::MAX`, another shape) is read
+//! by the reader, that row alone. A `value` is an object of exactly one member:
+//! a second key, a repeated one, `"unit"` other than `true` get a `protocol`
+//! error, `invalid value encoding at byte N: …` (at most 80 bytes of the line
+//! from `N` on).
+//!
+//! An `execute` reply is written once, from the rows: the server reserves one
+//! buffer from the result's row count and widest row and writes the whole
+//! line into it — the envelope, each `value` row by its template, each
+//! `printed` row straight inside the JSON string (only an interned atom's
+//! name is ever escaped), then `type`, `stats` and `backend`. Every number on
+//! the way goes through [`write_u64`], the one decimal formatter. A boxed or
+//! nested value goes through the same writers, constructor by constructor.
 
-use crate::json::{Json, JsonError, Reader, Token};
+use crate::json::{self, Json, JsonError, Reader, Token};
 use ncql_core::EvalError;
-use ncql_engine::Error;
+use ncql_engine::{Error, Outcome};
+use ncql_object::flat::write_u64;
 use ncql_object::{FlatShape, Type, VSet, Value};
 
 /// The error-code strings of the wire protocol.
@@ -180,68 +189,132 @@ impl ProtocolError {
 }
 
 /// Encode a [`Value`] as wire JSON (the `value` production): a [`Json::Raw`]
-/// of the text, written directly — a columnar set's straight from its rows.
+/// of the text, written in one pass into a buffer reserved for it — a
+/// columnar set's rows each by its shape's `Template`, a boxed value
+/// constructor by constructor.
 pub fn value_to_json(value: &Value) -> Json {
-    let mut out = String::new();
+    let mut out = String::with_capacity(max_len(value));
     write_value(&mut out, value);
     Json::Raw(out)
 }
 
+/// The `ok` reply line to an `execute`, written in one pass into one buffer:
+/// the envelope, `value` (as [`value_to_json`] writes it), `printed` written
+/// straight inside its JSON string, then `type`, `stats` and `backend`. Byte
+/// for byte, it is [`ok_response`] around a body of [`value_to_json`],
+/// `Json::str` of the value's `Display` text and the rest. The buffer is
+/// reserved from a columnar result's row count and its widest row (a
+/// `printed` row is never longer than its `value` row, unless it names an
+/// interned atom), with room for the newline the connection appends.
+pub(crate) fn execute_response(id: u64, outcome: &Outcome, ty: &Type) -> String {
+    let (value, ty, backend) = (&outcome.value, ty.to_string(), outcome.backend.to_string());
+    let bytes = REPLY_BYTES + 2 * max_len(value) + ty.len() + backend.len();
+    let mut out = String::with_capacity(bytes);
+    out.push_str("{\"id\":");
+    push_u64(&mut out, id);
+    out.push_str(",\"ok\":{\"value\":");
+    write_value(&mut out, value);
+    out.push_str(",\"printed\":\"");
+    value
+        .write_printed(&mut out, json::write_escaped)
+        .expect(INFALLIBLE);
+    out.push_str("\",\"type\":");
+    json::write_string(&mut out, &ty).expect(INFALLIBLE);
+    let s = &outcome.stats;
+    let stats = [
+        (",\"stats\":{\"work\":", s.work),
+        (",\"span\":", s.span),
+        (",\"combiner_calls\":", s.combiner_calls),
+        (",\"step_calls\":", s.step_calls),
+        (",\"ext_calls\":", s.ext_calls),
+        (",\"sequential_rounds\":", s.sequential_rounds),
+        (",\"max_set_size\":", s.max_set_size as u64),
+    ];
+    for (key, n) in stats {
+        out.push_str(key);
+        push_u64(&mut out, n);
+    }
+    out.push_str("},\"backend\":");
+    json::write_string(&mut out, &backend).expect(INFALLIBLE);
+    out.push_str("}}");
+    out
+}
+
+/// An `execute` reply's bytes outside `value`, `printed`, `type` and
+/// `backend`, at their widest (about 330), its newline, and room for a small
+/// boxed value.
+const REPLY_BYTES: usize = 512;
+
+/// The longest wire text a columnar set can have, every row at its widest;
+/// nothing for any other value, whose text is left to grow as it is written.
+fn max_len(value: &Value) -> usize {
+    match value.as_set().and_then(VSet::columnar_rows) {
+        Some((shape, width, words)) => {
+            let row = Template::of(shape).max_len() + ",".len();
+            SET.len() + words.len() / width * row + "]}".len()
+        }
+        None => 0,
+    }
+}
+
+/// How the `value` grammar's constructors open, in the text a [`Template`]
+/// and [`write_value`] both write. A scalar's word follows its opening and
+/// `}` closes it; a `pair` or `set` lists its elements separated by `,` and
+/// `]}` closes it; `unit` is whole.
+const ATOM: &str = "{\"atom\":";
+const NAT: &str = "{\"nat\":";
+const BOOL: &str = "{\"bool\":";
+const UNIT: &str = "{\"unit\":true}";
+const PAIR: &str = "{\"pair\":[";
+const SET: &str = "{\"set\":[";
+
+/// A value's wire text: a columnar set's rows each by its shape's
+/// [`Template`], anything else constructor by constructor.
 fn write_value(out: &mut String, value: &Value) {
     match value {
-        Value::Atom(a) => write_scalar(out, "{\"atom\":", *a),
-        Value::Nat(n) => write_scalar(out, "{\"nat\":", *n),
-        Value::Bool(b) => write_row(out, &FlatShape::Bool, &[u64::from(*b)]),
-        Value::Unit => write_row(out, &FlatShape::Unit, &[]),
+        Value::Atom(a) => Slot::Number.write_scalar(out, ATOM, *a),
+        Value::Nat(n) => Slot::Number.write_scalar(out, NAT, *n),
+        Value::Bool(b) => Slot::Bool.write_scalar(out, BOOL, u64::from(*b)),
+        Value::Unit => out.push_str(UNIT),
         Value::Pair(a, b) => {
-            out.push_str("{\"pair\":[");
+            out.push_str(PAIR);
             write_value(out, a);
             out.push(',');
             write_value(out, b);
             out.push_str("]}");
         }
         Value::Set(s) => {
-            out.push_str("{\"set\":[");
-            if let Some((shape, width, words)) = s.columnar_rows() {
-                for row in words.chunks_exact(width) {
-                    write_row(out, shape, row);
-                    out.push(',');
+            out.push_str(SET);
+            match s.columnar_rows() {
+                Some((shape, width, words)) => {
+                    let template = Template::of(shape);
+                    for (i, row) in words.chunks_exact(width).enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        template.write(out, row);
+                    }
                 }
-            } else {
-                for x in s.iter() {
-                    write_value(out, x);
-                    out.push(',');
+                None => {
+                    for (i, x) in s.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_value(out, x);
+                    }
                 }
             }
-            out.truncate(out.trim_end_matches(',').len()); // the last element's comma
             out.push_str("]}");
         }
     }
 }
 
-/// [`write_value`] for the flat value that `shape` lays out in `row`.
-fn write_row(out: &mut String, shape: &FlatShape, row: &[u64]) {
-    match shape {
-        FlatShape::Atom => write_scalar(out, "{\"atom\":", row[0]),
-        FlatShape::Nat => write_scalar(out, "{\"nat\":", row[0]),
-        FlatShape::Bool if row[0] == 0 => out.push_str("{\"bool\":false}"),
-        FlatShape::Bool => out.push_str("{\"bool\":true}"),
-        FlatShape::Unit => out.push_str("{\"unit\":true}"),
-        FlatShape::Pair(a, b) => {
-            let (first, second) = row.split_at(a.width());
-            out.push_str("{\"pair\":[");
-            write_row(out, a, first);
-            out.push(',');
-            write_row(out, b, second);
-            out.push_str("]}");
-        }
-    }
-}
+/// Why a `fmt::Write` into a `String` is unwrapped.
+const INFALLIBLE: &str = "a String accepts every write";
 
-fn write_scalar(out: &mut String, open: &str, n: u64) {
-    out.push_str(open);
-    ncql_object::flat::write_u64(out, n).expect("a String accepts every write");
-    out.push('}');
+/// Append `n` in decimal.
+fn push_u64(out: &mut String, n: u64) {
+    write_u64(out, n).expect(INFALLIBLE);
 }
 
 /// `error`, with at most 80 bytes of `text` from where it points.
@@ -293,9 +366,9 @@ fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
 
 /// The elements of a `set`, the reader past its `[`. While each has the first
 /// one's flat shape (of width ≥ 1) their words fill one buffer: a row written
-/// as [`write_row`] writes it is matched by the shape's [`Template`], any other
-/// is read by [`read_value`]. From the first element of another shape on, the
-/// elements are boxed.
+/// as [`Template::write`] writes it is matched by the shape's [`Template`],
+/// any other is read by [`read_value`]. From the first element of another
+/// shape on, the elements are boxed.
 fn read_set(r: &mut Reader<'_>, mut more: bool) -> Result<Value, JsonError> {
     let mut elems = Vec::new();
     if more {
@@ -335,29 +408,55 @@ fn read_set(r: &mut Reader<'_>, mut more: bool) -> Result<Value, JsonError> {
     Ok(Value::set_from(elems))
 }
 
-/// A flat shape's row as [`write_row`] writes it: literal text with a word
-/// between each two pieces. A row that matches is decoded by slice compares and
-/// digit loops; one that does not — whitespace, a sign, a fraction or exponent,
-/// more than 19 digits, another key — is left to [`read_value`].
+/// The one definition of a flat shape's wire row: literal text with a word
+/// between each two pieces. [`Template::write`] puts a row out;
+/// [`Template::read`] matches one by slice compares and digit loops, and
+/// leaves a row written any other way — whitespace, a sign, a fraction or
+/// exponent, a number past `u64::MAX`, another key — to [`read_value`].
 struct Template {
     /// Each word's kind, with the text that comes before it.
-    slots: Vec<(Vec<u8>, Slot)>,
+    slots: Vec<(String, Slot)>,
     /// The text after the last word.
-    tail: Vec<u8>,
+    tail: String,
 }
 
+#[derive(Clone, Copy)]
 enum Slot {
-    /// An `atom` or `nat`: 1 to 19 decimal digits, so no overflow.
+    /// An `atom` or `nat`: 1 to 20 decimal digits that fit a `u64`.
     Number,
     /// `true` or `false`.
     Bool,
+}
+
+impl Slot {
+    /// The scalar whose text opens with `open` and holds `word`.
+    fn write_scalar(self, out: &mut String, open: &str, word: u64) {
+        out.push_str(open);
+        self.write(out, word);
+        out.push('}');
+    }
+
+    fn write(self, out: &mut String, word: u64) {
+        match self {
+            Slot::Number => push_u64(out, word),
+            Slot::Bool => out.push_str(if word == 0 { "false" } else { "true" }),
+        }
+    }
+
+    /// The most bytes [`Slot::write`] puts out.
+    fn max_len(self) -> usize {
+        match self {
+            Slot::Number => 20,
+            Slot::Bool => 5,
+        }
+    }
 }
 
 impl Template {
     fn of(shape: &FlatShape) -> Template {
         let mut template = Template {
             slots: Vec::new(),
-            tail: Vec::new(),
+            tail: String::new(),
         };
         template.push(shape);
         template
@@ -365,24 +464,42 @@ impl Template {
 
     fn push(&mut self, shape: &FlatShape) {
         let mut scalar = |open: &str, slot| {
-            self.tail.extend_from_slice(open.as_bytes());
+            self.tail.push_str(open);
             let before = std::mem::take(&mut self.tail);
             self.slots.push((before, slot));
-            self.tail.push(b'}');
+            self.tail.push('}');
         };
         match shape {
-            FlatShape::Atom => scalar("{\"atom\":", Slot::Number),
-            FlatShape::Nat => scalar("{\"nat\":", Slot::Number),
-            FlatShape::Bool => scalar("{\"bool\":", Slot::Bool),
-            FlatShape::Unit => self.tail.extend_from_slice(b"{\"unit\":true}"),
+            FlatShape::Atom => scalar(ATOM, Slot::Number),
+            FlatShape::Nat => scalar(NAT, Slot::Number),
+            FlatShape::Bool => scalar(BOOL, Slot::Bool),
+            FlatShape::Unit => self.tail.push_str(UNIT),
             FlatShape::Pair(a, b) => {
-                self.tail.extend_from_slice(b"{\"pair\":[");
+                self.tail.push_str(PAIR);
                 self.push(a);
-                self.tail.push(b',');
+                self.tail.push(',');
                 self.push(b);
-                self.tail.extend_from_slice(b"]}");
+                self.tail.push_str("]}");
             }
         }
+    }
+
+    /// The longest row this template writes.
+    fn max_len(&self) -> usize {
+        let slots = self.slots.iter();
+        let words: usize = slots
+            .map(|(before, slot)| before.len() + slot.max_len())
+            .sum();
+        words + self.tail.len()
+    }
+
+    /// Append the row of `words` (one per slot).
+    fn write(&self, out: &mut String, words: &[u64]) {
+        for ((before, slot), &word) in self.slots.iter().zip(words) {
+            out.push_str(before);
+            slot.write(out, word);
+        }
+        out.push_str(&self.tail);
     }
 
     /// Match one row at the start of `text`, appending its words to `out`:
@@ -390,7 +507,7 @@ impl Template {
     fn read(&self, text: &[u8], out: &mut Vec<u64>) -> Option<usize> {
         let mut at = 0;
         for (before, slot) in &self.slots {
-            if !text[at..].starts_with(before) {
+            if !text[at..].starts_with(before.as_bytes()) {
                 return None;
             }
             at += before.len();
@@ -399,14 +516,20 @@ impl Template {
                 Slot::Number => {
                     let len = rest
                         .iter()
-                        .take(20)
+                        .take(21)
                         .take_while(|b| b.is_ascii_digit())
                         .count();
-                    if !(1..=19).contains(&len) {
+                    if !(1..=20).contains(&len) {
                         return None;
                     }
-                    let digits = rest[..len].iter().map(|digit| u64::from(digit - b'0'));
-                    (digits.fold(0, |n, digit| n * 10 + digit), len)
+                    // Nineteen digits always fit; a twentieth may overflow.
+                    let digit = |i: usize| u64::from(rest[i] - b'0');
+                    let head = (0..len.min(19)).fold(0, |n, i| n * 10 + digit(i));
+                    let word = match len {
+                        20 => head.checked_mul(10)?.checked_add(digit(19))?,
+                        _ => head,
+                    };
+                    (word, len)
                 }
                 Slot::Bool if rest.starts_with(b"true") => (1, 4),
                 Slot::Bool if rest.starts_with(b"false") => (0, 5),
@@ -416,7 +539,7 @@ impl Template {
             at += len;
         }
         text[at..]
-            .starts_with(&self.tail)
+            .starts_with(self.tail.as_bytes())
             .then_some(at + self.tail.len())
     }
 }
@@ -744,13 +867,15 @@ mod tests {
         "((nat * nat) * atom)",
     ];
 
-    /// `count` values of the flat type `ty`, their words from 1 to 19 digits
+    /// `count` values of the flat type `ty`, their words from 1 to 20 digits
     /// (the named atoms' tag bit set on some).
     fn flat_values(ty: &str, count: usize) -> (FlatShape, Vec<Value>) {
         let words = [
             0,
             1,
             7,
+            9,
+            10,
             42,
             999,
             1 << 16,
@@ -760,6 +885,7 @@ mod tests {
             (1 << 63) + 5,
             9_999_999_999_999_999_998,
             9_999_999_999_999_999_999,
+            u64::MAX,
         ];
         let shape = FlatShape::of_type(&ncql_surface::parse_type(ty).unwrap()).unwrap();
         let row = |i: usize| -> Vec<u64> {
@@ -776,7 +902,12 @@ mod tests {
             let (shape, values) = flat_values(ty, 21);
             let template = Template::of(&shape);
             for value in values {
-                let row = value_to_json(&value).to_string();
+                let mut words = Vec::new();
+                assert!(shape.encode_into(&value, &mut words));
+                let mut row = String::new();
+                template.write(&mut row, &words);
+                assert_eq!(row, value_to_json(&value).to_string());
+                assert!(row.len() <= template.max_len(), "{row}");
                 let mut read = Vec::new();
                 let text = format!("{row},{row}]");
                 assert_eq!(
@@ -784,8 +915,6 @@ mod tests {
                     Some(row.len()),
                     "{row}"
                 );
-                let mut words = Vec::new();
-                assert!(shape.encode_into(&value, &mut words));
                 assert_eq!(read, words, "{row}");
             }
         }
@@ -940,6 +1069,91 @@ mod tests {
             excerpt.starts_with(r#"{"atom":"éé"#) && excerpt.len() == 79,
             "{excerpt}"
         );
+    }
+
+    /// The `ok` line to an `execute` as the server composed it before it
+    /// wrote replies in one pass: [`ok_response`] around a [`Json`] body.
+    fn composed_reply(id: u64, outcome: &Outcome, ty: &Type) -> String {
+        let s = &outcome.stats;
+        let stats = [
+            ("work", s.work),
+            ("span", s.span),
+            ("combiner_calls", s.combiner_calls),
+            ("step_calls", s.step_calls),
+            ("ext_calls", s.ext_calls),
+            ("sequential_rounds", s.sequential_rounds),
+            ("max_set_size", s.max_set_size as u64),
+        ];
+        let stats = stats.map(|(name, n)| (name.to_string(), Json::num(n)));
+        let body = Json::Obj(vec![
+            ("value".to_string(), value_to_json(&outcome.value)),
+            ("printed".to_string(), Json::str(outcome.value.to_string())),
+            ("type".to_string(), Json::str(ty.to_string())),
+            ("stats".to_string(), Json::Obj(stats.into())),
+            (
+                "backend".to_string(),
+                Json::str(outcome.backend.to_string()),
+            ),
+        ]);
+        ok_response(id, body)
+    }
+
+    #[test]
+    fn an_execute_reply_is_the_composed_reply_byte_for_byte() {
+        let parse = |ty: &str| ncql_surface::parse_type(ty).unwrap();
+        let mut cases = Vec::new();
+        for ty in ["unit"].into_iter().chain(TEMPLATE_TYPES) {
+            // Every word of `flat_values` in every slot: 0, 9, 10, u64::MAX…
+            let (_, elems) = flat_values(ty, 21);
+            let set = parse(&format!("{{{ty}}}"));
+            cases.push((Value::set_from(elems.clone()), set.clone()));
+            cases.push((Value::set_from(elems[..2].to_vec()), set));
+            cases.push((elems[5].clone(), parse(ty)));
+        }
+        cases.push((Value::empty_set(), parse("{atom}")));
+        cases.push((Value::Nat(u64::MAX), parse("nat")));
+        let nested = Value::pair(Value::Atom(1), Value::set_from([2, 3].map(Value::Nat)));
+        cases.push((Value::singleton(nested), parse("{(atom * {nat})}")));
+        // `intern_atom` takes any name; `printed` must escape it.
+        let names = ["say \"hi\"", "back\\slash", "new\nline", "é"];
+        let named = names.map(|name| Value::Atom(ncql_object::intern_atom(name)));
+        let rows = (0..12).map(|i| Value::pair(named[i % 4].clone(), Value::Nat(i as u64)));
+        cases.push((Value::set_from(rows), parse("{(atom * nat)}")));
+        let boxed = Value::pair(named[0].clone(), Value::set_from(named.clone()));
+        cases.push((boxed, parse("(atom * {atom})")));
+
+        let stats = ncql_core::CostStats {
+            work: u64::MAX,
+            span: 10,
+            combiner_calls: 9,
+            max_set_size: 21,
+            ..Default::default()
+        };
+        let backends = [
+            ncql_engine::Backend::Sequential,
+            ncql_engine::Backend::Parallel { threads: 4 },
+        ];
+        for (i, (value, ty)) in cases.into_iter().enumerate() {
+            let outcome = Outcome {
+                value,
+                stats,
+                backend: backends[i % 2],
+            };
+            let id = [0, 9, 10, u64::MAX][i % 4];
+            let reply = execute_response(id, &outcome, &ty);
+            assert_eq!(reply, composed_reply(id, &outcome, &ty));
+            let printed = crate::json::parse(&reply).unwrap();
+            let printed = printed.get("ok").and_then(|ok| ok.get("printed"));
+            assert_eq!(
+                printed.and_then(Json::as_str),
+                Some(&*outcome.value.to_string())
+            );
+            // A columnar result's reply, newline included, fits the buffer
+            // reserved for it.
+            if outcome.value.as_set().is_some_and(VSet::is_columnar) {
+                assert!(reply.capacity() > reply.len(), "{reply}");
+            }
+        }
     }
 
     #[test]

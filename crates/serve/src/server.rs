@@ -33,8 +33,7 @@
 use crate::json::Json;
 use crate::limits::Semaphore;
 use crate::protocol::{self, code, error_code, ProtocolError, Request};
-use ncql_engine::{CancelToken, Diagnostic, ExecOptions, Outcome, Session};
-use ncql_object::Type;
+use ncql_engine::{CancelToken, Diagnostic, ExecOptions, Session};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -366,11 +365,12 @@ fn handle_connection(stream: TcpStream, inner: Arc<Inner>) -> io::Result<()> {
     }
 }
 
-/// Write one reply line. The newline is its own write: pushing it onto a
-/// finished reply could reallocate, and so copy, up to a megabyte.
-fn send(writer: &mut BufWriter<TcpStream>, response: String) -> io::Result<()> {
-    writer.write_all(response.as_bytes())?;
-    writer.write_all(b"\n")
+/// Write one reply line, its newline pushed onto the reply so that the line
+/// is one write. An `execute` reply, the only large one, has room for the
+/// newline reserved, so the push copies nothing.
+fn send(writer: &mut BufWriter<TcpStream>, mut response: String) -> io::Result<()> {
+    response.push('\n');
+    writer.write_all(response.as_bytes())
 }
 
 /// Build the response line for one parsed request. Responses are single
@@ -433,7 +433,7 @@ fn respond(inner: &Inner, request: Request) -> String {
                 .session
                 .execute_with_options(&plan, &bindings, &options)
             {
-                Ok(outcome) => protocol::ok_response(id, outcome_body(&outcome, plan.ty())),
+                Ok(outcome) => protocol::execute_response(id, &outcome, plan.ty()),
                 Err(error) => engine_error_response(id, &error, &text),
             }
         }
@@ -472,35 +472,6 @@ fn engine_error_response(id: u64, error: &ncql_engine::Error, source: &str) -> S
         error_code(error),
         error.diagnostic(source).to_json(),
     )
-}
-
-fn outcome_body(outcome: &Outcome, ty: &Type) -> Json {
-    Json::Obj(vec![
-        ("value".to_string(), protocol::value_to_json(&outcome.value)),
-        ("printed".to_string(), Json::str(outcome.value.to_string())),
-        ("type".to_string(), Json::str(ty.to_string())),
-        ("stats".to_string(), stats_json(outcome)),
-        (
-            "backend".to_string(),
-            Json::str(outcome.backend.to_string()),
-        ),
-    ])
-}
-
-fn stats_json(outcome: &Outcome) -> Json {
-    let s = &outcome.stats;
-    Json::Obj(vec![
-        ("work".to_string(), Json::num(s.work)),
-        ("span".to_string(), Json::num(s.span)),
-        ("combiner_calls".to_string(), Json::num(s.combiner_calls)),
-        ("step_calls".to_string(), Json::num(s.step_calls)),
-        ("ext_calls".to_string(), Json::num(s.ext_calls)),
-        (
-            "sequential_rounds".to_string(),
-            Json::num(s.sequential_rounds),
-        ),
-        ("max_set_size".to_string(), Json::num(s.max_set_size as u64)),
-    ])
 }
 
 /// The `stats` response body: cache metrics, live pool workers, the

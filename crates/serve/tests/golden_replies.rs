@@ -1,7 +1,8 @@
 //! Golden bytes: the reply lines of five requests, captured from the commit
 //! before the wire codec stopped building `Json` trees for values (and kept
 //! in `golden/replies.txt`, one per line), must come back byte-for-byte from
-//! the server and from `ok_response` around a body built as the server's is.
+//! the server, which writes each line in one pass, and from `ok_response`
+//! around a `Json` body composed as the server once built it.
 //! The five: the three pack entries, a result with nested sets (boxed on
 //! both sides of the wire), and a columnar result of interned atoms — whose
 //! ids depend on interning order, which is why this suite is a test binary
@@ -16,8 +17,8 @@ use ncql_serve::{Client, ServeConfig, Server};
 
 const GOLDEN: &str = include_str!("golden/replies.txt");
 
-/// The `ok` body of an `execute` reply, field for field as the server builds
-/// it (its builder is private).
+/// The `ok` body of an `execute` reply, field for field as the server built
+/// it before it wrote the line in one pass.
 fn reply_body(outcome: &Outcome, ty: &str) -> Json {
     let s = &outcome.stats;
     let stats = [
