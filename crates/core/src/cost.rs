@@ -161,6 +161,11 @@ impl Rule {
         }
     }
 
+    /// [`Rule::join`] of `k` operands of span `s` each, in closed form.
+    pub fn join_repeated(&self, s: u64, k: u64) -> u64 {
+        s * if self.sum { k } else { k.min(1) }
+    }
+
     /// The `(work, span)` of a node under this rule whose operands cost
     /// `kids`: their work and the rule's own; their spans composed by
     /// [`Rule::join`] plus the rule's own.
@@ -235,5 +240,15 @@ mod tests {
         assert_eq!(LEAF.node::<u64, u64>([]), (1, 0));
         assert_eq!(EXT.span_over([1, 2, 3]), 7);
         assert_eq!((PAIR.join(3u64, 4), IF.join(3u64, 4)), (4, 7));
+    }
+
+    #[test]
+    fn a_repeated_join_is_the_joins_one_by_one() {
+        for rule in [IN_SEQUENCE, INDEPENDENT] {
+            for (s, k) in [(0, 3), (3, 0), (3, 1), (3, 4), (7, 9)] {
+                let one_by_one = (0..k).fold(0u64, |acc, _| rule.join(acc, s));
+                assert_eq!(rule.join_repeated(s, k), one_by_one, "{rule:?} s {s} k {k}");
+            }
+        }
     }
 }

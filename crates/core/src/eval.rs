@@ -278,9 +278,11 @@ pub struct CostStats {
     pub step_calls: u64,
     /// Number of `ext` element applications.
     pub ext_calls: u64,
-    /// Maximum number of *sequential* rounds executed by any single iterator or
+    /// Maximum number of *sequential* rounds of any single iterator or
     /// insert-recursion in the expression (the quantity bounded by `log` for
-    /// `log-loop` and by `n` for `loop`/`sri`).
+    /// `log-loop` and by `n` for `loop`/`sri`). The cost model counts every
+    /// round, including those an iterator past its fixed point charges
+    /// without running.
     pub sequential_rounds: u64,
     /// Largest intermediate set cardinality observed.
     pub max_set_size: usize,
@@ -666,6 +668,24 @@ impl Evaluator {
             return Err(EvalError::set_too_large(self.config.max_set_size, len));
         }
         Ok(())
+    }
+
+    /// Charge `k` more runs of the round that began at `before`: its growth of
+    /// the additive tallies, `k` times (the high-water marks would not move).
+    /// Returns `false`, charging nothing, when the work budget does not cover
+    /// all `k`.
+    fn repeat_round(&mut self, before: &CostStats, k: u64) -> EvalResult<bool> {
+        let work = self.stats.work - before.work;
+        let charged = (self.shared_work.as_ref())
+            .map_or(self.stats.work, |total| total.load(AtomicOrdering::Relaxed));
+        if work.saturating_mul(k) > self.config.max_work.saturating_sub(charged) {
+            return Ok(false);
+        }
+        self.add_work(work.saturating_mul(k))?;
+        self.stats.combiner_calls += (self.stats.combiner_calls - before.combiner_calls) * k;
+        self.stats.step_calls += (self.stats.step_calls - before.step_calls) * k;
+        self.stats.ext_calls += (self.stats.ext_calls - before.ext_calls) * k;
+        Ok(true)
     }
 
     fn note_rounds(&mut self, rounds: u64) {
@@ -1313,6 +1333,9 @@ impl Evaluator {
 
     /// Shared evaluation of the iterators `loop` / `log-loop` / `bloop` /
     /// `blog-loop`: apply the body `|set|` or `⌈log(|set|+1)⌉` times, sequentially.
+    /// A round is a function of the body and its input: once one returns its
+    /// input, the rounds left repeat its charges, which are made without
+    /// running them when the work budget covers them all.
     fn eval_iterator(
         &mut self,
         env: &Env,
@@ -1334,10 +1357,16 @@ impl Evaluator {
         };
         let prefix_span = cost::INDEPENDENT.span_over([sf, sb, ss, si]);
         let mut chain_span = 0u64;
-        for _ in 0..rounds {
-            let (v, s) = self.apply_bounded(&f_clo, acc, &bound_val)?;
-            acc = v;
+        for round in 1..=rounds {
+            let before = self.stats;
+            let (v, s) = self.apply_bounded(&f_clo, acc.clone(), &bound_val)?;
             chain_span = cost::IN_SEQUENCE.join(chain_span, s);
+            if v == acc && self.repeat_round(&before, rounds - round)? {
+                let rest = cost::IN_SEQUENCE.join_repeated(s, rounds - round);
+                chain_span = cost::IN_SEQUENCE.join(chain_span, rest);
+                break;
+            }
+            acc = v;
         }
         self.note_rounds(rounds);
         obj(acc, cost::RECURSION.span_over([prefix_span, chain_span]))

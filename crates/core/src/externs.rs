@@ -168,6 +168,10 @@ impl ExternRegistry {
     /// Register an external function. Copy-on-write: when this registry handle
     /// shares its map with clones (e.g. a running session's config), the map
     /// is copied once here and the clones keep the old Σ.
+    ///
+    /// `body` must be a function of its arguments: forked schedules call
+    /// externs in any order, and an iterator whose round returns its own input
+    /// charges the rounds left without running them.
     pub fn register<F>(&mut self, name: &str, params: Vec<Type>, result: Type, body: F)
     where
         F: Fn(&[Value]) -> Result<Value, EvalError> + Send + Sync + 'static,
