@@ -331,11 +331,6 @@ impl Expr {
     /// `let` bindings, which avoids substitution.
     pub fn lam2(x: impl Into<String>, y: impl Into<String>, ty: Type, body: Expr) -> Expr {
         let z = fresh_var("pair");
-        let (tx, ty_snd) = match &ty {
-            Type::Prod(a, b) => ((**a).clone(), (**b).clone()),
-            _ => (ty.clone(), ty.clone()),
-        };
-        let _ = (tx, ty_snd);
         Expr::lam(
             z.clone(),
             ty,

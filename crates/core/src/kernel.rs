@@ -1573,6 +1573,7 @@ pub fn kernel_stats() -> KernelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{shape, Shape};
     use crate::eval::{EvalConfig, Evaluator};
     use ncql_object::{Type, Value};
 
@@ -1927,9 +1928,23 @@ mod tests {
         let (pi1, pi2) = (|| Expr::proj1(q()), || Expr::proj2(q()));
         let call = |f: &str, a, b| Expr::extern_call(f, vec![a, b]);
         let combiner = |body: &Expr, reg| compile_as(Role::Scalar, "q", body, &nat2, &scope, reg);
+        // The analysis reads every body the kernel folds as the shape of the
+        // same op, so the two recognisers cannot drift.
+        let twins = [
+            (Shape::NatAdd, WordOp::Add),
+            (Shape::NatMul, WordOp::Mul),
+            (Shape::NatMax, WordOp::Max),
+            (Shape::NatMin, WordOp::Min),
+        ];
         let fold = |body: Expr| {
             let kernel = combiner(&body, &reg).expect("compiles");
-            kernel.word_fold().map(|(op, _)| op)
+            let op = kernel.word_fold().map(|(op, _)| op);
+            if let Some(op) = op {
+                let lam = Expr::lam("q", Type::prod(Type::Nat, Type::Nat), body.clone());
+                let twin = twins.iter().find(|&&(_, o)| o == op).map(|&(s, _)| s);
+                assert_eq!(shape(&resolve(&lam).expr), twin, "{body}");
+            }
+            op
         };
         for (name, op) in [
             ("nat_add", WordOp::Add),

@@ -35,7 +35,8 @@
 //!   every schedule.
 //! * [`analysis`] — the syntactic passes: free variables, the *depth of
 //!   recursion nesting* of §3, which stratifies the language into the ACᵏ
-//!   levels, and the span-aware lint pass, which decides from slots.
+//!   levels, and the span-aware lint pass with the §7.1 recogniser of
+//!   lawful recursors it reads, both deciding from slots.
 //! * [`analyze`] — the cost interpreter: the rules of [`cost`] over symbolic
 //!   carriers give work/span upper bounds in the schema-relation
 //!   cardinalities, and the work floor, an integer, for rejecting doomed
@@ -43,12 +44,6 @@
 //! * [`rewrite`] — the algebraic optimizer: one bottom-up pass (constant
 //!   folding on a per-text budget, ext-fusion) whose result is gated by the
 //!   [`analyze`] cost model so a plan's work/span guarantee can only improve.
-//! * [`wellformed`] — the bounded checker for the algebraic preconditions
-//!   (associativity, commutativity, identity) of `dcr`/`sru` instances; the
-//!   general problem is Π⁰₁-complete (§2), so the checker works over a finite
-//!   carrier sampled from a concrete input. A library API of the reproduction
-//!   (§2's preconditions made executable): no request path calls it, its
-//!   callers are its own tests.
 //! * [`derived`] — the derived operations the paper lists as expressible in NRA:
 //!   set intersection and difference, cartesian product, relational projections,
 //!   selections, relation composition, nest/unnest, membership, and friends.
@@ -73,7 +68,6 @@ pub mod resolve;
 pub mod rewrite;
 pub mod span;
 pub mod typecheck;
-pub mod wellformed;
 
 pub use analysis::{Finding, Lint, Severity};
 pub use analyze::{analyze_query, Bound, CostBound, Poly, QueryAnalysis};

@@ -1108,8 +1108,8 @@ mod tests {
     #[test]
     fn deny_policy_rejects_ignored_combiner_arguments() {
         // A dcr combiner that drops its first argument cannot be associative
-        // with identity — `wellformed` would flag it at runtime; the lint
-        // rejects it at prepare.
+        // with identity: `analysis::lawful` refutes it, and the lint rejects
+        // it at prepare.
         let text = "dcr(empty[atom], \\x: atom. {x}, \
                     \\p: ({atom} * {atom}). pi2 p, {@1} union {@2})";
         let deny = Session::builder().lint_policy(LintPolicy::Deny).build();

@@ -696,14 +696,6 @@ impl Value {
         }
     }
 
-    /// If this is a boolean, return it.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// If this is an atom, return it.
     pub fn as_atom(&self) -> Option<Atom> {
         match self {

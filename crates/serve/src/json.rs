@@ -84,14 +84,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The number, if this is a number. Lossy above 2⁵³ for `UInt` values —
     /// exact consumers use [`Json::as_u64`].
     pub fn as_f64(&self) -> Option<f64> {

@@ -19,12 +19,7 @@
 //!   tests compare against the direct semantics. (The fully syntactic encodings
 //!   exist in the paper's proof; the measurable claims are the round counts and
 //!   the equivalences, which is what these strategies expose.)
-//! * [`orderly`] — the decidable sublanguage discussed at the end of §1/§7.1: a
-//!   recognizer for `dcr` instances whose combiners come from a whitelist of
-//!   shapes for which the algebraic laws are guaranteed, so that membership in
-//!   the sublanguage is a decidable syntactic check.
 
-pub mod orderly;
 pub mod prop21;
 pub mod prop22;
 pub mod prop73;

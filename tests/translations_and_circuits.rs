@@ -4,12 +4,14 @@
 
 use ncql::circuit::compile::{compile, run_compiled};
 use ncql::circuit::relquery::{eval_reference, BitRelation, RelQuery};
+use ncql::core::analysis::{lawful, Lawful, Shape};
 use ncql::core::derived;
 use ncql::core::eval::eval_closed;
 use ncql::core::expr::Expr;
+use ncql::core::resolve::resolve;
 use ncql::object::{Type, Value};
 use ncql::queries::{datagen, pack, Relation};
-use ncql::translate::{orderly, prop21, prop22, prop73};
+use ncql::translate::{prop21, prop22, prop73};
 use ncql::{surface, Session};
 
 /// The pack text `name`, parsed: its free variables stay open.
@@ -155,15 +157,18 @@ fn prop73_both_directions_agree_with_direct_semantics() {
 
 #[test]
 fn library_tc_query_is_in_the_orderly_sublanguage() {
+    // Closed over a graph, the §1 closure's `dcr` is still a §7.1 theorem,
+    // and so is the parity query's.
+    let sites = |e: &Expr| {
+        let mut found = Vec::new();
+        resolve(e).expr.visit(&mut |e| found.extend(lawful(e)));
+        found
+    };
     let q = over(&datagen::path_graph(4), pack_expr("graph/tc_dcr"));
-    assert!(
-        orderly::is_orderly(&q),
-        "the library transitive closure should use a whitelisted combiner"
-    );
-    // The parity query is orderly too.
+    assert_eq!(sites(&q), [Lawful::Theorem(Shape::UnionCompose)]);
     let s = Expr::constant(Value::atom_set(0..4));
     let p = Expr::let_in("s", s, pack_expr("parity/dcr"));
-    assert!(orderly::is_orderly(&p));
+    assert_eq!(sites(&p), [Lawful::Theorem(Shape::BoolXor)]);
 }
 
 #[test]
