@@ -1,21 +1,12 @@
-//! Syntactic passes over expressions: free variables, the *depth of recursion
-//! nesting* of §3, and the lint pass. Nothing here knows the cost model — the
-//! cost interpreter is [`crate::analyze`], which calls the lint pass.
-//!
-//! The nesting depth stratifies the language into the ACᵏ hierarchy: Theorem 6.2
-//! states `NRA¹(dcr^(k), ≤) = FLAT-ACᵏ` and Theorem 6.1 states
-//! `NRA(bdcr^(k), ≤) = CMPX-OBJ-ACᵏ` for `k ≥ 1`. The definition from the paper is
-//!
-//! ```text
-//! depth(dcr(e, f, u)) = max(depth(e), depth(f), 1 + depth(u))
-//! ```
-//!
-//! — only the combiner `u` is actually iterated (the singleton map `f` is applied
-//! once per element, in parallel). Similarly for `sri(e, i)` only the step `i`
-//! counts, and for the iterators only the body counts.
+//! Syntactic passes over expressions: free variables, the lint pass and the
+//! §7.1 recogniser of lawful recursors it reads, all deciding from slots.
+//! Nothing here knows the cost model — the cost interpreter is
+//! [`crate::analyze`], which calls the lint pass — and nothing here walks a
+//! plan for the facts of its nodes: [`crate::resolve`] records them, the §3
+//! recursion depth included, in the walk that resolves it.
 
 use crate::expr::{Expr, ExprKind, InsertForm, Slot, UnionForm};
-use crate::resolve::resolve;
+use crate::resolve::{resolve, Facts, Resolved};
 use crate::span::Span;
 use ncql_object::{Type, Value};
 use std::collections::BTreeSet;
@@ -39,26 +30,10 @@ pub fn free_var_span(expr: &Expr, name: &str) -> Option<Span> {
     first.flatten()
 }
 
-/// The depth of recursion/iteration nesting (§3 and §7.1). An expression with no
-/// recursor or iterator has depth 0; Theorem 6.2 places a flat query of depth `k ≥ 1`
-/// in ACᵏ.
-///
-/// Which operand is "the iterated one" (the combiner of a `dcr`, the step of
-/// an `sri`, the body of an iterator) is recorded once, on
-/// [`Expr::children`]'s `iterated` flag, rather than re-enumerated here.
+/// The depth of recursion/iteration nesting (§3 and §7.1) of `expr`: see
+/// [`Resolved::recursion_depth`].
 pub fn recursion_depth(expr: &Expr) -> usize {
-    expr.children()
-        .into_iter()
-        .map(|child| recursion_depth(child.expr) + usize::from(child.iterated))
-        .max()
-        .unwrap_or(0)
-}
-
-/// The ACᵏ level predicted by Theorem 6.1/6.2 for this expression: `max(1, depth)`
-/// (the theorems are stated for `k ≥ 1`; depth-0 queries are already in AC¹ by
-/// Proposition 6.4).
-pub fn ac_level(expr: &Expr) -> usize {
-    recursion_depth(expr).max(1)
+    resolve(expr).recursion_depth()
 }
 
 // ---------------------------------------------------------------------------
@@ -415,59 +390,9 @@ pub(crate) fn is_literal(expr: &Expr) -> bool {
     )
 }
 
-/// What the lint pass and the optimizer read of one node of a resolved plan:
-/// its size, whether it is closed (it reads no binder outside itself and no
-/// schema relation), and for a `λ` or `let` whether its body reads the
-/// binder.
-pub(crate) struct Facts {
-    pub(crate) size: usize,
-    pub(crate) closed: bool,
-    used: bool,
-}
-
-/// The facts of every node of `plan`, in pre-order: a node's children
-/// follow it, each after the previous child's `size` entries.
-pub(crate) fn facts(plan: &Expr) -> Vec<Facts> {
-    let mut out = Vec::new();
-    walk_facts(plan, &mut Vec::new(), &mut out);
-    out
-}
-
-/// One bottom-up walk: `expr` sits under `uses.len()` binders, whose flags
-/// `uses` raises as they are read; returns the outermost binder `expr` reads
-/// (`i + 1` for the `i`th from the root, 0 for a schema relation).
-fn walk_facts(expr: &Expr, uses: &mut Vec<bool>, out: &mut Vec<Facts>) -> usize {
-    let (at, depth) = (out.len(), uses.len());
-    out.push(Facts {
-        size: 1,
-        closed: true,
-        used: false,
-    });
-    let mut outermost = match &expr.kind {
-        ExprKind::Var(x) => match x.slot {
-            Slot::Bound(d) if d < depth => {
-                uses[depth - 1 - d] = true;
-                depth - d
-            }
-            _ => 0,
-        },
-        _ => usize::MAX,
-    };
-    for child in expr.children() {
-        uses.extend(child.binds.map(|_| false));
-        outermost = outermost.min(walk_facts(child.expr, uses, out));
-        if child.binds.is_some() {
-            out[at].used = uses.pop().expect("pushed above");
-        }
-    }
-    out[at].size = out.len() - at;
-    out[at].closed = outermost > depth;
-    outermost
-}
-
-/// The syntactic lint pass over a resolved plan: appends its findings in
-/// source order.
-pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut Vec<Finding>) {
+/// The syntactic lint pass over a resolved plan, reading the facts its
+/// resolution recorded: appends its findings in source order.
+pub(crate) fn lint_pass(plan: &Resolved, schema: &[(String, Type)], findings: &mut Vec<Finding>) {
     fn empty_operand(e: &Expr, what: &str, findings: &mut Vec<Finding>) {
         if statically_empty(e) {
             findings.push(Finding::new(
@@ -588,7 +513,7 @@ pub(crate) fn lint_pass(expr: &Expr, schema: &[(String, Type)], findings: &mut V
         }
     }
 
-    walk(expr, (&facts(expr), 0), schema, false, findings);
+    walk(&plan.expr, (&plan.facts, 0), schema, false, findings);
 }
 
 #[cfg(test)]
@@ -627,7 +552,6 @@ mod tests {
     fn depth_of_plain_nra_is_zero() {
         let e = Expr::union(Expr::singleton(Expr::atom(1)), Expr::empty(Type::Base));
         assert_eq!(recursion_depth(&e), 0);
-        assert_eq!(ac_level(&e), 1);
     }
 
     #[test]
@@ -663,7 +587,6 @@ mod tests {
             Expr::var("s"),
         );
         assert_eq!(recursion_depth(&dcr_in_u), 2);
-        assert_eq!(ac_level(&dcr_in_u), 2);
     }
 
     #[test]

@@ -1434,6 +1434,14 @@ pub fn analyze_query(
 impl Resolved<'_> {
     /// [`analyze_query`] of a resolved plan.
     pub fn analyze(&self, schema: &[(String, Type)], registry: &ExternRegistry) -> QueryAnalysis {
+        let mut findings = Vec::new();
+        lint_pass(self, schema, &mut findings);
+        let cost = self.cost(schema, registry);
+        QueryAnalysis { cost, findings }
+    }
+
+    /// The symbolic work/span bounds of a resolved plan, without its lints.
+    pub fn cost(&self, schema: &[(String, Type)], registry: &ExternRegistry) -> CostBound {
         let relation = |name: &&str| {
             let (name, ty) = schema.iter().rev().find(|(n, _)| n == name)?;
             Some(ObjBound::schema_relation(name, ty))
@@ -1441,14 +1449,11 @@ impl Resolved<'_> {
         let free = self.free.iter().map(relation).collect();
         let mut analyzer = Analyzer::new(registry, free, DEFAULT_BUDGET);
         let (_, cost) = analyzer.eval(&self.expr, &Frames(None));
-        let cost = CostBound {
+        CostBound {
             work: cost.work.hi,
             span: cost.span,
             work_floor: cost.work.lo,
-        };
-        let mut findings = Vec::new();
-        lint_pass(&self.expr, schema, &mut findings);
-        QueryAnalysis { cost, findings }
+        }
     }
 }
 

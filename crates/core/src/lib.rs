@@ -17,7 +17,10 @@
 //! * [`resolve`] — binder resolution, the one place a name is looked up:
 //!   every variable of a plan gets its slot (its binder's de Bruijn index or
 //!   its entry in the plan's table of free names) once, and every layer
-//!   below reads slots.
+//!   below reads slots. The same walk records each node's facts — its size,
+//!   whether it is closed, whether its binder is read, and its *depth of
+//!   recursion nesting* (§3), which stratifies the language into the ACᵏ
+//!   levels.
 //! * [`mod@typecheck`] — a bidirectional-ish type checker for the language, including
 //!   the PS-type side conditions of the bounded constructs.
 //! * [`cost`] — the **work/span (PRAM) cost model**, stated once: one rule
@@ -33,14 +36,15 @@
 //!   work-stealing pool (cutover and thread budget documented on
 //!   [`EvalConfig`]), and values and cost statistics are bit-identical on
 //!   every schedule.
-//! * [`analysis`] — the syntactic passes: free variables, the *depth of
-//!   recursion nesting* of §3, which stratifies the language into the ACᵏ
-//!   levels, and the span-aware lint pass with the §7.1 recogniser of
-//!   lawful recursors it reads, both deciding from slots.
+//! * [`analysis`] — the syntactic passes: free variables and the
+//!   span-aware lint pass with the §7.1 recogniser of lawful recursors it
+//!   reads, both deciding from slots and reading the facts [`resolve`]
+//!   recorded rather than walking for them.
 //! * [`analyze`] — the cost interpreter: the rules of [`cost`] over symbolic
 //!   carriers give work/span upper bounds in the schema-relation
 //!   cardinalities, and the work floor, an integer, for rejecting doomed
-//!   queries. It runs the [`analysis`] lint pass so one call reports both.
+//!   queries. [`analyze_query`] also runs the [`analysis`] lint pass, so one
+//!   call reports both; the optimizer's gate reads the bounds alone.
 //! * [`rewrite`] — the algebraic optimizer: one bottom-up pass (constant
 //!   folding on a per-text budget, ext-fusion) whose result is gated by the
 //!   [`analyze`] cost model so a plan's work/span guarantee can only improve.

@@ -1,4 +1,5 @@
-//! Binder resolution: what every variable of a plan refers to, decided once.
+//! Binder resolution: what every variable of a plan refers to, and what is
+//! known of each node, decided once.
 //!
 //! [`resolve`] is the one place a name is looked up. It gives each [`Var`]
 //! its [`Slot`] — its binder's de Bruijn index, or its entry in the plan's
@@ -7,6 +8,15 @@
 //! compiler and the lint pass index stacks. Names remain for printing,
 //! diagnostics and the schema boundary, where the free table meets the
 //! bindings or the schema once per plan.
+//!
+//! The same walk, with the same binder stack, records the facts of every
+//! node: its size, whether it is closed, whether its binder is read, and its
+//! *depth of recursion nesting* (§3), which places a flat query of depth
+//! `k ≥ 1` in ACᵏ (Theorem 6.2; Theorem 6.1 with `bdcr`):
+//! `depth(dcr(e, f, u)) = max(depth e, depth f, 1 + depth u)`, since only the
+//! combiner is iterated — likewise the step of an `sri` and the body of an
+//! iterator ([`Expr::children`]'s `iterated` flag). The lint pass and the
+//! optimizer read these facts instead of walking for them.
 //!
 //! Slots are a function of the tree, so a builder that wraps a plan in a new
 //! binder, or a rewrite that moves a body under one, leaves them stale. Every
@@ -24,52 +34,107 @@ pub struct Resolved<'e> {
     pub expr: Cow<'e, Expr>,
     /// The free names in order of first occurrence: `Slot::Free(i)` is `free[i]`.
     pub free: Vec<&'e str>,
+    /// The facts of every node of `expr`, in pre-order: a node's children
+    /// follow it, each after the previous child's `size` entries.
+    pub(crate) facts: Vec<Facts>,
 }
 
-/// Resolve every variable of `expr` (see the module docs).
+/// What is known of one node of a resolved plan.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Facts {
+    /// The number of nodes of its subtree, itself included.
+    pub(crate) size: usize,
+    /// It reads no binder outside itself and no schema relation.
+    pub(crate) closed: bool,
+    /// For a `λ` or `let`: its body reads the binder.
+    pub(crate) used: bool,
+    /// Its depth of recursion nesting (§3): 0 without a recursor or iterator.
+    pub(crate) depth: usize,
+}
+
+impl Resolved<'_> {
+    /// The plan's depth of recursion/iteration nesting (§3 and §7.1).
+    pub fn recursion_depth(&self) -> usize {
+        self.facts[0].depth
+    }
+}
+
+/// Resolve every variable of `expr` and record its nodes' facts (see the
+/// module docs).
 pub fn resolve(expr: &Expr) -> Resolved<'_> {
-    let mut free = Vec::new();
-    let resolved = visit(expr, &mut Vec::new(), &mut free);
+    let mut walk = Walk::default();
+    let resolved = walk.visit(expr).0;
     let expr = resolved.map_or(Cow::Borrowed(expr), Cow::Owned);
-    Resolved { expr, free }
+    let Walk { free, facts, .. } = walk;
+    Resolved { expr, free, facts }
 }
 
-/// `expr` under `scope` (its binders, innermost last) with its slots set, or
-/// `None` when all were current; a free name not yet in `free` joins it.
-fn visit<'e>(expr: &'e Expr, scope: &mut Vec<&'e str>, free: &mut Vec<&'e str>) -> Option<Expr> {
-    if let ExprKind::Var(x) = &expr.kind {
-        let slot = match scope.iter().rposition(|b| *b == x.name) {
-            Some(at) => Slot::Bound(scope.len() - 1 - at),
-            None => Slot::Free(free.iter().position(|f| *f == x.name).unwrap_or_else(|| {
-                free.push(&x.name);
-                free.len() - 1
-            })),
-        };
-        return (x.slot != slot).then(|| Expr {
-            kind: ExprKind::Var(Var {
-                name: x.name.clone(),
-                slot,
-            }),
-            span: expr.span,
-        });
-    }
-    let depth = scope.len();
-    let children = expr.children();
-    // The children so far, once one of them changed: a current tree
-    // allocates nothing.
-    let mut resolved: Option<Vec<Expr>> = None;
-    for (at, child) in children.iter().enumerate() {
-        scope.extend(child.binds);
-        let new = visit(child.expr, scope, free);
-        scope.truncate(depth);
-        if resolved.is_none() && new.is_some() {
-            resolved = Some(children[..at].iter().map(|c| c.expr.clone()).collect());
+/// The state of the one walk.
+#[derive(Default)]
+struct Walk<'e> {
+    /// The binders in scope, innermost last, each with whether it was read.
+    scope: Vec<(&'e str, bool)>,
+    free: Vec<&'e str>,
+    facts: Vec<Facts>,
+}
+
+impl<'e> Walk<'e> {
+    /// `expr` under `scope` with its slots set, or `None` when all were
+    /// current, and the outermost binder it reads: `i + 1` for the `i`th from
+    /// the root, 0 for a free name, `usize::MAX` for none. Pushes the facts of
+    /// its nodes in pre-order; a free name not yet in `free` joins it.
+    fn visit(&mut self, expr: &'e Expr) -> (Option<Expr>, usize) {
+        let (at, depth) = (self.facts.len(), self.scope.len());
+        self.facts.push(Facts::default());
+        if let ExprKind::Var(x) = &expr.kind {
+            self.facts[at].size = 1;
+            let (slot, outermost) = match self.scope.iter().rposition(|(b, _)| *b == x.name) {
+                Some(i) => {
+                    self.scope[i].1 = true;
+                    (Slot::Bound(depth - 1 - i), i + 1)
+                }
+                None => {
+                    let free = &mut self.free;
+                    let i = free.iter().position(|f| *f == x.name).unwrap_or_else(|| {
+                        free.push(&x.name);
+                        free.len() - 1
+                    });
+                    (Slot::Free(i), 0)
+                }
+            };
+            let name = x.name.clone();
+            let resolved = (x.slot != slot).then(|| Expr {
+                kind: ExprKind::Var(Var { name, slot }),
+                span: expr.span,
+            });
+            return (resolved, outermost);
         }
-        if let Some(kids) = &mut resolved {
-            kids.push(new.unwrap_or_else(|| child.expr.clone()));
+        let children = expr.children();
+        // The children so far, once one of them changed: a current tree
+        // allocates nothing.
+        let mut resolved: Option<Vec<Expr>> = None;
+        let mut outermost = usize::MAX;
+        for (i, child) in children.iter().enumerate() {
+            let child_at = self.facts.len();
+            self.scope.extend(child.binds.map(|b| (b, false)));
+            let (new, reads) = self.visit(child.expr);
+            if child.binds.is_some() {
+                self.facts[at].used = self.scope.pop().expect("pushed above").1;
+            }
+            outermost = outermost.min(reads);
+            let nested = self.facts[child_at].depth + usize::from(child.iterated);
+            self.facts[at].depth = self.facts[at].depth.max(nested);
+            if resolved.is_none() && new.is_some() {
+                resolved = Some(children[..i].iter().map(|c| c.expr.clone()).collect());
+            }
+            if let Some(kids) = &mut resolved {
+                kids.push(new.unwrap_or_else(|| child.expr.clone()));
+            }
         }
+        self.facts[at].size = self.facts.len() - at;
+        self.facts[at].closed = outermost > depth;
+        (resolved.map(|kids| expr.with_children(kids)), outermost)
     }
-    resolved.map(|kids| expr.with_children(kids))
 }
 
 /// The values of the binders around a point of evaluation, innermost first:
@@ -150,6 +215,25 @@ mod tests {
         let again = resolve(&wrapped);
         assert!(again.free.is_empty());
         assert_eq!(slots(&again.expr)[0], ("s".to_string(), Slot::Bound(0)));
+    }
+
+    #[test]
+    fn the_walk_records_each_nodes_facts_in_pre_order() {
+        // \x. let y = {@1} in x: `y` is never read, `{@1}` is closed.
+        let one = Expr::singleton(Expr::atom(1));
+        let e = Expr::lam("x", Type::Base, Expr::let_in("y", one, Expr::var("x")));
+        let plan = resolve(&e);
+        let facts: Vec<_> = (plan.facts.iter())
+            .map(|f| (f.size, f.closed, f.used))
+            .collect();
+        let want = [
+            (5, true, true),
+            (4, false, false),
+            (2, true, false),
+            (1, true, false),
+            (1, false, false),
+        ];
+        assert_eq!(facts, want);
     }
 
     #[test]

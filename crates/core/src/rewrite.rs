@@ -15,7 +15,7 @@
 //! # One pass, one budget
 //!
 //! The traversal is post-order and visits every node once; closedness and
-//! node counts are carried up from the variables' slots. Folding
+//! node counts are the facts [`crate::resolve`] recorded. Folding
 //! draws on a single budget per text (`FOLD_WORK_BUDGET`, 4 096 work units):
 //! every fold attempt, failed ones included, is charged the work it evaluated,
 //! so prepare evaluates at most that much of the text and a fold can never
@@ -26,8 +26,9 @@
 //!
 //! # The cost gate
 //!
-//! The rewritten plan is analysed once ([`crate::analyze_query`] — the analysis the
-//! prepared plan stores anyway) and kept only when its symbolic **work**
+//! The rewritten plan's cost alone is analysed once ([`Resolved::cost`]: the
+//! findings describe the text as written, so its lints are not run again)
+//! and the plan is kept only when its symbolic **work**
 //! bound and **span** bound are *provably* `≤` the raw plan's
 //! ([`crate::analyze::Bound::le_pointwise`] — a sound, incomplete check, so a
 //! plan the model cannot justify is refused whole and the raw plan executes).
@@ -52,11 +53,11 @@
 //! is deliberately *not* preserved: a plan that exceeds a session limit may
 //! fail at a different (still spanned) node than the raw plan.
 
-use crate::analysis::{facts, free_vars, is_literal, Facts};
+use crate::analysis::{free_vars, is_literal};
 use crate::analyze::{CostBound, QueryAnalysis};
 use crate::eval::{EvalConfig, Evaluator};
 use crate::expr::{Expr, ExprKind, Slot};
-use crate::resolve::{resolve, Resolved};
+use crate::resolve::{resolve, Facts, Resolved};
 use crate::span::Span;
 use ncql_object::{Type, Value};
 
@@ -100,9 +101,9 @@ pub struct RewriteOutcome {
     pub fired: Vec<FiredRewrite>,
     /// The cost bounds of the *input* expression.
     pub cost_before: CostBound,
-    /// The full analysis of the *rewritten* expression — reusable by the
-    /// caller, so optimizing does not force a third `analyze_query` pass.
-    pub analysis: QueryAnalysis,
+    /// The cost bounds of `expr`: the rewritten expression's, or
+    /// `cost_before` when nothing fired.
+    pub cost: CostBound,
 }
 
 /// Work budget for prepare-time constant folding, per text: the pass stops
@@ -121,26 +122,26 @@ const FOLD_MIN_SIZE: usize = 2;
 /// it there).
 pub fn optimize(expr: &Expr, schema: &[(String, Type)], config: &EvalConfig) -> RewriteOutcome {
     let plan = resolve(expr);
-    plan.optimize(schema, config, plan.analyze(schema, &config.registry))
+    plan.optimize(schema, config, plan.cost(schema, &config.registry))
 }
 
-/// [`optimize`], reusing an already-computed analysis of `expr`.
+/// [`optimize`], reusing an already-computed analysis of `expr` (its cost).
 pub fn optimize_analyzed(
     expr: &Expr,
     schema: &[(String, Type)],
     config: &EvalConfig,
     before: QueryAnalysis,
 ) -> RewriteOutcome {
-    resolve(expr).optimize(schema, config, before)
+    resolve(expr).optimize(schema, config, before.cost)
 }
 
 impl Resolved<'_> {
-    /// [`optimize_analyzed`] of a resolved plan.
+    /// [`optimize`] of a resolved plan whose cost bounds are `cost_before`.
     pub fn optimize(
         &self,
         schema: &[(String, Type)],
         config: &EvalConfig,
-        before: QueryAnalysis,
+        cost_before: CostBound,
     ) -> RewriteOutcome {
         let mut pass = Pass {
             fold: EvalConfig {
@@ -154,29 +155,28 @@ impl Resolved<'_> {
             },
             fired: Vec::new(),
         };
-        let cost_before = before.cost.clone();
-        if let Some(rewritten) = pass.visit(&self.expr, &facts(&self.expr), 0) {
+        if let Some(rewritten) = pass.visit(&self.expr, &self.facts, 0) {
             // Ext-fusion moved bodies under a new binder: resolve again. The
             // gate: both bounds of the whole rewritten plan provably no worse.
             // Incompleteness of `le_pointwise` only ever refuses a plan.
             let plan = resolve(&rewritten);
-            let analysis = plan.analyze(schema, &config.registry);
-            if analysis.cost.work.le_pointwise(&cost_before.work)
-                && analysis.cost.span.le_pointwise(&cost_before.span)
+            let cost = plan.cost(schema, &config.registry);
+            if cost.work.le_pointwise(&cost_before.work)
+                && cost.span.le_pointwise(&cost_before.span)
             {
                 return RewriteOutcome {
                     expr: plan.expr.into_owned(),
                     fired: pass.fired,
                     cost_before,
-                    analysis,
+                    cost,
                 };
             }
         }
         RewriteOutcome {
             expr: Expr::clone(&self.expr),
             fired: Vec::new(),
+            cost: cost_before.clone(),
             cost_before,
-            analysis: before,
         }
     }
 }
@@ -210,9 +210,8 @@ impl Pass {
             )
         });
         let node = rebuilt.as_ref().unwrap_or(expr);
-        let Facts { size, closed, .. } = facts[at];
-        let mut replaced = None;
-        if closed && !is_literal(node) && size >= FOLD_MIN_SIZE {
+        let (size, mut replaced) = (facts[at].size, None);
+        if facts[at].closed && !is_literal(node) && size >= FOLD_MIN_SIZE {
             replaced = self.const_fold(node, size, fired_before);
         }
         replaced.or_else(|| self.ext_fusion(node)).or(rebuilt)

@@ -26,8 +26,6 @@ pub(crate) struct PreparedPlan {
     pub(crate) schema: Vec<(String, Type)>,
     /// Depth of recursion nesting (§3): the ACᵏ stratification level.
     pub(crate) depth: usize,
-    /// The ACᵏ level predicted by Theorems 6.1/6.2 (`max(1, depth)`).
-    pub(crate) ac_level: usize,
     /// The pretty-printed normal form of the query (the parser/printer
     /// fixpoint the round-trip suite pins down). Always printed from the
     /// *raw* typed AST, so it re-parses to the plan the user wrote even when
@@ -81,7 +79,7 @@ impl PreparedQuery {
 
     /// The ACᵏ level predicted by Theorems 6.1/6.2: `max(1, depth)`.
     pub fn ac_level(&self) -> usize {
-        self.plan.ac_level
+        self.plan.depth.max(1)
     }
 
     /// The pretty-printed normal form of the query, printed from the raw

@@ -11,7 +11,7 @@ use ncql_core::externs::ExternRegistry;
 use ncql_core::kernel::Sites;
 use ncql_core::rewrite::OptLevel;
 use ncql_core::typecheck::value_type;
-use ncql_core::{analysis, resolve::resolve, EvalError, Finding, Lint};
+use ncql_core::{analysis, resolve::resolve, EvalError, Finding, Lint, QueryAnalysis};
 use ncql_object::{ObjectError, Type, Value};
 use ncql_pram::WorkStealingPool;
 use std::sync::{Arc, OnceLock};
@@ -493,21 +493,13 @@ impl Session {
         Ok(PreparedQuery { plan })
     }
 
-    /// The front end minus parsing: binder resolution, typecheck against the
-    /// session registry under the declared schema, the cost-gated rewriter (at
-    /// [`OptLevel::Default`]), recursion-depth analysis, static cost/lint
-    /// analysis, normal form.
+    /// The front end minus parsing: binder resolution (which also records
+    /// the §3 recursion depth), typecheck against the session registry under
+    /// the declared schema, static cost/lint analysis, the cost-gated
+    /// rewriter (at [`OptLevel::Default`]), kernel survey, normal form.
     ///
-    /// Provenance of the stored analysis is deliberately split. The *lint
-    /// findings* come from the raw expression, so their spans and messages
-    /// describe the source text the user wrote (an unused binding the
-    /// optimizer folds away is still the user's unused binding, and a rewrite
-    /// can never introduce a syntactic finding the user cannot see). The
-    /// *cost bounds* — and the doomed-work check below — come from the
-    /// rewritten plan, because that is the plan the session executes:
-    /// [`PreparedQuery::analysis`] must bound what `execute` will actually
-    /// charge, and a query the optimizer made feasible must not be rejected
-    /// for the raw plan's floor.
+    /// Findings describe the text as written; bounds describe the plan that
+    /// executes.
     fn analyze(
         &self,
         source: Option<String>,
@@ -517,24 +509,18 @@ impl Session {
         // Resolved once; again only if a rewrite moves a body under a binder.
         let plan = resolve(&expr);
         let ty = plan.infer(schema, &self.config.registry)?;
-        let raw_analysis = plan.analyze(schema, &self.config.registry);
+        let QueryAnalysis { cost, mut findings } = plan.analyze(schema, &self.config.registry);
         let normal_form = ncql_surface::print_expr(&expr);
-        // Like the findings, the §3 recursion depth and ACᵏ level classify
-        // the query the user wrote — folding a closed `dcr` to a constant
-        // does not change which uniform circuit family the query names.
-        let depth = analysis::recursion_depth(&expr);
-        let ac_level = analysis::ac_level(&expr);
-        let (expr, mut query_analysis, rewrites, cost_before) = match self.opt_level {
-            OptLevel::None => (plan.expr.into_owned(), raw_analysis, Vec::new(), None),
+        // Like the findings, the §3 recursion depth classifies the query the
+        // user wrote — folding a closed `dcr` to a constant does not change
+        // which uniform circuit family the query names.
+        let depth = plan.recursion_depth();
+        let (expr, cost, rewrites, cost_before) = match self.opt_level {
+            OptLevel::None => (plan.expr.into_owned(), cost, Vec::new(), None),
             OptLevel::Default => {
-                // Keep the raw expression's findings: syntactic lints must
-                // describe the source text, not the rewritten plan.
-                let raw_findings = raw_analysis.findings.clone();
-                let outcome = plan.optimize(schema, &self.config, raw_analysis);
-                let mut stored = outcome.analysis;
+                let outcome = plan.optimize(schema, &self.config, cost);
                 let cost_before = (!outcome.fired.is_empty()).then_some(outcome.cost_before);
-                stored.findings = raw_findings;
-                (outcome.expr, stored, outcome.fired, cost_before)
+                (outcome.expr, outcome.cost, outcome.fired, cost_before)
             }
         };
         // The doomed-query check needs the session's work limit, which the
@@ -543,9 +529,9 @@ impl Session {
         // however the schema relations are bound (the floor is the
         // all-cardinalities-zero minimum). It runs on the rewritten plan's
         // floor — the cost the session will actually pay.
-        let floor = query_analysis.cost.work_floor;
+        let floor = cost.work_floor;
         if floor > self.config.max_work {
-            query_analysis.findings.push(Finding {
+            findings.push(Finding {
                 lint: Lint::DoomedWorkBound,
                 severity: Lint::DoomedWorkBound.default_severity(),
                 message: format!(
@@ -566,10 +552,9 @@ impl Session {
             ty,
             schema: schema.to_vec(),
             depth,
-            ac_level,
             optimized_form: ncql_surface::print_expr(&expr),
             normal_form,
-            analysis: query_analysis,
+            analysis: QueryAnalysis { cost, findings },
             opt_level: self.opt_level,
             rewrites,
             cost_before,

@@ -11,14 +11,13 @@
 //!   relational algebra expresses unbounded `dcr` (the bound is assembled from
 //!   the active domain). Also a source-to-source translation.
 //! * [`prop73`] — Proposition 7.3: over *ordered* databases, `dcr` and `log-loop`
-//!   have the same expressive power. The operational content — `dcr` can be
-//!   computed in exactly `⌈log(|x|+1)⌉` rounds of order-driven pairwise
-//!   combining, and `log-loop` can be driven by a divide-and-conquer pass that
-//!   carries `(cardinality, iterate table)` pairs — is realized as two
-//!   **instrumented evaluation strategies** whose round counts and results the
-//!   tests compare against the direct semantics. (The fully syntactic encodings
-//!   exist in the paper's proof; the measurable claims are the round counts and
-//!   the equivalences, which is what these strategies expose.)
+//!   have the same expressive power. `dcr` as `⌈log₂ |x|⌉` rounds of pairwise
+//!   combining is the evaluator's own halving tree, whose combiner calls and
+//!   levels the tests read from its statistics; `log-loop` driven by a
+//!   divide-and-conquer pass that carries `(cardinality, iterate table)` pairs
+//!   is an **instrumented evaluation strategy** whose round counts and results
+//!   the tests compare against the direct semantics. (The fully syntactic
+//!   encodings exist in the paper's proof.)
 
 pub mod prop21;
 pub mod prop22;

@@ -4,9 +4,7 @@
 //! 1. **Single front door.** `Evaluator` may only be constructed inside the
 //!    core crate (it lives there), the engine crate (the one supported
 //!    dispatch point, `Session::eval_raw`), and their tests. Everything else
-//!    goes through `ncql_engine::Session`. A short allowlist grandfathers the
-//!    pre-`Session` call sites; removing one of those files without pruning
-//!    the allowlist fails the test, so the list can only shrink.
+//!    goes through `ncql_engine::Session` (or the core's `eval_closed`).
 //! 2. **No ad-hoc scoped threads on the evaluator hot path.** The parallel
 //!    backend went through a per-region `std::thread::scope` phase before the
 //!    persistent work-stealing pool replaced it; this lint keeps
@@ -27,6 +25,11 @@
 //!    looked up: in the evaluator, the kernels, the analyser and the type
 //!    checker no environment, closure or capture struct holds a name, so a
 //!    scope searched by string cannot come back.
+//! 7. **One walk decides a plan's facts.** The walk of `core::resolve` that
+//!    sets the slots also records each node's `Facts` (size, closedness,
+//!    binder use, §3 depth): no other non-test code builds one, no separate
+//!    facts walk comes back, and the lint pass has one caller, so a prepare
+//!    lints its text once.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -101,28 +104,13 @@ fn readme_section(title: &str) -> String {
 
 #[test]
 fn evaluators_are_constructed_only_behind_the_session_front_door() {
-    // Call sites that predate the unified `Session` API and deliberately
-    // drive the evaluator directly: the Proposition 7.3 translation check.
-    const ALLOWLIST: &[&str] = &["crates/translate/src/prop73.rs"];
     let constructor = "Evaluator::new(";
-
-    let sources = rust_sources();
-    for allowed in ALLOWLIST {
-        assert!(
-            sources.iter().any(|p| relative(p) == *allowed),
-            "stale allowlist entry {allowed}: prune it from this test"
-        );
-    }
-
     let mut violations = Vec::new();
-    for path in &sources {
+    for path in &rust_sources() {
         let rel = relative(path);
         // The type lives in core and is dispatched by the engine; both may
         // construct it freely (their unit/integration tests included).
         if rel.starts_with("crates/core/") || rel.starts_with("crates/engine/") {
-            continue;
-        }
-        if ALLOWLIST.contains(&rel.as_str()) {
             continue;
         }
         // This file holds the patterns it polices.
@@ -139,7 +127,7 @@ fn evaluators_are_constructed_only_behind_the_session_front_door() {
     }
     assert!(
         violations.is_empty(),
-        "Evaluator constructed outside core/engine/the allowlist — \
+        "Evaluator constructed outside core/engine — \
          go through ncql_engine::Session instead:\n{}",
         violations.join("\n")
     );
@@ -328,4 +316,39 @@ fn environments_closures_and_captures_hold_no_names() {
             );
         }
     }
+}
+
+#[test]
+fn one_walk_decides_a_plans_facts() {
+    let mut lint_calls = Vec::new();
+    for path in rust_sources() {
+        // Non-test code only: integration suites are test code.
+        let rel = relative(&path);
+        if rel.starts_with("tests/") || rel.contains("/tests/") {
+            continue;
+        }
+        let text = fs::read_to_string(&path).expect("readable source file");
+        for (lineno, line) in implementation(&text).lines().enumerate() {
+            let code = without_line_comment(line);
+            let at = format!("{rel}:{}: {}", lineno + 1, line.trim());
+            for gone in ["fn facts(", "walk_facts"] {
+                assert!(
+                    !code.contains(gone),
+                    "{at}: a second walk for node facts — read `Resolved::facts`"
+                );
+            }
+            assert!(
+                rel == "crates/core/src/resolve.rs" || !code.contains("Facts {"),
+                "{at}: `Facts` built outside core::resolve — its walk records them"
+            );
+            if code.contains("lint_pass(") && !code.contains("fn lint_pass(") {
+                lint_calls.push(at);
+            }
+        }
+    }
+    assert_eq!(
+        lint_calls.len(),
+        1,
+        "the lint pass must have exactly one caller, so a prepare lints once: {lint_calls:#?}"
+    );
 }

@@ -123,7 +123,8 @@ fn relational_algebra_composes_with_recursion() {
 
 #[test]
 fn ac_level_reporting_matches_construct_usage() {
-    assert_eq!(analysis::ac_level(&pack_expr("relalg/select_leq")), 1);
+    let select = prepare(&Session::new(), "relalg/select_leq");
+    assert_eq!((select.recursion_depth(), select.ac_level()), (0, 1));
     assert_eq!(analysis::recursion_depth(&pack_expr("graph/tc_dcr")), 1);
     let nested = pack_expr("iterate/count_log_squared_n");
     assert_eq!(analysis::recursion_depth(&nested), 2);
