@@ -210,9 +210,9 @@ impl Pass {
             )
         });
         let node = rebuilt.as_ref().unwrap_or(expr);
-        let (size, mut replaced) = (facts[at].size, None);
-        if facts[at].closed && !is_literal(node) && size >= FOLD_MIN_SIZE {
-            replaced = self.const_fold(node, size, fired_before);
+        let (here, mut replaced) = (&facts[at], None);
+        if here.closed && !is_literal(node) && here.size >= FOLD_MIN_SIZE {
+            replaced = self.const_fold(node, here.size, fired_before);
         }
         replaced.or_else(|| self.ext_fusion(node)).or(rebuilt)
     }
