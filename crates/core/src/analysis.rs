@@ -30,12 +30,6 @@ pub fn free_var_span(expr: &Expr, name: &str) -> Option<Span> {
     first.flatten()
 }
 
-/// The depth of recursion/iteration nesting (§3 and §7.1) of `expr`: see
-/// [`Resolved::recursion_depth`].
-pub fn recursion_depth(expr: &Expr) -> usize {
-    resolve(expr).recursion_depth()
-}
-
 // ---------------------------------------------------------------------------
 // Lints
 // ---------------------------------------------------------------------------
@@ -551,7 +545,7 @@ mod tests {
     #[test]
     fn depth_of_plain_nra_is_zero() {
         let e = Expr::union(Expr::singleton(Expr::atom(1)), Expr::empty(Type::Base));
-        assert_eq!(recursion_depth(&e), 0);
+        assert_eq!(resolve(&e).recursion_depth(), 0);
     }
 
     #[test]
@@ -565,7 +559,7 @@ mod tests {
             union_combiner(ty.clone()),
             Expr::var("s"),
         );
-        assert_eq!(recursion_depth(&inner), 1);
+        assert_eq!(resolve(&inner).recursion_depth(), 1);
 
         let dcr_in_f = Expr::dcr(
             Expr::empty(Type::Base),
@@ -573,7 +567,7 @@ mod tests {
             union_combiner(ty.clone()),
             Expr::var("ss"),
         );
-        assert_eq!(recursion_depth(&dcr_in_f), 1);
+        assert_eq!(resolve(&dcr_in_f).recursion_depth(), 1);
 
         let dcr_in_u = Expr::dcr(
             Expr::empty(Type::Base),
@@ -586,7 +580,7 @@ mod tests {
             ),
             Expr::var("s"),
         );
-        assert_eq!(recursion_depth(&dcr_in_u), 2);
+        assert_eq!(resolve(&dcr_in_u).recursion_depth(), 2);
     }
 
     #[test]
@@ -594,7 +588,7 @@ mod tests {
         let ty = Type::set(Type::Base);
         let body = Expr::lam("r", ty.clone(), Expr::var("r"));
         let e = Expr::log_loop(body.clone(), Expr::var("x"), Expr::empty(Type::Base));
-        assert_eq!(recursion_depth(&e), 1);
+        assert_eq!(resolve(&e).recursion_depth(), 1);
         // Nesting a log-loop inside the body of another gives depth 2 (Example 7.2:
         // log² n iterations need iteration-nesting depth two).
         let nested = Expr::log_loop(
@@ -606,7 +600,7 @@ mod tests {
             Expr::var("x"),
             Expr::empty(Type::Base),
         );
-        assert_eq!(recursion_depth(&nested), 2);
+        assert_eq!(resolve(&nested).recursion_depth(), 2);
     }
 
     #[test]

@@ -543,8 +543,9 @@ impl Evaluator {
     }
 
     /// [`Evaluator::eval_with_bindings`] on a plan that was surveyed before:
-    /// `sites` is [`Sites::of_plan`] of `expr` — a resolved plan — under
-    /// this configuration's registry. Nothing is resolved or compiled.
+    /// `sites` is [`Sites::of_plan`] of `expr`'s resolution — `expr` is that
+    /// resolved plan or a clone of it — under this configuration's registry.
+    /// Nothing is resolved or compiled.
     pub fn eval_surveyed(
         &mut self,
         expr: &Expr,

@@ -84,7 +84,6 @@ use crate::externs::{ExternRegistry, WordOp};
 use crate::resolve::{resolve, Resolved};
 use crate::span::Span;
 use ncql_object::{FlatShape, VSet};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -1456,13 +1455,12 @@ struct Site {
 }
 
 impl Sites {
-    /// Survey `plan`, which is resolved ([`resolve`] returns it as is):
-    /// compile every `ext` and `dcr`/`sru` site and every other
-    /// flat-annotated `λ` of it.
-    pub fn of_plan(plan: &Expr, registry: &ExternRegistry) -> Sites {
-        let plan = resolve(plan);
-        debug_assert!(matches!(plan.expr, Cow::Borrowed(_)), "surveyed unresolved");
-        Sites::survey(&plan, registry, true)
+    /// Survey a resolved plan: compile every `ext` and `dcr`/`sru` site and
+    /// every other flat-annotated `λ` of it. An evaluation finds these
+    /// kernels by the addresses of the `λ` bodies, which a clone of
+    /// `plan.expr` shares.
+    pub fn of_plan(plan: &Resolved, registry: &ExternRegistry) -> Sites {
+        Sites::survey(plan, registry, true)
     }
 
     /// [`Sites::of_plan`], compiling only when `kernels` are enabled (the

@@ -506,7 +506,7 @@ impl Session {
         expr: Expr,
         schema: &[(String, Type)],
     ) -> Result<PreparedPlan, Error> {
-        // Resolved once; again only if a rewrite moves a body under a binder.
+        // Resolved once; a plan a rewrite changed is resolved again.
         let plan = resolve(&expr);
         let ty = plan.infer(schema, &self.config.registry)?;
         let QueryAnalysis { cost, mut findings } = plan.analyze(schema, &self.config.registry);
@@ -515,12 +515,33 @@ impl Session {
         // user wrote — folding a closed `dcr` to a constant does not change
         // which uniform circuit family the query names.
         let depth = plan.recursion_depth();
-        let (expr, cost, rewrites, cost_before) = match self.opt_level {
-            OptLevel::None => (plan.expr.into_owned(), cost, Vec::new(), None),
+        // The kernel compiler's one pass over the *executing* plan: every
+        // execution runs on these kernels, so a site reported compiled here
+        // is exactly a site the evaluator runs through row kernels whenever
+        // its argument set is columnar and kernels are on. Unless a rewrite
+        // fired, that plan is the one resolved above (or its clone, which
+        // shares its `λ` bodies).
+        let registry = &self.config.registry;
+        let (expr, cost, rewrites, cost_before, sites) = match self.opt_level {
+            OptLevel::None => {
+                let sites = Sites::of_plan(&plan, registry);
+                (plan.expr.into_owned(), cost, Vec::new(), None, sites)
+            }
             OptLevel::Default => {
                 let outcome = plan.optimize(schema, &self.config, cost);
+                let sites = if outcome.fired.is_empty() {
+                    Sites::of_plan(&plan, registry)
+                } else {
+                    Sites::of_plan(&resolve(&outcome.expr), registry)
+                };
                 let cost_before = (!outcome.fired.is_empty()).then_some(outcome.cost_before);
-                (outcome.expr, outcome.cost, outcome.fired, cost_before)
+                (
+                    outcome.expr,
+                    outcome.cost,
+                    outcome.fired,
+                    cost_before,
+                    sites,
+                )
             }
         };
         // The doomed-query check needs the session's work limit, which the
@@ -542,11 +563,6 @@ impl Session {
                 span: expr.span,
             });
         }
-        // The kernel compiler's one pass over the *executing* plan: every
-        // execution runs on these kernels, so a site reported compiled here
-        // is exactly a site the evaluator runs through row kernels whenever
-        // its argument set is columnar and kernels are on.
-        let sites = Arc::new(Sites::of_plan(&expr, &self.config.registry));
         Ok(PreparedPlan {
             source,
             ty,
@@ -558,7 +574,7 @@ impl Session {
             opt_level: self.opt_level,
             rewrites,
             cost_before,
-            sites,
+            sites: Arc::new(sites),
             expr,
         })
     }

@@ -107,29 +107,29 @@ mod tests {
         )
     }
 
-    /// The levels of the evaluator's combining tree over the atom set `x`:
-    /// counting `x` with `nat_add(π₁ p, π₂ p)` adds the same span at every
-    /// level — one application of the combiner, 3 — so its span above that
-    /// of counting one atom is 3 per level.
-    fn levels(x: &Value) -> u64 {
-        let count = |x: Value| {
-            let p = || Expr::var("p");
-            let add = Expr::extern_call("nat_add", vec![Expr::proj1(p()), Expr::proj2(p())]);
-            let u = Expr::lam("p", Type::prod(Type::Nat, Type::Nat), add);
-            let f = Expr::lam("y", Type::Base, Expr::nat(1));
-            eval_with_stats(&Expr::dcr(Expr::nat(0), f, u, Expr::constant(x))).unwrap()
-        };
-        let (n, stats) = count(x.clone());
-        assert_eq!(Some(n), x.cardinality().map(|m| Value::Nat(m as u64)));
-        let above = stats.span - count(atoms(vec![0])).1.span;
-        assert_eq!(above % 3, 0, "a level adds one combiner application");
-        above / 3
-    }
-
+    /// The evaluator's halving tree over m = n atoms: the value, m − 1
+    /// combiner calls, and ⌈log₂ m⌉ levels. The levels are read from the span
+    /// of counting the same set with `nat_add(π₁ p, π₂ p)`, whose every
+    /// application adds the same span, 3, whatever its operands: that span
+    /// above the span of counting one atom is 3 per level.
     #[test]
     fn halving_computes_parity_with_log_rounds() {
         let f = Expr::lam("y", Type::Base, Expr::bool_val(true));
-        for n in [0usize, 1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 100] {
+        let p = || Expr::var("p");
+        let add = Expr::extern_call("nat_add", vec![Expr::proj1(p()), Expr::proj2(p())]);
+        let add = Expr::lam("p", Type::prod(Type::Nat, Type::Nat), add);
+        let one = Expr::lam("y", Type::Base, Expr::nat(1));
+        let count = |x: &Value| {
+            let dcr = Expr::dcr(
+                Expr::nat(0),
+                one.clone(),
+                add.clone(),
+                Expr::constant(x.clone()),
+            );
+            eval_with_stats(&dcr).unwrap()
+        };
+        let one_atom = count(&atoms(vec![0])).1.span;
+        for n in 0..=100usize {
             let x = atoms((0..n as u64).collect());
             let dcr = Expr::dcr(
                 Expr::bool_val(false),
@@ -145,8 +145,12 @@ mod tests {
                 "calls at n = {n}"
             );
             if n > 0 {
+                let (count, stats) = count(&x);
+                assert_eq!(count, Value::Nat(n as u64), "count at n = {n}");
+                let above = stats.span - one_atom;
+                assert_eq!(above % 3, 0, "a level adds one combiner application");
                 let expected = (n as f64).log2().ceil() as u64;
-                assert_eq!(levels(&x), expected, "levels at n = {n}");
+                assert_eq!(above / 3, expected, "levels at n = {n}");
             }
         }
     }
@@ -168,12 +172,11 @@ mod tests {
         );
         let vertices = atoms((0..5).collect());
         let e = Expr::empty(Type::prod(Type::Base, Type::Base));
-        let dcr = Expr::dcr(e, f, u, Expr::constant(vertices.clone()));
+        let dcr = Expr::dcr(e, f, u, Expr::constant(vertices));
         let (value, stats) = eval_with_stats(&dcr).unwrap();
         // The cycle's closure is complete: 25 pairs.
         assert_eq!(value.cardinality(), Some(25));
         assert_eq!(stats.combiner_calls, 4);
-        assert_eq!(levels(&vertices), 3); // ⌈log₂ 5⌉
     }
 
     #[test]

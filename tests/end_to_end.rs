@@ -2,8 +2,8 @@
 //! baseline cross-checks, spanning the whole public API through the `ncql`
 //! facade.
 
-use ncql::core::analysis;
 use ncql::core::expr::Expr;
+use ncql::core::resolve::resolve;
 use ncql::object::morphism::{commutes_with, Morphism};
 use ncql::object::{Type, Value};
 use ncql::queries::{datagen, differential_corpus, pack, Relation};
@@ -125,9 +125,10 @@ fn relational_algebra_composes_with_recursion() {
 fn ac_level_reporting_matches_construct_usage() {
     let select = prepare(&Session::new(), "relalg/select_leq");
     assert_eq!((select.recursion_depth(), select.ac_level()), (0, 1));
-    assert_eq!(analysis::recursion_depth(&pack_expr("graph/tc_dcr")), 1);
+    let tc = pack_expr("graph/tc_dcr");
+    assert_eq!(resolve(&tc).recursion_depth(), 1);
     let nested = pack_expr("iterate/count_log_squared_n");
-    assert_eq!(analysis::recursion_depth(&nested), 2);
+    assert_eq!(resolve(&nested).recursion_depth(), 2);
 }
 
 #[test]

@@ -6,8 +6,10 @@
 //! compiler's report of every site. A refactor of the front end that moves
 //! any of them shows here as a diff against `tests/golden/prepare_facts.txt`.
 //!
-//! After an intended change, rewrite the golden file with
-//! `BLESS=1 cargo test -q --test prepare_facts` and review its diff.
+//! On a difference the test writes what it got to `prepare_facts.txt` under
+//! Cargo's test scratch directory (the path is in the failure message); an
+//! intended change is recorded by copying it over the golden file and
+//! reviewing the diff.
 
 use ncql::core::Span;
 use ncql::queries::differential_corpus;
@@ -101,17 +103,17 @@ fn every_pack_texts_prepared_facts_match_the_golden_file() {
         "/tests/golden/prepare_facts.txt"
     );
     let got = facts();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &got).expect("the golden file is writable");
-    }
     let want = std::fs::read_to_string(path).expect("tests/golden/prepare_facts.txt");
     if got != want {
         let diff = (got.lines().zip(want.lines()).enumerate())
             .find(|(_, (g, w))| g != w)
             .map(|(at, (g, w))| format!("line {}:\n  got:  {g}\n  want: {w}", at + 1));
         let lines = (got.lines().count(), want.lines().count());
+        let report = concat!(env!("CARGO_TARGET_TMPDIR"), "/prepare_facts.txt");
+        std::fs::write(report, &got).expect("the scratch directory is writable");
         panic!(
-            "prepared facts differ from the golden file ({} vs {} lines); first difference at {}",
+            "prepared facts differ from the golden file ({} vs {} lines); first difference at {}\n\
+             the full report is in {report}",
             lines.0,
             lines.1,
             diff.unwrap_or_else(|| "the end of the shorter one".to_string())
