@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 /// The set of free variables of an expression: its resolved free table.
 pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
-    resolve(expr).free.into_iter().map(String::from).collect()
+    resolve(expr).free.into_iter().collect()
 }
 
 /// The source span of the first *free* occurrence of `name` in `expr`
@@ -21,7 +21,7 @@ pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
 /// this to point binding-validation errors at the schema variable's use site.
 pub fn free_var_span(expr: &Expr, name: &str) -> Option<Span> {
     let plan = resolve(expr);
-    let slot = Slot::Free(plan.free.iter().position(|&x| x == name)?);
+    let slot = Slot::Free(plan.free.iter().position(|x| x == name)?);
     let mut first = None;
     plan.expr.visit(&mut |e| match &e.kind {
         ExprKind::Var(x) if x.slot == slot && first.is_none() => first = Some(e.span),

@@ -1442,7 +1442,7 @@ impl Resolved<'_> {
 
     /// The symbolic work/span bounds of a resolved plan, without its lints.
     pub fn cost(&self, schema: &[(String, Type)], registry: &ExternRegistry) -> CostBound {
-        let relation = |name: &&str| {
+        let relation = |name: &String| {
             let (name, ty) = schema.iter().rev().find(|(n, _)| n == name)?;
             Some(ObjBound::schema_relation(name, ty))
         };

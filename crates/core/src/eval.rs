@@ -538,24 +538,14 @@ impl Evaluator {
         bindings: &[(String, Value)],
     ) -> EvalResult<Value> {
         let plan = resolve(expr);
-        let sites = Sites::survey(&plan, &self.config.registry, self.config.kernels);
-        self.run(&plan.expr, Arc::new(sites), bindings)
+        let sites = Sites::of_plan(&plan, &self.config.registry, self.config.kernels);
+        self.eval_surveyed(&plan.expr, Arc::new(sites), bindings)
     }
 
     /// [`Evaluator::eval_with_bindings`] on a plan that was surveyed before:
-    /// `sites` is [`Sites::of_plan`] of `expr`'s resolution — `expr` is that
-    /// resolved plan or a clone of it — under this configuration's registry.
-    /// Nothing is resolved or compiled.
+    /// `sites` is [`Sites::of_plan`] of the resolution whose tree `expr` is,
+    /// under this configuration's registry. Nothing is resolved or compiled.
     pub fn eval_surveyed(
-        &mut self,
-        expr: &Expr,
-        sites: &Arc<Sites>,
-        bindings: &[(String, Value)],
-    ) -> EvalResult<Value> {
-        self.run(expr, sites.clone(), bindings)
-    }
-
-    fn run(
         &mut self,
         expr: &Expr,
         sites: Arc<Sites>,

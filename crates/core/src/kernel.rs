@@ -1426,7 +1426,7 @@ fn kernel_desc(kernel: &RowKernel, scope: &Scope<'_>) -> String {
 /// evaluator will run through its kernels whenever the argument set is
 /// columnar (and kernels are enabled).
 pub fn analyze_sites(expr: &Expr, registry: &ExternRegistry) -> Vec<KernelSite> {
-    Sites::survey(&resolve(expr), registry, true).report
+    Sites::of_plan(&resolve(expr), registry, true).report
 }
 
 /// What an evaluation knows about its resolved plan: the free names, the
@@ -1455,17 +1455,11 @@ struct Site {
 }
 
 impl Sites {
-    /// Survey a resolved plan: compile every `ext` and `dcr`/`sru` site and
-    /// every other flat-annotated `λ` of it. An evaluation finds these
-    /// kernels by the addresses of the `λ` bodies, which a clone of
-    /// `plan.expr` shares.
-    pub fn of_plan(plan: &Resolved, registry: &ExternRegistry) -> Sites {
-        Sites::survey(plan, registry, true)
-    }
-
-    /// [`Sites::of_plan`], compiling only when `kernels` are enabled (the
-    /// region-gate memo needs the bodies either way).
-    pub(crate) fn survey(plan: &Resolved, registry: &ExternRegistry, kernels: bool) -> Sites {
+    /// Survey a resolved plan: when `kernels` are enabled, compile every
+    /// `ext` and `dcr`/`sru` site and every other flat-annotated `λ` of it
+    /// (the region-gate memo needs the bodies either way). An evaluation
+    /// finds these kernels by the addresses of `plan.expr`'s `λ` bodies.
+    pub fn of_plan(plan: &Resolved, registry: &ExternRegistry, kernels: bool) -> Sites {
         let mut survey = Survey {
             registry,
             kernels,
@@ -1483,7 +1477,7 @@ impl Sites {
             gate: OnceLock::new(),
         };
         let mut sites = Sites {
-            free: plan.free.iter().map(|x| x.to_string()).collect(),
+            free: plan.free.clone(),
             by_body: survey.bodies.into_iter().map(entry).collect(),
             report: survey.report,
         };

@@ -20,7 +20,7 @@
 //!   below reads slots. The same walk records each node's facts — its size,
 //!   whether it is closed, whether its binder is read, and its *depth of
 //!   recursion nesting* (§3), which stratifies the language into the ACᵏ
-//!   levels.
+//!   levels. A resolution of an owned tree owns it: a plan is handed on.
 //! * [`mod@typecheck`] — a bidirectional-ish type checker for the language, including
 //!   the PS-type side conditions of the bounded constructs.
 //! * [`cost`] — the **work/span (PRAM) cost model**, stated once: one rule
@@ -46,8 +46,9 @@
 //!   queries. [`analyze_query`] also runs the [`analysis`] lint pass, so one
 //!   call reports both; the optimizer's gate reads the bounds alone.
 //! * [`rewrite`] — the algebraic optimizer: one bottom-up pass (constant
-//!   folding on a per-text budget, ext-fusion) whose result is gated by the
-//!   [`analyze`] cost model so a plan's work/span guarantee can only improve.
+//!   folding on a per-text budget, ext-fusion) whose result, resolved once, is
+//!   gated by the [`analyze`] cost model so a plan's work/span guarantee can
+//!   only improve; an accepted plan is handed on with that resolution.
 //! * [`derived`] — the derived operations the paper lists as expressible in NRA:
 //!   set intersection and difference, cartesian product, relational projections,
 //!   selections, relation composition, nest/unnest, membership, and friends.

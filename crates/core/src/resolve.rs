@@ -21,7 +21,7 @@
 //! Slots are a function of the tree, so a builder that wraps a plan in a new
 //! binder, or a rewrite that moves a body under one, leaves them stale. Every
 //! entry point that accepts a tree resolves it, and a tree whose slots are
-//! current passes through as a borrow: one walk, no copy.
+//! current passes through as it came, borrowed or owned: one walk, no copy.
 
 use crate::expr::{Expr, ExprKind, Slot, Var};
 use std::borrow::Cow;
@@ -33,7 +33,7 @@ pub struct Resolved<'e> {
     /// The input itself when its slots were current, else a copy.
     pub expr: Cow<'e, Expr>,
     /// The free names in order of first occurrence: `Slot::Free(i)` is `free[i]`.
-    pub free: Vec<&'e str>,
+    pub free: Vec<String>,
     /// The facts of every node of `expr`, in pre-order: a node's children
     /// follow it, each after the previous child's `size` entries.
     pub(crate) facts: Vec<Facts>,
@@ -59,14 +59,26 @@ impl Resolved<'_> {
     }
 }
 
-/// Resolve every variable of `expr` and record its nodes' facts (see the
-/// module docs).
-pub fn resolve(expr: &Expr) -> Resolved<'_> {
+/// Resolve every variable of `expr`, borrowed or owned, and record its facts.
+pub fn resolve<'e>(expr: impl Into<Cow<'e, Expr>>) -> Resolved<'e> {
+    let expr = expr.into();
     let mut walk = Walk::default();
-    let resolved = walk.visit(expr).0;
-    let expr = resolved.map_or(Cow::Borrowed(expr), Cow::Owned);
+    let resolved = walk.visit(&expr).0;
     let Walk { free, facts, .. } = walk;
+    let expr = resolved.map_or(expr, Cow::Owned);
     Resolved { expr, free, facts }
+}
+
+impl<'e> From<&'e Expr> for Cow<'e, Expr> {
+    fn from(expr: &'e Expr) -> Self {
+        Cow::Borrowed(expr)
+    }
+}
+
+impl From<Expr> for Cow<'_, Expr> {
+    fn from(expr: Expr) -> Self {
+        Cow::Owned(expr)
+    }
 }
 
 /// The state of the one walk.
@@ -74,7 +86,7 @@ pub fn resolve(expr: &Expr) -> Resolved<'_> {
 struct Walk<'e> {
     /// The binders in scope, innermost last, each with whether it was read.
     scope: Vec<(&'e str, bool)>,
-    free: Vec<&'e str>,
+    free: Vec<String>,
     facts: Vec<Facts>,
 }
 
@@ -96,15 +108,14 @@ impl<'e> Walk<'e> {
                 None => {
                     let free = &mut self.free;
                     let i = free.iter().position(|f| *f == x.name).unwrap_or_else(|| {
-                        free.push(&x.name);
+                        free.push(x.name.clone());
                         free.len() - 1
                     });
                     (Slot::Free(i), 0)
                 }
             };
-            let name = x.name.clone();
             let resolved = (x.slot != slot).then(|| Expr {
-                kind: ExprKind::Var(Var { name, slot }),
+                kind: ExprKind::Var(Var { slot, ..x.clone() }),
                 span: expr.span,
             });
             return (resolved, outermost);

@@ -26,14 +26,15 @@
 //!
 //! # The cost gate
 //!
-//! The rewritten plan's cost alone is analysed once ([`Resolved::cost`]: the
-//! findings describe the text as written, so its lints are not run again)
-//! and the plan is kept only when its symbolic **work**
-//! bound and **span** bound are *provably* `≤` the raw plan's
+//! The rewritten plan is resolved once and its cost alone is analysed once
+//! ([`Resolved::cost`]: the findings describe the text as written, so its
+//! lints are not run again), and the plan is kept only when its symbolic
+//! **work** bound and **span** bound are *provably* `≤` the raw plan's
 //! ([`crate::analyze::Bound::le_pointwise`] — a sound, incomplete check, so a
 //! plan the model cannot justify is refused whole and the raw plan executes).
 //! This is the paper-facing invariant: optimization never weakens a plan's
-//! work/span guarantee.
+//! work/span guarantee. An accepted plan is handed on with that resolution
+//! and cost ([`Rewritten`]): nothing is copied or resolved again.
 //!
 //! # Spans survive rewrites
 //!
@@ -94,16 +95,10 @@ pub struct FiredRewrite {
 /// The result of running [`optimize`] on one query.
 #[derive(Debug, Clone)]
 pub struct RewriteOutcome {
-    /// The rewritten expression, resolved (the input, resolved, when nothing
-    /// fired).
+    /// The plan that executes, resolved: the rewritten one, or the input.
     pub expr: Expr,
     /// Every accepted rewrite, in firing order.
     pub fired: Vec<FiredRewrite>,
-    /// The cost bounds of the *input* expression.
-    pub cost_before: CostBound,
-    /// The cost bounds of `expr`: the rewritten expression's, or
-    /// `cost_before` when nothing fired.
-    pub cost: CostBound,
 }
 
 /// Work budget for prepare-time constant folding, per text: the pass stops
@@ -114,6 +109,17 @@ const FOLD_SET_BUDGET: usize = 1024;
 /// Minimum node count before a closed subtree is worth folding.
 const FOLD_MIN_SIZE: usize = 2;
 
+/// An accepted rewrite of a resolved plan.
+#[derive(Debug)]
+pub struct Rewritten {
+    /// The rewritten plan: the resolution the cost gate analysed.
+    pub plan: Resolved<'static>,
+    /// Every accepted rewrite, in firing order.
+    pub fired: Vec<FiredRewrite>,
+    /// The cost bounds of `plan`.
+    pub cost: CostBound,
+}
+
 /// Run the cost-gated rewrite pass on one query. `schema` and `config` must
 /// match what the plan will execute under: the schema feeds the symbolic
 /// cost gate, and the config's registry and limits drive constant folding
@@ -122,7 +128,8 @@ const FOLD_MIN_SIZE: usize = 2;
 /// it there).
 pub fn optimize(expr: &Expr, schema: &[(String, Type)], config: &EvalConfig) -> RewriteOutcome {
     let plan = resolve(expr);
-    plan.optimize(schema, config, plan.cost(schema, &config.registry))
+    let cost = plan.cost(schema, &config.registry);
+    outcome(plan.optimize(schema, config, &cost), plan)
 }
 
 /// [`optimize`], reusing an already-computed analysis of `expr` (its cost).
@@ -132,17 +139,27 @@ pub fn optimize_analyzed(
     config: &EvalConfig,
     before: QueryAnalysis,
 ) -> RewriteOutcome {
-    resolve(expr).optimize(schema, config, before.cost)
+    let plan = resolve(expr);
+    outcome(plan.optimize(schema, config, &before.cost), plan)
+}
+
+/// A plan and what [`Resolved::optimize`] made of it, as a [`RewriteOutcome`].
+fn outcome(rewritten: Option<Rewritten>, plan: Resolved) -> RewriteOutcome {
+    let (expr, fired) = rewritten.map_or((plan.expr, Vec::new()), |r| (r.plan.expr, r.fired));
+    let expr = expr.into_owned();
+    RewriteOutcome { expr, fired }
 }
 
 impl Resolved<'_> {
-    /// [`optimize`] of a resolved plan whose cost bounds are `cost_before`.
+    /// The cost-gated rewrite of a resolved plan whose cost bounds are
+    /// `cost_before` (see [`optimize`]); `None` when nothing was accepted —
+    /// no rule fired, or the gate refused — and the plan executes as it is.
     pub fn optimize(
         &self,
         schema: &[(String, Type)],
         config: &EvalConfig,
-        cost_before: CostBound,
-    ) -> RewriteOutcome {
+        cost_before: &CostBound,
+    ) -> Option<Rewritten> {
         let mut pass = Pass {
             fold: EvalConfig {
                 max_work: config.max_work.min(FOLD_WORK_BUDGET),
@@ -155,29 +172,15 @@ impl Resolved<'_> {
             },
             fired: Vec::new(),
         };
-        if let Some(rewritten) = pass.visit(&self.expr, &self.facts, 0) {
-            // Ext-fusion moved bodies under a new binder: resolve again. The
-            // gate: both bounds of the whole rewritten plan provably no worse.
-            // Incompleteness of `le_pointwise` only ever refuses a plan.
-            let plan = resolve(&rewritten);
-            let cost = plan.cost(schema, &config.registry);
-            if cost.work.le_pointwise(&cost_before.work)
-                && cost.span.le_pointwise(&cost_before.span)
-            {
-                return RewriteOutcome {
-                    expr: plan.expr.into_owned(),
-                    fired: pass.fired,
-                    cost_before,
-                    cost,
-                };
-            }
-        }
-        RewriteOutcome {
-            expr: Expr::clone(&self.expr),
-            fired: Vec::new(),
-            cost: cost_before.clone(),
-            cost_before,
-        }
+        // Ext-fusion moves bodies under a new binder: the rewritten tree is
+        // resolved, once. The gate: both bounds of the whole rewritten plan
+        // provably no worse (`le_pointwise` is incomplete: it only refuses).
+        let plan = resolve(pass.visit(&self.expr, &self.facts, 0)?);
+        let cost = plan.cost(schema, &config.registry);
+        let accepted =
+            cost.work.le_pointwise(&cost_before.work) && cost.span.le_pointwise(&cost_before.span);
+        let fired = pass.fired;
+        accepted.then_some(Rewritten { plan, fired, cost })
     }
 }
 
@@ -298,6 +301,7 @@ fn injective_in(h: &Expr) -> bool {
 mod tests {
     use super::*;
     use crate::eval::eval_closed;
+    use std::borrow::Cow;
 
     fn cfg() -> EvalConfig {
         EvalConfig::default()
@@ -342,27 +346,12 @@ mod tests {
 
     #[test]
     fn fuses_nested_injective_ext_maps() {
-        // ext(λy. {y}, ext(λx. {(x, x)}, s)) over a literal set.
+        // `fusable()` over a literal set.
         let s = Expr::union(
             Expr::singleton(Expr::atom(1)),
             Expr::singleton(Expr::atom(2)),
         );
-        let inner = Expr::ext(
-            Expr::lam(
-                "x",
-                Type::Base,
-                Expr::singleton(Expr::pair(Expr::var("x"), Expr::var("x"))),
-            ),
-            Expr::var("s"),
-        );
-        let outer = Expr::ext(
-            Expr::lam(
-                "y",
-                Type::prod(Type::Base, Type::Base),
-                Expr::singleton(Expr::proj1(Expr::var("y"))),
-            ),
-            inner,
-        );
+        let outer = fusable();
         let schema = vec![("s".to_string(), Type::set(Type::Base))];
         let out = optimize(&outer, &schema, &cfg());
         assert!(
@@ -376,6 +365,52 @@ mod tests {
             eval_closed(&bindings(&out.expr)).unwrap(),
             eval_closed(&bindings(&outer)).unwrap()
         );
+    }
+
+    /// `ext(λy. {π₁ y}, ext(λx. {(x, x)}, s))`: ext-fusion moves the outer
+    /// body under the inner binder, so its slots change.
+    fn fusable() -> Expr {
+        let inner = Expr::ext(
+            Expr::lam(
+                "x",
+                Type::Base,
+                Expr::singleton(Expr::pair(Expr::var("x"), Expr::var("x"))),
+            ),
+            Expr::var("s"),
+        );
+        Expr::ext(
+            Expr::lam(
+                "y",
+                Type::prod(Type::Base, Type::Base),
+                Expr::singleton(Expr::proj1(Expr::var("y"))),
+            ),
+            inner,
+        )
+    }
+
+    #[test]
+    fn an_accepted_rewrite_is_handed_on_resolved_and_nothing_else_is() {
+        let (config, schema) = (cfg(), [("s".to_string(), Type::set(Type::Base))]);
+        let cost = |plan: &Resolved| plan.cost(&schema, &config.registry);
+        // Nothing fires on an open map of a relation.
+        let plain = resolve(Expr::ext(
+            Expr::lam("x", Type::Base, Expr::singleton(Expr::var("x"))),
+            Expr::var("s"),
+        ));
+        assert!(plain.optimize(&schema, &config, &cost(&plain)).is_none());
+        // Fusion fires, and its plan is current: resolving it again borrows
+        // it, and the cost handed on is that plan's.
+        let raw = resolve(fusable());
+        let r = raw
+            .optimize(&schema, &config, &cost(&raw))
+            .expect("fusion is accepted");
+        assert_eq!(r.fired.len(), 1);
+        assert!(matches!(resolve(&*r.plan.expr).expr, Cow::Borrowed(_)));
+        assert_eq!(r.cost, cost(&r.plan));
+        // The gate refuses a rewrite it cannot prove no worse than the bound
+        // it is given: here a constant's, below the fused map's.
+        let constant = cost(&resolve(Expr::atom(1)));
+        assert!(raw.optimize(&schema, &config, &constant).is_none());
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl Resolved<'_> {
         schema: &[(String, Type)],
         sigma: &ExternRegistry,
     ) -> Result<Type, TypeError> {
-        let typed = |x: &&str| Some(schema.iter().rev().find(|(n, _)| n == x)?.1.clone());
+        let typed = |x: &String| Some(schema.iter().rev().find(|(n, _)| n == x)?.1.clone());
         let free = self.free.iter().map(typed).collect();
         let binders = Vec::new();
         Checker {

@@ -134,69 +134,6 @@ impl Diagnostic {
     pub fn severity(&self) -> &'static str {
         self.label
     }
-
-    /// The diagnostic as one JSON object — the machine-readable twin of the
-    /// caret rendering, so protocol front ends (the wire server, the REPL's
-    /// `--json` mode) never re-parse rendered text:
-    ///
-    /// ```text
-    /// {"severity":"error","message":"...","span":{"start":11,"end":17},
-    ///  "line":1,"column":12,"snippet":"{@1} union {true}"}
-    /// ```
-    ///
-    /// `span`, `line`, `column` and `snippet` are `null` when the error is
-    /// unlocated. The span is the *raw* byte span the error carried; `line`,
-    /// `column` and `snippet` are only non-null when that span resolved
-    /// against the supplied source (see [`Diagnostic::new`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96 + self.message.len());
-        out.push_str("{\"severity\":");
-        json_string(&mut out, self.label);
-        out.push_str(",\"message\":");
-        json_string(&mut out, &self.message);
-        out.push_str(",\"span\":");
-        match self.span {
-            Some(s) => {
-                out.push_str(&format!("{{\"start\":{},\"end\":{}}}", s.start, s.end));
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"line\":");
-        match self.line {
-            Some(n) => out.push_str(&n.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"column\":");
-        match self.column {
-            Some(n) => out.push_str(&n.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"snippet\":");
-        match &self.snippet {
-            Some(s) => json_string(&mut out, s),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Append `s` as a JSON string literal (RFC 8259 escaping; control characters
-/// below U+0020 become `\u00XX`).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for Diagnostic {

@@ -31,11 +31,12 @@ pub(crate) struct PreparedPlan {
     /// *raw* typed AST, so it re-parses to the plan the user wrote even when
     /// the optimizer rewrote what executes.
     pub(crate) normal_form: String,
-    /// The pretty-printed form of the plan that actually executes (equal to
-    /// `normal_form` when no rewrite fired). May contain folded constant
-    /// literals the surface grammar cannot re-parse — this is a display
-    /// form, not a round-trip form.
-    pub(crate) optimized_form: String,
+    /// The pretty-printed form of the rewritten plan, printed only when a
+    /// rewrite was accepted (`None`: the plan that executes is the one
+    /// `normal_form` prints). May contain folded constant literals the
+    /// surface grammar cannot re-parse — this is a display form, not a
+    /// round-trip form.
+    pub(crate) optimized_form: Option<String>,
     /// The prepare-time static analysis: symbolic work/span bounds of the
     /// *executing* (possibly rewritten) plan and lint findings of the *raw*
     /// expression. Computed once per plan, shared by every handle.
@@ -90,12 +91,16 @@ impl PreparedQuery {
         &self.plan.normal_form
     }
 
-    /// The pretty-printed form of the plan the session will execute. Equal to
-    /// [`PreparedQuery::normal_form`] when no rewrite fired; a rewritten plan
-    /// may mention folded constants, so this is a display form — it is not
-    /// guaranteed to re-parse.
+    /// The pretty-printed form of the plan the session will execute. When no
+    /// rewrite was accepted that plan is the raw one, and this is
+    /// [`PreparedQuery::normal_form`] (printed once, at prepare); a rewritten
+    /// plan may mention folded constants, so this is a display form — it is
+    /// not guaranteed to re-parse.
     pub fn optimized_form(&self) -> &str {
-        &self.plan.optimized_form
+        self.plan
+            .optimized_form
+            .as_deref()
+            .unwrap_or(&self.plan.normal_form)
     }
 
     /// The optimizer level the plan was prepared under.

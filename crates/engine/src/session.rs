@@ -45,7 +45,7 @@ pub enum LintPolicy {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     text: String,
-    schema: Vec<(String, String)>,
+    schema: Vec<(String, Type)>,
     registry_fingerprint: u64,
     opt_level: OptLevel,
 }
@@ -59,10 +59,7 @@ impl PlanKey {
     ) -> PlanKey {
         PlanKey {
             text: text.to_string(),
-            schema: schema
-                .iter()
-                .map(|(name, ty)| (name.clone(), ty.to_string()))
-                .collect(),
+            schema: schema.to_vec(),
             registry_fingerprint,
             opt_level,
         }
@@ -495,55 +492,48 @@ impl Session {
 
     /// The front end minus parsing: binder resolution (which also records
     /// the §3 recursion depth), typecheck against the session registry under
-    /// the declared schema, static cost/lint analysis, the cost-gated
-    /// rewriter (at [`OptLevel::Default`]), kernel survey, normal form.
+    /// the declared schema, static cost/lint analysis, normal form, the
+    /// cost-gated rewriter (at [`OptLevel::Default`]), kernel survey.
     ///
-    /// Findings describe the text as written; bounds describe the plan that
-    /// executes.
+    /// The tree is resolved once, by value, and each pass hands its product
+    /// on: unless a rewrite is accepted that resolution executes, and an
+    /// accepted rewrite comes back from core already resolved. Either way the
+    /// executing plan is surveyed once and its tree moves into the
+    /// [`PreparedPlan`] — nothing is copied or resolved again. Findings
+    /// describe the text as written; bounds describe the plan that executes.
     fn analyze(
         &self,
         source: Option<String>,
         expr: Expr,
         schema: &[(String, Type)],
     ) -> Result<PreparedPlan, Error> {
-        // Resolved once; a plan a rewrite changed is resolved again.
-        let plan = resolve(&expr);
-        let ty = plan.infer(schema, &self.config.registry)?;
-        let QueryAnalysis { cost, mut findings } = plan.analyze(schema, &self.config.registry);
-        let normal_form = ncql_surface::print_expr(&expr);
+        let registry = &self.config.registry;
+        let plan = resolve(expr);
+        let ty = plan.infer(schema, registry)?;
+        let QueryAnalysis { cost, mut findings } = plan.analyze(schema, registry);
+        // Printing reads names, not slots: the resolved tree prints as parsed.
+        let normal_form = ncql_surface::print_expr(&plan.expr);
         // Like the findings, the §3 recursion depth classifies the query the
         // user wrote — folding a closed `dcr` to a constant does not change
         // which uniform circuit family the query names.
         let depth = plan.recursion_depth();
+        let rewritten = match self.opt_level {
+            OptLevel::None => None,
+            OptLevel::Default => plan.optimize(schema, &self.config, &cost),
+        };
+        let (plan, cost, rewrites, cost_before, optimized_form) = match rewritten {
+            None => (plan, cost, Vec::new(), None, None),
+            Some(r) => {
+                let form = ncql_surface::print_expr(&r.plan.expr);
+                (r.plan, r.cost, r.fired, Some(cost), Some(form))
+            }
+        };
         // The kernel compiler's one pass over the *executing* plan: every
         // execution runs on these kernels, so a site reported compiled here
         // is exactly a site the evaluator runs through row kernels whenever
-        // its argument set is columnar and kernels are on. Unless a rewrite
-        // fired, that plan is the one resolved above (or its clone, which
-        // shares its `λ` bodies).
-        let registry = &self.config.registry;
-        let (expr, cost, rewrites, cost_before, sites) = match self.opt_level {
-            OptLevel::None => {
-                let sites = Sites::of_plan(&plan, registry);
-                (plan.expr.into_owned(), cost, Vec::new(), None, sites)
-            }
-            OptLevel::Default => {
-                let outcome = plan.optimize(schema, &self.config, cost);
-                let sites = if outcome.fired.is_empty() {
-                    Sites::of_plan(&plan, registry)
-                } else {
-                    Sites::of_plan(&resolve(&outcome.expr), registry)
-                };
-                let cost_before = (!outcome.fired.is_empty()).then_some(outcome.cost_before);
-                (
-                    outcome.expr,
-                    outcome.cost,
-                    outcome.fired,
-                    cost_before,
-                    sites,
-                )
-            }
-        };
+        // its argument set is columnar and kernels are on.
+        let sites = Sites::of_plan(&plan, registry, true);
+        let expr = plan.expr.into_owned();
         // The doomed-query check needs the session's work limit, which the
         // core analyser does not know: a work *floor* above `max_work` means
         // every evaluation is guaranteed to abort with `WorkLimitExceeded`,
@@ -568,7 +558,7 @@ impl Session {
             ty,
             schema: schema.to_vec(),
             depth,
-            optimized_form: ncql_surface::print_expr(&expr),
+            optimized_form,
             normal_form,
             analysis: QueryAnalysis { cost, findings },
             opt_level: self.opt_level,
@@ -750,7 +740,7 @@ impl Session {
             evaluator.attach_cancel(token.clone());
         }
         let value = match sites {
-            Some(sites) => evaluator.eval_surveyed(expr, sites, bindings)?,
+            Some(sites) => evaluator.eval_surveyed(expr, sites.clone(), bindings)?,
             None => evaluator.eval_with_bindings(expr, bindings)?,
         };
         Ok(Outcome {

@@ -51,8 +51,8 @@ pub enum Json {
     /// duplicates).
     Obj(Vec<(String, Json)>),
     /// A pre-serialized JSON fragment, emitted verbatim by the writer. Never
-    /// produced by the parser — it exists so already-serialized pieces (the
-    /// engine's `Diagnostic::to_json`, a wire value) embed without a round-trip.
+    /// produced by the parser — it exists so an already-serialized piece (a
+    /// wire value) embeds without a round-trip.
     Raw(String),
 }
 

@@ -29,10 +29,10 @@
 //!               "line": uint|null, "column": uint|null, "snippet": string|null }
 //! ```
 //!
-//! The `diag` object is exactly the engine's
-//! [`Diagnostic::to_json`](ncql_engine::Diagnostic::to_json) — the same
-//! structured form the REPL's `--json` flag prints — so every span, line,
-//! column and snippet a caret rendering would show arrives machine-readable.
+//! The `diag` object is [`diagnostic_json`] of the engine's [`Diagnostic`] —
+//! the same structured form the REPL's `--json` flag prints — so every span,
+//! line, column and snippet a caret rendering would show arrives
+//! machine-readable.
 //! Result values are carried in the object layer's canonical printed form
 //! (`"{a1, a2}"`, `"42"`, `"(true, a7)"`), which is what the sorted,
 //! duplicate-free [`Value`] display guarantees to be deterministic.
@@ -64,7 +64,7 @@
 
 use crate::json::{self, Json, JsonError, Reader, Token};
 use ncql_core::EvalError;
-use ncql_engine::{Error, Outcome};
+use ncql_engine::{Diagnostic, Error, Outcome};
 use ncql_object::flat::write_u64;
 use ncql_object::{FlatShape, Type, VSet, Value};
 
@@ -648,20 +648,45 @@ pub fn ok_response(id: u64, body: Json) -> String {
     .to_string()
 }
 
-/// An `error` response envelope: the code plus the structured diagnostic
-/// (pre-serialized by the engine's `Diagnostic::to_json`).
-pub fn error_response(id: Option<u64>, code: &str, diagnostic_json: String) -> String {
+/// An `error` response envelope: the code plus the structured diagnostic.
+pub fn error_response(id: Option<u64>, code: &str, diagnostic: &Diagnostic) -> String {
     Json::Obj(vec![
         ("id".to_string(), id.map(Json::num).unwrap_or(Json::Null)),
         (
             "error".to_string(),
             Json::Obj(vec![
                 ("code".to_string(), Json::str(code)),
-                ("diagnostic".to_string(), Json::Raw(diagnostic_json)),
+                ("diagnostic".to_string(), diagnostic_json(diagnostic)),
             ]),
         ),
     ])
     .to_string()
+}
+
+/// A [`Diagnostic`] as the `diag` object of the grammar: the machine-readable
+/// twin of its caret rendering. `span`, `line`, `column` and `snippet` are
+/// `null` when it is unlocated; the span is the raw byte span the error
+/// carried, and `line`, `column` and `snippet` are non-null only when that
+/// span resolved against the source (see [`Diagnostic::new`]).
+pub fn diagnostic_json(diagnostic: &Diagnostic) -> Json {
+    let uint = |n: Option<usize>| n.map_or(Json::Null, |n| Json::num(n as u64));
+    let span = diagnostic.span.map_or(Json::Null, |s| {
+        Json::Obj(vec![
+            ("start".to_string(), Json::num(s.start as u64)),
+            ("end".to_string(), Json::num(s.end as u64)),
+        ])
+    });
+    Json::Obj(vec![
+        ("severity".to_string(), Json::str(diagnostic.severity())),
+        ("message".to_string(), Json::str(&diagnostic.message)),
+        ("span".to_string(), span),
+        ("line".to_string(), uint(diagnostic.line)),
+        ("column".to_string(), uint(diagnostic.column)),
+        (
+            "snippet".to_string(),
+            diagnostic.snippet().map_or(Json::Null, Json::str),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -1173,5 +1198,37 @@ mod tests {
             error_code(&Error::Eval(EvalError::stuck("pi1 of non-pair"))),
             code::EVAL
         );
+    }
+
+    #[test]
+    fn diagnostics_encode_as_the_engine_wrote_them() {
+        use ncql_core::Span;
+        // What `Diagnostic::to_json`, the engine's JSON writer this encoder
+        // replaced, printed for the four diagnostics below.
+        const RECORDED: [&str; 4] = [
+            "{\"severity\":\"error\",\"message\":\"say \\\"hi\\\" \\\\ \\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f \u{7f} λ€\",\"span\":{\"start\":1,\"end\":4},\"line\":1,\"column\":2,\"snippet\":\"{\\\"q\\\" \\\\ \\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\u{7f} λ€}\"}",
+            "{\"severity\":\"error\",\"message\":\"say \\\"hi\\\" \\\\ \\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f \u{7f} λ€\",\"span\":{\"start\":46,\"end\":52},\"line\":2,\"column\":1,\"snippet\":\"second \\\"line\\\"\"}",
+            "{\"severity\":\"error\",\"message\":\"say \\\"hi\\\" \\\\ \\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f \u{7f} λ€\",\"span\":null,\"line\":null,\"column\":null,\"snippet\":null}",
+            "{\"severity\":\"error\",\"message\":\"say \\\"hi\\\" \\\\ \\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f \u{7f} λ€\",\"span\":{\"start\":900,\"end\":905},\"line\":null,\"column\":null,\"snippet\":null}",
+        ];
+        let controls: String = (1u8..0x20).map(char::from).collect();
+        let message = format!("say \"hi\" \\ {controls} \u{7f} λ€");
+        let line: String = (1u8..0x20)
+            .filter(|&b| b != b'\n')
+            .map(char::from)
+            .collect();
+        let source = format!("{{\"q\" \\ {line}\u{7f} λ€}}\nsecond \"line\"");
+        let second = source.find("second").unwrap();
+        let spans = [
+            Some(Span::new(1, 4)),
+            Some(Span::new(second, second + 6)),
+            None,
+            // Not within the source: unlocated, with the span kept.
+            Some(Span::new(900, 905)),
+        ];
+        for (span, recorded) in spans.into_iter().zip(RECORDED) {
+            let diagnostic = Diagnostic::new(message.clone(), span, &source);
+            assert_eq!(diagnostic_json(&diagnostic).to_string(), recorded);
+        }
     }
 }

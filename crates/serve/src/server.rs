@@ -452,26 +452,22 @@ fn busy_response(id: u64, inner: &Inner) -> String {
         inner.config.max_inflight
     );
     let diagnostic = Diagnostic::new(message, None, "");
-    protocol::error_response(Some(id), code::BUSY, diagnostic.to_json())
+    protocol::error_response(Some(id), code::BUSY, &diagnostic)
 }
 
 fn internal_response(id: u64, payload: Box<dyn std::any::Any + Send>) -> String {
     let message = format!("internal error: {}", ncql_pram::panic_message(payload));
     let diagnostic = Diagnostic::new(message, None, "");
-    protocol::error_response(Some(id), code::INTERNAL, diagnostic.to_json())
+    protocol::error_response(Some(id), code::INTERNAL, &diagnostic)
 }
 
 fn protocol_error_response(id: Option<u64>, message: &str) -> String {
     let diagnostic = Diagnostic::new(message, None, "");
-    protocol::error_response(id, code::PROTOCOL, diagnostic.to_json())
+    protocol::error_response(id, code::PROTOCOL, &diagnostic)
 }
 
 fn engine_error_response(id: u64, error: &ncql_engine::Error, source: &str) -> String {
-    protocol::error_response(
-        Some(id),
-        error_code(error),
-        error.diagnostic(source).to_json(),
-    )
+    protocol::error_response(Some(id), error_code(error), &error.diagnostic(source))
 }
 
 /// The `stats` response body: cache metrics, live pool workers, the

@@ -22,7 +22,7 @@
 //!
 //! Diagnostics: `--json` prints every diagnostic (errors and lint findings)
 //! as one structured JSON object per line — the same
-//! `Diagnostic::to_json()` payload the `ncql-served` wire protocol carries —
+//! `protocol::diagnostic_json` object the `ncql-served` wire protocol carries —
 //! instead of rendered caret art. Prefixing the query with `:stats` prints
 //! the session observability counters (plan-cache metrics, live pool
 //! workers, prepared-plan count — the numbers a server's `stats` request
@@ -42,6 +42,7 @@
 //! echo "{@1} union {@2} union {@1}" | NCQL_PARALLELISM=4 cargo run --example query_repl
 //! ```
 
+use ncql::serve::protocol::diagnostic_json;
 use ncql::{Error, LintPolicy, PreparedQuery, Session, SessionBuilder};
 use std::io::Read;
 
@@ -51,7 +52,7 @@ use std::io::Read;
 fn report_findings(prepared: &PreparedQuery, json: bool) {
     for diagnostic in prepared.lint_diagnostics() {
         if json {
-            println!("{}", diagnostic.to_json());
+            println!("{}", diagnostic_json(&diagnostic));
         } else {
             println!("{diagnostic}");
         }
@@ -62,7 +63,7 @@ fn report_findings(prepared: &PreparedQuery, json: bool) {
 /// diagnostic otherwise.
 fn fail(err: &Error, text: &str, json: bool) -> ! {
     if json {
-        eprintln!("{}", err.diagnostic(text).to_json());
+        eprintln!("{}", diagnostic_json(&err.diagnostic(text)));
     } else {
         eprintln!("{}", err.render(text));
     }

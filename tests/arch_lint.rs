@@ -30,6 +30,11 @@
 //!    binder use, §3 depth): no other non-test code builds one, no separate
 //!    facts walk comes back, and the lint pass has one caller, so a prepare
 //!    lints its text once.
+//! 8. **The engine resolves a prepare once.** Non-test engine code calls
+//!    `resolve(` exactly once — on the parsed tree, by value — and
+//!    `core::rewrite` copies no plan (`Expr::clone(`): an accepted rewrite
+//!    comes back already resolved, and otherwise the first resolution is the
+//!    plan that executes.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -350,5 +355,38 @@ fn one_walk_decides_a_plans_facts() {
         lint_calls.len(),
         1,
         "the lint pass must have exactly one caller, so a prepare lints once: {lint_calls:#?}"
+    );
+}
+
+#[test]
+fn the_engine_resolves_a_prepare_once() {
+    // `resolve(` as a call, not as the tail of a longer name.
+    let calls = |code: &str| {
+        code.match_indices("resolve(")
+            .filter(|(at, _)| {
+                let before = code[..*at].chars().next_back();
+                !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            })
+            .count()
+    };
+    let (mut resolves, mut copies) = (Vec::new(), Vec::new());
+    for path in rust_sources() {
+        let rel = relative(&path);
+        let text = fs::read_to_string(&path).expect("readable source file");
+        for (lineno, line) in implementation(&text).lines().enumerate() {
+            let code = without_line_comment(line);
+            let at = || format!("{rel}:{}: {}", lineno + 1, line.trim());
+            if rel.starts_with("crates/engine/src/") {
+                resolves.extend(std::iter::repeat_n(at(), calls(code)));
+            }
+            if rel == "crates/core/src/rewrite.rs" && code.contains("Expr::clone(") {
+                copies.push(at());
+            }
+        }
+    }
+    assert!(
+        resolves.len() == 1 && copies.is_empty(),
+        "the engine must resolve a prepared tree exactly once ({resolves:#?}) and \
+         the optimizer hand on its resolution instead of copying a plan ({copies:#?})"
     );
 }
