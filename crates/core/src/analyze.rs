@@ -30,6 +30,12 @@
 //! keeps the abstract values of its binders as positional `Frames`, and a
 //! free name's schema relation is matched to it once, by name.
 //!
+//! The analyser runs at every prepare, and most of the charges it sums are
+//! constants, so a [`Poly`] keeps its constant term inline and a constant
+//! allocates nothing; its other terms sit in a sorted vector whose
+//! monomials are shared, so a sum or join is a linear merge that copies
+//! reference counts rather than maps of strings.
+//!
 //! Everything here is a *bound*, never a promise of tightness: `Unbounded`
 //! (and a floor of 0) is always a sound answer, and the analyser degrades to
 //! it (never panics) when its node budget runs out or a recurrence is not
@@ -41,27 +47,35 @@ use crate::expr::{Expr, ExprKind, Form, Slot};
 use crate::externs::ExternRegistry;
 use crate::resolve::{resolve, Frames, Resolved};
 use ncql_object::{Type, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Polynomials
 // ---------------------------------------------------------------------------
 
-/// A monomial: each variable maps to `(power, log-power)`, i.e. the factor
-/// `v^power · log(v)^log_power`, where `log` is the evaluator's
-/// [`log_rounds`] (`⌊log₂ v⌋ + 1` for `v ≥ 1`, `0` for `v = 0`).
-pub type Monomial = BTreeMap<String, (u32, u32)>;
+/// A monomial: each variable, in sorted order, with `(power, log-power)`,
+/// i.e. the factor `v^power · log(v)^log_power`, where `log` is the
+/// evaluator's [`log_rounds`] (`⌊log₂ v⌋ + 1` for `v ≥ 1`, `0` for `v = 0`).
+/// Shared (across threads, as plans are), so copying a term is a
+/// reference-count increment.
+pub type Monomial = Arc<[(Arc<str>, (u32, u32))]>;
 
 /// A multivariate polynomial with saturating `u64` coefficients over relation
 /// cardinalities, admitting `log` factors. All coefficients are non-negative,
 /// which the bound algebra leans on throughout: polynomials are monotone in
 /// every variable, so substituting an upper bound for a variable preserves
 /// upper bounds.
+///
+/// The constant term is inline (`0`: none), so a constant allocates nothing;
+/// the other terms are sorted by monomial, each with a non-zero coefficient.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Poly {
-    terms: BTreeMap<Monomial, u64>,
+    constant: u64,
+    terms: Vec<(Monomial, u64)>,
 }
 
 /// Merging more terms than this triggers [`Poly::compact_upper`].
@@ -70,58 +84,64 @@ const MAX_TERMS: usize = 32;
 impl Poly {
     /// The zero polynomial.
     pub fn zero() -> Poly {
-        Poly {
-            terms: BTreeMap::new(),
-        }
+        Poly::constant(0)
     }
 
     /// A constant polynomial.
-    pub fn constant(c: u64) -> Poly {
-        let mut terms = BTreeMap::new();
-        if c != 0 {
-            terms.insert(Monomial::new(), c);
-        }
-        Poly { terms }
+    pub fn constant(constant: u64) -> Poly {
+        let terms = Vec::new();
+        Poly { constant, terms }
     }
 
     /// The polynomial `v` for a single cardinality variable.
     pub fn var(name: &str) -> Poly {
-        let mut m = Monomial::new();
-        m.insert(name.to_string(), (1, 0));
-        let mut terms = BTreeMap::new();
-        terms.insert(m, 1);
-        Poly { terms }
+        Poly::factor(&name.into(), (1, 0))
     }
 
     /// The polynomial `log(v)`.
     pub fn log_var(name: &str) -> Poly {
-        let mut m = Monomial::new();
-        m.insert(name.to_string(), (0, 1));
-        let mut terms = BTreeMap::new();
-        terms.insert(m, 1);
-        Poly { terms }
+        Poly::factor(&name.into(), (0, 1))
+    }
+
+    /// The one-term polynomial `v^p · log(v)^q`.
+    fn factor(v: &Arc<str>, powers: (u32, u32)) -> Poly {
+        let m: Monomial = Arc::new([(v.clone(), powers)]);
+        Poly::normalized(0, vec![(m, 1)])
+    }
+
+    /// Sort `terms` by monomial and sum the coefficients of equal ones.
+    fn normalized(constant: u64, mut terms: Vec<(Monomial, u64)>) -> Poly {
+        terms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        terms.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.saturating_add(later.1);
+            }
+            same
+        });
+        Poly { constant, terms }
+    }
+
+    /// The number of terms, the constant included.
+    fn len(&self) -> usize {
+        self.terms.len() + usize::from(self.constant != 0)
     }
 
     /// `Some(c)` when the polynomial is a constant.
     pub fn as_const(&self) -> Option<u64> {
-        match self.terms.len() {
-            0 => Some(0),
-            1 => {
-                let (m, c) = self.terms.iter().next().expect("len checked");
-                m.is_empty().then_some(*c)
-            }
-            _ => None,
-        }
+        self.terms.is_empty().then_some(self.constant)
+    }
+
+    /// Termwise `f` of the coefficients, a missing term counting as 0.
+    fn zip_with(&self, other: &Poly, f: fn(u64, u64) -> u64) -> Poly {
+        let constant = f(self.constant, other.constant);
+        let terms = merge(&self.terms, &other.terms, f);
+        Poly { constant, terms }
     }
 
     /// Pointwise sum.
     pub fn add(&self, other: &Poly) -> Poly {
-        let mut out = self.terms.clone();
-        for (m, c) in &other.terms {
-            let slot = out.entry(m.clone()).or_insert(0);
-            *slot = slot.saturating_add(*c);
-        }
-        Poly { terms: out }
+        self.zip_with(other, u64::saturating_add)
     }
 
     /// `self + c`.
@@ -131,20 +151,21 @@ impl Poly {
 
     /// Product of two polynomials.
     pub fn mul(&self, other: &Poly) -> Poly {
-        let mut out: BTreeMap<Monomial, u64> = BTreeMap::new();
-        for (ma, ca) in &self.terms {
-            for (mb, cb) in &other.terms {
-                let mut m = ma.clone();
-                for (v, (p, q)) in mb {
-                    let slot = m.entry(v.clone()).or_insert((0, 0));
-                    slot.0 = slot.0.saturating_add(*p);
-                    slot.1 = slot.1.saturating_add(*q);
-                }
-                let slot = out.entry(m).or_insert(0);
-                *slot = slot.saturating_add(ca.saturating_mul(*cb));
+        // Each side's constant scales the other side's terms.
+        let mut terms = Vec::new();
+        for (side, k) in [(&self.terms, other.constant), (&other.terms, self.constant)] {
+            if k != 0 {
+                terms.extend(side.iter().map(|(m, c)| (m.clone(), c.saturating_mul(k))));
             }
         }
-        Poly { terms: out }
+        let add_powers =
+            |(p, q): (u32, u32), (r, s): (u32, u32)| (p.saturating_add(r), q.saturating_add(s));
+        for (ma, ca) in &self.terms {
+            for (mb, cb) in &other.terms {
+                terms.push((merge(ma, mb, add_powers).into(), ca.saturating_mul(*cb)));
+            }
+        }
+        Poly::normalized(self.constant.saturating_mul(other.constant), terms)
     }
 
     /// `c · self`.
@@ -152,34 +173,28 @@ impl Poly {
         if c == 0 {
             return Poly::zero();
         }
-        Poly {
-            terms: self
-                .terms
-                .iter()
-                .map(|(m, k)| (m.clone(), k.saturating_mul(c)))
-                .collect(),
-        }
+        let constant = self.constant.saturating_mul(c);
+        let terms = self
+            .terms
+            .iter()
+            .map(|(m, k)| (m.clone(), k.saturating_mul(c)));
+        Poly::normalized(constant, terms.collect())
     }
 
     /// Pointwise coefficient maximum: a sound **upper** bound for
     /// `max(self, other)` at every non-negative assignment (each operand is
     /// dominated termwise by the joined coefficients).
     pub fn join(&self, other: &Poly) -> Poly {
-        let mut out = self.terms.clone();
-        for (m, c) in &other.terms {
-            let slot = out.entry(m.clone()).or_insert(0);
-            *slot = (*slot).max(*c);
-        }
-        Poly { terms: out }
+        self.zip_with(other, u64::max)
     }
 
     /// Evaluate at concrete cardinalities. Returns `None` when a variable is
     /// missing from `lookup`. Log factors evaluate through [`log_rounds`].
     pub fn eval(&self, lookup: &dyn Fn(&str) -> Option<u64>) -> Option<u64> {
-        let mut total: u64 = 0;
+        let mut total = self.constant;
         for (m, c) in &self.terms {
             let mut term = *c;
-            for (v, (p, q)) in m {
+            for (v, (p, q)) in m.iter() {
                 let val = lookup(v)?;
                 for _ in 0..*p {
                     term = term.saturating_mul(val);
@@ -207,31 +222,30 @@ impl Poly {
     /// and `log_rounds(log_rounds(v)) ≤ log_rounds(v)`), and
     /// `log_rounds(Σᵢ tᵢ) ≤ Σᵢ log_rounds(tᵢ) + 2(k−1)` across `k` monomials.
     pub fn log_bound(&self) -> Poly {
-        if self.terms.is_empty() {
+        let Some(k) = self.len().checked_sub(1) else {
             return Poly::zero();
-        }
-        let mut out = Poly::zero();
+        };
+        let mut out = Poly::constant(log_rounds(self.constant as usize) + 2 * k as u64);
         for (m, c) in &self.terms {
-            let mut term = Poly::constant(log_rounds(*c as usize));
-            for (v, (p, q)) in m {
+            out = out.add_const(log_rounds(*c as usize));
+            for (v, (p, q)) in m.iter() {
                 let total = (*p as u64).saturating_add(*q as u64);
-                term = term.add(&Poly::log_var(v).scale(total));
+                out = out.add(&Poly::factor(v, (0, 1)).scale(total));
             }
-            out = out.add(&term);
         }
-        out.add_const(2 * (self.terms.len() as u64 - 1))
+        out
     }
 
     /// Substitute an upper bound `replacement` for `var`. Sound for upper
     /// bounds because the polynomial is monotone in every variable:
     /// `v^p·log(v)^q ↦ P^p·log_bound(P)^q`.
     pub fn subst(&self, var: &str, replacement: &Poly) -> Poly {
-        let mut out = Poly::zero();
+        let mut out = Poly::constant(self.constant);
         let repl_log = replacement.log_bound();
         for (m, c) in &self.terms {
             let mut term = Poly::constant(*c);
-            for (v, (p, q)) in m {
-                if v == var {
+            for (v, (p, q)) in m.iter() {
+                if **v == *var {
                     for _ in 0..*p {
                         term = term.mul(replacement);
                     }
@@ -239,11 +253,7 @@ impl Poly {
                         term = term.mul(&repl_log);
                     }
                 } else {
-                    let mut mono = Monomial::new();
-                    mono.insert(v.clone(), (*p, *q));
-                    let mut factor = BTreeMap::new();
-                    factor.insert(mono, 1);
-                    term = term.mul(&Poly { terms: factor });
+                    term = term.mul(&Poly::factor(v, (*p, *q)));
                 }
             }
             out = out.add(&term);
@@ -253,26 +263,23 @@ impl Poly {
 
     /// Does the polynomial mention `var` at all?
     pub fn mentions(&self, var: &str) -> bool {
-        self.terms.keys().any(|m| m.contains_key(var))
+        let has = |m: &Monomial| m.iter().any(|(v, _)| **v == *var);
+        self.terms.iter().any(|(m, _)| has(m))
     }
 
     /// Decompose as `A·var + R` where `R` does not mention `var`. `None` when
     /// any term is non-linear in `var` (including `log(var)` factors).
     pub fn linear_in(&self, var: &str) -> Option<(u64, Poly)> {
         let mut a = 0u64;
-        let mut rest = Poly::zero();
+        let mut rest = Vec::new();
         for (m, c) in &self.terms {
-            match m.get(var) {
-                None => {
-                    rest = rest.add(&Poly {
-                        terms: BTreeMap::from([(m.clone(), *c)]),
-                    });
-                }
-                Some(&(1, 0)) if m.len() == 1 => a = a.saturating_add(*c),
+            match m.iter().find(|(v, _)| **v == *var) {
+                None => rest.push((m.clone(), *c)),
+                Some((_, (1, 0))) if m.len() == 1 => a = a.saturating_add(*c),
                 Some(_) => return None,
             }
         }
-        Some((a, rest))
+        Some((a, Poly::normalized(self.constant, rest)))
     }
 
     /// Coarsen an **upper** bound so it never exceeds `MAX_TERMS` terms:
@@ -282,25 +289,23 @@ impl Poly {
     /// either every variable is ≥ 1 (so raising powers only grows the term)
     /// or some variable is 0 (so both sides vanish).
     pub fn compact_upper(self) -> Poly {
-        if self.terms.len() <= MAX_TERMS {
+        if self.len() <= MAX_TERMS {
             return self;
         }
-        let mut groups: BTreeMap<Vec<String>, (Monomial, u64)> = BTreeMap::new();
-        for (m, c) in self.terms {
-            let support: Vec<String> = m.keys().cloned().collect();
-            let entry = groups
-                .entry(support)
-                .or_insert_with(|| (Monomial::new(), 0));
-            for (v, (p, q)) in m {
-                let folded = (p).saturating_add(q);
-                let slot = entry.0.entry(v).or_insert((0, 0));
-                slot.0 = slot.0.max(folded);
+        let mut groups: BTreeMap<Vec<Arc<str>>, (Vec<u32>, u64)> = BTreeMap::new();
+        for (m, c) in &self.terms {
+            let support = m.iter().map(|(v, _)| v.clone()).collect();
+            let (powers, k) = groups.entry(support).or_insert((vec![0; m.len()], 0));
+            for (slot, (_, (p, q))) in powers.iter_mut().zip(m.iter()) {
+                *slot = (*slot).max(p.saturating_add(*q));
             }
-            entry.1 = entry.1.saturating_add(c);
+            *k = k.saturating_add(*c);
         }
-        Poly {
-            terms: groups.into_values().collect(),
-        }
+        let terms = groups.into_iter().map(|(support, (powers, k))| {
+            let m = support.into_iter().zip(powers).map(|(v, p)| (v, (p, 0)));
+            (m.collect(), k)
+        });
+        Poly::normalized(self.constant, terms.collect())
     }
 
     /// A deterministic sample evaluation (every variable at 8) used only to
@@ -322,8 +327,12 @@ impl Poly {
     /// `log_rounds(v) ≤ v`, and `log_rounds(v) ≥ 1` for `v ≥ 1`). Domination
     /// additionally requires *identical* variable support: a superset support
     /// is unsound at assignments where the extra variable is 0 (the dominating
-    /// term vanishes while the dominated one does not).
+    /// term vanishes while the dominated one does not). So only the other
+    /// constant covers a constant.
     pub fn le_pointwise(&self, other: &Poly) -> bool {
+        if self.constant > other.constant {
+            return false;
+        }
         let mut budget: Vec<(&Monomial, u64)> = other.terms.iter().map(|(m, c)| (m, *c)).collect();
         'terms: for (m, c) in &self.terms {
             let mut need = *c;
@@ -344,37 +353,60 @@ impl Poly {
     }
 }
 
-/// Does the monomial `big` dominate `small` at every non-negative assignment
-/// (see [`Poly::le_pointwise`] for the exact side conditions)?
-fn monomial_dominates(big: &Monomial, small: &Monomial) -> bool {
-    if big.len() != small.len() {
-        return false;
+/// The linear merge of two runs sorted by key, `f` meeting the values of a
+/// key both runs carry.
+fn merge<K: Ord + Clone, V: Copy>(
+    x: &[(K, V)],
+    y: &[(K, V)],
+    f: impl Fn(V, V) -> V,
+) -> Vec<(K, V)> {
+    let mut out = Vec::with_capacity(x.len() + y.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some((kx, vx)), Some((ky, vy))) = (x.get(i), y.get(j)) {
+        let order = kx.cmp(ky);
+        out.push(match order {
+            Ordering::Less => (kx.clone(), *vx),
+            Ordering::Greater => (ky.clone(), *vy),
+            Ordering::Equal => (kx.clone(), f(*vx, *vy)),
+        });
+        i += usize::from(order.is_le());
+        j += usize::from(order.is_ge());
     }
-    small.iter().all(|(v, &(pa, qa))| match big.get(v) {
-        Some(&(pb, qb)) => pb >= pa && (pb as u64) + (qb as u64) >= (pa as u64) + (qa as u64),
-        None => false,
-    })
+    out.extend_from_slice(&x[i..]);
+    out.extend_from_slice(&y[j..]);
+    out
+}
+
+/// Does the monomial `big` dominate `small` at every non-negative assignment
+/// (see [`Poly::le_pointwise`] for the exact side conditions)? Equal supports
+/// line up entry by entry, both being sorted.
+fn monomial_dominates(big: &Monomial, small: &Monomial) -> bool {
+    let covers = |((vb, (pb, qb)), (va, (pa, qa))): (&(Arc<str>, (u32, u32)), &_)| {
+        vb == va && pb >= pa && (*pb as u64) + (*qb as u64) >= (*pa as u64) + (*qa as u64)
+    };
+    big.len() == small.len() && big.iter().zip(small.iter()).all(covers)
 }
 
 impl fmt::Display for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
+        if self.as_const() == Some(0) {
             return write!(f, "0");
         }
-        // Highest-degree first reads like a complexity bound.
-        let mut terms: Vec<(&Monomial, &u64)> = self.terms.iter().collect();
+        // Highest-degree first reads like a complexity bound; the constant
+        // (degree 0) comes last.
+        let mut terms: Vec<(&Monomial, u64)> = self.terms.iter().map(|(m, c)| (m, *c)).collect();
         terms.sort_by_key(|(m, _)| {
-            let deg: u64 = m.values().map(|(p, q)| (*p as u64) + (*q as u64)).sum();
+            let deg: u64 = m.iter().map(|(_, (p, q))| (*p as u64) + (*q as u64)).sum();
             std::cmp::Reverse(deg)
         });
-        for (i, (m, c)) in terms.into_iter().enumerate() {
-            if i > 0 {
-                write!(f, " + ")?;
-            }
+        let mut sep = "";
+        for (m, c) in terms {
+            write!(f, "{sep}")?;
+            sep = " + ";
             let mut factors: Vec<String> = Vec::new();
             for (v, (p, q)) in m.iter() {
                 if *p == 1 {
-                    factors.push(v.clone());
+                    factors.push(v.to_string());
                 } else if *p > 1 {
                     factors.push(format!("{v}^{p}"));
                 }
@@ -384,13 +416,14 @@ impl fmt::Display for Poly {
                     factors.push(format!("log({v})^{q}"));
                 }
             }
-            if factors.is_empty() {
-                write!(f, "{c}")?;
-            } else if *c == 1 {
+            if c == 1 {
                 write!(f, "{}", factors.join("*"))?;
             } else {
                 write!(f, "{c}*{}", factors.join("*"))?;
             }
+        }
+        if self.constant != 0 {
+            write!(f, "{sep}{}", self.constant)?;
         }
         Ok(())
     }
@@ -1518,6 +1551,9 @@ mod tests {
 
     #[test]
     fn poly_algebra_and_display() {
+        // Plans, and the bounds on them, are shared across threads.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Poly>();
         let p = Poly::var("|r|")
             .mul(&Poly::var("|r|"))
             .scale(3)

@@ -9,6 +9,12 @@
 //! argument is a free schema relation `r`) and checks the one symbolic bound
 //! against many concrete cardinalities — the "analyse once, execute many"
 //! contract the engine relies on.
+//!
+//! A third property checks the polynomial algebra itself against a reference
+//! model: [`MapPoly`], the plain map-of-maps representation `Poly` had before
+//! its constant term moved inline and its monomials became shared. Random
+//! expression trees over the whole algebra must print, evaluate and compare
+//! identically in both.
 
 use ncql_core::analyze::{analyze_query, Poly, QueryAnalysis};
 use ncql_core::eval::{eval_with_stats, CostStats, EvalConfig, Evaluator};
@@ -16,6 +22,8 @@ use ncql_core::expr::Expr;
 use ncql_core::externs::ExternRegistry;
 use ncql_object::{Type, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::fmt;
 
 fn xor_combiner() -> Expr {
     Expr::lam2(
@@ -278,6 +286,448 @@ proptest! {
                 .expect("open eval");
             let lookup = |name: &str| (name == "r").then_some(m);
             assert_covers(&analysis, &ev.stats(), &lookup, &format!("shape {shape} at |r|={m}"));
+        }
+    }
+}
+
+/// The reference model of `Poly`: every term, the constant included, in one
+/// map keyed by a map from variable to `(power, log-power)`. Each operation is
+/// the textbook one, written for clarity rather than speed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct MapPoly {
+    terms: BTreeMap<Mono, u64>,
+}
+
+/// A monomial of the model: variable to `(power, log-power)`.
+type Mono = BTreeMap<String, (u32, u32)>;
+
+/// `Poly`'s `MAX_TERMS`.
+const MAX_TERMS: usize = 32;
+
+/// The evaluator's `log_rounds`: `⌊log₂ v⌋ + 1`, and 0 at 0.
+fn log_rounds(v: u64) -> u64 {
+    (u64::BITS - v.leading_zeros()) as u64
+}
+
+impl MapPoly {
+    fn zero() -> MapPoly {
+        MapPoly {
+            terms: BTreeMap::new(),
+        }
+    }
+
+    fn constant(c: u64) -> MapPoly {
+        MapPoly::monomial(BTreeMap::new(), c)
+    }
+
+    fn monomial(m: Mono, c: u64) -> MapPoly {
+        let mut terms = BTreeMap::new();
+        if c != 0 {
+            terms.insert(m, c);
+        }
+        MapPoly { terms }
+    }
+
+    fn factor(name: &str, p: u32, q: u32) -> MapPoly {
+        MapPoly::monomial(BTreeMap::from([(name.to_string(), (p, q))]), 1)
+    }
+
+    fn as_const(&self) -> Option<u64> {
+        match self.terms.len() {
+            0 => Some(0),
+            1 => self.terms.get(&BTreeMap::new()).copied(),
+            _ => None,
+        }
+    }
+
+    fn zip_with(&self, other: &MapPoly, f: fn(u64, u64) -> u64) -> MapPoly {
+        let mut out = self.terms.clone();
+        for (m, c) in &other.terms {
+            let slot = out.entry(m.clone()).or_insert(0);
+            *slot = f(*slot, *c);
+        }
+        MapPoly { terms: out }
+    }
+
+    fn add(&self, other: &MapPoly) -> MapPoly {
+        self.zip_with(other, u64::saturating_add)
+    }
+
+    fn join(&self, other: &MapPoly) -> MapPoly {
+        self.zip_with(other, u64::max)
+    }
+
+    fn mul(&self, other: &MapPoly) -> MapPoly {
+        let mut out = MapPoly::zero();
+        for (ma, ca) in &self.terms {
+            for (mb, cb) in &other.terms {
+                let mut m = ma.clone();
+                for (v, (p, q)) in mb {
+                    let slot = m.entry(v.clone()).or_insert((0, 0));
+                    slot.0 = slot.0.saturating_add(*p);
+                    slot.1 = slot.1.saturating_add(*q);
+                }
+                out = out.add(&MapPoly::monomial(m, ca.saturating_mul(*cb)));
+            }
+        }
+        out
+    }
+
+    fn scale(&self, c: u64) -> MapPoly {
+        self.mul(&MapPoly::constant(c))
+    }
+
+    fn eval(&self, lookup: &dyn Fn(&str) -> Option<u64>) -> Option<u64> {
+        let mut total: u64 = 0;
+        for (m, c) in &self.terms {
+            let mut term = *c;
+            for (v, (p, q)) in m {
+                let val = lookup(v)?;
+                for _ in 0..*p {
+                    term = term.saturating_mul(val);
+                }
+                for _ in 0..*q {
+                    term = term.saturating_mul(log_rounds(val));
+                }
+            }
+            total = total.saturating_add(term);
+        }
+        Some(total)
+    }
+
+    fn log_bound(&self) -> MapPoly {
+        if self.terms.is_empty() {
+            return MapPoly::zero();
+        }
+        let mut out = MapPoly::constant(2 * (self.terms.len() as u64 - 1));
+        for (m, c) in &self.terms {
+            out = out.add(&MapPoly::constant(log_rounds(*c)));
+            for (v, (p, q)) in m {
+                let total = (*p as u64).saturating_add(*q as u64);
+                out = out.add(&MapPoly::factor(v, 0, 1).scale(total));
+            }
+        }
+        out
+    }
+
+    fn subst(&self, var: &str, replacement: &MapPoly) -> MapPoly {
+        let repl_log = replacement.log_bound();
+        let mut out = MapPoly::zero();
+        for (m, c) in &self.terms {
+            let mut term = MapPoly::constant(*c);
+            for (v, (p, q)) in m {
+                if v == var {
+                    for _ in 0..*p {
+                        term = term.mul(replacement);
+                    }
+                    for _ in 0..*q {
+                        term = term.mul(&repl_log);
+                    }
+                } else {
+                    term = term.mul(&MapPoly::factor(v, *p, *q));
+                }
+            }
+            out = out.add(&term);
+        }
+        out
+    }
+
+    fn mentions(&self, var: &str) -> bool {
+        self.terms.keys().any(|m| m.contains_key(var))
+    }
+
+    fn linear_in(&self, var: &str) -> Option<(u64, MapPoly)> {
+        let mut a = 0u64;
+        let mut rest = MapPoly::zero();
+        for (m, c) in &self.terms {
+            match m.get(var) {
+                None => rest = rest.add(&MapPoly::monomial(m.clone(), *c)),
+                Some(&(1, 0)) if m.len() == 1 => a = a.saturating_add(*c),
+                Some(_) => return None,
+            }
+        }
+        Some((a, rest))
+    }
+
+    fn compact_upper(self) -> MapPoly {
+        if self.terms.len() <= MAX_TERMS {
+            return self;
+        }
+        let mut groups: BTreeMap<Vec<String>, (Mono, u64)> = BTreeMap::new();
+        for (m, c) in self.terms {
+            let support: Vec<String> = m.keys().cloned().collect();
+            let entry = groups.entry(support).or_default();
+            for (v, (p, q)) in m {
+                let slot = entry.0.entry(v).or_insert((0, 0));
+                slot.0 = slot.0.max(p.saturating_add(q));
+            }
+            entry.1 = entry.1.saturating_add(c);
+        }
+        MapPoly {
+            terms: groups.into_values().collect(),
+        }
+    }
+
+    /// The greedy certificate: each monomial is charged, in map order,
+    /// against the budget of `other`'s monomials of identical support that
+    /// dominate it.
+    fn le_pointwise(&self, other: &MapPoly) -> bool {
+        let dominates = |big: &Mono, small: &Mono| {
+            big.len() == small.len()
+                && small.iter().all(|(v, &(pa, qa))| match big.get(v) {
+                    Some(&(pb, qb)) => pb >= pa && pb as u64 + qb as u64 >= pa as u64 + qa as u64,
+                    None => false,
+                })
+        };
+        let mut budget: Vec<_> = other.terms.iter().map(|(m, c)| (m, *c)).collect();
+        'terms: for (m, c) in &self.terms {
+            let mut need = *c;
+            for (bm, avail) in budget.iter_mut() {
+                if *avail == 0 || !dominates(bm, m) {
+                    continue;
+                }
+                let used = need.min(*avail);
+                *avail -= used;
+                need -= used;
+                if need == 0 {
+                    continue 'terms;
+                }
+            }
+            return false;
+        }
+        true
+    }
+
+    /// The highest power, plain and log together, of `var` in any term.
+    fn degree_in(&self, var: &str) -> u32 {
+        let power = |m: &Mono| m.get(var).map_or(0, |(p, q)| p + q);
+        self.terms.keys().map(power).max().unwrap_or(0)
+    }
+}
+
+impl fmt::Display for MapPoly {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.terms.is_empty() {
+            return write!(f, "0");
+        }
+        let mut terms: Vec<_> = self.terms.iter().collect();
+        terms.sort_by_key(|(m, _)| {
+            std::cmp::Reverse(m.values().map(|(p, q)| *p as u64 + *q as u64).sum::<u64>())
+        });
+        for (i, (m, c)) in terms.into_iter().enumerate() {
+            if i > 0 {
+                write!(f, " + ")?;
+            }
+            let mut factors: Vec<String> = Vec::new();
+            for (v, (p, q)) in m {
+                match p {
+                    0 => {}
+                    1 => factors.push(v.clone()),
+                    _ => factors.push(format!("{v}^{p}")),
+                }
+                match q {
+                    0 => {}
+                    1 => factors.push(format!("log({v})")),
+                    _ => factors.push(format!("log({v})^{q}")),
+                }
+            }
+            match (factors.is_empty(), *c) {
+                (true, c) => write!(f, "{c}")?,
+                (false, 1) => write!(f, "{}", factors.join("*"))?,
+                (false, c) => write!(f, "{c}*{}", factors.join("*"))?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A random polynomial expression over the variables `x0`..`x3`.
+#[derive(Debug, Clone)]
+enum Term {
+    Var(usize),
+    LogVar(usize),
+    Const(u64),
+    /// A sum of `n` distinct monomials (the strategy draws `n > MAX_TERMS`).
+    Wide(usize),
+    Add(Box<Term>, Box<Term>),
+    Mul(Box<Term>, Box<Term>),
+    Join(Box<Term>, Box<Term>),
+    Scale(Box<Term>, u64),
+    Subst(Box<Term>, usize, Box<Term>),
+    LogBound(Box<Term>),
+    Compact(Box<Term>),
+}
+
+const VARS: [&str; 4] = ["x0", "x1", "x2", "x3"];
+
+/// Coefficients and evaluation points, saturating ones included.
+fn arb_number() -> impl Strategy<Value = u64> {
+    prop::sample::select(vec![0, 1, 2, 3, 5, 8, 100, 1 << 40, u64::MAX / 3, u64::MAX])
+}
+
+fn arb_term() -> impl Strategy<Value = Term> {
+    let leaf = prop_oneof![
+        (0usize..4).prop_map(Term::Var),
+        (0usize..4).prop_map(Term::LogVar),
+        arb_number().prop_map(Term::Const),
+        (33usize..48).prop_map(Term::Wide),
+    ];
+    leaf.prop_recursive(5, 32, 2, |inner| {
+        let pair = || (inner.clone(), inner.clone());
+        prop_oneof![
+            pair().prop_map(|(a, b)| Term::Add(Box::new(a), Box::new(b))),
+            pair().prop_map(|(a, b)| Term::Mul(Box::new(a), Box::new(b))),
+            pair().prop_map(|(a, b)| Term::Join(Box::new(a), Box::new(b))),
+            (inner.clone(), arb_number()).prop_map(|(a, c)| Term::Scale(Box::new(a), c)),
+            (inner.clone(), 0usize..4, inner.clone()).prop_map(|(a, v, r)| Term::Subst(
+                Box::new(a),
+                v,
+                Box::new(r)
+            )),
+            inner.clone().prop_map(|a| Term::LogBound(Box::new(a))),
+            inner.prop_map(|a| Term::Compact(Box::new(a))),
+        ]
+    })
+}
+
+/// Build a term in both representations. A product or substitution whose
+/// reference result would run to thousands of terms is replaced, in both, by
+/// its left operand's sum with the right, so each case stays quick.
+fn build(term: &Term) -> (Poly, MapPoly) {
+    match term {
+        Term::Var(i) => (Poly::var(VARS[*i]), MapPoly::factor(VARS[*i], 1, 0)),
+        Term::LogVar(i) => (Poly::log_var(VARS[*i]), MapPoly::factor(VARS[*i], 0, 1)),
+        Term::Const(c) => (Poly::constant(*c), MapPoly::constant(*c)),
+        Term::Wide(n) => {
+            let (mut poly, mut model) = (Poly::zero(), MapPoly::zero());
+            for i in 0..*n {
+                let (v, w) = (VARS[i % 4], VARS[(i + 1) % 4]);
+                // x_{i mod 4}^{i/4 + 1}, times log(x_{i+1 mod 4}) every third term.
+                let (mut p, mut m) = (
+                    Poly::constant(i as u64 + 1),
+                    MapPoly::constant(i as u64 + 1),
+                );
+                for _ in 0..=i / 4 {
+                    p = p.mul(&Poly::var(v));
+                    m = m.mul(&MapPoly::factor(v, 1, 0));
+                }
+                if i % 3 == 0 {
+                    p = p.mul(&Poly::log_var(w));
+                    m = m.mul(&MapPoly::factor(w, 0, 1));
+                }
+                poly = poly.add(&p);
+                model = model.add(&m);
+            }
+            (poly, model)
+        }
+        Term::Add(a, b) | Term::Mul(a, b) | Term::Join(a, b) => {
+            let ((pa, ma), (pb, mb)) = (build(a), build(b));
+            match term {
+                Term::Mul(..) if ma.terms.len() * mb.terms.len() <= 600 => {
+                    (pa.mul(&pb), ma.mul(&mb))
+                }
+                Term::Join(..) => (pa.join(&pb), ma.join(&mb)),
+                _ => (pa.add(&pb), ma.add(&mb)),
+            }
+        }
+        Term::Scale(a, c) => {
+            let (p, m) = build(a);
+            (p.scale(*c), m.scale(*c))
+        }
+        Term::Subst(a, v, r) => {
+            let ((pa, ma), (pr, mr)) = (build(a), build(r));
+            let var = VARS[*v];
+            if ma.terms.len() <= 16 && mr.terms.len() <= 6 && ma.degree_in(var) <= 3 {
+                (pa.subst(var, &pr), ma.subst(var, &mr))
+            } else {
+                (pa.add(&pr), ma.add(&mr))
+            }
+        }
+        Term::LogBound(a) => {
+            let (p, m) = build(a);
+            (p.log_bound(), m.log_bound())
+        }
+        Term::Compact(a) => {
+            let (p, m) = build(a);
+            (p.compact_upper(), m.compact_upper())
+        }
+    }
+}
+
+/// Every observation of `poly` must equal the reference model's.
+fn assert_agrees(poly: &Poly, model: &MapPoly, points: &[Vec<u64>], context: &str) {
+    assert_eq!(poly.to_string(), model.to_string(), "{context}: display");
+    assert_eq!(
+        poly.as_const(),
+        model.as_const(),
+        "{context}: as_const of {model}"
+    );
+    for var in VARS.iter().chain(&["g"]) {
+        assert_eq!(
+            poly.mentions(var),
+            model.mentions(var),
+            "{context}: mentions {var} in {model}"
+        );
+        let linear = |(a, rest): (u64, Poly)| (a, rest.to_string());
+        assert_eq!(
+            poly.linear_in(var).map(linear),
+            model.linear_in(var).map(|(a, rest)| (a, rest.to_string())),
+            "{context}: linear_in {var} of {model}"
+        );
+    }
+    for point in points {
+        let at = |name: &str| VARS.iter().position(|v| *v == name).map(|i| point[i]);
+        assert_eq!(
+            poly.eval(&at),
+            model.eval(&at),
+            "{context}: {model} at {point:?}"
+        );
+    }
+    // A lookup that misses `x3` fails exactly when the polynomial reads it.
+    let partial = |name: &str| (name != "x3").then_some(7);
+    assert_eq!(
+        poly.eval(&partial),
+        model.eval(&partial),
+        "{context}: {model} without x3"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn poly_agrees_with_the_map_reference_model(
+        left in arb_term(),
+        right in arb_term(),
+        wide in 33usize..48,
+        shift in arb_number(),
+        points in proptest::collection::vec(proptest::collection::vec(arb_number(), 4..5), 3..4),
+    ) {
+        let (a, ma) = build(&left);
+        let (b, mb) = build(&right);
+        assert_agrees(&a, &ma, &points, "left");
+        assert_agrees(&b, &mb, &points, "right");
+        // Past `MAX_TERMS` in every case: a wide sum, compacted.
+        let (w, mw) = build(&Term::Wide(wide));
+        assert!(mw.terms.len() > MAX_TERMS);
+        let (c, mc) = (w.add(&a).compact_upper(), mw.add(&ma).compact_upper());
+        assert_agrees(&c, &mc, &points, "compacted");
+        // At `MAX_TERMS` exactly, the constant is the term that tips it over.
+        let (edge, medge) = build(&Term::Wide(MAX_TERMS));
+        let (k, mk) = (edge.add_const(shift).compact_upper(), medge.add(&MapPoly::constant(shift)).compact_upper());
+        assert_agrees(&k, &mk, &points, "at MAX_TERMS");
+        let pairs = [
+            (&a, &b, &ma, &mb),
+            (&b, &a, &mb, &ma),
+            (&a, &c, &ma, &mc),
+            (&c, &a, &mc, &ma),
+        ];
+        for (p, q, mp, mq) in pairs {
+            prop_assert_eq!(p.le_pointwise(q), mp.le_pointwise(mq), "{} <= {}", mp, mq);
+            let (sum, msum) = (p.add(q), mp.add(mq));
+            prop_assert_eq!(p.le_pointwise(&sum), mp.le_pointwise(&msum), "{} <= {}", mp, msum);
+            let (max, mmax) = (p.join(q), mp.join(mq));
+            prop_assert_eq!(max.le_pointwise(p), mmax.le_pointwise(mp), "{} <= {}", mmax, mp);
         }
     }
 }

@@ -9,6 +9,7 @@
 //! a preparation — and the hit/miss counters are atomics beside it.
 
 use crate::session::CacheMetrics;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +36,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Look up a key, refreshing its recency on a hit.
-    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
+    /// Look up a key, or any borrowed form of one, refreshing its recency on
+    /// a hit.
+    pub(crate) fn get<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         self.stamp += 1;
         let stamp = self.stamp;
         self.map.get_mut(key).map(|slot| {
@@ -92,8 +97,11 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
         }
     }
 
-    /// Look up a key, counting a hit or miss.
-    pub(crate) fn get(&self, key: &K) -> Option<V> {
+    /// Look up a key, or any borrowed form of one, counting a hit or miss.
+    pub(crate) fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let found = self.map.lock().unwrap().get(key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -14,6 +14,8 @@ use ncql_core::typecheck::value_type;
 use ncql_core::{analysis, resolve::resolve, EvalError, Finding, Lint, QueryAnalysis};
 use ncql_object::{ObjectError, Type, Value};
 use ncql_pram::WorkStealingPool;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Default number of prepared plans a session retains.
@@ -42,6 +44,9 @@ pub enum LintPolicy {
 /// produce *different* plans for the same text — sharing one cache entry
 /// would serve a rewritten plan to a session that asked for the raw AST (or
 /// vice versa).
+///
+/// A probe borrows these parts as a [`KeyParts`], which the map's owned keys
+/// answer to through [`KeyView`], so a cache hit copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     text: String,
@@ -50,19 +55,66 @@ struct PlanKey {
     opt_level: OptLevel,
 }
 
-impl PlanKey {
-    fn new(
-        text: &str,
-        schema: &[(String, Type)],
-        registry_fingerprint: u64,
-        opt_level: OptLevel,
-    ) -> PlanKey {
+/// A [`PlanKey`]'s parts, borrowed. Its derived `Hash` is the owned key's,
+/// field by field: `&str` hashes as `String` does, and `&[T]` as `Vec<T>`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct KeyParts<'a> {
+    text: &'a str,
+    schema: &'a [(String, Type)],
+    registry_fingerprint: u64,
+    opt_level: OptLevel,
+}
+
+impl KeyParts<'_> {
+    fn owned(self) -> PlanKey {
         PlanKey {
-            text: text.to_string(),
-            schema: schema.to_vec(),
-            registry_fingerprint,
-            opt_level,
+            text: self.text.to_string(),
+            schema: self.schema.to_vec(),
+            registry_fingerprint: self.registry_fingerprint,
+            opt_level: self.opt_level,
         }
+    }
+}
+
+/// What the cache hashes and compares, for an owned key and a probe alike.
+trait KeyView {
+    fn parts(&self) -> KeyParts<'_>;
+}
+
+impl KeyView for PlanKey {
+    fn parts(&self) -> KeyParts<'_> {
+        KeyParts {
+            text: &self.text,
+            schema: &self.schema,
+            registry_fingerprint: self.registry_fingerprint,
+            opt_level: self.opt_level,
+        }
+    }
+}
+
+impl KeyView for KeyParts<'_> {
+    fn parts(&self) -> KeyParts<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for PlanKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state)
     }
 }
 
@@ -449,8 +501,13 @@ impl Session {
         text: &str,
         schema: &[(String, Type)],
     ) -> Result<PreparedQuery, Error> {
-        let key = PlanKey::new(text, schema, self.registry_fingerprint(), self.opt_level);
-        if let Some(plan) = self.cache.get(&key) {
+        let key = KeyParts {
+            text,
+            schema,
+            registry_fingerprint: self.registry_fingerprint(),
+            opt_level: self.opt_level,
+        };
+        if let Some(plan) = self.cache.get(&key as &dyn KeyView) {
             // The findings were computed with the plan and live on it, so a
             // deny policy also rejects cache hits — the cache amortizes the
             // front end, never the policy decision.
@@ -464,7 +521,7 @@ impl Session {
         // first wins and the loser adopts the winner's plan, keeping the
         // same-`Arc` contract for every handle ever returned (both front-end
         // runs are counted as misses).
-        let plan = self.cache.insert_if_absent(key, plan);
+        let plan = self.cache.insert_if_absent(key.owned(), plan);
         self.enforce_lint_policy(&plan)?;
         Ok(PreparedQuery { plan })
     }
@@ -772,16 +829,22 @@ mod tests {
         // different plans for the same text; a key that ignored the level
         // would let one serve the other's plan.
         use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let raw = PlanKey::new("{@1} union {@2}", &[], 7, OptLevel::None);
-        let opt = PlanKey::new("{@1} union {@2}", &[], 7, OptLevel::Default);
-        assert_ne!(raw, opt);
-        let digest = |key: &PlanKey| {
+        let key = |opt_level| KeyParts {
+            text: "{@1} union {@2}",
+            schema: &[],
+            registry_fingerprint: 7,
+            opt_level,
+        };
+        let (raw, opt) = (key(OptLevel::None), key(OptLevel::Default));
+        assert_ne!(raw.owned(), opt.owned());
+        fn digest(key: &impl Hash) -> u64 {
             let mut hasher = DefaultHasher::new();
             key.hash(&mut hasher);
             hasher.finish()
-        };
+        }
         assert_ne!(digest(&raw), digest(&opt));
+        // A borrowed probe hashes as the owned key it must find.
+        assert_eq!(digest(&raw), digest(&raw.owned()));
     }
 
     #[test]

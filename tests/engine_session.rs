@@ -254,3 +254,25 @@ fn nesting_past_the_parser_limit_is_a_typed_error_not_a_stack_overflow() {
     });
     budgeted.unwrap().join().unwrap();
 }
+
+/// The stack margin of a prepare: a 90-link chain `{@0} union … union {@89}`
+/// prepares on a 2 MiB thread, a test thread's default stack, in the
+/// unoptimized profile too. Every link nests the tree one level deeper, and
+/// the recursive passes behind the parser (resolution, inference, cost
+/// analysis, rewriting, printing) spend stack per level, so a pass that grows
+/// its frames shrinks the longest chain a debug build can prepare; this test
+/// catches that before the margin is gone. Unoptimized, 97 links overflow.
+/// The parser admits 512 links, which ROADMAP item 5 still owes: it asks for
+/// a 512-link chain on the same stack, in every profile.
+#[test]
+fn a_90_link_union_chain_prepares_on_a_2_mib_stack() {
+    let prepared = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let chain: Vec<String> = (0..90).map(|i| format!("{{@{i}}}")).collect();
+            let query = Session::new().prepare(&chain.join(" union ")).unwrap();
+            query.normal_form().matches("union").count()
+        })
+        .unwrap();
+    assert_eq!(prepared.join().unwrap(), 89);
+}
