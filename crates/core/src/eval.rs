@@ -21,7 +21,7 @@ use crate::kernel::{RowKernel, Sites};
 use crate::resolve::{resolve, Frames};
 use crate::EvalResult;
 use ncql_object::{VSet, Value};
-use ncql_pram::{RegionPermit, TaskError, WorkStealingPool};
+use ncql_pram::{Pool, RegionPermit, TaskError};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -45,10 +45,10 @@ pub struct EvalConfig {
     /// [`normalize_parallelism`]); `Some(n)` with `n ≥ 2` lets the regions
     /// the paper's Theorem 6.2 calls independent — the `ext` element map,
     /// the `dcr`/`sru`/`bdcr` leaf map and each round of the combining tree
-    /// — fork onto `ncql-pram`'s persistent work-stealing pool: one
-    /// lazily-spawned worker set per evaluator (or per engine `Session`,
-    /// which attaches its own), a chunk deque per worker with stealing at
-    /// region boundaries, so a region costs a queue push rather than a
+    /// — fork onto `ncql-pram`'s persistent pool: one lazily-spawned worker
+    /// set per evaluator (or per engine `Session`, which attaches its own)
+    /// and one queue holding an entry per open region, whose chunks every
+    /// free thread claims, so a region costs a queue push rather than a
     /// thread spawn. Each forked region borrows at most `n` permits from the
     /// pool's thread budget, which sets its chunk granularity and how much
     /// budget concurrent (nested) regions can hold; a nested region that
@@ -57,11 +57,11 @@ pub struct EvalConfig {
     ///
     /// Forking is a *schedule* of one semantics: values, work, span and
     /// every per-construct counter agree bit-for-bit under every pool size
-    /// and steal order, and a resource-limit error (`SetTooLarge` /
-    /// `WorkLimitExceeded`) fires on a forked run exactly when one fires
-    /// inline — though when one evaluation crosses both limits, which of
-    /// the two is reported may differ, since shards discover their overruns
-    /// concurrently.
+    /// and whichever thread claims which chunk, and a resource-limit error
+    /// (`SetTooLarge` / `WorkLimitExceeded`) fires on a forked run exactly
+    /// when one fires inline — though when one evaluation crosses both
+    /// limits, which of the two is reported may differ, since shards
+    /// discover their overruns concurrently.
     pub parallelism: Option<usize>,
     /// Cost-model-driven cutover: a region is only forked when its
     /// *estimated* work — number of independent applications × the applied
@@ -70,8 +70,8 @@ pub struct EvalConfig {
     /// threshold. Small sets, and the top of every combining tree, therefore
     /// never pay region dispatch. Ignored when `parallelism` is `None`.
     pub parallel_cutoff: u64,
-    /// Worker-thread count of the persistent work-stealing pool forked
-    /// regions run on. `None` (the default) sizes the pool by `parallelism`;
+    /// Worker-thread count of the persistent pool forked regions run on.
+    /// `None` (the default) sizes the pool by `parallelism`;
     /// `Some(n)` with `n ≥ 2` overrides it — e.g. an oversubscribed pool
     /// larger than the region fan-out, which the `NCQL_POOL_THREADS`
     /// environment knob (read by the engine's `SessionBuilder::from_env`)
@@ -79,10 +79,6 @@ pub struct EvalConfig {
     /// `None` — the same normalization as `parallelism`, so the two knobs
     /// always agree: a sequential configuration never spawns a pool.
     pub pool_threads: Option<usize>,
-    /// Seed for the pool workers' steal-victim order. Purely a scheduling
-    /// knob used by the stress suites to randomize steal order: every seed
-    /// must produce bit-identical `(Value, CostStats)`.
-    pub pool_steal_seed: u64,
     /// Enable compiled row kernels for `ext` and scalar `dcr`/`sru` over
     /// columnar sets (see [`crate::kernel`]). On by default; disabling forces
     /// every site through the interpreter. Values and `CostStats` are
@@ -100,7 +96,6 @@ impl Default for EvalConfig {
             parallelism: None,
             parallel_cutoff: 4096,
             pool_threads: None,
-            pool_steal_seed: 0,
             kernels: true,
         }
     }
@@ -117,19 +112,6 @@ impl EvalConfig {
             None => 0,
         }
     }
-
-    /// The configuration of the work-stealing pool an evaluator built
-    /// from this `EvalConfig` forks onto — the **single** place the evaluator's
-    /// pool parameters are decided, used by both the lazy per-evaluator pool
-    /// and the engine `Session`'s shared pool. Only meaningful when
-    /// [`EvalConfig::effective_pool_threads`] is nonzero (a sequential
-    /// configuration never constructs a pool).
-    pub fn pool_config(&self) -> ncql_pram::PoolConfig {
-        ncql_pram::PoolConfig {
-            threads: self.effective_pool_threads(),
-            steal_seed: self.pool_steal_seed,
-        }
-    }
 }
 
 impl std::fmt::Debug for EvalConfig {
@@ -140,7 +122,6 @@ impl std::fmt::Debug for EvalConfig {
             .field("parallelism", &self.parallelism)
             .field("parallel_cutoff", &self.parallel_cutoff)
             .field("pool_threads", &self.pool_threads)
-            .field("pool_steal_seed", &self.pool_steal_seed)
             .field("kernels", &self.kernels)
             .finish()
     }
@@ -432,12 +413,12 @@ pub struct Evaluator {
     /// `None` whenever enforcement can be done on the local tally alone
     /// (sequential configuration, or no finite limit configured).
     shared_work: Option<Arc<AtomicU64>>,
-    /// The persistent work-stealing pool parallel regions fork onto. Created
+    /// The persistent pool parallel regions fork onto. Created
     /// lazily on the first evaluation under a parallel configuration (or
     /// attached by the owning `Session`, which shares one pool across
     /// executions); `None` under a sequential configuration, which therefore
     /// never spawns a worker thread.
-    pool: Option<Arc<WorkStealingPool>>,
+    pool: Option<Arc<Pool>>,
     /// Cooperative cancellation flag, polled at every work charge. `None`
     /// (the default) costs nothing; workers inherit the parent's token so the
     /// whole evaluation stops together.
@@ -472,17 +453,17 @@ impl Evaluator {
         }
     }
 
-    /// Attach a persistent work-stealing pool for parallel regions to fork
+    /// Attach a persistent pool for parallel regions to fork
     /// onto, replacing the one this evaluator would otherwise create lazily.
     /// The engine's `Session` uses this to share one pool (one worker set)
     /// across every execution it dispatches.
-    pub fn attach_pool(&mut self, pool: Arc<WorkStealingPool>) {
+    pub fn attach_pool(&mut self, pool: Arc<Pool>) {
         self.pool = Some(pool);
     }
 
     /// The pool parallel regions fork onto, if one has been created or
     /// attached yet.
-    pub fn pool(&self) -> Option<&Arc<WorkStealingPool>> {
+    pub fn pool(&self) -> Option<&Arc<Pool>> {
         self.pool.as_ref()
     }
 
@@ -567,9 +548,7 @@ impl Evaluator {
         // (first evaluation) unless the owner attached a longer-lived one.
         // Sequential configurations never construct a pool.
         if parallel && self.pool.is_none() {
-            self.pool = Some(Arc::new(WorkStealingPool::with_config(
-                self.config.pool_config(),
-            )));
+            self.pool = Some(Arc::new(Pool::new(self.config.effective_pool_threads())));
         }
         let (val, span) = self.eval(expr, &Frames(None))?;
         self.stats.span = span;
@@ -636,9 +615,9 @@ impl Evaluator {
         }
         // The borrow is capped by the *parallelism* knob, not the pool size:
         // the permit sets this region's chunk granularity and leaves the rest
-        // of the budget for concurrent (nested) regions to claim. Execution
-        // itself is work-stealing — any idle pool worker may run a queued
-        // chunk, so the pool size, not this cap, bounds worker threads.
+        // of the budget for concurrent (nested) regions to claim. Any idle
+        // pool worker may claim a queued region's chunk, so the pool size,
+        // not this cap, bounds worker threads.
         self.pool.as_ref()?.try_borrow(apps.min(threads))
     }
 
@@ -1253,7 +1232,7 @@ impl Evaluator {
     /// straddles two shards), the shards run on the pool with one worker
     /// evaluator each, and the workers' statistics are absorbed in shard
     /// order — so tallies match the inline schedule exactly no matter which
-    /// thread stole which chunk.
+    /// thread claimed which chunk.
     fn map_region<T, R>(
         &mut self,
         region: Option<&RegionPermit>,

@@ -33,7 +33,7 @@
 //!   runs which leaf is a *schedule* chosen underneath it: with
 //!   `EvalConfig::parallelism` set, the `ext` element map and the `dcr` leaf
 //!   map and combining-tree rounds fork onto `ncql-pram`'s persistent
-//!   work-stealing pool (cutover and thread budget documented on
+//!   pool (cutover and thread budget documented on
 //!   [`EvalConfig`]), and values and cost statistics are bit-identical on
 //!   every schedule.
 //! * [`analysis`] — the syntactic passes: free variables and the

@@ -61,6 +61,7 @@ use crate::expr::{Expr, ExprKind, Slot};
 use crate::resolve::{resolve, Facts, Resolved};
 use crate::span::Span;
 use ncql_object::{Type, Value};
+use std::sync::Arc;
 
 /// How hard `Session::prepare` tries to optimize a plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -228,8 +229,12 @@ impl Pass {
         if self.fold.max_work == 0 {
             return None;
         }
+        // Resolved again: a fusion below may have moved bodies under a new
+        // binder. No survey: the fold config is sequential without kernels,
+        // so nothing reads one, and a closed node has no free names.
+        let plan = resolve(expr);
         let mut evaluator = Evaluator::new(self.fold.clone());
-        let value = evaluator.eval_closed(expr);
+        let value = evaluator.eval_surveyed(&plan.expr, Arc::default(), &[]);
         self.fold.max_work = self.fold.max_work.saturating_sub(evaluator.stats().work);
         let kind = match value.ok()? {
             Value::Bool(b) => ExprKind::Bool(b),

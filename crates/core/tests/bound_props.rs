@@ -1,8 +1,8 @@
 //! Property tests for the prepare-time cost bounds of `ncql_core::analyze`:
 //! for randomly generated queries from the differential template family, the
 //! measured `CostStats` must sit between the analyser's guaranteed floor and
-//! its upper bound — on the sequential backend and on the work-stealing pool
-//! (random thread count, pool size and steal seed), whose stats are
+//! its upper bound — on the sequential backend and on the parallel pool
+//! (random thread count and pool size), whose stats are
 //! bit-identical by the parallel backend's contract.
 //!
 //! A second property analyses the *open* form of each template once (the set
@@ -145,7 +145,6 @@ proptest! {
         shift in 1u64..40,
         threads in 2usize..9,
         pool_threads in 2usize..10,
-        steal_seed in proptest::prelude::any::<u64>(),
     ) {
         let q = query_over(shape, Expr::constant(Value::atom_set(atoms)), shift);
         let analysis = analyze_query(&q, &[], &ExternRegistry::standard());
@@ -155,7 +154,6 @@ proptest! {
             parallelism: Some(threads),
             parallel_cutoff: 1,
             pool_threads: Some(pool_threads),
-            pool_steal_seed: steal_seed,
             ..EvalConfig::default()
         });
         par_ev.eval_closed(&q).expect("parallel eval");

@@ -12,11 +12,11 @@
 //!   under exactly the same conditions on the sequential and the parallel
 //!   backend (same error discriminant, or the same value on success) —
 //!   *regardless of which pool worker observes the shared budget's exhaustion
-//!   first*, which the properties force by randomizing the pool's steal-order
-//!   seed and oversubscribing the pool relative to the parallelism knob;
-//! * pool scheduling is unobservable: every `(steal seed, pool size)` pair
+//!   first*, which the properties vary by drawing the pool size independently
+//!   of the parallelism knob, oversubscribed or not;
+//! * pool scheduling is unobservable: every `(parallelism, pool size)` pair
 //!   yields the same `(Value, CostStats)`, including `span ≤ work` and the
-//!   `m − 1` combiner count, on the work-stealing pool backend.
+//!   `m − 1` combiner count, on the pool backend.
 
 use ncql_core::error::EvalError;
 use ncql_core::eval::{eval_with_stats, CostStats, EvalConfig, Evaluator};
@@ -129,15 +129,13 @@ fn eval_parallel_with(
     Ok((v, ev.stats()))
 }
 
-/// Like [`eval_parallel_with`], but with the pool scheduling knobs exposed:
-/// an independent pool size (possibly oversubscribed relative to `threads`)
-/// and a steal-order seed. Every combination must be observationally
-/// identical to the sequential backend.
+/// Like [`eval_parallel_with`], but with an independent pool size (possibly
+/// oversubscribed relative to `threads`). Every combination must be
+/// observationally identical to the sequential backend.
 fn eval_on_pool(
     expr: &Expr,
     threads: usize,
     pool_threads: usize,
-    steal_seed: u64,
     base: EvalConfig,
 ) -> EvalResult<(Value, CostStats)> {
     eval_parallel_with(
@@ -145,7 +143,6 @@ fn eval_on_pool(
         threads,
         EvalConfig {
             pool_threads: Some(pool_threads),
-            pool_steal_seed: steal_seed,
             ..base
         },
     )
@@ -161,14 +158,13 @@ proptest! {
         shift in 1u64..40,
         threads in 2usize..9,
         pool_threads in 2usize..10,
-        steal_seed in proptest::prelude::any::<u64>(),
     ) {
         let q = random_query(shape, atoms, shift);
         let (v_seq, seq) = eval_with_stats(&q).expect("sequential eval");
         prop_assert!(seq.span <= seq.work, "sequential span {} > work {}", seq.span, seq.work);
         // The pool size is drawn independently of the parallelism knob, so
         // this also covers over- and under-subscribed pools.
-        let (v_par, par) = eval_on_pool(&q, threads, pool_threads, steal_seed, EvalConfig::default())
+        let (v_par, par) = eval_on_pool(&q, threads, pool_threads, EvalConfig::default())
             .expect("parallel eval");
         prop_assert!(par.span <= par.work, "parallel span {} > work {}", par.span, par.work);
         prop_assert_eq!(v_par, v_seq);
@@ -180,30 +176,27 @@ proptest! {
         atoms in proptest::collection::vec(0u64..10_000, 1..80),
         threads in 2usize..9,
         pool_threads in 2usize..10,
-        steal_seed in proptest::prelude::any::<u64>(),
     ) {
         let m = Value::atom_set(atoms.clone()).cardinality().unwrap_or(0) as u64;
         let q = parity_dcr(atoms);
         let (_, seq) = eval_with_stats(&q).expect("sequential eval");
         prop_assert_eq!(seq.combiner_calls, m.saturating_sub(1));
-        let (_, par) = eval_on_pool(&q, threads, pool_threads, steal_seed, EvalConfig::default())
+        let (_, par) = eval_on_pool(&q, threads, pool_threads, EvalConfig::default())
             .expect("parallel eval");
         prop_assert_eq!(par.combiner_calls, m.saturating_sub(1));
     }
 
     /// One evaluator — therefore one persistent pool — re-scored across many
-    /// queries: the pool's internal state (deque history, steal cursors)
+    /// queries: the pool's internal state (its queue, its workers' history)
     /// accumulated by earlier queries must never leak into later results.
     #[test]
     fn one_pool_many_queries_stays_equivalent(
         shapes in proptest::collection::vec((0u64..4, proptest::collection::vec(0u64..200, 1..40)), 1..5),
         threads in 2usize..9,
-        steal_seed in proptest::prelude::any::<u64>(),
     ) {
         let mut ev = Evaluator::new(EvalConfig {
             parallelism: Some(threads),
             parallel_cutoff: 1,
-            pool_steal_seed: steal_seed,
             ..EvalConfig::default()
         });
         for (shape, atoms) in shapes {
@@ -266,7 +259,6 @@ proptest! {
         shift in 1u64..40,
         threads in 2usize..9,
         pool_threads in 2usize..10,
-        steal_seed in proptest::prelude::any::<u64>(),
         max_work in 1u64..4_000,
         max_set_size in 1usize..80,
     ) {
@@ -278,10 +270,10 @@ proptest! {
         };
         let mut seq_ev = Evaluator::new(limits.clone());
         let seq = seq_ev.eval_closed(&q);
-        // The steal seed and the independent pool size decide *which worker*
+        // The schedule and the independent pool size decide *which worker*
         // observes the shared work budget's exhaustion first; the outcome
         // must not care.
-        let par = eval_on_pool(&q, threads, pool_threads, steal_seed, limits).map(|(v, _)| v);
+        let par = eval_on_pool(&q, threads, pool_threads, limits).map(|(v, _)| v);
         // A limit error fires in parallel iff one fires sequentially. Which of
         // the two limits gets reported may differ when both are crossed in one
         // evaluation (shards notice their overruns concurrently), so the two

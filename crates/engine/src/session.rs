@@ -13,7 +13,7 @@ use ncql_core::rewrite::OptLevel;
 use ncql_core::typecheck::value_type;
 use ncql_core::{analysis, resolve::resolve, EvalError, Finding, Lint, QueryAnalysis};
 use ncql_object::{ObjectError, Type, Value};
-use ncql_pram::WorkStealingPool;
+use ncql_pram::Pool;
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -123,7 +123,7 @@ impl Hash for dyn KeyView + '_ {
 /// request, without touching the session's own configuration.
 ///
 /// This is the isolation surface a serving front end needs: the session is
-/// shared by every in-flight request (one plan cache, one work-stealing
+/// shared by every in-flight request (one plan cache, one thread
 /// pool), while each request runs under its own budget — a [`CancelToken`]
 /// carrying the request's deadline, a per-request work cap, a per-request set
 /// cap. The limits only ever *lower* the session's: a request asking for more
@@ -240,7 +240,7 @@ impl SessionBuilder {
     /// the backend without code changes: `NCQL_PARALLELISM` sets the worker
     /// thread count (`0`/`1` mean sequential), `NCQL_PARALLEL_CUTOFF` the
     /// fork threshold, and `NCQL_POOL_THREADS` the worker-thread count of the
-    /// session's persistent work-stealing pool when it should differ from
+    /// session's persistent pool when it should differ from
     /// `NCQL_PARALLELISM` (e.g. an oversubscribed pool on a small machine).
     /// `NCQL_LINT=deny` (or `warn`) sets the [`LintPolicy`], and `NCQL_OPT=0`
     /// (or `none`/`off`) disables the algebraic optimizer
@@ -306,7 +306,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker-thread count of the session's persistent work-stealing pool,
+    /// Worker-thread count of the session's persistent pool,
     /// when it should differ from [`SessionBuilder::parallelism`] (for
     /// example an oversubscribed pool wider than the per-region fan-out).
     /// Normalized exactly like `parallelism` — `Some(0 | 1)` is stored as
@@ -412,12 +412,12 @@ pub struct Session {
     /// Computed lazily on the first `prepare`: pure-evaluation sessions (the
     /// corpus shim's trusted-AST path) never pay the hash.
     registry_fingerprint: OnceLock<u64>,
-    /// The session's persistent work-stealing pool, shared by every parallel
+    /// The session's persistent pool, shared by every parallel
     /// execution it dispatches (one worker set per session, not per query).
     /// Created lazily on the first parallel execution — and the pool itself
     /// spawns its workers lazily on the first forked region — so a
     /// sequential session never creates a worker thread at all.
-    pool: OnceLock<Arc<WorkStealingPool>>,
+    pool: OnceLock<Arc<Pool>>,
     /// The prepared-plan cache: one exact-LRU map behind one mutex, held for
     /// a probe or an insert and never across a preparation.
     cache: SharedLru<PlanKey, Arc<PreparedPlan>>,
@@ -757,12 +757,12 @@ impl Session {
         self.eval_raw(expr, None, &[], &ExecOptions::default())
     }
 
-    /// The session's work-stealing pool, created on first use. Only the
+    /// The session's pool, created on first use. Only the
     /// parallel dispatch path ever calls this, so sequential sessions stay
     /// pool-free.
-    fn pool(&self) -> Arc<WorkStealingPool> {
+    fn pool(&self) -> Arc<Pool> {
         self.pool
-            .get_or_init(|| Arc::new(WorkStealingPool::with_config(self.config.pool_config())))
+            .get_or_init(|| Arc::new(Pool::new(self.config.effective_pool_threads())))
             .clone()
     }
 

@@ -1,4 +1,4 @@
-//! PRAM-style parallel execution substrate: a persistent work-stealing pool.
+//! PRAM-style parallel execution substrate: a persistent pool with one queue.
 //!
 //! The paper's complexity class NC is defined via uniform circuit families and is
 //! equivalent to polylogarithmic time on a CRCW PRAM with polynomially many
@@ -11,32 +11,30 @@
 //! chain that no number of threads can shorten.
 //!
 //! The NC bound is a *span* claim — `O(polylog)` parallel rounds — so the
-//! substrate must not charge a thread start-up latency per round. Earlier
-//! revisions forked every parallel region with `std::thread::scope`, paying
-//! thread creation per region and never rebalancing uneven shard costs. This
-//! crate now provides a [`WorkStealingPool`] instead:
+//! substrate must not charge a thread start-up latency per round, so regions
+//! run on a [`Pool`] of persistent threads:
 //!
 //! * **Persistent workers.** One lazily-spawned worker set per pool, created on
-//!   the first [`RegionPermit::run`] and kept until [`WorkStealingPool::shutdown`]
-//!   (or drop — shutdown is idempotent). A pool that never executes a region
-//!   never spawns a thread (observable via [`live_pool_workers`]).
-//! * **A chunk deque per worker.** A region's items are split into more chunks
-//!   than workers and distributed round-robin; each worker pops its own deque
-//!   LIFO and *steals* FIFO from a pseudo-randomly ordered sequence of victims
-//!   when its own deque runs dry, so uneven chunk costs rebalance inside a
-//!   region. The victim order is seeded by [`PoolConfig::steal_seed`] — the
-//!   scheduling-stress suites vary it to prove results are schedule-invariant.
-//! * **Caller participation.** The thread that opens a region executes that
-//!   region's queued chunks itself while it waits, so a region always makes
-//!   progress even when every worker is busy — which is what makes *nested*
-//!   regions (an inner `dcr` inside an outer one's leaf) deadlock-free.
-//! * **A thread-budget semaphore.** [`WorkStealingPool::try_borrow`] hands out
-//!   at most `threads` worker permits across all concurrently open regions;
-//!   an inner region can borrow workers an outer region left idle, and a
-//!   caller that gets no permit simply stays sequential.
+//!   the first [`RegionPermit::run`] and kept until [`Pool::shutdown`] (or
+//!   drop — shutdown is idempotent). A pool that never executes a region never
+//!   spawns a thread (observable via [`live_pool_workers`]).
+//! * **One queue, one entry per open region.** A region splits its items into
+//!   a few chunks per borrowed worker and queues one entry; its chunks are
+//!   handed out by an atomic counter in the region itself. An idle worker
+//!   claims the next chunk of the front entry, and a thread that finishes a
+//!   chunk claims that region's next one, so uneven chunk costs still spread
+//!   over every thread that is free.
+//! * **Caller participation.** The thread that opens a region claims that
+//!   region's chunks itself too, so a region always makes progress even when
+//!   every worker is busy — which is what makes *nested* regions (an inner
+//!   `dcr` inside an outer one's leaf) deadlock-free.
+//! * **A thread-budget semaphore.** [`Pool::try_borrow`] hands out at most
+//!   `threads` worker permits across all concurrently open regions; an inner
+//!   region can borrow workers an outer region left idle, and a caller that
+//!   gets no permit simply stays sequential.
 //!
-//! The error and panic discipline is unchanged from the fork/join era and is
-//! what `ncql-core` builds its backend equivalence on:
+//! The error and panic discipline, which `ncql-core`'s backend equivalence
+//! builds on:
 //!
 //! * a chunk returning `Err` fails the whole region with [`TaskError::Failed`];
 //! * a chunk *panicking* is caught ([`std::panic::catch_unwind`]) — every other
@@ -53,14 +51,14 @@
 use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread;
 
 /// How many chunks a region creates per borrowed worker. More chunks than
-/// workers is what gives stealing something to rebalance when chunk costs are
-/// uneven; 4 keeps per-chunk queueing overhead negligible while still letting
-/// a fast worker take three extra chunks from a slow one.
+/// workers is what lets a fast thread take more of a region when chunk costs
+/// are uneven; 4 keeps the per-chunk claim negligible while still letting a
+/// fast thread take three extra chunks from a slow one.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// Worker threads alive across *all* pools in the process. Incremented when a
@@ -72,13 +70,6 @@ static LIVE_POOL_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// The number of pool worker threads currently alive in this process.
 pub fn live_pool_workers() -> usize {
     LIVE_POOL_WORKERS.load(Ordering::SeqCst)
-}
-
-/// The number of hardware threads available, with a conservative fallback.
-pub fn available_threads() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 /// Why a parallel region failed: a chunk returned an error, or a chunk
@@ -114,67 +105,72 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Configuration of a [`WorkStealingPool`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Number of persistent worker threads (defaults to the number of
-    /// available cores; clamped to at least 1).
-    pub threads: usize,
-    /// Seed for the workers' victim-selection order when stealing. Purely a
-    /// scheduling knob: any seed produces bit-identical region results, which
-    /// is exactly what the scheduling-stress test suites prove by sweeping it.
-    pub steal_seed: u64,
+/// Run one chunk under the crate's panic discipline: an `Err` becomes
+/// [`TaskError::Failed`], a caught panic [`TaskError::Panicked`].
+fn catch<R, E>(chunk: impl FnOnce() -> Result<R, E>) -> Result<R, TaskError<E>> {
+    catch_unwind(AssertUnwindSafe(chunk))
+        .map_err(|payload| TaskError::Panicked(panic_message(payload)))
+        .and_then(|result| result.map_err(TaskError::Failed))
 }
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            threads: available_threads(),
-            steal_seed: 0,
-        }
-    }
+/// The head of every region's state, and what a queue entry points to: the
+/// claim counter and how many chunks there are to claim.
+///
+/// # The lifetime rules (why other threads may touch a caller's stack frame)
+///
+/// A region's state lives on the frame of the thread that opened it, and
+/// [`RegionPermit::run`] does not return before it has removed the region's
+/// entry from the queue and observed `done == true` under the `done` mutex.
+/// Three rules make every other access happen while that frame is alive:
+///
+/// * **(a)** A region is touched under the queue lock only while its entry
+///   is queued — the opener removes the entry under the same lock before it
+///   waits for `done`.
+/// * **(b)** A thread that is running chunk `i` claims its next chunk
+///   *before* completing `i`: its own incomplete chunk keeps `pending` above
+///   zero, so `done` cannot flip under the claim.
+/// * **(c)** A thread reads everything it needs from the region (including
+///   `chunks`) *before* the `pending` decrement that may complete it; after
+///   that decrement it touches only `done`, and only when its decrement was
+///   the last one, which the opener still waits on.
+#[repr(C)]
+struct Claims {
+    /// The next chunk index to hand out; past `chunks` once all are claimed.
+    /// Claimed `Relaxed`: a claim publishes no data, since the region's
+    /// fields reach a worker through the queue lock it first claims under.
+    next: AtomicUsize,
+    chunks: usize,
 }
 
-/// One unit of queued work: a type-erased pointer to a region's state plus the
-/// chunk index to execute. The pointer stays valid for as long as tasks of the
-/// region can exist — see the safety argument on [`RegionState`].
+/// One queued region: its claim header and the chunk runner of its exact
+/// types, which takes a claimed chunk index.
 #[derive(Clone, Copy)]
-struct Task {
-    region: *const (),
-    run: unsafe fn(*const (), usize),
-    chunk: usize,
+struct Entry {
+    claims: *const Claims,
+    /// SAFETY: called only for a chunk claimed under rule (a) or (b), which
+    /// keeps the region alive; the runner itself keeps rules (b) and (c).
+    run: unsafe fn(*const Claims, usize),
 }
 
-// SAFETY: invariant — a `Task` is built only by `RegionPermit::run`, whose
-// `region` points to that call's `RegionState<T, R, E, F>` and whose `run` is
-// `run_chunk::<T, R, E, F>` of the same four types, and the call's bounds
-// (`T: Sync`, `R: Send`, `E: Send`, `F: Sync`) are exactly what running a
-// chunk from another thread needs: it reads `items` and `worker` through
-// shared references and sends one `Result<R, TaskError<E>>` back. The
-// pointer is dereferenced only inside `run`, and the region-exit protocol
-// (see `RegionState`) keeps the pointee alive until every task of the region
-// has run, so moving a `Task` to another thread moves no unsynchronised
-// access; `chunk` is a plain index.
-unsafe impl Send for Task {}
+// SAFETY: an `Entry` is built only by `RegionPermit::run`, whose `claims`
+// heads that call's `RegionState<T, R, E, F>` and whose `run` is
+// `run_claimed::<T, R, E, F>` of the same four types; the call's bounds
+// (`T: Sync`, `R: Send`, `E: Send`, `F: Sync`) are what running a chunk on
+// another thread needs. The pointer is dereferenced only under the queue
+// lock while the entry is queued (rule (a)) and by `run` for a claimed,
+// incomplete chunk (rules (b) and (c)), so moving an `Entry` to another
+// thread moves no unsynchronised access.
+unsafe impl Send for Entry {}
 
-/// The shared state of one open region, allocated on the opening caller's
-/// stack and type-erased into [`Task`]s.
-///
-/// # Safety protocol (why workers may touch stack data of another thread)
-///
-/// `RegionPermit::run` does not return until it has observed `done == true`
-/// under the `done` mutex. `done` is set (and the condvar notified) by
-/// whichever thread decrements `pending` to zero, *after* writing its result —
-/// and that mutex release/acquire pair makes every chunk's accesses to the
-/// region state happen-before the caller's return. A thread that ran a
-/// non-final chunk makes no further access to region memory after its
-/// `pending` decrement (its copy of the `Task` is a plain pointer whose drop
-/// touches nothing), so no thread can dereference the region pointer once
-/// `run` has returned and the stack frame is gone.
 /// One chunk's slot: `None` until the chunk ran, then its result.
 type ChunkSlot<R, E> = Option<Result<R, TaskError<E>>>;
 
+/// The shared state of one open region, on the opening caller's stack. The
+/// `claims` header comes first (`repr(C)`), so a queue entry's pointer to it
+/// is a pointer to the whole state.
+#[repr(C)]
 struct RegionState<'scope, T, R, E, F> {
+    claims: Claims,
     items: &'scope [T],
     worker: &'scope F,
     chunk_size: usize,
@@ -186,63 +182,78 @@ struct RegionState<'scope, T, R, E, F> {
     done_signal: Condvar,
 }
 
-/// Execute one chunk of the region behind `region` (monomorphized per region
-/// type, taken by [`Task::run`] as a plain function pointer).
-///
-/// # Safety
-///
-/// `region` must point to a live `RegionState<T, R, E, F>` of exactly these
-/// type parameters, and `chunk` must be one of its chunks not yet run. Both
-/// hold for every [`Task`]: `RegionPermit::run` pairs the pointer with this
-/// monomorphization when it builds the task and queues each chunk once, and
-/// the region-exit protocol above keeps the state alive while its `pending`
-/// count is above zero — which it is until this call's own decrement, after
-/// which a non-final chunk touches nothing and the final one only `done`,
-/// which the opening caller still waits on.
-unsafe fn run_chunk<T, R, E, F>(region: *const (), chunk: usize)
+impl<T, R, E, F> RegionState<'_, T, R, E, F>
 where
     T: Sync,
     R: Send,
     E: Send,
     F: Fn(usize, &[T]) -> Result<R, E> + Sync,
 {
-    // SAFETY: the `# Safety` contract above: a live state of these types.
-    let state = &*(region as *const RegionState<'_, T, R, E, F>);
-    let start = chunk * state.chunk_size;
-    let end = (start + state.chunk_size).min(state.items.len());
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        (state.worker)(chunk, &state.items[start..end])
-    }));
-    let result = match outcome {
-        Ok(Ok(r)) => Ok(r),
-        Ok(Err(e)) => Err(TaskError::Failed(e)),
-        Err(payload) => Err(TaskError::Panicked(panic_message(payload))),
-    };
-    state.results.lock().unwrap()[chunk] = Some(result);
-    if state.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last chunk: flip `done` under the mutex so the caller's wakeup
-        // happens-after every chunk's writes (including this thread's).
-        let mut done = state.done.lock().unwrap();
-        *done = true;
-        state.done_signal.notify_all();
+    /// Run the claimed `chunk`, then claim and run this region's next chunk
+    /// until none is left, and complete them all with one decrement.
+    fn run_from(&self, mut chunk: usize) {
+        // Rule (c): `chunks` is read before the decrement below.
+        let chunks = self.claims.chunks;
+        let mut ran = 0;
+        while chunk < chunks {
+            let start = chunk * self.chunk_size;
+            let end = (start + self.chunk_size).min(self.items.len());
+            let result = catch(|| (self.worker)(chunk, &self.items[start..end]));
+            self.results.lock().unwrap()[chunk] = Some(result);
+            ran += 1;
+            // Rule (b): the next claim happens while `chunk` is incomplete.
+            chunk = self.claims.next.fetch_add(1, Ordering::Relaxed);
+        }
+        if self.pending.fetch_sub(ran, Ordering::AcqRel) == ran {
+            // Last chunks: flip `done` and notify under the mutex, so the
+            // caller's wakeup happens-after every chunk's writes and the
+            // caller cannot return (freeing the condvar) before the notify.
+            let mut done = self.done.lock().unwrap();
+            *done = true;
+            self.done_signal.notify_all();
+        }
     }
+}
+
+/// [`RegionState::run_from`] behind a type-erased header pointer: the `run`
+/// of every [`Entry`].
+///
+/// # Safety
+///
+/// `claims` must head a `RegionState<T, R, E, F>` of exactly these type
+/// parameters, and `chunk` must be a chunk of it this thread claimed — under
+/// the queue lock while the entry was queued (rule (a)) or while running an
+/// earlier chunk (rule (b)) — and has not run.
+unsafe fn run_claimed<T, R, E, F>(claims: *const Claims, chunk: usize)
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    F: Fn(usize, &[T]) -> Result<R, E> + Sync,
+{
+    // SAFETY: the `repr(C)` header is the state's first field, so the cast
+    // names the whole state. It is alive: the chunk was claimed under rule
+    // (a) or (b) and is incomplete, so `pending` is above zero and the opener
+    // still waits, and `run_from` keeps rules (b) and (c) from here on.
+    let state = unsafe { &*(claims as *const RegionState<'_, T, R, E, F>) };
+    state.run_from(chunk);
+}
+
+/// The queue of open regions and the shutdown flag, under one lock.
+#[derive(Default)]
+struct Queue {
+    entries: VecDeque<Entry>,
+    shutdown: bool,
 }
 
 /// State shared between the pool handle, its permits, and its workers.
 struct PoolShared {
-    config: PoolConfig,
-    /// One deque per worker. Owners pop the back (LIFO), thieves and helping
-    /// callers take from the front (FIFO), submission is round-robin.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Wake generation: bumped (under the mutex) whenever tasks are pushed or
-    /// shutdown begins, so sleeping workers never miss a wakeup.
-    sleep: Mutex<u64>,
-    wake_signal: Condvar,
-    shutting_down: AtomicBool,
+    threads: usize,
+    queue: Mutex<Queue>,
+    /// Signalled when an entry is queued or shutdown begins.
+    work: Condvar,
     /// Remaining lendable worker permits (the thread-budget semaphore).
     budget: AtomicUsize,
-    /// Round-robin cursor for task distribution across the deques.
-    next_queue: AtomicUsize,
     /// Lazily spawns the worker set on the first region.
     spawn: Once,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
@@ -254,119 +265,52 @@ struct PoolShared {
     live_workers: AtomicUsize,
 }
 
-impl PoolShared {
-    /// Pop a task: own deque first (LIFO), then steal FIFO from victims in the
-    /// pseudo-random order drawn from `rng` — the order the stress suites
-    /// randomize via [`PoolConfig::steal_seed`].
-    fn find_task(&self, me: usize, rng: &mut u64) -> Option<Task> {
-        if let Some(task) = self.queues[me].lock().unwrap().pop_back() {
-            return Some(task);
+fn worker_loop(shared: Arc<PoolShared>) {
+    let mut queue = shared.queue.lock().unwrap();
+    while !queue.shutdown {
+        let Some(&entry) = queue.entries.front() else {
+            queue = shared.work.wait(queue).unwrap();
+            continue;
+        };
+        // SAFETY: rule (a) — the entry is queued and the queue lock is held,
+        // so its opener has not returned; this thread holds no chunk of the
+        // region yet, so rules (b) and (c) have nothing to keep here.
+        let claims = unsafe { &*entry.claims };
+        let chunk = claims.next.fetch_add(1, Ordering::Relaxed);
+        if chunk + 1 >= claims.chunks {
+            queue.entries.pop_front();
         }
-        let n = self.queues.len();
-        let start = (xorshift(rng) as usize) % n;
-        for offset in 0..n {
-            let victim = (start + offset) % n;
-            if victim == me {
-                continue;
-            }
-            if let Some(task) = self.queues[victim].lock().unwrap().pop_front() {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// Remove one queued task belonging to `region`, for the opening caller to
-    /// execute itself while it waits (callers only help their own region, so a
-    /// long-running foreign chunk can never delay a finished region's return).
-    fn find_region_task(&self, region: *const ()) -> Option<Task> {
-        for queue in &self.queues {
-            let mut queue = queue.lock().unwrap();
-            if let Some(at) = queue.iter().position(|t| std::ptr::eq(t.region, region)) {
-                return queue.remove(at);
-            }
-        }
-        None
-    }
-
-    /// Bump the wake generation and rouse every sleeping worker.
-    fn wake_all(&self) {
-        *self.sleep.lock().unwrap() += 1;
-        self.wake_signal.notify_all();
-    }
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn worker_loop(shared: Arc<PoolShared>, index: usize) {
-    // Seed per worker, never zero (xorshift's fixed point).
-    let mut rng = shared
-        .config
-        .steal_seed
-        .wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        | 1;
-    loop {
-        if shared.shutting_down.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some(task) = shared.find_task(index, &mut rng) {
-            // SAFETY: invariant — a task popped from a deque has not run, so
-            // its region's `pending` count still includes it and the opening
-            // caller is still inside `RegionPermit::run`, waiting on `done`:
-            // the `RegionState` behind `task.region` is alive, and `task.run`
-            // is the `run_chunk` of its exact types (see `run_chunk`).
-            unsafe { (task.run)(task.region, task.chunk) };
+        if chunk >= claims.chunks {
             continue;
         }
-        // Idle transition — the only path that touches the generation lock,
-        // so the busy task-draining loop above stays lock-free with respect
-        // to it. Rescan while *holding* the lock: a pusher must take it to
-        // bump the generation, so it cannot complete a push-and-wake between
-        // this scan and the wait below (no lost wakeup). The found task is
-        // run after releasing the lock — running it may open a nested
-        // region whose wake-up needs the same lock.
-        let rescanned = {
-            let mut sleep = shared.sleep.lock().unwrap();
-            let task = shared.find_task(index, &mut rng);
-            if task.is_none() {
-                let seen = *sleep;
-                while *sleep == seen && !shared.shutting_down.load(Ordering::Acquire) {
-                    sleep = shared.wake_signal.wait(sleep).unwrap();
-                }
-            }
-            task
-        };
-        if let Some(task) = rescanned {
-            // SAFETY: invariant — as above: this task was popped from a deque
-            // and has not run, so its region is still open and its state alive.
-            unsafe { (task.run)(task.region, task.chunk) };
-        }
+        drop(queue);
+        // SAFETY: `run` is `run_claimed` of the header's exact types, and
+        // `chunk` was claimed under rule (a) and is incomplete, so the region
+        // stays alive while `run` claims on (rule (b)) and reads it up to its
+        // decrement (rule (c)).
+        unsafe { (entry.run)(entry.claims, chunk) };
+        queue = shared.queue.lock().unwrap();
     }
+    drop(queue);
     shared.live_workers.fetch_sub(1, Ordering::SeqCst);
     LIVE_POOL_WORKERS.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// A persistent work-stealing thread pool executing parallel *regions*: a
-/// region splits a slice into chunks, distributes them across per-worker
-/// deques, and blocks the opening caller (who helps) until every chunk ran.
+/// A persistent thread pool executing parallel *regions*: a region splits a
+/// slice into chunks, queues one entry from which every free thread claims
+/// chunks, and blocks the opening caller (who claims too) until every chunk
+/// ran.
 ///
 /// Workers are spawned lazily on the first region and torn down by
-/// [`WorkStealingPool::shutdown`] (idempotent; also run on drop). Opening a
-/// region requires borrowing worker permits from the pool's thread-budget
-/// semaphore via [`WorkStealingPool::try_borrow`], which is what lets nested
-/// regions share one bounded worker set instead of multiplying threads.
+/// [`Pool::shutdown`] (idempotent; also run on drop). Opening a region
+/// requires borrowing worker permits from the pool's thread-budget semaphore
+/// via [`Pool::try_borrow`], which is what lets nested regions share one
+/// bounded worker set instead of multiplying threads.
 ///
 /// ```
-/// use ncql_pram::WorkStealingPool;
+/// use ncql_pram::Pool;
 ///
-/// let pool = WorkStealingPool::new(4);
+/// let pool = Pool::new(4);
 /// let permit = pool.try_borrow(4).expect("budget starts full");
 /// let items: Vec<u64> = (0..1000).collect();
 /// let squares = permit
@@ -376,55 +320,42 @@ fn worker_loop(shared: Arc<PoolShared>, index: usize) {
 ///     .unwrap();
 /// assert_eq!(squares.iter().sum::<u64>(), (0..1000u64).map(|x| x * x).sum());
 /// ```
-pub struct WorkStealingPool {
+pub struct Pool {
     shared: Arc<PoolShared>,
 }
 
-impl std::fmt::Debug for WorkStealingPool {
+impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkStealingPool")
-            .field("threads", &self.shared.config.threads)
-            .field("steal_seed", &self.shared.config.steal_seed)
+        f.debug_struct("Pool")
+            .field("threads", &self.shared.threads)
             .field("spawned_workers", &self.spawned_workers())
             .field("available_budget", &self.available_budget())
             .finish()
     }
 }
 
-impl WorkStealingPool {
-    /// A pool with the given worker-thread count (clamped to at least 1) and
-    /// the default steal seed. No thread is spawned until the first region.
-    pub fn new(threads: usize) -> WorkStealingPool {
-        WorkStealingPool::with_config(PoolConfig {
-            threads,
-            ..PoolConfig::default()
-        })
-    }
-
-    /// A pool from a full configuration.
-    pub fn with_config(config: PoolConfig) -> WorkStealingPool {
-        let threads = config.threads.max(1);
-        let config = PoolConfig { threads, ..config };
-        WorkStealingPool {
+impl Pool {
+    /// A pool with the given worker-thread count (clamped to at least 1). No
+    /// thread is spawned until the first region.
+    pub fn new(threads: usize) -> Pool {
+        let threads = threads.max(1);
+        Pool {
             shared: Arc::new(PoolShared {
-                queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-                sleep: Mutex::new(0),
-                wake_signal: Condvar::new(),
-                shutting_down: AtomicBool::new(false),
+                threads,
+                queue: Mutex::default(),
+                work: Condvar::new(),
                 budget: AtomicUsize::new(threads),
-                next_queue: AtomicUsize::new(0),
                 spawn: Once::new(),
                 handles: Mutex::new(Vec::new()),
                 spawned_workers: AtomicUsize::new(0),
                 live_workers: AtomicUsize::new(0),
-                config,
             }),
         }
     }
 
     /// The configured worker-thread count (the budget semaphore's capacity).
     pub fn threads(&self) -> usize {
-        self.shared.config.threads
+        self.shared.threads
     }
 
     /// Worker threads this pool has spawned so far (`0` until the first
@@ -434,8 +365,8 @@ impl WorkStealingPool {
     }
 
     /// Worker threads of this pool currently alive: `spawned_workers` minus
-    /// the workers that have exited. `0` after [`WorkStealingPool::shutdown`]
-    /// returns (it joins every worker).
+    /// the workers that have exited. `0` after [`Pool::shutdown`] returns (it
+    /// joins every worker).
     pub fn live_workers(&self) -> usize {
         self.shared.live_workers.load(Ordering::SeqCst)
     }
@@ -453,38 +384,26 @@ impl WorkStealingPool {
     /// outer region is not using.
     pub fn try_borrow(&self, desired: usize) -> Option<RegionPermit> {
         let desired = desired.max(1);
-        let mut current = self.shared.budget.load(Ordering::Relaxed);
-        loop {
-            if current == 0 {
-                return None;
-            }
-            let take = desired.min(current);
-            match self.shared.budget.compare_exchange_weak(
-                current,
-                current - take,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    return Some(RegionPermit {
-                        shared: self.shared.clone(),
-                        workers: take,
-                    })
-                }
-                Err(now) => current = now,
-            }
-        }
+        let free = (self.shared.budget)
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |free| {
+                (free > 0).then(|| free - desired.min(free))
+            })
+            .ok()?;
+        Some(RegionPermit {
+            shared: self.shared.clone(),
+            workers: desired.min(free),
+        })
     }
 
     /// Tear the worker set down: signal shutdown, wake every sleeper, and join
     /// all worker threads. Idempotent — later calls (including the one from
-    /// `Drop`) find nothing left to join. Chunks already queued are *not*
-    /// lost: workers finish the chunk they are running before exiting, and a
-    /// region's opening caller drains whatever its workers abandoned, so an
-    /// in-flight region still completes (on the caller's thread alone).
+    /// `Drop`) find nothing left to join. A region in flight is *not* lost:
+    /// workers finish the chunks they claimed before exiting, and the
+    /// region's opening caller claims whatever is left, so it still completes
+    /// (on the caller's thread alone).
     pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.wake_all();
+        self.shared.queue.lock().unwrap().shutdown = true;
+        self.shared.work.notify_all();
         let handles = std::mem::take(&mut *self.shared.handles.lock().unwrap());
         for handle in handles {
             let _ = handle.join();
@@ -492,7 +411,7 @@ impl WorkStealingPool {
     }
 }
 
-impl Drop for WorkStealingPool {
+impl Drop for Pool {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -532,7 +451,7 @@ impl RegionPermit {
     /// thread participates), and return the per-chunk results in chunk order.
     ///
     /// Single-chunk regions run inline on the calling thread — through the
-    /// same panic discipline — so tiny inputs never touch the queues. Errors
+    /// same panic discipline — so tiny inputs never touch the queue. Errors
     /// and panics follow the crate-level contract: every chunk runs to
     /// completion, partial results are dropped, and the lowest-indexed
     /// chunk's error wins deterministically.
@@ -552,15 +471,16 @@ impl RegionPermit {
         if chunks == 1 {
             // Inline fast path, same worker signature and panic discipline, so
             // pool and no-pool execution are indistinguishable to the caller.
-            return match catch_unwind(AssertUnwindSafe(|| worker(0, items))) {
-                Ok(Ok(r)) => Ok(vec![r]),
-                Ok(Err(e)) => Err(TaskError::Failed(e)),
-                Err(payload) => Err(TaskError::Panicked(panic_message(payload))),
-            };
+            return catch(|| worker(0, items)).map(|r| vec![r]);
         }
 
         self.ensure_spawned();
         let state = RegionState {
+            // Chunk 0 is the caller's own.
+            claims: Claims {
+                next: AtomicUsize::new(1),
+                chunks,
+            },
             items,
             worker: &worker,
             chunk_size,
@@ -569,74 +489,41 @@ impl RegionPermit {
             done: Mutex::new(false),
             done_signal: Condvar::new(),
         };
-        let region = &state as *const RegionState<'_, T, R, E, F> as *const ();
-        let run: unsafe fn(*const (), usize) = run_chunk::<T, R, E, F>;
-
-        // Distribute round-robin starting at a rotating cursor so consecutive
-        // regions spread over different deques, then wake the workers.
-        let n_queues = self.shared.queues.len();
-        let base = self.shared.next_queue.fetch_add(chunks, Ordering::Relaxed);
-        for chunk in 0..chunks {
-            self.shared.queues[(base + chunk) % n_queues]
-                .lock()
-                .unwrap()
-                .push_back(Task { region, run, chunk });
-        }
-        self.shared.wake_all();
-
-        // Help with our own region's chunks, then wait for the stragglers.
-        // The ONLY exit is observing `done` under its mutex — that is what
-        // makes handing stack pointers to persistent threads sound (see the
-        // RegionState safety protocol).
-        loop {
-            if let Some(task) = self.shared.find_region_task(region) {
-                // SAFETY: invariant — `find_region_task` returns only tasks
-                // of this region, whose `state` lives on this frame, and this
-                // loop is the only way out of it: the state outlives the call,
-                // and `task.run` is `run` above, built for its exact types.
-                unsafe { (task.run)(task.region, task.chunk) };
-                if *state.done.lock().unwrap() {
-                    break;
-                }
-            } else {
-                let mut done = state.done.lock().unwrap();
-                while !*done {
-                    done = state.done_signal.wait(done).unwrap();
-                }
-                break;
-            }
+        let entry = Entry {
+            claims: &state.claims,
+            run: run_claimed::<T, R, E, F>,
+        };
+        self.shared.queue.lock().unwrap().entries.push_back(entry);
+        // Wake at most `chunks - 1` workers, with one call when that is all
+        // of them: each notify is a system call on the region's critical path.
+        match chunks - 1 {
+            wake if wake >= self.shared.threads => self.shared.work.notify_all(),
+            wake => (0..wake).for_each(|_| self.shared.work.notify_one()),
         }
 
+        // Claim our own region's chunks until none is left, take the entry
+        // off the queue if no worker popped it (rule (a)), then wait for the
+        // chunks other threads still run. The ONLY exit is observing `done`
+        // under its mutex — that is what makes handing stack pointers to
+        // persistent threads sound (see the rules on `Claims`).
+        state.run_from(0);
+        let mut queue = self.shared.queue.lock().unwrap();
+        queue
+            .entries
+            .retain(|e| !std::ptr::eq(e.claims, entry.claims));
+        drop(queue);
+        let mut done = state.done.lock().unwrap();
+        while !*done {
+            done = state.done_signal.wait(done).unwrap();
+        }
+        drop(done);
+
+        // Collecting stops at the first error in chunk order, so the lowest
+        // chunk index wins; later successes (and errors) drop.
         let slots = std::mem::take(&mut *state.results.lock().unwrap());
-        let mut out = Vec::with_capacity(chunks);
-        for slot in slots {
-            match slot.expect("every chunk runs exactly once before done flips") {
-                Ok(r) => out.push(r),
-                // Lowest chunk index wins; later successes (and errors) drop.
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parallel map preserving item order: apply `f` to every element, chunked
-    /// across the pool. Errors and panics follow [`RegionPermit::run`]'s
-    /// discipline.
-    pub fn map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, TaskError<E>>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&T) -> Result<R, E> + Sync,
-    {
-        let per_chunk = self.run(items, |_, chunk| {
-            chunk.iter().map(&f).collect::<Result<Vec<R>, E>>()
-        })?;
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
-        }
-        Ok(out)
+        (slots.into_iter())
+            .map(|slot| slot.expect("every chunk runs exactly once before done flips"))
+            .collect()
     }
 
     /// One round of a parallel pairwise reduction: combine `items[0]` with
@@ -674,31 +561,7 @@ impl RegionPermit {
                     .collect::<Vec<T>>(),
             )
         })?;
-        let mut out = Vec::with_capacity(pairs.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
-        }
-        Ok(out)
-    }
-
-    /// Parallel tree reduction: repeat [`RegionPermit::combine_round`] until
-    /// one item (or none, for empty input) remains. The reduction tree is
-    /// deterministic — pairing is positional, never completion-ordered — so
-    /// non-commutative results are reproducible across pool sizes and
-    /// schedules.
-    pub fn reduce<T, F>(
-        &self,
-        mut items: Vec<T>,
-        combine: F,
-    ) -> Result<Option<T>, TaskError<Infallible>>
-    where
-        T: Send + Sync + Clone,
-        F: Fn(&T, &T) -> T + Sync,
-    {
-        while items.len() > 1 {
-            items = self.combine_round(items, &combine)?;
-        }
-        Ok(items.pop())
+        Ok(per_chunk.into_iter().flatten().collect())
     }
 
     /// Spawn the worker set once. Skipped after shutdown: a post-shutdown
@@ -712,10 +575,10 @@ impl RegionPermit {
             // freshly pushed handles are visible to the drain — never a
             // worker set that outlives a returned `shutdown()`.
             let mut handles = shared.handles.lock().unwrap();
-            if shared.shutting_down.load(Ordering::Acquire) {
+            if shared.queue.lock().unwrap().shutdown {
                 return;
             }
-            for index in 0..shared.config.threads {
+            for index in 0..shared.threads {
                 let worker_shared = Arc::clone(shared);
                 // Counted before the spawn so the totals are exact the moment
                 // `run` can first return (the worker only ever decrements).
@@ -725,7 +588,7 @@ impl RegionPermit {
                 handles.push(
                     thread::Builder::new()
                         .name(format!("ncql-pool-{index}"))
-                        .spawn(move || worker_loop(worker_shared, index))
+                        .spawn(move || worker_loop(worker_shared))
                         .expect("spawning a pool worker thread"),
                 );
             }
@@ -738,12 +601,24 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn pool(threads: usize) -> WorkStealingPool {
-        WorkStealingPool::new(threads)
+    fn pool(threads: usize) -> Pool {
+        Pool::new(threads)
     }
 
-    fn borrow(pool: &WorkStealingPool) -> RegionPermit {
+    fn borrow(pool: &Pool) -> RegionPermit {
         pool.try_borrow(pool.threads()).expect("budget starts full")
+    }
+
+    /// An order-preserving parallel map: `f` over every item, one
+    /// [`RegionPermit::run`] region.
+    fn map<T: Sync, R: Send, E: Send>(
+        permit: &RegionPermit,
+        items: &[T],
+        f: impl Fn(&T) -> Result<R, E> + Sync,
+    ) -> Result<Vec<R>, TaskError<E>> {
+        let per_chunk: Vec<Vec<R>> =
+            permit.run(items, |_, chunk| chunk.iter().map(&f).collect())?;
+        Ok(per_chunk.into_iter().flatten().collect())
     }
 
     #[test]
@@ -751,7 +626,7 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 3, 8] {
             let p = pool(threads);
-            let out = borrow(&p).map(&items, |x| Ok::<u64, ()>(x * x)).unwrap();
+            let out = map(&borrow(&p), &items, |x| Ok::<u64, ()>(x * x)).unwrap();
             assert_eq!(
                 out,
                 items.iter().map(|x| x * x).collect::<Vec<_>>(),
@@ -780,9 +655,7 @@ mod tests {
     #[test]
     fn empty_input_spawns_nothing() {
         let p = pool(4);
-        let out = borrow(&p)
-            .map(&Vec::<u64>::new(), |_| Ok::<u64, ()>(0))
-            .unwrap();
+        let out = map(&borrow(&p), &Vec::<u64>::new(), |_| Ok::<u64, ()>(0)).unwrap();
         assert!(out.is_empty());
         assert_eq!(
             p.spawned_workers(),
@@ -841,11 +714,8 @@ mod tests {
     fn worker_errors_propagate_deterministically() {
         let items: Vec<u64> = (0..64).collect();
         // Several chunks fail; the lowest chunk index must win every run.
-        for seed in 0..10 {
-            let p = WorkStealingPool::with_config(PoolConfig {
-                threads: 4,
-                steal_seed: seed,
-            });
+        for run in 0..10 {
+            let p = pool(4);
             let err = borrow(&p)
                 .run(&items, |index, _| {
                     if index >= 1 {
@@ -858,14 +728,14 @@ mod tests {
             assert_eq!(
                 err,
                 TaskError::Failed("chunk 1 failed".to_string()),
-                "seed={seed}"
+                "run={run}"
             );
         }
     }
 
     /// Regression test for the panic-propagation contract, ported from the
     /// fork/join executor onto the pool: a panicking chunk surfaces as
-    /// `TaskError::Panicked` with its payload preserved across a steal, the
+    /// `TaskError::Panicked` with its payload preserved across threads, the
     /// process survives, every sibling chunk still runs to completion, and
     /// every successful result is dropped rather than leaked into a partial
     /// output — pinned by counting constructed results against drops.
@@ -972,24 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_order_randomization_never_changes_results() {
-        // The scheduling shim: sweep seeds (different victim orders per run)
-        // and demand bit-identical output every time.
-        let items: Vec<u64> = (0..257).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for seed in 0..24 {
-            let p = WorkStealingPool::with_config(PoolConfig {
-                threads: 4,
-                steal_seed: seed,
-            });
-            let out = borrow(&p)
-                .map(&items, |x| Ok::<u64, ()>(x * 3 + 1))
-                .unwrap();
-            assert_eq!(out, expected, "seed={seed}");
-        }
-    }
-
-    #[test]
     fn budget_semaphore_lends_and_restores_permits() {
         let p = pool(4);
         assert_eq!(p.available_budget(), 4);
@@ -1049,6 +901,64 @@ mod tests {
         );
     }
 
+    /// The server's pattern: independent threads open top-level regions on
+    /// one shared pool while some of those regions open a nested region in
+    /// a chunk. Every region's results come back in chunk order, every chunk
+    /// runs exactly once, and every permit returns to the budget.
+    #[test]
+    fn concurrent_callers_share_one_pool() {
+        let p = pool(2);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for caller in 0..8u64 {
+                let (p, start) = (&p, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..50u64 {
+                        let items: Vec<u64> = (0..3 + (caller * 50 + round) % 40).collect();
+                        let permit = loop {
+                            match p.try_borrow(1) {
+                                Some(permit) => break permit,
+                                None => std::thread::yield_now(),
+                            }
+                        };
+                        let runs: Vec<AtomicUsize> =
+                            (0..items.len()).map(|_| AtomicUsize::new(0)).collect();
+                        let chunks = permit
+                            .run(&items, |index, chunk| {
+                                runs[index].fetch_add(1, Ordering::SeqCst);
+                                // Every third round nests a four-chunk region
+                                // on the outer permit inside each chunk.
+                                let inner: Vec<u64> = (0..64).collect();
+                                let inner_sum: u64 = if round % 3 == 0 {
+                                    permit
+                                        .run(&inner, |_, c| Ok::<u64, ()>(c.iter().sum()))?
+                                        .into_iter()
+                                        .sum()
+                                } else {
+                                    inner.iter().sum()
+                                };
+                                assert_eq!(inner_sum, (0..64).sum::<u64>());
+                                Ok::<_, TaskError<()>>((index, chunk.to_vec()))
+                            })
+                            .unwrap();
+                        let mut seen = Vec::new();
+                        for (i, (index, chunk)) in chunks.iter().enumerate() {
+                            assert_eq!(i, *index, "results in chunk order");
+                            seen.extend(chunk.iter().copied());
+                        }
+                        assert_eq!(seen, items, "caller={caller} round={round}");
+                        for (i, count) in runs.iter().enumerate() {
+                            let expected = usize::from(i < chunks.len());
+                            assert_eq!(count.load(Ordering::SeqCst), expected, "chunk {i}");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(p.available_budget(), p.threads(), "every permit returned");
+    }
+
     /// Shutdown racing an in-flight region: the workers are told to exit while
     /// chunks are still queued. The region must still complete with correct
     /// results — the opening caller drains abandoned chunks itself — and the
@@ -1090,8 +1000,8 @@ mod tests {
 
     #[test]
     fn uneven_chunk_costs_rebalance_across_workers() {
-        // One pathological chunk sleeps; stealing lets the other workers chew
-        // through the rest meanwhile. We can only assert completion and
+        // One pathological chunk sleeps; the other threads claim the rest
+        // meanwhile. We can only assert completion and
         // correctness portably, but with 4 workers × 4 chunks each the slow
         // chunk overlaps 15 fast ones.
         let items: Vec<u64> = (0..160).collect();
@@ -1123,35 +1033,6 @@ mod tests {
             .combine_round(Vec::<u64>::new(), |a, b| a + b)
             .unwrap();
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn reduce_matches_a_sequential_fold_across_pool_sizes() {
-        for threads in [1, 2, 4, 8] {
-            let p = pool(threads);
-            let permit = borrow(&p);
-            let items: Vec<String> = (0..37).map(|i| format!("<{i}>")).collect();
-            let expected = {
-                // The same positional pairing tree, folded sequentially.
-                let mut level = items.clone();
-                while level.len() > 1 {
-                    level = level
-                        .chunks(2)
-                        .map(|c| c.iter().cloned().collect::<String>())
-                        .collect();
-                }
-                level.pop().unwrap()
-            };
-            let got = permit
-                .reduce(items, |a: &String, b: &String| format!("{a}{b}"))
-                .unwrap()
-                .unwrap();
-            assert_eq!(got, expected);
-            assert_eq!(
-                permit.reduce(Vec::<u64>::new(), |a, b| a + b).unwrap(),
-                None
-            );
-        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub struct WireStatsReply {
     pub cache_evictions: u64,
     /// Prepared plans currently cached.
     pub prepared_plans: u64,
-    /// Live work-stealing pool workers in the server process.
+    /// Live pool workers in the server process.
     pub pool_workers: u64,
     /// The session's backend, printed.
     pub backend: String,

@@ -10,7 +10,7 @@
 //!
 //! * [`Server`] accepts TCP connections and handles each on its own thread;
 //!   every handler shares one [`Session`](ncql_engine::Session) — one plan
-//!   cache, one work-stealing pool — because the session is `Sync` by
+//!   cache, one thread pool — because the session is `Sync` by
 //!   design.
 //! * The protocol ([`protocol`]) is newline-delimited JSON. Errors arrive as
 //!   the engine's structured [`Diagnostic`](ncql_engine::Diagnostic) — span,

@@ -2,7 +2,7 @@
 //! sharing one [`Session`].
 //!
 //! The session is the unit of multi-tenancy in this workspace — one plan
-//! cache, one work-stealing pool, one set of resource limits — and it is
+//! cache, one thread pool, one set of resource limits — and it is
 //! `Sync`, so the server never clones it: every connection handler executes
 //! against the same `Arc<Session>`. Per-request isolation comes from three
 //! mechanisms layered on top:

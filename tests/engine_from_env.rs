@@ -1,6 +1,6 @@
 //! `SessionBuilder::from_env` coverage: `NCQL_PARALLELISM` selects the
 //! backend, `NCQL_PARALLEL_CUTOFF` tunes the fork threshold,
-//! `NCQL_POOL_THREADS` sizes the session's persistent work-stealing pool,
+//! `NCQL_POOL_THREADS` sizes the session's persistent pool,
 //! `NCQL_OPT` selects the optimizer level, and `NCQL_KERNELS` switches the
 //! compiled row-kernel `ext` path. `ServeConfig::from_env` reads its
 //! `NCQL_SERVE_*` numbers through the same reader.
@@ -41,7 +41,7 @@ fn builder_from_env_reads_the_knobs() {
     assert_eq!(configured.backend(), Backend::Parallel { threads: 4 });
     assert_eq!(configured.config().parallel_cutoff, 128);
     // The pool may be sized independently of the parallelism knob — CI
-    // uses this to oversubscribe stealing on a small runner.
+    // uses this to oversubscribe the pool on a small runner.
     assert_eq!(configured.config().pool_threads, Some(8));
     assert_eq!(configured.config().effective_pool_threads(), 8);
 

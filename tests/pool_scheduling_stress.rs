@@ -1,17 +1,16 @@
-//! Scheduling-stress suite for the persistent work-stealing pool: the whole
-//! `ncql_queries` corpus, run under pool sizes {1, 2, 4, 8} × repeated
-//! iterations, with the pool's steal-order shim (`EvalConfig::pool_steal_seed`)
-//! randomizing which victim each worker steals from on every iteration.
+//! Scheduling-stress suite for the persistent pool: the whole `ncql_queries`
+//! corpus, run under pool sizes {1, 2, 4, 8} × repeated iterations.
 //!
-//! Work stealing makes *execution order* nondeterministic by design: a chunk
-//! may run on its home worker, a thief, or the region's opening caller, and
-//! the interleaving differs run to run. The observational-equivalence contract
+//! The pool makes *execution order* nondeterministic by design: every free
+//! thread claims chunks from the front region of one queue, so a chunk may
+//! run on any worker or on the region's opening caller, and the interleaving
+//! differs run to run. The observational-equivalence contract
 //! of `tests/parallel_differential.rs` must survive all of it — every run of
 //! every query must produce the `(Value, CostStats)` pair the sequential
 //! backend produces, bit-identically. This suite is that contract under
 //! adversarial schedules: different pool sizes (including a single-worker pool
 //! and, via `NCQL_POOL_THREADS`, an oversubscribed pool wider than the region
-//! fan-out), different steal orders, and pool reuse across all 49 corpus
+//! fan-out), repeated runs, and pool reuse across all 49 corpus
 //! queries (one session, one worker set — a scheduling history the
 //! fresh-pool-per-test differential suite never builds up).
 
@@ -20,12 +19,11 @@ use ncql::queries::differential_corpus;
 use ncql::{Backend, Outcome, Session, SessionBuilder};
 
 /// A forking parallel session: low cutover so the corpus's mid-sized sets
-/// actually fork, with the given worker count and steal seed.
-fn stress_session(pool_size: usize, pool_threads: Option<usize>, seed: u64) -> Session {
+/// actually fork, with the given worker count.
+fn stress_session(pool_size: usize, pool_threads: Option<usize>) -> Session {
     SessionBuilder::new()
         .config(EvalConfig {
             parallel_cutoff: 64,
-            pool_steal_seed: seed,
             ..EvalConfig::default()
         })
         .parallelism(Some(pool_size))
@@ -35,14 +33,14 @@ fn stress_session(pool_size: usize, pool_threads: Option<usize>, seed: u64) -> S
 
 /// The oversubscription request from the CI matrix: `NCQL_POOL_THREADS=8`
 /// makes every stress leg run its pool at 8 workers regardless of the
-/// parallelism knob, so stealing runs contended even on a single-core runner.
+/// parallelism knob, so chunk claims run contended even on a single-core runner.
 fn pool_threads_from_env() -> Option<usize> {
     let raw = std::env::var("NCQL_POOL_THREADS").ok()?;
     raw.trim().parse::<usize>().ok().filter(|n| *n >= 2)
 }
 
 #[test]
-fn corpus_is_schedule_invariant_across_pool_sizes_and_steal_orders() {
+fn corpus_is_schedule_invariant_across_pool_sizes_and_runs() {
     let corpus = differential_corpus();
     assert!(corpus.len() >= 40, "corpus unexpectedly small: {}", corpus.len());
 
@@ -60,11 +58,10 @@ fn corpus_is_schedule_invariant_across_pool_sizes_and_steal_orders() {
     let pool_threads = pool_threads_from_env();
     for pool_size in [1usize, 2, 4, 8] {
         for iteration in 0..2u64 {
-            // A fresh steal order every iteration: the seed feeds each
-            // worker's victim-selection RNG, so two iterations of the same
-            // pool size execute the same chunks along different schedules.
-            let seed = (pool_size as u64) * 1_000 + iteration * 7_919 + 1;
-            let session = stress_session(pool_size, pool_threads, seed);
+            // A fresh session and pool every iteration: two iterations of
+            // the same pool size claim the same chunks along the schedules
+            // their threads happen to race into.
+            let session = stress_session(pool_size, pool_threads);
             if pool_size <= 1 {
                 // `parallelism = 1` normalizes to the sequential backend: the
                 // degenerate rung of the ladder runs no pool at all.
@@ -73,8 +70,8 @@ fn corpus_is_schedule_invariant_across_pool_sizes_and_steal_orders() {
                 assert_eq!(session.backend(), Backend::Parallel { threads: pool_size });
             }
             // ONE session — one persistent pool, one worker set — across the
-            // whole corpus, so later queries run on a pool whose deques and
-            // steal history earlier queries already churned.
+            // whole corpus, so later queries run on a pool whose queue and
+            // workers earlier queries already churned.
             for (entry, want) in corpus.iter().zip(&expected) {
                 let got = session.evaluate(&entry.expr).unwrap_or_else(|e| {
                     panic!(
@@ -84,12 +81,12 @@ fn corpus_is_schedule_invariant_across_pool_sizes_and_steal_orders() {
                 });
                 assert_eq!(
                     got.value, want.value,
-                    "{}: value diverged at pool_size={pool_size} iteration={iteration} seed={seed}",
+                    "{}: value diverged at pool_size={pool_size} iteration={iteration}",
                     entry.name
                 );
                 assert_eq!(
                     got.stats, want.stats,
-                    "{}: cost stats diverged at pool_size={pool_size} iteration={iteration} seed={seed}",
+                    "{}: cost stats diverged at pool_size={pool_size} iteration={iteration}",
                     entry.name
                 );
             }
@@ -98,9 +95,9 @@ fn corpus_is_schedule_invariant_across_pool_sizes_and_steal_orders() {
 }
 
 #[test]
-fn steal_order_shim_is_invisible_at_a_fixed_pool_size() {
-    // Many seeds, one query, one pool size: only the steal schedule varies,
-    // and nothing observable may move. The query is the corpus's most
+fn repeated_runs_are_invisible_at_a_fixed_pool_size() {
+    // Many runs, one query, one pool size, a fresh pool each: only the
+    // schedule varies, and nothing observable may move. The query is the corpus's most
     // region-dense one (transitive closure: leaf maps + log-depth combining
     // rounds + nested ext regions inside every combiner call).
     let corpus = differential_corpus();
@@ -108,22 +105,22 @@ fn steal_order_shim_is_invisible_at_a_fixed_pool_size() {
         .iter()
         .find(|e| e.name == "graph/tc_dcr/path/18")
         .expect("corpus entry");
-    let baseline = stress_session(4, None, 0)
+    let baseline = stress_session(4, None)
         .evaluate(&entry.expr)
         .expect("baseline run");
-    for seed in 1..=12u64 {
-        let again = stress_session(4, None, seed * 0x9E37_79B9)
+    for run in 1..=12 {
+        let again = stress_session(4, None)
             .evaluate(&entry.expr)
-            .unwrap_or_else(|e| panic!("seed {seed} failed: {e}"));
-        assert_eq!(again.value, baseline.value, "value moved under seed {seed}");
-        assert_eq!(again.stats, baseline.stats, "stats moved under seed {seed}");
+            .unwrap_or_else(|e| panic!("run {run} failed: {e}"));
+        assert_eq!(again.value, baseline.value, "value moved in run {run}");
+        assert_eq!(again.stats, baseline.stats, "stats moved in run {run}");
     }
 }
 
 #[test]
 fn oversubscribed_pool_matches_a_matched_pool() {
     // pool_threads wider than parallelism (more workers than the per-region
-    // borrow ever asks for): extra workers only add stealing pressure, never
+    // borrow ever asks for): extra workers only add claim contention, never
     // observable behaviour.
     let corpus = differential_corpus();
     let sample: Vec<_> = corpus
@@ -133,8 +130,8 @@ fn oversubscribed_pool_matches_a_matched_pool() {
         })
         .collect();
     assert!(!sample.is_empty());
-    let matched = stress_session(4, None, 3);
-    let oversubscribed = stress_session(4, Some(8), 3);
+    let matched = stress_session(4, None);
+    let oversubscribed = stress_session(4, Some(8));
     for entry in sample {
         let a = matched.evaluate(&entry.expr).unwrap();
         let b = oversubscribed.evaluate(&entry.expr).unwrap();
